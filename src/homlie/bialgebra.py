@@ -22,6 +22,7 @@ ad_x (x) phi + phi (x) ad_x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .hom_lie import (
     BilinearFormB,
@@ -30,16 +31,9 @@ from .hom_lie import (
     is_weakly_involutive,
     validate_hom_lie,
 )
-from .report import (
-    CheckReport,
-    InvalidStructureError,
-    Witness,
-    combined,
-    failed,
-    passed,
-    require,
-)
+from .report import CheckReport, Witness, combined, holds, require, scan
 from .representation import (
+    CRITERIA_DISAGREE,
     Representation,
     adjoint_rep,
     dual_action_candidate,
@@ -160,39 +154,29 @@ def validate_bialgebra(bi: HomLieBialgebra) -> CheckReport:
     d_valid = validate_hom_lie(dual)
     d_wi = is_weakly_involutive(dual)
 
-    compat = passed("cobracket-compatibility")
-    n = a.dim
-    for i in range(n):
-        phix = a.twisted(a.basis(i))
-        for j in range(n):
-            phiy = a.twisted(a.basis(j))
-            lhs = bi.cobracket.delta_of(a.bracket_of(a.basis(i), a.basis(j)))
-            rhs = ad_on_tensor2(a, phix, bi.cobracket.delta(j)) - ad_on_tensor2(
-                a, phiy, bi.cobracket.delta(i)
-            )
-            res = lhs - rhs
-            if not res.is_zero():
-                compat = failed(
-                    "cobracket-compatibility", [Witness((i + 1, j + 1), res)]
+    cb = bi.cobracket
+
+    def cases():
+        for i in range(a.dim):
+            phix = a.twisted(a.basis(i))
+            for j in range(a.dim):
+                phiy = a.twisted(a.basis(j))
+                lhs = cb.delta_of(a.bracket_of(a.basis(i), a.basis(j)))
+                rhs = ad_on_tensor2(a, phix, cb.delta(j)) - ad_on_tensor2(
+                    a, phiy, cb.delta(i)
                 )
-                break
-        if not compat.ok:
-            break
+                yield (i + 1, j + 1), lhs - rhs
 
     return combined(
         "bialgebra",
         [
-            _tagged(g_valid, "primal-hom-lie"),
-            _tagged(g_wi, "primal-weakly-involutive"),
-            _tagged(d_valid, "dual-hom-lie"),
-            _tagged(d_wi, "dual-weakly-involutive"),
-            compat,
+            g_valid.renamed("primal-hom-lie"),
+            g_wi.renamed("primal-weakly-involutive"),
+            d_valid.renamed("dual-hom-lie"),
+            d_wi.renamed("dual-weakly-involutive"),
+            scan("cobracket-compatibility", cases()),
         ],
     )
-
-
-def _tagged(r: CheckReport, tag: str) -> CheckReport:
-    return CheckReport(tag, r.ok, r.witnesses, r.info, r.subreports)
 
 
 def validate_matched_pair(mp: MatchedPair) -> CheckReport:
@@ -206,16 +190,13 @@ def validate_matched_pair(mp: MatchedPair) -> CheckReport:
     g, gp = mp.left, mp.right
     n, m = g.dim, gp.dim
 
-    eq1 = passed("matched-pair-compat-left")
-    done = False
-    for c in range(m):
-        xp = gp.basis(c)
-        rp_xp = mp.rho_prime.rho_of(xp)
-        rp_phip_xp = mp.rho_prime.rho_of(gp.twisted(xp))
-        for i in range(n):
-            x = g.basis(i)
-            for j in range(n):
-                y = g.basis(j)
+    def left_cases():
+        for c in range(m):
+            xp = gp.basis(c)
+            rp_xp = mp.rho_prime.rho_of(xp)
+            rp_phip_xp = mp.rho_prime.rho_of(gp.twisted(xp))
+            for i, j in product(range(n), repeat=2):
+                x, y = g.basis(i), g.basis(j)
                 lhs = rp_phip_xp.apply(g.bracket_of(x, y))
                 rhs = (
                     g.bracket_of(rp_xp.apply(x), g.twisted(y))
@@ -223,29 +204,15 @@ def validate_matched_pair(mp: MatchedPair) -> CheckReport:
                     + mp.rho_prime.rho_of(mp.rho.rho_of(y).apply(xp)).apply(g.twisted(x))
                     - mp.rho_prime.rho_of(mp.rho.rho_of(x).apply(xp)).apply(g.twisted(y))
                 )
-                res = lhs - rhs
-                if not res.is_zero():
-                    eq1 = failed(
-                        "matched-pair-compat-left",
-                        [Witness((c + 1, i + 1, j + 1), res, "x'=f_c, x=e_i, y=e_j")],
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+                yield (c + 1, i + 1, j + 1), lhs - rhs, "x'=f_c, x=e_i, y=e_j"
 
-    eq2 = passed("matched-pair-compat-right")
-    done = False
-    for i in range(n):
-        x = g.basis(i)
-        r_x = mp.rho.rho_of(x)
-        r_phi_x = mp.rho.rho_of(g.twisted(x))
-        for c in range(m):
-            xp = gp.basis(c)
-            for d in range(m):
-                yp = gp.basis(d)
+    def right_cases():
+        for i in range(n):
+            x = g.basis(i)
+            r_x = mp.rho.rho_of(x)
+            r_phi_x = mp.rho.rho_of(g.twisted(x))
+            for c, d in product(range(m), repeat=2):
+                xp, yp = gp.basis(c), gp.basis(d)
                 lhs = r_phi_x.apply(gp.bracket_of(xp, yp))
                 rhs = (
                     gp.bracket_of(r_x.apply(xp), gp.twisted(yp))
@@ -253,20 +220,15 @@ def validate_matched_pair(mp: MatchedPair) -> CheckReport:
                     + mp.rho.rho_of(mp.rho_prime.rho_of(yp).apply(x)).apply(gp.twisted(xp))
                     - mp.rho.rho_of(mp.rho_prime.rho_of(xp).apply(x)).apply(gp.twisted(yp))
                 )
-                res = lhs - rhs
-                if not res.is_zero():
-                    eq2 = failed(
-                        "matched-pair-compat-right",
-                        [Witness((i + 1, c + 1, d + 1), res, "x=e_i, x'=f_c, y'=f_d")],
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+                yield (i + 1, c + 1, d + 1), lhs - rhs, "x=e_i, x'=f_c, y'=f_d"
 
-    return combined("matched-pair", [eq1, eq2])
+    return combined(
+        "matched-pair",
+        [
+            scan("matched-pair-compat-left", left_cases()),
+            scan("matched-pair-compat-right", right_cases()),
+        ],
+    )
 
 
 def matched_pair_components(mp: MatchedPair) -> CheckReport:
@@ -274,14 +236,18 @@ def matched_pair_components(mp: MatchedPair) -> CheckReport:
     return combined(
         "matched-pair-components",
         [
-            _tagged(validate_hom_lie(mp.left), "left-hom-lie"),
-            _tagged(validate_hom_lie(mp.right), "right-hom-lie"),
-            _tagged(validate_representation(mp.rho), "left-action-representation"),
-            _tagged(
-                validate_representation(mp.rho_prime), "right-action-representation"
-            ),
+            validate_hom_lie(mp.left).renamed("left-hom-lie"),
+            validate_hom_lie(mp.right).renamed("right-hom-lie"),
+            *_action_reports(mp),
         ],
     )
+
+
+def _action_reports(mp: MatchedPair) -> list[CheckReport]:
+    return [
+        validate_representation(mp.rho).renamed("left-action-representation"),
+        validate_representation(mp.rho_prime).renamed("right-action-representation"),
+    ]
 
 
 def double_bracket(mp: MatchedPair) -> HomLieAlgebra:
@@ -358,33 +324,20 @@ def double_weak_involutivity_criteria(mp: MatchedPair) -> CheckReport:
         [is_weakly_involutive(mp.right), is_weakly_involutive_rep(mp.rho_prime)],
     )
     phip2 = mp.right.twist @ mp.right.twist
-    c3 = passed("left-action-fixes-right-twist-square")
-    for i in range(mp.left.dim):
-        res = mp.rho.action[i] @ phip2 - mp.rho.action[i]
-        if not res.is_zero():
-            c3 = failed(
-                "left-action-fixes-right-twist-square", [Witness((i + 1,), res)]
-            )
-            break
+    c3 = scan(
+        "left-action-fixes-right-twist-square",
+        (((i + 1,), act @ phip2 - act) for i, act in enumerate(mp.rho.action)),
+    )
     phi2 = mp.left.twist @ mp.left.twist
-    c4 = passed("right-action-fixes-left-twist-square")
-    for c in range(mp.right.dim):
-        res = mp.rho_prime.action[c] @ phi2 - mp.rho_prime.action[c]
-        if not res.is_zero():
-            c4 = failed(
-                "right-action-fixes-left-twist-square", [Witness((c + 1,), res)]
-            )
-            break
-
+    c4 = scan(
+        "right-action-fixes-left-twist-square",
+        (((c + 1,), act @ phi2 - act) for c, act in enumerate(mp.rho_prime.action)),
+    )
     direct = is_weakly_involutive(double_bracket(mp))
-    agree = (c1.ok and c2.ok and c3.ok and c4.ok) == direct.ok
-    match = (
-        passed("criteria-match-direct")
-        if agree
-        else failed(
-            "criteria-match-direct",
-            [Witness((0,), Q(1), "conjunction of criteria differs from direct check")],
-        )
+    match = holds(
+        "criteria-match-direct",
+        (c1.ok and c2.ok and c3.ok and c4.ok) == direct.ok,
+        CRITERIA_DISAGREE,
     )
     return combined(
         "double-weak-involutivity",
@@ -409,64 +362,36 @@ def validate_manin_triple(big: HomLieAlgebra, n: int) -> CheckReport:
     if big.dim != 2 * n:
         raise ShapeError("Manin-triple candidate must have dimension 2n")
 
-    ambient = _tagged(validate_hom_lie(big), "ambient-hom-lie")
+    ambient = validate_hom_lie(big).renamed("ambient-hom-lie")
+    halves = ((0, n, "first"), (n, 2 * n, "second"))
 
-    blocks = passed("blocks-are-subalgebras")
-    done = False
-    for lo, hi, name in ((0, n, "first"), (n, 2 * n, "second")):
-        for i in range(lo, hi):
-            # twist closure
-            col = big.twist.col(i)
-            out = Vector(
-                [col[k] if not (lo <= k < hi) else Q(0) for k in range(2 * n)]
-            )
-            if not out.is_zero():
-                blocks = failed(
-                    "blocks-are-subalgebras",
-                    [Witness((i + 1,), out, f"twist leaves the {name} block")],
-                )
-                done = True
-                break
-            for j in range(lo, hi):
-                w = big.bracket_of(big.basis(i), big.basis(j))
-                out = Vector(
-                    [w[k] if not (lo <= k < hi) else Q(0) for k in range(2 * n)]
-                )
-                if not out.is_zero():
-                    blocks = failed(
-                        "blocks-are-subalgebras",
-                        [
-                            Witness(
-                                (i + 1, j + 1),
-                                out,
-                                f"bracket leaves the {name} block",
-                            )
-                        ],
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    def block_cases():
+        for lo, hi, name in halves:
+
+            def outside(v: Vector) -> Vector:
+                return Vector([Q(0) if lo <= k < hi else v[k] for k in range(2 * n)])
+
+            for i in range(lo, hi):
+                twist_note = f"twist leaves the {name} block"
+                yield (i + 1,), outside(big.twist.col(i)), twist_note
+                for j in range(lo, hi):
+                    w = big.bracket_of(big.basis(i), big.basis(j))
+                    yield (i + 1, j + 1), outside(w), f"bracket leaves the {name} block"
 
     form = standard_form(n)
-    iso = passed("blocks-isotropic")
-    for lo, hi in ((0, n), (n, 2 * n)):
-        for i in range(lo, hi):
-            for j in range(lo, hi):
-                v = form.evaluate(big.basis(i), big.basis(j))
-                if v != 0:
-                    iso = failed("blocks-isotropic", [Witness((i + 1, j + 1), v)])
-                    break
-            if not iso.ok:
-                break
-        if not iso.ok:
-            break
-
-    invariance = _tagged(check_invariant_form(big, form), "standard-form-invariant")
-
-    return combined("manin-triple", [ambient, blocks, iso, invariance])
+    iso = scan(
+        "blocks-isotropic",
+        (
+            ((i + 1, j + 1), form.evaluate(big.basis(i), big.basis(j)))
+            for lo, hi, _ in halves
+            for i, j in product(range(lo, hi), repeat=2)
+        ),
+    )
+    invariance = check_invariant_form(big, form).renamed("standard-form-invariant")
+    return combined(
+        "manin-triple",
+        [ambient, scan("blocks-are-subalgebras", block_cases()), iso, invariance],
+    )
 
 
 def canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
@@ -496,18 +421,20 @@ def check_triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
     """
     v1 = validate_bialgebra(bi)
 
+    # mp.left is bi.algebra and mp.right is V1's dual algebra, so V1's four
+    # component verdicts are V2's, under V2's names.
     mp = canonical_matched_pair(bi)
+    names = (
+        "left-hom-lie",
+        "left-weakly-involutive",
+        "right-hom-lie",
+        "right-weakly-involutive",
+    )
     v2 = combined(
         "matched-pair-structure",
         [
-            _tagged(validate_hom_lie(mp.left), "left-hom-lie"),
-            _tagged(is_weakly_involutive(mp.left), "left-weakly-involutive"),
-            _tagged(validate_hom_lie(mp.right), "right-hom-lie"),
-            _tagged(is_weakly_involutive(mp.right), "right-weakly-involutive"),
-            _tagged(validate_representation(mp.rho), "left-action-representation"),
-            _tagged(
-                validate_representation(mp.rho_prime), "right-action-representation"
-            ),
+            *(s.renamed(name) for s, name in zip(v1.subreports, names)),
+            *_action_reports(mp),
             validate_matched_pair(mp),
         ],
     )
@@ -548,34 +475,28 @@ def check_bialgebra_homomorphism(
     if f.ncols != a1.dim or f.nrows != a2.dim:
         raise ShapeError("homomorphism matrix has wrong shape")
 
-    bracket_hom = passed("algebra-homomorphism")
-    for i in range(a1.dim):
-        for j in range(a1.dim):
-            lhs = f.apply(a1.bracket_of(a1.basis(i), a1.basis(j)))
-            rhs = a2.bracket_of(f.apply(a1.basis(i)), f.apply(a1.basis(j)))
-            res = lhs - rhs
-            if not res.is_zero():
-                bracket_hom = failed(
-                    "algebra-homomorphism", [Witness((i + 1, j + 1), res)]
-                )
-                break
-        if not bracket_hom.ok:
-            break
-
-    res = f @ a1.twist - a2.twist @ f
-    twist_hom = (
-        passed("twist-intertwined")
-        if res.is_zero()
-        else failed("twist-intertwined", [Witness((0,), res)])
+    e = a1.basis
+    bracket_hom = scan(
+        "algebra-homomorphism",
+        (
+            (
+                (i + 1, j + 1),
+                f.apply(a1.bracket_of(e(i), e(j)))
+                - a2.bracket_of(f.apply(e(i)), f.apply(e(j))),
+            )
+            for i, j in product(range(a1.dim), repeat=2)
+        ),
     )
-
-    co_hom = passed("cobracket-intertwined")
-    for k in range(a1.dim):
-        lhs = apply_pair(f, f, bi1.cobracket.delta(k))
-        rhs = bi2.cobracket.delta_of(f.apply(a1.basis(k)))
-        res = lhs - rhs
-        if not res.is_zero():
-            co_hom = failed("cobracket-intertwined", [Witness((k + 1,), res)])
-            break
-
+    twist_hom = scan("twist-intertwined", [((0,), f @ a1.twist - a2.twist @ f)])
+    co_hom = scan(
+        "cobracket-intertwined",
+        (
+            (
+                (k + 1,),
+                apply_pair(f, f, bi1.cobracket.delta(k))
+                - bi2.cobracket.delta_of(f.apply(e(k))),
+            )
+            for k in range(a1.dim)
+        ),
+    )
     return combined("bialgebra-homomorphism", [bracket_hom, twist_hom, co_hom])

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import re
 import sys
+from typing import Callable
 
 from .bialgebra import (
     HomLieBialgebra,
@@ -70,7 +71,7 @@ def _load(arg: str) -> Structure:
 
 
 _TERM = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?e(?P<i>\d+)\s*(?P<op>\^|x)\s*e(?P<j>\d+)$"
+    r"^(?:(?P<coeff>\d+(?:/[1-9]\d*)?)\s*\*?\s*)?e(?P<i>\d+)\s*(?P<op>\^|x)\s*e(?P<j>\d+)$"
 )
 
 
@@ -174,12 +175,15 @@ def _lsa_or_rep(s: Structure, check: str):
     )
 
 
-def _triple_part(s: Structure, check: str, part: str) -> CheckReport:
-    full = check_triple_equivalence(_bialgebra(s, check))
+def _part(full: CheckReport, part: str) -> CheckReport:
     return next(r for r in full.subreports if r.checked_condition == part)
 
 
-def run_check(name: str, s: Structure, seed: int) -> CheckReport:
+def run_check(
+    name: str, s: Structure, seed: int, triple: Callable[[str], CheckReport]
+) -> CheckReport:
+    """Run one named check; `triple(name)` supplies check_triple_equivalence
+    of s, which the matched-pair and manin-triple checks are parts of."""
     if name == "hom-lie":
         return validate_hom_lie(_need(s, "algebra", name))
     if name == "weakly-involutive":
@@ -187,13 +191,13 @@ def run_check(name: str, s: Structure, seed: int) -> CheckReport:
     if name == "representation":
         return validate_representation(_need(s, "representation", name))
     if name == "matched-pair":
-        return _triple_part(s, name, "matched-pair-structure")
+        return _part(triple(name), "matched-pair-structure")
     if name == "manin-triple":
-        return _triple_part(s, name, "manin-triple")
+        return _part(triple(name), "manin-triple")
     if name == "bialgebra":
         return validate_bialgebra(_bialgebra(s, name))
     if name == "triple-equivalence":
-        return check_triple_equivalence(_bialgebra(s, name))
+        return triple(name)
     if name == "coboundary":
         return validate_coboundary(_need(s, "algebra", name), _rmatrix(s, name))
     if name == "chybe":
@@ -244,11 +248,18 @@ def cmd_validate(args) -> int:
         s = dataclasses.replace(s, rmatrix=r)
     checks = [CHECK_ALIASES.get(c, c) for c in (args.check or _default_checks(s))]
 
+    computed: list[CheckReport] = []
+
+    def triple(check: str) -> CheckReport:
+        if not computed:
+            computed.append(check_triple_equivalence(_bialgebra(s, check)))
+        return computed[0]
+
     reports: list[tuple[str, CheckReport]] = []
     bad_precondition = False
     for name in checks:
         try:
-            reports.append((name, run_check(name, s, args.seed)))
+            reports.append((name, run_check(name, s, args.seed, triple)))
         except InvalidStructureError as e:
             bad_precondition = True
             reports.append(

@@ -23,6 +23,7 @@ has matrix r itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .bialgebra import (
     Cobracket,
@@ -41,8 +42,10 @@ from .report import (
     Witness,
     combined,
     failed,
+    holds,
     passed,
     require,
+    scan,
 )
 from .representation import adjoint_rep, dual_action_candidate
 from .tensor import (
@@ -97,9 +100,7 @@ def check_twist_compat(r: RMatrix) -> CheckReport:
             "twist-compat",
             [Witness((0,), tensor_res, "tensor and operator forms disagree")],
         )
-    if tensor_res.is_zero():
-        return passed("twist-compat")
-    return failed("twist-compat", [Witness((0,), tensor_res)])
+    return scan("twist-compat", [((0,), tensor_res)])
 
 
 def twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
@@ -272,23 +273,25 @@ def symmetric_part_invariance(r: RMatrix) -> CheckReport:
     a = r.base
     sym = r.coeffs + r.coeffs.transpose()
     phi = a.twist
-    for k in range(a.dim):
-        adk = a.ad(k)
-        res = apply_pair(phi, adk, sym) + apply_pair(adk, phi, sym)
-        if not res.is_zero():
-            return failed("symmetric-part-invariance", [Witness((k + 1,), res)])
-    return passed("symmetric-part-invariance")
+
+    def cases():
+        for k in range(a.dim):
+            adk = a.ad(k)
+            yield (k + 1,), apply_pair(phi, adk, sym) + apply_pair(adk, phi, sym)
+
+    return scan("symmetric-part-invariance", cases())
 
 
 def adjoint_kills_r_square(r: RMatrix) -> CheckReport:
     """ad_{phi(x)} [r,r] = 0 for all basis x (the three-slot action)."""
-    a = r.base
-    rr = r_square_bracket(r)
-    for k in range(a.dim):
-        res = ad_phi_on_tensor3(a, a.basis(k), rr)
-        if not res.is_zero():
-            return failed("adjoint-kills-r-square", [Witness((k + 1,), res)])
-    return passed("adjoint-kills-r-square")
+    return _adjoint_kills(r.base, r_square_bracket(r))
+
+
+def _adjoint_kills(a: HomLieAlgebra, rr: Tensor3) -> CheckReport:
+    return scan(
+        "adjoint-kills-r-square",
+        (((k + 1,), ad_phi_on_tensor3(a, a.basis(k), rr)) for k in range(a.dim)),
+    )
 
 
 def dual_side_verdict(r: RMatrix) -> CheckReport:
@@ -312,27 +315,17 @@ def validate_coboundary(a: HomLieAlgebra, r: RMatrix) -> CheckReport:
     require(is_weakly_involutive(a), "coboundary theory needs a weakly involutive base")
     require(check_twist_compat(r), "r must satisfy (phi (x) id) r = (id (x) phi) r")
 
+    rr = r_square_bracket(r)
     cond_i = symmetric_part_invariance(r)
-    cond_ii = adjoint_kills_r_square(r)
+    cond_ii = _adjoint_kills(r.base, rr)
     dual_ok = dual_side_verdict(r)
-
-    agree = (cond_i.ok and cond_ii.ok) == dual_ok.ok
-    crosscheck = (
-        passed("conditions-match-dual-side")
-        if agree
-        else failed(
-            "conditions-match-dual-side",
-            [
-                Witness(
-                    (0,),
-                    Q(1),
-                    "conditions (i)+(ii) disagree with the dual-side verdict",
-                )
-            ],
-        )
+    crosscheck = holds(
+        "conditions-match-dual-side",
+        (cond_i.ok and cond_ii.ok) == dual_ok.ok,
+        "conditions (i)+(ii) disagree with the dual-side verdict",
     )
 
-    rr_zero = r_square_bracket(r).is_zero()
+    rr_zero = rr.is_zero()
     if cond_i.ok and cond_ii.ok:
         if rr_zero and r.is_skew():
             classification = "triangular"
@@ -354,17 +347,14 @@ def validate_coboundary(a: HomLieAlgebra, r: RMatrix) -> CheckReport:
 def check_chybe(r: RMatrix) -> CheckReport:
     """[r,r] = 0, reported entrywise."""
     rr = r_square_bracket(r)
-    n = r.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rr[i, j, k] != 0:
-                    return failed(
-                        "chybe",
-                        [Witness((i + 1, j + 1, k + 1), rr[i, j, k])],
-                        skew=r.is_skew(),
-                    )
-    return passed("chybe", skew=r.is_skew())
+    return scan(
+        "chybe",
+        (
+            ((i + 1, j + 1, k + 1), rr[i, j, k])
+            for i, j, k in product(range(r.dim), repeat=3)
+        ),
+        skew=r.is_skew(),
+    )
 
 
 # --- the three residual identities ------------------------------------------
@@ -414,39 +404,29 @@ def cobracket_residual_identities(
     cb = cobracket_from_r(r)
     w = phi @ r.coeffs - r.coeffs @ phi.transpose()
 
-    rep_a = passed("residual-twist-pushforward")
-    for k in range(n):
-        x = a.basis(k)
-        lhs = cb.delta_of(a.twisted(x)) - apply_pair(phi, phi, cb.delta(k))
-        adpx_phi = a.ad_of(a.twisted(x)) @ phi
-        rhs = _pair_action_loops(adpx_phi, phi, w) - _pair_action_loops(
-            phi, adpx_phi, w
-        )
-        res = lhs - rhs
-        if not res.is_zero():
-            rep_a = failed("residual-twist-pushforward", [Witness((k + 1,), res)])
-            break
+    def cases_a():
+        for k in range(n):
+            x = a.basis(k)
+            lhs = cb.delta_of(a.twisted(x)) - apply_pair(phi, phi, cb.delta(k))
+            adpx_phi = a.ad_of(a.twisted(x)) @ phi
+            rhs = _pair_action_loops(adpx_phi, phi, w) - _pair_action_loops(
+                phi, adpx_phi, w
+            )
+            yield (k + 1,), lhs - rhs
 
-    rep_b = passed("residual-square-twist")
     phi2 = phi @ phi
-    for k in range(n):
-        dk = cb.delta(k)
-        lhs = apply_pair(phi2, Matrix.identity(n), dk) - dk
-        inner = _pair_action_loops(phi, Matrix.identity(n), w) + _pair_action_loops(
-            Matrix.identity(n), phi, w
-        )
-        rhs = _pair_action_loops(phi, a.ad(k), inner)
-        res = lhs - rhs
-        if not res.is_zero():
-            rep_b = failed("residual-square-twist", [Witness((k + 1,), res)])
-            break
+    ident = Matrix.identity(n)
+    inner = _pair_action_loops(phi, ident, w) + _pair_action_loops(ident, phi, w)
 
-    rep_c = passed("residual-compatibility")
-    done = False
-    for i in range(n):
-        x = a.basis(i)
-        for j in range(n):
-            y = a.basis(j)
+    def cases_b():
+        for k in range(n):
+            dk = cb.delta(k)
+            lhs = apply_pair(phi2, ident, dk) - dk
+            yield (k + 1,), lhs - _pair_action_loops(phi, a.ad(k), inner)
+
+    def cases_c():
+        for i, j in product(range(n), repeat=2):
+            x, y = a.basis(i), a.basis(j)
             bxy = a.bracket_of(x, y)
             lhs = cb.delta_of(bxy) - (
                 ad_on_tensor2(a, a.twisted(x), cb.delta(j))
@@ -456,17 +436,13 @@ def cobracket_residual_identities(
             rhs = _pair_action_loops(adb_phi, phi, w) - _pair_action_loops(
                 phi, adb_phi, w
             )
-            res = lhs - rhs
-            if not res.is_zero():
-                rep_c = failed(
-                    "residual-compatibility", [Witness((i + 1, j + 1), res)]
-                )
-                done = True
-                break
-        if done:
-            break
+            yield (i + 1, j + 1), lhs - rhs
 
-    return rep_a, rep_b, rep_c
+    return (
+        scan("residual-twist-pushforward", cases_a()),
+        scan("residual-square-twist", cases_b()),
+        scan("residual-compatibility", cases_c()),
+    )
 
 
 def run_residual_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckReport:
@@ -510,16 +486,18 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckR
         r = RMatrix(a, coeffs)
         cb = cobracket_from_r(r)
         rr = r_square_bracket(r)
-        for k in range(a.dim):
-            res = jac_delta(cb, k) - ad_phi_on_tensor3(a, a.basis(k), rr)
-            if not res.is_zero():
-                return failed(
-                    "jacobiator-bracket-suite",
-                    [Witness((k + 1,), res)],
-                    seed=seed,
-                    case=case,
-                    kernel_dim=len(kernel),
-                )
+        rep = scan(
+            "jacobiator-bracket-suite",
+            (
+                ((k + 1,), jac_delta(cb, k) - ad_phi_on_tensor3(a, a.basis(k), rr))
+                for k in range(n)
+            ),
+            seed=seed,
+            case=case,
+            kernel_dim=len(kernel),
+        )
+        if not rep.ok:
+            return rep
     return passed(
         "jacobiator-bracket-suite", seed=seed, count=cases, kernel_dim=len(kernel)
     )
@@ -562,12 +540,13 @@ def dual_bracket_from_r(a: HomLieAlgebra, r: RMatrix) -> HomLieAlgebra:
     )
 
     cobracket_route = dual_algebra(cobracket_from_r(r))
-    res = operator_route.bracket - cobracket_route.bracket
-    if not res.is_zero():
-        raise InvalidStructureError(
-            "operator and cobracket routes to the dual bracket disagree",
-            failed("dual-bracket-routes-agree", [Witness((0,), res)]),
-        )
+    require(
+        scan(
+            "dual-bracket-routes-agree",
+            [((0,), operator_route.bracket - cobracket_route.bracket)],
+        ),
+        "operator and cobracket routes to the dual bracket disagree",
+    )
     return operator_route
 
 
@@ -606,11 +585,10 @@ def form_from_invertible_r(
     info (a discrepancy is flagged, not failed)."""
     from .hom_lie import BilinearFormB
 
-    if not r.is_skew():
-        raise InvalidStructureError(
-            "form_from_invertible_r needs a skew r",
-            failed("r-skew", [Witness((0,), r.coeffs + r.coeffs.transpose())]),
-        )
+    require(
+        scan("r-skew", [((0,), r.coeffs + r.coeffs.transpose())]),
+        "form_from_invertible_r needs a skew r",
+    )
     if r.coeffs.det() == 0:
         raise InvalidStructureError(
             "form_from_invertible_r needs invertible r#",
@@ -622,41 +600,32 @@ def form_from_invertible_r(
     b = BilinearFormB(gram)
     n = a.dim
 
-    cyclic = passed("cyclic-cocycle")
-    done = False
-    for i in range(n):
-        x = a.basis(i)
-        for j in range(n):
-            y = a.basis(j)
-            for k in range(n):
-                z = a.basis(k)
-                val = (
-                    b.evaluate(a.twisted(x), a.bracket_of(y, z))
-                    + b.evaluate(a.twisted(y), a.bracket_of(z, x))
-                    + b.evaluate(a.twisted(z), a.bracket_of(x, y))
-                )
-                if val != 0:
-                    cyclic = failed(
-                        "cyclic-cocycle", [Witness((i + 1, j + 1, k + 1), val)]
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    e = a.basis
 
-    twist_sym = passed("form-twist-symmetry")
-    for i in range(n):
-        for j in range(n):
-            val = b.evaluate(a.twisted(a.basis(i)), a.basis(j)) - b.evaluate(
-                a.basis(i), a.twisted(a.basis(j))
+    def cyclic_sum(x: Vector, y: Vector, z: Vector) -> Q:
+        return (
+            b.evaluate(a.twisted(x), a.bracket_of(y, z))
+            + b.evaluate(a.twisted(y), a.bracket_of(z, x))
+            + b.evaluate(a.twisted(z), a.bracket_of(x, y))
+        )
+
+    cyclic = scan(
+        "cyclic-cocycle",
+        (
+            ((i + 1, j + 1, k + 1), cyclic_sum(e(i), e(j), e(k)))
+            for i, j, k in product(range(n), repeat=3)
+        ),
+    )
+    twist_sym = scan(
+        "form-twist-symmetry",
+        (
+            (
+                (i + 1, j + 1),
+                b.evaluate(a.twisted(e(i)), e(j)) - b.evaluate(e(i), a.twisted(e(j))),
             )
-            if val != 0:
-                twist_sym = failed("form-twist-symmetry", [Witness((i + 1, j + 1), val)])
-                break
-        if not twist_sym.ok:
-            break
+            for i, j in product(range(n), repeat=2)
+        ),
+    )
 
     chybe = r_square_bracket(r).is_zero()
     report = combined(
@@ -713,15 +682,11 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
     report = combined(
         "hom-double",
         [
-            _tag(compat, "canonical-r-twist-compat"),
-            _tag(chybe, "canonical-r-chybe"),
-            _tag(sym_inv, "canonical-r-symmetric-part"),
-            _tag(hom1, "primal-inclusion-homomorphism"),
-            _tag(hom2, "dual-inclusion-homomorphism"),
+            compat.renamed("canonical-r-twist-compat"),
+            chybe.renamed("canonical-r-chybe"),
+            sym_inv.renamed("canonical-r-symmetric-part"),
+            hom1.renamed("primal-inclusion-homomorphism"),
+            hom2.renamed("dual-inclusion-homomorphism"),
         ],
     )
     return big, r, report
-
-
-def _tag(rep: CheckReport, tag: str) -> CheckReport:
-    return CheckReport(tag, rep.ok, rep.witnesses, rep.info, rep.subreports)

@@ -14,9 +14,10 @@ diagnose a bad structure instead of refusing to look at it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
-from .report import CheckReport, Witness, combined, failed, passed
+from .report import CheckReport, combined, scan
 from .tensor import Matrix, ShapeError, Tensor3, Vector, Q
 
 
@@ -105,50 +106,32 @@ class BilinearFormB:
 def validate_hom_lie(a: HomLieAlgebra) -> CheckReport:
     """Skew bracket, bracket-preserving twist, Hom-Jacobi, all on basis tuples."""
     n = a.dim
-
-    skew = passed("bracket-skew")
-    for i in range(n):
-        for j in range(n):
-            res = a.bracket.plane(i).row(j) + a.bracket.plane(j).row(i)
-            if not res.is_zero():
-                skew = failed(
-                    "bracket-skew", [Witness((i + 1, j + 1), res)]
-                )
-                break
-        if not skew.ok:
-            break
-
-    mult = passed("twist-multiplicative")
-    for i in range(n):
-        for j in range(n):
-            lhs = a.twisted(a.bracket_of(a.basis(i), a.basis(j)))
-            rhs = a.bracket_of(a.twisted(a.basis(i)), a.twisted(a.basis(j)))
-            res = lhs - rhs
-            if not res.is_zero():
-                mult = failed(
-                    "twist-multiplicative", [Witness((i + 1, j + 1), res)]
-                )
-                break
-        if not mult.ok:
-            break
-
-    jac = passed("hom-jacobi")
-    done = False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = hom_jacobiator(a, a.basis(i), a.basis(j), a.basis(k))
-                if not res.is_zero():
-                    jac = failed(
-                        "hom-jacobi", [Witness((i + 1, j + 1, k + 1), res)]
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
+    e = a.basis
+    skew = scan(
+        "bracket-skew",
+        (
+            ((i + 1, j + 1), a.bracket.plane(i).row(j) + a.bracket.plane(j).row(i))
+            for i, j in product(range(n), repeat=2)
+        ),
+    )
+    mult = scan(
+        "twist-multiplicative",
+        (
+            (
+                (i + 1, j + 1),
+                a.twisted(a.bracket_of(e(i), e(j)))
+                - a.bracket_of(a.twisted(e(i)), a.twisted(e(j))),
+            )
+            for i, j in product(range(n), repeat=2)
+        ),
+    )
+    jac = scan(
+        "hom-jacobi",
+        (
+            ((i + 1, j + 1, k + 1), hom_jacobiator(a, e(i), e(j), e(k)))
+            for i, j, k in product(range(n), repeat=3)
+        ),
+    )
     return combined("hom-lie", [skew, mult, jac])
 
 
@@ -164,14 +147,16 @@ def hom_jacobiator(a: HomLieAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
 def is_weakly_involutive(a: HomLieAlgebra) -> CheckReport:
     """[phi^2(x), y] = [x, y] on all basis pairs."""
     n = a.dim
+    e = a.basis
     phi2 = a.twist @ a.twist
-    for i in range(n):
-        xi2 = phi2.apply(a.basis(i))
-        for j in range(n):
-            res = a.bracket_of(xi2, a.basis(j)) - a.bracket_of(a.basis(i), a.basis(j))
-            if not res.is_zero():
-                return failed("weakly-involutive", [Witness((i + 1, j + 1), res)])
-    return passed("weakly-involutive")
+
+    def cases():
+        for i in range(n):
+            xi2 = phi2.apply(e(i))
+            for j in range(n):
+                yield (i + 1, j + 1), a.bracket_of(xi2, e(j)) - a.bracket_of(e(i), e(j))
+
+    return scan("weakly-involutive", cases())
 
 
 def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
@@ -185,42 +170,28 @@ def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
     if b.dim != a.dim:
         raise ShapeError("form dimension does not match algebra")
     n = a.dim
-
-    bracket_inv = passed("form-invariance-bracket")
-    done = False
-    for k in range(n):
-        z = a.basis(k)
-        for i in range(n):
-            x = a.basis(i)
-            for j in range(n):
-                y = a.basis(j)
-                lhs = b.evaluate(a.bracket_of(x, y), z)
-                rhs = b.evaluate(x, a.bracket_of(a.twisted(y), z))
-                if lhs != rhs:
-                    bracket_inv = failed(
-                        "form-invariance-bracket",
-                        [Witness((i + 1, j + 1, k + 1), lhs - rhs)],
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    twist_inv = passed("form-invariance-twist")
-    for i in range(n):
-        for j in range(n):
-            lhs = b.evaluate(a.twisted(a.basis(i)), a.basis(j))
-            rhs = b.evaluate(a.basis(i), a.twisted(a.basis(j)))
-            if lhs != rhs:
-                twist_inv = failed(
-                    "form-invariance-twist", [Witness((i + 1, j + 1), lhs - rhs)]
-                )
-                break
-        if not twist_inv.ok:
-            break
-
+    e = a.basis
+    bracket_inv = scan(
+        "form-invariance-bracket",
+        (
+            (
+                (i + 1, j + 1, k + 1),
+                b.evaluate(a.bracket_of(e(i), e(j)), e(k))
+                - b.evaluate(e(i), a.bracket_of(a.twisted(e(j)), e(k))),
+            )
+            for k, i, j in product(range(n), repeat=3)
+        ),
+    )
+    twist_inv = scan(
+        "form-invariance-twist",
+        (
+            (
+                (i + 1, j + 1),
+                b.evaluate(a.twisted(e(i)), e(j)) - b.evaluate(e(i), a.twisted(e(j))),
+            )
+            for i, j in product(range(n), repeat=2)
+        ),
+    )
     return combined(
         "invariant-form",
         [bracket_inv, twist_inv],

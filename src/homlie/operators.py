@@ -26,6 +26,7 @@ induced cobrackets on the semidirect product coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .bialgebra import HomLieBialgebra, check_triple_equivalence, validate_bialgebra
 from .coboundary import (
@@ -36,19 +37,13 @@ from .coboundary import (
     validate_coboundary,
 )
 from .hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
-from .report import (
-    CheckReport,
-    Witness,
-    combined,
-    failed,
-    passed,
-    require,
-)
+from .report import CheckReport, combined, failed, holds, passed, require, scan
 from .representation import (
     Representation,
     hom_dual_representation,
     is_weakly_involutive_rep,
     semidirect_product,
+    twisted_action_fixes_carrier_square,
     validate_representation,
 )
 from .tensor import (
@@ -130,29 +125,22 @@ class HomLeftSymmetric:
 
 
 def _twist_intertwines(cand: OOperatorCandidate) -> CheckReport:
-    inter = cand.t @ cand.rep.beta - cand.algebra.twist @ cand.t
-    if inter.is_zero():
-        return passed("twist-intertwines-t")
-    return failed("twist-intertwines-t", [Witness((0,), inter)])
+    return scan(
+        "twist-intertwines-t",
+        [((0,), cand.t @ cand.rep.beta - cand.algebra.twist @ cand.t)],
+    )
 
 
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
     """T beta = phi T, and the defect OT vanishes on all basis pairs."""
     twist_ok = _twist_intertwines(cand)
-
-    defect_ok = passed("o-operator-defect")
-    m = cand.rep.carrier_dim
-    done = False
-    for i in range(m):
-        for j in range(m):
-            d = cand.defect(i, j)
-            if not d.is_zero():
-                defect_ok = failed("o-operator-defect", [Witness((i + 1, j + 1), d)])
-                done = True
-                break
-        if done:
-            break
-
+    defect_ok = scan(
+        "o-operator-defect",
+        (
+            ((i + 1, j + 1), cand.defect(i, j))
+            for i, j in product(range(cand.rep.carrier_dim), repeat=2)
+        ),
+    )
     return combined("o-operator", [twist_ok, defect_ok])
 
 
@@ -160,48 +148,38 @@ def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
     """psi multiplicative, and (u.v).psi(w) - psi(u).(v.w) symmetric in u,v."""
     m = p.dim
 
-    mult = passed("product-twist-multiplicative")
-    done = False
-    for i in range(m):
-        for j in range(m):
-            lhs = p.psi.apply(p.product_of(Vector.basis(m, i), Vector.basis(m, j)))
-            rhs = p.product_of(p.psi.col(i), p.psi.col(j))
-            res = lhs - rhs
-            if not res.is_zero():
-                mult = failed(
-                    "product-twist-multiplicative", [Witness((i + 1, j + 1), res)]
-                )
-                done = True
-                break
-        if done:
-            break
+    def e(i: int) -> Vector:
+        return Vector.basis(m, i)
+
+    mult = scan(
+        "product-twist-multiplicative",
+        (
+            (
+                (i + 1, j + 1),
+                p.psi.apply(p.product_of(e(i), e(j)))
+                - p.product_of(p.psi.col(i), p.psi.col(j)),
+            )
+            for i, j in product(range(m), repeat=2)
+        ),
+    )
 
     def associator(u: Vector, v: Vector, w: Vector) -> Vector:
         return p.product_of(p.product_of(u, v), p.psi.apply(w)) - p.product_of(
             p.psi.apply(u), p.product_of(v, w)
         )
 
-    sym = passed("associator-twist-symmetric")
-    done = False
-    for i in range(m):
-        ei = Vector.basis(m, i)
-        for j in range(i + 1, m):
-            ej = Vector.basis(m, j)
-            for k in range(m):
-                ek = Vector.basis(m, k)
-                res = associator(ei, ej, ek) - associator(ej, ei, ek)
-                if not res.is_zero():
-                    sym = failed(
-                        "associator-twist-symmetric",
-                        [Witness((i + 1, j + 1, k + 1), res)],
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
+    sym = scan(
+        "associator-twist-symmetric",
+        (
+            (
+                (i + 1, j + 1, k + 1),
+                associator(e(i), e(j), e(k)) - associator(e(j), e(i), e(k)),
+            )
+            for i in range(m)
+            for j in range(i + 1, m)
+            for k in range(m)
+        ),
+    )
     return combined("hom-left-symmetric", [mult, sym])
 
 
@@ -232,30 +210,17 @@ def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     """u.v = psi^2(u).v on all basis pairs."""
     m = p.dim
     psi2 = p.psi @ p.psi
-    for i in range(m):
-        for j in range(m):
-            res = p.product_of(Vector.basis(m, i), Vector.basis(m, j)) - p.product_of(
-                psi2.col(i), Vector.basis(m, j)
+    return scan(
+        "square-twist-product-condition",
+        (
+            (
+                (i + 1, j + 1),
+                p.product_of(Vector.basis(m, i), Vector.basis(m, j))
+                - p.product_of(psi2.col(i), Vector.basis(m, j)),
             )
-            if not res.is_zero():
-                return failed(
-                    "square-twist-product-condition", [Witness((i + 1, j + 1), res)]
-                )
-    return passed("square-twist-product-condition")
-
-
-def _action_fixes_square(rep: Representation) -> CheckReport:
-    """rho(phi(e_i)) beta^2 = rho(phi(e_i)) for every basis element."""
-    a = rep.base
-    beta2 = rep.beta @ rep.beta
-    for i in range(a.dim):
-        rt = rep.rho_of(a.twisted(a.basis(i)))
-        res = rt @ beta2 - rt
-        if not res.is_zero():
-            return failed(
-                "twisted-action-fixes-carrier-square", [Witness((i + 1,), res)]
-            )
-    return passed("twisted-action-fixes-carrier-square")
+            for i, j in product(range(m), repeat=2)
+        ),
+    )
 
 
 def weak_involutivity_product_criterion(p: HomLeftSymmetric) -> CheckReport:
@@ -267,31 +232,21 @@ def weak_involutivity_product_criterion(p: HomLeftSymmetric) -> CheckReport:
     rep = left_mult_rep(p)
     wi = is_weakly_involutive_rep(rep)
 
-    fwd = (
-        passed("wi-implies-condition")
-        if (not wi.ok or cond.ok)
-        else failed(
+    subs = [
+        holds(
             "wi-implies-condition",
-            [Witness((0,), Q(1), "representation weakly involutive, condition fails")],
-        )
-    )
-    bwd = (
-        passed("condition-implies-wi")
-        if (not cond.ok or wi.ok)
-        else failed(
+            not wi.ok or cond.ok,
+            "representation weakly involutive, condition fails",
+        ),
+        holds(
             "condition-implies-wi",
-            [Witness((0,), Q(1), "condition holds, representation not weakly involutive")],
-        )
-    )
-
-    subs = [fwd, bwd]
+            not cond.ok or wi.ok,
+            "condition holds, representation not weakly involutive",
+        ),
+    ]
     if cond.ok:
         sq = validate_o_operator(OOperatorCandidate(rep.base, rep, p.psi @ p.psi))
-        subs.append(
-            CheckReport(
-                "square-twist-o-operator", sq.ok, sq.witnesses, sq.info, sq.subreports
-            )
-        )
+        subs.append(sq.renamed("square-twist-o-operator"))
     return combined(
         "weak-involutivity-product-criterion",
         subs,
@@ -354,36 +309,24 @@ def r_from_o_operator(
                     expected[n + i][k][n + j] -= c
                     expected[n + i][n + j][k] += c
     rr = r_square_bracket(r)
-    res = rr - Tensor3(expected)
-    expansion = (
-        passed("defect-expansion")
-        if res.is_zero()
-        else failed("defect-expansion", [Witness((0,), res)])
-    )
+    expansion = scan("defect-expansion", [((0,), rr - Tensor3(expected))])
 
     oop = validate_o_operator(cand)
     chybe = rr.is_zero()
-    forward = (
-        passed("o-operator-implies-chybe")
-        if (not oop.ok or chybe)
-        else failed(
-            "o-operator-implies-chybe",
-            [Witness((0,), Q(1), "O-operator with [r,r] != 0")],
-        )
+    forward = holds(
+        "o-operator-implies-chybe", not oop.ok or chybe, "O-operator with [r,r] != 0"
     )
 
     subs = [compat, expansion, forward]
     phi_invertible = cand.algebra.twist.det() != 0
     if phi_invertible:
-        converse = (
-            passed("invertible-twist-converse")
-            if (not chybe or oop.ok)
-            else failed(
+        subs.append(
+            holds(
                 "invertible-twist-converse",
-                [Witness((0,), Q(1), "[r,r]=0 but T is not an O-operator")],
+                not chybe or oop.ok,
+                "[r,r]=0 but T is not an O-operator",
             )
         )
-        subs.append(converse)
 
     report = combined(
         "o-operator-r-matrix",
@@ -416,37 +359,24 @@ def wedge_solutions(
     big1, r1, _ = r_from_o_operator(OOperatorCandidate(base, rep, Matrix.identity(m)))
     big2, r2, _ = r_from_o_operator(OOperatorCandidate(base, rep, p.psi @ p.psi))
 
-    subs = []
-    for tag, r in (("chybe-r1", r1), ("chybe-r2", r2)):
-        rr = r_square_bracket(r)
-        subs.append(
-            passed(tag) if rr.is_zero() else failed(tag, [Witness((0,), rr)])
-        )
+    subs = [
+        scan(tag, [((0,), r_square_bracket(r))])
+        for tag, r in (("chybe-r1", r1), ("chybe-r2", r2))
+    ]
 
     # shared-cobracket hypotheses: g(V) weakly involutive and the twisted
     # action unchanged by the carrier twist square
-    shared_ok = is_weakly_involutive(base).ok and _action_fixes_square(rep).ok
+    shared_ok = (
+        is_weakly_involutive(base).ok and twisted_action_fixes_carrier_square(rep).ok
+    )
 
     if shared_ok:
-        d1 = cobracket_from_r(r1)
-        d2 = cobracket_from_r(r2)
-        res = d1.coeffs - d2.coeffs
-        delta_eq = (
-            passed("induced-cobrackets-coincide")
-            if res.is_zero()
-            else failed("induced-cobrackets-coincide", [Witness((0,), res)])
-        )
-        cob1 = validate_coboundary(big1, r1)
-        cob2 = validate_coboundary(big2, r2)
+        res = cobracket_from_r(r1).coeffs - cobracket_from_r(r2).coeffs
         subs.extend(
             [
-                delta_eq,
-                CheckReport(
-                    "coboundary-r1", cob1.ok, cob1.witnesses, cob1.info, cob1.subreports
-                ),
-                CheckReport(
-                    "coboundary-r2", cob2.ok, cob2.witnesses, cob2.info, cob2.subreports
-                ),
+                scan("induced-cobrackets-coincide", [((0,), res)]),
+                validate_coboundary(big1, r1).renamed("coboundary-r1"),
+                validate_coboundary(big2, r2).renamed("coboundary-r2"),
             ]
         )
 
@@ -471,22 +401,16 @@ def bialgebra_from_o_operator(
     require(is_weakly_involutive(a), "base algebra must be weakly involutive")
     require(is_weakly_involutive_rep(rep), "representation must be weakly involutive")
     require(
-        _action_fixes_square(rep), "rho(phi(x)) beta^2 = rho(phi(x)) must hold"
+        twisted_action_fixes_carrier_square(rep),
+        "rho(phi(x)) beta^2 = rho(phi(x)) must hold",
     )
     require(validate_o_operator(cand), "T must be an O-operator")
 
     big, r, _ = r_from_o_operator(cand)
     bi = HomLieBialgebra(big, cobracket_from_r(r))
-    valid = validate_bialgebra(bi)
-    tri = check_triple_equivalence(bi)
     return bi, combined(
         "o-operator-bialgebra",
-        [
-            CheckReport(
-                "bialgebra", valid.ok, valid.witnesses, valid.info, valid.subreports
-            ),
-            tri,
-        ],
+        [validate_bialgebra(bi), check_triple_equivalence(bi)],
     )
 
 

@@ -14,9 +14,9 @@ carries the failing CheckReport so nothing is lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .tensor import Matrix, Tensor3, Vector, format_q
 
@@ -81,6 +81,10 @@ class CheckReport:
     def __str__(self) -> str:
         return self.render()
 
+    def renamed(self, condition: str) -> "CheckReport":
+        """The same verdict, witnesses, info and subreports under another name."""
+        return replace(self, checked_condition=condition)
+
     def to_json(self) -> dict:
         out: dict = {"condition": self.checked_condition, "verdict": self.verdict}
         if self.witnesses:
@@ -105,6 +109,32 @@ def passed(condition: str, **info) -> CheckReport:
 
 def failed(condition: str, witnesses: list[Witness], **info) -> CheckReport:
     return CheckReport(condition, False, tuple(witnesses), dict(info))
+
+
+def scan(condition: str, cases: Iterable[tuple], **info) -> CheckReport:
+    """Fail at the first case whose residual is nonzero, else pass.
+
+    Each case is (indices, residual) or (indices, residual, note), in the
+    identity's documented scan order. Iteration stops at the witness, so
+    a lazy iterable evaluates nothing after it.
+    """
+    for indices, residual, *note in cases:
+        if _is_nonzero(residual):
+            return failed(condition, [Witness(indices, residual, *note)], **info)
+    return passed(condition, **info)
+
+
+def holds(condition: str, ok: bool, note: str) -> CheckReport:
+    """A cross-check between two verdicts: on failure, unit residual at (0,)."""
+    if ok:
+        return passed(condition)
+    return failed(condition, [Witness((0,), Fraction(1), note)])
+
+
+def _is_nonzero(r: Residual) -> bool:
+    if isinstance(r, (Vector, Matrix, Tensor3)):
+        return not r.is_zero()
+    return r != 0
 
 
 def combined(condition: str, subreports: list[CheckReport], **info) -> CheckReport:

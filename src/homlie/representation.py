@@ -16,9 +16,10 @@ is the sufficient condition everything downstream leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 
 from .hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
-from .report import CheckReport, InvalidStructureError, Witness, combined, failed, passed
+from .report import CheckReport, InvalidStructureError, combined, holds, scan
 from .tensor import Matrix, ShapeError, Tensor3, Vector, Q
 
 
@@ -66,25 +67,24 @@ def validate_representation(r: Representation) -> CheckReport:
     a = r.base
     n = a.dim
 
-    ax1 = passed("rep-axiom-twist")
-    for i in range(n):
-        res = r.rho_twisted(i) @ r.beta - r.beta @ r.action[i]
-        if not res.is_zero():
-            ax1 = failed("rep-axiom-twist", [Witness((i + 1,), res)])
-            break
-
-    ax2 = passed("rep-axiom-bracket")
-    for i in range(n):
-        for j in range(n):
-            lhs = r.rho_of(a.bracket_of(a.basis(i), a.basis(j))) @ r.beta
-            rhs = r.rho_twisted(i) @ r.action[j] - r.rho_twisted(j) @ r.action[i]
-            res = lhs - rhs
-            if not res.is_zero():
-                ax2 = failed("rep-axiom-bracket", [Witness((i + 1, j + 1), res)])
-                break
-        if not ax2.ok:
-            break
-
+    ax1 = scan(
+        "rep-axiom-twist",
+        (
+            ((i + 1,), r.rho_twisted(i) @ r.beta - r.beta @ r.action[i])
+            for i in range(n)
+        ),
+    )
+    ax2 = scan(
+        "rep-axiom-bracket",
+        (
+            (
+                (i + 1, j + 1),
+                r.rho_of(a.bracket_of(a.basis(i), a.basis(j))) @ r.beta
+                - (r.rho_twisted(i) @ r.action[j] - r.rho_twisted(j) @ r.action[i]),
+            )
+            for i, j in product(range(n), repeat=2)
+        ),
+    )
     return combined("representation", [ax1, ax2])
 
 
@@ -96,11 +96,13 @@ def adjoint_rep(a: HomLieAlgebra) -> Representation:
 def is_weakly_involutive_rep(r: Representation) -> CheckReport:
     """rho(phi^2(x)) = rho(x) on basis vectors."""
     phi2 = r.base.twist @ r.base.twist
-    for i in range(r.base.dim):
-        res = r.rho_of(phi2.apply(r.base.basis(i))) - r.action[i]
-        if not res.is_zero():
-            return failed("weakly-involutive-rep", [Witness((i + 1,), res)])
-    return passed("weakly-involutive-rep")
+    return scan(
+        "weakly-involutive-rep",
+        (
+            ((i + 1,), r.rho_of(phi2.apply(r.base.basis(i))) - r.action[i])
+            for i in range(r.base.dim)
+        ),
+    )
 
 
 def dual_action_candidate(r: Representation) -> Representation:
@@ -131,27 +133,30 @@ def hom_dual_exists(r: Representation) -> CheckReport:
     n = a.dim
     phi2 = a.twist @ a.twist
 
-    cond1 = passed("dual-exists-i")
-    for i in range(n):
-        res = r.beta @ r.action[i] - r.beta @ r.rho_of(phi2.apply(a.basis(i)))
-        if not res.is_zero():
-            cond1 = failed("dual-exists-i", [Witness((i + 1,), res)])
-            break
+    def rho_sq(x: Vector) -> Matrix:
+        return r.rho_of(phi2.apply(x))
 
-    cond2 = passed("dual-exists-ii")
-    for i in range(n):
-        for j in range(n):
-            lhs = r.rho_of(phi2.apply(a.bracket_of(a.basis(i), a.basis(j)))) @ r.beta
-            rhs = r.rho_twisted(i) @ r.rho_of(phi2.apply(a.basis(j))) - r.rho_twisted(
-                j
-            ) @ r.rho_of(phi2.apply(a.basis(i)))
-            res = lhs - rhs
-            if not res.is_zero():
-                cond2 = failed("dual-exists-ii", [Witness((i + 1, j + 1), res)])
-                break
-        if not cond2.ok:
-            break
-
+    cond1 = scan(
+        "dual-exists-i",
+        (
+            ((i + 1,), r.beta @ r.action[i] - r.beta @ rho_sq(a.basis(i)))
+            for i in range(n)
+        ),
+    )
+    cond2 = scan(
+        "dual-exists-ii",
+        (
+            (
+                (i + 1, j + 1),
+                rho_sq(a.bracket_of(a.basis(i), a.basis(j))) @ r.beta
+                - (
+                    r.rho_twisted(i) @ rho_sq(a.basis(j))
+                    - r.rho_twisted(j) @ rho_sq(a.basis(i))
+                ),
+            )
+            for i, j in product(range(n), repeat=2)
+        ),
+    )
     return combined(
         "hom-dual-exists",
         [cond1, cond2],
@@ -176,15 +181,13 @@ def hom_dual_representation(r: Representation) -> Representation:
 def rep_double_dual_is_identity(r: Representation) -> CheckReport:
     """Dualizing twice returns the original action matrices exactly."""
     dd = dual_action_candidate(dual_action_candidate(r))
-    if dd.beta != r.beta:
-        return failed(
-            "double-dual-identity", [Witness((0,), dd.beta - r.beta, "twist differs")]
-        )
-    for i in range(r.base.dim):
-        res = dd.action[i] - r.action[i]
-        if not res.is_zero():
-            return failed("double-dual-identity", [Witness((i + 1,), res)])
-    return passed("double-dual-identity")
+    return scan(
+        "double-dual-identity",
+        chain(
+            [((0,), dd.beta - r.beta, "twist differs")],
+            (((i + 1,), dd.action[i] - r.action[i]) for i in range(r.base.dim)),
+        ),
+    )
 
 
 def semidirect_product(a: HomLieAlgebra, r: Representation) -> HomLieAlgebra:
@@ -217,6 +220,9 @@ def semidirect_product(a: HomLieAlgebra, r: Representation) -> HomLieAlgebra:
     return HomLieAlgebra(Tensor3(box), Matrix(tw), f"{a.label or 'g'}|xV")
 
 
+CRITERIA_DISAGREE = "conjunction of criteria differs from direct check"
+
+
 def semidirect_weak_involutivity_criteria(
     a: HomLieAlgebra, r: Representation
 ) -> CheckReport:
@@ -233,21 +239,15 @@ def semidirect_weak_involutivity_criteria(
     c1 = is_weakly_involutive(a)
     c2 = is_weakly_involutive_rep(r)
     beta2 = r.beta @ r.beta
-    c3 = passed("action-fixes-carrier-square")
-    for i in range(a.dim):
-        res = r.action[i] @ beta2 - r.action[i]
-        if not res.is_zero():
-            c3 = failed("action-fixes-carrier-square", [Witness((i + 1,), res)])
-            break
+    c3 = scan(
+        "action-fixes-carrier-square",
+        (((i + 1,), r.action[i] @ beta2 - r.action[i]) for i in range(a.dim)),
+    )
     direct = is_weakly_involutive(semidirect_product(a, r))
-    agree = (c1.ok and c2.ok and c3.ok) == direct.ok
-    match = (
-        passed("criteria-match-direct")
-        if agree
-        else failed(
-            "criteria-match-direct",
-            [Witness((0,), Q(1), "conjunction of criteria differs from direct check")],
-        )
+    match = holds(
+        "criteria-match-direct",
+        (c1.ok and c2.ok and c3.ok) == direct.ok,
+        CRITERIA_DISAGREE,
     )
     return combined(
         "semidirect-weak-involutivity",
@@ -272,30 +272,28 @@ def dual_semidirect_weak_involutivity_criteria(
             "dual semidirect criteria need a weakly involutive representation", wi
         )
     c1 = is_weakly_involutive(a)
-    beta2 = r.beta @ r.beta
-    c2 = passed("twisted-action-fixes-carrier-square")
-    for i in range(a.dim):
-        res = r.rho_twisted(i) @ beta2 - r.rho_twisted(i)
-        if not res.is_zero():
-            c2 = failed(
-                "twisted-action-fixes-carrier-square", [Witness((i + 1,), res)]
-            )
-            break
+    c2 = twisted_action_fixes_carrier_square(r)
     direct = is_weakly_involutive(semidirect_product(a, hom_dual_representation(r)))
-    agree = (c1.ok and c2.ok) == direct.ok
-    match = (
-        passed("criteria-match-direct")
-        if agree
-        else failed(
-            "criteria-match-direct",
-            [Witness((0,), Q(1), "conjunction of criteria differs from direct check")],
-        )
+    match = holds(
+        "criteria-match-direct", (c1.ok and c2.ok) == direct.ok, CRITERIA_DISAGREE
     )
     return combined(
         "dual-semidirect-weak-involutivity",
         [c1, c2, match],
         direct_verdict=direct.verdict,
     )
+
+
+def twisted_action_fixes_carrier_square(r: Representation) -> CheckReport:
+    """rho(phi(e_i)) beta^2 = rho(phi(e_i)) for every basis element."""
+    beta2 = r.beta @ r.beta
+
+    def cases():
+        for i in range(r.base.dim):
+            rt = r.rho_twisted(i)
+            yield (i + 1,), rt @ beta2 - rt
+
+    return scan("twisted-action-fixes-carrier-square", cases())
 
 
 def check_rep_equivalence(r1: Representation, r2: Representation, varphi: Matrix) -> CheckReport:
@@ -307,18 +305,15 @@ def check_rep_equivalence(r1: Representation, r2: Representation, varphi: Matrix
     if r1.base.dim != r2.base.dim:
         raise ShapeError("representations live over different algebras")
 
-    inter = passed("equivalence-intertwines-action")
-    for i in range(r1.base.dim):
-        res = varphi @ r1.action[i] - r2.action[i] @ varphi
-        if not res.is_zero():
-            inter = failed("equivalence-intertwines-action", [Witness((i + 1,), res)])
-            break
-
-    res = r2.beta @ varphi - varphi @ r1.beta
-    tw = (
-        passed("equivalence-intertwines-twist")
-        if res.is_zero()
-        else failed("equivalence-intertwines-twist", [Witness((0,), res)])
+    inter = scan(
+        "equivalence-intertwines-action",
+        (
+            ((i + 1,), varphi @ r1.action[i] - r2.action[i] @ varphi)
+            for i in range(r1.base.dim)
+        ),
+    )
+    tw = scan(
+        "equivalence-intertwines-twist", [((0,), r2.beta @ varphi - varphi @ r1.beta)]
     )
     return combined("rep-equivalence", [inter, tw])
 

@@ -400,10 +400,6 @@ def random_q(rng) -> Fraction:
     return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
 
 
-def random_vector(rng, n: int) -> Vector:
-    return Vector(random_q(rng) for _ in range(n))
-
-
 def random_matrix(rng, nrows: int, ncols: int | None = None) -> Matrix:
     ncols = nrows if ncols is None else ncols
     return Matrix([[random_q(rng) for _ in range(ncols)] for _ in range(nrows)])

@@ -131,6 +131,34 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "validate", "builtin:lsa2", "--rmatrix", "e1^e2")[0] == 2
 
 
+def test_zero_denominator_in_rmatrix_exits_two(capsys):
+    code, _, err = run(capsys, "validate", "builtin:aff2", "--rmatrix", "1/0 e1^e2")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_triple_equivalence_runs_once_per_validate(capsys, monkeypatch):
+    import homlie.cli
+
+    calls = []
+    real = homlie.cli.check_triple_equivalence
+    monkeypatch.setattr(
+        homlie.cli,
+        "check_triple_equivalence",
+        lambda bi: calls.append(bi) or real(bi),
+    )
+    checks = ["matched-pair", "manin-triple", "triple-equivalence"]
+    argv = ["validate", "builtin:aff2-zero"]
+    for c in checks:
+        argv += ["--check", c]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    for c in ("matched-pair-structure", "manin-triple", "triple-equivalence"):
+        assert f"{c}: pass" in out
+
+
 def test_bad_structure_file_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -9,8 +9,10 @@ from homlie.report import (
     Witness,
     combined,
     failed,
+    holds,
     passed,
     require,
+    scan,
 )
 from homlie.tensor import Matrix, Tensor3, Vector
 
@@ -76,3 +78,53 @@ def test_require_raises_with_report_attached():
     assert "gate: fail" in str(exc.value)
 
     require(passed("gate"), "never raised")
+
+
+def test_scan_returns_first_nonzero_case_with_note_and_info():
+    cases = [
+        ((1,), Q(0)),
+        ((2,), Vector([0, 0])),
+        ((3,), Matrix([[0, 2], [0, 0]]), "why"),
+        ((4,), Q(5)),
+    ]
+    rep = scan("c", cases, skew=True)
+    assert not rep.ok
+    assert rep.witnesses == (Witness((3,), Matrix([[0, 2], [0, 0]]), "why"),)
+    assert rep.info == {"skew": True}
+
+    ok = scan("c", [((1,), Q(0)), ((1, 1, 1), Tensor3([[[Q(0)]]]))], skew=False)
+    assert ok.ok and ok.witnesses == () and ok.info == {"skew": False}
+    assert scan("c", []).ok
+
+
+def test_scan_stops_at_the_witness():
+    def cases():
+        yield (1,), Q(0)
+        yield (2,), Q(-1)
+        raise AssertionError("scan pulled a case past the witness")
+
+    rep = scan("c", cases())
+    assert rep.witnesses[0].indices == (2,)
+    assert rep.witnesses[0].residual == Q(-1)
+
+
+def test_renamed_keeps_everything_but_the_name():
+    sub = failed("inner", [Witness((1,), Q(2))])
+    rep = combined("outer", [sub, passed("other")], flag=3)
+    new = rep.renamed("tag")
+    assert new.checked_condition == "tag"
+    assert (new.ok, new.witnesses, new.info, new.subreports) == (
+        rep.ok,
+        rep.witnesses,
+        rep.info,
+        rep.subreports,
+    )
+    assert passed("x", k=1).renamed("y") == passed("y", k=1)
+
+
+def test_holds_fails_with_unit_residual_and_note():
+    assert holds("agree", True, "unused") == passed("agree")
+    rep = holds("agree", False, "verdicts differ")
+    assert not rep.ok
+    assert rep.witnesses == (Witness((0,), Q(1), "verdicts differ"),)
+    assert rep.info == {}
