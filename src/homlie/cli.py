@@ -154,14 +154,7 @@ def _rmatrix(s: Structure, check: str) -> RMatrix:
 
 def _o_candidate(s: Structure, check: str) -> OOperatorCandidate:
     t = _need(s, "ooperator_t", check)
-    if s.algebra is not None and s.representation is not None:
-        return OOperatorCandidate(s.algebra, s.representation, t)
-    if s.lsa is not None:
-        rep = left_mult_rep(s.lsa)
-        return OOperatorCandidate(rep.base, rep, t)
-    raise UsageError(
-        f"check {check!r} needs algebra+representation sections or an lsa section"
-    )
+    return OOperatorCandidate(*_lsa_or_rep(s, check), t)
 
 
 def _lsa_or_rep(s: Structure, check: str):

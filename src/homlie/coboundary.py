@@ -47,7 +47,6 @@ from .report import (
     require,
     scan,
 )
-from .representation import adjoint_rep, dual_action_candidate
 from .tensor import (
     Matrix,
     Q,
@@ -58,8 +57,9 @@ from .tensor import (
     apply_triple,
     contract3_first_two,
     cyclic3,
-    nullspace,
+    matrix_kernel,
     random_combination,
+    sylvester,
 )
 
 
@@ -105,45 +105,19 @@ def check_twist_compat(r: RMatrix) -> CheckReport:
 
 def twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
     """Basis of {r : phi r = r phi^T}, the space of twist-compatible r."""
-    n = a.dim
-    phi = a.twist
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [Q(0)] * (n * n)
-            # (phi r - r phi^T)[i][j] = sum_p phi[i][p] r[p][j] - sum_q r[i][q] phi[j][q]
-            for p in range(n):
-                row[p * n + j] += phi[i, p]
-            for q in range(n):
-                row[i * n + q] -= phi[j, q]
-            rows.append(row)
-    return [
-        Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        for v in nullspace(Matrix(rows))
-    ]
+    return matrix_kernel(sylvester(a.twist, a.twist.transpose()), a.dim, a.dim)
 
 
 def skew_twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
     """Basis of the twist-compatible r that are also skew-symmetric."""
     n = a.dim
-    phi = a.twist
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [Q(0)] * (n * n)
-            for p in range(n):
-                row[p * n + j] += phi[i, p]
-            for q in range(n):
-                row[i * n + q] -= phi[j, q]
-            rows.append(row)
-            sym = [Q(0)] * (n * n)
-            sym[i * n + j] += Q(1)
-            sym[j * n + i] += Q(1)
-            rows.append(sym)
-    return [
-        Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-        for v in nullspace(Matrix(rows))
-    ]
+    equations = []
+    # for each (i, j): (phi r - r phi^T)[i][j] = 0, then (r + r^T)[i][j] = 0
+    for (i, j), compat in zip(
+        product(range(n), repeat=2), sylvester(a.twist, a.twist.transpose())
+    ):
+        equations += [compat, [(i, j, Q(1)), (j, i, Q(1))]]
+    return matrix_kernel(equations, n, n)
 
 
 def cobracket_from_r(r: RMatrix) -> Cobracket:
@@ -474,15 +448,10 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckR
 
     n = a.dim
     kernel = skew_twist_compat_kernel(a)
-    flat = [Vector([x for row in m.rows for x in row]) for m in kernel]
     rng = random.Random(seed)
     cases = count if kernel else 1
     for case in range(cases):
-        if flat:
-            vec = random_combination(rng, flat)
-            coeffs = Matrix([[vec[i * n + j] for j in range(n)] for i in range(n)])
-        else:
-            coeffs = Matrix.zero(n)
+        coeffs = random_combination(rng, kernel) if kernel else Matrix.zero(n)
         r = RMatrix(a, coeffs)
         cb = cobracket_from_r(r)
         rr = r_square_bracket(r)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .report import CheckReport, combined, scan
-from .tensor import Matrix, ShapeError, Tensor3, Vector, Q
+from .tensor import Matrix, Q, ShapeError, Tensor3, Vector, matrix_kernel, sylvester
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,21 @@ class InvariantFormSpace:
     has_nondegenerate_symmetric: bool
 
 
+def _bracket_invariance_equations(a: HomLieAlgebra):
+    """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k]) = 0 in the Gram entries
+    of B, for each (i, j, k) in row-major order."""
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            bij = a.bracket.entries[i][j]
+            phiy = a.twisted(a.basis(j))
+            for k in range(n):
+                w = a.bracket_of(phiy, a.basis(k))
+                yield [(l, k, c) for l, c in enumerate(bij) if c] + [
+                    (i, l, -c) for l, c in enumerate(w.entries) if c
+                ]
+
+
 def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     """Solve the invariance identities as a linear system in the Gram entries.
 
@@ -263,52 +278,16 @@ def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     non-root), computed symbolically.
     """
     n = a.dim
-    nun = n * n  # unknowns g[i][j] at index i*n + j
-    rows: list[list[Q]] = []
-
-    for i in range(n):
-        for j in range(n):
-            bij = a.bracket.entries[i][j]
-            phiy = a.twisted(a.basis(j))
-            for k in range(n):
-                row = [Q(0)] * nun
-                # B([e_i,e_j], e_k) = sum_l c_ij^l g[l][k]
-                for l in range(n):
-                    row[l * n + k] += bij[l]
-                # minus B(e_i, [phi(e_j), e_k]) = sum_l [phi e_j, e_k]_l g[i][l]
-                w = a.bracket_of(phiy, a.basis(k))
-                for l in range(n):
-                    row[i * n + l] -= w[l]
-                rows.append(row)
-
-    for i in range(n):
-        for j in range(n):
-            row = [Q(0)] * nun
-            # B(phi e_i, e_j) - B(e_i, phi e_j)
-            for p in range(n):
-                row[p * n + j] += a.twist[p, i]
-            for q in range(n):
-                row[i * n + q] -= a.twist[q, j]
-            rows.append(row)
-
-    from .tensor import nullspace
-
-    sols = nullspace(Matrix(rows))
-    basis = tuple(
-        Matrix([[v[i * n + j] for j in range(n)] for i in range(n)]) for v in sols
+    equations = [
+        *_bracket_invariance_equations(a),
+        # B(phi e_i, e_j) - B(e_i, phi e_j)
+        *sylvester(a.twist.transpose(), a.twist),
+    ]
+    basis = tuple(matrix_kernel(equations, n, n))
+    symmetry = (
+        [(i, j, Q(1)), (j, i, Q(-1))] for i in range(n) for j in range(i + 1, n)
     )
-
-    sym_rows = list(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [Q(0)] * nun
-            row[i * n + j] = Q(1)
-            row[j * n + i] = Q(-1)
-            sym_rows.append(row)
-    sym_sols = nullspace(Matrix(sym_rows))
-    sym_basis = tuple(
-        Matrix([[v[i * n + j] for j in range(n)] for i in range(n)]) for v in sym_sols
-    )
+    sym_basis = tuple(matrix_kernel([*equations, *symmetry], n, n))
 
     return InvariantFormSpace(
         basis,

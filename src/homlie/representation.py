@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
+from .hom_lie import HomLieAlgebra, is_weakly_involutive
 from .report import CheckReport, InvalidStructureError, combined, holds, scan
 from .tensor import Matrix, ShapeError, Tensor3, Vector, Q
 
@@ -317,7 +317,3 @@ def check_rep_equivalence(r1: Representation, r2: Representation, varphi: Matrix
     )
     return combined("rep-equivalence", [inter, tw])
 
-
-def validate_all(a: HomLieAlgebra, r: Representation) -> CheckReport:
-    """Convenience: algebra validity + representation axioms in one report."""
-    return combined("algebra-and-representation", [validate_hom_lie(a), validate_representation(r)])

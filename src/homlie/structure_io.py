@@ -78,7 +78,7 @@ def _require_list(node, path: str) -> list:
 
 def _sparse_entries(node, path: str, rank: int):
     entries = _require_list(node.get("entries"), f"{path}.entries")
-    out = []
+    out = {}
     for pos, row in enumerate(entries):
         here = f"{path}.entries[{pos}]"
         row = _require_list(row, here)
@@ -86,13 +86,15 @@ def _sparse_entries(node, path: str, rank: int):
             raise StructureParseError(
                 here, f"want {rank} indices plus a value, got {len(row)} items"
             )
-        idx = []
         for x in row[:rank]:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise StructureParseError(here, "indices are 1-based integers")
-            idx.append(x - 1)
-        out.append((idx, _parse_q(row[rank], here)))
-    return out
+        val = _parse_q(row[rank], here)
+        idx = tuple(x - 1 for x in row[:rank])
+        if idx in out:
+            raise StructureParseError(here, f"duplicate entry {tuple(row[:rank])}")
+        out[idx] = val
+    return out.items()
 
 
 def _parse_matrix(node, path: str, nrows: int, ncols: int) -> Matrix:

@@ -19,9 +19,11 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import reduce
+from typing import Iterable, Iterator, Sequence, Union
 
 Q = Fraction
 
@@ -101,11 +103,6 @@ class Vector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(format_q(a) for a in self.entries) + ")"
-
-
-def pair_dual(xi: Vector, v: Vector) -> Fraction:
-    """<xi, v> with xi in coordinates of the dual basis (biorthogonal)."""
-    return xi.dot(v)
 
 
 @dataclass(frozen=True)
@@ -343,11 +340,6 @@ def apply_triple(a: Matrix, b: Matrix, c: Matrix, t: Tensor3) -> Tensor3:
     return Tensor3(out)
 
 
-def sigma2(t: Matrix) -> Matrix:
-    """Swap the two tensor slots: sigma(x (x) y) = y (x) x."""
-    return t.transpose()
-
-
 def cyclic3(t: Tensor3, k: int = 1) -> Tensor3:
     """Rotate tensor slots k times; one application sends u(x)v(x)w to w(x)u(x)v."""
     k %= 3
@@ -385,11 +377,6 @@ def contract3_first_two(t: Tensor3, xi: Vector, eta: Vector) -> Vector:
     return Vector(out)
 
 
-def contract2_full(t: Matrix, xi: Vector, eta: Vector) -> Fraction:
-    """<t, xi (x) eta> = sum t^{ij} xi_i eta_j."""
-    return pair_dual(xi, t.apply(eta))
-
-
 # --- seeded random generation ------------------------------------------------
 #
 # Fuzz suites draw entries p/q with p uniform in {-2..2} and q in {1, 2},
@@ -405,24 +392,12 @@ def random_matrix(rng, nrows: int, ncols: int | None = None) -> Matrix:
     return Matrix([[random_q(rng) for _ in range(ncols)] for _ in range(nrows)])
 
 
-def random_skew_matrix(rng, n: int) -> Matrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = random_q(rng)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return Matrix(rows)
-
-
-def random_combination(rng, basis: Sequence[Vector]) -> Vector:
-    """Random rational combination of the given vectors (zero if empty needs a dim)."""
+def random_combination(rng, basis: Sequence):
+    """Random rational combination of the given vectors or matrices (anything
+    with + and .scale)."""
     if not basis:
-        raise ShapeError("random_combination needs at least one vector")
-    out = Vector.zero(basis[0].dim)
-    for v in basis:
-        out = out + v.scale(random_q(rng))
-    return out
+        raise ShapeError("random_combination needs at least one element")
+    return reduce(operator.add, (v.scale(random_q(rng)) for v in basis))
 
 
 # --- exact linear algebra helpers -------------------------------------------
@@ -471,13 +446,36 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of Mx = b, or None when inconsistent."""
-    aug = Matrix([list(r) + [b[i]] for i, r in enumerate(m.rows)])
-    a, pivots = rref(aug.rows)
-    if m.ncols in pivots:
-        return None
-    x = [ZERO] * m.ncols
-    for r, p in enumerate(pivots):
-        x[p] = a[r][m.ncols]
-    return Vector(x)
+# --- linear systems in the entries of a matrix -------------------------------
+#
+# An equation in the entries of an unknown nrows x ncols matrix X is a list
+# of (p, q, c) terms, meaning sum c X[p][q] = 0, with zero coefficients left
+# out. Only matrix_kernel knows where X[p][q] sits among the unknowns.
+
+Equation = list[tuple[int, int, Fraction]]
+
+
+def sylvester(a: Matrix, b: Matrix) -> Iterator[Equation]:
+    """The equations (A X - X B)[i][j] = 0, in row-major order of (i, j)."""
+    for i, arow in enumerate(a.rows):
+        for j in range(b.ncols):
+            yield [(p, j, c) for p, c in enumerate(arow) if c] + [
+                (i, q, -brow[j]) for q, brow in enumerate(b.rows) if brow[j]
+            ]
+
+
+def matrix_kernel(equations: Iterable[Equation], nrows: int, ncols: int) -> list[Matrix]:
+    """Exact basis of the nrows x ncols matrices X that satisfy every equation."""
+    rows = []
+    for eq in equations:
+        row = [ZERO] * (nrows * ncols)
+        for p, q, c in eq:
+            k = p * ncols + q
+            # most entries get one term: skip the Fraction addition for those
+            row[k] = row[k] + c if row[k] else c
+        rows.append(row)
+    return [
+        Matrix(v.entries[p * ncols : (p + 1) * ncols] for p in range(nrows))
+        # a zero row keeps the column count of a system with no equations
+        for v in nullspace(Matrix(rows or [[ZERO] * (nrows * ncols)]))
+    ]

@@ -87,10 +87,7 @@ def acceptance(n, label):
 
 
 def _kernel_rmatrix(a, rng, kernel):
-    n = a.dim
-    flat = [Vector([x for row in m.rows for x in row]) for m in kernel]
-    v = random_combination(rng, flat)
-    return RMatrix(a, Matrix([[v[i * n + j] for j in range(n)] for i in range(n)]))
+    return RMatrix(a, random_combination(rng, kernel))
 
 
 def test_acceptance_1_corpus_validity(heis3phi):

@@ -138,6 +138,24 @@ def test_zero_denominator_in_rmatrix_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_duplicate_sparse_entry_exits_two(capsys, tmp_path):
+    doc = {
+        "version": 1,
+        "algebra": {
+            "dim": 2,
+            "bracket": {"entries": [[1, 2, 1, "1"], [1, 2, 1, "5"], [2, 1, 1, "-1"]]},
+            "twist": [["1", "0"], ["0", "1"]],
+        },
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "algebra.bracket.entries[1]: duplicate entry (1, 2, 1)" in err
+    assert "Traceback" not in err
+
+
 def test_triple_equivalence_runs_once_per_validate(capsys, monkeypatch):
     import homlie.cli
 

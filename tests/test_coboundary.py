@@ -199,12 +199,8 @@ def test_dual_side_verdict_matches_conditions_on_kernel_samples(heis3phi):
         kernel = skew_twist_compat_kernel(a)
         if not kernel:
             continue
-        n = a.dim
-        flat = [Vector([x for row in m.rows for x in row]) for m in kernel]
         for _ in range(10):
-            v = random_combination(rng, flat)
-            rc = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
-            r = RMatrix(a, rc)
+            r = RMatrix(a, random_combination(rng, kernel))
             conds = symmetric_part_invariance(r).ok and adjoint_kills_r_square(r).ok
             assert conds == dual_side_verdict(r).ok
 
@@ -214,10 +210,8 @@ def test_jac_delta_matches_oracle_and_bracket_action(heis3phi):
     for a in (aff2(), heis3phi):
         kernel = twist_compat_kernel(a)
         n = a.dim
-        flat = [Vector([x for row in m.rows for x in row]) for m in kernel]
         for _ in range(6):
-            v = random_combination(rng, flat)
-            rc = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
+            rc = random_combination(rng, kernel)
             r = RMatrix(a, rc)
             cb = cobracket_from_r(r)
             rr = r_square_bracket(r)
@@ -237,10 +231,8 @@ def test_jacobiator_identity_on_skew_kernel(heis3phi):
         if not kernel:
             continue
         n = a.dim
-        flat = [Vector([x for row in m.rows for x in row]) for m in kernel]
         for _ in range(10):
-            v = random_combination(rng, flat)
-            rc = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
+            rc = random_combination(rng, kernel)
             r = RMatrix(a, rc)
             cb = cobracket_from_r(r)
             rr = r_square_bracket(r)
@@ -283,11 +275,8 @@ def test_operator_route_matches_cobracket_route_on_kernel_samples(heis3phi):
     rng = random.Random(14)
     for a in (aff2(), heis3(), sl2(), heis3phi):
         kernel = twist_compat_kernel(a)
-        n = a.dim
-        flat = [Vector([x for row in m.rows for x in row]) for m in kernel]
         for _ in range(6):
-            v = random_combination(rng, flat)
-            rc = Matrix([[v[i * n + j] for j in range(n)] for i in range(n)])
+            rc = random_combination(rng, kernel)
             dual = dual_bracket_from_r(a, RMatrix(a, rc))
             assert dual.bracket == dual_algebra(cobracket_from_r(RMatrix(a, rc))).bracket
 

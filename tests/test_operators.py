@@ -274,6 +274,28 @@ def test_bialgebra_from_o_operator():
     assert names == ["bialgebra", "triple-equivalence"]
 
 
+def test_bialgebra_from_o_operator_validates_the_bialgebra_once(monkeypatch):
+    import homlie.bialgebra
+    import homlie.operators
+
+    calls = []
+    real = homlie.bialgebra.validate_bialgebra
+
+    def counting(bi):
+        calls.append(bi)
+        return real(bi)
+
+    for module in (homlie.bialgebra, homlie.operators):
+        if hasattr(module, "validate_bialgebra"):
+            monkeypatch.setattr(module, "validate_bialgebra", counting)
+    rep = left_mult_rep(lsa2())
+    bi, report = bialgebra_from_o_operator(
+        OOperatorCandidate(rep.base, rep, Matrix.identity(2))
+    )
+    assert len(calls) == 1
+    assert report.subreports[0] == report.subreports[1].subreports[0]
+
+
 def test_bialgebra_from_o_operator_gates_on_defect():
     a = aff2()
     cand = OOperatorCandidate(a, adjoint_rep(a), Matrix.identity(2))

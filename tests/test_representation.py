@@ -22,7 +22,6 @@ from homlie.representation import (
     rep_double_dual_is_identity,
     semidirect_product,
     semidirect_weak_involutivity_criteria,
-    validate_all,
     validate_representation,
 )
 from homlie.tensor import Matrix, Vector
@@ -186,14 +185,6 @@ def test_dual_semidirect_criteria(heis3phi):
 
     with pytest.raises(InvalidStructureError):
         dual_semidirect_weak_involutivity_criteria(aff2phi(), adjoint_rep(aff2phi()))
-
-
-def test_validate_all_convenience():
-    assert validate_all(aff2(), adjoint_rep(aff2())).ok
-    assert not validate_all(
-        aff2(),
-        Representation(aff2(), Matrix.identity(2), (Matrix.identity(2), Matrix.zero(2))),
-    ).ok
 
 
 def test_representation_value_equality_ignores_construction_route():

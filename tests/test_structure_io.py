@@ -160,6 +160,27 @@ def test_parse_errors():
     assert exc.value.path == "builtin"
 
 
+def test_duplicate_sparse_entry_is_a_parse_error():
+    doc = {
+        "version": 1,
+        "algebra": {
+            "dim": 2,
+            "bracket": {"entries": [[1, 2, 1, "1"], [1, 2, 1, "5"], [2, 1, 1, "-1"]]},
+            "twist": {"entries": [[1, 1, "1"], [2, 2, "1"], [2, 2, "1"]]},
+        },
+    }
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(doc))
+    assert exc.value.path == "algebra.bracket.entries[1]"
+    assert "duplicate entry (1, 2, 1)" in str(exc.value)
+
+    doc["algebra"]["bracket"]["entries"].pop(1)
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(doc))
+    assert exc.value.path == "algebra.twist.entries[2]"
+    assert "duplicate entry (2, 2)" in str(exc.value)
+
+
 def test_bad_scalars_and_shapes():
     base = {
         "version": 1,
