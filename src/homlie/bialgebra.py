@@ -29,6 +29,7 @@ from .hom_lie import (
     HomLieAlgebra,
     check_invariant_form,
     is_weakly_involutive,
+    require_same_algebra,
     validate_hom_lie,
 )
 from .report import CheckReport, Witness, combined, holds, require, scan
@@ -74,11 +75,9 @@ class HomLieBialgebra:
     cobracket: Cobracket
 
     def __post_init__(self):
-        if self.cobracket.base is not self.algebra and (
-            self.cobracket.base.bracket != self.algebra.bracket
-            or self.cobracket.base.twist != self.algebra.twist
-        ):
-            raise ShapeError("cobracket lives on a different algebra")
+        require_same_algebra(
+            self.cobracket.base, self.algebra, "cobracket lives on a different algebra"
+        )
 
 
 @dataclass(frozen=True)

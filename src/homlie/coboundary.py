@@ -35,7 +35,7 @@ from .bialgebra import (
     dual_algebra,
     validate_bialgebra,
 )
-from .hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
+from .hom_lie import HomLieAlgebra, is_weakly_involutive, require_same_algebra, validate_hom_lie
 from .report import (
     CheckReport,
     InvalidStructureError,
@@ -286,10 +286,17 @@ def validate_coboundary(a: HomLieAlgebra, r: RMatrix) -> CheckReport:
     info["classification"]: triangular (skew solution), quasitriangular
     (solution), coboundary (conditions hold, [r,r] != 0), or none.
     """
+    return _validate_coboundary(a, r, None)
+
+
+def _validate_coboundary(a: HomLieAlgebra, r: RMatrix, rr: Tensor3 | None) -> CheckReport:
+    """validate_coboundary, reusing [r,r] when the caller already has it."""
+    require_same_algebra(a, r.base, "r lives on a different algebra")
     require(is_weakly_involutive(a), "coboundary theory needs a weakly involutive base")
     require(check_twist_compat(r), "r must satisfy (phi (x) id) r = (id (x) phi) r")
 
-    rr = r_square_bracket(r)
+    if rr is None:
+        rr = r_square_bracket(r)
     cond_i = symmetric_part_invariance(r)
     cond_ii = _adjoint_kills(r.base, rr)
     dual_ok = dual_side_verdict(r)
@@ -370,6 +377,7 @@ def cobracket_residual_identities(
     a: HomLieAlgebra, r: RMatrix
 ) -> tuple[CheckReport, CheckReport, CheckReport]:
     """The three exact identities above, each as its own report."""
+    require_same_algebra(a, r.base, "r lives on a different algebra")
     require(
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
@@ -488,6 +496,7 @@ def dual_bracket_from_r(a: HomLieAlgebra, r: RMatrix) -> HomLieAlgebra:
     (ad" the dual of the adjoint action), asserted equal, entry for entry,
     to dual_algebra(cobracket_from_r(r)).
     """
+    require_same_algebra(a, r.base, "r lives on a different algebra")
     require(is_weakly_involutive(a), "operator route assumes a weakly involutive base")
     require(check_twist_compat(r), "operator route assumes phi r# = r# phi*")
     n = a.dim
@@ -524,6 +533,7 @@ def sharp_bracket_defect(a: HomLieAlgebra, r: RMatrix, ai: int, bi: int) -> Chec
     equals the contraction of [r,r] against (f_a, f_b) in the first two
     slots. Exact identity for twist-compatible r over a weakly involutive
     base; both sides computed and compared here."""
+    require_same_algebra(a, r.base, "r lives on a different algebra")
     require(check_twist_compat(r), "sharp-bracket identity assumes twist compat")
     n = a.dim
     sharp_twisted = r_sharp(r) @ a.twist.transpose()  # r# phi*
@@ -554,6 +564,7 @@ def form_from_invertible_r(
     info (a discrepancy is flagged, not failed)."""
     from .hom_lie import BilinearFormB
 
+    require_same_algebra(a, r.base, "r lives on a different algebra")
     require(
         scan("r-skew", [((0,), r.coeffs + r.coeffs.transpose())]),
         "form_from_invertible_r needs a skew r",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .report import CheckReport, combined, scan
-from .tensor import Matrix, Q, ShapeError, Tensor3, Vector, matrix_kernel, sylvester
+from .tensor import Matrix, Q, ShapeError, Tensor3, Vector, matrix_kernels, pencil_det, sylvester
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,12 @@ class HomLieAlgebra:
 
     def twisted(self, x: Vector) -> Vector:
         return self.twist.apply(x)
+
+
+def require_same_algebra(a: HomLieAlgebra, b: HomLieAlgebra, message: str) -> None:
+    """ShapeError(message) unless a and b are one object or share bracket and twist."""
+    if a is not b and (a.bracket != b.bracket or a.twist != b.twist):
+        raise ShapeError(message)
 
 
 @dataclass(frozen=True)
@@ -270,43 +276,24 @@ def _bracket_invariance_equations(a: HomLieAlgebra):
 
 
 def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
-    """Solve the invariance identities as a linear system in the Gram entries.
+    """Solve the invariance identities as a linear system in the Gram entries,
+    then add B(e_i, e_j) = B(e_j, e_i) for the symmetric forms.
 
-    Existence of a nondegenerate solution is decided by whether the
-    determinant of a generic element of the solution space is the zero
-    polynomial (over an infinite field a nonzero polynomial has a rational
-    non-root), computed symbolically.
+    A nondegenerate solution exists when the determinant of a generic element
+    of the solution space is not the zero polynomial (over an infinite field a
+    nonzero polynomial has a rational non-root), expanded exactly by pencil_det.
     """
     n = a.dim
-    equations = [
+    invariance = [
         *_bracket_invariance_equations(a),
         # B(phi e_i, e_j) - B(e_i, phi e_j)
         *sylvester(a.twist.transpose(), a.twist),
     ]
-    basis = tuple(matrix_kernel(equations, n, n))
     symmetry = (
         [(i, j, Q(1)), (j, i, Q(-1))] for i in range(n) for j in range(i + 1, n)
     )
-    sym_basis = tuple(matrix_kernel([*equations, *symmetry], n, n))
-
-    return InvariantFormSpace(
-        basis,
-        sym_basis,
-        _generic_det_nonzero(basis, n),
-        _generic_det_nonzero(sym_basis, n),
-    )
-
-
-def _generic_det_nonzero(mats: tuple[Matrix, ...], n: int) -> bool:
-    if not mats:
-        return False
-    import sympy
-
-    ts = sympy.symbols(f"t0:{len(mats)}")
-    generic = sympy.zeros(n, n)
-    for t, m in zip(ts, mats):
-        generic += t * sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.rows])
-    return sympy.expand(generic.det()) != 0
+    bases = [tuple(b) for b in matrix_kernels(n, n, invariance, symmetry)]
+    return InvariantFormSpace(*bases, *(bool(pencil_det(b, n)) for b in bases))
 
 
 def change_of_basis(a: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:

@@ -31,12 +31,12 @@ from itertools import product
 from .bialgebra import HomLieBialgebra, check_triple_equivalence
 from .coboundary import (
     RMatrix,
+    _validate_coboundary,
     check_twist_compat,
     cobracket_from_r,
     r_square_bracket,
-    validate_coboundary,
 )
-from .hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
+from .hom_lie import HomLieAlgebra, is_weakly_involutive, require_same_algebra, validate_hom_lie
 from .report import CheckReport, combined, failed, holds, passed, require, scan
 from .representation import (
     Representation,
@@ -65,16 +65,11 @@ class OOperatorCandidate:
     t: Matrix  # n x m, columns are T(v_1), ..., T(v_m) in g coordinates
 
     def __post_init__(self):
-        if self.rep.base is not self.algebra and (
-            self.rep.base.bracket != self.algebra.bracket
-            or self.rep.base.twist != self.algebra.twist
-        ):
-            raise ShapeError("representation must live over the candidate's algebra")
+        require_same_algebra(
+            self.rep.base, self.algebra, "representation must live over the candidate's algebra"
+        )
         if self.t.nrows != self.algebra.dim or self.t.ncols != self.rep.carrier_dim:
             raise ShapeError("T must map the carrier into the algebra")
-
-    def apply_t(self, u: Vector) -> Vector:
-        return self.t.apply(u)
 
     def defect(self, i: int, j: int) -> Vector:
         """OT(v_i, v_j) in g coordinates."""
@@ -284,6 +279,12 @@ def r_from_o_operator(
     solution forces T to be an O-operator) is checked on this instance and
     recorded.
     """
+    big, r, _, report = _r_and_square(cand)
+    return big, r, report
+
+
+def _r_and_square(cand: OOperatorCandidate) -> tuple[HomLieAlgebra, RMatrix, Tensor3, CheckReport]:
+    """r_from_o_operator, also returning the [r,r] it computed."""
     require(_twist_intertwines(cand), "T must intertwine the twists")
     require(
         is_weakly_involutive_rep(cand.rep),
@@ -336,7 +337,7 @@ def r_from_o_operator(
         o_operator=oop.verdict,
         phi_invertible=phi_invertible,
     )
-    return big, r, report
+    return big, r, rr, report
 
 
 def wedge_solutions(
@@ -357,13 +358,10 @@ def wedge_solutions(
     base = rep.base
     m = p.dim
 
-    big1, r1, _ = r_from_o_operator(OOperatorCandidate(base, rep, Matrix.identity(m)))
-    big2, r2, _ = r_from_o_operator(OOperatorCandidate(base, rep, p.psi @ p.psi))
+    big1, r1, rr1, _ = _r_and_square(OOperatorCandidate(base, rep, Matrix.identity(m)))
+    big2, r2, rr2, _ = _r_and_square(OOperatorCandidate(base, rep, p.psi @ p.psi))
 
-    subs = [
-        scan(tag, [((0,), r_square_bracket(r))])
-        for tag, r in (("chybe-r1", r1), ("chybe-r2", r2))
-    ]
+    subs = [scan("chybe-r1", [((0,), rr1)]), scan("chybe-r2", [((0,), rr2)])]
 
     # shared-cobracket hypotheses: g(V) weakly involutive and the twisted
     # action unchanged by the carrier twist square
@@ -376,8 +374,8 @@ def wedge_solutions(
         subs.extend(
             [
                 scan("induced-cobrackets-coincide", [((0,), res)]),
-                validate_coboundary(big1, r1).renamed("coboundary-r1"),
-                validate_coboundary(big2, r2).renamed("coboundary-r2"),
+                _validate_coboundary(big1, r1, rr1).renamed("coboundary-r1"),
+                _validate_coboundary(big2, r2, rr2).renamed("coboundary-r2"),
             ]
         )
 

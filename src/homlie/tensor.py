@@ -215,18 +215,9 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ShapeError("singular matrix has no inverse")
-            a[col], a[piv] = a[piv], a[col]
-            inv = ONE / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        a, pivots = rref([r + e for r, e in zip(self.rows, Matrix.identity(n).rows)])
+        if pivots[:n] != list(range(n)):
+            raise ShapeError("singular matrix has no inverse")
         return Matrix(row[n:] for row in a)
 
     def _same_shape(self, other: "Matrix") -> None:
@@ -427,17 +418,15 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return a, pivots
 
 
-def nullspace(m: Matrix) -> list[Vector]:
-    """Exact basis of {x : Mx = 0}."""
-    ncols = m.ncols
-    if ncols == 0:
-        return []
-    if m.nrows == 0:
-        return [Vector.basis(ncols, j) for j in range(ncols)]
-    a, pivots = rref(m.rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
+    """Exact basis of {x : rows x = 0} for x with ncols entries."""
+    return _kernel(*rref(rows), ncols)
+
+
+def _kernel(a: list[list[Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
+    """One basis vector per free column of a reduced row echelon form."""
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[f] = ONE
         for r, p in enumerate(pivots):
@@ -450,7 +439,7 @@ def nullspace(m: Matrix) -> list[Vector]:
 #
 # An equation in the entries of an unknown nrows x ncols matrix X is a list
 # of (p, q, c) terms, meaning sum c X[p][q] = 0, with zero coefficients left
-# out. Only matrix_kernel knows where X[p][q] sits among the unknowns.
+# out. Only matrix_kernels knows where X[p][q] sits among the unknowns.
 
 Equation = list[tuple[int, int, Fraction]]
 
@@ -464,18 +453,57 @@ def sylvester(a: Matrix, b: Matrix) -> Iterator[Equation]:
             ]
 
 
+def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[list[Matrix]]:
+    """Exact bases of the nrows x ncols matrices X that satisfy the first group of
+    equations, the first two groups, and so on. Each group is reduced once, with the
+    rows already reduced: a row space has one reduced row echelon form."""
+    unknowns = nrows * ncols
+    reduced: list[list[Fraction]] = []
+    kernels = []
+    for group in groups:
+        rows = []
+        for eq in group:
+            row = [ZERO] * unknowns
+            for p, q, c in eq:
+                k = p * ncols + q
+                # most entries get one term: skip the Fraction addition for those
+                row[k] = row[k] + c if row[k] else c
+            rows.append(row)
+        reduced, pivots = rref(reduced + rows)
+        del reduced[len(pivots) :]
+        kernels.append(
+            [
+                Matrix(v.entries[p * ncols : (p + 1) * ncols] for p in range(nrows))
+                for v in _kernel(reduced, pivots, unknowns)
+            ]
+        )
+    return kernels
+
+
 def matrix_kernel(equations: Iterable[Equation], nrows: int, ncols: int) -> list[Matrix]:
     """Exact basis of the nrows x ncols matrices X that satisfy every equation."""
-    rows = []
-    for eq in equations:
-        row = [ZERO] * (nrows * ncols)
-        for p, q, c in eq:
-            k = p * ncols + q
-            # most entries get one term: skip the Fraction addition for those
-            row[k] = row[k] + c if row[k] else c
-        rows.append(row)
-    return [
-        Matrix(v.entries[p * ncols : (p + 1) * ncols] for p in range(nrows))
-        # a zero row keeps the column count of a system with no equations
-        for v in nullspace(Matrix(rows or [[ZERO] * (nrows * ncols)]))
-    ]
+    return matrix_kernels(nrows, ncols, equations)[0]
+
+
+def pencil_det(mats: Sequence[Matrix], n: int) -> dict[tuple[int, ...], Fraction]:
+    """det(sum_a t_a M_a) for n x n matrices M_a: each monomial, the sorted tuple of
+    its variable indices a, maps to its nonzero coefficient, so the result is empty
+    exactly when every member of the span is singular. Laplace expansion along the
+    rows, the minor on the first i rows memoised by its set S of columns (at most
+    2^n minors); entry (i, j), j not in S, has sign (-1)^(columns of S after j)."""
+    minors = {0: {(): ONE}}  # keyed by S as a bit mask
+    for i in range(n):
+        entries = [[(a, m.rows[i][j]) for a, m in enumerate(mats) if m.rows[i][j]] for j in range(n)]
+        grown = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(entries):
+                if entry and not cols >> j & 1:
+                    odd = (cols >> j).bit_count() % 2
+                    poly = grown.setdefault(cols | 1 << j, {})
+                    for mono, c in minor.items():
+                        if c:  # terms that cancelled stay behind as zeros
+                            for a, e in entry:
+                                key = tuple(sorted((*mono, a)))
+                                poly[key] = poly.get(key, ZERO) + (-c * e if odd else c * e)
+        minors = grown
+    return {mono: c for mono, c in minors.get((1 << n) - 1, {}).items() if c}

@@ -36,9 +36,9 @@ from homlie.corpus import (
     heis3,
     sl2,
 )
-from homlie.hom_lie import validate_hom_lie
+from homlie.hom_lie import HomLieAlgebra, validate_hom_lie
 from homlie.report import InvalidStructureError
-from homlie.tensor import Matrix, Tensor3, Vector, random_combination
+from homlie.tensor import Matrix, ShapeError, Tensor3, Vector, random_combination
 
 from oracles import oracle_ad3, oracle_cobracket, oracle_jac_delta, oracle_r_square
 
@@ -352,3 +352,24 @@ def test_rmatrix_sigma_and_skew():
     assert r.sigma().coeffs == r.coeffs
     assert not r.is_skew()
     assert _wedge12().is_skew()
+
+
+def test_r_on_another_algebra_is_rejected():
+    on_sl2 = RMatrix(sl2(), Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    on_abelian2 = RMatrix(abelian2(), Matrix([[0, 1], [-1, 0]]))
+    calls = (
+        validate_coboundary,
+        cobracket_residual_identities,
+        dual_bracket_from_r,
+        lambda a, r: sharp_bracket_defect(a, r, 0, 1),
+        form_from_invertible_r,
+    )
+    for a, r in ((abelian2(), on_sl2), (aff2(), on_abelian2)):
+        for call in calls:
+            with pytest.raises(ShapeError, match="different algebra"):
+                call(a, r)
+    # another object with the same bracket and twist is the same algebra
+    base = on_abelian2.base
+    copy = HomLieAlgebra(base.bracket, base.twist, base.label)
+    for call in calls:
+        assert call(copy, on_abelian2) == call(base, on_abelian2)

@@ -15,6 +15,7 @@ from homlie.corpus import (
 )
 from homlie.hom_lie import (
     BilinearFormB,
+    HomLieAlgebra,
     change_of_basis,
     check_invariant_form,
     direct_sum,
@@ -25,7 +26,7 @@ from homlie.hom_lie import (
     validate_hom_lie,
 )
 from homlie.report import InvalidStructureError
-from homlie.tensor import Matrix, Vector, random_matrix
+from homlie.tensor import Matrix, Tensor3, Vector, random_matrix
 
 from oracles import (
     oracle_form_invariance,
@@ -168,6 +169,37 @@ def test_nondegenerate_symmetric_invariant_form_implies_weakly_involutive():
 def test_sl2_has_nondegenerate_symmetric_form_aff2phi_does_not():
     assert invariant_form_space(sl2()).has_nondegenerate_symmetric
     assert not invariant_form_space(aff2phi()).has_nondegenerate_symmetric
+
+
+def test_invariant_form_space_reduces_the_invariance_rows_once(monkeypatch):
+    import homlie.tensor
+
+    sizes = []
+    real = homlie.tensor.rref
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(homlie.tensor, "rref", spy)
+    n = 3
+    space = invariant_form_space(sl2())
+    # the symmetry rows go in with the reduced rows, one per pivot
+    rank = n * n - len(space.basis)
+    assert sizes == [n**3 + n**2, rank + n * (n - 1) // 2]
+
+
+def test_nondegenerate_forms_decided_exactly_on_large_form_spaces():
+    heis = direct_sum(heis3(), heis3())
+    dense = change_of_basis(heis, _random_invertible(random.Random(4), 6))
+    space = invariant_form_space(dense)
+    assert (len(space.basis), len(space.symmetric_basis)) == (16, 10)
+    assert (space.has_nondegenerate, space.has_nondegenerate_symmetric) == (False, False)
+
+    abelian6 = HomLieAlgebra(Tensor3.zero(6), Matrix.identity(6), "abelian6")
+    space = invariant_form_space(abelian6)
+    assert (len(space.basis), len(space.symmetric_basis)) == (36, 21)
+    assert (space.has_nondegenerate, space.has_nondegenerate_symmetric) == (True, True)
 
 
 def _random_invertible(rng, n):

@@ -328,3 +328,20 @@ def test_defect_expansion_suite():
     out = run_defect_expansion_suite(rep3.base, rep3, seed=9, count=20)
     assert out.ok
     assert out.info["space_dim"] == 2
+
+
+def test_wedge_solutions_computes_each_r_square_once(monkeypatch):
+    import homlie.coboundary
+    import homlie.operators
+
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return r_square_bracket(r)
+
+    for module in (homlie.coboundary, homlie.operators):
+        monkeypatch.setattr(module, "r_square_bracket", counting)
+    r1, r2, report = wedge_solutions(lsa2())
+    assert report.ok and report.info["shared_cobracket_hypotheses"]
+    assert calls == [r1, r2]

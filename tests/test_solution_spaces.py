@@ -37,7 +37,7 @@ def probed_kernel(residual, nrows: int, ncols: int) -> list[Matrix]:
     columns = [residual(e) for e in units]
     return [
         Matrix(v.entries[p * ncols : (p + 1) * ncols] for p in range(nrows))
-        for v in nullspace(Matrix(zip(*columns)))
+        for v in nullspace(Matrix(zip(*columns)).rows, nrows * ncols)
     ]
 
 

@@ -18,7 +18,9 @@ from homlie.tensor import (
     cyclic3,
     format_q,
     matrix_kernel,
+    matrix_kernels,
     nullspace,
+    pencil_det,
     random_combination,
     random_matrix,
     random_q,
@@ -100,7 +102,7 @@ def test_rref_idempotent(m):
 @given(square(3))
 @settings(max_examples=40, deadline=None)
 def test_nullspace_rank_nullity(m):
-    kernel = nullspace(m)
+    kernel = nullspace(m.rows, 3)
     _, pivots = rref(m.rows)
     assert len(kernel) == 3 - len(pivots)
     for v in kernel:
@@ -226,3 +228,72 @@ def test_matrix_kernel_lays_out_rectangular_unknowns():
         Matrix([[0, 0, 1], [1, 0, 0]]),
     ]
     assert matrix_kernel([], 1, 2) == [Matrix([[1, 0]]), Matrix([[0, 1]])]
+
+
+def test_nullspace_of_a_system_with_no_equations():
+    assert nullspace([], 2) == [Vector([1, 0]), Vector([0, 1])]
+    assert nullspace([[Q(0), Q(0)]], 2) == nullspace([], 2)
+    assert nullspace([], 0) == []
+
+
+def _random_equations(rng, count, nrows, ncols):
+    unknowns = list(product(range(nrows), range(ncols)))
+    return [
+        [(p, q, random_q(rng)) for p, q in unknowns if rng.random() < 0.4]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matrix_kernels_equal_the_kernels_of_the_stacked_systems(seed):
+    rng = random.Random(seed)
+    first = _random_equations(rng, 3, 2, 3)
+    second = _random_equations(rng, 2, 2, 3)
+    assert matrix_kernels(2, 3, first, second, []) == [
+        matrix_kernel(first, 2, 3),
+        matrix_kernel(first + second, 2, 3),
+        matrix_kernel(first + second, 2, 3),
+    ]
+
+
+def _unit(n, p, q):
+    return Matrix([[int((i, j) == (p, q)) for j in range(n)] for i in range(n)])
+
+
+def _evaluate(poly, point):
+    total = Q(0)
+    for mono, c in poly.items():
+        for t in mono:
+            c *= point[t]
+        total += c
+    return total
+
+
+def test_pencil_det_of_the_skew_3x3_matrices_is_zero():
+    # every skew matrix of odd size is singular, though the space has rank 2
+    skew = [_unit(3, p, q) - _unit(3, q, p) for p, q in ((0, 1), (0, 2), (1, 2))]
+    assert pencil_det(skew, 3) == {}
+    assert pencil_det([], 3) == {}
+
+
+def test_pencil_det_of_the_unit_matrices_is_the_generic_determinant():
+    poly = pencil_det([_unit(3, p, q) for p, q in product(range(3), repeat=2)], 3)
+    # t_(3i+j) stands for entry (i, j): det = sum over permutations
+    assert len(poly) == 6 and poly[(0, 4, 8)] == 1 and poly[(1, 3, 8)] == -1
+    assert all(c in (1, -1) for c in poly.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pencil_det_evaluates_to_the_determinant_of_the_combination(seed):
+    rng = random.Random(seed)
+    n, size = rng.randint(1, 4), rng.randint(1, 4)
+    mats = [random_matrix(rng, n) for _ in range(size)]
+    poly = pencil_det(mats, n)
+    for mono, c in poly.items():
+        assert c != 0 and list(mono) == sorted(mono) and len(mono) == n
+    for _ in range(15):
+        point = [random_q(rng) for _ in range(size)]
+        combination = Matrix.zero(n)
+        for t, m in zip(point, mats):
+            combination = combination + m.scale(t)
+        assert _evaluate(poly, point) == combination.det()
