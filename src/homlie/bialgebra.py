@@ -22,6 +22,7 @@ ad_x (x) phi + phi (x) ad_x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .hom_lie import (
@@ -30,6 +31,7 @@ from .hom_lie import (
     check_invariant_form,
     is_weakly_involutive,
     require_same_algebra,
+    twisted_ad,
     validate_hom_lie,
 )
 from .report import CheckReport, Witness, combined, holds, require, scan
@@ -38,9 +40,10 @@ from .representation import (
     Representation,
     adjoint_rep,
     dual_action_candidate,
+    fixes_carrier_square,
     validate_representation,
 )
-from .tensor import Matrix, Q, ShapeError, Tensor3, Vector, apply_pair
+from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, dense, first_case
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,7 @@ class Cobracket:
         return self.coeffs.plane(k)
 
     def delta_of(self, x: Vector) -> Matrix:
-        out = Matrix.zero(self.dim)
-        for k in range(self.dim):
-            if x[k]:
-                out = out + self.delta(k).scale(x[k])
-        return out
+        return dense(contract("ij", ("k", x), ("kij", self.coeffs)), (self.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,11 @@ class HomLieBialgebra:
         require_same_algebra(
             self.cobracket.base, self.algebra, "cobracket lives on a different algebra"
         )
+
+    @cached_property
+    def dual(self) -> HomLieAlgebra:
+        """dual_algebra of the cobracket, built once per bialgebra."""
+        return dual_algebra(self.cobracket)
 
 
 @dataclass(frozen=True)
@@ -136,44 +140,33 @@ def cobracket_from_bracket(source: HomLieAlgebra, base: HomLieAlgebra) -> Cobrac
     return Cobracket(base, Tensor3(box))
 
 
-def ad_on_tensor2(a: HomLieAlgebra, z: Vector, t: Matrix) -> Matrix:
-    """z acting on t in g (x) g: (ad_z (x) phi + phi (x) ad_z) t."""
-    adz = a.ad_of(z)
-    return apply_pair(adz, a.twist, t) + apply_pair(a.twist, adz, t)
+def cobracket_compatibility(a: HomLieAlgebra, delta: Tensor3) -> Sparse:
+    """Entry (i, j, p, q): entry (p, q) of Delta[e_i, e_j] - phi(e_i).Delta(e_j)
+    + phi(e_j).Delta(e_i), where z.t = (ad_z (x) phi + phi (x) ad_z) t."""
+    ad, phi = twisted_ad(a), a.twist
+    acted = contract("ijpq", ("jst", delta), ("qt", phi), ("isp", ad)) + contract(
+        "ijpq", ("jst", delta), ("ps", phi), ("itq", ad)
+    )
+    return (
+        contract("ijpq", ("ijk", a.bracket), ("kpq", delta))
+        - acted
+        + contract("ijpq", ("jipq", acted))
+    )
 
 
 def validate_bialgebra(bi: HomLieBialgebra) -> CheckReport:
     """Both sides valid weakly involutive Hom-Lie algebras, plus the
     cobracket compatibility Delta[x,y] = ad_{phi(x)} Delta(y) - ad_{phi(y)} Delta(x)."""
     a = bi.algebra
-    dual = dual_algebra(bi.cobracket)
-
-    g_valid = validate_hom_lie(a)
-    g_wi = is_weakly_involutive(a)
-    d_valid = validate_hom_lie(dual)
-    d_wi = is_weakly_involutive(dual)
-
-    cb = bi.cobracket
-
-    def cases():
-        for i in range(a.dim):
-            phix = a.twisted(a.basis(i))
-            for j in range(a.dim):
-                phiy = a.twisted(a.basis(j))
-                lhs = cb.delta_of(a.bracket_of(a.basis(i), a.basis(j)))
-                rhs = ad_on_tensor2(a, phix, cb.delta(j)) - ad_on_tensor2(
-                    a, phiy, cb.delta(i)
-                )
-                yield (i + 1, j + 1), lhs - rhs
-
+    compat = cobracket_compatibility(a, bi.cobracket.coeffs)
     return combined(
         "bialgebra",
         [
-            g_valid.renamed("primal-hom-lie"),
-            g_wi.renamed("primal-weakly-involutive"),
-            d_valid.renamed("dual-hom-lie"),
-            d_wi.renamed("dual-weakly-involutive"),
-            scan("cobracket-compatibility", cases()),
+            validate_hom_lie(a).renamed("primal-hom-lie"),
+            is_weakly_involutive(a).renamed("primal-weakly-involutive"),
+            validate_hom_lie(bi.dual).renamed("dual-hom-lie"),
+            is_weakly_involutive(bi.dual).renamed("dual-weakly-involutive"),
+            scan("cobracket-compatibility", first_case(compat, (a.dim,) * 4, 2)),
         ],
     )
 
@@ -187,46 +180,38 @@ def validate_matched_pair(mp: MatchedPair) -> CheckReport:
     validity (algebras, representation axioms) is the caller's business.
     """
     g, gp = mp.left, mp.right
-    n, m = g.dim, gp.dim
-
-    def left_cases():
-        for c in range(m):
-            xp = gp.basis(c)
-            rp_xp = mp.rho_prime.rho_of(xp)
-            rp_phip_xp = mp.rho_prime.rho_of(gp.twisted(xp))
-            for i, j in product(range(n), repeat=2):
-                x, y = g.basis(i), g.basis(j)
-                lhs = rp_phip_xp.apply(g.bracket_of(x, y))
-                rhs = (
-                    g.bracket_of(rp_xp.apply(x), g.twisted(y))
-                    + g.bracket_of(g.twisted(x), rp_xp.apply(y))
-                    + mp.rho_prime.rho_of(mp.rho.rho_of(y).apply(xp)).apply(g.twisted(x))
-                    - mp.rho_prime.rho_of(mp.rho.rho_of(x).apply(xp)).apply(g.twisted(y))
-                )
-                yield (c + 1, i + 1, j + 1), lhs - rhs, "x'=f_c, x=e_i, y=e_j"
-
-    def right_cases():
-        for i in range(n):
-            x = g.basis(i)
-            r_x = mp.rho.rho_of(x)
-            r_phi_x = mp.rho.rho_of(g.twisted(x))
-            for c, d in product(range(m), repeat=2):
-                xp, yp = gp.basis(c), gp.basis(d)
-                lhs = r_phi_x.apply(gp.bracket_of(xp, yp))
-                rhs = (
-                    gp.bracket_of(r_x.apply(xp), gp.twisted(yp))
-                    + gp.bracket_of(gp.twisted(xp), r_x.apply(yp))
-                    + mp.rho.rho_of(mp.rho_prime.rho_of(yp).apply(x)).apply(gp.twisted(xp))
-                    - mp.rho.rho_of(mp.rho_prime.rho_of(xp).apply(x)).apply(gp.twisted(yp))
-                )
-                yield (i + 1, c + 1, d + 1), lhs - rhs, "x=e_i, x'=f_c, y'=f_d"
-
+    left = matched_pair_compatibility(g, gp, mp.rho_prime.action, mp.rho.action)
+    right = matched_pair_compatibility(gp, g, mp.rho.action, mp.rho_prime.action)
     return combined(
         "matched-pair",
         [
-            scan("matched-pair-compat-left", left_cases()),
-            scan("matched-pair-compat-right", right_cases()),
+            scan(
+                "matched-pair-compat-left",
+                first_case(left, (gp.dim, *(g.dim,) * 3), 3, "x'=f_c, x=e_i, y=e_j"),
+            ),
+            scan(
+                "matched-pair-compat-right",
+                first_case(right, (g.dim, *(gp.dim,) * 3), 3, "x=e_i, x'=f_c, y'=f_d"),
+            ),
         ],
+    )
+
+
+def matched_pair_compatibility(g: HomLieAlgebra, h: HomLieAlgebra, on_g, on_h) -> Sparse:
+    """Entry (c, i, j, l): the e_l coefficient of, for x' = f_c, x = e_i, y = e_j,
+
+        rho_g(phi_h x')[x,y] - [rho_g(x')x, phi y] - [phi x, rho_g(x')y]
+        - rho_g(rho_h(y)x')(phi x) + rho_g(rho_h(x)x')(phi y),
+
+    where h acts on g by the action tensor on_g and g on h by on_h."""
+    c, phi = g.bracket, g.twist
+    twice = contract("cijl", ("jdc", on_h), ("dlp", on_g), ("pi", phi))
+    return (
+        contract("cijl", ("dc", h.twist), ("dlk", on_g), ("ijk", c))
+        - contract("cijl", ("cpi", on_g), ("pql", c), ("qj", phi))
+        - contract("cijl", ("pi", phi), ("pql", c), ("cqj", on_g))
+        - twice
+        + contract("cijl", ("cjil", twice))
     )
 
 
@@ -322,15 +307,10 @@ def double_weak_involutivity_criteria(mp: MatchedPair) -> CheckReport:
         "right-and-action-weakly-involutive",
         [is_weakly_involutive(mp.right), is_weakly_involutive_rep(mp.rho_prime)],
     )
-    phip2 = mp.right.twist @ mp.right.twist
-    c3 = scan(
-        "left-action-fixes-right-twist-square",
-        (((i + 1,), act @ phip2 - act) for i, act in enumerate(mp.rho.action)),
-    )
-    phi2 = mp.left.twist @ mp.left.twist
-    c4 = scan(
-        "right-action-fixes-left-twist-square",
-        (((c + 1,), act @ phi2 - act) for c, act in enumerate(mp.rho_prime.action)),
+    # MatchedPair makes each action's carrier twist the other algebra's twist
+    c3 = fixes_carrier_square("left-action-fixes-right-twist-square", mp.rho, mp.rho.action)
+    c4 = fixes_carrier_square(
+        "right-action-fixes-left-twist-square", mp.rho_prime, mp.rho_prime.action
     )
     direct = is_weakly_involutive(double_bracket(mp))
     match = holds(
@@ -367,21 +347,21 @@ def validate_manin_triple(big: HomLieAlgebra, n: int) -> CheckReport:
     def block_cases():
         for lo, hi, name in halves:
 
-            def outside(v: Vector) -> Vector:
+            def outside(v) -> Vector:
                 return Vector([Q(0) if lo <= k < hi else v[k] for k in range(2 * n)])
 
             for i in range(lo, hi):
                 twist_note = f"twist leaves the {name} block"
                 yield (i + 1,), outside(big.twist.col(i)), twist_note
                 for j in range(lo, hi):
-                    w = big.bracket_of(big.basis(i), big.basis(j))
+                    w = big.bracket.entries[i][j]
                     yield (i + 1, j + 1), outside(w), f"bracket leaves the {name} block"
 
     form = standard_form(n)
     iso = scan(
         "blocks-isotropic",
         (
-            ((i + 1, j + 1), form.evaluate(big.basis(i), big.basis(j)))
+            ((i + 1, j + 1), form.gram[i, j])
             for lo, hi, _ in halves
             for i, j in product(range(lo, hi), repeat=2)
         ),
@@ -397,10 +377,9 @@ def canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
     """(g, g*; ad", DAd"): each side acts on the other through the dual of
     its adjoint action. Built mechanically so broken inputs still produce
     a diagnosable object."""
-    dual = dual_algebra(bi.cobracket)
     ado = dual_action_candidate(adjoint_rep(bi.algebra))
-    dao = dual_action_candidate(adjoint_rep(dual))
-    return MatchedPair(bi.algebra, dual, ado, dao)
+    dao = dual_action_candidate(adjoint_rep(bi.dual))
+    return MatchedPair(bi.algebra, bi.dual, ado, dao)
 
 
 def d_double(bi: HomLieBialgebra) -> HomLieAlgebra:
@@ -474,28 +453,20 @@ def check_bialgebra_homomorphism(
     if f.ncols != a1.dim or f.nrows != a2.dim:
         raise ShapeError("homomorphism matrix has wrong shape")
 
-    e = a1.basis
-    bracket_hom = scan(
-        "algebra-homomorphism",
-        (
-            (
-                (i + 1, j + 1),
-                f.apply(a1.bracket_of(e(i), e(j)))
-                - a2.bracket_of(f.apply(e(i)), f.apply(e(j))),
-            )
-            for i, j in product(range(a1.dim), repeat=2)
-        ),
+    shape = (a1.dim, a1.dim, a2.dim, a2.dim)
+    # entry (i, j, l): the e_l coefficient of f[e_i, e_j] - [f e_i, f e_j]
+    bracket_res = contract("ijl", ("ijk", a1.bracket), ("lk", f)) - contract(
+        "ijl", ("pi", f), ("pql", a2.bracket), ("qj", f)
     )
-    twist_hom = scan("twist-intertwined", [((0,), f @ a1.twist - a2.twist @ f)])
-    co_hom = scan(
-        "cobracket-intertwined",
-        (
-            (
-                (k + 1,),
-                apply_pair(f, f, bi1.cobracket.delta(k))
-                - bi2.cobracket.delta_of(f.apply(e(k))),
-            )
-            for k in range(a1.dim)
-        ),
+    # entry (k, p, q): entry (p, q) of (f (x) f) Delta1(e_k) - Delta2(f e_k)
+    co_res = contract("kpq", ("kst", bi1.cobracket.coeffs), ("ps", f), ("qt", f)) - contract(
+        "kpq", ("xk", f), ("xpq", bi2.cobracket.coeffs)
     )
-    return combined("bialgebra-homomorphism", [bracket_hom, twist_hom, co_hom])
+    return combined(
+        "bialgebra-homomorphism",
+        [
+            scan("algebra-homomorphism", first_case(bracket_res, shape[:3], 2)),
+            scan("twist-intertwined", [((0,), f @ a1.twist - a2.twist @ f)]),
+            scan("cobracket-intertwined", first_case(co_res, (a1.dim, a2.dim, a2.dim), 1)),
+        ],
+    )

@@ -28,14 +28,21 @@ from itertools import product
 from .bialgebra import (
     Cobracket,
     HomLieBialgebra,
-    ad_on_tensor2,
     check_bialgebra_homomorphism,
+    cobracket_compatibility,
     cobracket_from_bracket,
     d_double,
     dual_algebra,
     validate_bialgebra,
 )
-from .hom_lie import HomLieAlgebra, is_weakly_involutive, require_same_algebra, validate_hom_lie
+from .hom_lie import (
+    HomLieAlgebra,
+    is_weakly_involutive,
+    require_same_algebra,
+    twist_symmetry,
+    twisted_ad,
+    validate_hom_lie,
+)
 from .report import (
     CheckReport,
     InvalidStructureError,
@@ -51,14 +58,15 @@ from .tensor import (
     Matrix,
     Q,
     ShapeError,
+    Sparse,
     Tensor3,
     Vector,
-    apply_pair,
-    apply_triple,
-    contract3_first_two,
-    cyclic3,
+    contract,
+    dense,
+    first_case,
     matrix_kernel,
     random_combination,
+    sparse,
     sylvester,
 )
 
@@ -88,10 +96,11 @@ def check_twist_compat(r: RMatrix) -> CheckReport:
     """(phi (x) id) r = (id (x) phi) r, cross-checked against the operator
     form phi r# = r# phi* (as matrices: phi r = r phi^T)."""
     phi = r.base.twist
-    n = r.dim
-    tensor_lhs = apply_pair(phi, Matrix.identity(n), r.coeffs)
-    tensor_rhs = apply_pair(Matrix.identity(n), phi, r.coeffs)
-    tensor_res = tensor_lhs - tensor_rhs
+    tensor_res = dense(
+        contract("ab", ("ap", phi), ("pb", r.coeffs))
+        - contract("ab", ("aq", r.coeffs), ("bq", phi)),
+        (r.dim,) * 2,
+    )
     operator_res = phi @ r.coeffs - r.coeffs @ phi.transpose()
     agree = tensor_res.is_zero() == operator_res.is_zero()
     if not agree:
@@ -122,15 +131,15 @@ def skew_twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
 
 def cobracket_from_r(r: RMatrix) -> Cobracket:
     """delta(e_k) = (phi (x) ad_{e_k} + ad_{e_k} (x) phi) r."""
-    a = r.base
-    phi = a.twist
-    planes = []
-    for k in range(a.dim):
-        adk = a.ad(k)
-        planes.append(
-            (apply_pair(phi, adk, r.coeffs) + apply_pair(adk, phi, r.coeffs)).rows
-        )
-    return Cobracket(a, Tensor3(planes))
+    return Cobracket(r.base, dense(_basis_action(r.base, r.coeffs), (r.dim,) * 3))
+
+
+def _basis_action(a: HomLieAlgebra, t: Matrix) -> Sparse:
+    """Entry (k, p, q): entry (p, q) of (phi (x) ad_{e_k} + ad_{e_k} (x) phi) t."""
+    c, phi = a.bracket, a.twist
+    return contract("kpq", ("ps", phi), ("st", t), ("ktq", c)) + contract(
+        "kpq", ("ksp", c), ("st", t), ("qt", phi)
+    )
 
 
 def r_square_bracket(r: RMatrix) -> Tensor3:
@@ -138,122 +147,55 @@ def r_square_bracket(r: RMatrix) -> Tensor3:
 
         [x_i,x_j] (x) phi(y_i) (x) phi(y_j)
       + phi(x_i) (x) [y_i,x_j] (x) phi(y_j)
-      + phi(x_i) (x) phi(x_j) (x) [y_i,y_j].
+      + phi(x_i) (x) phi(x_j) (x) [y_i,y_j],
 
-    Computed by factoring each term through phi r and r phi^T, one
-    structure-constant contraction per term.
+    each term a contraction of the bracket with phi r and r phi^T.
     """
-    a = r.base
-    n = a.dim
-    phi = a.twist
-    phir = phi @ r.coeffs  # (phi r)[a][q]: phi acting on the first slot
-    rphit = r.coeffs @ phi.transpose()  # (r phi^T)[p][b]: phi acting on the second
-    c = a.bracket
-    out = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-    for p in range(n):
-        for s in range(n):
-            row_ps = c.entries[p][s]
-            for aa in range(n):
-                v = row_ps[aa]
-                if v == 0:
-                    continue
-                # term 1: [e_p, e_s] lands in slot 1
-                for b in range(n):
-                    x = v * rphit[p, b]
-                    if x == 0:
-                        continue
-                    for cc in range(n):
-                        y = rphit[s, cc]
-                        if y:
-                            out[aa][b][cc] += x * y
-    for q in range(n):
-        for s in range(n):
-            row_qs = c.entries[q][s]
-            for b in range(n):
-                v = row_qs[b]
-                if v == 0:
-                    continue
-                # term 2: [e_q, e_s] lands in slot 2
-                for aa in range(n):
-                    x = v * phir[aa, q]
-                    if x == 0:
-                        continue
-                    for cc in range(n):
-                        y = rphit[s, cc]
-                        if y:
-                            out[aa][b][cc] += x * y
-    for q in range(n):
-        for t in range(n):
-            row_qt = c.entries[q][t]
-            for cc in range(n):
-                v = row_qt[cc]
-                if v == 0:
-                    continue
-                # term 3: [e_q, e_t] lands in slot 3
-                for aa in range(n):
-                    x = v * phir[aa, q]
-                    if x == 0:
-                        continue
-                    for b in range(n):
-                        y = phir[b, t]
-                        if y:
-                            out[aa][b][cc] += x * y
-    return Tensor3(out)
+    c, phi = r.base.bracket, r.base.twist
+    phir = contract("aq", ("ap", phi), ("pq", r.coeffs))  # phi on the first slot
+    rphit = contract("pb", ("pq", r.coeffs), ("bq", phi))  # phi on the second
+    rr = (
+        contract("abc", ("psa", c), ("pb", rphit), ("sc", rphit))
+        + contract("abc", ("aq", phir), ("qsb", c), ("sc", rphit))
+        + contract("abc", ("aq", phir), ("qtc", c), ("bt", phir))
+    )
+    return dense(rr, (r.dim,) * 3)
 
 
 def jac_delta(cb: Cobracket, k: int) -> Tensor3:
     """Co-Jacobiator of the cobracket at basis vector e_k: the sum of the
     cyclic rotations of (phi (x) delta) delta(e_k). Vanishes for all k
     exactly when the dual bracket satisfies the Hom-Jacobi identity."""
-    a = cb.base
-    n = a.dim
-    phi = a.twist
-    dx = cb.delta(k)
-    t = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = dx[i, j]
-            if v == 0:
-                continue
-            dj = cb.delta(j)
-            for aa in range(n):
-                f = phi[aa, i] * v
-                if f == 0:
-                    continue
-                for b in range(n):
-                    row = dj.rows[b]
-                    for cc in range(n):
-                        if row[cc]:
-                            t[aa][b][cc] += f * row[cc]
-    base = Tensor3(t)
-    return base + cyclic3(base, 1) + cyclic3(base, 2)
+    return dense(_jac_delta(cb), (cb.dim,) * 4, (k,))
+
+
+def _jac_delta(cb: Cobracket) -> Sparse:
+    """Entry (k, a, b, c): entry (a, b, c) of jac_delta(cb, k)."""
+    t = contract("kabc", ("kij", cb.coeffs), ("ai", cb.base.twist), ("jbc", cb.coeffs))
+    return t + contract("kabc", ("kbca", t)) + contract("kabc", ("kcab", t))
 
 
 def ad_phi_on_tensor3(a: HomLieAlgebra, x: Vector, t: Tensor3) -> Tensor3:
     """(ad_{phi(x)} (x) phi (x) phi + phi (x) ad_{phi(x)} (x) phi
        + phi (x) phi (x) ad_{phi(x)}) t."""
-    adpx = a.ad_of(a.twisted(x))
-    phi = a.twist
+    return dense(contract("abc", ("k", x), ("kabc", _adjoint_on(a, t))), (a.dim,) * 3)
+
+
+def _adjoint_on(a: HomLieAlgebra, t) -> Sparse:
+    """Entry (k, a, b, c): entry (a, b, c) of ad_phi_on_tensor3(a, e_k, t)."""
+    ad, phi = twisted_ad(a), a.twist
     return (
-        apply_triple(adpx, phi, phi, t)
-        + apply_triple(phi, adpx, phi, t)
-        + apply_triple(phi, phi, adpx, t)
+        contract("kabc", ("pqs", t), ("bq", phi), ("cs", phi), ("kpa", ad))
+        + contract("kabc", ("pqs", t), ("ap", phi), ("cs", phi), ("kqb", ad))
+        + contract("kabc", ("pqs", t), ("ap", phi), ("bq", phi), ("ksc", ad))
     )
 
 
 def symmetric_part_invariance(r: RMatrix) -> CheckReport:
     """[x, r + sigma(r)] = 0 for all basis x, i.e. the symmetric part of r
     is killed by every (phi (x) ad_x + ad_x (x) phi)."""
-    a = r.base
-    sym = r.coeffs + r.coeffs.transpose()
-    phi = a.twist
-
-    def cases():
-        for k in range(a.dim):
-            adk = a.ad(k)
-            yield (k + 1,), apply_pair(phi, adk, sym) + apply_pair(adk, phi, sym)
-
-    return scan("symmetric-part-invariance", cases())
+    res = _basis_action(r.base, r.coeffs + r.coeffs.transpose())
+    return scan("symmetric-part-invariance", first_case(res, (r.dim,) * 3, 1))
 
 
 def adjoint_kills_r_square(r: RMatrix) -> CheckReport:
@@ -262,10 +204,7 @@ def adjoint_kills_r_square(r: RMatrix) -> CheckReport:
 
 
 def _adjoint_kills(a: HomLieAlgebra, rr: Tensor3) -> CheckReport:
-    return scan(
-        "adjoint-kills-r-square",
-        (((k + 1,), ad_phi_on_tensor3(a, a.basis(k), rr)) for k in range(a.dim)),
-    )
+    return scan("adjoint-kills-r-square", first_case(_adjoint_on(a, rr), (a.dim,) * 4, 1))
 
 
 def dual_side_verdict(r: RMatrix) -> CheckReport:
@@ -328,14 +267,7 @@ def _validate_coboundary(a: HomLieAlgebra, r: RMatrix, rr: Tensor3 | None) -> Ch
 def check_chybe(r: RMatrix) -> CheckReport:
     """[r,r] = 0, reported entrywise."""
     rr = r_square_bracket(r)
-    return scan(
-        "chybe",
-        (
-            ((i + 1, j + 1, k + 1), rr[i, j, k])
-            for i, j, k in product(range(r.dim), repeat=3)
-        ),
-        skew=r.is_skew(),
-    )
+    return scan("chybe", first_case(sparse(rr), (r.dim,) * 3, 3), skew=r.is_skew())
 
 
 # --- the three residual identities ------------------------------------------
@@ -383,42 +315,39 @@ def cobracket_residual_identities(
     )
     n = a.dim
     phi = a.twist
-    cb = cobracket_from_r(r)
+    d = cobracket_from_r(r).coeffs
+    shape = (n,) * 4
     w = phi @ r.coeffs - r.coeffs @ phi.transpose()
 
     def cases_a():
+        lhs = contract("kpq", ("xk", phi), ("xpq", d)) - contract(
+            "kpq", ("kst", d), ("ps", phi), ("qt", phi)
+        )
         for k in range(n):
-            x = a.basis(k)
-            lhs = cb.delta_of(a.twisted(x)) - apply_pair(phi, phi, cb.delta(k))
-            adpx_phi = a.ad_of(a.twisted(x)) @ phi
+            adpx_phi = a.ad_of(phi.col(k)) @ phi
             rhs = _pair_action_loops(adpx_phi, phi, w) - _pair_action_loops(
                 phi, adpx_phi, w
             )
-            yield (k + 1,), lhs - rhs
+            yield (k + 1,), dense(lhs, shape[:3], (k,)) - rhs
 
-    phi2 = phi @ phi
     ident = Matrix.identity(n)
     inner = _pair_action_loops(phi, ident, w) + _pair_action_loops(ident, phi, w)
 
     def cases_b():
+        lhs = contract("kpq", ("ksq", d), ("ps", phi @ phi)) - sparse(d)
         for k in range(n):
-            dk = cb.delta(k)
-            lhs = apply_pair(phi2, ident, dk) - dk
-            yield (k + 1,), lhs - _pair_action_loops(phi, a.ad(k), inner)
+            yield (k + 1,), dense(lhs, shape[:3], (k,)) - _pair_action_loops(
+                phi, a.ad(k), inner
+            )
 
     def cases_c():
+        lhs = cobracket_compatibility(a, d)
         for i, j in product(range(n), repeat=2):
-            x, y = a.basis(i), a.basis(j)
-            bxy = a.bracket_of(x, y)
-            lhs = cb.delta_of(bxy) - (
-                ad_on_tensor2(a, a.twisted(x), cb.delta(j))
-                - ad_on_tensor2(a, a.twisted(y), cb.delta(i))
-            )
-            adb_phi = a.ad_of(bxy) @ phi
+            adb_phi = a.ad_of(Vector(a.bracket.entries[i][j])) @ phi
             rhs = _pair_action_loops(adb_phi, phi, w) - _pair_action_loops(
                 phi, adb_phi, w
             )
-            yield (i + 1, j + 1), lhs - rhs
+            yield (i + 1, j + 1), dense(lhs, shape, (i, j)) - rhs
 
     return (
         scan("residual-twist-pushforward", cases_a()),
@@ -461,14 +390,10 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckR
     for case in range(cases):
         coeffs = random_combination(rng, kernel) if kernel else Matrix.zero(n)
         r = RMatrix(a, coeffs)
-        cb = cobracket_from_r(r)
-        rr = r_square_bracket(r)
+        res = _jac_delta(cobracket_from_r(r)) - _adjoint_on(a, r_square_bracket(r))
         rep = scan(
             "jacobiator-bracket-suite",
-            (
-                ((k + 1,), jac_delta(cb, k) - ad_phi_on_tensor3(a, a.basis(k), rr))
-                for k in range(n)
-            ),
+            first_case(res, (n,) * 4, 1),
             seed=seed,
             case=case,
             kernel_dim=len(kernel),
@@ -499,22 +424,15 @@ def dual_bracket_from_r(a: HomLieAlgebra, r: RMatrix) -> HomLieAlgebra:
     require_same_algebra(a, r.base, "r lives on a different algebra")
     require(is_weakly_involutive(a), "operator route assumes a weakly involutive base")
     require(check_twist_compat(r), "operator route assumes phi r# = r# phi*")
-    n = a.dim
-
-    def ad_dual(x: Vector) -> Matrix:
-        return -(a.ad_of(a.twisted(x)).transpose())
-
-    box = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-    for aa in range(n):
-        ra = Vector(r.coeffs.rows[aa])  # r#(f_a)
-        for b in range(n):
-            sb = r.coeffs.col(b)  # sigma(r)#(f_b)
-            w = ad_dual(ra).apply(Vector.basis(n, b)) + ad_dual(sb).apply(
-                Vector.basis(n, aa)
-            )
-            box[aa][b] = list(w.entries)
+    # ad"_x f_b = -sum_p phi(x)_p [e_p, .]_b, at x = r#(f_a) = row a of r and
+    # at x = sigma(r)#(f_b) = column b of r
+    c, phi = a.bracket, a.twist
+    box = -(
+        contract("abl", ("aq", r.coeffs), ("pq", phi), ("plb", c))
+        + contract("abl", ("qb", r.coeffs), ("pq", phi), ("pla", c))
+    )
     operator_route = HomLieAlgebra(
-        Tensor3(box), a.twist.transpose(), f"{a.label or 'g'}* (operator route)"
+        dense(box, (a.dim,) * 3), phi.transpose(), f"{a.label or 'g'}* (operator route)"
     )
 
     cobracket_route = dual_algebra(cobracket_from_r(r))
@@ -535,16 +453,14 @@ def sharp_bracket_defect(a: HomLieAlgebra, r: RMatrix, ai: int, bi: int) -> Chec
     base; both sides computed and compared here."""
     require_same_algebra(a, r.base, "r lives on a different algebra")
     require(check_twist_compat(r), "sharp-bracket identity assumes twist compat")
-    n = a.dim
-    sharp_twisted = r_sharp(r) @ a.twist.transpose()  # r# phi*
-    fa = Vector.basis(n, ai)
-    fb = Vector.basis(n, bi)
+    s = r_sharp(r) @ a.twist.transpose()  # r# phi*
     dual = dual_algebra(cobracket_from_r(r))
-    lhs = a.bracket_of(
-        sharp_twisted.apply(fa), sharp_twisted.apply(fb)
-    ) - sharp_twisted.apply(dual.bracket_of(fa, fb))
-    rhs = contract3_first_two(r_square_bracket(r), fa, fb)
-    res = lhs - rhs
+    # entry (a, b, l): the e_l coefficient of [s f_a, s f_b] - s [f_a, f_b]_{g*}
+    defect = contract("abl", ("pa", s), ("pql", a.bracket), ("qb", s)) - contract(
+        "abl", ("abk", dual.bracket), ("lk", s)
+    )
+    lhs = dense(defect, (a.dim,) * 3, (ai, bi))
+    res = lhs - Vector(r_square_bracket(r).entries[ai][bi])
     if res.is_zero():
         return passed("sharp-bracket-defect", value=lhs)
     return failed("sharp-bracket-defect", [Witness((ai + 1, bi + 1), res)])
@@ -577,35 +493,11 @@ def form_from_invertible_r(
     require(check_twist_compat(r), "form_from_invertible_r assumes twist compat")
 
     gram = r.coeffs.inverse()
-    b = BilinearFormB(gram)
-    n = a.dim
-
-    e = a.basis
-
-    def cyclic_sum(x: Vector, y: Vector, z: Vector) -> Q:
-        return (
-            b.evaluate(a.twisted(x), a.bracket_of(y, z))
-            + b.evaluate(a.twisted(y), a.bracket_of(z, x))
-            + b.evaluate(a.twisted(z), a.bracket_of(x, y))
-        )
-
-    cyclic = scan(
-        "cyclic-cocycle",
-        (
-            ((i + 1, j + 1, k + 1), cyclic_sum(e(i), e(j), e(k)))
-            for i, j, k in product(range(n), repeat=3)
-        ),
-    )
-    twist_sym = scan(
-        "form-twist-symmetry",
-        (
-            (
-                (i + 1, j + 1),
-                b.evaluate(a.twisted(e(i)), e(j)) - b.evaluate(e(i), a.twisted(e(j))),
-            )
-            for i, j in product(range(n), repeat=2)
-        ),
-    )
+    # entry (i, j, k): B(phi e_i, [e_j, e_k]), then summed over cyclic shifts of (i, j, k)
+    t = contract("ijk", ("pi", a.twist), ("pq", gram), ("jkq", a.bracket))
+    t = t + contract("ijk", ("jki", t)) + contract("ijk", ("kij", t))
+    cyclic = scan("cyclic-cocycle", first_case(t, (a.dim,) * 3, 3))
+    twist_sym = twist_symmetry(a, gram, "form-twist-symmetry")
 
     chybe = r_square_bracket(r).is_zero()
     report = combined(
@@ -614,7 +506,7 @@ def form_from_invertible_r(
         chybe=chybe,
         converse_discrepancy=(cyclic.ok and twist_sym.ok) != chybe,
     )
-    return b, report
+    return BilinearFormB(gram), report
 
 
 def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport]:
@@ -647,7 +539,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
     hom1 = check_bialgebra_homomorphism(inc1, bi, big_bi)
 
     # inclusion of (g*, -delta_{g*}) through phi*
-    dual = dual_algebra(bi.cobracket)
+    dual = bi.dual
     minus_dual_cb = Cobracket(
         dual, cobracket_from_bracket(a, dual).coeffs.scale(Q(-1))
     )

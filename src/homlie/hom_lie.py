@@ -15,10 +15,23 @@ diagnose a bad structure instead of refusing to look at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .report import CheckReport, combined, scan
-from .tensor import Matrix, Q, ShapeError, Tensor3, Vector, matrix_kernels, pencil_det, sylvester
+from .tensor import (
+    Matrix,
+    Q,
+    ShapeError,
+    Sparse,
+    Tensor3,
+    Vector,
+    contract,
+    dense,
+    first_case,
+    matrix_kernels,
+    pencil_det,
+    sparse,
+    sylvester,
+)
 
 
 @dataclass(frozen=True)
@@ -42,22 +55,7 @@ class HomLieAlgebra:
 
     def bracket_of(self, x: Vector, y: Vector) -> Vector:
         """[x, y] by bilinear extension of the structure constants."""
-        n = self.dim
-        out = [Q(0)] * n
-        for i in range(n):
-            xi = x[i]
-            if xi == 0:
-                continue
-            for j in range(n):
-                yj = y[j]
-                if yj == 0:
-                    continue
-                c = xi * yj
-                row = self.bracket.entries[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return Vector(out)
+        return dense(contract("k", ("i", x), ("j", y), ("ijk", self.bracket)), (self.dim,))
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_i}: column j is [e_i, e_j]."""
@@ -68,17 +66,15 @@ class HomLieAlgebra:
 
     def ad_of(self, x: Vector) -> Matrix:
         """Matrix of ad_x = sum_i x_i ad_{e_i}."""
-        out = Matrix.zero(self.dim)
-        for i in range(self.dim):
-            if x[i]:
-                out = out + self.ad(i).scale(x[i])
-        return out
+        return dense(contract("kj", ("i", x), ("ijk", self.bracket)), (self.dim,) * 2)
 
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.dim, i)
 
-    def twisted(self, x: Vector) -> Vector:
-        return self.twist.apply(x)
+
+def twisted_ad(a: HomLieAlgebra) -> Sparse:
+    """Entry (i, j, k): the e_k coefficient of [phi(e_i), e_j]."""
+    return contract("ijk", ("pi", a.twist), ("pjk", a.bracket))
 
 
 def require_same_algebra(a: HomLieAlgebra, b: HomLieAlgebra, message: str) -> None:
@@ -105,64 +101,50 @@ class BilinearFormB:
     def dim(self) -> int:
         return self.gram.nrows
 
-    def evaluate(self, x: Vector, y: Vector) -> Q:
-        return x.dot(self.gram.apply(y))
-
 
 def validate_hom_lie(a: HomLieAlgebra) -> CheckReport:
-    """Skew bracket, bracket-preserving twist, Hom-Jacobi, all on basis tuples."""
-    n = a.dim
-    e = a.basis
-    skew = scan(
-        "bracket-skew",
-        (
-            ((i + 1, j + 1), a.bracket.plane(i).row(j) + a.bracket.plane(j).row(i))
-            for i, j in product(range(n), repeat=2)
-        ),
+    """Skew bracket, bracket-preserving twist, Hom-Jacobi; each residual is
+    scanned over basis tuples in row-major order."""
+    shape = (a.dim,) * 4
+    return combined(
+        "hom-lie",
+        [
+            scan("bracket-skew", first_case(_skew(a), shape[:3], 2)),
+            scan("twist-multiplicative", first_case(_multiplicative(a), shape[:3], 2)),
+            scan("hom-jacobi", first_case(_jacobiator(a), shape, 3)),
+        ],
     )
-    mult = scan(
-        "twist-multiplicative",
-        (
-            (
-                (i + 1, j + 1),
-                a.twisted(a.bracket_of(e(i), e(j)))
-                - a.bracket_of(a.twisted(e(i)), a.twisted(e(j))),
-            )
-            for i, j in product(range(n), repeat=2)
-        ),
-    )
-    jac = scan(
-        "hom-jacobi",
-        (
-            ((i + 1, j + 1, k + 1), hom_jacobiator(a, e(i), e(j), e(k)))
-            for i, j, k in product(range(n), repeat=3)
-        ),
-    )
-    return combined("hom-lie", [skew, mult, jac])
 
 
-def hom_jacobiator(a: HomLieAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """[phi(x),[y,z]] + [phi(y),[z,x]] + [phi(z),[x,y]]."""
-    return (
-        a.bracket_of(a.twisted(x), a.bracket_of(y, z))
-        + a.bracket_of(a.twisted(y), a.bracket_of(z, x))
-        + a.bracket_of(a.twisted(z), a.bracket_of(x, y))
+def _skew(a: HomLieAlgebra) -> Sparse:
+    """Entry (i, j, k): the e_k coefficient of [e_i, e_j] + [e_j, e_i]."""
+    return sparse(a.bracket) + contract("ijk", ("jik", a.bracket))
+
+
+def _multiplicative(a: HomLieAlgebra) -> Sparse:
+    """Entry (i, j, k): the e_k coefficient of phi[e_i, e_j] - [phi e_i, phi e_j]."""
+    c, phi = a.bracket, a.twist
+    return contract("ijl", ("ijk", c), ("lk", phi)) - contract(
+        "ijl", ("pi", phi), ("pql", c), ("qj", phi)
     )
+
+
+def _jacobiator(a: HomLieAlgebra) -> Sparse:
+    """Entry (i, j, k, l): the e_l coefficient of
+    [phi e_i, [e_j, e_k]] + [phi e_j, [e_k, e_i]] + [phi e_k, [e_i, e_j]]."""
+    t = contract("ijkl", ("pi", a.twist), ("pql", a.bracket), ("jkq", a.bracket))
+    return t + contract("ijkl", ("jkil", t)) + contract("ijkl", ("kijl", t))
 
 
 def is_weakly_involutive(a: HomLieAlgebra) -> CheckReport:
     """[phi^2(x), y] = [x, y] on all basis pairs."""
-    n = a.dim
-    e = a.basis
-    phi2 = a.twist @ a.twist
+    return scan("weakly-involutive", first_case(_weak_involutivity(a), (a.dim,) * 3, 2))
 
-    def cases():
-        for i in range(n):
-            xi2 = phi2.apply(e(i))
-            for j in range(n):
-                yield (i + 1, j + 1), a.bracket_of(xi2, e(j)) - a.bracket_of(e(i), e(j))
 
-    return scan("weakly-involutive", cases())
+def _weak_involutivity(a: HomLieAlgebra) -> Sparse:
+    """Entry (i, j, k): the e_k coefficient of [phi^2 e_i, e_j] - [e_i, e_j]."""
+    phi = a.twist
+    return contract("ijk", ("pq", phi), ("qi", phi), ("pjk", a.bracket)) - sparse(a.bracket)
 
 
 def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
@@ -175,35 +157,31 @@ def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
     """
     if b.dim != a.dim:
         raise ShapeError("form dimension does not match algebra")
-    n = a.dim
-    e = a.basis
+    res = _form_invariance(a, b.gram)
     bracket_inv = scan(
         "form-invariance-bracket",
-        (
-            (
-                (i + 1, j + 1, k + 1),
-                b.evaluate(a.bracket_of(e(i), e(j)), e(k))
-                - b.evaluate(e(i), a.bracket_of(a.twisted(e(j)), e(k))),
-            )
-            for k, i, j in product(range(n), repeat=3)
-        ),
-    )
-    twist_inv = scan(
-        "form-invariance-twist",
-        (
-            (
-                (i + 1, j + 1),
-                b.evaluate(a.twisted(e(i)), e(j)) - b.evaluate(e(i), a.twisted(e(j))),
-            )
-            for i, j in product(range(n), repeat=2)
-        ),
+        [((i, j, k), r) for (k, i, j), r, _ in first_case(res, (a.dim,) * 3, 3)],
     )
     return combined(
         "invariant-form",
-        [bracket_inv, twist_inv],
+        [bracket_inv, twist_symmetry(a, b.gram, "form-invariance-twist")],
         symmetric=b.gram.is_symmetric(),
         nondegenerate=b.gram.det() != 0,
     )
+
+
+def _form_invariance(a: HomLieAlgebra, gram: Matrix) -> Sparse:
+    """Entry (k, i, j): B([e_i, e_j], e_k) - B(e_i, [phi e_j, e_k])."""
+    return contract("kij", ("ijl", a.bracket), ("lk", gram)) - contract(
+        "kij", ("jkl", twisted_ad(a)), ("il", gram)
+    )
+
+
+def twist_symmetry(a: HomLieAlgebra, gram: Matrix, condition: str) -> CheckReport:
+    """B(phi e_i, e_j) = B(e_i, phi e_j) for the form with this Gram matrix."""
+    phi = a.twist
+    res = contract("ij", ("pi", phi), ("pj", gram)) - contract("ij", ("ip", gram), ("pj", phi))
+    return scan(condition, first_case(res, (a.dim,) * 2, 2))
 
 
 def form_to_equivalence(a: HomLieAlgebra, b: BilinearFormB) -> Matrix:
@@ -264,14 +242,13 @@ def _bracket_invariance_equations(a: HomLieAlgebra):
     """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k]) = 0 in the Gram entries
     of B, for each (i, j, k) in row-major order."""
     n = a.dim
+    ad = twisted_ad(a)
     for i in range(n):
         for j in range(n):
             bij = a.bracket.entries[i][j]
-            phiy = a.twisted(a.basis(j))
             for k in range(n):
-                w = a.bracket_of(phiy, a.basis(k))
                 yield [(l, k, c) for l, c in enumerate(bij) if c] + [
-                    (i, l, -c) for l, c in enumerate(w.entries) if c
+                    (i, l, -ad[j, k, l]) for l in range(n) if (j, k, l) in ad
                 ]
 
 
@@ -306,15 +283,8 @@ def change_of_basis(a: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
     if p.nrows != n or p.ncols != n:
         raise ShapeError("change of basis matrix has wrong shape")
     pinv = p.inverse()
-    new_twist = pinv @ a.twist @ p
-    planes = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            w = a.bracket_of(p.col(i), p.col(j))
-            plane.append(pinv.apply(w).entries)
-        planes.append(plane)
-    return HomLieAlgebra(Tensor3(planes), new_twist, a.label)
+    bracket = contract("ijk", ("pi", p), ("pql", a.bracket), ("qj", p), ("kl", pinv))
+    return HomLieAlgebra(dense(bracket, (n,) * 3), pinv @ a.twist @ p, a.label)
 
 
 def direct_sum(a1: HomLieAlgebra, a2: HomLieAlgebra, label: str = "") -> HomLieAlgebra:

@@ -26,7 +26,6 @@ induced cobrackets on the semidirect product coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bialgebra import HomLieBialgebra, check_triple_equivalence
 from .coboundary import (
@@ -50,10 +49,15 @@ from .tensor import (
     Matrix,
     Q,
     ShapeError,
+    Sparse,
     Tensor3,
     Vector,
+    contract,
+    dense,
+    first_case,
     matrix_kernel,
     random_combination,
+    sparse,
     sylvester,
 )
 
@@ -73,13 +77,23 @@ class OOperatorCandidate:
 
     def defect(self, i: int, j: int) -> Vector:
         """OT(v_i, v_j) in g coordinates."""
-        m = self.rep.carrier_dim
-        tu = self.t.col(i)
-        tv = self.t.col(j)
-        inner = self.rep.rho_of(tu).apply(Vector.basis(m, j)) - self.rep.rho_of(
-            tv
-        ).apply(Vector.basis(m, i))
-        return self.algebra.bracket_of(tu, tv) - self.t.apply(inner)
+        return dense(_defects(self), self.shape, (i, j))
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The shape of the defect tensor: (carrier dim, carrier dim, dim g)."""
+        return (self.t.ncols, self.t.ncols, self.t.nrows)
+
+
+def _defects(cand: OOperatorCandidate) -> Sparse:
+    """Entry (i, j, l): the e_l coefficient of OT(v_i, v_j)."""
+    t = cand.t
+    # entry (i, j, s): the v_s coefficient of rho(T v_i) v_j
+    acted = contract("ijs", ("pi", t), ("psj", cand.rep.action))
+    inner = acted - contract("ijs", ("jis", acted))
+    return contract("ijl", ("pi", t), ("pql", cand.algebra.bracket), ("qj", t)) - contract(
+        "ijl", ("ijs", inner), ("ls", t)
+    )
 
 
 @dataclass(frozen=True)
@@ -98,17 +112,6 @@ class HomLeftSymmetric:
     @property
     def dim(self) -> int:
         return self.psi.nrows
-
-    def product_of(self, u: Vector, v: Vector) -> Vector:
-        out = Vector.zero(self.dim)
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                c = u[i] * v[j]
-                if c:
-                    out = out + Vector(self.product.entries[i][j]).scale(c)
-        return out
 
     def left_mult(self, i: int) -> Matrix:
         """Matrix of v |-> e_i . v."""
@@ -129,54 +132,32 @@ def _twist_intertwines(cand: OOperatorCandidate) -> CheckReport:
 
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
     """T beta = phi T, and the defect OT vanishes on all basis pairs."""
-    twist_ok = _twist_intertwines(cand)
-    defect_ok = scan(
-        "o-operator-defect",
-        (
-            ((i + 1, j + 1), cand.defect(i, j))
-            for i, j in product(range(cand.rep.carrier_dim), repeat=2)
-        ),
-    )
-    return combined("o-operator", [twist_ok, defect_ok])
+    defect_ok = scan("o-operator-defect", first_case(_defects(cand), cand.shape, 2))
+    return combined("o-operator", [_twist_intertwines(cand), defect_ok])
 
 
 def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
     """psi multiplicative, and (u.v).psi(w) - psi(u).(v.w) symmetric in u,v."""
-    m = p.dim
-
-    def e(i: int) -> Vector:
-        return Vector.basis(m, i)
-
-    mult = scan(
-        "product-twist-multiplicative",
-        (
-            (
-                (i + 1, j + 1),
-                p.psi.apply(p.product_of(e(i), e(j)))
-                - p.product_of(p.psi.col(i), p.psi.col(j)),
-            )
-            for i, j in product(range(m), repeat=2)
-        ),
+    shape = (p.dim,) * 4
+    dot, psi = p.product, p.psi
+    # entry (i, j, l): the e_l coefficient of psi(e_i.e_j) - psi(e_i).psi(e_j)
+    mult = contract("ijl", ("ijk", dot), ("lk", psi)) - contract(
+        "ijl", ("pi", psi), ("pql", dot), ("qj", psi)
     )
-
-    def associator(u: Vector, v: Vector, w: Vector) -> Vector:
-        return p.product_of(p.product_of(u, v), p.psi.apply(w)) - p.product_of(
-            p.psi.apply(u), p.product_of(v, w)
-        )
-
-    sym = scan(
-        "associator-twist-symmetric",
-        (
-            (
-                (i + 1, j + 1, k + 1),
-                associator(e(i), e(j), e(k)) - associator(e(j), e(i), e(k)),
-            )
-            for i in range(m)
-            for j in range(i + 1, m)
-            for k in range(m)
-        ),
+    # entry (i, j, k, l): the e_l coefficient of (e_i.e_j).psi(e_k) - psi(e_i).(e_j.e_k),
+    # then its part skew in (i, j), scanned over i < j
+    assoc = contract("ijkl", ("ijp", dot), ("qk", psi), ("pql", dot)) - contract(
+        "ijkl", ("pi", psi), ("jkq", dot), ("pql", dot)
     )
-    return combined("hom-left-symmetric", [mult, sym])
+    skew = assoc - contract("ijkl", ("jikl", assoc))
+    upper = {key: v for key, v in skew.items() if key[0] < key[1]}
+    return combined(
+        "hom-left-symmetric",
+        [
+            scan("product-twist-multiplicative", first_case(mult, shape[:3], 2)),
+            scan("associator-twist-symmetric", first_case(upper, shape, 3)),
+        ],
+    )
 
 
 def commutator_hom_lie(p: HomLeftSymmetric) -> HomLieAlgebra:
@@ -204,19 +185,8 @@ def left_mult_rep(p: HomLeftSymmetric) -> Representation:
 
 def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     """u.v = psi^2(u).v on all basis pairs."""
-    m = p.dim
-    psi2 = p.psi @ p.psi
-    return scan(
-        "square-twist-product-condition",
-        (
-            (
-                (i + 1, j + 1),
-                p.product_of(Vector.basis(m, i), Vector.basis(m, j))
-                - p.product_of(psi2.col(i), Vector.basis(m, j)),
-            )
-            for i, j in product(range(m), repeat=2)
-        ),
-    )
+    res = sparse(p.product) - contract("ijk", ("pq", p.psi), ("qi", p.psi), ("pjk", p.product))
+    return scan("square-twist-product-condition", first_case(res, (p.dim,) * 3, 2))
 
 
 def weak_involutivity_product_criterion(p: HomLeftSymmetric) -> CheckReport:
@@ -301,15 +271,12 @@ def _r_and_square(cand: OOperatorCandidate) -> tuple[HomLieAlgebra, RMatrix, Ten
     compat = check_twist_compat(r)
 
     expected = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(m):
-        for j in range(m):
-            w = cand.algebra.twisted(cand.defect(i, j))
-            for k in range(n):
-                c = w[k]
-                if c:
-                    expected[k][n + i][n + j] += c
-                    expected[n + i][k][n + j] -= c
-                    expected[n + i][n + j][k] += c
+    # entry (i, j, k): the e_k coefficient of phi(OT(v_i, v_j))
+    twisted = contract("ijk", ("ijl", _defects(cand)), ("kl", cand.algebra.twist))
+    for (i, j, k), c in twisted.items():
+        expected[k][n + i][n + j] += c
+        expected[n + i][k][n + j] -= c
+        expected[n + i][n + j][k] += c
     rr = r_square_bracket(r)
     expansion = scan("defect-expansion", [((0,), rr - Tensor3(expected))])
 

@@ -16,11 +16,22 @@ is the sufficient condition everything downstream leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 from .hom_lie import HomLieAlgebra, is_weakly_involutive
 from .report import CheckReport, InvalidStructureError, combined, holds, scan
-from .tensor import Matrix, ShapeError, Tensor3, Vector, Q
+from .tensor import (
+    Matrix,
+    Q,
+    ShapeError,
+    Sparse,
+    Tensor3,
+    Vector,
+    contract,
+    dense,
+    first_case,
+    sparse,
+)
 
 
 @dataclass(frozen=True)
@@ -50,42 +61,54 @@ class Representation:
     def carrier_dim(self) -> int:
         return self.beta.nrows
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The shape of the action tensor: (dim g, carrier dim, carrier dim)."""
+        return (self.base.dim, self.carrier_dim, self.carrier_dim)
+
     def rho_of(self, x: Vector) -> Matrix:
         """rho(x) for x in algebra coordinates."""
-        out = Matrix.zero(self.carrier_dim)
-        for i in range(self.base.dim):
-            if x[i]:
-                out = out + self.action[i].scale(x[i])
-        return out
+        return dense(contract("rs", ("i", x), ("irs", self.action)), self.shape[1:])
 
-    def rho_twisted(self, i: int) -> Matrix:
-        """rho(phi(e_i))."""
-        return self.rho_of(self.base.twisted(self.base.basis(i)))
+
+def rho_after(r: Representation, m: Matrix) -> Sparse:
+    """Entry (i, s, t): entry (s, t) of rho(m e_i), for m = phi or phi^2."""
+    return contract("ist", ("pi", m), ("pst", r.action))
 
 
 def validate_representation(r: Representation) -> CheckReport:
-    a = r.base
-    n = a.dim
+    """(i) rho(phi e_i) beta = beta rho(e_i) and (ii) rho([e_i, e_j]) beta =
+    rho(phi e_i) rho(e_j) - rho(phi e_j) rho(e_i), scanned in row-major order."""
+    rho_phi = rho_after(r, r.base.twist)
+    return combined(
+        "representation",
+        [
+            scan("rep-axiom-twist", first_case(_twist_axiom(r, rho_phi), r.shape, 1)),
+            scan(
+                "rep-axiom-bracket",
+                first_case(_bracket_axiom(r, rho_phi, r.action), (r.base.dim, *r.shape), 2),
+            ),
+        ],
+    )
 
-    ax1 = scan(
-        "rep-axiom-twist",
-        (
-            ((i + 1,), r.rho_twisted(i) @ r.beta - r.beta @ r.action[i])
-            for i in range(n)
-        ),
+
+def _twist_axiom(r: Representation, rho_phi: Sparse) -> Sparse:
+    """Entry (i, s, t) of rho(phi e_i) beta - beta rho(e_i), rho_phi as in _bracket_axiom."""
+    return contract("irs", ("irt", rho_phi), ("ts", r.beta)) - contract(
+        "irs", ("rt", r.beta), ("its", r.action)
     )
-    ax2 = scan(
-        "rep-axiom-bracket",
-        (
-            (
-                (i + 1, j + 1),
-                r.rho_of(a.bracket_of(a.basis(i), a.basis(j))) @ r.beta
-                - (r.rho_twisted(i) @ r.action[j] - r.rho_twisted(j) @ r.action[i]),
-            )
-            for i, j in product(range(n), repeat=2)
-        ),
+
+
+def _bracket_axiom(r: Representation, rho_phi: Sparse, inner) -> Sparse:
+    """Entry (i, j, s, t) of inner([e_i, e_j]) beta - rho(phi e_i) inner(e_j)
+    + rho(phi e_j) inner(e_i), for inner the action tensor of rho or of rho after
+    phi^2, and rho_phi that of rho after phi."""
+    t = contract("ijrs", ("irt", rho_phi), ("jts", inner))
+    return (
+        contract("ijrs", ("ijk", r.base.bracket), ("krt", inner), ("ts", r.beta))
+        - t
+        + contract("ijrs", ("jirs", t))
     )
-    return combined("representation", [ax1, ax2])
 
 
 def adjoint_rep(a: HomLieAlgebra) -> Representation:
@@ -95,14 +118,8 @@ def adjoint_rep(a: HomLieAlgebra) -> Representation:
 
 def is_weakly_involutive_rep(r: Representation) -> CheckReport:
     """rho(phi^2(x)) = rho(x) on basis vectors."""
-    phi2 = r.base.twist @ r.base.twist
-    return scan(
-        "weakly-involutive-rep",
-        (
-            ((i + 1,), r.rho_of(phi2.apply(r.base.basis(i))) - r.action[i])
-            for i in range(r.base.dim)
-        ),
-    )
+    res = rho_after(r, r.base.twist @ r.base.twist) - sparse(r.action)
+    return scan("weakly-involutive-rep", first_case(res, r.shape, 1))
 
 
 def dual_action_candidate(r: Representation) -> Representation:
@@ -112,10 +129,11 @@ def dual_action_candidate(r: Representation) -> Representation:
     automatic (see hom_dual_representation), and some verdict pipelines
     need the raw candidate even when it fails to be one.
     """
+    dual = -contract("its", ("ist", rho_after(r, r.base.twist)))
     return Representation(
         r.base,
         r.beta.transpose(),
-        tuple(-(r.rho_twisted(i).transpose()) for i in range(r.base.dim)),
+        tuple(dense(dual, r.shape, (i,)) for i in range(r.base.dim)),
     )
 
 
@@ -129,37 +147,21 @@ def hom_dual_exists(r: Representation) -> CheckReport:
     Weak involutivity of r implies both, so the info field records that
     verdict alongside.
     """
-    a = r.base
-    n = a.dim
-    phi2 = a.twist @ a.twist
-
-    def rho_sq(x: Vector) -> Matrix:
-        return r.rho_of(phi2.apply(x))
-
-    cond1 = scan(
-        "dual-exists-i",
-        (
-            ((i + 1,), r.beta @ r.action[i] - r.beta @ rho_sq(a.basis(i)))
-            for i in range(n)
-        ),
-    )
-    cond2 = scan(
-        "dual-exists-ii",
-        (
-            (
-                (i + 1, j + 1),
-                rho_sq(a.bracket_of(a.basis(i), a.basis(j))) @ r.beta
-                - (
-                    r.rho_twisted(i) @ rho_sq(a.basis(j))
-                    - r.rho_twisted(j) @ rho_sq(a.basis(i))
-                ),
-            )
-            for i, j in product(range(n), repeat=2)
-        ),
-    )
+    rho_sq = rho_after(r, r.base.twist @ r.base.twist)
+    cond1 = contract("irs", ("rt", r.beta), ("its", sparse(r.action) - rho_sq))
     return combined(
         "hom-dual-exists",
-        [cond1, cond2],
+        [
+            scan("dual-exists-i", first_case(cond1, r.shape, 1)),
+            scan(
+                "dual-exists-ii",
+                first_case(
+                    _bracket_axiom(r, rho_after(r, r.base.twist), rho_sq),
+                    (r.base.dim, *r.shape),
+                    2,
+                ),
+            ),
+        ],
         weakly_involutive=is_weakly_involutive_rep(r).ok,
     )
 
@@ -238,11 +240,7 @@ def semidirect_weak_involutivity_criteria(
     """
     c1 = is_weakly_involutive(a)
     c2 = is_weakly_involutive_rep(r)
-    beta2 = r.beta @ r.beta
-    c3 = scan(
-        "action-fixes-carrier-square",
-        (((i + 1,), r.action[i] @ beta2 - r.action[i]) for i in range(a.dim)),
-    )
+    c3 = fixes_carrier_square("action-fixes-carrier-square", r, r.action)
     direct = is_weakly_involutive(semidirect_product(a, r))
     match = holds(
         "criteria-match-direct",
@@ -286,14 +284,15 @@ def dual_semidirect_weak_involutivity_criteria(
 
 def twisted_action_fixes_carrier_square(r: Representation) -> CheckReport:
     """rho(phi(e_i)) beta^2 = rho(phi(e_i)) for every basis element."""
-    beta2 = r.beta @ r.beta
+    return fixes_carrier_square(
+        "twisted-action-fixes-carrier-square", r, rho_after(r, r.base.twist)
+    )
 
-    def cases():
-        for i in range(r.base.dim):
-            rt = r.rho_twisted(i)
-            yield (i + 1,), rt @ beta2 - rt
 
-    return scan("twisted-action-fixes-carrier-square", cases())
+def fixes_carrier_square(condition: str, r: Representation, action) -> CheckReport:
+    """M_i beta^2 = M_i for each matrix M_i of an action tensor on r's carrier."""
+    res = contract("irs", ("irt", action), ("tu", r.beta), ("us", r.beta)) - sparse(action)
+    return scan(condition, first_case(res, r.shape, 1))
 
 
 def check_rep_equivalence(r1: Representation, r2: Representation, varphi: Matrix) -> CheckReport:

@@ -1,11 +1,12 @@
-"""Dense exact tensors over the rationals.
+"""Exact tensors over the rationals, and one sparse contraction.
 
 Everything downstream (brackets, twists, cobrackets, r-matrices) is a
 vector, matrix, or order-3 tensor with Fraction entries in a fixed basis.
-Storage is dense tuples; target dimensions stay small (doubles of small
-algebras, dim <= 8-ish), so simplicity wins over sparsity. All values are
-immutable after construction and every comparison is exact equality —
-there are no tolerances anywhere in this package.
+These values are stored dense and are immutable after construction. Every
+identity the package checks is a multilinear expression in them, evaluated
+by ``contract`` over the nonzero entries only, since structure constants are
+mostly zeros. Every comparison is exact equality: there are no tolerances
+anywhere in this package.
 
 Conventions that the rest of the package relies on:
 
@@ -189,7 +190,7 @@ class Matrix:
         return self.nrows == self.ncols and self == self.transpose().__neg__()
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
+        """Exact determinant by Gaussian elimination over the rationals."""
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
         n = self.nrows
@@ -285,87 +286,130 @@ class Tensor3:
         return Matrix(self.entries[i])
 
 
-# --- tensor-product actions ------------------------------------------------
-
-def apply_pair(a: Matrix, b: Matrix, t: Matrix) -> Matrix:
-    """(A (x) B) t for t in V (x) W: entries sum_{p,q} A_ip B_jq t^{pq}.
-
-    Rectangular maps are accepted so the same helper serves homomorphism
-    checks between spaces of different dimension.
-    """
-    if a.ncols != t.nrows or b.ncols != t.ncols:
-        raise ShapeError(
-            f"apply_pair: A {a.nrows}x{a.ncols}, B {b.nrows}x{b.ncols} on tensor {t.nrows}x{t.ncols}"
-        )
-    return a @ t @ b.transpose()
+# --- sparse exact contraction -------------------------------------------------
+#
+# An identity is written once, as a sum of contractions of its structure
+# constants; first_case then hands report.scan the first failing case of the
+# residual in the identity's scan order, so scan alone makes witnesses.
 
 
-def apply_triple(a: Matrix, b: Matrix, c: Matrix, t: Tensor3) -> Tensor3:
-    """(A (x) B (x) C) t, dense triple sum."""
-    d1, d2, d3 = t.dims
-    if a.ncols != d1 or b.ncols != d2 or c.ncols != d3:
-        raise ShapeError("apply_triple: map/tensor dimension mismatch")
-    # contract slot by slot; cheap at these sizes
-    out = [[[ZERO] * c.nrows for _ in range(b.nrows)] for _ in range(a.nrows)]
-    for p in range(d1):
-        for q in range(d2):
-            row = t.entries[p][q]
-            for s in range(d3):
-                v = row[s]
-                if v == 0:
-                    continue
-                for i in range(a.nrows):
-                    aip = a.rows[i][p]
-                    if aip == 0:
-                        continue
-                    av = aip * v
-                    for j in range(b.nrows):
-                        bjq = b.rows[j][q]
-                        if bjq == 0:
-                            continue
-                        abv = av * bjq
-                        for k in range(c.nrows):
-                            cks = c.rows[k][s]
-                            if cks:
-                                out[i][j][k] += abv * cks
-    return Tensor3(out)
+class Sparse(dict):
+    """A tensor as a dict from index tuples to entries; a missing key is a zero."""
+
+    def __add__(self, other: dict) -> "Sparse":
+        out = Sparse(self)
+        for key, v in other.items():
+            out[key] = out.get(key, ZERO) + v
+        return out
+
+    def __neg__(self) -> "Sparse":
+        return Sparse({key: -v for key, v in self.items()})
+
+    def __sub__(self, other: "Sparse") -> "Sparse":
+        return self + -other
 
 
-def cyclic3(t: Tensor3, k: int = 1) -> Tensor3:
-    """Rotate tensor slots k times; one application sends u(x)v(x)w to w(x)u(x)v."""
-    k %= 3
-    if k == 0:
-        return t
-    d1, d2, d3 = t.dims
-    if k == 1:
-        # out[a][b][c] = t[b][c][a]
-        if not (d1 == d2 == d3):
-            raise ShapeError("cyclic3 needs equal dims")
-        out = [[[t.entries[b][c][a] for c in range(d1)] for b in range(d1)] for a in range(d1)]
-        return Tensor3(out)
-    return cyclic3(cyclic3(t, 1), 1)
+def sparse(x) -> dict:
+    """The nonzero entries of a scalar, Vector, Matrix or Tensor3, or of a sequence
+    of them (its position is the first index), by index tuple; a dict is returned
+    as it is."""
+    if isinstance(x, dict):
+        return x
+    out = Sparse()
 
-
-def contract3_first_two(t: Tensor3, xi: Vector, eta: Vector) -> Vector:
-    """Contract slots 1 and 2 of t against dual vectors xi, eta; a vector in slot 3."""
-    d1, d2, d3 = t.dims
-    if xi.dim != d1 or eta.dim != d2:
-        raise ShapeError("contract3_first_two: dual vector dims do not match tensor")
-    out = [ZERO] * d3
-    for i in range(d1):
-        a = xi[i]
-        if a == 0:
-            continue
-        for j in range(d2):
-            b = eta[j]
-            if b == 0:
-                continue
-            ab = a * b
-            for k in range(d3):
-                v = t.entries[i][j][k]
+    def walk(x, key):
+        x = _array(x)
+        if not isinstance(x, (tuple, list)):
+            if x:
+                out[key] = x
+        elif x and isinstance(_array(x[0]), (tuple, list)):
+            for i, sub in enumerate(x):
+                walk(sub, (*key, i))
+        else:
+            for i, v in enumerate(x):
                 if v:
-                    out[k] += ab * v
-    return Vector(out)
+                    out[(*key, i)] = v
+
+    walk(x, ())
+    return out
+
+
+def _array(x):
+    if isinstance(x, (Vector, Tensor3)):
+        return x.entries
+    return x.rows if isinstance(x, Matrix) else x
+
+
+def _picker(positions: list[int]):
+    """key -> the tuple of its entries at the given positions."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda key: (key[p],)
+    return operator.itemgetter(*positions) if positions else (lambda key: ())
+
+
+def contract(out: str, *operands: tuple[str, object]) -> Sparse:
+    """Einstein summation over nonzero entries. Each operand is (labels, x), one
+    distinct letter per index of x, with x anything sparse() takes; entry (i, j, ...)
+    of the result, one index per letter of `out`, is the sum over all other letters
+    of the product of the operands' entries. Operands are joined left to right, and
+    a letter is summed out once neither `out` nor a later operand has it, so their
+    order sets the cost but not the result. Sums that cancel are left out."""
+    have, acc = "", {(): ONE}
+    for pos, (labels, x) in enumerate(operands):
+        later = set(out).union(*(l for l, _ in operands[pos + 1 :]))
+        common = [l for l in have if l in labels]
+        fresh = "".join(l for l in labels if l not in have)
+        split_common = _picker([labels.index(l) for l in common])
+        split_fresh = _picker([labels.index(l) for l in fresh])
+        by_common: dict = {}
+        for key, v in sparse(x).items():
+            by_common.setdefault(split_common(key), []).append((split_fresh(key), v))
+        joined = have + fresh
+        lookup = _picker([have.index(l) for l in common])
+        keep = _picker([i for i, l in enumerate(joined) if l in later])
+        summed: dict = {}
+        for key, v in acc.items():
+            for rest, w in by_common.get(lookup(key), ()):
+                k = keep(key + rest)
+                summed[k] = summed.get(k, ZERO) + v * w
+        have = "".join(l for l in joined if l in later)
+        acc = {k: v for k, v in summed.items() if v}
+    order = _picker([have.index(l) for l in out])
+    return Sparse({order(k): v for k, v in acc.items()})
+
+
+def dense(t: dict, shape: Sequence[int], at: tuple[int, ...] = ()):
+    """The block of t at the index prefix `at`, over the rest of `shape`: a
+    Fraction, Vector, Matrix or Tensor3."""
+    rest = shape[len(at) :]
+    if not rest:
+        return t.get(at, ZERO)
+    box = _zeros(rest)
+    for key, v in t.items():
+        if key[: len(at)] == at:
+            cell = box
+            for i in key[len(at) : -1]:
+                cell = cell[i]
+            cell[key[-1]] = v
+    return (Vector, Matrix, Tensor3)[len(rest) - 1](box)
+
+
+def _zeros(shape: Sequence[int]) -> list:
+    if len(shape) == 1:
+        return [ZERO] * shape[0]
+    return [_zeros(shape[1:]) for _ in range(shape[0])]
+
+
+def first_case(t: dict, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
+    """The case report.scan needs of a residual tensor t over `shape`: the least
+    prefix of nscan indices with a nonzero entry, as (1-based indices, the block of
+    t there, note); no case when t is zero."""
+    prefixes = [key[:nscan] for key, v in t.items() if v]
+    if not prefixes:
+        return []
+    at = min(prefixes)
+    return [(tuple(i + 1 for i in at), dense(t, shape, at), note)]
 
 
 # --- seeded random generation ------------------------------------------------
@@ -407,10 +451,12 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         a[r], a[piv] = a[piv], a[r]
         inv = ONE / a[r][c]
         a[r] = [x * inv for x in a[r]]
+        nonzero = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(nrows):
             if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f, row = a[i][c], a[i]
+                for j, y in nonzero:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -191,3 +191,90 @@ def oracle_form_invariance(a: HomLieAlgebra, gram: Matrix, i: int, j: int, k: in
     lhs = b(bracket_vec(a, vec(a, i), vec(a, j)), vec(a, k))
     rhs = b(vec(a, i), bracket_vec(a, twist_vec(a, vec(a, j)), vec(a, k)))
     return lhs - rhs
+
+
+def oracle_skew(a: HomLieAlgebra, i: int, j: int) -> Vector:
+    """[e_i, e_j] + [e_j, e_i]."""
+    x, y = vec(a, i), vec(a, j)
+    return Vector([p + q for p, q in zip(bracket_vec(a, x, y), bracket_vec(a, y, x))])
+
+
+def oracle_multiplicative(a: HomLieAlgebra, i: int, j: int) -> Vector:
+    """phi([e_i, e_j]) - [phi(e_i), phi(e_j)]."""
+    x, y = vec(a, i), vec(a, j)
+    lhs = twist_vec(a, bracket_vec(a, x, y))
+    rhs = bracket_vec(a, twist_vec(a, x), twist_vec(a, y))
+    return Vector([p - q for p, q in zip(lhs, rhs)])
+
+
+def _rho(action: list[Matrix], x: list[Q]) -> list[list[Q]]:
+    """rho(x) = sum_i x_i action[i], as a list of rows."""
+    m = action[0].nrows
+    return [
+        [sum((x[i] * action[i][r, s] for i in range(len(x))), Q(0)) for s in range(m)]
+        for r in range(m)
+    ]
+
+
+def _mat(p: list[list[Q]], q: list[list[Q]]) -> list[list[Q]]:
+    return [
+        [sum((p[r][t] * q[t][s] for t in range(len(q))), Q(0)) for s in range(len(q[0]))]
+        for r in range(len(p))
+    ]
+
+
+def _apply(p: list[list[Q]], v: list[Q]) -> list[Q]:
+    return [sum((p[r][t] * v[t] for t in range(len(v))), Q(0)) for r in range(len(p))]
+
+
+def _rows(m: Matrix) -> list[list[Q]]:
+    return [list(r) for r in m.rows]
+
+
+def oracle_rep_twist(a: HomLieAlgebra, beta: Matrix, action: list[Matrix], i: int) -> Matrix:
+    """rho(phi(e_i)) beta - beta rho(e_i)."""
+    lhs = _mat(_rho(action, twist_vec(a, vec(a, i))), _rows(beta))
+    rhs = _mat(_rows(beta), _rho(action, vec(a, i)))
+    return Matrix([[p - q for p, q in zip(u, v)] for u, v in zip(lhs, rhs)])
+
+
+def oracle_rep_bracket(
+    a: HomLieAlgebra, beta: Matrix, action: list[Matrix], i: int, j: int
+) -> Matrix:
+    """rho([e_i, e_j]) beta - rho(phi(e_i)) rho(e_j) + rho(phi(e_j)) rho(e_i)."""
+    x, y = vec(a, i), vec(a, j)
+    t1 = _mat(_rho(action, bracket_vec(a, x, y)), _rows(beta))
+    t2 = _mat(_rho(action, twist_vec(a, x)), _rho(action, y))
+    t3 = _mat(_rho(action, twist_vec(a, y)), _rho(action, x))
+    return Matrix(
+        [[p - q + s for p, q, s in zip(u, v, w)] for u, v, w in zip(t1, t2, t3)]
+    )
+
+
+def oracle_matched_pair(
+    g: HomLieAlgebra,
+    h: HomLieAlgebra,
+    on_g: list[Matrix],
+    on_h: list[Matrix],
+    c: int,
+    i: int,
+    j: int,
+) -> Vector:
+    """For x' = f_c in h acting on g by on_g, and x = e_i, y = e_j in g acting
+    on h by on_h:
+
+        rho'(phi'(x'))[x,y] - [rho'(x')x, phi(y)] - [phi(x), rho'(x')y]
+        - rho'(rho(y)x')(phi x) + rho'(rho(x)x')(phi y).
+
+    The left matched-pair identity is (g, h) = (left, right); the right one
+    swaps the roles."""
+    xp, x, y = vec(h, c), vec(g, i), vec(g, j)
+    rp = _rho(on_g, xp)
+    terms = [
+        _apply(_rho(on_g, twist_vec(h, xp)), bracket_vec(g, x, y)),
+        bracket_vec(g, _apply(rp, x), twist_vec(g, y)),
+        bracket_vec(g, twist_vec(g, x), _apply(rp, y)),
+        _apply(_rho(on_g, _apply(_rho(on_h, y), xp)), twist_vec(g, x)),
+        _apply(_rho(on_g, _apply(_rho(on_h, x), xp)), twist_vec(g, y)),
+    ]
+    return Vector([t0 - t1 - t2 - t3 + t4 for t0, t1, t2, t3, t4 in zip(*terms)])

@@ -254,3 +254,19 @@ def test_delta_of_extends_linearly():
     _, cb = aff2_triangular_bialgebra()
     x = Vector([Q(3), Q(-1, 2)])
     assert cb.delta_of(x) == cb.delta(0).scale(3) + cb.delta(1).scale(Q(-1, 2))
+
+
+def test_triple_equivalence_builds_the_dual_algebra_once(monkeypatch):
+    import homlie.bialgebra
+
+    calls = []
+    real = homlie.bialgebra.dual_algebra
+
+    def counting(cb):
+        calls.append(cb)
+        return real(cb)
+
+    monkeypatch.setattr(homlie.bialgebra, "dual_algebra", counting)
+    a, cb = aff2_triangular_bialgebra()
+    assert check_triple_equivalence(HomLieBialgebra(a, cb)).ok
+    assert calls == [cb]

@@ -1,0 +1,245 @@
+"""Differential residual tests: every identity written as a contraction of
+structure constants is compared, entry for entry over its whole residual
+tensor, with the per-tuple oracle in tests/oracles.py, on seeded inputs that
+break it (perturbed bracket, twist, action and cobracket entries). The
+reported witness must be the oracle's first nonzero tuple in scan order."""
+
+import random
+from fractions import Fraction as Q
+from itertools import product
+
+import pytest
+
+from homlie import bialgebra, coboundary, hom_lie, operators, representation
+from homlie.bialgebra import Cobracket, HomLieBialgebra, MatchedPair, canonical_matched_pair
+from homlie.coboundary import RMatrix, cobracket_from_r, r_square_bracket
+from homlie.corpus import aff2, aff2_triangular_bialgebra, aff2phi, heis3, sl2
+from homlie.hom_lie import BilinearFormB, HomLieAlgebra, direct_sum
+from homlie.representation import Representation, adjoint_rep
+from homlie.tensor import Matrix, Tensor3, dense, random_matrix, sparse
+
+from oracles import (
+    oracle_ad3,
+    oracle_cobracket,
+    oracle_form_invariance,
+    oracle_hom_jacobi,
+    oracle_jac_delta,
+    oracle_matched_pair,
+    oracle_multiplicative,
+    oracle_o_defect,
+    oracle_r_square,
+    oracle_rep_bracket,
+    oracle_rep_twist,
+    oracle_skew,
+    oracle_weak_involutivity,
+)
+
+SEEDS = range(4)
+
+
+def _bump(rng) -> Q:
+    return Q(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
+
+
+def _perturbed(a: HomLieAlgebra, seed: int) -> HomLieAlgebra:
+    """A seeded bracket entry and a seeded twist entry moved."""
+    rng = random.Random(seed)
+    n = a.dim
+    box = [[list(r) for r in p] for p in a.bracket.entries]
+    box[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += _bump(rng)
+    twist = [list(r) for r in a.twist.rows]
+    if seed % 2:
+        twist[rng.randrange(n)][rng.randrange(n)] += _bump(rng)
+    return HomLieAlgebra(Tensor3(box), Matrix(twist), a.label)
+
+
+def _inputs(seed: int) -> list[HomLieAlgebra]:
+    return [_perturbed(a, seed) for a in (aff2phi(), heis3(), sl2(), direct_sum(aff2(), aff2()))]
+
+
+def _agrees(residual, shape, nscan, oracle, report, order=None):
+    """The library's residual tensor equals the oracle on every tuple, and the
+    report's witness is the oracle's first nonzero tuple in scan order."""
+    first = None
+    for at in product(*(range(d) for d in shape[:nscan])):
+        want = oracle(*at)
+        assert dense(residual, shape, at) == want, at
+        nonzero = not want.is_zero() if hasattr(want, "is_zero") else want != 0
+        if first is None and nonzero:
+            first = (at, want)
+    if first is None:
+        assert report.ok
+        return False
+    at, want = first
+    w = report.witnesses[0]
+    assert w.indices == tuple(i + 1 for i in (order(at) if order else at))
+    assert w.residual == want
+    return True
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hom_lie_identities_match_the_oracles(seed):
+    failures = 0
+    for a in _inputs(seed):
+        n = a.dim
+        report = {s.checked_condition: s for s in hom_lie.validate_hom_lie(a).subreports}
+        failures += _agrees(
+            hom_lie._skew(a), (n,) * 3, 2, lambda i, j: oracle_skew(a, i, j), report["bracket-skew"]
+        )
+        failures += _agrees(
+            hom_lie._multiplicative(a),
+            (n,) * 3,
+            2,
+            lambda i, j: oracle_multiplicative(a, i, j),
+            report["twist-multiplicative"],
+        )
+        failures += _agrees(
+            hom_lie._jacobiator(a),
+            (n,) * 4,
+            3,
+            lambda i, j, k: oracle_hom_jacobi(a, i, j, k),
+            report["hom-jacobi"],
+        )
+        failures += _agrees(
+            hom_lie._weak_involutivity(a),
+            (n,) * 3,
+            2,
+            lambda i, j: oracle_weak_involutivity(a, i, j),
+            hom_lie.is_weakly_involutive(a),
+        )
+    assert failures
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_form_invariance_matches_the_oracle(seed):
+    failures = 0
+    for a in _inputs(seed):
+        n = a.dim
+        gram = random_matrix(random.Random(seed), n)
+        report = hom_lie.check_invariant_form(a, BilinearFormB(gram)).subreports[0]
+        failures += _agrees(
+            hom_lie._form_invariance(a, gram),
+            (n,) * 3,
+            3,
+            lambda k, i, j: oracle_form_invariance(a, gram, i, j, k),
+            report,
+            order=lambda kij: (kij[1], kij[2], kij[0]),
+        )
+    assert failures
+
+
+def _perturbed_rep(a: HomLieAlgebra, seed: int) -> Representation:
+    """The adjoint representation with a seeded action entry moved."""
+    rng = random.Random(seed)
+    n = a.dim
+    action = [[list(r) for r in m.rows] for m in adjoint_rep(a).action]
+    action[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += _bump(rng)
+    return Representation(a, a.twist, [Matrix(m) for m in action])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_representation_axioms_match_the_oracles(seed):
+    failures = 0
+    for a in (aff2phi(), heis3(), sl2()):
+        r = _perturbed_rep(a, seed)
+        n, shape = a.dim, r.shape
+        action = list(r.action)
+        twist, bracket = representation.validate_representation(r).subreports
+        rho_phi = representation.rho_after(r, a.twist)
+        failures += _agrees(
+            representation._twist_axiom(r, rho_phi),
+            shape,
+            1,
+            lambda i: oracle_rep_twist(a, r.beta, action, i),
+            twist,
+        )
+        failures += _agrees(
+            representation._bracket_axiom(r, rho_phi, r.action),
+            (n, *shape),
+            2,
+            lambda i, j: oracle_rep_bracket(a, r.beta, action, i, j),
+            bracket,
+        )
+    assert failures
+
+
+def _perturbed_pair(seed: int) -> MatchedPair:
+    """The canonical pair of aff2-triangular, with a seeded entry of each
+    action moved and a seeded cobracket entry moved."""
+    rng = random.Random(seed)
+    a, cb = aff2_triangular_bialgebra()
+    coeffs = [[list(r) for r in p] for p in cb.coeffs.entries]
+    coeffs[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] += _bump(rng)
+    mp = canonical_matched_pair(HomLieBialgebra(a, Cobracket(a, Tensor3(coeffs))))
+
+    def moved(r: Representation) -> Representation:
+        action = [[list(row) for row in m.rows] for m in r.action]
+        action[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] += _bump(rng)
+        return Representation(r.base, r.beta, [Matrix(m) for m in action])
+
+    return MatchedPair(mp.left, mp.right, moved(mp.rho), moved(mp.rho_prime))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matched_pair_identities_match_the_oracles(seed):
+    mp = _perturbed_pair(seed)
+    g, h = mp.left, mp.right
+    on_g, on_h = list(mp.rho_prime.action), list(mp.rho.action)
+    left, right = bialgebra.validate_matched_pair(mp).subreports
+    left_failed = _agrees(
+        bialgebra.matched_pair_compatibility(g, h, on_g, on_h),
+        (h.dim, g.dim, g.dim, g.dim),
+        3,
+        lambda c, i, j: oracle_matched_pair(g, h, on_g, on_h, c, i, j),
+        left,
+    )
+    right_failed = _agrees(
+        bialgebra.matched_pair_compatibility(h, g, on_h, on_g),
+        (g.dim, h.dim, h.dim, h.dim),
+        3,
+        lambda i, c, d: oracle_matched_pair(h, g, on_h, on_g, i, c, d),
+        right,
+    )
+    assert left_failed or right_failed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_o_operator_defect_matches_the_oracle(seed):
+    rng = random.Random(seed)
+    for a in (aff2phi(), heis3(), sl2()):
+        r = _perturbed_rep(a, seed)
+        cand = operators.OOperatorCandidate(a, r, random_matrix(rng, a.dim))
+        report = operators.validate_o_operator(cand).subreports[1]
+        assert _agrees(
+            operators._defects(cand),
+            cand.shape,
+            2,
+            lambda i, j: oracle_o_defect(list(r.action), a, cand.t, i, j),
+            report,
+        )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_r_matrix_tensors_match_the_oracles(seed):
+    """[r,r] with the chybe witness, the induced cobracket, its co-Jacobiator
+    and the three-slot adjoint action, on seeded r over broken algebras."""
+    rng = random.Random(seed)
+    for a in _inputs(seed)[:3]:
+        n = a.dim
+        rc = random_matrix(rng, n)
+        r = RMatrix(a, rc)
+        rr = r_square_bracket(r)
+        want = oracle_r_square(a, rc)
+        assert rr == want
+        _agrees(
+            sparse(rr), (n,) * 3, 3, lambda i, j, k: want[i, j, k], coboundary.check_chybe(r)
+        )
+        cb = cobracket_from_r(r)
+        assert cb.coeffs == oracle_cobracket(a, rc)
+        jd = coboundary._jac_delta(cb)
+        adj = coboundary._adjoint_on(a, rr)
+        for k in range(n):
+            assert dense(jd, (n,) * 4, (k,)) == oracle_jac_delta(a, cb.coeffs, k)
+            unit = [Q(int(i == k)) for i in range(n)]
+            assert dense(adj, (n,) * 4, (k,)) == oracle_ad3(a, unit, rr)
+

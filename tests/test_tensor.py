@@ -11,11 +11,10 @@ from homlie.tensor import (
     ShapeError,
     Tensor3,
     Vector,
-    apply_pair,
-    apply_triple,
     as_q,
-    contract3_first_two,
-    cyclic3,
+    contract,
+    dense,
+    first_case,
     format_q,
     matrix_kernel,
     matrix_kernels,
@@ -110,12 +109,13 @@ def test_nullspace_rank_nullity(m):
         assert not v.is_zero()
 
 
-def test_apply_pair_matches_raw_loops():
+def test_pair_action_contraction_matches_raw_loops():
+    # (A (x) B) t for rectangular A and B
     rng = random.Random(2024)
     a = random_matrix(rng, 3, 2)
     b = random_matrix(rng, 4, 3)
     t = random_matrix(rng, 2, 3)
-    got = apply_pair(a, b, t)
+    got = dense(contract("ij", ("ip", a), ("pq", t), ("jq", b)), (3, 4))
     assert (got.nrows, got.ncols) == (3, 4)
     for i in range(3):
         for j in range(4):
@@ -126,13 +126,14 @@ def test_apply_pair_matches_raw_loops():
             assert got[i, j] == want
 
 
-def test_apply_triple_matches_raw_loops():
+def test_triple_action_contraction_matches_raw_loops():
+    # (A (x) B (x) C) t
     rng = random.Random(7)
     a = random_matrix(rng, 2, 2)
     b = random_matrix(rng, 2, 2)
     c = random_matrix(rng, 2, 2)
     t = Tensor3([[[random_q(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)])
-    got = apply_triple(a, b, c, t)
+    got = dense(contract("ijk", ("pqr", t), ("ip", a), ("jq", b), ("kr", c)), (2, 2, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -148,26 +149,55 @@ def test_apply_triple_matches_raw_loops():
                 assert got[i, j, k] == want
 
 
-def test_cyclic3_has_order_three():
+def test_slot_rotation_has_order_three():
     rng = random.Random(99)
     t = Tensor3([[[random_q(rng) for _ in range(3)] for _ in range(3)] for _ in range(3)])
-    once = cyclic3(t)
+
+    def rotate(x):  # u (x) v (x) w  ->  w (x) u (x) v
+        return dense(contract("abc", ("bca", x)), (3, 3, 3))
+
+    once = rotate(t)
     assert once[0, 1, 2] == t[1, 2, 0]
-    assert cyclic3(t, 2) == cyclic3(once)
-    assert cyclic3(cyclic3(once)) == t
+    assert rotate(rotate(rotate(t))) == t
 
 
 def test_contractions_match_raw_loops():
+    # slots 1 and 2 of t against dual vectors xi, eta
     rng = random.Random(5)
     t = Tensor3([[[random_q(rng) for _ in range(2)] for _ in range(3)] for _ in range(3)])
     xi = Vector([1, Q(1, 2), -1])
     eta = Vector([2, 0, 1])
-    got = contract3_first_two(t, xi, eta)
+    got = dense(contract("k", ("i", xi), ("j", eta), ("ijk", t)), (2,))
     for k in range(2):
         want = sum(
             (xi[i] * eta[j] * t[i, j, k] for i in range(3) for j in range(3)), Q(0)
         )
         assert got[k] == want
+
+
+def test_full_contraction_to_a_scalar():
+    rng = random.Random(11)
+    m = random_matrix(rng, 3, 3)
+    x = Vector([1, Q(-1, 2), 2])
+    got = contract("", ("i", x), ("ij", m), ("j", x))
+    want = sum((x[i] * m[i, j] * x[j] for i in range(3) for j in range(3)), Q(0))
+    assert dense(got, ()) == want
+    assert set(got) <= {()}
+
+
+def test_zero_operand_gives_the_empty_tensor():
+    rng = random.Random(12)
+    m = random_matrix(rng, 3, 3)
+    got = contract("ik", ("ij", m), ("jk", Matrix.zero(3)))
+    assert got == {}
+    assert dense(got, (3, 3)) == Matrix.zero(3)
+    assert first_case(got, (3, 3), 1) == []
+
+
+def test_first_case_is_the_least_nonzero_prefix():
+    t = {(1, 0, 2): Q(3), (0, 2, 1): Q(-1), (0, 2, 0): Q(0), (2, 0, 0): Q(5)}
+    assert first_case(t, (3, 3, 3), 2, "note") == [((1, 3), Vector([0, -1, 0]), "note")]
+    assert first_case(t, (3, 3, 3), 3) == [((1, 3, 2), Q(-1), "")]
 
 
 def test_tensor3_plane_and_algebra():
