@@ -28,6 +28,7 @@ from itertools import product
 from .hom_lie import (
     BilinearFormB,
     HomLieAlgebra,
+    block_sum,
     check_invariant_form,
     is_weakly_involutive,
     require_same_algebra,
@@ -245,39 +246,8 @@ def double_bracket(mp: MatchedPair) -> HomLieAlgebra:
     Manin-triple verdict can diagnose a broken pair.
     """
     g, gp = mp.left, mp.right
-    n, m = g.dim, gp.dim
-    d = n + m
-    box = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                box[i][j][k] = g.bracket[i, j, k]
-    for c in range(m):
-        for e in range(m):
-            for k in range(m):
-                box[n + c][n + e][n + k] = gp.bracket[c, e, k]
-    for i in range(n):
-        for c in range(m):
-            # [(e_i, 0), (0, f_c)] = (-rho'(f_c) e_i, rho(e_i) f_c)
-            gpart = -(mp.rho_prime.action[c].col(i))
-            vpart = mp.rho.action[i].col(c)
-            for k in range(n):
-                box[i][n + c][k] = gpart[k]
-                box[n + c][i][k] = -gpart[k]
-            for k in range(m):
-                box[i][n + c][n + k] = vpart[k]
-                box[n + c][i][n + k] = -vpart[k]
-
-    tw = [[Q(0)] * d for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            tw[i][j] = g.twist[i, j]
-    for c in range(m):
-        for e in range(m):
-            tw[n + c][n + e] = gp.twist[c, e]
     label = f"double({g.label or 'g'},{gp.label or 'g-prime'})"
-    return HomLieAlgebra(Tensor3(box), Matrix(tw), label)
+    return block_sum(g, gp, label, mp.rho.action, mp.rho_prime.action)
 
 
 def double_from_matched_pair(mp: MatchedPair) -> HomLieAlgebra:

@@ -232,7 +232,7 @@ def _default_checks(s: Structure) -> list[str]:
     return out
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     s = _load(args.structure)
     if args.rmatrix is not None:
         if s.algebra is None:
@@ -275,11 +275,10 @@ def cmd_validate(args) -> int:
             "verdict": "pass" if ok else "fail",
             "checks": [r.to_json() for _, r in reports],
         }
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc, indent=2)
     else:
-        for _, r in reports:
-            print(r.render())
-    return 0 if ok else 1
+        text = "\n".join(r.render() for _, r in reports)
+    return (0 if ok else 1), text + "\n"
 
 
 def _build_structure(args) -> Structure:
@@ -358,13 +357,11 @@ def _build_structure(args) -> Structure:
     raise UsageError(f"unknown construction {kind!r}")
 
 
-def cmd_build(args) -> int:
-    out = _build_structure(args)
-    sys.stdout.write(emit_structure(out))
-    return 0
+def cmd_build(args) -> tuple[int, str]:
+    return 0, emit_structure(_build_structure(args))
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple[int, str]:
     if args.format == "json" or args.json:
         doc = [
             {
@@ -375,13 +372,13 @@ def cmd_corpus(args) -> int:
             }
             for b in BUILTINS
         ]
-        print(json.dumps(doc, indent=2))
-    else:
-        width = max(len(b.name) for b in BUILTINS)
-        for b in BUILTINS:
-            alias = f" (alias {', '.join(b.aliases)})" if b.aliases else ""
-            print(f"{b.name:<{width}}  [{b.kind}] {b.description}{alias}")
-    return 0
+        return 0, json.dumps(doc, indent=2) + "\n"
+    width = max(len(b.name) for b in BUILTINS)
+    lines = []
+    for b in BUILTINS:
+        alias = f" (alias {', '.join(b.aliases)})" if b.aliases else ""
+        lines.append(f"{b.name:<{width}}  [{b.kind}] {b.description}{alias}\n")
+    return 0, "".join(lines)
 
 
 def _seed(text: str) -> int:
@@ -450,13 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, output = args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvalidStructureError as e:
         print(str(e), file=sys.stderr)
         return 1
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, as in `homlie ... | head -1`. Drop stdout, so
+        # that nothing more is written to it, not even by the flush at exit.
+        sys.stdout = None
+    return code
 
 
 if __name__ == "__main__":

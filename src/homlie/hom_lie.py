@@ -15,6 +15,7 @@ diagnose a bad structure instead of refusing to look at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .report import CheckReport, combined, scan
 from .tensor import (
@@ -289,22 +290,29 @@ def change_of_basis(a: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
 
 def direct_sum(a1: HomLieAlgebra, a2: HomLieAlgebra, label: str = "") -> HomLieAlgebra:
     """Block-diagonal sum: brackets and twists act componentwise, cross terms 0."""
-    n1, n2 = a1.dim, a2.dim
-    n = n1 + n2
-    box = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                box[i][j][k] = a1.bracket[i, j, k]
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                box[n1 + i][n1 + j][n1 + k] = a2.bracket[i, j, k]
-    tw = [[Q(0)] * n for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            tw[i][j] = a1.twist[i, j]
-    for i in range(n2):
-        for j in range(n2):
-            tw[n1 + i][n1 + j] = a2.twist[i, j]
-    return HomLieAlgebra(Tensor3(box), Matrix(tw), label or f"{a1.label}(+){a2.label}")
+    return block_sum(a1, a2, label or f"{a1.label}(+){a2.label}")
+
+
+def block_sum(
+    g: HomLieAlgebra,
+    h: HomLieAlgebra,
+    label: str,
+    rho: Sequence[Matrix] = (),
+    rho_prime: Sequence[Matrix] = (),
+) -> HomLieAlgebra:
+    """g (+) h with twist phi (+) phi', where g acts on h by rho and h acts on g by
+    rho_prime (one matrix per basis vector; none for no action):
+
+        [(x,x'), (y,y')] = ([x,y] - rho'(y')x + rho'(x')y, [x',y'] + rho(x)y' - rho(y)x').
+    """
+    n = g.dim
+    d = n + h.dim
+    bracket = sparse(g.bracket)
+    bracket.update({(n + i, n + j, n + k): v for (i, j, k), v in sparse(h.bracket).items()})
+    for (i, k, c), v in sparse(rho).items():  # the f_k coefficient of rho(e_i) f_c
+        bracket[i, n + c, n + k], bracket[n + c, i, n + k] = v, -v
+    for (c, k, i), v in sparse(rho_prime).items():  # the e_k coefficient of rho'(f_c) e_i
+        bracket[i, n + c, k], bracket[n + c, i, k] = -v, v
+    twist = sparse(g.twist)
+    twist.update({(n + i, n + j): v for (i, j), v in sparse(h.twist).items()})
+    return HomLieAlgebra(dense(bracket, (d,) * 3), dense(twist, (d, d)), label)

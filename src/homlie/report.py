@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .tensor import Matrix, Tensor3, Vector, format_q
+from .tensor import Array, format_q
 
-Residual = Union[Fraction, Vector, Matrix, Tensor3]
+Residual = Union[Fraction, Array]
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,7 @@ def holds(condition: str, ok: bool, note: str) -> CheckReport:
 
 
 def _is_nonzero(r: Residual) -> bool:
-    if isinstance(r, (Vector, Matrix, Tensor3)):
-        return not r.is_zero()
-    return r != 0
+    return not r.is_zero() if isinstance(r, Array) else r != 0
 
 
 def combined(condition: str, subreports: list[CheckReport], **info) -> CheckReport:
@@ -172,21 +170,13 @@ def format_residual(r: Residual) -> str:
 
 
 def residual_to_json(r: Residual):
-    if isinstance(r, Fraction):
-        return format_q(r)
-    if isinstance(r, Vector):
-        return [format_q(a) for a in r.entries]
-    if isinstance(r, Matrix):
-        return [[format_q(a) for a in row] for row in r.rows]
-    if isinstance(r, Tensor3):
-        return [[[format_q(a) for a in row] for row in plane] for plane in r.entries]
-    return str(r)
+    if isinstance(r, Array):
+        return r.to_json()
+    return format_q(r) if isinstance(r, Fraction) else str(r)
 
 
 def _info_to_json(v):
-    if isinstance(v, Fraction):
-        return format_q(v)
-    if isinstance(v, (Vector, Matrix, Tensor3)):
+    if isinstance(v, (Fraction, Array)):
         return residual_to_json(v)
     if isinstance(v, (list, tuple)):
         return [_info_to_json(x) for x in v]

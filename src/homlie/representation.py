@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .hom_lie import HomLieAlgebra, is_weakly_involutive
+from .hom_lie import HomLieAlgebra, block_sum, is_weakly_involutive
 from .report import CheckReport, InvalidStructureError, combined, holds, scan
 from .tensor import (
     Matrix,
-    Q,
     ShapeError,
     Sparse,
     Tensor3,
@@ -197,29 +196,8 @@ def semidirect_product(a: HomLieAlgebra, r: Representation) -> HomLieAlgebra:
 
         [(x,u), (y,v)] = ([x,y], rho(x)v - rho(y)u),  twist phi (+) beta.
     """
-    n, m = a.dim, r.carrier_dim
-    d = n + m
-    box = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                box[i][j][k] = a.bracket[i, j, k]
-    for i in range(n):
-        rho_i = r.action[i]
-        for b in range(m):
-            # [(e_i,0),(0,v_b)] = (0, rho(e_i) v_b)
-            col = rho_i.col(b)
-            for k in range(m):
-                box[i][n + b][n + k] = col[k]
-                box[n + b][i][n + k] = -col[k]
-    tw = [[Q(0)] * d for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            tw[i][j] = a.twist[i, j]
-    for i in range(m):
-        for j in range(m):
-            tw[n + i][n + j] = r.beta[i, j]
-    return HomLieAlgebra(Tensor3(box), Matrix(tw), f"{a.label or 'g'}|xV")
+    abelian = HomLieAlgebra(Tensor3.zero(r.carrier_dim), r.beta)
+    return block_sum(a, abelian, f"{a.label or 'g'}|xV", rho=r.action)
 
 
 CRITERIA_DISAGREE = "conjunction of criteria differs from direct check"

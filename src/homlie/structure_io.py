@@ -31,7 +31,7 @@ from .corpus import builtin_sections, lookup_builtin
 from .hom_lie import HomLieAlgebra
 from .operators import HomLeftSymmetric
 from .representation import Representation
-from .tensor import Matrix, Q, ShapeError, Tensor3, format_q
+from .tensor import Array, Matrix, Q, ShapeError, array, dense
 
 
 class StructureParseError(ValueError):
@@ -94,70 +94,36 @@ def _sparse_entries(node, path: str, rank: int):
         if idx in out:
             raise StructureParseError(here, f"duplicate entry {tuple(row[:rank])}")
         out[idx] = val
-    return out.items()
+    return out
 
 
-def _parse_matrix(node, path: str, nrows: int, ncols: int) -> Matrix:
+_LEVELS = {2: ("rows", "columns"), 3: ("planes", "rows", "entries")}
+
+
+def _parse_array(node, path: str, shape: tuple[int, ...]) -> Array:
+    """A dense or sparse matrix or order-3 array of exactly this shape."""
     if isinstance(node, dict):
-        rows = [[Q(0)] * ncols for _ in range(nrows)]
-        for idx, val in _sparse_entries(node, path, 2):
-            i, j = idx
-            if i >= nrows or j >= ncols:
-                raise StructureParseError(
-                    path, f"entry ({i + 1}, {j + 1}) outside {nrows} x {ncols}"
-                )
-            rows[i][j] = val
-        return Matrix(rows)
-    node = _require_list(node, path)
-    if len(node) != nrows:
-        raise StructureParseError(path, f"want {nrows} rows, got {len(node)}")
-    rows = []
-    for i, rnode in enumerate(node):
-        rnode = _require_list(rnode, f"{path}[{i}]")
-        if len(rnode) != ncols:
-            raise StructureParseError(
-                f"{path}[{i}]", f"want {ncols} columns, got {len(rnode)}"
-            )
-        rows.append([_parse_q(x, f"{path}[{i}][{j}]") for j, x in enumerate(rnode)])
-    return Matrix(rows)
-
-
-def _parse_tensor3(node, path: str, dims: tuple[int, int, int]) -> Tensor3:
-    d1, d2, d3 = dims
-    if isinstance(node, dict):
-        box = [[[Q(0)] * d3 for _ in range(d2)] for _ in range(d1)]
-        for idx, val in _sparse_entries(node, path, 3):
-            i, j, k = idx
-            if i >= d1 or j >= d2 or k >= d3:
+        entries = _sparse_entries(node, path, len(shape))
+        for idx in entries:
+            if any(i >= d for i, d in zip(idx, shape)):
                 raise StructureParseError(
                     path,
-                    f"entry ({i + 1}, {j + 1}, {k + 1}) outside "
-                    f"{d1} x {d2} x {d3}",
+                    f"entry {tuple(i + 1 for i in idx)} outside "
+                    + " x ".join(map(str, shape)),
                 )
-            box[i][j][k] = val
-        return Tensor3(box)
+        return dense(entries, shape)
+    return array(_parse_dense(node, path, shape, _LEVELS[len(shape)]), len(shape))
+
+
+def _parse_dense(node, path: str, shape: tuple[int, ...], levels: tuple[str, ...]):
+    if not shape:
+        return _parse_q(node, path)
     node = _require_list(node, path)
-    if len(node) != d1:
-        raise StructureParseError(path, f"want {d1} planes, got {len(node)}")
-    box = []
-    for i, plane in enumerate(node):
-        plane = _require_list(plane, f"{path}[{i}]")
-        if len(plane) != d2:
-            raise StructureParseError(
-                f"{path}[{i}]", f"want {d2} rows, got {len(plane)}"
-            )
-        rows = []
-        for j, rnode in enumerate(plane):
-            rnode = _require_list(rnode, f"{path}[{i}][{j}]")
-            if len(rnode) != d3:
-                raise StructureParseError(
-                    f"{path}[{i}][{j}]", f"want {d3} entries, got {len(rnode)}"
-                )
-            rows.append(
-                [_parse_q(x, f"{path}[{i}][{j}][{k}]") for k, x in enumerate(rnode)]
-            )
-        box.append(rows)
-    return Tensor3(box)
+    if len(node) != shape[0]:
+        raise StructureParseError(path, f"want {shape[0]} {levels[0]}, got {len(node)}")
+    return [
+        _parse_dense(x, f"{path}[{i}]", shape[1:], levels[1:]) for i, x in enumerate(node)
+    ]
 
 
 def _parse_dim(node, path: str) -> int:
@@ -225,8 +191,8 @@ def structure_from_doc(doc) -> Structure:
         if not isinstance(sec, dict):
             raise StructureParseError("algebra", "expected an object")
         n = _parse_dim(sec.get("dim"), "algebra.dim")
-        bracket = _parse_tensor3(sec.get("bracket"), "algebra.bracket", (n, n, n))
-        twist = _parse_matrix(sec.get("twist"), "algebra.twist", n, n)
+        bracket = _parse_array(sec.get("bracket"), "algebra.bracket", (n, n, n))
+        twist = _parse_array(sec.get("twist"), "algebra.twist", (n, n))
         algebra = HomLieAlgebra(bracket, twist, name)
     elif algebra is not None and name != base.name:
         algebra = replace(algebra, label=name)
@@ -241,7 +207,7 @@ def structure_from_doc(doc) -> Structure:
                 "representation", "needs an algebra section to act on"
             )
         m = _parse_dim(sec.get("carrier_dim"), "representation.carrier_dim")
-        beta = _parse_matrix(sec.get("beta"), "representation.beta", m, m)
+        beta = _parse_array(sec.get("beta"), "representation.beta", (m, m))
         acts = _require_list(sec.get("action"), "representation.action")
         if len(acts) != algebra.dim:
             raise StructureParseError(
@@ -250,7 +216,7 @@ def structure_from_doc(doc) -> Structure:
                 f"got {len(acts)}",
             )
         action = [
-            _parse_matrix(a, f"representation.action[{i}]", m, m)
+            _parse_array(a, f"representation.action[{i}]", (m, m))
             for i, a in enumerate(acts)
         ]
         representation = Representation(algebra, beta, action)
@@ -265,7 +231,7 @@ def structure_from_doc(doc) -> Structure:
         if algebra is None:
             raise StructureParseError("cobracket", "needs an algebra section")
         n = algebra.dim
-        coeffs = _parse_tensor3(doc["cobracket"], "cobracket", (n, n, n))
+        coeffs = _parse_array(doc["cobracket"], "cobracket", (n, n, n))
         cobracket = Cobracket(algebra, coeffs)
     elif cobracket is not None and algebra is not None:
         cb = cobracket
@@ -276,7 +242,7 @@ def structure_from_doc(doc) -> Structure:
         if algebra is None:
             raise StructureParseError("rmatrix", "needs an algebra section")
         n = algebra.dim
-        rmatrix = RMatrix(algebra, _parse_matrix(doc["rmatrix"], "rmatrix", n, n))
+        rmatrix = RMatrix(algebra, _parse_array(doc["rmatrix"], "rmatrix", (n, n)))
     elif rmatrix is not None and algebra is not None:
         rm = rmatrix
         rmatrix = _domain("rmatrix", lambda: RMatrix(algebra, rm.coeffs))
@@ -287,8 +253,8 @@ def structure_from_doc(doc) -> Structure:
         if not isinstance(sec, dict):
             raise StructureParseError("lsa", "expected an object")
         m = _parse_dim(sec.get("dim"), "lsa.dim")
-        product = _parse_tensor3(sec.get("product"), "lsa.product", (m, m, m))
-        psi = _parse_matrix(sec.get("psi"), "lsa.psi", m, m)
+        product = _parse_array(sec.get("product"), "lsa.product", (m, m, m))
+        psi = _parse_array(sec.get("psi"), "lsa.psi", (m, m))
         lsa = HomLeftSymmetric(product, psi, name)
     elif lsa is not None and name != base.name:
         lsa = replace(lsa, label=name)
@@ -311,7 +277,7 @@ def structure_from_doc(doc) -> Structure:
             raise StructureParseError(
                 "ooperator", "needs an algebra+representation or an lsa section"
             )
-        ooperator_t = _parse_matrix(sec["T"], "ooperator.T", nrows, ncols)
+        ooperator_t = _parse_array(sec["T"], "ooperator.T", (nrows, ncols))
 
     return Structure(
         name=name,
@@ -324,14 +290,6 @@ def structure_from_doc(doc) -> Structure:
     )
 
 
-def _matrix_doc(m: Matrix) -> list:
-    return [[format_q(x) for x in row] for row in m.rows]
-
-
-def _tensor3_doc(t: Tensor3) -> list:
-    return [[[format_q(x) for x in row] for row in plane] for plane in t.entries]
-
-
 def structure_to_doc(s: Structure) -> dict:
     doc: dict = {"version": 1}
     if s.name:
@@ -339,27 +297,27 @@ def structure_to_doc(s: Structure) -> dict:
     if s.algebra is not None:
         doc["algebra"] = {
             "dim": s.algebra.dim,
-            "bracket": _tensor3_doc(s.algebra.bracket),
-            "twist": _matrix_doc(s.algebra.twist),
+            "bracket": s.algebra.bracket.to_json(),
+            "twist": s.algebra.twist.to_json(),
         }
     if s.representation is not None:
         doc["representation"] = {
             "carrier_dim": s.representation.carrier_dim,
-            "beta": _matrix_doc(s.representation.beta),
-            "action": [_matrix_doc(a) for a in s.representation.action],
+            "beta": s.representation.beta.to_json(),
+            "action": [a.to_json() for a in s.representation.action],
         }
     if s.cobracket is not None:
-        doc["cobracket"] = _tensor3_doc(s.cobracket.coeffs)
+        doc["cobracket"] = s.cobracket.coeffs.to_json()
     if s.rmatrix is not None:
-        doc["rmatrix"] = _matrix_doc(s.rmatrix.coeffs)
+        doc["rmatrix"] = s.rmatrix.coeffs.to_json()
     if s.lsa is not None:
         doc["lsa"] = {
             "dim": s.lsa.dim,
-            "product": _tensor3_doc(s.lsa.product),
-            "psi": _matrix_doc(s.lsa.psi),
+            "product": s.lsa.product.to_json(),
+            "psi": s.lsa.psi.to_json(),
         }
     if s.ooperator_t is not None:
-        doc["ooperator"] = {"T": _matrix_doc(s.ooperator_t)}
+        doc["ooperator"] = {"T": s.ooperator_t.to_json()}
     return doc
 
 

@@ -1,12 +1,14 @@
-"""Exact tensors over the rationals, and one sparse contraction.
+"""Exact arrays over the rationals, and one sparse contraction.
 
-Everything downstream (brackets, twists, cobrackets, r-matrices) is a
-vector, matrix, or order-3 tensor with Fraction entries in a fixed basis.
-These values are stored dense and are immutable after construction. Every
-identity the package checks is a multilinear expression in them, evaluated
-by ``contract`` over the nonzero entries only, since structure constants are
-mostly zeros. Every comparison is exact equality: there are no tolerances
-anywhere in this package.
+Everything downstream (brackets, twists, cobrackets, r-matrices) is one
+exact array type, ``Array``, of order 1 to 3 (``Vector``, ``Matrix`` and
+``Tensor3``) with Fraction entries in a fixed basis. These values are stored
+dense and are immutable after construction; how they are shaped, combined,
+tested for zero, rendered and written to JSON is decided once, in ``Array``.
+Every identity the package checks is a multilinear expression in them,
+evaluated by ``contract`` over the nonzero entries only, since structure
+constants are mostly zeros. Every comparison is exact equality: there are no
+tolerances anywhere in this package.
 
 Conventions that the rest of the package relies on:
 
@@ -23,8 +25,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Iterator, Sequence, Union
+from functools import partial, reduce
+from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
 Q = Fraction
 
@@ -55,15 +57,104 @@ def format_q(x: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class Vector:
-    entries: tuple[Fraction, ...]
+class Array:
+    """An exact array of order 1, 2 or 3: nested tuples of Fractions, `order`
+    deep, with every tuple at one depth of one length. Vector, Matrix and Tensor3
+    fix the order; elementwise arithmetic, the zero test, rendering and the JSON
+    view are shared."""
 
-    def __init__(self, entries: Iterable[Scalar]):
-        object.__setattr__(self, "entries", tuple(as_q(e) for e in entries))
+    entries: tuple
+    order: ClassVar[int]
 
-    @staticmethod
-    def zero(n: int) -> "Vector":
-        return Vector([ZERO] * n)
+    def __init__(self, entries: Iterable):
+        box = level = _exact(entries, self.order)
+        for depth in range(self.order - 1):
+            if depth:
+                level = [sub for x in level for sub in x]
+            if len(set(map(len, level))) > 1:
+                raise ShapeError(f"ragged order-{self.order} array")
+        object.__setattr__(self, "entries", box)
+
+    @classmethod
+    def zero(cls, n: int, *rest: int):
+        """The zero array with sizes (n, *rest); sizes left out are n."""
+        return cls(_zeros((n, *rest) + (n,) * (cls.order - 1 - len(rest))))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        sizes, x = [], self.entries
+        for _ in range(self.order):
+            sizes.append(len(x))
+            x = x[0] if x else ()
+        return tuple(sizes)
+
+    def __getitem__(self, index):
+        """The entry at an index tuple, or at an int for a vector."""
+        x = self.entries
+        for i in index if isinstance(index, tuple) else (index,):
+            x = x[i]
+        return x
+
+    def _map(self, f, *others: "Array"):
+        for other in others:
+            if self.shape != other.shape:
+                raise ShapeError(f"shapes {self.shape} != {other.shape}")
+        return type(self)(_zip_map(f, self.order, self.entries, *(o.entries for o in others)))
+
+    def __add__(self, other):
+        return self._map(operator.add, other)
+
+    def __sub__(self, other):
+        return self._map(operator.sub, other)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def scale(self, c: Scalar):
+        return self._map(partial(operator.mul, as_q(c)))
+
+    def is_zero(self) -> bool:
+        return not any(_flat(self.entries, self.order))
+
+    def __str__(self) -> str:
+        """(a, b) for a vector, [a b; c d] for a matrix, and the planes of an
+        order-3 array in brackets, [[a b; c d], [e f; g h]]."""
+        return _render(self.entries, self.order)
+
+    def to_json(self) -> list:
+        """The entries as nested lists of "p/q" strings."""
+        return _zip_map(format_q, self.order, self.entries, container=list)
+
+
+def _exact(x, order: int) -> tuple:
+    if order == 1:
+        return tuple(map(as_q, x))
+    return tuple(_exact(sub, order - 1) for sub in x)
+
+
+def _zip_map(f, order: int, *xs, container=tuple):
+    """f applied entrywise to nested sequences of one shape."""
+    if order == 1:
+        return container(map(f, *xs))
+    return container(_zip_map(f, order - 1, *subs, container=container) for subs in zip(*xs))
+
+
+def _flat(x, order: int) -> list:
+    for _ in range(order - 1):
+        x = [a for sub in x for a in sub]
+    return x
+
+
+def _render(x, order: int) -> str:
+    if order == 1:
+        return "(" + ", ".join(map(format_q, x)) + ")"
+    if order == 2:
+        return "[" + "; ".join(" ".join(map(format_q, row)) for row in x) + "]"
+    return "[" + ", ".join(_render(sub, order - 1) for sub in x) + "]"
+
+
+class Vector(Array):
+    order = 1
 
     @staticmethod
     def basis(n: int, i: int) -> "Vector":
@@ -74,94 +165,36 @@ class Vector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def __add__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise ShapeError(f"vector dims {self.dim} != {other.dim}")
-        return Vector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise ShapeError(f"vector dims {self.dim} != {other.dim}")
-        return Vector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.entries)
-
-    def scale(self, c: Scalar) -> "Vector":
-        c = as_q(c)
-        return Vector(c * a for a in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def dot(self, other: "Vector") -> Fraction:
         if self.dim != other.dim:
             raise ShapeError(f"vector dims {self.dim} != {other.dim}")
         return sum((a * b for a, b in zip(self.entries, other.entries)), ZERO)
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(format_q(a) for a in self.entries) + ")"
 
+class Matrix(Array):
+    order = 2
 
-@dataclass(frozen=True)
-class Matrix:
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rs = tuple(tuple(as_q(e) for e in row) for row in rows)
-        if rs and any(len(r) != len(rs[0]) for r in rs):
-            raise ShapeError("ragged matrix rows")
-        object.__setattr__(self, "rows", rs)
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.entries
 
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(nrows: int, ncols: int | None = None) -> "Matrix":
-        ncols = nrows if ncols is None else ncols
-        return Matrix([[ZERO] * ncols for _ in range(nrows)])
-
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.rows[ij[0]][ij[1]]
+        return len(self.entries[0]) if self.entries else 0
 
     def row(self, i: int) -> Vector:
         return Vector(self.rows[i])
 
     def col(self, j: int) -> Vector:
         return Vector(r[j] for r in self.rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-a for a in r) for r in self.rows)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        c = as_q(c)
-        return Matrix(tuple(c * a for a in r) for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -180,14 +213,11 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows)) if self.rows else self
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self == self.transpose()
 
     def is_skew(self) -> bool:
-        return self.nrows == self.ncols and self == self.transpose().__neg__()
+        return self.nrows == self.ncols and self == -self.transpose()
 
     def det(self) -> Fraction:
         """Exact determinant by Gaussian elimination over the rationals."""
@@ -221,65 +251,13 @@ class Matrix:
             raise ShapeError("singular matrix has no inverse")
         return Matrix(row[n:] for row in a)
 
-    def _same_shape(self, other: "Matrix") -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError(
-                f"matrix shapes {self.nrows}x{self.ncols} != {other.nrows}x{other.ncols}"
-            )
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(format_q(a) for a in r) for r in self.rows) + "]"
-
-
-@dataclass(frozen=True)
-class Tensor3:
-    entries: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def __init__(self, entries: Iterable[Iterable[Iterable[Scalar]]]):
-        box = tuple(tuple(tuple(as_q(e) for e in row) for row in plane) for plane in entries)
-        d2 = {len(p) for p in box}
-        d3 = {len(r) for p in box for r in p}
-        if len(d2) > 1 or len(d3) > 1:
-            raise ShapeError("ragged order-3 tensor")
-        object.__setattr__(self, "entries", box)
-
-    @staticmethod
-    def zero(d1: int, d2: int | None = None, d3: int | None = None) -> "Tensor3":
-        d2 = d1 if d2 is None else d2
-        d3 = d1 if d3 is None else d3
-        return Tensor3([[[ZERO] * d3 for _ in range(d2)] for _ in range(d1)])
+class Tensor3(Array):
+    order = 3
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        d1 = len(self.entries)
-        d2 = len(self.entries[0]) if d1 else 0
-        d3 = len(self.entries[0][0]) if d1 and d2 else 0
-        return (d1, d2, d3)
-
-    def __getitem__(self, ijk: tuple[int, int, int]) -> Fraction:
-        i, j, k = ijk
-        return self.entries[i][j][k]
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        if self.dims != other.dims:
-            raise ShapeError(f"tensor dims {self.dims} != {other.dims}")
-        return Tensor3(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-            for p1, p2 in zip(self.entries, other.entries)
-        )
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(tuple(tuple(-a for a in r) for r in p) for p in self.entries)
-
-    def scale(self, c: Scalar) -> "Tensor3":
-        c = as_q(c)
-        return Tensor3(tuple(tuple(c * a for a in r) for r in p) for p in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for p in self.entries for r in p for a in r)
+        return self.shape
 
     def plane(self, i: int) -> Matrix:
         """Slice along the first slot: the matrix t[i][.][.]."""
@@ -335,9 +313,7 @@ def sparse(x) -> dict:
 
 
 def _array(x):
-    if isinstance(x, (Vector, Tensor3)):
-        return x.entries
-    return x.rows if isinstance(x, Matrix) else x
+    return x.entries if isinstance(x, Array) else x
 
 
 def _picker(positions: list[int]):
@@ -392,7 +368,12 @@ def dense(t: dict, shape: Sequence[int], at: tuple[int, ...] = ()):
             for i in key[len(at) : -1]:
                 cell = cell[i]
             cell[key[-1]] = v
-    return (Vector, Matrix, Tensor3)[len(rest) - 1](box)
+    return array(box, len(rest))
+
+
+def array(box, order: int) -> Array:
+    """The Vector, Matrix or Tensor3 with these nested entries."""
+    return (Vector, Matrix, Tensor3)[order - 1](box)
 
 
 def _zeros(shape: Sequence[int]) -> list:

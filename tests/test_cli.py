@@ -366,3 +366,33 @@ def test_validate_builtin_bialgebras_full_stack(capsys):
 def test_validate_unicode_builtin_alias(capsys):
     code, _, _ = run(capsys, "validate", "builtin:aff2φ", "--check", "hom-lie")
     assert code == 0
+
+
+def test_order3_witnesses_print_as_numbers(capsys):
+    code, out, _ = run(capsys, "validate", "builtin:notjac3", "--check", "jacobiator-bracket")
+    assert code == 1
+    assert (
+        "at (1): residual [[0 0 0; 0 0 1/2; 0 -1/2 0], [0 0 -1/2; 0 0 0; 1/2 0 0], "
+        "[0 1/2 0; -1/2 0 0; 0 0 0]]"
+    ) in out
+
+    code, out, _ = run(
+        capsys, "validate", "builtin:aff2", "--rmatrix=-e1xe1 + e1xe2 - e2xe1", "--check", "coboundary"
+    )
+    assert code == 1
+    assert "adjoint-kills-r-square: fail\n    at (2): residual [[-6 0; 0 0], [0 0; 0 0]]" in out
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("name, verdict", [("sl2", 0), ("notjac3", 1)])
+def test_closed_stdout_keeps_the_verdict_exit_code(monkeypatch, capsys, name, verdict):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["validate", f"builtin:{name}", "--format", "json"]) == verdict
+    assert capsys.readouterr().err == ""

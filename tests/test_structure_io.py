@@ -272,3 +272,38 @@ def test_full_bundle_round_trip():
     s = parse_structure(json.dumps(doc))
     assert s.representation is not None and s.ooperator_t is not None
     assert parse_structure(emit_structure(s)) == s
+
+
+SHAPE_ERRORS = [
+    # (where the bad value goes, the bad value, path of the error, its message)
+    ("bracket", [[["0", "0"], ["0", "0"]]], "algebra.bracket", "want 2 planes, got 1"),
+    ("bracket", [[["0", "0"]], [["0", "0"], ["0", "0"]]], "algebra.bracket[0]", "want 2 rows, got 1"),
+    (
+        "bracket",
+        [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0", "0"]]],
+        "algebra.bracket[1][1]",
+        "want 2 entries, got 3",
+    ),
+    ("twist", [["1", "0"]], "algebra.twist", "want 2 rows, got 1"),
+    ("twist", [["1", "0"], ["0"]], "algebra.twist[1]", "want 2 columns, got 1"),
+    ("twist", {"entries": [[1, 3, "1"]]}, "algebra.twist", "entry (1, 3) outside 2 x 2"),
+    (
+        "bracket",
+        {"entries": [[1, 2, 3, "1"]]},
+        "algebra.bracket",
+        "entry (1, 2, 3) outside 2 x 2 x 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, value, path, message", SHAPE_ERRORS)
+def test_shape_errors_name_the_field_and_the_count(field, value, path, message):
+    doc = {
+        "version": 1,
+        "algebra": {"dim": 2, "bracket": {"entries": []}, "twist": [["1", "0"], ["0", "1"]]},
+    }
+    doc["algebra"][field] = value
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(doc))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {message}"
