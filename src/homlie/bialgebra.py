@@ -297,11 +297,8 @@ def double_weak_involutivity_criteria(mp: MatchedPair) -> CheckReport:
 
 def standard_form(n: int) -> BilinearFormB:
     """The hyperbolic pairing B(x+a, y+b) = <x,b> + <y,a> on a 2n-dim space."""
-    rows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = Q(1)
-        rows[n + i][i] = Q(1)
-    return BilinearFormB(Matrix(rows))
+    pairs = {key: Q(1) for i in range(n) for key in ((i, n + i), (n + i, i))}
+    return BilinearFormB(dense(pairs, (2 * n, 2 * n)))
 
 
 def validate_manin_triple(big: HomLieAlgebra, n: int) -> CheckReport:

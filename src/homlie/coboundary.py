@@ -520,10 +520,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
     n = a.dim
     big = d_double(bi)
 
-    coeffs = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        coeffs[i][n + i] = Q(1)
-    r = RMatrix(big, Matrix(coeffs))
+    r = RMatrix(big, dense({(i, n + i): Q(1) for i in range(n)}, (2 * n, 2 * n)))
 
     compat = check_twist_compat(r)
     chybe = check_chybe(r)
@@ -532,10 +529,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
     big_bi = HomLieBialgebra(big, cobracket_from_r(r))
 
     # inclusion of (g, Delta) through phi
-    inc1 = Matrix(
-        [[a.twist[i, j] for j in range(n)] for i in range(n)]
-        + [[Q(0)] * n for _ in range(n)]
-    )
+    inc1 = dense(sparse(a.twist), (2 * n, n))
     hom1 = check_bialgebra_homomorphism(inc1, bi, big_bi)
 
     # inclusion of (g*, -delta_{g*}) through phi*
@@ -544,11 +538,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
         dual, cobracket_from_bracket(a, dual).coeffs.scale(Q(-1))
     )
     dual_bi = HomLieBialgebra(dual, minus_dual_cb)
-    phit = a.twist.transpose()
-    inc2 = Matrix(
-        [[Q(0)] * n for _ in range(n)]
-        + [[phit[i, j] for j in range(n)] for i in range(n)]
-    )
+    inc2 = dense({(n + j, i): v for (i, j), v in sparse(a.twist).items()}, (2 * n, n))
     hom2 = check_bialgebra_homomorphism(inc2, dual_bi, big_bi)
 
     report = combined(

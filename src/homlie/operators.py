@@ -232,11 +232,8 @@ def lift_t_bar(cand: OOperatorCandidate) -> RMatrix:
     big = dual_semidirect(cand.algebra, cand.rep)
     n = cand.algebra.dim
     m = cand.rep.carrier_dim
-    coeffs = [[Q(0)] * (n + m) for _ in range(n + m)]
-    for i in range(m):
-        for k in range(n):
-            coeffs[n + i][k] = cand.t[k, i]
-    return RMatrix(big, Matrix(coeffs))
+    coeffs = {(n + i, k): v for (k, i), v in sparse(cand.t).items()}
+    return RMatrix(big, dense(coeffs, (n + m, n + m)))
 
 
 def r_from_o_operator(

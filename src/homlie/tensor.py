@@ -7,8 +7,12 @@ dense and are immutable after construction; how they are shaped, combined,
 tested for zero, rendered and written to JSON is decided once, in ``Array``.
 Every identity the package checks is a multilinear expression in them,
 evaluated by ``contract`` over the nonzero entries only, since structure
-constants are mostly zeros. Every comparison is exact equality: there are no
-tolerances anywhere in this package.
+constants are mostly zeros. Linear systems and determinants (``rref`` and so
+``nullspace``, ``matrix_kernels`` and ``Matrix.inverse``; ``Matrix.det``) are
+eliminated on integer rows: each row is scaled once to primitive integers, the
+elimination runs fraction-free on Python ints, and Fractions come back only in
+the result. Every comparison is exact equality: there are no tolerances
+anywhere in this package.
 
 Conventions that the rest of the package relies on:
 
@@ -26,6 +30,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
 Q = Fraction
@@ -220,27 +225,38 @@ class Matrix(Array):
         return self.nrows == self.ncols and self == -self.transpose()
 
     def det(self) -> Fraction:
-        """Exact determinant by Gaussian elimination over the rationals."""
+        """Exact determinant by fraction-free (Bareiss) elimination on the rows made
+        primitive integers: det(A) = det(B) * prod(d) / prod(m) for B's row i equal
+        to A's row i times m_i / d_i."""
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
         n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        scaled = _integer_rows(self.rows)
+        a = [row for row, _, _ in scaled]
+        sign, prev = 1, 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if k in a[i]), None)
             if piv is None:
                 return ZERO
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = ONE / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            pivot_row = a[k]
+            p = pivot_row[k]
+            for i in range(k + 1, n):
+                row = a[i]
+                f = row.pop(k, 0)
+                if not f and p == prev:
+                    continue
+                new = {j: p * v for j, v in row.items()}
                 if f:
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return det
+                    for j, v in pivot_row.items():
+                        if j > k:
+                            new[j] = new.get(j, 0) - f * v
+                # Sylvester's identity: every entry is a multiple of the last pivot
+                a[i] = {j: v // prev for j, v in new.items() if v}
+            prev = p
+        return Fraction(sign * prev * prod(d for _, _, d in scaled), prod(m for _, m, _ in scaled))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -418,31 +434,67 @@ def random_combination(rng, basis: Sequence):
 
 # --- exact linear algebra helpers -------------------------------------------
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[dict[int, int], int, int]]:
+    """Each row as primitive integers: (its nonzero entries by column, m, d), the
+    entries being the row times m / d, where m is the LCM of its denominators and d
+    the gcd of the scaled numerators (m = d = 1 for a zero row)."""
+    out = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        m = lcm(*(x.denominator for _, x in nonzero))
+        scaled = {j: x.numerator * (m // x.denominator) for j, x in nonzero}
+        d = gcd(*scaled.values()) or 1
+        out.append(({j: v // d for j, v in scaled.items()} if d > 1 else scaled, m, d))
+    return out
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Gauss-Jordan elimination on primitive integer rows: clearing column c of row i
+    against the pivot row r sets row_i to p row_i - f row_r (p the pivot, f the
+    entry, both divided by their gcd) and divides it by the gcd of its entries.
+    Each row stays a multiple of the rational one, so only the pivot rows are
+    divided by their pivots, once, at the end."""
+    ncols = len(rows[0]) if rows else 0
+    a = [row for row, _, _ in _integer_rows(rows)]
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if c in a[i]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        nonzero = [(j, y) for j, y in enumerate(a[r]) if y]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f, row = a[i][c], a[i]
-                for j, y in nonzero:
-                    row[j] -= f * y
+        pivot_row = a[r]
+        p = pivot_row[c]
+        for i, row in enumerate(a):
+            f = row.get(c)
+            if f and i != r:
+                g = gcd(p, f)
+                pi, fi = p // g, f // g
+                if pi != 1:
+                    row = {j: pi * v for j, v in row.items()}
+                for j, v in pivot_row.items():
+                    x = row.get(j, 0) - fi * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                g = gcd(*row.values())
+                a[i] = {j: v // g for j, v in row.items()} if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == nrows:
             break
-    return a, pivots
+    out = []
+    for row, c in zip(a, pivots):
+        p = row[c]
+        dense_row = [ZERO] * ncols
+        for j, v in row.items():
+            dense_row[j] = Fraction(v, p)
+        out.append(dense_row)
+    out += [[ZERO] * ncols for _ in range(nrows - len(pivots))]
+    return out, pivots
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:

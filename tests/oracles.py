@@ -278,3 +278,42 @@ def oracle_matched_pair(
         _apply(_rho(on_g, _apply(_rho(on_h, x), xp)), twist_vec(g, y)),
     ]
     return Vector([t0 - t1 - t2 - t3 + t4 for t0, t1, t2, t3, t4 in zip(*terms)])
+
+
+def oracle_rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination in Fraction
+    arithmetic; returns (rows, pivot column indices)."""
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Q(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        nonzero = [(j, y) for j, y in enumerate(a[r]) if y]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f, row = a[i][c], a[i]
+                for j, y in nonzero:
+                    row[j] -= f * y
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def oracle_det(rows: list[list[Q]]) -> Q:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Q(1)
+    total = Q(0)
+    for j, x in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        total += (-1) ** j * x * oracle_det(minor)
+    return total

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from homlie.tensor import (
     rref,
     sylvester,
 )
+
+from oracles import oracle_det, oracle_rref
 
 rationals = st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=4)
 
@@ -327,3 +330,136 @@ def test_pencil_det_evaluates_to_the_determinant_of_the_combination(seed):
         for t, m in zip(point, mats):
             combination = combination + m.scale(t)
         assert _evaluate(poly, point) == combination.det()
+
+
+# --- exact elimination against the Fraction oracles ---------------------------
+
+
+def _random_rows(rng, nrows, ncols):
+    """Seeded rows of sparse entries p/q, q up to 10^6, with zero rows, duplicate
+    rows and combinations of earlier rows mixed in, in a shuffled order."""
+
+    def entry():
+        if rng.random() < 0.4:
+            return Q(0)
+        return Q(rng.randint(-9, 9), rng.choice((1, 2, 3, rng.randint(1, 10**6))))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, max(1, nrows)))]
+    while len(rows) < nrows:
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([Q(0)] * ncols)
+        elif kind == 1:
+            rows.append(list(rng.choice(rows)))
+        else:
+            x, y, c = rng.choice(rows), rng.choice(rows), entry() or Q(-1)
+            rows.append([a + c * b for a, b in zip(x, y)])
+    rng.shuffle(rows)
+    return rows[:nrows]
+
+
+def _yau_sl2_cubed_twist_in_a_dense_basis():
+    """The twist of Yau-twisted sl2^3 (swap the first two summands; h, e, f ->
+    -h, -f, -e on the third) after a seeded dense change of basis with
+    determinant 2, p = L diag(1, .., 1, 2) U for unit triangular L, U of +-1s."""
+    theta = [[0] * 9 for _ in range(9)]
+    for i in range(3):
+        theta[i][3 + i] = theta[3 + i][i] = 1
+    for i, j in ((6, 6), (7, 8), (8, 7)):
+        theta[i][j] = -1
+    rng = random.Random(9)
+    signs = {(i, j): rng.choice((-1, 1)) for i in range(9) for j in range(9) if i != j}
+    lower = [[signs[i, j] if i > j else int(i == j) for j in range(9)] for i in range(9)]
+    upper = [[signs[i, j] if i < j else int(i == j) for j in range(9)] for i in range(9)]
+    upper[8] = [2 * x for x in upper[8]]
+    p = Matrix(lower) @ Matrix(upper)
+    return p.inverse() @ Matrix(theta) @ p
+
+
+def _twist_compat_rows(phi):
+    """The rows of phi X - X phi^T = 0 over the n^2 entries of X, row-major."""
+    n = phi.nrows
+    rows = []
+    for eq in sylvester(phi, phi.transpose()):
+        row = [Q(0)] * (n * n)
+        for p, q, c in eq:
+            row[p * n + q] += c
+        rows.append(row)
+    return rows
+
+
+EDGE_SYSTEMS = {
+    "empty": [],
+    "1x1": [[Q(-3, 7)]],
+    "zero 1x1": [[Q(0)]],
+    "zero rows": [[Q(0), Q(0), Q(0)], [Q(0), Q(1, 2), Q(1)], [Q(0), Q(0), Q(0)]],
+    "duplicate rows": [[Q(1), Q(2), Q(3)], [Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(7)]],
+    "negative pivots": [[Q(-2), Q(3), Q(1)], [Q(-4), Q(-1), Q(0)], [Q(0), Q(0), Q(-5)]],
+    "wide": [[Q(0), Q(-1, 999983), Q(2), Q(5)], [Q(0), Q(3), Q(0), Q(-1)]],
+    "tall": [[Q(1, 1000000)], [Q(-7, 999999)], [Q(0)], [Q(3)]],
+}
+
+
+def _assert_matches_the_oracles(rows):
+    got = rref(rows)
+    assert got == oracle_rref(rows)
+    assert all(type(x) is Q for row in got[0] for x in row)
+    if len(rows) == len(rows[0] if rows else ()) <= 6:
+        assert Matrix(rows).det() == oracle_det(rows)
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_elimination_matches_the_oracles_on_edge_cases(name):
+    _assert_matches_the_oracles(EDGE_SYSTEMS[name])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_elimination_matches_the_oracles_on_seeded_systems(seed):
+    rng = random.Random(seed)
+    # shapes from 1x1 to 8x8, square (so det is checked too) every third seed
+    nrows = rng.randint(1, 8)
+    ncols = nrows if seed % 3 == 0 else rng.randint(1, 8)
+    _assert_matches_the_oracles(_random_rows(rng, nrows, ncols))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_det_matches_the_cofactor_expansion(n):
+    rng = random.Random(100 + n)
+    for _ in range(5):
+        rows = _random_rows(rng, n, n)
+        assert Matrix(rows).det() == oracle_det(rows)
+
+
+def test_elimination_matches_the_oracle_on_the_dense_yau_sl2_cubed_system():
+    rows = _twist_compat_rows(_yau_sl2_cubed_twist_in_a_dense_basis())
+    assert (len(rows), len(rows[0])) == (81, 81)
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == oracle_rref(rows)
+    # theta splits 9 = 5 + 4 into its +1 and -1 eigenspaces: a 5^2 + 4^2 kernel
+    assert len(pivots) == 81 - 41
+    assert Matrix(rows).det() == 0
+
+
+def test_rref_of_an_integer_system_builds_one_fraction_per_output_entry(monkeypatch):
+    rows = _twist_compat_rows(_yau_sl2_cubed_twist_in_a_dense_basis())
+    rows = [[x * lcm(*(y.denominator for y in row)) for x in row] for row in rows]
+    assert all(x.denominator == 1 for row in rows for x in row)
+    built = [0]
+    real_new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Q):  # arithmetic bypasses __new__ from 3.12
+        real_coprime = Q._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built[0] += 1
+            return real_coprime(cls, *args)
+
+        monkeypatch.setattr(Q, "_from_coprime_ints", classmethod(counting_coprime))
+    reduced, _ = rref(rows)
+    monkeypatch.undo()
+    assert 0 < built[0] <= sum(1 for row in reduced for x in row if x)
