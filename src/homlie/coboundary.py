@@ -538,7 +538,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
         dual, cobracket_from_bracket(a, dual).coeffs.scale(Q(-1))
     )
     dual_bi = HomLieBialgebra(dual, minus_dual_cb)
-    inc2 = dense({(n + j, i): v for (i, j), v in sparse(a.twist).items()}, (2 * n, n))
+    inc2 = dense(sparse(a.twist).moved(lambda i, j: (n + j, i)), (2 * n, n))
     hom2 = check_bialgebra_homomorphism(inc2, dual_bi, big_bi)
 
     report = combined(

@@ -243,13 +243,13 @@ def _bracket_invariance_equations(a: HomLieAlgebra):
     """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k]) = 0 in the Gram entries
     of B, for each (i, j, k) in row-major order."""
     n = a.dim
-    ad = twisted_ad(a)
+    ad = dense(twisted_ad(a), (n,) * 3).entries
     for i in range(n):
         for j in range(n):
             bij = a.bracket.entries[i][j]
             for k in range(n):
                 yield [(l, k, c) for l, c in enumerate(bij) if c] + [
-                    (i, l, -ad[j, k, l]) for l in range(n) if (j, k, l) in ad
+                    (i, l, -c) for l, c in enumerate(ad[j][k]) if c
                 ]
 
 
@@ -307,12 +307,15 @@ def block_sum(
     """
     n = g.dim
     d = n + h.dim
-    bracket = sparse(g.bracket)
-    bracket.update({(n + i, n + j, n + k): v for (i, j, k), v in sparse(h.bracket).items()})
-    for (i, k, c), v in sparse(rho).items():  # the f_k coefficient of rho(e_i) f_c
-        bracket[i, n + c, n + k], bracket[n + c, i, n + k] = v, -v
-    for (c, k, i), v in sparse(rho_prime).items():  # the e_k coefficient of rho'(f_c) e_i
-        bracket[i, n + c, k], bracket[n + c, i, k] = -v, v
-    twist = sparse(g.twist)
-    twist.update({(n + i, n + j): v for (i, j), v in sparse(h.twist).items()})
+    on_h = sparse(rho)  # (i, k, c): the f_k coefficient of rho(e_i) f_c
+    on_g = sparse(rho_prime)  # (c, k, i): the e_k coefficient of rho'(f_c) e_i
+    bracket = (
+        sparse(g.bracket)
+        + sparse(h.bracket).moved(lambda i, j, k: (n + i, n + j, n + k))
+        + on_h.moved(lambda i, k, c: (i, n + c, n + k))
+        - on_h.moved(lambda i, k, c: (n + c, i, n + k))
+        - on_g.moved(lambda c, k, i: (i, n + c, k))
+        + on_g.moved(lambda c, k, i: (n + c, i, k))
+    )
+    twist = sparse(g.twist) + sparse(h.twist).moved(lambda i, j: (n + i, n + j))
     return HomLieAlgebra(dense(bracket, (d,) * 3), dense(twist, (d, d)), label)

@@ -47,7 +47,6 @@ from .representation import (
 )
 from .tensor import (
     Matrix,
-    Q,
     ShapeError,
     Sparse,
     Tensor3,
@@ -150,7 +149,7 @@ def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
         "ijkl", ("pi", psi), ("jkq", dot), ("pql", dot)
     )
     skew = assoc - contract("ijkl", ("jikl", assoc))
-    upper = {key: v for key, v in skew.items() if key[0] < key[1]}
+    upper = Sparse({key: v for key, v in skew.items() if key[0] < key[1]}, skew.den)
     return combined(
         "hom-left-symmetric",
         [
@@ -232,7 +231,7 @@ def lift_t_bar(cand: OOperatorCandidate) -> RMatrix:
     big = dual_semidirect(cand.algebra, cand.rep)
     n = cand.algebra.dim
     m = cand.rep.carrier_dim
-    coeffs = {(n + i, k): v for (k, i), v in sparse(cand.t).items()}
+    coeffs = sparse(cand.t).moved(lambda k, i: (n + i, k))
     return RMatrix(big, dense(coeffs, (n + m, n + m)))
 
 
@@ -267,15 +266,15 @@ def _r_and_square(cand: OOperatorCandidate) -> tuple[HomLieAlgebra, RMatrix, Ten
 
     compat = check_twist_compat(r)
 
-    expected = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
     # entry (i, j, k): the e_k coefficient of phi(OT(v_i, v_j))
     twisted = contract("ijk", ("ijl", _defects(cand)), ("kl", cand.algebra.twist))
-    for (i, j, k), c in twisted.items():
-        expected[k][n + i][n + j] += c
-        expected[n + i][k][n + j] -= c
-        expected[n + i][n + j][k] += c
+    expected = (
+        twisted.moved(lambda i, j, k: (k, n + i, n + j))
+        - twisted.moved(lambda i, j, k: (n + i, k, n + j))
+        + twisted.moved(lambda i, j, k: (n + i, n + j, k))
+    )
     rr = r_square_bracket(r)
-    expansion = scan("defect-expansion", [((0,), rr - Tensor3(expected))])
+    expansion = scan("defect-expansion", [((0,), rr - dense(expected, (d,) * 3))])
 
     oop = validate_o_operator(cand)
     chybe = rr.is_zero()

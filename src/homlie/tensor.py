@@ -7,12 +7,17 @@ dense and are immutable after construction; how they are shaped, combined,
 tested for zero, rendered and written to JSON is decided once, in ``Array``.
 Every identity the package checks is a multilinear expression in them,
 evaluated by ``contract`` over the nonzero entries only, since structure
-constants are mostly zeros. Linear systems and determinants (``rref`` and so
-``nullspace``, ``matrix_kernels`` and ``Matrix.inverse``; ``Matrix.det``) are
-eliminated on integer rows: each row is scaled once to primitive integers, the
-elimination runs fraction-free on Python ints, and Fractions come back only in
-the result. Every comparison is exact equality: there are no tolerances
-anywhere in this package.
+constants are mostly zeros. The kernel works on Python ints: a ``Sparse``
+tensor is integer numerators over one positive denominator, each array keeps
+its own integer view (its nonzero entries scaled by the LCM of their
+denominators, computed once), and ``dense`` is the only place that turns
+numerators back into Fractions, one per entry of the block it returns.
+Linear systems and determinants (``rref`` and so ``nullspace``,
+``matrix_kernels`` and ``Matrix.inverse``; ``Matrix.det``) are eliminated on
+integer rows: each row is scaled once to primitive integers, the elimination
+runs fraction-free on Python ints, and Fractions come back only in the result.
+Every comparison is exact equality: there are no tolerances anywhere in this
+package.
 
 Conventions that the rest of the package relies on:
 
@@ -29,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
@@ -130,6 +135,19 @@ class Array:
         """The entries as nested lists of "p/q" strings."""
         return _zip_map(format_q, self.order, self.entries, container=list)
 
+    @cached_property
+    def _sparse(self) -> "Sparse":
+        """The integer view sparse() returns, scanned once; it is shared, so it
+        must never be mutated."""
+        return _integral(_indexed(self.entries, self.order))
+
+
+def _indexed(x, order: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """(index tuple, entry) for the nonzero entries of nested sequences."""
+    if order == 1:
+        return (((i,), v) for i, v in enumerate(x) if v)
+    return (((i, *key), v) for i, sub in enumerate(x) for key, v in _indexed(sub, order - 1))
+
 
 def _exact(x, order: int) -> tuple:
     if order == 1:
@@ -204,16 +222,12 @@ class Matrix(Array):
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"matmul {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        ot = other.transpose().rows
-        return Matrix(
-            tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in ot)
-            for row in self.rows
-        )
+        return dense(contract("ik", ("ij", self), ("jk", other)), (self.nrows, other.ncols))
 
     def apply(self, v: Vector) -> Vector:
         if self.ncols != v.dim:
             raise ShapeError(f"apply {self.nrows}x{self.ncols} to dim-{v.dim} vector")
-        return Vector(sum((a * b for a, b in zip(row, v.entries)), ZERO) for row in self.rows)
+        return dense(contract("i", ("ij", self), ("j", v)), (self.nrows,))
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows)) if self.rows else self
@@ -288,48 +302,77 @@ class Tensor3(Array):
 
 
 class Sparse(dict):
-    """A tensor as a dict from index tuples to entries; a missing key is a zero."""
+    """A tensor as integer numerators over one positive denominator: entry `key`
+    is self[key] / self.den, a missing key is a zero, and no value is 0. Equality
+    compares the rational entries."""
 
-    def __add__(self, other: dict) -> "Sparse":
-        out = Sparse(self)
+    __slots__ = ("den",)
+
+    def __init__(self, entries=(), den: int = 1):
+        super().__init__(entries)
+        self.den = den
+
+    def __add__(self, other) -> "Sparse":
+        other = sparse(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = Sparse({key: a * v for key, v in self.items()} if a > 1 else self, den)
         for key, v in other.items():
-            out[key] = out.get(key, ZERO) + v
+            w = out.get(key, 0) + b * v
+            if w:
+                out[key] = w
+            else:
+                del out[key]
         return out
 
     def __neg__(self) -> "Sparse":
-        return Sparse({key: -v for key, v in self.items()})
+        return Sparse({key: -v for key, v in self.items()}, self.den)
 
-    def __sub__(self, other: "Sparse") -> "Sparse":
-        return self + -other
+    def __sub__(self, other) -> "Sparse":
+        return self + -sparse(other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, dict):
+            return NotImplemented
+        other = sparse(other)
+        return self.keys() == other.keys() and all(
+            v * other.den == other[key] * self.den for key, v in self.items()
+        )
+
+    def __ne__(self, other) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def moved(self, f) -> "Sparse":
+        """The same entries at the keys f(*key); f must be one-to-one."""
+        return Sparse({f(*key): v for key, v in self.items()}, self.den)
 
 
-def sparse(x) -> dict:
-    """The nonzero entries of a scalar, Vector, Matrix or Tensor3, or of a sequence
-    of them (its position is the first index), by index tuple; a dict is returned
-    as it is."""
-    if isinstance(x, dict):
+def sparse(x) -> Sparse:
+    """The integer view of a scalar, Vector, Matrix, Tensor3, dict of rationals, or
+    sequence of them (its position is the first index): the nonzero entries by index
+    tuple, scaled by the LCM of their denominators. An array's view is computed
+    once and kept on it; a Sparse is returned as it is."""
+    if isinstance(x, Sparse):
         return x
-    out = Sparse()
-
-    def walk(x, key):
-        x = _array(x)
-        if not isinstance(x, (tuple, list)):
-            if x:
-                out[key] = x
-        elif x and isinstance(_array(x[0]), (tuple, list)):
-            for i, sub in enumerate(x):
-                walk(sub, (*key, i))
-        else:
-            for i, v in enumerate(x):
-                if v:
-                    out[(*key, i)] = v
-
-    walk(x, ())
-    return out
+    if isinstance(x, Array):
+        return x._sparse
+    if isinstance(x, dict):
+        return _integral(x.items())
+    if isinstance(x, (tuple, list)):
+        parts = [sparse(sub) for sub in x]
+        den = lcm(*(p.den for p in parts))
+        return Sparse(
+            {(i, *key): den // p.den * v for i, p in enumerate(parts) for key, v in p.items()}, den
+        )
+    return _integral([((), x)])
 
 
-def _array(x):
-    return x.entries if isinstance(x, Array) else x
+def _integral(entries: Iterable[tuple[tuple, Scalar]]) -> Sparse:
+    """The nonzero (key, rational) entries over the LCM of their denominators."""
+    nonzero = [(key, v) for key, v in entries if v]
+    den = lcm(*(v.denominator for _, v in nonzero))
+    return Sparse({key: den // v.denominator * v.numerator for key, v in nonzero}, den)
 
 
 def _picker(positions: list[int]):
@@ -340,50 +383,65 @@ def _picker(positions: list[int]):
     return operator.itemgetter(*positions) if positions else (lambda key: ())
 
 
+def _grouped(t: dict, labels: str, common: list[str], kept: list[str]) -> dict:
+    """The entries of t by their indices at the common letters, as (indices at
+    the kept letters, value) pairs."""
+    split, keep = _picker([labels.index(l) for l in common]), _picker([labels.index(l) for l in kept])
+    out: dict = {}
+    for key, v in t.items():
+        out.setdefault(split(key), []).append((keep(key), v))
+    return out
+
+
 def contract(out: str, *operands: tuple[str, object]) -> Sparse:
     """Einstein summation over nonzero entries. Each operand is (labels, x), one
     distinct letter per index of x, with x anything sparse() takes; entry (i, j, ...)
     of the result, one index per letter of `out`, is the sum over all other letters
     of the product of the operands' entries. Operands are joined left to right, and
     a letter is summed out once neither `out` nor a later operand has it, so their
-    order sets the cost but not the result. Sums that cancel are left out."""
-    have, acc = "", {(): ONE}
+    order sets the cost but not the result. The products and sums are of the
+    operands' integer numerators, and the result's denominator is the product of
+    theirs: no Fraction is built. Sums that cancel are left out."""
+    have, acc, den = "", {(): 1}, 1
     for pos, (labels, x) in enumerate(operands):
+        x = sparse(x)
+        den *= x.den
         later = set(out).union(*(l for l, _ in operands[pos + 1 :]))
         common = [l for l in have if l in labels]
-        fresh = "".join(l for l in labels if l not in have)
-        split_common = _picker([labels.index(l) for l in common])
-        split_fresh = _picker([labels.index(l) for l in fresh])
-        by_common: dict = {}
-        for key, v in sparse(x).items():
-            by_common.setdefault(split_common(key), []).append((split_fresh(key), v))
-        joined = have + fresh
-        lookup = _picker([have.index(l) for l in common])
-        keep = _picker([i for i, l in enumerate(joined) if l in later])
+        kept_have = [l for l in have if l in later]
+        kept_fresh = [l for l in labels if l not in have and l in later]
+        # both sides by their common letters, each keeping only the letters that
+        # outlive this step: a key of the result is the two kept parts joined
+        left = _grouped(acc, have, common, kept_have)
+        right = _grouped(x, labels, common, kept_fresh)
         summed: dict = {}
-        for key, v in acc.items():
-            for rest, w in by_common.get(lookup(key), ()):
-                k = keep(key + rest)
-                summed[k] = summed.get(k, ZERO) + v * w
-        have = "".join(l for l in joined if l in later)
+        for c, pairs in left.items():
+            for rest, w in right.get(c, ()):
+                for key, v in pairs:
+                    k = key + rest
+                    summed[k] = summed.get(k, 0) + v * w
+        have = "".join(kept_have + kept_fresh)
         acc = {k: v for k, v in summed.items() if v}
     order = _picker([have.index(l) for l in out])
-    return Sparse({order(k): v for k, v in acc.items()})
+    return Sparse({order(k): v for k, v in acc.items()}, den)
 
 
-def dense(t: dict, shape: Sequence[int], at: tuple[int, ...] = ()):
-    """The block of t at the index prefix `at`, over the rest of `shape`: a
-    Fraction, Vector, Matrix or Tensor3."""
+def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):
+    """The block of t (anything sparse() takes) at the index prefix `at`, over the
+    rest of `shape`: a Fraction, Vector, Matrix or Tensor3. This is where the
+    kernel's numerators become Fractions, one per nonzero entry of the block."""
+    t = sparse(t)
     rest = shape[len(at) :]
     if not rest:
-        return t.get(at, ZERO)
+        v = t.get(at)
+        return Fraction(v, t.den) if v else ZERO
     box = _zeros(rest)
     for key, v in t.items():
         if key[: len(at)] == at:
             cell = box
             for i in key[len(at) : -1]:
                 cell = cell[i]
-            cell[key[-1]] = v
+            cell[key[-1]] = Fraction(v, t.den)
     return array(box, len(rest))
 
 
@@ -398,14 +456,14 @@ def _zeros(shape: Sequence[int]) -> list:
     return [_zeros(shape[1:]) for _ in range(shape[0])]
 
 
-def first_case(t: dict, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
+def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
     """The case report.scan needs of a residual tensor t over `shape`: the least
     prefix of nscan indices with a nonzero entry, as (1-based indices, the block of
     t there, note); no case when t is zero."""
-    prefixes = [key[:nscan] for key, v in t.items() if v]
-    if not prefixes:
+    t = sparse(t)
+    if not t:
         return []
-    at = min(prefixes)
+    at = min(key[:nscan] for key in t)
     return [(tuple(i + 1 for i in at), dense(t, shape, at), note)]
 
 
@@ -434,13 +492,17 @@ def random_combination(rng, basis: Sequence):
 
 # --- exact linear algebra helpers -------------------------------------------
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[dict[int, int], int, int]]:
-    """Each row as primitive integers: (its nonzero entries by column, m, d), the
-    entries being the row times m / d, where m is the LCM of its denominators and d
-    the gcd of the scaled numerators (m = d = 1 for a zero row)."""
+Row = Union[Sequence[Fraction], dict[int, Fraction]]
+
+
+def _integer_rows(rows: Sequence[Row]) -> list[tuple[dict[int, int], int, int]]:
+    """Each row, a sequence or a {column: entry} dict, as primitive integers: (its
+    nonzero entries by column, m, d), the entries being the row times m / d, where m
+    is the LCM of its denominators and d the gcd of the scaled numerators (m = d = 1
+    for a zero row)."""
     out = []
     for row in rows:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        nonzero = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
         m = lcm(*(x.denominator for _, x in nonzero))
         scaled = {j: x.numerator * (m // x.denominator) for j, x in nonzero}
         d = gcd(*scaled.values()) or 1
@@ -448,19 +510,21 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[dict[int, in
     return out
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices). Rows given as
+    {column: entry} dicts come back as dicts of their nonzero entries, rows given as
+    sequences as lists.
 
     Gauss-Jordan elimination on primitive integer rows: clearing column c of row i
     against the pivot row r sets row_i to p row_i - f row_r (p the pivot, f the
     entry, both divided by their gcd) and divides it by the gcd of its entries.
     Each row stays a multiple of the rational one, so only the pivot rows are
     divided by their pivots, once, at the end."""
-    ncols = len(rows[0]) if rows else 0
     a = [row for row, _, _ in _integer_rows(rows)]
     nrows = len(a)
     pivots: list[int] = []
-    for c in range(ncols):
+    # a row operation only mixes columns some row already has
+    for c in sorted(set().union(*a)):
         r = len(pivots)
         piv = next((i for i in range(r, nrows) if c in a[i]), None)
         if piv is None:
@@ -486,30 +550,28 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         pivots.append(c)
         if len(pivots) == nrows:
             break
-    out = []
-    for row, c in zip(a, pivots):
-        p = row[c]
-        dense_row = [ZERO] * ncols
-        for j, v in row.items():
-            dense_row[j] = Fraction(v, p)
-        out.append(dense_row)
-    out += [[ZERO] * ncols for _ in range(nrows - len(pivots))]
+    out = [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(a, pivots)]
+    out += [{} for _ in range(nrows - len(pivots))]
+    if rows and not isinstance(rows[0], dict):
+        ncols = len(rows[0])
+        out = [[row.get(j, ZERO) for j in range(ncols)] for row in out]
     return out, pivots
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     """Exact basis of {x : rows x = 0} for x with ncols entries."""
-    return _kernel(*rref(rows), ncols)
+    return _kernel(*rref([dict(enumerate(row)) for row in rows]), ncols)
 
 
-def _kernel(a: list[list[Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
-    """One basis vector per free column of a reduced row echelon form."""
+def _kernel(a: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
+    """One basis vector per free column of a reduced row echelon form in dict rows."""
     basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
+    for f in sorted(set(range(ncols)).difference(pivots)):
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -a[r][f]
+        for row, p in zip(a, pivots):
+            if f in row:
+                v[p] = -row[f]
         basis.append(Vector(v))
     return basis
 
@@ -537,16 +599,16 @@ def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[
     equations, the first two groups, and so on. Each group is reduced once, with the
     rows already reduced: a row space has one reduced row echelon form."""
     unknowns = nrows * ncols
-    reduced: list[list[Fraction]] = []
+    reduced: list[dict[int, Fraction]] = []
     kernels = []
     for group in groups:
         rows = []
         for eq in group:
-            row = [ZERO] * unknowns
+            row: dict[int, Fraction] = {}
             for p, q, c in eq:
                 k = p * ncols + q
                 # most entries get one term: skip the Fraction addition for those
-                row[k] = row[k] + c if row[k] else c
+                row[k] = row[k] + c if k in row else c
             rows.append(row)
         reduced, pivots = rref(reduced + rows)
         del reduced[len(pivots) :]

@@ -7,6 +7,7 @@ and then pinned; the tests assert library == oracle == frozen value.
 """
 
 from fractions import Fraction as Q
+from itertools import product
 
 from homlie.hom_lie import HomLieAlgebra
 from homlie.tensor import Matrix, Tensor3, Vector
@@ -317,3 +318,21 @@ def oracle_det(rows: list[list[Q]]) -> Q:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * x * oracle_det(minor)
     return total
+
+
+def oracle_contract(out: str, sizes: dict[str, int], *operands: tuple[str, dict]) -> dict:
+    """Einstein summation by brute force over every index tuple. Each operand is
+    (labels, {index tuple: Fraction}), a missing key being 0, and sizes gives the
+    range of each letter; entry (i, j, ...) of the result, one index per letter of
+    out, sums the product of the operands' entries over all other letters. Entries
+    that come out 0 are left out."""
+    letters = sorted(set(out).union(*(labels for labels, _ in operands)))
+    result: dict = {}
+    for values in product(*(range(sizes[l]) for l in letters)):
+        at = dict(zip(letters, values))
+        term = Q(1)
+        for labels, t in operands:
+            term *= t.get(tuple(at[l] for l in labels), Q(0))
+        key = tuple(at[l] for l in out)
+        result[key] = result.get(key, Q(0)) + term
+    return {key: v for key, v in result.items() if v}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from homlie.tensor import (
     Matrix,
     ShapeError,
+    Sparse,
     Tensor3,
     Vector,
     as_q,
@@ -25,10 +26,11 @@ from homlie.tensor import (
     random_matrix,
     random_q,
     rref,
+    sparse,
     sylvester,
 )
 
-from oracles import oracle_det, oracle_rref
+from oracles import oracle_contract, oracle_det, oracle_rref
 
 rationals = st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=4)
 
@@ -463,3 +465,188 @@ def test_rref_of_an_integer_system_builds_one_fraction_per_output_entry(monkeypa
     reduced, _ = rref(rows)
     monkeypatch.undo()
     assert 0 < built[0] <= sum(1 for row in reduced for x in row if x)
+
+
+# --- the integer contraction kernel against the brute-force oracle -------------
+#
+# Operands are seeded {index tuple: Fraction} dicts with denominators up to 10^6,
+# handed to the kernel as plain dicts or as arrays; the oracle sums over every
+# index tuple in Fraction arithmetic.
+
+SPECS = [
+    ("ik", ("ij", "jk")),
+    ("i", ("ij", "j")),
+    ("", ("i", "ij", "j")),
+    ("", ("ijk", "ijk")),
+    ("jik", ("ijk",)),
+    ("k", ("i", "j", "ijk")),
+    ("kij", ("ijl", "lk")),
+    ("ijl", ("pi", "pql", "qj")),
+    ("ij", ("ip", "pq", "jq")),
+    ("ijkl", ("pi", "pql", "jkq")),
+    ("kabc", ("kij", "ai", "jbc")),
+]
+
+
+def _random_tensor(rng, shape, density):
+    return {
+        key: Q(rng.choice((-9, -4, -1, 1, 2, 7)), rng.choice((1, 2, 3, rng.randint(1, 10**6))))
+        for key in product(*map(range, shape))
+        if rng.random() < density
+    }
+
+
+def _array_of(t, shape):
+    """The Vector, Matrix or Tensor3 with these entries, filled by hand."""
+
+    def box(prefix, rest):
+        if not rest:
+            return t.get(prefix, Q(0))
+        return [box((*prefix, i), rest[1:]) for i in range(rest[0])]
+
+    return (Vector, Matrix, Tensor3)[len(shape) - 1](box((), shape))
+
+
+def _rationals(s):
+    """The entries of a kernel result as Fractions, checking its form: integer
+    numerators, none of them 0, over one positive integer denominator."""
+    assert isinstance(s, Sparse) and type(s.den) is int and s.den > 0
+    assert all(type(v) is int and v for v in s.values())
+    return {key: Q(v, s.den) for key, v in s.items()}
+
+
+def _seeded_operands(rng, spec_labels, sizes, seed):
+    operands, plain = [], []
+    for n, labels in enumerate(spec_labels):
+        shape = tuple(sizes[l] for l in labels)
+        # every fifth seed has an all-zero operand
+        t = {} if seed % 5 == 4 and n == 0 else _random_tensor(rng, shape, rng.choice((0.3, 0.7, 1)))
+        plain.append((labels, t))
+        operands.append((labels, t if (seed + n) % 2 else _array_of(t, shape)))
+    return operands, plain
+
+
+@pytest.mark.parametrize("seed", range(44))
+def test_contract_matches_the_oracle(seed):
+    rng = random.Random(seed)
+    out, spec_labels = SPECS[seed % len(SPECS)]
+    sizes = {l: rng.randint(1, 3) for l in set(out).union(*spec_labels)}
+    operands, plain = _seeded_operands(rng, spec_labels, sizes, seed)
+    want = oracle_contract(out, sizes, *plain)
+    got = contract(out, *operands)
+    assert _rationals(got) == want
+    shape = tuple(sizes[l] for l in out)
+    # dense, at every prefix leaving at most three indices, and first_case, against
+    # blocks filled by hand
+    for cut in range(max(0, len(shape) - 3), len(shape) + 1):
+        for at in product(*map(range, shape[:cut])):
+            block = {key[cut:]: v for key, v in want.items() if key[:cut] == at}
+            expect = block.get((), Q(0)) if cut == len(shape) else _array_of(block, shape[cut:])
+            assert dense(got, shape, at) == expect
+        cases = first_case(got, shape, cut, "n")
+        nonzero = sorted(key[:cut] for key in want)
+        if not nonzero:
+            assert cases == []
+        else:
+            at = nonzero[0]
+            assert cases == [(tuple(i + 1 for i in at), dense(want, shape, at), "n")]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chained_contractions_and_sums_match_the_oracle(seed):
+    rng = random.Random(100 + seed)
+    n = rng.randint(1, 3)
+    sizes = dict.fromkeys("ijklpq", n)
+    a, b, c = (_random_tensor(rng, (n,) * 3, rng.choice((0.3, 1))) for _ in range(3))
+    m = _random_tensor(rng, (n, n), 0.6)
+    # a contraction of a contraction, as the cyclic sums of the identities are built
+    t = contract("ijkl", ("pi", m), ("pql", _array_of(a, (n,) * 3)), ("jkq", b))
+    t_want = oracle_contract("ijkl", sizes, ("pi", m), ("pql", a), ("jkq", b))
+    assert _rationals(t) == t_want
+    cyc = t + contract("ijkl", ("jkil", t)) - contract("ijkl", ("kijl", t))
+    want = {
+        (i, j, k, l): t_want.get((i, j, k, l), Q(0))
+        + t_want.get((j, k, i, l), Q(0))
+        - t_want.get((k, i, j, l), Q(0))
+        for i, j, k, l in product(range(n), repeat=4)
+    }
+    assert _rationals(cyc) == {key: v for key, v in want.items() if v}
+    # sums and differences of operands over unequal denominators
+    s1, s2 = sparse(a), sparse(_array_of(c, (n,) * 3))
+    diff = {key: a.get(key, Q(0)) - c.get(key, Q(0)) for key in set(a) | set(c)}
+    assert _rationals(s1 - s2) == {k: v for k, v in diff.items() if v}
+    assert _rationals(-s1 + s1) == {} and _rationals(s1 - s1) == {}
+    assert s1 + s2 == s2 + s1
+
+
+def test_sums_that_cancel_leave_no_entries():
+    rng = random.Random(7)
+    skew_box = _random_tensor(rng, (3, 3), 1)
+    skew = {(i, j): skew_box.get((i, j), Q(0)) - skew_box.get((j, i), Q(0)) for i, j in product(range(3), repeat=2)}
+    sym = {(i, j): skew_box.get((i, j), Q(0)) + skew_box.get((j, i), Q(0)) for i, j in product(range(3), repeat=2)}
+    # the pairing of a skew with a symmetric form is 0 term by term in pairs
+    zero = contract("", ("ij", _array_of(skew, (3, 3))), ("ij", sym))
+    assert zero == {} and dense(zero, ()) == 0 and first_case(zero, (), 0) == []
+    assert oracle_contract("", dict.fromkeys("ij", 3), ("ij", skew), ("ij", sym)) == {}
+    t = contract("ij", ("ip", skew), ("pj", sym))
+    assert (t - contract("ij", ("ip", skew), ("pj", _array_of(sym, (3, 3))))) == {}
+    assert dense(t - t, (3, 3)) == Matrix.zero(3)
+
+
+def test_plain_dicts_and_arrays_give_one_integer_view():
+    t = {(0, 1): Q(1, 6), (1, 0): Q(-3, 4), (1, 1): Q(0), (0, 0): Q(2)}
+    view = sparse(t)
+    assert (dict(view), view.den) == ({(0, 1): 2, (1, 0): -9, (0, 0): 24}, 12)
+    m = _array_of(t, (2, 2))
+    assert sparse(m) is sparse(m)  # computed once per array
+    assert (dict(sparse(m)), sparse(m).den) == (dict(view), 12)
+    assert sparse(m) == t and sparse(m) != {(0, 1): Q(1, 6)}
+    assert sparse((m, m)) == {(a, *k): v for a in range(2) for k, v in t.items() if v}
+    assert sparse(Q(-5, 3)) == {(): Q(-5, 3)} and sparse(0) == {}
+
+
+def _counting_fractions(monkeypatch):
+    """A one-element list that counts the Fractions built from now on."""
+    built = [0]
+    real_new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Q):  # arithmetic bypasses __new__ from 3.12
+        real_coprime = Q._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built[0] += 1
+            return real_coprime(cls, *args)
+
+        monkeypatch.setattr(Q, "_from_coprime_ints", classmethod(counting_coprime))
+    return built
+
+
+def test_contract_builds_no_fraction_and_dense_one_per_entry(monkeypatch):
+    rng = random.Random(3)
+    n = 4
+    bracket = _array_of(_random_tensor(rng, (n,) * 3, 0.8), (n,) * 3)
+    twist = _array_of(_random_tensor(rng, (n, n), 0.8), (n, n))
+    built = _counting_fractions(monkeypatch)
+    # the Hom-Jacobi contraction and its cyclic sum, on arrays never seen before
+    t = contract("ijkl", ("pi", twist), ("pql", bracket), ("jkq", bracket))
+    t = t + contract("ijkl", ("jkil", t)) + contract("ijkl", ("kijl", t))
+    assert built[0] == 0
+    for at in ((1,), (2, 3), (0, 1, 2)):
+        before = built[0]
+        block = dense(t, (n,) * 4, at)
+        assert 0 < built[0] - before <= sum(1 for key in t if key[: len(at)] == at)
+        assert not block.is_zero()
+
+
+def test_rref_takes_dict_rows():
+    rng = random.Random(21)
+    for _ in range(10):
+        rows = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
+        reduced, pivots = rref(rows)
+        as_dicts = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert rref(as_dicts) == ([{j: x for j, x in enumerate(row) if x} for row in reduced], pivots)
