@@ -141,17 +141,18 @@ def cobracket_from_bracket(source: HomLieAlgebra, base: HomLieAlgebra) -> Cobrac
     return Cobracket(base, Tensor3(box))
 
 
-def cobracket_compatibility(a: HomLieAlgebra, delta: Tensor3) -> Sparse:
+def cobracket_compatibility(a: HomLieAlgebra, delta, batch: str = "") -> Sparse:
     """Entry (i, j, p, q): entry (p, q) of Delta[e_i, e_j] - phi(e_i).Delta(e_j)
-    + phi(e_j).Delta(e_i), where z.t = (ad_z (x) phi + phi (x) ad_z) t."""
-    ad, phi = twisted_ad(a), a.twist
-    acted = contract("ijpq", ("jst", delta), ("qt", phi), ("isp", ad)) + contract(
-        "ijpq", ("jst", delta), ("ps", phi), ("itq", ad)
+    + phi(e_j).Delta(e_i), where z.t = (ad_z (x) phi + phi (x) ad_z) t. With a
+    batch letter, delta and the result carry a sample index first."""
+    ad, phi, z = twisted_ad(a), a.twist, batch
+    acted = contract(z + "ijpq", (z + "jst", delta), ("qt", phi), ("isp", ad)) + contract(
+        z + "ijpq", (z + "jst", delta), ("ps", phi), ("itq", ad)
     )
     return (
-        contract("ijpq", ("ijk", a.bracket), ("kpq", delta))
+        contract(z + "ijpq", ("ijk", a.bracket), (z + "kpq", delta))
         - acted
-        + contract("ijpq", ("jipq", acted))
+        + contract(z + "ijpq", (z + "jipq", acted))
     )
 
 

@@ -134,11 +134,14 @@ def cobracket_from_r(r: RMatrix) -> Cobracket:
     return Cobracket(r.base, dense(_basis_action(r.base, r.coeffs), (r.dim,) * 3))
 
 
-def _basis_action(a: HomLieAlgebra, t: Matrix) -> Sparse:
-    """Entry (k, p, q): entry (p, q) of (phi (x) ad_{e_k} + ad_{e_k} (x) phi) t."""
-    c, phi = a.bracket, a.twist
-    return contract("kpq", ("ps", phi), ("st", t), ("ktq", c)) + contract(
-        "kpq", ("ksp", c), ("st", t), ("qt", phi)
+def _basis_action(a: HomLieAlgebra, t, batch: str = "") -> Sparse:
+    """Entry (k, p, q): entry (p, q) of (phi (x) ad_{e_k} + ad_{e_k} (x) phi) t.
+
+    With a batch letter, t and the result carry a sample index first: one
+    slice per sample. The same holds for every evaluator here that takes one."""
+    c, phi, z = a.bracket, a.twist, batch
+    return contract(z + "kpq", ("ps", phi), (z + "st", t), ("ktq", c)) + contract(
+        z + "kpq", ("ksp", c), (z + "st", t), ("qt", phi)
     )
 
 
@@ -151,15 +154,19 @@ def r_square_bracket(r: RMatrix) -> Tensor3:
 
     each term a contraction of the bracket with phi r and r phi^T.
     """
-    c, phi = r.base.bracket, r.base.twist
-    phir = contract("aq", ("ap", phi), ("pq", r.coeffs))  # phi on the first slot
-    rphit = contract("pb", ("pq", r.coeffs), ("bq", phi))  # phi on the second
-    rr = (
-        contract("abc", ("psa", c), ("pb", rphit), ("sc", rphit))
-        + contract("abc", ("aq", phir), ("qsb", c), ("sc", rphit))
-        + contract("abc", ("aq", phir), ("qtc", c), ("bt", phir))
+    return dense(_r_square(r.base, r.coeffs), (r.dim,) * 3)
+
+
+def _r_square(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
+    """Entry (a, b, c) of [r,r] for the coefficients r."""
+    c, phi, z = a.bracket, a.twist, batch
+    phir = contract(z + "aq", ("ap", phi), (z + "pq", r))  # phi on the first slot
+    rphit = contract(z + "pb", (z + "pq", r), ("bq", phi))  # phi on the second
+    return (
+        contract(z + "abc", ("psa", c), (z + "pb", rphit), (z + "sc", rphit))
+        + contract(z + "abc", (z + "aq", phir), ("qsb", c), (z + "sc", rphit))
+        + contract(z + "abc", (z + "aq", phir), ("qtc", c), (z + "bt", phir))
     )
-    return dense(rr, (r.dim,) * 3)
 
 
 def jac_delta(cb: Cobracket, k: int) -> Tensor3:
@@ -171,8 +178,14 @@ def jac_delta(cb: Cobracket, k: int) -> Tensor3:
 
 def _jac_delta(cb: Cobracket) -> Sparse:
     """Entry (k, a, b, c): entry (a, b, c) of jac_delta(cb, k)."""
-    t = contract("kabc", ("kij", cb.coeffs), ("ai", cb.base.twist), ("jbc", cb.coeffs))
-    return t + contract("kabc", ("kbca", t)) + contract("kabc", ("kcab", t))
+    return _co_jacobiator(cb.base, cb.coeffs)
+
+
+def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "") -> Sparse:
+    """_jac_delta of the cobracket on a with coefficients d."""
+    z = batch
+    t = contract(z + "kabc", (z + "kij", d), ("ai", a.twist), (z + "jbc", d))
+    return t + contract(z + "kabc", (z + "kbca", t)) + contract(z + "kabc", (z + "kcab", t))
 
 
 def ad_phi_on_tensor3(a: HomLieAlgebra, x: Vector, t: Tensor3) -> Tensor3:
@@ -181,13 +194,13 @@ def ad_phi_on_tensor3(a: HomLieAlgebra, x: Vector, t: Tensor3) -> Tensor3:
     return dense(contract("abc", ("k", x), ("kabc", _adjoint_on(a, t))), (a.dim,) * 3)
 
 
-def _adjoint_on(a: HomLieAlgebra, t) -> Sparse:
+def _adjoint_on(a: HomLieAlgebra, t, batch: str = "") -> Sparse:
     """Entry (k, a, b, c): entry (a, b, c) of ad_phi_on_tensor3(a, e_k, t)."""
-    ad, phi = twisted_ad(a), a.twist
+    ad, phi, z = twisted_ad(a), a.twist, batch
     return (
-        contract("kabc", ("pqs", t), ("bq", phi), ("cs", phi), ("kpa", ad))
-        + contract("kabc", ("pqs", t), ("ap", phi), ("cs", phi), ("kqb", ad))
-        + contract("kabc", ("pqs", t), ("ap", phi), ("bq", phi), ("ksc", ad))
+        contract(z + "kabc", (z + "pqs", t), ("bq", phi), ("cs", phi), ("kpa", ad))
+        + contract(z + "kabc", (z + "pqs", t), ("ap", phi), ("cs", phi), ("kqb", ad))
+        + contract(z + "kabc", (z + "pqs", t), ("ap", phi), ("bq", phi), ("ksc", ad))
     )
 
 
@@ -282,27 +295,54 @@ def check_chybe(r: RMatrix) -> CheckReport:
 #   (c) delta[x,y] - (ad_{phi x} delta(y) - ad_{phi y} delta(x))
 #         = (ad_{[x,y]} phi (x) phi - phi (x) ad_{[x,y]} phi) w
 #
-# The left sides go through the delta machinery; the right sides are
-# expanded here with raw index loops so the two paths share no code.
+# Both sides are contractions: the left sides contract the cobracket delta,
+# the right sides contract w with ad_{phi e_k} phi and ad_{[e_i,e_j]} phi,
+# each built once for every basis element or pair. tests/oracles.py sums both
+# sides again from their definitions, with code that shares nothing with this.
+
+# Each identity's name, and how many leading indices name its cases: x = e_k
+# for (a) and (b), (x, y) = (e_i, e_j) for (c).
+_RESIDUALS = (
+    ("residual-twist-pushforward", 1),
+    ("residual-square-twist", 1),
+    ("residual-compatibility", 2),
+)
 
 
-def _pair_action_loops(p: Matrix, q: Matrix, t: Matrix) -> Matrix:
-    """(P (x) Q) t by explicit summation, used for the independent RHS path."""
-    n = t.nrows
-    out = [[Q(0)] * q.nrows for _ in range(p.nrows)]
-    for i in range(p.nrows):
-        for j in range(q.nrows):
-            acc = Q(0)
-            for u in range(n):
-                pu = p.rows[i][u]
-                if pu == 0:
-                    continue
-                for v in range(t.ncols):
-                    tv = t.rows[u][v]
-                    if tv:
-                        acc += pu * tv * q.rows[j][v]
-            out[i][j] = acc
-    return Matrix(out)
+def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[Sparse, Sparse]]:
+    """(left side, right side) of each of (a), (b), (c) for the coefficients r:
+    entry (k, p, q), or (i, j, p, q) for (c), is entry (p, q) of that side at
+    x = e_k, or at (x, y) = (e_i, e_j)."""
+    c, phi, z = a.bracket, a.twist, batch
+    d = _basis_action(a, r, z)
+    w = contract(z + "uv", ("us", phi), (z + "sv", r)) - contract(
+        z + "uv", (z + "ut", r), ("vt", phi)
+    )
+    phi_w = contract(z + "pv", ("pu", phi), (z + "uv", w))  # (phi (x) id) w
+    w_phi = contract(z + "uq", (z + "uv", w), ("qv", phi))  # (id (x) phi) w
+
+    def skew_action(x, lead: str) -> Sparse:
+        """(X (x) phi - phi (x) X) w for the matrix X = x at each value of `lead`."""
+        return contract(z + lead + "pq", (lead + "pu", x), (z + "uq", w_phi)) - contract(
+            z + lead + "pq", (z + "pv", phi_w), (lead + "qv", x)
+        )
+
+    # entry (k, m, u): entry (m, u) of ad_{phi e_k} phi
+    ad_phi = contract("kmu", ("ik", phi), ("ijm", c), ("ju", phi))
+    # entry (i, j, m, u): entry (m, u) of ad_{[e_i, e_j]} phi
+    ad_bracket = contract("ijmu", ("ijs", c), ("slm", c), ("lu", phi))
+    return [
+        (
+            contract(z + "kpq", ("xk", phi), (z + "xpq", d))
+            - contract(z + "kpq", (z + "kst", d), ("ps", phi), ("qt", phi)),
+            skew_action(ad_phi, "k"),
+        ),
+        (
+            contract(z + "kpq", (z + "ksq", d), ("ps", phi @ phi)) - d,
+            contract(z + "kpq", ("pu", phi), (z + "uv", phi_w + w_phi), ("kvq", c)),
+        ),
+        (cobracket_compatibility(a, d, z), skew_action(ad_bracket, "ij")),
+    ]
 
 
 def cobracket_residual_identities(
@@ -313,95 +353,130 @@ def cobracket_residual_identities(
     require(
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
-    n = a.dim
-    phi = a.twist
-    d = cobracket_from_r(r).coeffs
-    shape = (n,) * 4
-    w = phi @ r.coeffs - r.coeffs @ phi.transpose()
-
-    def cases_a():
-        lhs = contract("kpq", ("xk", phi), ("xpq", d)) - contract(
-            "kpq", ("kst", d), ("ps", phi), ("qt", phi)
-        )
-        for k in range(n):
-            adpx_phi = a.ad_of(phi.col(k)) @ phi
-            rhs = _pair_action_loops(adpx_phi, phi, w) - _pair_action_loops(
-                phi, adpx_phi, w
-            )
-            yield (k + 1,), dense(lhs, shape[:3], (k,)) - rhs
-
-    ident = Matrix.identity(n)
-    inner = _pair_action_loops(phi, ident, w) + _pair_action_loops(ident, phi, w)
-
-    def cases_b():
-        lhs = contract("kpq", ("ksq", d), ("ps", phi @ phi)) - sparse(d)
-        for k in range(n):
-            yield (k + 1,), dense(lhs, shape[:3], (k,)) - _pair_action_loops(
-                phi, a.ad(k), inner
-            )
-
-    def cases_c():
-        lhs = cobracket_compatibility(a, d)
-        for i, j in product(range(n), repeat=2):
-            adb_phi = a.ad_of(Vector(a.bracket.entries[i][j])) @ phi
-            rhs = _pair_action_loops(adb_phi, phi, w) - _pair_action_loops(
-                phi, adb_phi, w
-            )
-            yield (i + 1, j + 1), dense(lhs, shape, (i, j)) - rhs
-
-    return (
-        scan("residual-twist-pushforward", cases_a()),
-        scan("residual-square-twist", cases_b()),
-        scan("residual-compatibility", cases_c()),
+    return tuple(
+        scan(name, first_case(lhs - rhs, (a.dim,) * (2 + nscan), nscan))
+        for (name, nscan), (lhs, rhs) in zip(_RESIDUALS, _residual_sides(a, r.coeffs))
     )
+
+
+# --- the seeded suites ------------------------------------------------------
+#
+# A suite draws its samples (r, or T) one after another from random.Random(seed),
+# stacks them in draw order into one tensor whose first index is the sample, and
+# evaluates each identity for the whole stack with the batch letter. Its verdict
+# is that of the least sample with a nonzero residual. A chunk of samples takes
+# _SUITE_ENTRIES over the size of one sample's largest residual: n^4 entries for
+# the residual and Jacobiator suites, d^3 for the defect expansion on g |x V* of
+# dimension d. So on a 3-dim algebra the CLI's 50 samples go in one chunk, and
+# memory stays bounded on larger ones (9 samples a chunk at n = 6).
+
+_SUITE_ENTRIES = 12_000
+_SAMPLE = "z"  # the batch letter of the suites
+
+
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"a seeded suite needs count >= 1, got {count}")
+
+
+def _first_failure(samples: list, size: int, residuals):
+    """The first failing sample of a suite. residuals(stack) gives, for a stack of
+    samples (one Sparse, sample index first), the suite's residuals in report order
+    as (residual, shape of one sample's residual, number of scanned indices); size
+    is the most entries one sample's residual can have. Returns (sample, position
+    of its first failing residual, 1-based indices, residual block), or None when
+    every residual vanishes."""
+    step = max(1, _SUITE_ENTRIES // size)
+    for start in range(0, len(samples), step):
+        chunk = samples[start : start + step]
+        found = []
+        for pos, (res, shape, nscan) in enumerate(residuals(sparse(chunk))):
+            for (sample, *at), block, _ in first_case(res, (len(chunk), *shape), nscan + 1):
+                found.append((sample, pos, tuple(at), block))
+        if found:
+            sample, pos, at, block = min(found, key=lambda f: f[:2])
+            return start + sample - 1, pos, at, block
+    return None
 
 
 def run_residual_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckReport:
     """The residual identities over `count` seeded random r (arbitrary,
-    not twist-compatible)."""
+    not twist-compatible), all drawn first and evaluated together in chunks. On
+    failure, info names the first failing sample (case) and its first failing
+    identity."""
     import random
 
     from .tensor import random_matrix
 
+    _require_count(count)
+    require(
+        is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
+    )
     rng = random.Random(seed)
-    for case in range(count):
-        r = RMatrix(a, random_matrix(rng, a.dim))
-        for rep in cobracket_residual_identities(a, r):
-            if not rep.ok:
-                return failed(
-                    "residual-suite",
-                    list(rep.witnesses),
-                    seed=seed,
-                    case=case,
-                    identity=rep.checked_condition,
-                )
-    return passed("residual-suite", seed=seed, count=count)
+    return _residual_suite(a, seed, [random_matrix(rng, a.dim) for _ in range(count)])
+
+
+def _residual_suite(a: HomLieAlgebra, seed: int, samples: list) -> CheckReport:
+    """run_residual_suite on the given r coefficient matrices, in order."""
+    n = a.dim
+
+    def residuals(stack):
+        sides = _residual_sides(a, stack, _SAMPLE)
+        return [
+            (lhs - rhs, (n,) * (2 + nscan), nscan)
+            for (_, nscan), (lhs, rhs) in zip(_RESIDUALS, sides)
+        ]
+
+    found = _first_failure(samples, n**4, residuals)
+    if found is None:
+        return passed("residual-suite", seed=seed, count=len(samples))
+    case, pos, at, block = found
+    return failed(
+        "residual-suite",
+        [Witness(at, block)],
+        seed=seed,
+        case=case,
+        identity=_RESIDUALS[pos][0],
+    )
 
 
 def run_jacobiator_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckReport:
     """Jac_delta(x) = ad_{phi(x)} [r,r] for seeded skew twist-compatible r
-    (sampled exactly from the constraint kernel), all basis x."""
+    (sampled exactly from the constraint kernel; the zero r alone when the
+    kernel is trivial), all basis x, the samples evaluated together in chunks.
+    On failure, info names the first failing sample (case)."""
     import random
 
-    n = a.dim
+    _require_count(count)
     kernel = skew_twist_compat_kernel(a)
     rng = random.Random(seed)
-    cases = count if kernel else 1
-    for case in range(cases):
-        coeffs = random_combination(rng, kernel) if kernel else Matrix.zero(n)
-        r = RMatrix(a, coeffs)
-        res = _jac_delta(cobracket_from_r(r)) - _adjoint_on(a, r_square_bracket(r))
-        rep = scan(
-            "jacobiator-bracket-suite",
-            first_case(res, (n,) * 4, 1),
-            seed=seed,
-            case=case,
-            kernel_dim=len(kernel),
+    if kernel:
+        samples = [random_combination(rng, kernel) for _ in range(count)]
+    else:
+        samples = [Matrix.zero(a.dim)]
+    return _jacobiator_suite(a, seed, samples, len(kernel))
+
+
+def _jacobiator_suite(a: HomLieAlgebra, seed: int, samples: list, kernel_dim: int) -> CheckReport:
+    """run_jacobiator_suite on the given r coefficient matrices, in order."""
+    n, z = a.dim, _SAMPLE
+
+    def residuals(stack):
+        jac = _co_jacobiator(a, _basis_action(a, stack, z), z)
+        return [(jac - _adjoint_on(a, _r_square(a, stack, z), z), (n,) * 4, 1)]
+
+    found = _first_failure(samples, n**4, residuals)
+    if found is None:
+        return passed(
+            "jacobiator-bracket-suite", seed=seed, count=len(samples), kernel_dim=kernel_dim
         )
-        if not rep.ok:
-            return rep
-    return passed(
-        "jacobiator-bracket-suite", seed=seed, count=cases, kernel_dim=len(kernel)
+    case, _, at, block = found
+    return failed(
+        "jacobiator-bracket-suite",
+        [Witness(at, block)],
+        seed=seed,
+        case=case,
+        kernel_dim=kernel_dim,
     )
 
 

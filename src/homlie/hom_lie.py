@@ -65,10 +65,6 @@ class HomLieAlgebra:
             [[self.bracket[i, j, k] for j in range(n)] for k in range(n)]
         )
 
-    def ad_of(self, x: Vector) -> Matrix:
-        """Matrix of ad_x = sum_i x_i ad_{e_i}."""
-        return dense(contract("kj", ("i", x), ("ijk", self.bracket)), (self.dim,) * 2)
-
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.dim, i)
 

@@ -29,14 +29,18 @@ from dataclasses import dataclass
 
 from .bialgebra import HomLieBialgebra, check_triple_equivalence
 from .coboundary import (
+    _SAMPLE,
     RMatrix,
+    _first_failure,
+    _r_square,
+    _require_count,
     _validate_coboundary,
     check_twist_compat,
     cobracket_from_r,
     r_square_bracket,
 )
 from .hom_lie import HomLieAlgebra, is_weakly_involutive, require_same_algebra, validate_hom_lie
-from .report import CheckReport, combined, failed, holds, passed, require, scan
+from .report import CheckReport, Witness, combined, failed, holds, passed, require, scan
 from .representation import (
     Representation,
     hom_dual_representation,
@@ -86,12 +90,18 @@ class OOperatorCandidate:
 
 def _defects(cand: OOperatorCandidate) -> Sparse:
     """Entry (i, j, l): the e_l coefficient of OT(v_i, v_j)."""
-    t = cand.t
+    return _defect_tensor(cand.algebra, cand.rep, cand.t)
+
+
+def _defect_tensor(a: HomLieAlgebra, rep: Representation, t, batch: str = "") -> Sparse:
+    """_defects of the map T with matrix t. With a batch letter, t and the result
+    carry a sample index first: one slice per sample."""
+    z = batch
     # entry (i, j, s): the v_s coefficient of rho(T v_i) v_j
-    acted = contract("ijs", ("pi", t), ("psj", cand.rep.action))
-    inner = acted - contract("ijs", ("jis", acted))
-    return contract("ijl", ("pi", t), ("pql", cand.algebra.bracket), ("qj", t)) - contract(
-        "ijl", ("ijs", inner), ("ls", t)
+    acted = contract(z + "ijs", (z + "pi", t), ("psj", rep.action))
+    inner = acted - contract(z + "ijs", (z + "jis", acted))
+    return contract(z + "ijl", (z + "pi", t), ("pql", a.bracket), (z + "qj", t)) - contract(
+        z + "ijl", (z + "ijs", inner), (z + "ls", t)
     )
 
 
@@ -123,9 +133,15 @@ class HomLeftSymmetric:
 
 
 def _twist_intertwines(cand: OOperatorCandidate) -> CheckReport:
-    return scan(
-        "twist-intertwines-t",
-        [((0,), cand.t @ cand.rep.beta - cand.algebra.twist @ cand.t)],
+    res = _twist_defect(cand.algebra, cand.rep, cand.t)
+    return scan("twist-intertwines-t", [((0,), dense(res, cand.t.shape))])
+
+
+def _twist_defect(a: HomLieAlgebra, rep: Representation, t, batch: str = "") -> Sparse:
+    """Entry (i, j) of T beta - phi T."""
+    z = batch
+    return contract(z + "ij", (z + "ik", t), ("kj", rep.beta)) - contract(
+        z + "ij", ("ik", a.twist), (z + "kj", t)
     )
 
 
@@ -229,10 +245,37 @@ def lift_t_bar(cand: OOperatorCandidate) -> RMatrix:
     """T viewed inside (g (+) V*) (x) (g (+) V*): the 2-tensor
     sum_i v^i (x) T(v_i), supported on the (V*-block, g-block) corner."""
     big = dual_semidirect(cand.algebra, cand.rep)
-    n = cand.algebra.dim
-    m = cand.rep.carrier_dim
-    coeffs = sparse(cand.t).moved(lambda k, i: (n + i, k))
-    return RMatrix(big, dense(coeffs, (n + m, n + m)))
+    return RMatrix(big, dense(_lift(cand.t, cand.algebra.dim), (big.dim,) * 2))
+
+
+def _lift(t, n: int, batch: str = "") -> Sparse:
+    """The coefficients of T-bar in g |x V* for g of dimension n."""
+    lead = len(batch)
+    return sparse(t).moved(lambda *key: (*key[:lead], n + key[-1], key[-2]))
+
+
+def _lifted_r(
+    a: HomLieAlgebra, rep: Representation, t, batch: str = ""
+) -> tuple[Sparse, Sparse]:
+    """For r = T-bar - sigma(T-bar) in g |x V*: the coefficients of r, and the
+    defect expansion that [r,r] must equal."""
+    n, lead = a.dim, len(batch)
+    tbar = _lift(t, n, batch)
+    r = tbar - tbar.moved(lambda *key: (*key[:lead], key[-1], key[-2]))
+    # entry (i, j, k): the e_k coefficient of phi(OT(v_i, v_j))
+    twisted = contract(
+        batch + "ijk", (batch + "ijl", _defect_tensor(a, rep, t, batch)), ("kl", a.twist)
+    )
+
+    def placed(f) -> Sparse:
+        return twisted.moved(lambda *key: (*key[:lead], *f(*key[lead:])))
+
+    expected = (
+        placed(lambda i, j, k: (k, n + i, n + j))
+        - placed(lambda i, j, k: (n + i, k, n + j))
+        + placed(lambda i, j, k: (n + i, n + j, k))
+    )
+    return r, expected
 
 
 def r_from_o_operator(
@@ -249,30 +292,27 @@ def r_from_o_operator(
     return big, r, report
 
 
-def _r_and_square(cand: OOperatorCandidate) -> tuple[HomLieAlgebra, RMatrix, Tensor3, CheckReport]:
-    """r_from_o_operator, also returning the [r,r] it computed."""
-    require(_twist_intertwines(cand), "T must intertwine the twists")
+def _lift_preconditions(
+    a: HomLieAlgebra, rep: Representation, intertwines: CheckReport
+) -> HomLieAlgebra:
+    """g |x V*, once T intertwines the twists and the representation is weakly
+    involutive."""
+    require(intertwines, "T must intertwine the twists")
     require(
-        is_weakly_involutive_rep(cand.rep),
+        is_weakly_involutive_rep(rep),
         "the carrier representation must be weakly involutive",
     )
+    return dual_semidirect(a, rep)
 
-    tbar = lift_t_bar(cand)
-    big = tbar.base
-    r = RMatrix(big, tbar.coeffs - tbar.coeffs.transpose())
-    n = cand.algebra.dim
-    m = cand.rep.carrier_dim
-    d = n + m
+
+def _r_and_square(cand: OOperatorCandidate) -> tuple[HomLieAlgebra, RMatrix, Tensor3, CheckReport]:
+    """r_from_o_operator, also returning the [r,r] it computed."""
+    big = _lift_preconditions(cand.algebra, cand.rep, _twist_intertwines(cand))
+    d = big.dim
+    coeffs, expected = _lifted_r(cand.algebra, cand.rep, cand.t)
+    r = RMatrix(big, dense(coeffs, (d, d)))
 
     compat = check_twist_compat(r)
-
-    # entry (i, j, k): the e_k coefficient of phi(OT(v_i, v_j))
-    twisted = contract("ijk", ("ijl", _defects(cand)), ("kl", cand.algebra.twist))
-    expected = (
-        twisted.moved(lambda i, j, k: (k, n + i, n + j))
-        - twisted.moved(lambda i, j, k: (n + i, k, n + j))
-        + twisted.moved(lambda i, j, k: (n + i, n + j, k))
-    )
     rr = r_square_bracket(r)
     expansion = scan("defect-expansion", [((0,), rr - dense(expected, (d,) * 3))])
 
@@ -384,28 +424,34 @@ def run_defect_expansion_suite(
     a: HomLieAlgebra, rep: Representation, seed: int, count: int = 50
 ) -> CheckReport:
     """The [r,r] defect expansion for `count` seeded T sampled exactly from
-    {T : T beta = phi T}; holds whether or not T is an O-operator."""
+    {T : T beta = phi T} (the zero T alone when that space is trivial); holds
+    whether or not T is an O-operator. The preconditions are checked once, and
+    the samples are evaluated together in chunks; on failure, info names the
+    first failing sample (case)."""
     import random
 
+    _require_count(count)
     space = intertwining_t_space(a, rep)
     rng = random.Random(seed)
-    cases = count if space else 1
-    for case in range(cases):
-        if space:
-            t = random_combination(rng, space)
-        else:
-            t = Matrix.zero(a.dim, rep.carrier_dim)
-        _, _, report = r_from_o_operator(OOperatorCandidate(a, rep, t))
-        sub = next(
-            s for s in report.subreports if s.checked_condition == "defect-expansion"
-        )
-        if not sub.ok:
-            return failed(
-                "defect-expansion-suite",
-                list(sub.witnesses),
-                seed=seed,
-                case=case,
-            )
-    return passed(
-        "defect-expansion-suite", seed=seed, count=cases, space_dim=len(space)
+    if space:
+        samples = [random_combination(rng, space) for _ in range(count)]
+    else:
+        samples = [Matrix.zero(a.dim, rep.carrier_dim)]
+    require_same_algebra(rep.base, a, "representation must live over the candidate's algebra")
+    z, shape = _SAMPLE, (len(samples), a.dim, rep.carrier_dim)
+    twist = _twist_defect(a, rep, sparse(samples), z)
+    intertwines = scan(
+        "twist-intertwines-t", [((0,), block) for _, block, _ in first_case(twist, shape, 1)]
     )
+    big = _lift_preconditions(a, rep, intertwines)
+    d = big.dim
+
+    def residuals(stack):
+        r, expected = _lifted_r(a, rep, stack, z)
+        return [(_r_square(big, r, z) - expected, (d,) * 3, 0)]
+
+    found = _first_failure(samples, d**3, residuals)
+    if found is None:
+        return passed("defect-expansion-suite", seed=seed, count=len(samples), space_dim=len(space))
+    case, _, _, block = found
+    return failed("defect-expansion-suite", [Witness((0,), block)], seed=seed, case=case)

@@ -336,3 +336,102 @@ def oracle_contract(out: str, sizes: dict[str, int], *operands: tuple[str, dict]
         key = tuple(at[l] for l in out)
         result[key] = result.get(key, Q(0)) + term
     return {key: v for key, v in result.items() if v}
+
+
+def _pair(p: list, q: list, t: list) -> list[list[Q]]:
+    """(P (x) Q) t for a 2-tensor t: entry (i, j) is sum over u, v of
+    P[i][u] t[u][v] Q[j][v]."""
+    return [
+        [
+            sum((p[i][u] * t[u][v] * q[j][v] for u, v in product(range(len(t)), repeat=2)), Q(0))
+            for j in range(len(q))
+        ]
+        for i in range(len(p))
+    ]
+
+
+def _ad(bracket: list, x: list) -> list[list[Q]]:
+    """The matrix of ad_x: entry (m, j) is the e_m coefficient of [x, e_j]."""
+    n = len(x)
+    return [
+        [sum((x[i] * bracket[i][j][m] for i in range(n)), Q(0)) for j in range(n)] for m in range(n)
+    ]
+
+
+def _entries(out: dict, at: tuple, m: list) -> None:
+    """Put the nonzero entries of the matrix m into out, at the keys (*at, p, q)."""
+    for p, row in enumerate(m):
+        for q, v in enumerate(row):
+            if v:
+                out[(*at, p, q)] = v
+
+
+def _add(*terms: tuple[Q, list]) -> list[list[Q]]:
+    """sum of c * M over the (c, M) terms, for matrices M of one shape."""
+    rows, cols = len(terms[0][1]), len(terms[0][1][0])
+    return [[sum((c * m[i][j] for c, m in terms), Q(0)) for j in range(cols)] for i in range(rows)]
+
+
+def oracle_residual_lhs(bracket: list, twist: list, delta: list) -> tuple[dict, dict, dict]:
+    """The left sides of the residual identities (a), (b), (c) of
+    homlie.coboundary, for the cobracket delta[k][p][q] (the coefficient of
+    e_p (x) e_q in delta(e_k)):
+
+        (a) delta(phi e_k) - (phi (x) phi) delta(e_k)
+        (b) (phi^2 (x) id) delta(e_k) - delta(e_k)
+        (c) delta[e_i,e_j] - (phi(e_i).delta(e_j) - phi(e_j).delta(e_i)),
+            z.t = (ad_z (x) phi + phi (x) ad_z) t,
+
+    all inputs plain nested lists. Each side is a dict of its nonzero entries,
+    keyed (k, p, q) for (a) and (b) and (i, j, p, q) for (c)."""
+    n = len(twist)
+    phi = twist
+    phi2 = _mat(phi, phi)
+    a, b, c = {}, {}, {}
+    for k in range(n):
+        pushed = _add(*((phi[x][k], delta[x]) for x in range(n)))
+        _entries(a, (k,), _add((1, pushed), (-1, _pair(phi, phi, delta[k]))))
+        _entries(b, (k,), _add((1, _mat(phi2, delta[k])), (-1, delta[k])))
+
+    def act(x: list, t: list) -> list[list[Q]]:
+        adx = _ad(bracket, x)
+        return _add((1, _pair(adx, phi, t)), (1, _pair(phi, adx, t)))
+
+    for i, j in product(range(n), repeat=2):
+        of_bracket = _add(*((bracket[i][j][s], delta[s]) for s in range(n)))
+        phi_i = [phi[m][i] for m in range(n)]
+        phi_j = [phi[m][j] for m in range(n)]
+        terms = (1, of_bracket), (-1, act(phi_i, delta[j])), (1, act(phi_j, delta[i]))
+        _entries(c, (i, j), _add(*terms))
+    return a, b, c
+
+
+def oracle_residual_rhs(bracket: list, twist: list, r: list) -> tuple[dict, dict, dict]:
+    """The right sides of the residual identities (a), (b), (c) of
+    homlie.coboundary, for r[i][j] (the coefficient of e_i (x) e_j) and
+    w = (phi (x) id - id (x) phi) r:
+
+        (a) (ad_{phi e_k} phi (x) phi - phi (x) ad_{phi e_k} phi) w
+        (b) (phi (x) ad_{e_k})(phi (x) id + id (x) phi) w
+        (c) (ad_{[e_i,e_j]} phi (x) phi - phi (x) ad_{[e_i,e_j]} phi) w,
+
+    each (P (x) Q) t summed entry by entry, all inputs plain nested lists. Keys
+    as in oracle_residual_lhs."""
+    n = len(twist)
+    phi = twist
+    ident = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    w = _add((1, _pair(phi, ident, r)), (-1, _pair(ident, phi, r)))
+    inner = _add((1, _pair(phi, ident, w)), (1, _pair(ident, phi, w)))
+
+    def skew(x: list) -> list[list[Q]]:
+        ad_phi = _mat(_ad(bracket, x), phi)
+        return _add((1, _pair(ad_phi, phi, w)), (-1, _pair(phi, ad_phi, w)))
+
+    a, b, c = {}, {}, {}
+    for k in range(n):
+        _entries(a, (k,), skew([phi[m][k] for m in range(n)]))
+        unit = [Q(int(m == k)) for m in range(n)]
+        _entries(b, (k,), _pair(phi, _ad(bracket, unit), inner))
+    for i, j in product(range(n), repeat=2):
+        _entries(c, (i, j), skew(list(bracket[i][j])))
+    return a, b, c

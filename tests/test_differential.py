@@ -13,10 +13,10 @@ import pytest
 from homlie import bialgebra, coboundary, hom_lie, operators, representation
 from homlie.bialgebra import Cobracket, HomLieBialgebra, MatchedPair, canonical_matched_pair
 from homlie.coboundary import RMatrix, cobracket_from_r, r_square_bracket
-from homlie.corpus import aff2, aff2_triangular_bialgebra, aff2phi, heis3, sl2
-from homlie.hom_lie import BilinearFormB, HomLieAlgebra, direct_sum
+from homlie.corpus import aff2, aff2_triangular_bialgebra, aff2phi, heis3, notjac3, sl2
+from homlie.hom_lie import BilinearFormB, HomLieAlgebra, change_of_basis, direct_sum
 from homlie.representation import Representation, adjoint_rep
-from homlie.tensor import Matrix, Tensor3, dense, random_matrix, sparse
+from homlie.tensor import Matrix, Sparse, Tensor3, contract, dense, random_matrix, sparse
 
 from oracles import (
     oracle_ad3,
@@ -30,6 +30,8 @@ from oracles import (
     oracle_r_square,
     oracle_rep_bracket,
     oracle_rep_twist,
+    oracle_residual_lhs,
+    oracle_residual_rhs,
     oracle_skew,
     oracle_weak_involutivity,
 )
@@ -243,3 +245,61 @@ def test_r_matrix_tensors_match_the_oracles(seed):
             unit = [Q(int(i == k)) for i in range(n)]
             assert dense(adj, (n,) * 4, (k,)) == oracle_ad3(a, unit, rr)
 
+
+def _yau_sl2_dense() -> HomLieAlgebra:
+    """sl2 with the Yau twist of its Chevalley involution theta (bracket theta[x,y],
+    twist theta), in a seeded dense basis: weakly involutive, with w = (phi (x) id -
+    id (x) phi) r nonzero for a generic r."""
+    a = sl2()
+    theta = Matrix([[-1, 0, 0], [0, 0, -1], [0, -1, 0]])
+    bracket = dense(contract("ijl", ("ijk", a.bracket), ("lk", theta)), (3,) * 3)
+    rng = random.Random(1)
+    p = random_matrix(rng, 3)
+    while p.det() == 0:
+        p = random_matrix(rng, 3)
+    return change_of_basis(HomLieAlgebra(bracket, theta, "yau-sl2"), p)
+
+
+def _sample(t: Sparse, s: int) -> Sparse:
+    """The slice of a stacked tensor at sample s."""
+    return Sparse({key[1:]: v for key, v in t.items() if key[0] == s}, t.den)
+
+
+# For each input: which of (a), (b), (c) have a nonzero right side on a generic
+# r, and whether the residuals are nonzero. With an involutive twist the right
+# side of (b) vanishes identically, so heis3phi (phi^2 != id) is there for (b);
+# with the identity twist w = 0 and every right side vanishes.
+RESIDUAL_INPUTS = {
+    "yau-sl2-dense": ((True, False, True), False),
+    "heis3phi": ((True, True, False), False),
+    "notjac3": ((False, False, False), True),
+}
+
+
+@pytest.mark.parametrize("name", RESIDUAL_INPUTS)
+def test_residual_identity_sides_match_the_oracles(name, request):
+    """Both sides of (a)-(c), for seeded r stacked with a sample index and for
+    each r alone, against the naive sums. notjac3 passes the weak-involutivity
+    precondition (its twist is the identity) but is not Hom-Lie, so its
+    residuals are nonzero; the identities hold on the other two."""
+    a = {"yau-sl2-dense": _yau_sl2_dense, "notjac3": notjac3}.get(name)
+    a = a() if a else request.getfixturevalue(name)
+    assert hom_lie.is_weakly_involutive(a).ok
+    bracket, twist = a.bracket.entries, a.twist.rows
+    samples = [random_matrix(random.Random(seed), a.dim) for seed in range(4)]
+    stacked = coboundary._residual_sides(a, sparse(samples), "z")
+    nonzero_rhs, nonzero_residuals = [False] * 3, False
+    for s, rc in enumerate(samples):
+        lhs_want = oracle_residual_lhs(bracket, twist, oracle_cobracket(a, rc).entries)
+        rhs_want = oracle_residual_rhs(bracket, twist, rc.rows)
+        alone = coboundary._residual_sides(a, rc)
+        for i, ((lhs, rhs), (lhs1, rhs1), want_l, want_r) in enumerate(
+            zip(stacked, alone, lhs_want, rhs_want)
+        ):
+            assert _sample(lhs, s) == want_l
+            assert _sample(rhs, s) == want_r
+            assert lhs1 == want_l
+            assert rhs1 == want_r
+            nonzero_rhs[i] |= bool(want_r)
+            nonzero_residuals |= bool(lhs1 - rhs1)
+    assert (tuple(nonzero_rhs), nonzero_residuals) == RESIDUAL_INPUTS[name]
