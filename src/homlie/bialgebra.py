@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .hom_lie import (
     BilinearFormB,
@@ -44,7 +43,7 @@ from .representation import (
     fixes_carrier_square,
     validate_representation,
 )
-from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, dense, first_case
+from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, dense, first_case, sparse
 
 
 @dataclass(frozen=True)
@@ -120,12 +119,9 @@ def dual_algebra(cb: Cobracket) -> HomLieAlgebra:
     Nothing is validated here; run validate_hom_lie on the result to learn
     whether the cobracket was a genuine one.
     """
-    n = cb.dim
-    box = [
-        [[cb.coeffs[k, i, j] for k in range(n)] for j in range(n)] for i in range(n)
-    ]
+    bracket = sparse(cb.coeffs).moved(lambda k, i, j: (i, j, k))
     label = f"{cb.base.label}*" if cb.base.label else "dual"
-    return HomLieAlgebra(Tensor3(box), cb.base.twist.transpose(), label)
+    return HomLieAlgebra(dense(bracket, (cb.dim,) * 3), cb.base.twist.transpose(), label)
 
 
 def cobracket_from_bracket(source: HomLieAlgebra, base: HomLieAlgebra) -> Cobracket:
@@ -134,11 +130,8 @@ def cobracket_from_bracket(source: HomLieAlgebra, base: HomLieAlgebra) -> Cobrac
     n = source.dim
     if base.dim != n:
         raise ShapeError("cobracket base has wrong dimension")
-    box = [
-        [[source.bracket[i, j, k] for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-    return Cobracket(base, Tensor3(box))
+    coeffs = sparse(source.bracket).moved(lambda i, j, k: (k, i, j))
+    return Cobracket(base, dense(coeffs, (n,) * 3))
 
 
 def cobracket_compatibility(a: HomLieAlgebra, delta, batch: str = "") -> Sparse:
@@ -310,35 +303,37 @@ def validate_manin_triple(big: HomLieAlgebra, n: int) -> CheckReport:
         raise ShapeError("Manin-triple candidate must have dimension 2n")
 
     ambient = validate_hom_lie(big).renamed("ambient-hom-lie")
-    halves = ((0, n, "first"), (n, 2 * n, "second"))
-
-    def block_cases():
-        for lo, hi, name in halves:
-
-            def outside(v) -> Vector:
-                return Vector([Q(0) if lo <= k < hi else v[k] for k in range(2 * n)])
-
-            for i in range(lo, hi):
-                twist_note = f"twist leaves the {name} block"
-                yield (i + 1,), outside(big.twist.col(i)), twist_note
-                for j in range(lo, hi):
-                    w = big.bracket.entries[i][j]
-                    yield (i + 1, j + 1), outside(w), f"bracket leaves the {name} block"
-
     form = standard_form(n)
-    iso = scan(
-        "blocks-isotropic",
-        (
-            ((i + 1, j + 1), form.gram[i, j])
-            for lo, hi, _ in halves
-            for i, j in product(range(lo, hi), repeat=2)
-        ),
-    )
+    inside = sorted(key for key in sparse(form.gram) if (key[0] >= n) == (key[1] >= n))
+    iso = scan("blocks-isotropic", [((i + 1, j + 1), form.gram[i, j]) for i, j in inside[:1]])
     invariance = check_invariant_form(big, form).renamed("standard-form-invariant")
     return combined(
         "manin-triple",
-        [ambient, scan("blocks-are-subalgebras", block_cases()), iso, invariance],
+        [ambient, scan("blocks-are-subalgebras", _block_leak(big, n)), iso, invariance],
     )
+
+
+def _block_leak(big: HomLieAlgebra, n: int) -> list[tuple]:
+    """The first case in which the twist or the bracket of big leaves one of the two
+    n-dim blocks: for each block, and each i in it, the twist at (i,) before the
+    bracket at (i, j), each j in the block. Its residual is the part of phi(e_i),
+    or of [e_i, e_j], outside the block."""
+    twist, bracket = sparse(big.twist), sparse(big.bracket)
+    # (i, k): the e_k coefficient of phi(e_i), for k outside the block of i
+    twist_out = Sparse({(i, k): v for (k, i), v in twist.items() if (k >= n) != (i >= n)}, twist.den)
+    # (i, j, k): that of [e_i, e_j], for i and j in one block and k outside it
+    leaks = {(i, j, k): v for (i, j, k), v in bracket.items() if (i >= n) == (j >= n) != (k >= n)}
+    bracket_out = Sparse(leaks, bracket.den)
+    # a twist case (i,) sorts as (i, -1), before the bracket cases (i, j)
+    first = min([(i, -1) for i, _ in twist_out] + [(i, j) for i, j, _ in bracket_out], default=None)
+    if first is None:
+        return []
+    i, j = first
+    name = "second" if i >= n else "first"
+    if j < 0:
+        return [((i + 1,), dense(twist_out, big.twist.shape, (i,)), f"twist leaves the {name} block")]
+    residual = dense(bracket_out, big.bracket.shape, (i, j))
+    return [((i + 1, j + 1), residual, f"bracket leaves the {name} block")]
 
 
 def canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:

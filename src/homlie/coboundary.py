@@ -535,7 +535,7 @@ def sharp_bracket_defect(a: HomLieAlgebra, r: RMatrix, ai: int, bi: int) -> Chec
         "abl", ("abk", dual.bracket), ("lk", s)
     )
     lhs = dense(defect, (a.dim,) * 3, (ai, bi))
-    res = lhs - Vector(r_square_bracket(r).entries[ai][bi])
+    res = lhs - dense(r_square_bracket(r), (a.dim,) * 3, (ai, bi))
     if res.is_zero():
         return passed("sharp-bracket-defect", value=lhs)
     return failed("sharp-bracket-defect", [Witness((ai + 1, bi + 1), res)])

@@ -14,11 +14,11 @@ from typing import Callable
 from .bialgebra import Cobracket, zero_cobracket
 from .hom_lie import HomLieAlgebra
 from .operators import HomLeftSymmetric
-from .tensor import Matrix, Q, Tensor3, _zeros
+from .tensor import Matrix, Q, Tensor3
 
 
 def _box(n: int):
-    return _zeros((n, n, n))
+    return [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
 
 
 def abelian2() -> HomLieAlgebra:

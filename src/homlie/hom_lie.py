@@ -15,6 +15,7 @@ diagnose a bad structure instead of refusing to look at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .report import CheckReport, combined, scan
@@ -25,6 +26,7 @@ from .tensor import (
     Sparse,
     Tensor3,
     Vector,
+    _grouped,
     contract,
     dense,
     first_case,
@@ -60,10 +62,7 @@ class HomLieAlgebra:
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_i}: column j is [e_i, e_j]."""
-        n = self.dim
-        return Matrix(
-            [[self.bracket[i, j, k] for j in range(n)] for k in range(n)]
-        )
+        return self.bracket.plane(i).transpose()
 
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.dim, i)
@@ -237,16 +236,16 @@ class InvariantFormSpace:
 
 def _bracket_invariance_equations(a: HomLieAlgebra):
     """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k]) = 0 in the Gram entries
-    of B, for each (i, j, k) in row-major order."""
-    n = a.dim
-    ad = dense(twisted_ad(a), (n,) * 3).entries
-    for i in range(n):
-        for j in range(n):
-            bij = a.bracket.entries[i][j]
-            for k in range(n):
-                yield [(l, k, c) for l, c in enumerate(bij) if c] + [
-                    (i, l, -c) for l, c in enumerate(ad[j][k]) if c
-                ]
+    of B, for each (i, j, k) in row-major order, each equation times the two
+    denominators so that its coefficients are the integer numerators."""
+    bracket, ad = sparse(a.bracket), twisted_ad(a)
+    # (i, j): the e_l coefficients of [e_i, e_j]; (j, k): those of [phi e_j, e_k]
+    outputs = _grouped(bracket, "ijl", "ij", "l")
+    acting = _grouped(ad, "jkl", "jk", "l")
+    for i, j, k in product(range(a.dim), repeat=3):
+        yield [(l, k, c * ad.den) for (l,), c in outputs.get((i, j), ())] + [
+            (i, l, -c * bracket.den) for (l,), c in acting.get((j, k), ())
+        ]
 
 
 def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:

@@ -124,12 +124,7 @@ class HomLeftSymmetric:
 
     def left_mult(self, i: int) -> Matrix:
         """Matrix of v |-> e_i . v."""
-        return Matrix(
-            [
-                [self.product[i, j, k] for j in range(self.dim)]
-                for k in range(self.dim)
-            ]
-        )
+        return self.product.plane(i).transpose()
 
 
 def _twist_intertwines(cand: OOperatorCandidate) -> CheckReport:
@@ -147,8 +142,14 @@ def _twist_defect(a: HomLieAlgebra, rep: Representation, t, batch: str = "") -> 
 
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
     """T beta = phi T, and the defect OT vanishes on all basis pairs."""
-    defect_ok = scan("o-operator-defect", first_case(_defects(cand), cand.shape, 2))
-    return combined("o-operator", [_twist_intertwines(cand), defect_ok])
+    return _o_operator_checks(cand)[1]
+
+
+def _o_operator_checks(cand: OOperatorCandidate) -> tuple[Sparse, CheckReport]:
+    """The defect tensor of T, evaluated once, and validate_o_operator's report."""
+    defects = _defects(cand)
+    defect_ok = scan("o-operator-defect", first_case(defects, cand.shape, 2))
+    return defects, combined("o-operator", [_twist_intertwines(cand), defect_ok])
 
 
 def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
@@ -177,15 +178,10 @@ def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
 
 def commutator_hom_lie(p: HomLeftSymmetric) -> HomLieAlgebra:
     """[u,v] = u.v - v.u with the same twist; validity asserted."""
-    m = p.dim
-    box = [
-        [
-            [p.product[i, j, k] - p.product[j, i, k] for k in range(m)]
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    out = HomLieAlgebra(Tensor3(box), p.psi, f"g({p.label})" if p.label else "g(V)")
+    dot = sparse(p.product)
+    bracket = dot - dot.moved(lambda i, j, k: (j, i, k))
+    label = f"g({p.label})" if p.label else "g(V)"
+    out = HomLieAlgebra(dense(bracket, (p.dim,) * 3), p.psi, label)
     require(validate_hom_lie(out), "commutator bracket is not Hom-Lie")
     return out
 
@@ -254,18 +250,14 @@ def _lift(t, n: int, batch: str = "") -> Sparse:
     return sparse(t).moved(lambda *key: (*key[:lead], n + key[-1], key[-2]))
 
 
-def _lifted_r(
-    a: HomLieAlgebra, rep: Representation, t, batch: str = ""
-) -> tuple[Sparse, Sparse]:
+def _lifted_r(a: HomLieAlgebra, t, defects: Sparse, batch: str = "") -> tuple[Sparse, Sparse]:
     """For r = T-bar - sigma(T-bar) in g |x V*: the coefficients of r, and the
-    defect expansion that [r,r] must equal."""
+    defect expansion that [r,r] must equal, given the defect tensor of T."""
     n, lead = a.dim, len(batch)
     tbar = _lift(t, n, batch)
     r = tbar - tbar.moved(lambda *key: (*key[:lead], key[-1], key[-2]))
     # entry (i, j, k): the e_k coefficient of phi(OT(v_i, v_j))
-    twisted = contract(
-        batch + "ijk", (batch + "ijl", _defect_tensor(a, rep, t, batch)), ("kl", a.twist)
-    )
+    twisted = contract(batch + "ijk", (batch + "ijl", defects), ("kl", a.twist))
 
     def placed(f) -> Sparse:
         return twisted.moved(lambda *key: (*key[:lead], *f(*key[lead:])))
@@ -288,35 +280,37 @@ def r_from_o_operator(
     solution forces T to be an O-operator) is checked on this instance and
     recorded.
     """
-    big, r, _, report = _r_and_square(cand)
+    big, r, _, report = _r_and_square(cand, is_weakly_involutive_rep(cand.rep))
     return big, r, report
 
 
 def _lift_preconditions(
-    a: HomLieAlgebra, rep: Representation, intertwines: CheckReport
+    a: HomLieAlgebra, rep: Representation, intertwines: CheckReport, involutive: CheckReport
 ) -> HomLieAlgebra:
     """g |x V*, once T intertwines the twists and the representation is weakly
-    involutive."""
+    involutive (the reports of those two checks)."""
     require(intertwines, "T must intertwine the twists")
-    require(
-        is_weakly_involutive_rep(rep),
-        "the carrier representation must be weakly involutive",
-    )
+    require(involutive, "the carrier representation must be weakly involutive")
     return dual_semidirect(a, rep)
 
 
-def _r_and_square(cand: OOperatorCandidate) -> tuple[HomLieAlgebra, RMatrix, Tensor3, CheckReport]:
-    """r_from_o_operator, also returning the [r,r] it computed."""
-    big = _lift_preconditions(cand.algebra, cand.rep, _twist_intertwines(cand))
+def _r_and_square(
+    cand: OOperatorCandidate, involutive: CheckReport, checks: tuple | None = None
+) -> tuple[HomLieAlgebra, RMatrix, Tensor3, CheckReport]:
+    """r_from_o_operator, also returning the [r,r] it computed, given the report of
+    is_weakly_involutive_rep on the representation and, when the caller has them,
+    the _o_operator_checks of cand."""
+    defects, oop = checks or _o_operator_checks(cand)
+    # oop's first part is T beta = phi T
+    big = _lift_preconditions(cand.algebra, cand.rep, oop.subreports[0], involutive)
     d = big.dim
-    coeffs, expected = _lifted_r(cand.algebra, cand.rep, cand.t)
+    coeffs, expected = _lifted_r(cand.algebra, cand.t, defects)
     r = RMatrix(big, dense(coeffs, (d, d)))
 
     compat = check_twist_compat(r)
     rr = r_square_bracket(r)
     expansion = scan("defect-expansion", [((0,), rr - dense(expected, (d,) * 3))])
 
-    oop = validate_o_operator(cand)
     chybe = rr.is_zero()
     forward = holds(
         "o-operator-implies-chybe", not oop.ok or chybe, "O-operator with [r,r] != 0"
@@ -361,8 +355,9 @@ def wedge_solutions(
     base = rep.base
     m = p.dim
 
-    big1, r1, rr1, _ = _r_and_square(OOperatorCandidate(base, rep, Matrix.identity(m)))
-    big2, r2, rr2, _ = _r_and_square(OOperatorCandidate(base, rep, p.psi @ p.psi))
+    involutive = is_weakly_involutive_rep(rep)
+    big1, r1, rr1, _ = _r_and_square(OOperatorCandidate(base, rep, Matrix.identity(m)), involutive)
+    big2, r2, rr2, _ = _r_and_square(OOperatorCandidate(base, rep, p.psi @ p.psi), involutive)
 
     subs = [scan("chybe-r1", [((0,), rr1)]), scan("chybe-r2", [((0,), rr2)])]
 
@@ -401,14 +396,16 @@ def bialgebra_from_o_operator(
     a = cand.algebra
     rep = cand.rep
     require(is_weakly_involutive(a), "base algebra must be weakly involutive")
-    require(is_weakly_involutive_rep(rep), "representation must be weakly involutive")
+    involutive = is_weakly_involutive_rep(rep)
+    require(involutive, "representation must be weakly involutive")
     require(
         twisted_action_fixes_carrier_square(rep),
         "rho(phi(x)) beta^2 = rho(phi(x)) must hold",
     )
-    require(validate_o_operator(cand), "T must be an O-operator")
+    checks = _o_operator_checks(cand)
+    require(checks[1], "T must be an O-operator")
 
-    big, r, _ = r_from_o_operator(cand)
+    big, r, _, _ = _r_and_square(cand, involutive, checks)
     bi = HomLieBialgebra(big, cobracket_from_r(r))
     triple = check_triple_equivalence(bi)
     # the triple check's first verdict is validate_bialgebra(bi)
@@ -443,11 +440,11 @@ def run_defect_expansion_suite(
     intertwines = scan(
         "twist-intertwines-t", [((0,), block) for _, block, _ in first_case(twist, shape, 1)]
     )
-    big = _lift_preconditions(a, rep, intertwines)
+    big = _lift_preconditions(a, rep, intertwines, is_weakly_involutive_rep(rep))
     d = big.dim
 
     def residuals(stack):
-        r, expected = _lifted_r(a, rep, stack, z)
+        r, expected = _lifted_r(a, stack, _defect_tensor(a, rep, stack, z), z)
         return [(_r_square(big, r, z) - expected, (d,) * 3, 0)]
 
     found = _first_failure(samples, d**3, residuals)

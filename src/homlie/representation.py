@@ -16,7 +16,6 @@ is the sufficient condition everything downstream leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .hom_lie import HomLieAlgebra, block_sum, is_weakly_involutive
 from .report import CheckReport, InvalidStructureError, combined, holds, scan
@@ -182,13 +181,8 @@ def hom_dual_representation(r: Representation) -> Representation:
 def rep_double_dual_is_identity(r: Representation) -> CheckReport:
     """Dualizing twice returns the original action matrices exactly."""
     dd = dual_action_candidate(dual_action_candidate(r))
-    return scan(
-        "double-dual-identity",
-        chain(
-            [((0,), dd.beta - r.beta, "twist differs")],
-            (((i + 1,), dd.action[i] - r.action[i]) for i in range(r.base.dim)),
-        ),
-    )
+    actions = first_case(sparse(dd.action) - sparse(r.action), r.shape, 1)
+    return scan("double-dual-identity", [((0,), dd.beta - r.beta, "twist differs"), *actions])
 
 
 def semidirect_product(a: HomLieAlgebra, r: Representation) -> HomLieAlgebra:

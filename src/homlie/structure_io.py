@@ -31,7 +31,7 @@ from .corpus import builtin_sections, lookup_builtin
 from .hom_lie import HomLieAlgebra
 from .operators import HomLeftSymmetric
 from .representation import Representation
-from .tensor import Array, Matrix, Q, ShapeError, array, dense
+from .tensor import Array, Matrix, Q, ShapeError, dense
 
 
 class StructureParseError(ValueError):
@@ -111,19 +111,22 @@ def _parse_array(node, path: str, shape: tuple[int, ...]) -> Array:
                     f"entry {tuple(i + 1 for i in idx)} outside "
                     + " x ".join(map(str, shape)),
                 )
-        return dense(entries, shape)
-    return array(_parse_dense(node, path, shape, _LEVELS[len(shape)]), len(shape))
+    else:
+        entries = {}
+        _parse_dense(node, path, shape, _LEVELS[len(shape)], entries)
+    return dense(entries, shape)
 
 
-def _parse_dense(node, path: str, shape: tuple[int, ...], levels: tuple[str, ...]):
+def _parse_dense(node, path: str, shape: tuple[int, ...], levels: tuple[str, ...], out: dict, key=()):
+    """Parse the dense array at node into out, by index tuple."""
     if not shape:
-        return _parse_q(node, path)
+        out[key] = _parse_q(node, path)
+        return
     node = _require_list(node, path)
     if len(node) != shape[0]:
         raise StructureParseError(path, f"want {shape[0]} {levels[0]}, got {len(node)}")
-    return [
-        _parse_dense(x, f"{path}[{i}]", shape[1:], levels[1:]) for i, x in enumerate(node)
-    ]
+    for i, x in enumerate(node):
+        _parse_dense(x, f"{path}[{i}]", shape[1:], levels[1:], out, (*key, i))
 
 
 def _parse_dim(node, path: str) -> int:

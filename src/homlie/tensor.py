@@ -2,21 +2,19 @@
 
 Everything downstream (brackets, twists, cobrackets, r-matrices) is one
 exact array type, ``Array``, of order 1 to 3 (``Vector``, ``Matrix`` and
-``Tensor3``) with Fraction entries in a fixed basis. These values are stored
-dense and are immutable after construction; how they are shaped, combined,
-tested for zero, rendered and written to JSON is decided once, in ``Array``.
-Every identity the package checks is a multilinear expression in them,
-evaluated by ``contract`` over the nonzero entries only, since structure
-constants are mostly zeros. The kernel works on Python ints: a ``Sparse``
-tensor is integer numerators over one positive denominator, each array keeps
-its own integer view (its nonzero entries scaled by the LCM of their
-denominators, computed once), and ``dense`` is the only place that turns
-numerators back into Fractions, one per entry of the block it returns.
-Linear systems and determinants (``rref`` and so ``nullspace``,
-``matrix_kernels`` and ``Matrix.inverse``; ``Matrix.det``) are eliminated on
-integer rows: each row is scaled once to primitive integers, the elimination
-runs fraction-free on Python ints, and Fractions come back only in the result.
-Every comparison is exact equality: there are no tolerances anywhere in this
+``Tensor3``) with rational entries in a fixed basis. Structure constants are
+mostly zeros, so an immutable array stores only its shape and its integer view,
+which ``sparse(x)`` returns: a ``Sparse`` tensor of the nonzero entries as integer
+numerators over one positive denominator, in lowest terms. Building, combining,
+testing for zero, comparing, slicing and rendering arrays is decided once, in
+``Array``, on that view. Every identity the package checks is a multilinear
+expression in arrays, evaluated by ``contract`` over the nonzero numerators, and
+``dense`` slices a block of the result back into an array. Fractions are built only
+where a rational leaves the integers: in rendering (``str``, ``to_json``, and the
+nested tuples ``entries`` and ``rows``, made on each access), in single-entry
+reads, and in the results of ``rref`` (so ``nullspace``, ``matrix_kernels`` and
+``Matrix.inverse``) and ``Matrix.det``, which eliminate fraction-free on integer
+rows. Every comparison is exact equality: there are no tolerances anywhere in this
 package.
 
 Conventions that the rest of the package relies on:
@@ -34,8 +32,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
-from math import gcd, lcm, prod
+from functools import reduce
+from math import gcd, lcm
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
 Q = Fraction
@@ -66,113 +64,121 @@ def format_q(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Array:
-    """An exact array of order 1, 2 or 3: nested tuples of Fractions, `order`
-    deep, with every tuple at one depth of one length. Vector, Matrix and Tensor3
-    fix the order; elementwise arithmetic, the zero test, rendering and the JSON
-    view are shared."""
+    """An exact array of order 1, 2 or 3: its shape and its integer view, the
+    Sparse of its nonzero entries in lowest terms (the denominator is the LCM of
+    the entries' denominators). Vector, Matrix and Tensor3 fix the order. Arrays
+    are equal when their shapes and entries are; `entries` renders the nested
+    tuples of Fractions on each access."""
 
-    entries: tuple
+    shape: tuple[int, ...]
+    _view: Sparse
     order: ClassVar[int]
 
     def __init__(self, entries: Iterable):
-        box = level = _exact(entries, self.order)
-        for depth in range(self.order - 1):
-            if depth:
-                level = [sub for x in level for sub in x]
-            if len(set(map(len, level))) > 1:
+        """From nested sequences, `order` deep, of ints, Fractions or "p/q"
+        strings, with every sequence at one depth of one length."""
+        shape, cells = [], [((), entries)]
+        for _ in range(self.order):
+            cells = [(key, list(x)) for key, x in cells]
+            size = len(cells[0][1]) if cells else 0
+            if any(len(x) != size for _, x in cells):
                 raise ShapeError(f"ragged order-{self.order} array")
-        object.__setattr__(self, "entries", box)
+            shape.append(size)
+            cells = [((*key, i), y) for key, x in cells for i, y in enumerate(x)]
+        vars(self).update(shape=tuple(shape), _view=_integral((k, as_q(x)) for k, x in cells))
+
+    @classmethod
+    def _of(cls, shape: Sequence[int], view: Sparse):
+        """The array of this shape whose nonzero entries are view's, in lowest terms."""
+        g = gcd(view.den, *view.values())
+        if g > 1:
+            view = Sparse({key: v // g for key, v in view.items()}, view.den // g)
+        out = object.__new__(cls)
+        vars(out).update(shape=tuple(shape), _view=view)
+        return out
 
     @classmethod
     def zero(cls, n: int, *rest: int):
         """The zero array with sizes (n, *rest); sizes left out are n."""
-        return cls(_zeros((n, *rest) + (n,) * (cls.order - 1 - len(rest))))
+        return cls._of((n, *rest) + (n,) * (cls.order - 1 - len(rest)), Sparse())
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        sizes, x = [], self.entries
-        for _ in range(self.order):
-            sizes.append(len(x))
-            x = x[0] if x else ()
-        return tuple(sizes)
+    def entries(self) -> tuple:
+        """The entries as nested tuples of Fractions, `order` deep."""
+        den = self._view.den
+        return _nested(self._view, self.shape, lambda v: Fraction(v, den), ZERO, tuple)
+
+    def _at(self, index) -> tuple[int, ...]:
+        """An index tuple, or an int, with negative indices counted from the end."""
+        key = index if isinstance(index, tuple) else (index,)
+        return tuple(range(n)[i] for i, n in zip(key, self.shape[: len(key)], strict=True))
 
     def __getitem__(self, index):
-        """The entry at an index tuple, or at an int for a vector."""
-        x = self.entries
-        for i in index if isinstance(index, tuple) else (index,):
-            x = x[i]
-        return x
+        """The entry at an index tuple, or at an int for a vector; fewer indices
+        give the nested tuples of the block there."""
+        block = dense(self, self.shape, self._at(index))
+        return block if isinstance(block, Fraction) else block.entries
 
-    def _map(self, f, *others: "Array"):
-        for other in others:
-            if self.shape != other.shape:
-                raise ShapeError(f"shapes {self.shape} != {other.shape}")
-        return type(self)(_zip_map(f, self.order, self.entries, *(o.entries for o in others)))
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self._view == other._view
+
+    def __hash__(self):
+        return hash((self.shape, self._view.den, frozenset(self._view.items())))
 
     def __add__(self, other):
-        return self._map(operator.add, other)
+        if self.shape != other.shape:
+            raise ShapeError(f"shapes {self.shape} != {other.shape}")
+        return self._of(self.shape, self._view + other._view)
 
     def __sub__(self, other):
-        return self._map(operator.sub, other)
+        return self + -other
 
     def __neg__(self):
-        return self._map(operator.neg)
+        return self._of(self.shape, -self._view)
 
-    def scale(self, c: Scalar):
-        return self._map(partial(operator.mul, as_q(c)))
+    def scale(self, c: Scalar | str):
+        c = c if isinstance(c, (int, Fraction)) else as_q(c)
+        p, view = c.numerator, self._view
+        scaled = {key: p * v for key, v in view.items()} if p else {}
+        return self._of(self.shape, Sparse(scaled, view.den * c.denominator))
 
     def is_zero(self) -> bool:
-        return not any(_flat(self.entries, self.order))
+        return not self._view
 
     def __str__(self) -> str:
         """(a, b) for a vector, [a b; c d] for a matrix, and the planes of an
         order-3 array in brackets, [[a b; c d], [e f; g h]]."""
-        return _render(self.entries, self.order)
+        return _render(self.to_json(), self.order)
 
     def to_json(self) -> list:
         """The entries as nested lists of "p/q" strings."""
-        return _zip_map(format_q, self.order, self.entries, container=list)
-
-    @cached_property
-    def _sparse(self) -> "Sparse":
-        """The integer view sparse() returns, scanned once; it is shared, so it
-        must never be mutated."""
-        return _integral(_indexed(self.entries, self.order))
+        den = self._view.den
+        return _nested(self._view, self.shape, lambda v: format_q(Fraction(v, den)), "0", list)
 
 
-def _indexed(x, order: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """(index tuple, entry) for the nonzero entries of nested sequences."""
+def _nested(t: Sparse, shape: Sequence[int], cell, zero, make):
+    """Sequences built by make, nested over the shape: cell(v) at each nonzero
+    numerator v of t, zero elsewhere."""
+    if len(shape) == 1:
+        line = [zero] * shape[0]
+        for (i,), v in t.items():
+            line[i] = cell(v)
+        return make(line)
+    parts: list[dict] = [{} for _ in range(shape[0])]
+    for (i, *key), v in t.items():
+        parts[i][tuple(key)] = v
+    return make(_nested(part, shape[1:], cell, zero, make) for part in parts)
+
+
+def _render(x: list, order: int) -> str:
     if order == 1:
-        return (((i,), v) for i, v in enumerate(x) if v)
-    return (((i, *key), v) for i, sub in enumerate(x) for key, v in _indexed(sub, order - 1))
-
-
-def _exact(x, order: int) -> tuple:
-    if order == 1:
-        return tuple(map(as_q, x))
-    return tuple(_exact(sub, order - 1) for sub in x)
-
-
-def _zip_map(f, order: int, *xs, container=tuple):
-    """f applied entrywise to nested sequences of one shape."""
-    if order == 1:
-        return container(map(f, *xs))
-    return container(_zip_map(f, order - 1, *subs, container=container) for subs in zip(*xs))
-
-
-def _flat(x, order: int) -> list:
-    for _ in range(order - 1):
-        x = [a for sub in x for a in sub]
-    return x
-
-
-def _render(x, order: int) -> str:
-    if order == 1:
-        return "(" + ", ".join(map(format_q, x)) + ")"
+        return "(" + ", ".join(x) + ")"
     if order == 2:
-        return "[" + "; ".join(" ".join(map(format_q, row)) for row in x) + "]"
+        return "[" + "; ".join(" ".join(row) for row in x) + "]"
     return "[" + ", ".join(_render(sub, order - 1) for sub in x) + "]"
 
 
@@ -182,16 +188,16 @@ class Vector(Array):
     @staticmethod
     def basis(n: int, i: int) -> "Vector":
         """The i-th (0-based) standard basis vector of dimension n."""
-        return Vector([ONE if j == i else ZERO for j in range(n)])
+        return Vector._of((n,), Sparse({(i,): 1} if 0 <= i < n else {}))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.shape[0]
 
     def dot(self, other: "Vector") -> Fraction:
         if self.dim != other.dim:
             raise ShapeError(f"vector dims {self.dim} != {other.dim}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), ZERO)
+        return dense(contract("", ("i", self), ("i", other)), ())
 
 
 class Matrix(Array):
@@ -203,21 +209,21 @@ class Matrix(Array):
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of((n, n), Sparse({(i, i): 1 for i in range(n)}))
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.shape[1]
 
     def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
+        return dense(self, self.shape, self._at(i))
 
     def col(self, j: int) -> Vector:
-        return Vector(r[j] for r in self.rows)
+        return self.transpose().row(j)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -230,7 +236,7 @@ class Matrix(Array):
         return dense(contract("i", ("ij", self), ("j", v)), (self.nrows,))
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.rows else self
+        return Matrix._of(self.shape[::-1], self._view.moved(lambda i, j: (j, i)))
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self == self.transpose()
@@ -239,14 +245,12 @@ class Matrix(Array):
         return self.nrows == self.ncols and self == -self.transpose()
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free (Bareiss) elimination on the rows made
-        primitive integers: det(A) = det(B) * prod(d) / prod(m) for B's row i equal
-        to A's row i times m_i / d_i."""
+        """Exact determinant by fraction-free (Bareiss) elimination on the
+        numerators N of the integer view: det(A) = det(N) / den^n."""
         if self.nrows != self.ncols:
             raise ShapeError("determinant of a non-square matrix")
         n = self.nrows
-        scaled = _integer_rows(self.rows)
-        a = [row for row, _, _ in scaled]
+        a = _row_dicts(self._view, n)
         sign, prev = 1, 1
         for k in range(n):
             piv = next((i for i in range(k, n) if k in a[i]), None)
@@ -270,16 +274,21 @@ class Matrix(Array):
                 # Sylvester's identity: every entry is a multiple of the last pivot
                 a[i] = {j: v // prev for j, v in new.items() if v}
             prev = p
-        return Fraction(sign * prev * prod(d for _, _, d in scaled), prod(m for _, m, _ in scaled))
+        return Fraction(sign * prev, self._view.den**n)
 
     def inverse(self) -> "Matrix":
+        """The right half of the reduced integer rows [numerators | den * I]."""
         if self.nrows != self.ncols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.nrows
-        a, pivots = rref([r + e for r, e in zip(self.rows, Matrix.identity(n).rows)])
+        a = _row_dicts(self._view, n)
+        for i, row in enumerate(a):
+            row[n + i] = self._view.den
+        a, pivots = rref(a)
         if pivots[:n] != list(range(n)):
             raise ShapeError("singular matrix has no inverse")
-        return Matrix(row[n:] for row in a)
+        inverse = {(i, j - n): v for i, row in enumerate(a) for j, v in row.items() if j >= n}
+        return dense(inverse, (n, n))
 
 
 class Tensor3(Array):
@@ -291,7 +300,7 @@ class Tensor3(Array):
 
     def plane(self, i: int) -> Matrix:
         """Slice along the first slot: the matrix t[i][.][.]."""
-        return Matrix(self.entries[i])
+        return dense(self, self.shape, self._at(i))
 
 
 # --- sparse exact contraction -------------------------------------------------
@@ -304,7 +313,8 @@ class Tensor3(Array):
 class Sparse(dict):
     """A tensor as integer numerators over one positive denominator: entry `key`
     is self[key] / self.den, a missing key is a zero, and no value is 0. Equality
-    compares the rational entries."""
+    compares the rational entries. Every operation returns a new Sparse, and none
+    changes one in place, so arrays can share their views with the kernel."""
 
     __slots__ = ("den",)
 
@@ -351,12 +361,12 @@ class Sparse(dict):
 def sparse(x) -> Sparse:
     """The integer view of a scalar, Vector, Matrix, Tensor3, dict of rationals, or
     sequence of them (its position is the first index): the nonzero entries by index
-    tuple, scaled by the LCM of their denominators. An array's view is computed
-    once and kept on it; a Sparse is returned as it is."""
+    tuple, scaled by the LCM of their denominators. An array's view is its storage
+    and a Sparse is returned as it is."""
     if isinstance(x, Sparse):
         return x
     if isinstance(x, Array):
-        return x._sparse
+        return x._view
     if isinstance(x, dict):
         return _integral(x.items())
     if isinstance(x, (tuple, list)):
@@ -427,33 +437,22 @@ def contract(out: str, *operands: tuple[str, object]) -> Sparse:
 
 
 def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):
-    """The block of t (anything sparse() takes) at the index prefix `at`, over the
-    rest of `shape`: a Fraction, Vector, Matrix or Tensor3. This is where the
-    kernel's numerators become Fractions, one per nonzero entry of the block."""
+    """The block of t (anything sparse() takes, its keys inside `shape`) at the
+    index prefix `at`, over the rest of `shape`: the Fraction there when `at` is a
+    whole index, else the Vector, Matrix or Tensor3 whose view is the block's
+    numerators, sliced from t without building a Fraction."""
     t = sparse(t)
-    rest = shape[len(at) :]
+    cut = len(at)
+    rest = shape[cut:]
     if not rest:
         v = t.get(at)
         return Fraction(v, t.den) if v else ZERO
-    box = _zeros(rest)
-    for key, v in t.items():
-        if key[: len(at)] == at:
-            cell = box
-            for i in key[len(at) : -1]:
-                cell = cell[i]
-            cell[key[-1]] = Fraction(v, t.den)
-    return array(box, len(rest))
+    if cut:
+        t = Sparse({key[cut:]: v for key, v in t.items() if key[:cut] == at}, t.den)
+    return _ARRAYS[len(rest) - 1]._of(rest, t)
 
 
-def array(box, order: int) -> Array:
-    """The Vector, Matrix or Tensor3 with these nested entries."""
-    return (Vector, Matrix, Tensor3)[order - 1](box)
-
-
-def _zeros(shape: Sequence[int]) -> list:
-    if len(shape) == 1:
-        return [ZERO] * shape[0]
-    return [_zeros(shape[1:]) for _ in range(shape[0])]
+_ARRAYS = (Vector, Matrix, Tensor3)
 
 
 def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
@@ -495,19 +494,18 @@ def random_combination(rng, basis: Sequence):
 Row = Union[Sequence[Fraction], dict[int, Fraction]]
 
 
-def _integer_rows(rows: Sequence[Row]) -> list[tuple[dict[int, int], int, int]]:
-    """Each row, a sequence or a {column: entry} dict, as primitive integers: (its
-    nonzero entries by column, m, d), the entries being the row times m / d, where m
-    is the LCM of its denominators and d the gcd of the scaled numerators (m = d = 1
-    for a zero row)."""
-    out = []
-    for row in rows:
-        nonzero = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
-        m = lcm(*(x.denominator for _, x in nonzero))
-        scaled = {j: x.numerator * (m // x.denominator) for j, x in nonzero}
-        d = gcd(*scaled.values()) or 1
-        out.append(({j: v // d for j, v in scaled.items()} if d > 1 else scaled, m, d))
-    return out
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    d = gcd(*row.values())
+    return {j: v // d for j, v in row.items()} if d > 1 else row
+
+
+def _row_dicts(t: Sparse, nrows: int) -> list[dict[int, int]]:
+    """The numerators of a matrix's view, row by row, by column."""
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for (i, j), v in t.items():
+        rows[i][j] = v
+    return rows
 
 
 def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
@@ -515,12 +513,17 @@ def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
     {column: entry} dicts come back as dicts of their nonzero entries, rows given as
     sequences as lists.
 
-    Gauss-Jordan elimination on primitive integer rows: clearing column c of row i
+    Gauss-Jordan elimination on primitive integer rows (each row times the LCM of
+    its denominators, over the gcd of the results): clearing column c of row i
     against the pivot row r sets row_i to p row_i - f row_r (p the pivot, f the
     entry, both divided by their gcd) and divides it by the gcd of its entries.
     Each row stays a multiple of the rational one, so only the pivot rows are
     divided by their pivots, once, at the end."""
-    a = [row for row, _, _ in _integer_rows(rows)]
+    a = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+        m = lcm(*(x.denominator for _, x in nonzero))
+        a.append(_primitive({j: x.numerator * (m // x.denominator) for j, x in nonzero}))
     nrows = len(a)
     pivots: list[int] = []
     # a row operation only mixes columns some row already has
@@ -545,8 +548,7 @@ def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
                         row[j] = x
                     else:
                         del row[j]
-                g = gcd(*row.values())
-                a[i] = {j: v // g for j, v in row.items()} if g > 1 else row
+                a[i] = _primitive(row)
         pivots.append(c)
         if len(pivots) == nrows:
             break
@@ -565,15 +567,10 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
 
 def _kernel(a: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
     """One basis vector per free column of a reduced row echelon form in dict rows."""
-    basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, p in zip(a, pivots):
-            if f in row:
-                v[p] = -row[f]
-        basis.append(Vector(v))
-    return basis
+    return [
+        dense({(f,): ONE, **{(p,): -row[f] for row, p in zip(a, pivots) if f in row}}, (ncols,))
+        for f in sorted(set(range(ncols)).difference(pivots))
+    ]
 
 
 # --- linear systems in the entries of a matrix -------------------------------
@@ -582,16 +579,24 @@ def _kernel(a: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list
 # of (p, q, c) terms, meaning sum c X[p][q] = 0, with zero coefficients left
 # out. Only matrix_kernels knows where X[p][q] sits among the unknowns.
 
-Equation = list[tuple[int, int, Fraction]]
+Equation = list[tuple[int, int, Scalar]]
 
 
 def sylvester(a: Matrix, b: Matrix) -> Iterator[Equation]:
     """The equations (A X - X B)[i][j] = 0, in row-major order of (i, j)."""
-    for i, arow in enumerate(a.rows):
-        for j in range(b.ncols):
-            yield [(p, j, c) for p, c in enumerate(arow) if c] + [
-                (i, q, -brow[j]) for q, brow in enumerate(b.rows) if brow[j]
-            ]
+    b_cols = _lines(b.transpose())
+    for i, a_row in enumerate(_lines(a)):
+        for j, b_col in enumerate(b_cols):
+            yield [(p, j, c) for p, c in a_row] + [(i, q, -c) for q, c in b_col]
+
+
+def _lines(m: Matrix) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero entries of each row of m, as (column, entry) in column order."""
+    view = sparse(m)
+    return [
+        sorted((j, Fraction(v, view.den)) for j, v in row.items())
+        for row in _row_dicts(view, m.nrows)
+    ]
 
 
 def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[list[Matrix]]:
@@ -599,12 +604,12 @@ def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[
     equations, the first two groups, and so on. Each group is reduced once, with the
     rows already reduced: a row space has one reduced row echelon form."""
     unknowns = nrows * ncols
-    reduced: list[dict[int, Fraction]] = []
+    reduced: list[dict[int, Scalar]] = []
     kernels = []
     for group in groups:
         rows = []
         for eq in group:
-            row: dict[int, Fraction] = {}
+            row: dict[int, Scalar] = {}
             for p, q, c in eq:
                 k = p * ncols + q
                 # most entries get one term: skip the Fraction addition for those
@@ -614,7 +619,7 @@ def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[
         del reduced[len(pivots) :]
         kernels.append(
             [
-                Matrix(v.entries[p * ncols : (p + 1) * ncols] for p in range(nrows))
+                Matrix._of((nrows, ncols), sparse(v).moved(lambda k: divmod(k, ncols)))
                 for v in _kernel(reduced, pivots, unknowns)
             ]
         )
@@ -634,7 +639,7 @@ def pencil_det(mats: Sequence[Matrix], n: int) -> dict[tuple[int, ...], Fraction
     2^n minors); entry (i, j), j not in S, has sign (-1)^(columns of S after j)."""
     minors = {0: {(): ONE}}  # keyed by S as a bit mask
     for i in range(n):
-        entries = [[(a, m.rows[i][j]) for a, m in enumerate(mats) if m.rows[i][j]] for j in range(n)]
+        entries = [[(a, e) for a, m in enumerate(mats) if (e := m[i, j])] for j in range(n)]
         grown = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(entries):

@@ -21,7 +21,7 @@ from homlie.bialgebra import (
     zero_cobracket,
 )
 from homlie.corpus import aff2, aff2_triangular_bialgebra, aff2_zero_bialgebra, aff2bad, heis3
-from homlie.hom_lie import is_weakly_involutive, validate_hom_lie
+from homlie.hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
 from homlie.report import InvalidStructureError
 from homlie.tensor import ShapeError
 from homlie.representation import adjoint_rep
@@ -270,3 +270,72 @@ def test_triple_equivalence_builds_the_dual_algebra_once(monkeypatch):
     a, cb = aff2_triangular_bialgebra()
     assert check_triple_equivalence(HomLieBialgebra(a, cb)).ok
     assert calls == [cb]
+
+
+# Doubles on e1..e4 with blocks {e1, e2} and {e3, e4}, identity twist plus the
+# given twist entries (row, column), and the given skew bracket entries
+# [e_i, e_j] (i, j, k): blocks-are-subalgebras scans each block, and in it each
+# i, the twist case (i,) before the bracket cases (i, j); the residual is the
+# part of phi(e_i) or [e_i, e_j] outside the block.
+BLOCK_LEAKS = {
+    "twist-first": (
+        {(2, 1): Q(5), (0, 1): Q(1)}, {}, (2,), [0, 0, 5, 0],
+        "twist leaves the first block",
+    ),
+    "bracket-first": (
+        {}, {(0, 1, 3): Q(1), (0, 1, 0): Q(1)}, (1, 2), [0, 0, 0, 1],
+        "bracket leaves the first block",
+    ),
+    "both-first-bracket-wins": (
+        {(2, 1): Q(5)}, {(0, 1, 2): Q(-1, 3)}, (1, 2), [0, 0, Q(-1, 3), 0],
+        "bracket leaves the first block",
+    ),
+    "both-first-twist-wins": (
+        {(3, 0): Q(3)}, {(0, 1, 2): Q(1)}, (1,), [0, 0, 0, 3],
+        "twist leaves the first block",
+    ),
+    "twist-second": (
+        {(0, 3): Q(2), (2, 3): Q(7)}, {}, (4,), [2, 0, 0, 0],
+        "twist leaves the second block",
+    ),
+    "bracket-second": (
+        {}, {(2, 3, 1): Q(1, 2), (2, 3, 3): Q(4)}, (3, 4), [0, Q(1, 2), 0, 0],
+        "bracket leaves the second block",
+    ),
+    "both-second-bracket-wins": (
+        {(1, 3): Q(1)}, {(2, 3, 0): Q(-2)}, (3, 4), [-2, 0, 0, 0],
+        "bracket leaves the second block",
+    ),
+    "both-second-twist-wins": (
+        {(0, 2): Q(1)}, {(2, 3, 0): Q(-2)}, (3,), [1, 0, 0, 0],
+        "twist leaves the second block",
+    ),
+    "first-block-before-second": (
+        {(0, 3): Q(2)}, {(0, 1, 2): Q(1)}, (1, 2), [0, 0, 1, 0],
+        "bracket leaves the first block",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_LEAKS)
+def test_manin_triple_names_the_first_block_leak(case):
+    twist_extra, bracket, indices, residual, note = BLOCK_LEAKS[case]
+    twist = [[Q(int(i == j)) + twist_extra.get((i, j), 0) for j in range(4)] for i in range(4)]
+    planes = [[[Q(0)] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j, k), c in bracket.items():
+        planes[i][j][k] += c
+        planes[j][i][k] -= c
+    big = HomLieAlgebra(Tensor3(planes), Matrix(twist))
+    leak = validate_manin_triple(big, 2).subreports[1]
+    assert leak.checked_condition == "blocks-are-subalgebras" and not leak.ok
+    (w,) = leak.witnesses
+    assert (w.indices, w.residual, w.note) == (indices, Vector(residual), note)
+
+
+def test_manin_triple_blocks_without_leaks():
+    twist = Matrix([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 3, 1]])
+    planes = [[[Q(0)] * 4 for _ in range(4)] for _ in range(4)]
+    planes[0][1][0], planes[1][0][0] = Q(1), Q(-1)
+    planes[2][3][3], planes[3][2][3] = Q(1), Q(-1)
+    report = validate_manin_triple(HomLieAlgebra(Tensor3(planes), twist), 2)
+    assert [s.ok for s in report.subreports[1:3]] == [True, True]

@@ -345,3 +345,32 @@ def test_wedge_solutions_computes_each_r_square_once(monkeypatch):
     r1, r2, report = wedge_solutions(lsa2())
     assert report.ok and report.info["shared_cobracket_hypotheses"]
     assert calls == [r1, r2]
+
+
+def _counting(monkeypatch, module, name):
+    """A list that grows by one for each call of module.name from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_the_o_operator_bialgebra_evaluates_the_defects_once(monkeypatch):
+    from homlie import operators
+
+    p = lsa2psi()
+    rep = left_mult_rep(p)
+    cand = OOperatorCandidate(rep.base, rep, p.psi @ p.psi)
+    want = bialgebra_from_o_operator(cand)[1]
+    defects = _counting(monkeypatch, operators, "_defect_tensor")
+    involutive = _counting(monkeypatch, operators, "is_weakly_involutive_rep")
+    got = bialgebra_from_o_operator(cand)[1]
+    assert got == want and got.to_json() == want.to_json()
+    assert (len(defects), len(involutive)) == (1, 1)
+    defects.clear(), involutive.clear()
+    r_from_o_operator(cand)
+    assert (len(defects), len(involutive)) == (1, 1)

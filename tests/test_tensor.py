@@ -639,7 +639,7 @@ def test_contract_builds_no_fraction_and_dense_one_per_entry(monkeypatch):
     for at in ((1,), (2, 3), (0, 1, 2)):
         before = built[0]
         block = dense(t, (n,) * 4, at)
-        assert 0 < built[0] - before <= sum(1 for key in t if key[: len(at)] == at)
+        assert built[0] - before == 0  # dense slices numerators: it builds none
         assert not block.is_zero()
 
 
@@ -650,3 +650,24 @@ def test_rref_takes_dict_rows():
         reduced, pivots = rref(rows)
         as_dicts = [{j: x for j, x in enumerate(row) if x} for row in rows]
         assert rref(as_dicts) == ([{j: x for j, x in enumerate(row) if x} for row in reduced], pivots)
+
+
+def test_empty_arrays_cost_nothing_per_cell(monkeypatch):
+    # an array is its shape and its nonzero entries: building, combining and
+    # testing 10^6 zeros must not touch a single cell
+    from homlie import tensor
+
+    calls = [0]
+    real = tensor.as_q
+
+    def counting(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(tensor, "as_q", counting)
+    t, u = Tensor3.zero(100), dense({}, (100,) * 3)
+    m = Matrix.zero(100)
+    made = [t, u, t + u, t - u, -t, t.scale(3), u.scale(Q(1, 2)), m.transpose(), m + m.transpose()]
+    assert t == u and all(x.is_zero() and sparse(x) == {} for x in made)
+    assert t.shape == (100,) * 3 and m.transpose().shape == (100, 100)
+    assert calls[0] == 0
