@@ -12,10 +12,10 @@ expression in arrays, evaluated by ``contract`` over the nonzero numerators, and
 ``dense`` slices a block of the result back into an array. Fractions are built only
 where a rational leaves the integers: in rendering (``str``, ``to_json``, and the
 nested tuples ``entries`` and ``rows``, made on each access), in single-entry
-reads, and in the results of ``rref`` (so ``nullspace``, ``matrix_kernels`` and
-``Matrix.inverse``) and ``Matrix.det``, which eliminate fraction-free on integer
-rows. Every comparison is exact equality: there are no tolerances anywhere in this
-package.
+reads, and in the results of ``rref`` (so ``nullspace`` and ``matrix_kernels``)
+and ``Matrix.det``, which eliminate fraction-free on integer rows, as does
+``Matrix.inverse``. Every comparison is exact equality: there are no tolerances
+anywhere in this package.
 
 Conventions that the rest of the package relies on:
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
@@ -284,11 +284,15 @@ class Matrix(Array):
         a = _row_dicts(self._view, n)
         for i, row in enumerate(a):
             row[n + i] = self._view.den
-        a, pivots = rref(a)
+        a, pivots = _reduce(a)
         if pivots[:n] != list(range(n)):
             raise ShapeError("singular matrix has no inverse")
-        inverse = {(i, j - n): v for i, row in enumerate(a) for j, v in row.items() if j >= n}
-        return dense(inverse, (n, n))
+        # row i over its pivot row[i], with every row brought to the pivots' LCM
+        den = lcm(*(row[i] for i, row in enumerate(a)))
+        inverse = {
+            (i, j - n): den // row[i] * v for i, row in enumerate(a) for j, v in row.items() if j >= n
+        }
+        return Matrix._of((n, n), Sparse(inverse, den))
 
 
 class Tensor3(Array):
@@ -482,11 +486,22 @@ def random_matrix(rng, nrows: int, ncols: int | None = None) -> Matrix:
 
 
 def random_combination(rng, basis: Sequence):
-    """Random rational combination of the given vectors or matrices (anything
-    with + and .scale)."""
+    """Random rational combination of arrays of one shape, a coefficient drawn per
+    element in order, summed in one pass over their integer views."""
     if not basis:
         raise ShapeError("random_combination needs at least one element")
-    return reduce(operator.add, (v.scale(random_q(rng)) for v in basis))
+    shape = basis[0].shape
+    if any(v.shape != shape for v in basis):
+        raise ShapeError(f"random_combination of shapes {sorted({v.shape for v in basis})}")
+    terms = [(random_q(rng), v._view) for v in basis]
+    den = lcm(*(q.denominator * view.den for q, view in terms))
+    total: dict = {}
+    for q, view in terms:
+        s = den // (q.denominator * view.den) * q.numerator
+        if s:
+            for key, v in view.items():
+                total[key] = total.get(key, 0) + s * v
+    return basis[0]._of(shape, Sparse({key: v for key, v in total.items() if v}, den))
 
 
 # --- exact linear algebra helpers -------------------------------------------
@@ -500,6 +515,24 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // d for j, v in row.items()} if d > 1 else row
 
 
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive row p row - f pivot_row, which has no column c (p the pivot
+    at c, f row's entry there, both divided by their gcd). Rows are the caller's
+    own: row may be changed in place and pivot_row is not."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        row = {j: p * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return _primitive(row)
+
+
 def _row_dicts(t: Sparse, nrows: int) -> list[dict[int, int]]:
     """The numerators of a matrix's view, row by row, by column."""
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
@@ -508,52 +541,72 @@ def _row_dicts(t: Sparse, nrows: int) -> list[dict[int, int]]:
     return rows
 
 
+def _reduce(a: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """The elimination of rref on integer rows, which it may change: the nonzero
+    rows of the reduced form, each a primitive multiple of the rational one, and
+    their pivot columns."""
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in a:
+        if row:
+            buckets.setdefault(min(row), []).append(_primitive(row))
+    heap = list(buckets)
+    heapify(heap)
+    reduced, pivots = [], []
+    while heap:
+        c = heappop(heap)
+        bucket = buckets.pop(c)
+        pivot_row = bucket[0]
+        if len(bucket) > 1:
+            pivot_row = min(bucket, key=lambda row: (len(row), abs(row[c])))
+        for row in bucket:
+            if row is not pivot_row:
+                row = _eliminate(row, pivot_row, c)
+                if row:
+                    k = min(row)
+                    if k in buckets:
+                        buckets[k].append(row)
+                    else:
+                        buckets[k] = [row]
+                        heappush(heap, k)
+        reduced.append(pivot_row)
+        pivots.append(c)
+    index = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(pivots) - 2, -1, -1):
+        row, c = reduced[k], pivots[k]
+        for j in [j for j in row if j != c and j in index]:
+            row = _eliminate(row, reduced[index[j]], j)
+        reduced[k] = row
+    return reduced, pivots
+
+
 def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices). Rows given as
     {column: entry} dicts come back as dicts of their nonzero entries, rows given as
     sequences as lists.
 
-    Gauss-Jordan elimination on primitive integer rows (each row times the LCM of
-    its denominators, over the gcd of the results): clearing column c of row i
-    against the pivot row r sets row_i to p row_i - f row_r (p the pivot, f the
-    entry, both divided by their gcd) and divides it by the gcd of its entries.
-    Each row stays a multiple of the rational one, so only the pivot rows are
-    divided by their pivots, once, at the end."""
+    Elimination on primitive integer rows (each row times the LCM of its
+    denominators, over the gcd of the results), where clearing column c of a row
+    against the pivot row sets it to p row - f pivot_row (p the pivot, f the entry,
+    both divided by their gcd) over the gcd of its entries. The forward pass keeps
+    the rows in buckets by their least column and takes the buckets in increasing
+    column order: the row of a bucket with the fewest nonzeros, ties to the smaller
+    |pivot|, is its pivot row (Markowitz's rule); the other rows of the bucket are
+    cleared against it and move to the bucket of their new least column, or are
+    dropped at zero. Back substitution then goes from the last pivot row to the
+    first and clears from each the pivot columns of the later rows, already
+    reduced, found through the index of pivot columns; a later row has no other
+    pivot column, so this makes none. The work follows the nonzeros touched, not
+    rows x columns, and as the form is unique the choice of pivot rows does not
+    change it. Each row stays a multiple of the rational one, so only the pivot
+    rows are divided by their pivots, once, at the end."""
     a = []
     for row in rows:
         nonzero = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
         m = lcm(*(x.denominator for _, x in nonzero))
-        a.append(_primitive({j: x.numerator * (m // x.denominator) for j, x in nonzero}))
-    nrows = len(a)
-    pivots: list[int] = []
-    # a row operation only mixes columns some row already has
-    for c in sorted(set().union(*a)):
-        r = len(pivots)
-        piv = next((i for i in range(r, nrows) if c in a[i]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot_row = a[r]
-        p = pivot_row[c]
-        for i, row in enumerate(a):
-            f = row.get(c)
-            if f and i != r:
-                g = gcd(p, f)
-                pi, fi = p // g, f // g
-                if pi != 1:
-                    row = {j: pi * v for j, v in row.items()}
-                for j, v in pivot_row.items():
-                    x = row.get(j, 0) - fi * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                a[i] = _primitive(row)
-        pivots.append(c)
-        if len(pivots) == nrows:
-            break
-    out = [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(a, pivots)]
-    out += [{} for _ in range(nrows - len(pivots))]
+        a.append({j: x.numerator * (m // x.denominator) for j, x in nonzero})
+    reduced, pivots = _reduce(a)
+    out = [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(reduced, pivots)]
+    out += [{} for _ in range(len(rows) - len(pivots))]
     if rows and not isinstance(rows[0], dict):
         ncols = len(rows[0])
         out = [[row.get(j, ZERO) for j in range(ncols)] for row in out]
@@ -566,11 +619,14 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
 
 
 def _kernel(a: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
-    """One basis vector per free column of a reduced row echelon form in dict rows."""
-    return [
-        dense({(f,): ONE, **{(p,): -row[f] for row, p in zip(a, pivots) if f in row}}, (ncols,))
-        for f in sorted(set(range(ncols)).difference(pivots))
-    ]
+    """One basis vector per free column f of a reduced row echelon form in dict
+    rows: 1 at f and -row[f] at each pivot row's pivot, read off each row once."""
+    free = {f: {(f,): ONE} for f in sorted(set(range(ncols)).difference(pivots))}
+    for row, p in zip(a, pivots):
+        for f, x in row.items():
+            if f != p:
+                free[f][(p,)] = -x
+    return [dense(v, (ncols,)) for v in free.values()]
 
 
 # --- linear systems in the entries of a matrix -------------------------------

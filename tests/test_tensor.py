@@ -671,3 +671,105 @@ def test_empty_arrays_cost_nothing_per_cell(monkeypatch):
     assert t == u and all(x.is_zero() and sparse(x) == {} for x in made)
     assert t.shape == (100,) * 3 and m.transpose().shape == (100, 100)
     assert calls[0] == 0
+
+
+# --- the bucketed elimination on tall, redundant systems ----------------------
+
+
+def _tall_redundant_rows(rng, ncols):
+    """3 to 6 times as many rows as columns, each a combination of a few sparse
+    base rows: duplicates, negated and scaled copies and sums of base rows cancel
+    to zero partway through the elimination, entries of +-1 and +-2 tie rows in
+    length and in |pivot|, and denominators go up to 10^6."""
+
+    def entry():
+        if rng.random() < 0.5:
+            return Q(0)
+        if rng.random() < 0.5:
+            return Q(rng.choice((-2, -1, 1, 2)))
+        return Q(rng.randint(-9, 9), rng.choice((1, 2, 3, rng.randint(1, 10**6))))
+
+    def coefficient():
+        return Q(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, rng.randint(1, 10**6))))
+
+    base = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, min(4, ncols)))]
+    rows = []
+    for _ in range(ncols * rng.randint(3, 6)):
+        picked = rng.sample(base, rng.randint(1, len(base)))
+        terms = [[coefficient() * x for x in b] for b in picked]
+        rows.append([sum(column, Q(0)) for column in zip(*terms)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _as_dict_rows(rng, rows):
+    """The rows as {column: entry} dicts: every zero left out, and now and then
+    one kept as an explicit 0."""
+    return [{j: x for j, x in enumerate(row) if x or rng.random() < 0.1} for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_elimination_matches_the_oracle_on_tall_redundant_systems(seed):
+    rng = random.Random(1000 + seed)
+    rows = _tall_redundant_rows(rng, rng.randint(1, 8))
+    reduced, pivots = oracle_rref(rows)
+    assert rref(rows) == (reduced, pivots)
+    as_dicts = [{j: x for j, x in enumerate(row) if x} for row in reduced]
+    assert rref(_as_dict_rows(rng, rows)) == (as_dicts, pivots)
+
+
+def test_elimination_matches_the_oracle_on_ties_in_length_and_pivot():
+    # every row has two entries and |leading entry| 1 or 2: the last row cancels
+    # to zero in column 0, the second row and the fifth in column 1
+    rows = [
+        [Q(1), Q(-1), Q(0), Q(0)],
+        [Q(-1), Q(0), Q(2), Q(0)],
+        [Q(2), Q(0), Q(0), Q(1, 10**6)],
+        [Q(0), Q(1), Q(-2), Q(0)],
+        [Q(0), Q(2), Q(-4), Q(0)],
+        [Q(-2), Q(2), Q(0), Q(0)],
+    ]
+    assert rref(rows) == oracle_rref(rows)
+    dict_rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    reduced, pivots = oracle_rref(rows)
+    assert rref(dict_rows) == ([{j: x for j, x in enumerate(row) if x} for row in reduced], pivots)
+
+
+def test_the_zero_twist_skew_system_clears_each_row_at_most_once(monkeypatch):
+    from homlie import tensor
+    from homlie.coboundary import skew_twist_compat_kernel
+    from homlie.hom_lie import HomLieAlgebra
+
+    n = 60
+    systems, calls = [], [0]
+    real_rref, real_eliminate = tensor.rref, tensor._eliminate
+
+    def spy_rref(rows):
+        systems.append(rows)
+        return real_rref(rows)
+
+    def counting_eliminate(*args):
+        calls[0] += 1
+        return real_eliminate(*args)
+
+    monkeypatch.setattr(tensor, "rref", spy_rref)
+    monkeypatch.setattr(tensor, "_eliminate", counting_eliminate)
+    kernel = skew_twist_compat_kernel(HomLieAlgebra(Tensor3.zero(n), Matrix.zero(n)))
+    monkeypatch.undo()
+    (rows,) = systems
+    assert len(rows) == 2 * n * n and max(len(row) for row in rows) == 2
+    assert 0 < calls[0] <= sum(1 for row in rows if any(row.values()))
+    assert len(kernel) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_combination_is_the_sum_of_the_scaled_elements(seed):
+    basis = [random_matrix(random.Random(50 + k), 3) for k in range(4)]
+    rng, again = random.Random(seed), random.Random(seed)
+    total = Matrix.zero(3)
+    for m in basis:
+        total = total + m.scale(random_q(again))
+    assert random_combination(rng, basis) == total
+    assert rng.getstate() == again.getstate()
+    with pytest.raises(ShapeError):
+        random_combination(rng, [Matrix.zero(2), Matrix.zero(3)])
