@@ -9,7 +9,18 @@ numerators over one positive denominator, in lowest terms. Building, combining,
 testing for zero, comparing, slicing and rendering arrays is decided once, in
 ``Array``, on that view. Every identity the package checks is a multilinear
 expression in arrays, evaluated by ``contract`` over the nonzero numerators, and
-``dense`` slices a block of the result back into an array. Fractions are built only
+``dense`` slices a block of the result back into an array.
+
+``contract`` works out what depends only on its spec (the output letters and the
+operands' labels) once per spec and caches it. When a single operand has the
+output's last letter, the lane, it packs that operand's entries along the lane into
+one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker substitution),
+with the slot width B from an exact bound on the sum of |products|; each join
+multiplies a packed int by a plain one, so one bigint operation covers the whole
+lane. Results stay packed over their last index through later contractions whose
+lane it is, ``+``, ``-``, ``first_case`` and ``dense`` (which unpacks only the block
+it returns, such as a witness); any other read of a packed ``Sparse`` unpacks it in
+place, once, into plain numerators. Fractions are built only
 where a rational leaves the integers: in rendering (``str``, ``to_json``, and the
 nested tuples ``entries`` and ``rows``, made on each access), in single-entry
 reads, and in the results of ``rref`` (so ``nullspace`` and ``matrix_kernels``)
@@ -30,10 +41,12 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
 Q = Fraction
@@ -187,8 +200,9 @@ class Vector(Array):
 
     @staticmethod
     def basis(n: int, i: int) -> "Vector":
-        """The i-th (0-based) standard basis vector of dimension n."""
-        return Vector._of((n,), Sparse({(i,): 1} if 0 <= i < n else {}))
+        """The i-th (0-based, negative counted from the end) standard basis vector
+        of dimension n; IndexError when i is out of range."""
+        return Vector._of((n,), Sparse({(range(n)[i],): 1}))
 
     @property
     def dim(self) -> int:
@@ -316,31 +330,92 @@ class Tensor3(Array):
 
 class Sparse(dict):
     """A tensor as integer numerators over one positive denominator: entry `key`
-    is self[key] / self.den, a missing key is a zero, and no value is 0. Equality
+    is its value / self.den, a missing key is a zero, and no value is 0. Equality
     compares the rational entries. Every operation returns a new Sparse, and none
-    changes one in place, so arrays can share their views with the kernel."""
+    changes the tensor one holds, so arrays can share their views with the kernel.
 
-    __slots__ = ("den",)
+    With a nonzero `width`, the entries are packed over the last index: a key is
+    the rest of an index, its value the sum of v_l 2^(width l) over the entries v_l
+    at last index l. `bound` bounds the sum of every |v|, and bound < 2^(width - 1),
+    so each v_l is a balanced digit of the int, and the int is 0 exactly when every
+    v_l is 0. contract, +, -, negation, bool, first_case and dense read the packed
+    ints; any other read of the items (iteration, lookup, len, ==, ...) first
+    unpacks the tensor in place, once, into plain numerators."""
 
-    def __init__(self, entries=(), den: int = 1):
+    __slots__ = ("den", "width", "bound")
+
+    def __init__(self, entries=(), den: int = 1, width: int = 0, bound: int = 0):
         super().__init__(entries)
-        self.den = den
+        self.den, self.width, self.bound = den, width, bound
+
+    def _plain(self) -> "Sparse":
+        """This tensor, its entries unpacked if they were packed."""
+        if self.width:
+            rows = list(dict.items(self))
+            dict.clear(self)
+            dict.update(self, _unpacked(rows, self.width))
+            self.width = self.bound = 0
+        return self
+
+    def __iter__(self):
+        return dict.__iter__(self._plain())
+
+    def __len__(self) -> int:
+        return dict.__len__(self._plain())
+
+    def __bool__(self) -> bool:
+        return dict.__len__(self) != 0
+
+    def __contains__(self, key) -> bool:
+        return dict.__contains__(self._plain(), key)
+
+    def __getitem__(self, key):
+        return dict.__getitem__(self._plain(), key)
+
+    def get(self, key, default=None):
+        return dict.get(self._plain(), key, default)
+
+    def keys(self):
+        return dict.keys(self._plain())
+
+    def values(self):
+        return dict.values(self._plain())
+
+    def items(self):
+        return dict.items(self._plain())
+
+    def __repr__(self) -> str:
+        return dict.__repr__(self._plain())
+
+    def __reduce__(self):
+        """Copies and pickles hold the plain entries."""
+        return Sparse, (dict(self.items()), self.den)
 
     def __add__(self, other) -> "Sparse":
         other = sparse(other)
+        if not other:
+            return self
+        if not self:
+            return other
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        out = Sparse({key: a * v for key, v in self.items()} if a > 1 else self, den)
-        for key, v in other.items():
+        width = bound = 0
+        mine, theirs = dict.items(self), dict.items(other)
+        if self.width or other.width:
+            bound = a * _abs_sum(self) + b * _abs_sum(other)
+            width = _fitting(max(self.width, other.width), bound)
+            mine, theirs = _rows(self, width), _rows(other, width)
+        out = {key: a * v for key, v in mine} if a > 1 else dict(mine)
+        for key, v in theirs:
             w = out.get(key, 0) + b * v
             if w:
                 out[key] = w
             else:
                 del out[key]
-        return out
+        return Sparse(out, den, width, bound)
 
     def __neg__(self) -> "Sparse":
-        return Sparse({key: -v for key, v in self.items()}, self.den)
+        return Sparse({key: -v for key, v in dict.items(self)}, self.den, self.width, self.bound)
 
     def __sub__(self, other) -> "Sparse":
         return self + -sparse(other)
@@ -389,6 +464,75 @@ def _integral(entries: Iterable[tuple[tuple, Scalar]]) -> Sparse:
     return Sparse({key: den // v.denominator * v.numerator for key, v in nonzero}, den)
 
 
+# --- packed lanes ---------------------------------------------------------------
+#
+# Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): the entries
+# v_0, v_1, ... of a row along one index are the int sum of v_l 2^(width l). The
+# map is Z-linear, so sums, differences and integer multiples of packed ints are
+# the packed sums, differences and multiples of their rows, and a row is read
+# back exactly as balanced digits while every |v_l| < 2^(width - 1).
+
+
+def _slots(p: int, width: int) -> Iterator[tuple[int, int]]:
+    """The nonzero balanced digits (l, v_l) of p = sum v_l 2^(width l)."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    l = 0
+    while p:
+        v = ((p & mask) ^ half) - half
+        if v:
+            yield l, v
+        p = (p - v) >> width
+        l += 1
+
+
+def _unpacked(rows: Iterable[tuple[tuple, int]], width: int) -> dict:
+    """The entries of packed rows, each row's key followed by its slot."""
+    return {(*key, l): v for key, p in rows for l, v in _slots(p, width)}
+
+
+def _packed(entries: Iterable[tuple[tuple, int]], lane: int, rest, width: int) -> dict:
+    """Entries packed over the index at position `lane`: key rest(key) holds the
+    sum of v 2^(width key[lane])."""
+    rows: dict = {}
+    for key, v in entries:
+        row = rest(key)
+        rows[row] = rows.get(row, 0) + (v << width * key[lane])
+    return rows
+
+
+_BUT_LAST = operator.itemgetter(slice(-1))
+
+
+def _rows(t: Sparse, width: int):
+    """The items of t packed over its last index at this width."""
+    if not t.width:
+        return _packed(dict.items(t), -1, _BUT_LAST, width).items()
+    if t.width == width:
+        return dict.items(t)
+    return {key: sum(v << width * l for l, v in _slots(p, t.width)) for key, p in dict.items(t)}.items()
+
+
+def _width(bound: int) -> int:
+    """The slot width for entries whose |v| sum to at most bound: one bit for the
+    sign, and three to spare, so that a sum of up to eight tensors packed at this
+    width, each within the bound, still fits."""
+    return bound.bit_length() + 4
+
+
+def _fitting(width: int, bound: int) -> int:
+    """This width if entries whose |v| sum to at most bound fit in it, else a
+    wider one that they fit in."""
+    return width if bound.bit_length() < width else _width(bound)
+
+
+def _abs_sum(t: Sparse) -> int:
+    """A bound on the sum of |v| over the entries of t."""
+    return t.bound if t.width else sum(map(abs, dict.values(t)))
+
+
+# --- contraction ----------------------------------------------------------------
+
+
 def _picker(positions: list[int]):
     """key -> the tuple of its entries at the given positions."""
     if len(positions) == 1:
@@ -397,56 +541,141 @@ def _picker(positions: list[int]):
     return operator.itemgetter(*positions) if positions else (lambda key: ())
 
 
+def _group(items, split, keep) -> dict:
+    """The entries by split(key), as (keep(key), value) pairs."""
+    out: dict = {}
+    for key, v in items:
+        out.setdefault(split(key), []).append((keep(key), v))
+    return out
+
+
 def _grouped(t: dict, labels: str, common: list[str], kept: list[str]) -> dict:
     """The entries of t by their indices at the common letters, as (indices at
     the kept letters, value) pairs."""
-    split, keep = _picker([labels.index(l) for l in common]), _picker([labels.index(l) for l in kept])
-    out: dict = {}
-    for key, v in t.items():
-        out.setdefault(split(key), []).append((keep(key), v))
-    return out
+    pick = lambda letters: _picker([labels.index(l) for l in letters])  # noqa: E731
+    return _group(t.items(), pick(common), pick(kept))
+
+
+@lru_cache(maxsize=1024)
+def _plan(out: str, specs: tuple[str, ...]) -> tuple:
+    """What contract(out, *operands) does with operands labelled specs, worked out
+    once per spec, as (lane, lane_at, lane_rest, first, joins, order):
+
+    * lane: the operand that alone has out's last letter, packed over it, or None;
+    * lane_at: that letter's position in the lane's labels, or -1 without a lane;
+    * lane_rest: the picker of the lane's other indices, the key of a packed row;
+    * first: the picker of the first operand's kept indices;
+    * joins: per later operand, the pickers of its indices shared with the
+      accumulator, of its kept indices, and of the accumulator's shared and kept
+      indices;
+    * order: the picker that puts an accumulated key in out's order.
+
+    A picker that would keep a key as it is is None. The lane letter is in no key."""
+    holders = [pos for pos, labels in enumerate(specs) if out and out[-1] in labels]
+    lane = holders[0] if len(holders) == 1 else None
+    letter = out[-1] if lane is not None else ""
+
+    def pick(letters, labels: str):
+        return _picker([labels.index(l) for l in letters])
+
+    def keep(letters, labels: str):
+        return None if "".join(letters) == labels else pick(letters, labels)
+
+    have, first, joins = "", None, []
+    for pos, labels in enumerate(specs):
+        row = labels.replace(letter, "") if pos == lane else labels
+        later = set(out).union(*specs[pos + 1 :])
+        common = [l for l in have if l in row]
+        kept_have = [l for l in have if l in later]
+        kept_fresh = [l for l in row if l not in have and l in later]
+        if pos:
+            joins.append((pick(common, row), pick(kept_fresh, row), pick(common, have), keep(kept_have, have)))
+        else:
+            first = keep(kept_fresh, row)
+        have = "".join(kept_have + kept_fresh)
+    if lane is None:
+        return None, -1, None, first, tuple(joins), keep(out, have)
+    rest = specs[lane].replace(letter, "")
+    return lane, specs[lane].index(letter), pick(rest, specs[lane]), first, tuple(joins), keep(out[:-1], have)
 
 
 def contract(out: str, *operands: tuple[str, object]) -> Sparse:
     """Einstein summation over nonzero entries. Each operand is (labels, x), one
     distinct letter per index of x, with x anything sparse() takes; entry (i, j, ...)
     of the result, one index per letter of `out`, is the sum over all other letters
-    of the product of the operands' entries. Operands are joined left to right, and
-    a letter is summed out once neither `out` nor a later operand has it, so their
-    order sets the cost but not the result. The products and sums are of the
+    of the product of the operands' entries. The products and sums are of the
     operands' integer numerators, and the result's denominator is the product of
-    theirs: no Fraction is built. Sums that cancel are left out."""
-    have, acc, den = "", {(): 1}, 1
-    for pos, (labels, x) in enumerate(operands):
-        x = sparse(x)
-        den *= x.den
-        later = set(out).union(*(l for l, _ in operands[pos + 1 :]))
-        common = [l for l in have if l in labels]
-        kept_have = [l for l in have if l in later]
-        kept_fresh = [l for l in labels if l not in have and l in later]
-        # both sides by their common letters, each keeping only the letters that
-        # outlive this step: a key of the result is the two kept parts joined
-        left = _grouped(acc, have, common, kept_have)
-        right = _grouped(x, labels, common, kept_fresh)
-        summed: dict = {}
-        for c, pairs in left.items():
-            for rest, w in right.get(c, ()):
-                for key, v in pairs:
-                    k = key + rest
-                    summed[k] = summed.get(k, 0) + v * w
-        have = "".join(kept_have + kept_fresh)
-        acc = {k: v for k, v in summed.items() if v}
-    order = _picker([have.index(l) for l in out])
-    return Sparse({order(k): v for k, v in acc.items()}, den)
+    theirs: no Fraction is built. Sums that cancel are left out.
+
+    Everything that depends only on the spec (out and the operands' labels) is
+    worked out once, in _plan. The first operand's kept indices start the
+    accumulator; each later operand is grouped by the letters it shares with the
+    accumulator, whose entries are then walked and multiplied into the matching
+    group. A letter is summed out once neither `out` nor a later operand has it, so
+    the operands' order sets the cost but not the result.
+
+    The lane is out's last letter when exactly one operand has it. That operand is
+    packed over the lane (see Sparse) at a width taken from an exact bound: the
+    product over the operands of the sum of their |numerators| bounds the sum of
+    |products| over the whole result, and so every entry (_width). Every join then
+    multiplies a packed int by a plain int, one bigint product for the whole lane,
+    and the result is packed over its last index. An operand already packed over the
+    lane keeps its rows, re-encoded only if its width is too narrow. The result is
+    unpacked only where something reads its items; dense unpacks just the block it
+    returns."""
+    specs = tuple(labels for labels, _ in operands)
+    lane, lane_at, lane_rest, first, joins, order = _plan(out, specs)
+    xs = [sparse(x) for _, x in operands]
+    den = prod(x.den for x in xs)
+    if not all(xs):
+        return Sparse({}, den)
+    items = [x.items() if pos != lane else () for pos, x in enumerate(xs)]
+    width = bound = 0
+    if lane is not None:
+        bound = prod(map(_abs_sum, xs))
+        x = xs[lane]
+        if x.width and lane_at == len(specs[lane]) - 1:
+            width = _fitting(x.width, bound)
+            items[lane] = _rows(x, width)
+        else:
+            width = _width(bound)
+            items[lane] = _packed(x.items(), lane_at, lane_rest, width).items()
+    acc = dict(items[0]) if first is None else _summed((first(key), v) for key, v in items[0])
+    for (split, keep, acc_split, acc_keep), entries in zip(joins, items[1:]):
+        right = _group(entries, split, keep)
+        summed = defaultdict(int)
+        for key, v in acc.items():
+            pairs = right.get(acc_split(key))
+            if pairs:
+                head = key if acc_keep is None else acc_keep(key)
+                for rest, w in pairs:
+                    summed[head + rest] += v * w
+        acc = summed
+    if order is None:
+        return Sparse({k: v for k, v in acc.items() if v}, den, width, bound)
+    return Sparse({order(k): v for k, v in acc.items() if v}, den, width, bound)
+
+
+def _summed(entries) -> dict:
+    """The sum of the values at each key."""
+    out: dict = {}
+    for key, v in entries:
+        out[key] = out.get(key, 0) + v
+    return out
 
 
 def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):
     """The block of t (anything sparse() takes, its keys inside `shape`) at the
     index prefix `at`, over the rest of `shape`: the Fraction there when `at` is a
     whole index, else the Vector, Matrix or Tensor3 whose view is the block's
-    numerators, sliced from t without building a Fraction."""
+    numerators, sliced from t without building a Fraction. Of a packed t only the
+    rows of the block are unpacked."""
     t = sparse(t)
     cut = len(at)
+    if t.width:
+        row = at[: len(shape) - 1]
+        rows = [(key, p) for key, p in dict.items(t) if key[: len(row)] == row]
+        t = Sparse(_unpacked(rows, t.width), t.den)
     rest = shape[cut:]
     if not rest:
         v = t.get(at)
@@ -462,11 +691,15 @@ _ARRAYS = (Vector, Matrix, Tensor3)
 def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
     """The case report.scan needs of a residual tensor t over `shape`: the least
     prefix of nscan indices with a nonzero entry, as (1-based indices, the block of
-    t there, note); no case when t is zero."""
+    t there, note); no case when t is zero. A packed t is read by its rows: the
+    least row is unpacked only when nscan takes in the last index, and dense
+    unpacks only the rows of the block."""
     t = sparse(t)
     if not t:
         return []
-    at = min(key[:nscan] for key in t)
+    at = min(key[:nscan] for key in dict.keys(t))
+    if t.width and nscan == len(shape):
+        at = min(_unpacked([(at, dict.__getitem__(t, at))], t.width))
     return [(tuple(i + 1 for i in at), dense(t, shape, at), note)]
 
 

@@ -435,3 +435,13 @@ def oracle_residual_rhs(bracket: list, twist: list, r: list) -> tuple[dict, dict
     for i, j in product(range(n), repeat=2):
         _entries(c, (i, j), skew(list(bracket[i][j])))
     return a, b, c
+
+
+def oracle_twist_symmetry(a: HomLieAlgebra, gram: Matrix, i: int, j: int) -> Q:
+    """B(phi(e_i), e_j) - B(e_i, phi(e_j))."""
+    n = a.dim
+
+    def b(x: list[Q], y: list[Q]) -> Q:
+        return sum((x[p] * gram[p, q] * y[q] for p in range(n) for q in range(n)), Q(0))
+
+    return b(twist_vec(a, vec(a, i)), vec(a, j)) - b(vec(a, i), twist_vec(a, vec(a, j)))
