@@ -30,7 +30,6 @@ from .hom_lie import (
     block_sum,
     check_invariant_form,
     is_weakly_involutive,
-    require_same_algebra,
     twisted_ad,
     validate_hom_lie,
 )
@@ -70,13 +69,13 @@ class Cobracket:
 
 @dataclass(frozen=True)
 class HomLieBialgebra:
-    algebra: HomLieAlgebra
+    """(g, Delta): the algebra is the one the cobracket lives on."""
+
     cobracket: Cobracket
 
-    def __post_init__(self):
-        require_same_algebra(
-            self.cobracket.base, self.algebra, "cobracket lives on a different algebra"
-        )
+    @property
+    def algebra(self) -> HomLieAlgebra:
+        return self.cobracket.base
 
     @cached_property
     def dual(self) -> HomLieAlgebra:
@@ -88,25 +87,27 @@ class HomLieBialgebra:
 class MatchedPair:
     """(g, g'; rho, rho'): rho acts on g'-space, rho' acts on g-space.
 
+    g is the algebra rho is a representation of, and g' that of rho'.
     Carrier twists must match the partner algebra's twist; compatibility
     of the actions is checked by validate_matched_pair, never assumed.
     """
 
-    left: HomLieAlgebra
-    right: HomLieAlgebra
     rho: Representation  # of left, carrier = right's space
     rho_prime: Representation  # of right, carrier = left's space
+
+    @property
+    def left(self) -> HomLieAlgebra:
+        return self.rho.base
+
+    @property
+    def right(self) -> HomLieAlgebra:
+        return self.rho_prime.base
 
     def __post_init__(self):
         if self.rho.carrier_dim != self.right.dim or self.rho.beta != self.right.twist:
             raise ShapeError("rho must act on the right algebra's space with its twist")
-        if (
-            self.rho_prime.carrier_dim != self.left.dim
-            or self.rho_prime.beta != self.left.twist
-        ):
-            raise ShapeError(
-                "rho' must act on the left algebra's space with its twist"
-            )
+        if self.rho_prime.carrier_dim != self.left.dim or self.rho_prime.beta != self.left.twist:
+            raise ShapeError("rho' must act on the left algebra's space with its twist")
 
 
 def zero_cobracket(a: HomLieAlgebra) -> Cobracket:
@@ -342,7 +343,7 @@ def canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
     a diagnosable object."""
     ado = dual_action_candidate(adjoint_rep(bi.algebra))
     dao = dual_action_candidate(adjoint_rep(bi.dual))
-    return MatchedPair(bi.algebra, bi.dual, ado, dao)
+    return MatchedPair(ado, dao)
 
 
 def d_double(bi: HomLieBialgebra) -> HomLieAlgebra:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -41,7 +42,7 @@ from .operators import (
     validate_o_operator,
 )
 from .report import CheckReport, InvalidStructureError
-from .representation import adjoint_rep, semidirect_product, validate_representation
+from .representation import Representation, adjoint_rep, semidirect_product, validate_representation
 from .structure_io import (
     Structure,
     StructureParseError,
@@ -143,26 +144,25 @@ def _need(s: Structure, attr: str, check: str):
 
 
 def _bialgebra(s: Structure, check: str) -> HomLieBialgebra:
-    return HomLieBialgebra(
-        _need(s, "algebra", check), _need(s, "cobracket", check)
-    )
-
-
-def _rmatrix(s: Structure, check: str) -> RMatrix:
-    return RMatrix(_need(s, "algebra", check), _need(s, "rmatrix", check).coeffs)
+    _need(s, "algebra", check)  # the cobracket lives on it, so name it first
+    return HomLieBialgebra(_need(s, "cobracket", check))
 
 
 def _o_candidate(s: Structure, check: str) -> OOperatorCandidate:
     t = _need(s, "ooperator_t", check)
-    return OOperatorCandidate(*_lsa_or_rep(s, check), t)
+    rep = _acting_rep(s, check)
+    n, m = rep.base.dim, rep.carrier_dim
+    if t.shape != (n, m):  # sized by an algebra with no representation; the lsa acts
+        raise UsageError(f"check {check!r} needs a {n} x {m} ooperator T, got {t.nrows} x {t.ncols}")
+    return OOperatorCandidate(rep.base, rep, t)
 
 
-def _lsa_or_rep(s: Structure, check: str):
-    if s.algebra is not None and s.representation is not None:
-        return s.algebra, s.representation
+def _acting_rep(s: Structure, check: str) -> Representation:
+    """The file's representation, or else left multiplication of its lsa."""
+    if s.representation is not None:
+        return s.representation
     if s.lsa is not None:
-        rep = left_mult_rep(s.lsa)
-        return rep.base, rep
+        return left_mult_rep(s.lsa)
     raise UsageError(
         f"check {check!r} needs algebra+representation sections or an lsa section"
     )
@@ -192,9 +192,10 @@ def run_check(
     if name == "triple-equivalence":
         return triple(name)
     if name == "coboundary":
-        return validate_coboundary(_need(s, "algebra", name), _rmatrix(s, name))
+        return validate_coboundary(_need(s, "algebra", name), _need(s, "rmatrix", name))
     if name == "chybe":
-        return check_chybe(_rmatrix(s, name))
+        _need(s, "algebra", name)
+        return check_chybe(_need(s, "rmatrix", name))
     if name == "o-operator":
         return validate_o_operator(_o_candidate(s, name))
     if name == "lsa":
@@ -207,8 +208,8 @@ def run_check(
     if name == "jacobiator-bracket":
         return run_jacobiator_suite(_need(s, "algebra", name), seed)
     if name == "o-operator-expansion":
-        a, rep = _lsa_or_rep(s, name)
-        return run_defect_expansion_suite(a, rep, seed)
+        rep = _acting_rep(s, name)
+        return run_defect_expansion_suite(rep.base, rep, seed)
     raise UsageError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
 
@@ -308,7 +309,7 @@ def _build_structure(args) -> Structure:
             )
         return Structure(
             name=f"{s.name}-semidirect" if s.name else "semidirect",
-            algebra=semidirect_product(a, rep),
+            algebra=semidirect_product(rep),
         )
 
     if kind == "dual":
@@ -388,7 +389,9 @@ def _seed(text: str) -> int:
     return val
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="homlie",
         description="Construct and verify Hom-Lie structures with exact arithmetic.",

@@ -237,14 +237,16 @@ def validate_coboundary(a: HomLieAlgebra, r: RMatrix) -> CheckReport:
 
     info["classification"]: triangular (skew solution), quasitriangular
     (solution), coboundary (conditions hold, [r,r] != 0), or none.
+
+    a must be r's algebra (ShapeError otherwise); it stays for positional callers.
     """
-    return _validate_coboundary(a, r, None)
-
-
-def _validate_coboundary(a: HomLieAlgebra, r: RMatrix, rr: Tensor3 | None) -> CheckReport:
-    """validate_coboundary, reusing [r,r] when the caller already has it."""
     require_same_algebra(a, r.base, "r lives on a different algebra")
-    require(is_weakly_involutive(a), "coboundary theory needs a weakly involutive base")
+    return _validate_coboundary(r, None)
+
+
+def _validate_coboundary(r: RMatrix, rr: Tensor3 | None) -> CheckReport:
+    """validate_coboundary, reusing [r,r] when the caller already has it."""
+    require(is_weakly_involutive(r.base), "coboundary theory needs a weakly involutive base")
     require(check_twist_compat(r), "r must satisfy (phi (x) id) r = (id (x) phi) r")
 
     if rr is None:
@@ -345,11 +347,9 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[Sparse, 
     ]
 
 
-def cobracket_residual_identities(
-    a: HomLieAlgebra, r: RMatrix
-) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """The three exact identities above, each as its own report."""
-    require_same_algebra(a, r.base, "r lives on a different algebra")
+def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The three exact identities above for r, each as its own report."""
+    a = r.base
     require(
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
@@ -488,15 +488,15 @@ def r_sharp(r: RMatrix) -> Matrix:
     return r.coeffs.transpose()
 
 
-def dual_bracket_from_r(a: HomLieAlgebra, r: RMatrix) -> HomLieAlgebra:
-    """The bracket on g* via the operator route
+def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
+    """The bracket on g* (g the algebra r lives on) via the operator route
 
         [f_a, f_b] = ad"_{r#(f_a)} f_b + ad"_{sigma(r)#(f_b)} f_a
 
     (ad" the dual of the adjoint action), asserted equal, entry for entry,
     to dual_algebra(cobracket_from_r(r)).
     """
-    require_same_algebra(a, r.base, "r lives on a different algebra")
+    a = r.base
     require(is_weakly_involutive(a), "operator route assumes a weakly involutive base")
     require(check_twist_compat(r), "operator route assumes phi r# = r# phi*")
     # ad"_x f_b = -sum_p phi(x)_p [e_p, .]_b, at x = r#(f_a) = row a of r and
@@ -521,12 +521,12 @@ def dual_bracket_from_r(a: HomLieAlgebra, r: RMatrix) -> HomLieAlgebra:
     return operator_route
 
 
-def sharp_bracket_defect(a: HomLieAlgebra, r: RMatrix, ai: int, bi: int) -> CheckReport:
+def sharp_bracket_defect(r: RMatrix, ai: int, bi: int) -> CheckReport:
     """[r# phi* (f_a), r# phi* (f_b)] - r# phi* [f_a, f_b]_{g*}
     equals the contraction of [r,r] against (f_a, f_b) in the first two
     slots. Exact identity for twist-compatible r over a weakly involutive
-    base; both sides computed and compared here."""
-    require_same_algebra(a, r.base, "r lives on a different algebra")
+    base, the algebra r lives on; both sides computed and compared here."""
+    a = r.base
     require(check_twist_compat(r), "sharp-bracket identity assumes twist compat")
     s = r_sharp(r) @ a.twist.transpose()  # r# phi*
     dual = dual_algebra(cobracket_from_r(r))
@@ -541,12 +541,10 @@ def sharp_bracket_defect(a: HomLieAlgebra, r: RMatrix, ai: int, bi: int) -> Chec
     return failed("sharp-bracket-defect", [Witness((ai + 1, bi + 1), res)])
 
 
-def form_from_invertible_r(
-    a: HomLieAlgebra, r: RMatrix
-) -> tuple["BilinearFormB", CheckReport]:
+def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:
     """For skew invertible twist-compatible r: the form B(x,y) =
-    <(r#)^{-1}(x), y>, whose Gram matrix is the inverse of the coefficient
-    matrix. Reports the cyclic 2-cocycle identity
+    <(r#)^{-1}(x), y> on the algebra r lives on, whose Gram matrix is the
+    inverse of the coefficient matrix. Reports the cyclic 2-cocycle identity
 
         B(phi x,[y,z]) + B(phi y,[z,x]) + B(phi z,[x,y]) = 0
 
@@ -555,7 +553,7 @@ def form_from_invertible_r(
     info (a discrepancy is flagged, not failed)."""
     from .hom_lie import BilinearFormB
 
-    require_same_algebra(a, r.base, "r lives on a different algebra")
+    a = r.base
     require(
         scan("r-skew", [((0,), r.coeffs + r.coeffs.transpose())]),
         "form_from_invertible_r needs a skew r",
@@ -601,7 +599,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
     chybe = check_chybe(r)
     sym_inv = symmetric_part_invariance(r)
 
-    big_bi = HomLieBialgebra(big, cobracket_from_r(r))
+    big_bi = HomLieBialgebra(cobracket_from_r(r))
 
     # inclusion of (g, Delta) through phi
     inc1 = dense(sparse(a.twist), (2 * n, n))
@@ -612,7 +610,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
     minus_dual_cb = Cobracket(
         dual, cobracket_from_bracket(a, dual).coeffs.scale(Q(-1))
     )
-    dual_bi = HomLieBialgebra(dual, minus_dual_cb)
+    dual_bi = HomLieBialgebra(minus_dual_cb)
     inc2 = dense(sparse(a.twist).moved(lambda i, j: (n + j, i)), (2 * n, n))
     hom2 = check_bialgebra_homomorphism(inc2, dual_bi, big_bi)
 

@@ -67,6 +67,8 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class OOperatorCandidate:
+    """T: V -> g relative to rep; algebra must be rep.base (ShapeError otherwise)."""
+
     algebra: HomLieAlgebra
     rep: Representation
     t: Matrix  # n x m, columns are T(v_1), ..., T(v_m) in g coordinates
@@ -90,17 +92,17 @@ class OOperatorCandidate:
 
 def _defects(cand: OOperatorCandidate) -> Sparse:
     """Entry (i, j, l): the e_l coefficient of OT(v_i, v_j)."""
-    return _defect_tensor(cand.algebra, cand.rep, cand.t)
+    return _defect_tensor(cand.rep, cand.t)
 
 
-def _defect_tensor(a: HomLieAlgebra, rep: Representation, t, batch: str = "") -> Sparse:
-    """_defects of the map T with matrix t. With a batch letter, t and the result
-    carry a sample index first: one slice per sample."""
+def _defect_tensor(rep: Representation, t, batch: str = "") -> Sparse:
+    """_defects of the map T with matrix t, from rep's carrier to rep's algebra. With
+    a batch letter, t and the result carry a sample index first: one slice per sample."""
     z = batch
     # entry (i, j, s): the v_s coefficient of rho(T v_i) v_j
     acted = contract(z + "ijs", (z + "pi", t), ("psj", rep.action))
     inner = acted - contract(z + "ijs", (z + "jis", acted))
-    return contract(z + "ijl", (z + "pi", t), ("pql", a.bracket), (z + "qj", t)) - contract(
+    return contract(z + "ijl", (z + "pi", t), ("pql", rep.base.bracket), (z + "qj", t)) - contract(
         z + "ijl", (z + "ijs", inner), (z + "ls", t)
     )
 
@@ -127,16 +129,11 @@ class HomLeftSymmetric:
         return self.product.plane(i).transpose()
 
 
-def _twist_intertwines(cand: OOperatorCandidate) -> CheckReport:
-    res = _twist_defect(cand.algebra, cand.rep, cand.t)
-    return scan("twist-intertwines-t", [((0,), dense(res, cand.t.shape))])
-
-
-def _twist_defect(a: HomLieAlgebra, rep: Representation, t, batch: str = "") -> Sparse:
-    """Entry (i, j) of T beta - phi T."""
+def _twist_defect(rep: Representation, t, batch: str = "") -> Sparse:
+    """Entry (i, j) of T beta - phi T, phi the twist of rep's algebra."""
     z = batch
     return contract(z + "ij", (z + "ik", t), ("kj", rep.beta)) - contract(
-        z + "ij", ("ik", a.twist), (z + "kj", t)
+        z + "ij", ("ik", rep.base.twist), (z + "kj", t)
     )
 
 
@@ -149,7 +146,8 @@ def _o_operator_checks(cand: OOperatorCandidate) -> tuple[Sparse, CheckReport]:
     """The defect tensor of T, evaluated once, and validate_o_operator's report."""
     defects = _defects(cand)
     defect_ok = scan("o-operator-defect", first_case(defects, cand.shape, 2))
-    return defects, combined("o-operator", [_twist_intertwines(cand), defect_ok])
+    twist = dense(_twist_defect(cand.rep, cand.t), cand.t.shape)
+    return defects, combined("o-operator", [scan("twist-intertwines-t", [((0,), twist)]), defect_ok])
 
 
 def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
@@ -232,15 +230,15 @@ def weak_involutivity_product_criterion(p: HomLeftSymmetric) -> CheckReport:
     )
 
 
-def dual_semidirect(a: HomLieAlgebra, rep: Representation) -> HomLieAlgebra:
-    """g |x V* through the Hom-dual action; rep must be weakly involutive."""
-    return semidirect_product(a, hom_dual_representation(rep))
+def dual_semidirect(rep: Representation) -> HomLieAlgebra:
+    """g |x V* through the Hom-dual action of rep, which must be weakly involutive."""
+    return semidirect_product(hom_dual_representation(rep))
 
 
 def lift_t_bar(cand: OOperatorCandidate) -> RMatrix:
     """T viewed inside (g (+) V*) (x) (g (+) V*): the 2-tensor
     sum_i v^i (x) T(v_i), supported on the (V*-block, g-block) corner."""
-    big = dual_semidirect(cand.algebra, cand.rep)
+    big = dual_semidirect(cand.rep)
     return RMatrix(big, dense(_lift(cand.t, cand.algebra.dim), (big.dim,) * 2))
 
 
@@ -285,13 +283,13 @@ def r_from_o_operator(
 
 
 def _lift_preconditions(
-    a: HomLieAlgebra, rep: Representation, intertwines: CheckReport, involutive: CheckReport
+    rep: Representation, intertwines: CheckReport, involutive: CheckReport
 ) -> HomLieAlgebra:
     """g |x V*, once T intertwines the twists and the representation is weakly
     involutive (the reports of those two checks)."""
     require(intertwines, "T must intertwine the twists")
     require(involutive, "the carrier representation must be weakly involutive")
-    return dual_semidirect(a, rep)
+    return dual_semidirect(rep)
 
 
 def _r_and_square(
@@ -302,7 +300,7 @@ def _r_and_square(
     the _o_operator_checks of cand."""
     defects, oop = checks or _o_operator_checks(cand)
     # oop's first part is T beta = phi T
-    big = _lift_preconditions(cand.algebra, cand.rep, oop.subreports[0], involutive)
+    big = _lift_preconditions(cand.rep, oop.subreports[0], involutive)
     d = big.dim
     coeffs, expected = _lifted_r(cand.algebra, cand.t, defects)
     r = RMatrix(big, dense(coeffs, (d, d)))
@@ -372,8 +370,8 @@ def wedge_solutions(
         subs.extend(
             [
                 scan("induced-cobrackets-coincide", [((0,), res)]),
-                _validate_coboundary(big1, r1, rr1).renamed("coboundary-r1"),
-                _validate_coboundary(big2, r2, rr2).renamed("coboundary-r2"),
+                _validate_coboundary(r1, rr1).renamed("coboundary-r1"),
+                _validate_coboundary(r2, rr2).renamed("coboundary-r2"),
             ]
         )
 
@@ -393,9 +391,8 @@ def bialgebra_from_o_operator(
     rho(phi(x)) beta^2 = rho(phi(x)), and T an O-operator. The result passes
     validate_bialgebra and the three-structure equivalence check.
     """
-    a = cand.algebra
     rep = cand.rep
-    require(is_weakly_involutive(a), "base algebra must be weakly involutive")
+    require(is_weakly_involutive(rep.base), "base algebra must be weakly involutive")
     involutive = is_weakly_involutive_rep(rep)
     require(involutive, "representation must be weakly involutive")
     require(
@@ -406,14 +403,16 @@ def bialgebra_from_o_operator(
     require(checks[1], "T must be an O-operator")
 
     big, r, _, _ = _r_and_square(cand, involutive, checks)
-    bi = HomLieBialgebra(big, cobracket_from_r(r))
+    bi = HomLieBialgebra(cobracket_from_r(r))
     triple = check_triple_equivalence(bi)
     # the triple check's first verdict is validate_bialgebra(bi)
     return bi, combined("o-operator-bialgebra", [triple.subreports[0], triple])
 
 
 def intertwining_t_space(a: HomLieAlgebra, rep: Representation) -> list[Matrix]:
-    """Basis of {T : T beta = phi T}, the lift precondition's solution space."""
+    """Basis of {T : T beta = phi T}, the lift precondition's solution space.
+    a must be the algebra rep represents (ShapeError otherwise)."""
+    require_same_algebra(rep.base, a, "representation must live over the given algebra")
     return matrix_kernel(sylvester(a.twist, rep.beta), a.dim, rep.carrier_dim)
 
 
@@ -422,9 +421,9 @@ def run_defect_expansion_suite(
 ) -> CheckReport:
     """The [r,r] defect expansion for `count` seeded T sampled exactly from
     {T : T beta = phi T} (the zero T alone when that space is trivial); holds
-    whether or not T is an O-operator. The preconditions are checked once, and
-    the samples are evaluated together in chunks; on failure, info names the
-    first failing sample (case)."""
+    whether or not T is an O-operator. a must be the algebra rep represents. The
+    preconditions are checked once, and the samples are evaluated together in
+    chunks; on failure, info names the first failing sample (case)."""
     import random
 
     _require_count(count)
@@ -434,17 +433,16 @@ def run_defect_expansion_suite(
         samples = [random_combination(rng, space) for _ in range(count)]
     else:
         samples = [Matrix.zero(a.dim, rep.carrier_dim)]
-    require_same_algebra(rep.base, a, "representation must live over the candidate's algebra")
     z, shape = _SAMPLE, (len(samples), a.dim, rep.carrier_dim)
-    twist = _twist_defect(a, rep, sparse(samples), z)
+    twist = _twist_defect(rep, sparse(samples), z)
     intertwines = scan(
         "twist-intertwines-t", [((0,), block) for _, block, _ in first_case(twist, shape, 1)]
     )
-    big = _lift_preconditions(a, rep, intertwines, is_weakly_involutive_rep(rep))
+    big = _lift_preconditions(rep, intertwines, is_weakly_involutive_rep(rep))
     d = big.dim
 
     def residuals(stack):
-        r, expected = _lifted_r(a, stack, _defect_tensor(a, rep, stack, z), z)
+        r, expected = _lifted_r(a, stack, _defect_tensor(rep, stack, z), z)
         return [(_r_square(big, r, z) - expected, (d,) * 3, 0)]
 
     found = _first_failure(samples, d**3, residuals)

@@ -185,23 +185,21 @@ def rep_double_dual_is_identity(r: Representation) -> CheckReport:
     return scan("double-dual-identity", [((0,), dd.beta - r.beta, "twist differs"), *actions])
 
 
-def semidirect_product(a: HomLieAlgebra, r: Representation) -> HomLieAlgebra:
-    """g acting on an abelian copy of V:
+def semidirect_product(r: Representation) -> HomLieAlgebra:
+    """g, the algebra r represents, acting on an abelian copy of V:
 
         [(x,u), (y,v)] = ([x,y], rho(x)v - rho(y)u),  twist phi (+) beta.
     """
     abelian = HomLieAlgebra(Tensor3.zero(r.carrier_dim), r.beta)
-    return block_sum(a, abelian, f"{a.label or 'g'}|xV", rho=r.action)
+    return block_sum(r.base, abelian, f"{r.base.label or 'g'}|xV", rho=r.action)
 
 
 CRITERIA_DISAGREE = "conjunction of criteria differs from direct check"
 
 
-def semidirect_weak_involutivity_criteria(
-    a: HomLieAlgebra, r: Representation
-) -> CheckReport:
-    """Weak involutivity of g |x V by parts, cross-checked against the
-    direct verdict on the constructed product:
+def semidirect_weak_involutivity_criteria(r: Representation) -> CheckReport:
+    """Weak involutivity of g |x V, g the algebra r represents, by parts,
+    cross-checked against the direct verdict on the constructed product:
 
         (i)   g weakly involutive
         (ii)  rho weakly involutive
@@ -210,10 +208,10 @@ def semidirect_weak_involutivity_criteria(
     The conjunction provably equals the direct check; 'criteria-match-direct'
     records that the two verdicts agree on this instance.
     """
-    c1 = is_weakly_involutive(a)
+    c1 = is_weakly_involutive(r.base)
     c2 = is_weakly_involutive_rep(r)
     c3 = fixes_carrier_square("action-fixes-carrier-square", r, r.action)
-    direct = is_weakly_involutive(semidirect_product(a, r))
+    direct = is_weakly_involutive(semidirect_product(r))
     match = holds(
         "criteria-match-direct",
         (c1.ok and c2.ok and c3.ok) == direct.ok,
@@ -226,10 +224,9 @@ def semidirect_weak_involutivity_criteria(
     )
 
 
-def dual_semidirect_weak_involutivity_criteria(
-    a: HomLieAlgebra, r: Representation
-) -> CheckReport:
-    """Variant for g |x V* via the dual action (r must be weakly involutive):
+def dual_semidirect_weak_involutivity_criteria(r: Representation) -> CheckReport:
+    """Variant for g |x V* via the dual action, g the algebra r represents
+    (r must be weakly involutive):
 
         (i)  g weakly involutive
         (ii) rho(phi(x)) beta^2 = rho(phi(x))
@@ -241,9 +238,9 @@ def dual_semidirect_weak_involutivity_criteria(
         raise InvalidStructureError(
             "dual semidirect criteria need a weakly involutive representation", wi
         )
-    c1 = is_weakly_involutive(a)
+    c1 = is_weakly_involutive(r.base)
     c2 = twisted_action_fixes_carrier_square(r)
-    direct = is_weakly_involutive(semidirect_product(a, hom_dual_representation(r)))
+    direct = is_weakly_involutive(semidirect_product(hom_dual_representation(r)))
     match = holds(
         "criteria-match-direct", (c1.ok and c2.ok) == direct.ok, CRITERIA_DISAGREE
     )

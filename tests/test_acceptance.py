@@ -98,7 +98,7 @@ def test_acceptance_1_corpus_validity(heis3phi):
         for make in (lsa2, lsa2psi):
             assert validate_hlsa(make()).ok
         for a, cb in (aff2_zero_bialgebra(), aff2_triangular_bialgebra()):
-            assert validate_bialgebra(HomLieBialgebra(a, cb)).ok
+            assert validate_bialgebra(HomLieBialgebra(cb)).ok
 
         bad = notjac3()
         expected = oracle_hom_jacobi(bad, 0, 1, 2)
@@ -215,7 +215,7 @@ def test_acceptance_5_frozen_chybe_witnesses():
 def test_acceptance_6_triple_equivalence():
     with acceptance(6, "bialgebra, matched pair and Manin triple agree"):
         for a, cb in (aff2_zero_bialgebra(), aff2_triangular_bialgebra()):
-            bi = HomLieBialgebra(a, cb)
+            bi = HomLieBialgebra(cb)
             assert validate_bialgebra(bi).ok
             mp = canonical_matched_pair(bi)
             assert validate_matched_pair(mp).ok
@@ -234,7 +234,7 @@ def test_acceptance_6_triple_equivalence():
                         planes[k][i][j] = Q(rng.randint(-2, 2))
             # a diagonal self-pairing coefficient breaks skewness of the dual
             planes[0][0][0] = Q(rng.choice([1, -1, 2, -2, 3]))
-            bi = HomLieBialgebra(a, Cobracket(a, Tensor3(planes)))
+            bi = HomLieBialgebra(Cobracket(a, Tensor3(planes)))
             assert not validate_bialgebra(bi).ok
             mp = canonical_matched_pair(bi)
             assert not validate_matched_pair(mp).ok
@@ -254,7 +254,7 @@ def test_acceptance_7_hom_double():
             "dual-inclusion-homomorphism",
         ]
         for a, cb in (aff2_zero_bialgebra(), aff2_triangular_bialgebra()):
-            big, r, rep = hom_double(HomLieBialgebra(a, cb))
+            big, r, rep = hom_double(HomLieBialgebra(cb))
             assert big.dim == 4
             assert r.base is big
             assert rep.ok

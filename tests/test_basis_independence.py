@@ -10,11 +10,17 @@ import pytest
 from homlie.bialgebra import (
     Cobracket,
     HomLieBialgebra,
+    MatchedPair,
+    canonical_matched_pair,
     check_triple_equivalence,
+    double_weak_involutivity_criteria,
     validate_bialgebra,
+    validate_matched_pair,
+    zero_cobracket,
 )
 from homlie.coboundary import RMatrix, check_chybe, validate_coboundary
 from homlie.corpus import (
+    abelian2,
     aff2,
     aff2_triangular_bialgebra,
     aff2bad,
@@ -27,7 +33,14 @@ from homlie.corpus import (
 )
 from homlie.hom_lie import change_of_basis
 from homlie.operators import OOperatorCandidate, left_mult_rep, validate_o_operator
-from homlie.representation import Representation, adjoint_rep, validate_representation
+from homlie.report import InvalidStructureError
+from homlie.representation import (
+    Representation,
+    adjoint_rep,
+    dual_semidirect_weak_involutivity_criteria,
+    semidirect_weak_involutivity_criteria,
+    validate_representation,
+)
 from homlie.tensor import Matrix, Tensor3, random_matrix
 
 SEEDS = range(3)
@@ -82,8 +95,8 @@ def test_bialgebra_and_triple_equivalence_on_aff2_triangular(seed):
     p = _invertible(random.Random(seed), 2)
     moved_a = change_of_basis(a, p)
     for c in (cb, broken):
-        bi = HomLieBialgebra(a, c)
-        moved = HomLieBialgebra(moved_a, _moved_cobracket(c, moved_a, p))
+        bi = HomLieBialgebra(c)
+        moved = HomLieBialgebra(_moved_cobracket(c, moved_a, p))
         assert validate_bialgebra(moved).ok == validate_bialgebra(bi).ok
         triple, moved_triple = check_triple_equivalence(bi), check_triple_equivalence(moved)
         assert moved_triple.ok == triple.ok
@@ -125,3 +138,66 @@ def test_o_operator_verdict(make, seed):
         verdict = validate_o_operator(OOperatorCandidate(rep.base, rep, t)).ok
         moved_t = p.inverse() @ t @ q
         assert validate_o_operator(OOperatorCandidate(moved.base, moved, moved_t)).ok == verdict
+
+
+def _verdicts(report):
+    """What a change of basis must keep of a report: its verdict, its parts'
+    verdicts and its info."""
+    return report.ok, [sub.ok for sub in report.subreports], report.info
+
+
+def _dual_semidirect_verdicts(rep):
+    try:
+        return _verdicts(dual_semidirect_weak_involutivity_criteria(rep))
+    except InvalidStructureError:  # rep is not weakly involutive
+        return None
+
+
+# one action of abelian2 on a line with twist 2: weakly involutive, but the
+# twist square does not fix the action, so both semidirect criteria fail (iii)
+_SCALED_LINE = Representation(abelian2(), Matrix([[2]]), (Matrix([[1]]), Matrix([[0]])))
+
+SEMIDIRECT_REPS = {
+    "ad-aff2": lambda: adjoint_rep(aff2()),
+    "ad-aff2phi": lambda: adjoint_rep(aff2phi()),
+    "ad-aff2bad": lambda: adjoint_rep(aff2bad()),
+    "ad-sl2": lambda: adjoint_rep(sl2()),
+    "L-lsa2psi": lambda: left_mult_rep(lsa2psi()),
+    "scaled-line": lambda: _SCALED_LINE,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", SEMIDIRECT_REPS)
+def test_semidirect_criteria_verdicts(name, seed):
+    rep = SEMIDIRECT_REPS[name]()
+    rng = random.Random(seed)
+    p, q = _invertible(rng, rep.base.dim), _invertible(rng, rep.carrier_dim)
+    moved = _moved_rep(rep, p, q)
+    assert _verdicts(semidirect_weak_involutivity_criteria(moved)) == _verdicts(
+        semidirect_weak_involutivity_criteria(rep)
+    )
+    assert _dual_semidirect_verdicts(moved) == _dual_semidirect_verdicts(rep)
+
+
+def _pairs():
+    """Canonical matched pairs: of aff2-triangular, of a broken cobracket on aff2,
+    and of the zero cobracket on algebras that are not weakly involutive."""
+    a, cb = aff2_triangular_bialgebra()
+    broken = Cobracket(a, Tensor3([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]))
+    cobrackets = (cb, broken, zero_cobracket(aff2bad()), zero_cobracket(aff2phi()))
+    return [canonical_matched_pair(HomLieBialgebra(c)) for c in cobrackets]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("which", range(4))
+def test_matched_pair_and_double_criteria_verdicts(which, seed):
+    mp = _pairs()[which]
+    rng = random.Random(seed)
+    p, q = _invertible(rng, mp.left.dim), _invertible(rng, mp.right.dim)
+    # the left algebra moves by p and the right by q, each action with them
+    moved = MatchedPair(_moved_rep(mp.rho, p, q), _moved_rep(mp.rho_prime, q, p))
+    assert _verdicts(validate_matched_pair(moved)) == _verdicts(validate_matched_pair(mp))
+    assert _verdicts(double_weak_involutivity_criteria(moved)) == _verdicts(
+        double_weak_involutivity_criteria(mp)
+    )

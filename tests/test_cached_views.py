@@ -102,7 +102,7 @@ def _exercise(a, rng, lsa=None):
     zero bialgebra, a twist-compatible skew r, an intertwining T, and lsa."""
     inputs = [a]
     rep = adjoint_rep(a)
-    bi = HomLieBialgebra(a, zero_cobracket(a))
+    bi = HomLieBialgebra(zero_cobracket(a))
     gram = random_matrix(rng, a.dim)
     inputs += [rep, bi, gram]
     kernel = skew_twist_compat_kernel(a)
@@ -112,7 +112,7 @@ def _exercise(a, rng, lsa=None):
     inputs += [r, cand]
     calls = [
         (direct_sum, a, a),
-        (semidirect_product, a, rep),
+        (semidirect_product, rep),
         (invariant_form_space, a),
         (validate_hom_lie, a),
         (is_weakly_involutive, a),

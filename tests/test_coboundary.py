@@ -251,7 +251,7 @@ def test_residual_suites_pass_on_weakly_involutive_corpus(heis3phi):
 
 def test_residual_identities_reject_non_weakly_involutive_base():
     with pytest.raises(InvalidStructureError):
-        cobracket_residual_identities(aff2phi(), RMatrix(aff2phi(), Matrix.zero(2)))
+        cobracket_residual_identities(RMatrix(aff2phi(), Matrix.zero(2)))
     with pytest.raises(InvalidStructureError):
         run_residual_suite(aff2phi(), seed=1, count=2)
 
@@ -266,7 +266,7 @@ def test_jacobiator_suite_on_empty_kernel_uses_zero_r():
 def test_r_sharp_and_operator_route():
     r = _wedge12()
     assert r_sharp(r) == Matrix([[0, -1], [1, 0]])
-    dual = dual_bracket_from_r(aff2(), r)
+    dual = dual_bracket_from_r(r)
     assert dual.bracket_of(Vector.basis(2, 0), Vector.basis(2, 1)) == Vector([0, -1])
     assert dual.twist == Matrix.identity(2)
 
@@ -277,7 +277,7 @@ def test_operator_route_matches_cobracket_route_on_kernel_samples(heis3phi):
         kernel = twist_compat_kernel(a)
         for _ in range(6):
             rc = random_combination(rng, kernel)
-            dual = dual_bracket_from_r(a, RMatrix(a, rc))
+            dual = dual_bracket_from_r(RMatrix(a, rc))
             assert dual.bracket == dual_algebra(cobracket_from_r(RMatrix(a, rc))).bracket
 
 
@@ -285,7 +285,7 @@ def test_sharp_bracket_defect_zero_for_solution():
     r = _wedge12()
     for ai in range(2):
         for bi in range(2):
-            rep = sharp_bracket_defect(aff2(), r, ai, bi)
+            rep = sharp_bracket_defect(r, ai, bi)
             assert rep.ok
             assert rep.info["value"] == Vector([0, 0])
 
@@ -293,13 +293,13 @@ def test_sharp_bracket_defect_zero_for_solution():
 def test_sharp_bracket_defect_reads_off_r_square():
     # for the symmetric non-solution the (f1, f1) defect is -2 e2,
     # exactly the (1,1,:) slice of [r,r]
-    rep = sharp_bracket_defect(aff2(), _sym12(), 0, 0)
+    rep = sharp_bracket_defect(_sym12(), 0, 0)
     assert rep.ok
     assert rep.info["value"] == Vector([0, -2])
 
 
 def test_form_from_invertible_r():
-    b, rep = form_from_invertible_r(aff2(), _wedge12())
+    b, rep = form_from_invertible_r(_wedge12())
     assert b.gram == Matrix([[0, -1], [1, 0]])
     assert rep.ok
     assert rep.info["chybe"] is True
@@ -308,15 +308,15 @@ def test_form_from_invertible_r():
 
 def test_form_from_invertible_r_gates():
     with pytest.raises(InvalidStructureError):
-        form_from_invertible_r(aff2(), _sym12())  # not skew
+        form_from_invertible_r(_sym12())  # not skew
     with pytest.raises(InvalidStructureError):
-        form_from_invertible_r(aff2(), RMatrix(aff2(), Matrix.zero(2)))  # singular
+        form_from_invertible_r(RMatrix(aff2(), Matrix.zero(2)))  # singular
 
 
 def test_hom_double_on_builtin_bialgebras():
     for builder in (aff2_zero_bialgebra, aff2_triangular_bialgebra):
         a, cb = builder()
-        big, r, rep = hom_double(HomLieBialgebra(a, cb))
+        big, r, rep = hom_double(HomLieBialgebra(cb))
         assert big.dim == 4
         assert validate_hom_lie(big).ok
         assert r.coeffs == Matrix(
@@ -332,9 +332,7 @@ def test_hom_double_on_builtin_bialgebras():
             "dual-inclusion-homomorphism",
         ]
         # the induced cobracket makes the double itself a bialgebra
-        assert validate_bialgebra(
-            HomLieBialgebra(big, cobracket_from_r(r))
-        ).ok
+        assert validate_bialgebra(HomLieBialgebra(cobracket_from_r(r))).ok
 
 
 def test_hom_double_gates_on_broken_bialgebra():
@@ -342,7 +340,7 @@ def test_hom_double_gates_on_broken_bialgebra():
     planes[1][0][0] = Q(1)
     from homlie.bialgebra import Cobracket
 
-    bi = HomLieBialgebra(aff2(), Cobracket(aff2(), Tensor3(planes)))
+    bi = HomLieBialgebra(Cobracket(aff2(), Tensor3(planes)))
     with pytest.raises(InvalidStructureError):
         hom_double(bi)
 
@@ -357,19 +355,10 @@ def test_rmatrix_sigma_and_skew():
 def test_r_on_another_algebra_is_rejected():
     on_sl2 = RMatrix(sl2(), Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     on_abelian2 = RMatrix(abelian2(), Matrix([[0, 1], [-1, 0]]))
-    calls = (
-        validate_coboundary,
-        cobracket_residual_identities,
-        dual_bracket_from_r,
-        lambda a, r: sharp_bracket_defect(a, r, 0, 1),
-        form_from_invertible_r,
-    )
     for a, r in ((abelian2(), on_sl2), (aff2(), on_abelian2)):
-        for call in calls:
-            with pytest.raises(ShapeError, match="different algebra"):
-                call(a, r)
+        with pytest.raises(ShapeError, match="different algebra"):
+            validate_coboundary(a, r)
     # another object with the same bracket and twist is the same algebra
     base = on_abelian2.base
     copy = HomLieAlgebra(base.bracket, base.twist, base.label)
-    for call in calls:
-        assert call(copy, on_abelian2) == call(base, on_abelian2)
+    assert validate_coboundary(copy, on_abelian2) == validate_coboundary(base, on_abelian2)

@@ -172,14 +172,14 @@ def _perturbed_pair(seed: int) -> MatchedPair:
     a, cb = aff2_triangular_bialgebra()
     coeffs = [[list(r) for r in p] for p in cb.coeffs.entries]
     coeffs[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] += _bump(rng)
-    mp = canonical_matched_pair(HomLieBialgebra(a, Cobracket(a, Tensor3(coeffs))))
+    mp = canonical_matched_pair(HomLieBialgebra(Cobracket(a, Tensor3(coeffs))))
 
     def moved(r: Representation) -> Representation:
         action = [[list(row) for row in m.rows] for m in r.action]
         action[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] += _bump(rng)
         return Representation(r.base, r.beta, [Matrix(m) for m in action])
 
-    return MatchedPair(mp.left, mp.right, moved(mp.rho), moved(mp.rho_prime))
+    return MatchedPair(moved(mp.rho), moved(mp.rho_prime))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -148,7 +148,7 @@ def test_rep_equivalence_identity_and_scalars():
 
 def test_semidirect_product_with_adjoint():
     a = aff2()
-    s = semidirect_product(a, adjoint_rep(a))
+    s = semidirect_product(adjoint_rep(a))
     assert s.dim == 4
     assert validate_hom_lie(s).ok
     # carrier block copies the algebra action: [e1, v2] = ad_{e1} e2 = e1 -> v1
@@ -158,20 +158,50 @@ def test_semidirect_product_with_adjoint():
     assert s.bracket_of(Vector.basis(4, 2), Vector.basis(4, 3)).is_zero()
 
 
+def test_constructions_read_the_algebra_off_the_action(heis3phi):
+    from homlie.bialgebra import MatchedPair, matched_pair_components
+
+    # aff2bad is not weakly involutive, and its adjoint action is over it
+    rep = adjoint_rep(aff2bad())
+    g = rep.base
+    s = semidirect_product(rep)
+    assert s.label == "aff2bad|xV"
+    assert s.twist == Matrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+    for i in range(2):
+        for j in range(2):
+            inner = g.bracket_of(Vector.basis(2, i), Vector.basis(2, j))
+            outer = s.bracket_of(Vector.basis(4, i), Vector.basis(4, j))
+            assert outer == Vector([*inner.entries, 0, 0])
+    criteria = semidirect_weak_involutivity_criteria(rep)
+    assert criteria.subreports[0] == is_weakly_involutive(g)
+    assert not criteria.subreports[0].ok
+    dual = dual_semidirect_weak_involutivity_criteria(adjoint_rep(heis3phi))
+    assert dual.subreports[0] == is_weakly_involutive(heis3phi)
+
+    # ad heis3 acts on a 3-dim space with identity twist, as ad sl2 does
+    rho, rho_prime = adjoint_rep(heis3()), adjoint_rep(sl2())
+    mp = MatchedPair(rho, rho_prime)
+    assert mp.left is rho.base and mp.right is rho_prime.base
+    parts = {p.checked_condition: p for p in matched_pair_components(mp).subreports}
+    assert parts["left-hom-lie"] == validate_hom_lie(heis3()).renamed("left-hom-lie")
+    assert parts["left-action-representation"].ok
+    assert parts["right-action-representation"].ok
+
+
 def test_semidirect_with_zero_rep_is_abelian_extension():
     r = Representation(abelian2(), Matrix.identity(1), (Matrix.zero(1), Matrix.zero(1)))
-    s = semidirect_product(abelian2(), r)
+    s = semidirect_product(r)
     assert s.dim == 3
     assert validate_hom_lie(s).ok
     assert s.bracket.is_zero()
 
 
 def test_semidirect_weak_involutivity_criteria_agreement():
-    good = semidirect_weak_involutivity_criteria(aff2(), adjoint_rep(aff2()))
+    good = semidirect_weak_involutivity_criteria(adjoint_rep(aff2()))
     assert good.ok
     assert good.info["direct_verdict"] == "pass"
 
-    bad = semidirect_weak_involutivity_criteria(aff2bad(), adjoint_rep(aff2bad()))
+    bad = semidirect_weak_involutivity_criteria(adjoint_rep(aff2bad()))
     assert not bad.ok
     sub = {s.checked_condition: s.ok for s in bad.subreports}
     assert sub["criteria-match-direct"] is True
@@ -179,12 +209,12 @@ def test_semidirect_weak_involutivity_criteria_agreement():
 
 
 def test_dual_semidirect_criteria(heis3phi):
-    rep = dual_semidirect_weak_involutivity_criteria(heis3phi, adjoint_rep(heis3phi))
+    rep = dual_semidirect_weak_involutivity_criteria(adjoint_rep(heis3phi))
     assert rep.ok
     assert rep.info["direct_verdict"] == "pass"
 
     with pytest.raises(InvalidStructureError):
-        dual_semidirect_weak_involutivity_criteria(aff2phi(), adjoint_rep(aff2phi()))
+        dual_semidirect_weak_involutivity_criteria(adjoint_rep(aff2phi()))
 
 
 def test_representation_value_equality_ignores_construction_route():

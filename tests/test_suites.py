@@ -67,7 +67,7 @@ def test_the_residual_suite_reports_the_least_failing_sample():
     assert not first.ok and first.info["case"] == 0
 
     rep = coboundary._residual_suite(a, 0, [zero, zero, r_bad])
-    want = next(s for s in cobracket_residual_identities(a, RMatrix(a, r_bad)) if not s.ok)
+    want = next(s for s in cobracket_residual_identities(RMatrix(a, r_bad)) if not s.ok)
     assert rep.info == {"seed": 0, "case": 2, "identity": want.checked_condition}
     assert rep.witnesses == want.witnesses == first.witnesses
 
