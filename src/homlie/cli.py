@@ -152,7 +152,7 @@ def _o_candidate(s: Structure, check: str) -> OOperatorCandidate:
     t = _need(s, "ooperator_t", check)
     rep = _acting_rep(s, check)
     n, m = rep.base.dim, rep.carrier_dim
-    if t.shape != (n, m):  # sized by an algebra with no representation; the lsa acts
+    if t.shape != (n, m):  # a builtin's T under the file's own representation or lsa
         raise UsageError(f"check {check!r} needs a {n} x {m} ooperator T, got {t.nrows} x {t.ncols}")
     return OOperatorCandidate(rep.base, rep, t)
 

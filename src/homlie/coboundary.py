@@ -23,7 +23,6 @@ has matrix r itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bialgebra import (
     Cobracket,
@@ -118,15 +117,21 @@ def twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
 
 
 def skew_twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
-    """Basis of the twist-compatible r that are also skew-symmetric."""
+    """Basis of the twist-compatible r that are also skew-symmetric.
+
+    A skew r is x - x^T for x its strictly lower part, so the unknowns are the
+    entries of x: each term c r[p][q] of phi r - r phi^T with p < q becomes
+    -c x[q][p], diagonal terms drop out, and one-term rows pin the upper entries
+    and the diagonal of x to 0. In the system of the compat rows and r + r^T = 0
+    every upper and diagonal unknown leads a row, so the free unknowns are lower
+    ones and this basis is x - x^T of that system's basis."""
     n = a.dim
-    equations = []
-    # for each (i, j): (phi r - r phi^T)[i][j] = 0, then (r + r^T)[i][j] = 0
-    for (i, j), compat in zip(
-        product(range(n), repeat=2), sylvester(a.twist, a.twist.transpose())
-    ):
-        equations += [compat, [(i, j, Q(1)), (j, i, Q(1))]]
-    return matrix_kernel(equations, n, n)
+    lower = (
+        [(p, q, c) if p > q else (q, p, -c) for p, q, c in compat if p != q]
+        for compat in sylvester(a.twist, a.twist.transpose())
+    )
+    pins = ([(p, q, 1)] for p in range(n) for q in range(p, n))
+    return [x - x.transpose() for x in matrix_kernel([*lower, *pins], n, n)]
 
 
 def cobracket_from_r(r: RMatrix) -> Cobracket:

@@ -21,7 +21,6 @@ from typing import Sequence
 from .report import CheckReport, combined, scan
 from .tensor import (
     Matrix,
-    Q,
     ShapeError,
     Sparse,
     Tensor3,
@@ -263,7 +262,7 @@ def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
         *sylvester(a.twist.transpose(), a.twist),
     ]
     symmetry = (
-        [(i, j, Q(1)), (j, i, Q(-1))] for i in range(n) for j in range(i + 1, n)
+        [(i, j, 1), (j, i, -1)] for i in range(n) for j in range(i + 1, n)
     )
     bases = [tuple(b) for b in matrix_kernels(n, n, invariance, symmetry)]
     return InvariantFormSpace(*bases, *(bool(pencil_det(b, n)) for b in bases))

@@ -7,7 +7,8 @@ A document needs "version": 1 and then any combination of sections:
     cobracket      n x n x n array, delta(e_k) = plane k
     rmatrix        n x n array
     lsa            {dim, product (m x m x m), psi (m x m)}
-    ooperator      {"T": n x m array}
+    ooperator      {"T": n x m array}, n x m by the representation (n the
+                   algebra's dim, m the carrier's), else m x m by the lsa
 
 plus an optional "name" and an optional "builtin" reference ("aff2" or
 "builtin:aff2") that is resolved first, with explicit sections layered on
@@ -267,18 +268,15 @@ def structure_from_doc(doc) -> Structure:
         sec = doc["ooperator"]
         if not isinstance(sec, dict) or "T" not in sec:
             raise StructureParseError("ooperator", 'expected an object with "T"')
-        if algebra is not None:
-            nrows = algebra.dim
-            ncols = (
-                representation.carrier_dim
-                if representation is not None
-                else algebra.dim
-            )
+        # T maps the carrier to the algebra that acts on it: the representation's,
+        # or else the lsa's commutator algebra acting by left multiplication
+        if representation is not None:
+            nrows, ncols = representation.base.dim, representation.carrier_dim
         elif lsa is not None:
             nrows = ncols = lsa.dim
         else:
             raise StructureParseError(
-                "ooperator", "needs an algebra+representation or an lsa section"
+                "ooperator", "needs a representation or an lsa section to act on"
             )
         ooperator_t = _parse_array(sec["T"], "ooperator.T", (nrows, ncols))
 

@@ -23,10 +23,11 @@ it returns, such as a witness); any other read of a packed ``Sparse`` unpacks it
 place, once, into plain numerators. Fractions are built only
 where a rational leaves the integers: in rendering (``str``, ``to_json``, and the
 nested tuples ``entries`` and ``rows``, made on each access), in single-entry
-reads, and in the results of ``rref`` (so ``nullspace`` and ``matrix_kernels``)
-and ``Matrix.det``, which eliminate fraction-free on integer rows, as does
-``Matrix.inverse``. Every comparison is exact equality: there are no tolerances
-anywhere in this package.
+reads, and in the results of ``rref`` and ``Matrix.det``. Those eliminate
+fraction-free on integer rows, as do ``Matrix.inverse``, ``nullspace`` and
+``matrix_kernels``, which read each kernel vector's integer view off the reduced
+integer rows; ``sylvester`` writes its equations with integer coefficients. Every
+comparison is exact equality: there are no tolerances anywhere in this package.
 
 Conventions that the rest of the package relies on:
 
@@ -41,11 +42,11 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import operator
+from bisect import bisect, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
@@ -459,9 +460,15 @@ def sparse(x) -> Sparse:
 
 def _integral(entries: Iterable[tuple[tuple, Scalar]]) -> Sparse:
     """The nonzero (key, rational) entries over the LCM of their denominators."""
+    return Sparse(*_cleared(entries))
+
+
+def _cleared(entries: Iterable[tuple[object, Scalar]]) -> tuple[dict, int]:
+    """The nonzero (key, rational) entries as integer numerators over the LCM of
+    their denominators, and that LCM."""
     nonzero = [(key, v) for key, v in entries if v]
     den = lcm(*(v.denominator for _, v in nonzero))
-    return Sparse({key: den // v.denominator * v.numerator for key, v in nonzero}, den)
+    return {key: den // v.denominator * v.numerator for key, v in nonzero}, den
 
 
 # --- packed lanes ---------------------------------------------------------------
@@ -748,21 +755,24 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // d for j, v in row.items()} if d > 1 else row
 
 
-def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
-    """The primitive row p row - f pivot_row, which has no column c (p the pivot
-    at c, f row's entry there, both divided by their gcd). Rows are the caller's
-    own: row may be changed in place and pivot_row is not."""
-    p, f = pivot_row[c], row[c]
-    g = gcd(p, f)
-    p, f = p // g, f // g
-    if p != 1:
-        row = {j: p * v for j, v in row.items()}
-    for j, v in pivot_row.items():
-        x = row.get(j, 0) - f * v
-        if x:
-            row[j] = x
-        else:
-            del row[j]
+def _eliminate(row: dict[int, int], steps: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """The primitive row m row - sum of (m row[c] / p_c) pivot_row over the
+    (c, pivot_row) steps, which has none of their columns c: p_c is pivot_row's
+    entry at c, no pivot row holds another step's column, and m > 0 is the least
+    multiplier that makes every coefficient an integer, the LCM of the
+    p_c / gcd(p_c, row[c]). Rows are the caller's own: row may be changed in
+    place and the pivot rows are not."""
+    m = lcm(*(pivot_row[c] // gcd(pivot_row[c], row[c]) for c, pivot_row in steps))
+    if m != 1:
+        row = {j: m * v for j, v in row.items()}
+    for c, pivot_row in steps:
+        f = row[c] // pivot_row[c]
+        for j, v in pivot_row.items():
+            x = row.get(j, 0) - f * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
     return _primitive(row)
 
 
@@ -776,40 +786,31 @@ def _row_dicts(t: Sparse, nrows: int) -> list[dict[int, int]]:
 
 def _reduce(a: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
     """The elimination of rref on integer rows, which it may change: the nonzero
-    rows of the reduced form, each a primitive multiple of the rational one, and
-    their pivot columns."""
-    buckets: dict[int, list[dict[int, int]]] = {}
-    for row in a:
+    rows of the reduced form, each a primitive multiple of the rational one, in
+    the order of their pivot columns, and those columns.
+
+    One left-looking Gauss-Jordan pass. The rows are taken by decreasing leading
+    column, the shorter first among rows that lead at the same column, and each
+    is cleared against a basis of rows kept fully reduced: a basis row holds no
+    pivot column but its own, so clearing one pivot column of a row brings in no
+    other, and one _eliminate clears a row of every pivot column it holds. A row
+    left nonzero leads at a new pivot column c; only a basis row with an earlier
+    pivot can hold c, found by bisecting the sorted pivots, and those are cleared
+    of it, which keeps the basis reduced."""
+    basis: dict[int, dict[int, int]] = {}
+    pivots: list[int] = []
+    for row in sorted((_primitive(row) for row in a if row), key=lambda row: (-min(row), len(row))):
+        held = [(j, basis[j]) for j in row if j in basis]
+        if held:
+            row = _eliminate(row, held)
         if row:
-            buckets.setdefault(min(row), []).append(_primitive(row))
-    heap = list(buckets)
-    heapify(heap)
-    reduced, pivots = [], []
-    while heap:
-        c = heappop(heap)
-        bucket = buckets.pop(c)
-        pivot_row = bucket[0]
-        if len(bucket) > 1:
-            pivot_row = min(bucket, key=lambda row: (len(row), abs(row[c])))
-        for row in bucket:
-            if row is not pivot_row:
-                row = _eliminate(row, pivot_row, c)
-                if row:
-                    k = min(row)
-                    if k in buckets:
-                        buckets[k].append(row)
-                    else:
-                        buckets[k] = [row]
-                        heappush(heap, k)
-        reduced.append(pivot_row)
-        pivots.append(c)
-    index = {c: k for k, c in enumerate(pivots)}
-    for k in range(len(pivots) - 2, -1, -1):
-        row, c = reduced[k], pivots[k]
-        for j in [j for j in row if j != c and j in index]:
-            row = _eliminate(row, reduced[index[j]], j)
-        reduced[k] = row
-    return reduced, pivots
+            c = min(row)
+            for p in pivots[: bisect(pivots, c)]:
+                if c in basis[p]:
+                    basis[p] = _eliminate(basis[p], [(c, row)])
+            insort(pivots, c)
+            basis[c] = row
+    return [basis[c] for c in pivots], pivots
 
 
 def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
@@ -817,27 +818,15 @@ def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
     {column: entry} dicts come back as dicts of their nonzero entries, rows given as
     sequences as lists.
 
-    Elimination on primitive integer rows (each row times the LCM of its
-    denominators, over the gcd of the results), where clearing column c of a row
-    against the pivot row sets it to p row - f pivot_row (p the pivot, f the entry,
-    both divided by their gcd) over the gcd of its entries. The forward pass keeps
-    the rows in buckets by their least column and takes the buckets in increasing
-    column order: the row of a bucket with the fewest nonzeros, ties to the smaller
-    |pivot|, is its pivot row (Markowitz's rule); the other rows of the bucket are
-    cleared against it and move to the bucket of their new least column, or are
-    dropped at zero. Back substitution then goes from the last pivot row to the
-    first and clears from each the pivot columns of the later rows, already
-    reduced, found through the index of pivot columns; a later row has no other
-    pivot column, so this makes none. The work follows the nonzeros touched, not
-    rows x columns, and as the form is unique the choice of pivot rows does not
-    change it. Each row stays a multiple of the rational one, so only the pivot
-    rows are divided by their pivots, once, at the end."""
-    a = []
-    for row in rows:
-        nonzero = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
-        m = lcm(*(x.denominator for _, x in nonzero))
-        a.append({j: x.numerator * (m // x.denominator) for j, x in nonzero})
-    reduced, pivots = _reduce(a)
+    The elimination (_reduce) is one Gauss-Jordan pass on primitive integer rows
+    (each row times the LCM of its denominators, over the gcd of the results). Its
+    work follows the nonzeros touched, not rows x columns, and as the form is
+    unique the order in which it takes the rows does not change it. Each row stays
+    a multiple of the rational one, so only the pivot rows are divided by their
+    pivots, once, at the end."""
+    reduced, pivots = _reduce(
+        [_cleared(row.items() if isinstance(row, dict) else enumerate(row))[0] for row in rows]
+    )
     out = [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(reduced, pivots)]
     out += [{} for _ in range(len(rows) - len(pivots))]
     if rows and not isinstance(rows[0], dict):
@@ -848,18 +837,27 @@ def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     """Exact basis of {x : rows x = 0} for x with ncols entries."""
-    return _kernel(*rref([dict(enumerate(row)) for row in rows]), ncols)
+    reduced, pivots = _reduce([_cleared(enumerate(row))[0] for row in rows])
+    return [Vector._of((ncols,), v) for v in _kernel(reduced, pivots, ncols)]
 
 
-def _kernel(a: list[dict[int, Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
-    """One basis vector per free column f of a reduced row echelon form in dict
-    rows: 1 at f and -row[f] at each pivot row's pivot, read off each row once."""
-    free = {f: {(f,): ONE} for f in sorted(set(range(ncols)).difference(pivots))}
+def _kernel(a: list[dict[int, int]], pivots: list[int], ncols: int) -> list[Sparse]:
+    """One basis vector per free column f of _reduce's rows and pivots, as its
+    integer view: 1 at f and -row[f] / row[p] at the pivot p of each row that
+    holds f, all over the LCM of those |row[p]|. Each row is read once."""
+    free: dict[int, list] = {f: [] for f in sorted(set(range(ncols)).difference(pivots))}
     for row, p in zip(a, pivots):
-        for f, x in row.items():
+        d = row[p]
+        for f, v in row.items():
             if f != p:
-                free[f][(p,)] = -x
-    return [dense(v, (ncols,)) for v in free.values()]
+                free[f].append((p, v, d))
+    views = []
+    for f, held in free.items():
+        den = lcm(*(d for _, _, d in held))
+        view = {(p,): -v * (den // d) for p, v, d in held}
+        view[(f,)] = den
+        views.append(Sparse(view, den))
+    return views
 
 
 # --- linear systems in the entries of a matrix -------------------------------
@@ -872,28 +870,28 @@ Equation = list[tuple[int, int, Scalar]]
 
 
 def sylvester(a: Matrix, b: Matrix) -> Iterator[Equation]:
-    """The equations (A X - X B)[i][j] = 0, in row-major order of (i, j)."""
-    b_cols = _lines(b.transpose())
-    for i, a_row in enumerate(_lines(a)):
+    """The equations (A X - X B)[i][j] = 0, in row-major order of (i, j), each
+    times the denominators of A and B so that its coefficients are integers."""
+    av, bv = sparse(a), sparse(b)
+    a_rows = _lines(av, a.nrows, bv.den)
+    b_cols = _lines(sparse(b.transpose()), b.ncols, -av.den)
+    for i, a_row in enumerate(a_rows):
         for j, b_col in enumerate(b_cols):
-            yield [(p, j, c) for p, c in a_row] + [(i, q, -c) for q, c in b_col]
+            yield [(p, j, c) for p, c in a_row] + [(i, q, c) for q, c in b_col]
 
 
-def _lines(m: Matrix) -> list[list[tuple[int, Fraction]]]:
-    """The nonzero entries of each row of m, as (column, entry) in column order."""
-    view = sparse(m)
-    return [
-        sorted((j, Fraction(v, view.den)) for j, v in row.items())
-        for row in _row_dicts(view, m.nrows)
-    ]
+def _lines(view: Sparse, nrows: int, scale: int) -> list[list[tuple[int, int]]]:
+    """The nonzero numerators of each row of a matrix's view times scale, as
+    (column, entry) in column order."""
+    return [sorted((j, scale * v) for j, v in row.items()) for row in _row_dicts(view, nrows)]
 
 
 def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[list[Matrix]]:
     """Exact bases of the nrows x ncols matrices X that satisfy the first group of
     equations, the first two groups, and so on. Each group is reduced once, with the
-    rows already reduced: a row space has one reduced row echelon form."""
-    unknowns = nrows * ncols
-    reduced: list[dict[int, Scalar]] = []
+    rows already reduced: a row space has one reduced row echelon form. Integer
+    coefficients stay integers from the equation to the basis."""
+    reduced: list[dict[int, int]] = []
     kernels = []
     for group in groups:
         rows = []
@@ -901,15 +899,13 @@ def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[
             row: dict[int, Scalar] = {}
             for p, q, c in eq:
                 k = p * ncols + q
-                # most entries get one term: skip the Fraction addition for those
                 row[k] = row[k] + c if k in row else c
-            rows.append(row)
-        reduced, pivots = rref(reduced + rows)
-        del reduced[len(pivots) :]
+            rows.append(_cleared(row.items())[0])
+        reduced, pivots = _reduce(reduced + rows)
         kernels.append(
             [
-                Matrix._of((nrows, ncols), sparse(v).moved(lambda k: divmod(k, ncols)))
-                for v in _kernel(reduced, pivots, unknowns)
+                Matrix._of((nrows, ncols), v.moved(lambda k: divmod(k, ncols)))
+                for v in _kernel(reduced, pivots, nrows * ncols)
             ]
         )
     return kernels

@@ -325,6 +325,22 @@ def test_build_r_from_o_fails_when_not_an_operator(tmp_path, capsys):
     assert "(1,2)" in out2.replace(" ", "")
 
 
+def test_o_operator_checks_act_with_the_lsa_beside_an_algebra(tmp_path, capsys):
+    # an algebra of dim 1 and the lsa e2.e2 = e1 of dim 2: the lsa acts on T
+    algebra = {"dim": 1, "bracket": {"entries": []}, "twist": [["1"]]}
+    lsa = {"dim": 2, "product": {"entries": [[2, 2, 1, "1"]]}, "psi": [["1", "0"], ["0", "1"]]}
+    f = tmp_path / "lsa.json"
+    t = {"T": [["1", "0"], ["0", "1"]]}
+    f.write_text(json.dumps({"version": 1, "algebra": algebra, "lsa": lsa, "ooperator": t}))
+    code, out, _ = run(capsys, "validate", str(f), "--check", "o-operator")
+    assert (code, out.splitlines()[0]) == (0, "o-operator: pass")
+    g = tmp_path / "bare.json"
+    g.write_text(json.dumps({"version": 1, "algebra": algebra, "ooperator": {"T": [["1"]]}}))
+    code, out, err = run(capsys, "validate", str(g), "--check", "o-operator")
+    assert (code, out) == (2, "")
+    assert "ooperator: needs a representation or an lsa section to act on" in err
+
+
 def test_corpus_listing(capsys):
     code, out, _ = run(capsys, "corpus")
     assert code == 0

@@ -1,0 +1,158 @@
+"""The Gauss-Jordan elimination and the integer kernels against Fraction
+arithmetic: rref against oracle_rref on rank-deficient Kronecker sums, the skew
+kernel in r's strictly lower entries against the nullspace of the system in all
+n^2 entries of r, and matrix_kernels, whose equations and rows stay integers,
+against the same equations reduced in Fractions by oracle_rref."""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from homlie.coboundary import skew_twist_compat_kernel, twist_compat_kernel
+from homlie.corpus import BUILTINS
+from homlie.hom_lie import (
+    HomLieAlgebra,
+    _bracket_invariance_equations,
+    change_of_basis,
+    invariant_form_space,
+)
+from homlie.operators import commutator_hom_lie, intertwining_t_space
+from homlie.representation import adjoint_rep
+from homlie.tensor import Matrix, Tensor3, matrix_kernel, rref, sylvester
+
+from oracles import oracle_rref
+
+
+def dense_twist(n: int, seed: int, diagonal=None) -> Matrix:
+    """L D L^-1 for a seeded unit lower triangular L of +-1 entries; D is
+    diag(-1, 1, -1, ...), an involution, unless a diagonal is given."""
+    rng = random.Random(seed)
+    lower = Matrix(
+        [[1 if i == j else rng.choice((-1, 1)) if i > j else 0 for j in range(n)] for i in range(n)]
+    )
+    d = diagonal or [(-1) ** (i + 1) for i in range(n)]
+    diag = Matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return lower @ diag @ lower.inverse()
+
+
+def kronecker_sum(phi: Matrix) -> list[list[Q]]:
+    """The rows of phi (x) I - I (x) phi, row and column (i, k) at i n + k."""
+    n, a = phi.nrows, phi.rows
+    return [
+        [a[i][j] * (k == l) - (i == j) * a[k][l] for j in range(n) for l in range(n)]
+        for i in range(n)
+        for k in range(n)
+    ]
+
+
+def oracle_kernel(rows: list[list[Q]], ncols: int) -> list[list[Q]]:
+    """The canonical nullspace basis read off oracle_rref: per free column f,
+    1 at f and -row[f] at each pivot."""
+    reduced, pivots = oracle_rref(rows) if rows else ([], [])
+    basis = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def fraction_kernels(nrows: int, ncols: int, *groups) -> list[list[Matrix]]:
+    """matrix_kernels in Fractions: the equations of the first group, of the first
+    two, and so on, as dense Fraction rows through oracle_kernel."""
+    rows, kernels = [], []
+    for group in groups:
+        for eq in group:
+            row = [Q(0)] * (nrows * ncols)
+            for p, q, c in eq:
+                row[p * ncols + q] += Q(c)
+            rows.append(row)
+        kernels.append(
+            [
+                Matrix([v[p * ncols : (p + 1) * ncols] for p in range(nrows)])
+                for v in oracle_kernel(rows, nrows * ncols)
+            ]
+        )
+    return kernels
+
+
+def fraction_sylvester(a: Matrix, b: Matrix):
+    """(A X - X B)[i][j] = 0 with A's and B's own Fraction entries."""
+    ar, br = a.rows, b.rows
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            yield [(p, j, ar[i][p]) for p in range(a.ncols) if ar[i][p]] + [
+                (i, q, -br[q][j]) for q in range(b.nrows) if br[q][j]
+            ]
+
+
+def old_skew_system(phi: Matrix):
+    """The compat equations in the n^2 entries of r, then r + r^T = 0."""
+    n = phi.nrows
+    skew = ([(i, j, 1), (j, i, 1)] for i in range(n) for j in range(n))
+    return [*fraction_sylvester(phi, phi.transpose()), *skew]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_rref_matches_the_oracle_on_kronecker_sums_of_dense_involutions(n, seed):
+    rows = kronecker_sum(dense_twist(n, seed))
+    reduced, pivots = oracle_rref(rows)
+    # the kernel of X -> phi X - X phi is the commutant of the involution phi, of
+    # dimension p^2 + q^2 for its eigenvalues 1 and -1 of multiplicities p and q
+    assert len(pivots) == n * n - (n * n + n % 2) // 2
+    assert rref(rows) == (reduced, pivots)
+    augmented = [row + [Q(int(i == j)) for j in range(n * n)] for i, row in enumerate(rows)]
+    assert rref(augmented) == oracle_rref(augmented)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_skew_kernel_is_the_nullspace_of_the_system_in_all_entries(n, seed):
+    rng = random.Random(n + seed)
+    for phi in (dense_twist(n, seed), dense_twist(n, seed, [rng.choice((-1, 1, 2)) for _ in range(n)])):
+        got = skew_twist_compat_kernel(HomLieAlgebra(Tensor3.zero(n), phi))
+        (want,) = fraction_kernels(n, n, old_skew_system(phi))
+        assert got == want
+
+
+def _seeded_basis(n: int, seed: int) -> Matrix:
+    rng = random.Random(seed)
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if p.det() != 0:
+            return p
+
+
+def _builtin_algebras():
+    for b in BUILTINS:
+        sections = b.build()
+        a = sections["algebra"] if "algebra" in sections else commutator_hom_lie(sections["lsa"])
+        yield b.name, a
+        yield f"{b.name}, dense basis", change_of_basis(a, _seeded_basis(a.dim, 5))
+
+
+ALGEBRAS = dict(_builtin_algebras())
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_integer_kernels_equal_the_fraction_path(name):
+    a = ALGEBRAS[name]
+    phi, n = a.twist, a.dim
+    (compat,) = fraction_kernels(n, n, fraction_sylvester(phi, phi.transpose()))
+    assert twist_compat_kernel(a) == compat
+    assert skew_twist_compat_kernel(a) == fraction_kernels(n, n, old_skew_system(phi))[0]
+    rep = adjoint_rep(a)
+    assert intertwining_t_space(a, rep) == fraction_kernels(n, n, fraction_sylvester(phi, rep.beta))[0]
+    # a rectangular T against a 2 x 2 beta that shares the eigenvalue 1
+    beta = Matrix([[1, Q(1, 2)], [0, 1]])
+    (intertwining,) = fraction_kernels(n, 2, fraction_sylvester(phi, beta))
+    assert matrix_kernel(sylvester(phi, beta), n, 2) == intertwining
+    space = invariant_form_space(a)
+    symmetry = [[(i, j, 1), (j, i, -1)] for i in range(n) for j in range(i + 1, n)]
+    invariance = [*_bracket_invariance_equations(a), *fraction_sylvester(phi.transpose(), phi)]
+    want = fraction_kernels(n, n, invariance, symmetry)
+    assert [list(space.basis), list(space.symmetric_basis)] == want

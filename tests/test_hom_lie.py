@@ -175,13 +175,13 @@ def test_invariant_form_space_reduces_the_invariance_rows_once(monkeypatch):
     import homlie.tensor
 
     sizes = []
-    real = homlie.tensor.rref
+    real = homlie.tensor._reduce
 
     def spy(rows):
         sizes.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(homlie.tensor, "rref", spy)
+    monkeypatch.setattr(homlie.tensor, "_reduce", spy)
     n = 3
     space = invariant_form_space(sl2())
     # the symmetry rows go in with the reduced rows, one per pivot

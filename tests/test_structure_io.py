@@ -238,6 +238,30 @@ def test_sections_requiring_an_algebra():
     assert exc.value.path == "ooperator"
 
 
+# an algebra of dim 1 beside the lsa e2.e2 = e1 of dim 2, which acts on T
+ALGEBRA_1 = {"dim": 1, "bracket": {"entries": []}, "twist": [["1"]]}
+LSA_2 = {"dim": 2, "product": {"entries": [[2, 2, 1, "1"]]}, "psi": [["1", "0"], ["0", "1"]]}
+
+
+def test_ooperator_is_sized_by_the_lsa_without_a_representation():
+    t = {"T": [["1", "0"], ["0", "1"]]}
+    doc = {"version": 1, "algebra": ALGEBRA_1, "lsa": LSA_2, "ooperator": t}
+    s = parse_structure(json.dumps(doc))
+    assert s.ooperator_t == Matrix.identity(2)
+    assert parse_structure(emit_structure(s)) == s
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(dict(doc, ooperator={"T": [["1"]]})))
+    assert exc.value.path == "ooperator.T"
+
+
+def test_ooperator_with_nothing_to_act_on_is_refused():
+    doc = {"version": 1, "algebra": ALGEBRA_1, "ooperator": {"T": [["1"]]}}
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(doc))
+    assert exc.value.path == "ooperator"
+    assert "needs a representation or an lsa section to act on" in str(exc.value)
+
+
 def test_representation_action_count_checked():
     doc = {
         "version": 1,
