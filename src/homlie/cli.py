@@ -50,7 +50,7 @@ from .structure_io import (
     emit_structure,
     load_structure,
 )
-from .tensor import Matrix, Q
+from .tensor import Matrix, Q, dense
 
 
 class UsageError(Exception):
@@ -78,8 +78,9 @@ _TERM = re.compile(
 
 def parse_rmatrix_expr(expr: str, dim: int) -> Matrix:
     """Sums of elementary 2-tensors: "e1^e2" (wedge), "e1xe2" (plain
-    tensor), optional rational coefficients, e.g. "1/2 e1^e2 - e2xe2"."""
-    rows = [[Q(0)] * dim for _ in range(dim)]
+    tensor), optional rational coefficients, e.g. "1/2 e1^e2 - e2xe2". Only the
+    entries the terms name are stored, so the cost follows the expression, not dim."""
+    entries: dict[tuple[int, int], Q] = {}
     cleaned = expr.replace("-", "+-").strip()
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
@@ -104,10 +105,10 @@ def parse_rmatrix_expr(expr: str, dim: int) -> Matrix:
             raise UsageError(
                 f"index out of range in {part!r} (dimension is {dim})"
             )
-        rows[i][j] += coeff
+        entries[i, j] = entries.get((i, j), 0) + coeff
         if m.group("op") == "^":
-            rows[j][i] -= coeff
-    return Matrix(rows)
+            entries[j, i] = entries.get((j, i), 0) - coeff
+    return dense(entries, (dim, dim))
 
 
 CHECK_ALIASES = {

@@ -54,6 +54,7 @@ from .report import (
     scan,
 )
 from .tensor import (
+    _SAMPLE,
     Matrix,
     Q,
     ShapeError,
@@ -65,8 +66,9 @@ from .tensor import (
     first_case,
     matrix_kernel,
     random_combination,
+    skew_stack,
     sparse,
-    sylvester,
+    unit_stack,
 )
 
 
@@ -95,11 +97,7 @@ def check_twist_compat(r: RMatrix) -> CheckReport:
     """(phi (x) id) r = (id (x) phi) r, cross-checked against the operator
     form phi r# = r# phi* (as matrices: phi r = r phi^T)."""
     phi = r.base.twist
-    tensor_res = dense(
-        contract("ab", ("ap", phi), ("pb", r.coeffs))
-        - contract("ab", ("aq", r.coeffs), ("bq", phi)),
-        (r.dim,) * 2,
-    )
+    tensor_res = dense(_twist_compat(r.base, r.coeffs), (r.dim,) * 2)
     operator_res = phi @ r.coeffs - r.coeffs @ phi.transpose()
     agree = tensor_res.is_zero() == operator_res.is_zero()
     if not agree:
@@ -111,27 +109,25 @@ def check_twist_compat(r: RMatrix) -> CheckReport:
     return scan("twist-compat", [((0,), tensor_res)])
 
 
+def _twist_compat(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
+    """Entry (i, j) of (phi (x) id) r - (id (x) phi) r, the 2-tensor r given by its
+    coefficient matrix. With a batch letter, r and the result carry a sample index
+    first: one slice per sample."""
+    z, phi = batch, a.twist
+    return contract(z + "ij", ("ip", phi), (z + "pj", r)) - contract(z + "ij", (z + "iq", r), ("jq", phi))
+
+
 def twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
     """Basis of {r : phi r = r phi^T}, the space of twist-compatible r."""
-    return matrix_kernel(sylvester(a.twist, a.twist.transpose()), a.dim, a.dim)
+    stack = unit_stack(a.dim, a.dim)
+    return matrix_kernel(stack, _twist_compat(a, stack, _SAMPLE))
 
 
 def skew_twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
-    """Basis of the twist-compatible r that are also skew-symmetric.
-
-    A skew r is x - x^T for x its strictly lower part, so the unknowns are the
-    entries of x: each term c r[p][q] of phi r - r phi^T with p < q becomes
-    -c x[q][p], diagonal terms drop out, and one-term rows pin the upper entries
-    and the diagonal of x to 0. In the system of the compat rows and r + r^T = 0
-    every upper and diagonal unknown leads a row, so the free unknowns are lower
-    ones and this basis is x - x^T of that system's basis."""
-    n = a.dim
-    lower = (
-        [(p, q, c) if p > q else (q, p, -c) for p, q, c in compat if p != q]
-        for compat in sylvester(a.twist, a.twist.transpose())
-    )
-    pins = ([(p, q, 1)] for p in range(n) for q in range(p, n))
-    return [x - x.transpose() for x in matrix_kernel([*lower, *pins], n, n)]
+    """Basis of the twist-compatible r that are also skew-symmetric, solved over
+    the skew unknowns E_pq - E_qp, p > q."""
+    stack = skew_stack(a.dim)
+    return matrix_kernel(stack, _twist_compat(a, stack, _SAMPLE))
 
 
 def cobracket_from_r(r: RMatrix) -> Cobracket:
@@ -376,7 +372,6 @@ def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport,
 # memory stays bounded on larger ones (9 samples a chunk at n = 6).
 
 _SUITE_ENTRIES = 12_000
-_SAMPLE = "z"  # the batch letter of the suites
 
 
 def _require_count(count: int) -> None:

@@ -15,24 +15,23 @@ diagnose a bad structure instead of refusing to look at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .report import CheckReport, combined, scan
 from .tensor import (
+    _SAMPLE,
     Matrix,
     ShapeError,
     Sparse,
     Tensor3,
     Vector,
-    _grouped,
     contract,
     dense,
     first_case,
     matrix_kernels,
     pencil_det,
     sparse,
-    sylvester,
+    unit_stack,
 )
 
 
@@ -165,18 +164,24 @@ def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
     )
 
 
-def _form_invariance(a: HomLieAlgebra, gram: Matrix) -> Sparse:
-    """Entry (k, i, j): B([e_i, e_j], e_k) - B(e_i, [phi e_j, e_k])."""
-    return contract("kij", ("ijl", a.bracket), ("lk", gram)) - contract(
-        "kij", ("jkl", twisted_ad(a)), ("il", gram)
+def _form_invariance(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
+    """Entry (k, i, j): B([e_i, e_j], e_k) - B(e_i, [phi e_j, e_k]). With a batch
+    letter, gram and the result carry a sample index first: one slice per sample."""
+    z = batch
+    return contract(z + "kij", ("ijl", a.bracket), (z + "lk", gram)) - contract(
+        z + "kij", ("jkl", twisted_ad(a)), (z + "il", gram)
     )
+
+
+def _twist_symmetry(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
+    """Entry (i, j): B(phi e_i, e_j) - B(e_i, phi e_j), batched as _form_invariance."""
+    z, phi = batch, a.twist
+    return contract(z + "ij", ("pi", phi), (z + "pj", gram)) - contract(z + "ij", (z + "ip", gram), ("pj", phi))
 
 
 def twist_symmetry(a: HomLieAlgebra, gram: Matrix, condition: str) -> CheckReport:
     """B(phi e_i, e_j) = B(e_i, phi e_j) for the form with this Gram matrix."""
-    phi = a.twist
-    res = contract("ij", ("pi", phi), ("pj", gram)) - contract("ij", ("ip", gram), ("pj", phi))
-    return scan(condition, first_case(res, (a.dim,) * 2, 2))
+    return scan(condition, first_case(_twist_symmetry(a, gram), (a.dim,) * 2, 2))
 
 
 def form_to_equivalence(a: HomLieAlgebra, b: BilinearFormB) -> Matrix:
@@ -233,20 +238,6 @@ class InvariantFormSpace:
     has_nondegenerate_symmetric: bool
 
 
-def _bracket_invariance_equations(a: HomLieAlgebra):
-    """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k]) = 0 in the Gram entries
-    of B, for each (i, j, k) in row-major order, each equation times the two
-    denominators so that its coefficients are the integer numerators."""
-    bracket, ad = sparse(a.bracket), twisted_ad(a)
-    # (i, j): the e_l coefficients of [e_i, e_j]; (j, k): those of [phi e_j, e_k]
-    outputs = _grouped(bracket, "ijl", "ij", "l")
-    acting = _grouped(ad, "jkl", "jk", "l")
-    for i, j, k in product(range(a.dim), repeat=3):
-        yield [(l, k, c * ad.den) for (l,), c in outputs.get((i, j), ())] + [
-            (i, l, -c * bracket.den) for (l,), c in acting.get((j, k), ())
-        ]
-
-
 def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     """Solve the invariance identities as a linear system in the Gram entries,
     then add B(e_i, e_j) = B(e_j, e_i) for the symmetric forms.
@@ -255,16 +246,12 @@ def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     of the solution space is not the zero polynomial (over an infinite field a
     nonzero polynomial has a rational non-root), expanded exactly by pencil_det.
     """
-    n = a.dim
-    invariance = [
-        *_bracket_invariance_equations(a),
-        # B(phi e_i, e_j) - B(e_i, phi e_j)
-        *sylvester(a.twist.transpose(), a.twist),
-    ]
-    symmetry = (
-        [(i, j, 1), (j, i, -1)] for i in range(n) for j in range(i + 1, n)
-    )
-    bases = [tuple(b) for b in matrix_kernels(n, n, invariance, symmetry)]
+    n, z = a.dim, _SAMPLE
+    stack = unit_stack(n, n)
+    units = sparse(stack)
+    invariance = [_form_invariance(a, stack, z), _twist_symmetry(a, stack, z)]
+    symmetry = [units - units.moved(lambda s, i, j: (s, j, i))]
+    bases = [tuple(b) for b in matrix_kernels(stack, invariance, symmetry)]
     return InvariantFormSpace(*bases, *(bool(pencil_det(b, n)) for b in bases))
 
 

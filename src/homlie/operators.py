@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .bialgebra import HomLieBialgebra, check_triple_equivalence
 from .coboundary import (
-    _SAMPLE,
     RMatrix,
     _first_failure,
     _r_square,
@@ -50,6 +49,7 @@ from .representation import (
     validate_representation,
 )
 from .tensor import (
+    _SAMPLE,
     Matrix,
     ShapeError,
     Sparse,
@@ -61,7 +61,7 @@ from .tensor import (
     matrix_kernel,
     random_combination,
     sparse,
-    sylvester,
+    unit_stack,
 )
 
 
@@ -413,7 +413,8 @@ def intertwining_t_space(a: HomLieAlgebra, rep: Representation) -> list[Matrix]:
     """Basis of {T : T beta = phi T}, the lift precondition's solution space.
     a must be the algebra rep represents (ShapeError otherwise)."""
     require_same_algebra(rep.base, a, "representation must live over the given algebra")
-    return matrix_kernel(sylvester(a.twist, rep.beta), a.dim, rep.carrier_dim)
+    stack = unit_stack(a.dim, rep.carrier_dim)
+    return matrix_kernel(stack, _twist_defect(rep, stack, _SAMPLE))
 
 
 def run_defect_expansion_suite(

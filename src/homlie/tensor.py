@@ -26,8 +26,11 @@ nested tuples ``entries`` and ``rows``, made on each access), in single-entry
 reads, and in the results of ``rref`` and ``Matrix.det``. Those eliminate
 fraction-free on integer rows, as do ``Matrix.inverse``, ``nullspace`` and
 ``matrix_kernels``, which read each kernel vector's integer view off the reduced
-integer rows; ``sylvester`` writes its equations with integer coefficients. Every
-comparison is exact equality: there are no tolerances anywhere in this package.
+integer rows. ``matrix_kernels`` solves a linear identity in an unknown matrix from
+the identity's own contraction, evaluated once on a stack of unknown matrices
+(``unit_stack``, ``skew_stack``), so each identity is written once, for checking and
+for solving alike. Every comparison is exact equality: there are no tolerances
+anywhere in this package.
 
 Conventions that the rest of the package relies on:
 
@@ -556,13 +559,6 @@ def _group(items, split, keep) -> dict:
     return out
 
 
-def _grouped(t: dict, labels: str, common: list[str], kept: list[str]) -> dict:
-    """The entries of t by their indices at the common letters, as (indices at
-    the kept letters, value) pairs."""
-    pick = lambda letters: _picker([labels.index(l) for l in letters])  # noqa: E731
-    return _group(t.items(), pick(common), pick(kept))
-
-
 @lru_cache(maxsize=1024)
 def _plan(out: str, specs: tuple[str, ...]) -> tuple:
     """What contract(out, *operands) does with operands labelled specs, worked out
@@ -838,14 +834,16 @@ def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     """Exact basis of {x : rows x = 0} for x with ncols entries."""
     reduced, pivots = _reduce([_cleared(enumerate(row))[0] for row in rows])
-    return [Vector._of((ncols,), v) for v in _kernel(reduced, pivots, ncols)]
+    return [Vector._of((ncols,), v) for v in _kernel(reduced, pivots, [[((c,), 1)] for c in range(ncols)])]
 
 
-def _kernel(a: list[dict[int, int]], pivots: list[int], ncols: int) -> list[Sparse]:
-    """One basis vector per free column f of _reduce's rows and pivots, as its
-    integer view: 1 at f and -row[f] / row[p] at the pivot p of each row that
-    holds f, all over the LCM of those |row[p]|. Each row is read once."""
-    free: dict[int, list] = {f: [] for f in sorted(set(range(ncols)).difference(pivots))}
+def _kernel(a: list[dict[int, int]], pivots: list[int], planes: Sequence[list]) -> list[Sparse]:
+    """One basis vector per free column f of _reduce's rows and pivots, as the integer
+    view of its entries x_c placed by planes: x_c u at key for each (key, u) in
+    planes[c], the planes having disjoint keys. x_f is 1 and x_p is -row[f] / row[p]
+    at the pivot p of each row that holds f, all over the LCM of those |row[p]|.
+    Each row is read once."""
+    free: dict[int, list] = {f: [] for f in sorted(set(range(len(planes))).difference(pivots))}
     for row, p in zip(a, pivots):
         d = row[p]
         for f, v in row.items():
@@ -854,66 +852,74 @@ def _kernel(a: list[dict[int, int]], pivots: list[int], ncols: int) -> list[Spar
     views = []
     for f, held in free.items():
         den = lcm(*(d for _, _, d in held))
-        view = {(p,): -v * (den // d) for p, v, d in held}
-        view[(f,)] = den
+        view = {key: -v * (den // d) * u for p, v, d in held for key, u in planes[p]}
+        view.update((key, den * u) for key, u in planes[f])
         views.append(Sparse(view, den))
     return views
 
 
-# --- linear systems in the entries of a matrix -------------------------------
+# --- linear identities in an unknown matrix ----------------------------------
 #
-# An equation in the entries of an unknown nrows x ncols matrix X is a list
-# of (p, q, c) terms, meaning sum c X[p][q] = 0, with zero coefficients left
-# out. Only matrix_kernels knows where X[p][q] sits among the unknowns.
+# An identity linear in an unknown matrix X is solved with the evaluator that
+# checks it, applied with the batch letter _SAMPLE to a stack of unknown matrices:
+# a Tensor3 whose plane z is U_z. Each index of the residual after z is one
+# equation, sum_z residual[z, ...] x_z = 0, in the coordinates of X = sum_z x_z U_z.
 
-Equation = list[tuple[int, int, Scalar]]
-
-
-def sylvester(a: Matrix, b: Matrix) -> Iterator[Equation]:
-    """The equations (A X - X B)[i][j] = 0, in row-major order of (i, j), each
-    times the denominators of A and B so that its coefficients are integers."""
-    av, bv = sparse(a), sparse(b)
-    a_rows = _lines(av, a.nrows, bv.den)
-    b_cols = _lines(sparse(b.transpose()), b.ncols, -av.den)
-    for i, a_row in enumerate(a_rows):
-        for j, b_col in enumerate(b_cols):
-            yield [(p, j, c) for p, c in a_row] + [(i, q, c) for q, c in b_col]
+_SAMPLE = "z"  # the batch letter: a sample index, or the index z of a stack
 
 
-def _lines(view: Sparse, nrows: int, scale: int) -> list[list[tuple[int, int]]]:
-    """The nonzero numerators of each row of a matrix's view times scale, as
-    (column, entry) in column order."""
-    return [sorted((j, scale * v) for j, v in row.items()) for row in _row_dicts(view, nrows)]
+def unit_stack(nrows: int, ncols: int) -> Tensor3:
+    """The unit matrices E_pq of nrows x ncols, E_pq at z = p ncols + q."""
+    units = {(p * ncols + q, p, q): 1 for p in range(nrows) for q in range(ncols)}
+    return Tensor3._of((nrows * ncols, nrows, ncols), Sparse(units))
 
 
-def matrix_kernels(nrows: int, ncols: int, *groups: Iterable[Equation]) -> list[list[Matrix]]:
-    """Exact bases of the nrows x ncols matrices X that satisfy the first group of
-    equations, the first two groups, and so on. Each group is reduced once, with the
-    rows already reduced: a row space has one reduced row echelon form. Integer
-    coefficients stay integers from the equation to the basis."""
+def skew_stack(n: int) -> Tensor3:
+    """The skew n x n matrices E_pq - E_qp for p > q, in row-major order of (p, q)."""
+    units: dict = {}
+    for z, (p, q) in enumerate((p, q) for p in range(n) for q in range(p)):
+        units[z, p, q], units[z, q, p] = 1, -1
+    return Tensor3._of((n * (n - 1) // 2, n, n), Sparse(units))
+
+
+def _equations(residual: Sparse) -> Iterable[dict[int, int]]:
+    """The nonzero equations of a residual, by z; one packed over its last index is
+    read row by row, without unpacking it."""
+    rows: dict = defaultdict(dict)
+    if residual.width:
+        for key, p in dict.items(residual):
+            z, rest = key[0], key[1:]
+            for l, v in _slots(p, residual.width):
+                rows[rest, l][z] = v
+    else:
+        for key, v in residual.items():
+            rows[key[1:]][key[0]] = v
+    return rows.values()
+
+
+def matrix_kernels(stack: Tensor3, *groups: Iterable[Sparse]) -> list[list[Matrix]]:
+    """Exact bases of the X = sum_z x_z U_z, over a stack of matrices U_z with
+    disjoint supports, at which the residuals of the first group vanish, of the
+    first two groups, and so on; a residual has z first and an index after it. Each
+    group is reduced once, with the rows already reduced, so each basis is the
+    canonical one of its row space, in the order of z, and integers stay integers
+    from the residual to the basis."""
+    count, nrows, ncols = stack.shape
+    planes: list[list] = [[] for _ in range(count)]
+    for (z, p, q), u in stack._view.items():
+        planes[z].append(((p, q), u))
     reduced: list[dict[int, int]] = []
     kernels = []
     for group in groups:
-        rows = []
-        for eq in group:
-            row: dict[int, Scalar] = {}
-            for p, q, c in eq:
-                k = p * ncols + q
-                row[k] = row[k] + c if k in row else c
-            rows.append(_cleared(row.items())[0])
+        rows = [row for residual in group for row in _equations(sparse(residual))]
         reduced, pivots = _reduce(reduced + rows)
-        kernels.append(
-            [
-                Matrix._of((nrows, ncols), v.moved(lambda k: divmod(k, ncols)))
-                for v in _kernel(reduced, pivots, nrows * ncols)
-            ]
-        )
+        kernels.append([Matrix._of((nrows, ncols), v) for v in _kernel(reduced, pivots, planes)])
     return kernels
 
 
-def matrix_kernel(equations: Iterable[Equation], nrows: int, ncols: int) -> list[Matrix]:
-    """Exact basis of the nrows x ncols matrices X that satisfy every equation."""
-    return matrix_kernels(nrows, ncols, equations)[0]
+def matrix_kernel(stack: Tensor3, *residuals: Sparse) -> list[Matrix]:
+    """Exact basis of the combinations of the stack at which every residual vanishes."""
+    return matrix_kernels(stack, residuals)[0]
 
 
 def pencil_det(mats: Sequence[Matrix], n: int) -> dict[tuple[int, ...], Fraction]:

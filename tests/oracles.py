@@ -182,11 +182,11 @@ def oracle_o_defect(action: list[Matrix], a: HomLieAlgebra, t: Matrix, i: int, j
 
 def oracle_form_invariance(a: HomLieAlgebra, gram: Matrix, i: int, j: int, k: int) -> Q:
     """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k])."""
-    n = a.dim
+    n, g = a.dim, gram.rows
 
     def b(x: list[Q], y: list[Q]) -> Q:
         return sum(
-            (x[p] * gram[p, q] * y[q] for p in range(n) for q in range(n)), Q(0)
+            (x[p] * g[p][q] * y[q] for p in range(n) for q in range(n)), Q(0)
         )
 
     lhs = b(bracket_vec(a, vec(a, i), vec(a, j)), vec(a, k))

@@ -46,6 +46,34 @@ def test_validate_rmatrix_expression_chybe(capsys):
     assert "chybe: fail" in out
 
 
+def test_parse_rmatrix_expr_builds_as_many_fractions_at_any_dim(monkeypatch):
+    from fractions import Fraction
+
+    def built(dim):
+        count = [0]
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            count[0] += 1
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        if "_from_coprime_ints" in vars(Fraction):  # arithmetic bypasses __new__ from 3.12
+            real_coprime = Fraction._from_coprime_ints.__func__
+
+            def counting_coprime(cls, *args):
+                count[0] += 1
+                return real_coprime(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        r = parse_rmatrix_expr("e1^e2 - 1/2 e2xe3", dim)
+        monkeypatch.undo()
+        assert r.nrows == dim and r[0, 1] == 1 and r[1, 0] == -1 and r[1, 2] == Fraction(-1, 2)
+        return count[0]
+
+    assert built(400) == built(40)
+
+
 def test_parse_rmatrix_expressions():
     assert parse_rmatrix_expr("e1^e2", 2) == Matrix([[0, 1], [-1, 0]])
     assert parse_rmatrix_expr("e1 x e2 + e2 x e1", 2) == Matrix([[0, 1], [1, 0]])

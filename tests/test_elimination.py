@@ -1,27 +1,24 @@
 """The Gauss-Jordan elimination and the integer kernels against Fraction
 arithmetic: rref against oracle_rref on rank-deficient Kronecker sums, the skew
-kernel in r's strictly lower entries against the nullspace of the system in all
-n^2 entries of r, and matrix_kernels, whose equations and rows stay integers,
-against the same equations reduced in Fractions by oracle_rref."""
+kernel over the skew unknowns against the nullspace of the system in all n^2
+entries of r, and the solvers, which read integer equations off each identity's
+residual on a stack of unknowns, against the same identities written here as
+equations with Fraction coefficients and reduced by oracle_rref."""
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
 from homlie.coboundary import skew_twist_compat_kernel, twist_compat_kernel
 from homlie.corpus import BUILTINS
-from homlie.hom_lie import (
-    HomLieAlgebra,
-    _bracket_invariance_equations,
-    change_of_basis,
-    invariant_form_space,
-)
+from homlie.hom_lie import HomLieAlgebra, change_of_basis, invariant_form_space
 from homlie.operators import commutator_hom_lie, intertwining_t_space
 from homlie.representation import adjoint_rep
-from homlie.tensor import Matrix, Tensor3, matrix_kernel, rref, sylvester
+from homlie.tensor import Matrix, Tensor3, contract, matrix_kernel, rref, unit_stack
 
-from oracles import oracle_rref
+from oracles import oracle_form_invariance, oracle_rref
 
 
 def dense_twist(n: int, seed: int, diagonal=None) -> Matrix:
@@ -89,6 +86,19 @@ def fraction_sylvester(a: Matrix, b: Matrix):
             ]
 
 
+def fraction_invariance(a: HomLieAlgebra):
+    """B([e_i,e_j], e_k) - B(e_i, [phi(e_j), e_k]) = 0 for each (i, j, k) in
+    row-major order: its coefficient at B[p][q] is oracle_form_invariance at the
+    unit Gram matrix E_pq."""
+    n = a.dim
+    units = {
+        (p, q): Matrix([[int((i, j) == (p, q)) for j in range(n)] for i in range(n)])
+        for p, q in product(range(n), repeat=2)
+    }
+    for i, j, k in product(range(n), repeat=3):
+        yield [(p, q, c) for (p, q), e in units.items() if (c := oracle_form_invariance(a, e, i, j, k))]
+
+
 def old_skew_system(phi: Matrix):
     """The compat equations in the n^2 entries of r, then r + r^T = 0."""
     n = phi.nrows
@@ -150,9 +160,11 @@ def test_integer_kernels_equal_the_fraction_path(name):
     # a rectangular T against a 2 x 2 beta that shares the eigenvalue 1
     beta = Matrix([[1, Q(1, 2)], [0, 1]])
     (intertwining,) = fraction_kernels(n, 2, fraction_sylvester(phi, beta))
-    assert matrix_kernel(sylvester(phi, beta), n, 2) == intertwining
+    stack = unit_stack(n, 2)
+    residual = contract("zij", ("ik", phi), ("zkj", stack)) - contract("zij", ("zik", stack), ("kj", beta))
+    assert matrix_kernel(stack, residual) == intertwining
     space = invariant_form_space(a)
     symmetry = [[(i, j, 1), (j, i, -1)] for i in range(n) for j in range(i + 1, n)]
-    invariance = [*_bracket_invariance_equations(a), *fraction_sylvester(phi.transpose(), phi)]
+    invariance = [*fraction_invariance(a), *fraction_sylvester(phi.transpose(), phi)]
     want = fraction_kernels(n, n, invariance, symmetry)
     assert [list(space.basis), list(space.symmetric_basis)] == want

@@ -184,9 +184,11 @@ def test_invariant_form_space_reduces_the_invariance_rows_once(monkeypatch):
     monkeypatch.setattr(homlie.tensor, "_reduce", spy)
     n = 3
     space = invariant_form_space(sl2())
-    # the symmetry rows go in with the reduced rows, one per pivot
+    # the nonzero invariance rows of the n^3 + n^2 equations (the 36 with zeros)
+    # are reduced once; the symmetry rows, one per ordered pair i != j of
+    # B[i][j] - B[j][i], go in with the reduced rows, one per pivot
     rank = n * n - len(space.basis)
-    assert sizes == [n**3 + n**2, rank + n * (n - 1) // 2]
+    assert sizes == [22, rank + n * (n - 1)]
 
 
 def test_nondegenerate_forms_decided_exactly_on_large_form_spaces():

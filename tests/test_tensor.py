@@ -26,8 +26,9 @@ from homlie.tensor import (
     random_matrix,
     random_q,
     rref,
+    skew_stack,
     sparse,
-    sylvester,
+    unit_stack,
 )
 
 from oracles import oracle_contract, oracle_det, oracle_rref
@@ -241,16 +242,22 @@ def test_random_skew_and_combination():
         random_combination(rng, [])
 
 
-@given(square(3), square(3), square(3))
-@settings(max_examples=30, deadline=None)
-def test_sylvester_equations_evaluate_ax_minus_xb(a, b, x):
-    # each equation is (A X - X B)[i][j] times the denominators of A and B
-    residual = (a @ x - x @ b).scale(sparse(a).den * sparse(b).den)
-    equations = list(sylvester(a, b))
-    assert len(equations) == 9
-    for (i, j), eq in zip(product(range(3), repeat=2), equations):
-        assert all(type(c) is int and c != 0 for _, _, c in eq)
-        assert sum((c * x[p, q] for p, q, c in eq), Q(0)) == residual[i, j]
+def test_stacks_hold_the_unknown_matrices_in_row_major_order():
+    assert [unit_stack(2, 3).plane(z) for z in range(6)] == [_unit(2, 3, p, q) for p in range(2) for q in range(3)]
+    assert [skew_stack(3).plane(z) for z in range(3)] == [
+        _unit(3, 3, p, q) - _unit(3, 3, q, p) for p, q in ((1, 0), (2, 0), (2, 1))
+    ]
+    assert skew_stack(1).shape == (0, 1, 1)
+
+
+def _system(equations, stack):
+    """The residual on a stack of the equations [(p, q, c), ...], each meaning
+    sum c X[p][q] = 0: entry (z, e) is equation e at the stack's matrix z."""
+    coeffs = {}
+    for e, eq in enumerate(equations):
+        for p, q, c in eq:
+            coeffs[e, p, q] = coeffs.get((e, p, q), 0) + c
+    return contract("ze", ("epq", coeffs), ("zpq", stack))
 
 
 def test_matrix_kernel_lays_out_rectangular_unknowns():
@@ -258,12 +265,19 @@ def test_matrix_kernel_lays_out_rectangular_unknowns():
     equations = [[(0, 2, Q(1)), (1, 0, Q(-1))]] + [
         [(p, q, Q(1))] for p, q in ((0, 0), (1, 1), (1, 2))
     ]
-    got = matrix_kernel(equations, 2, 3)
+    got = matrix_kernel(unit_stack(2, 3), _system(equations, unit_stack(2, 3)))
     assert got == [
         Matrix([[0, 1, 0], [0, 0, 0]]),
         Matrix([[0, 0, 1], [1, 0, 0]]),
     ]
-    assert matrix_kernel([], 1, 2) == [Matrix([[1, 0]]), Matrix([[0, 1]])]
+    assert matrix_kernel(unit_stack(1, 2)) == [Matrix([[1, 0]]), Matrix([[0, 1]])]
+    # over the skew unknowns: the skew 3 x 3 X with X[1][0] = X[2][1]
+    skew = _system([[(1, 0, 1), (2, 1, -1)]], skew_stack(3))
+    # free unknowns S_20 and S_21, in the order of z
+    assert matrix_kernel(skew_stack(3), skew) == [
+        Matrix([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),
+        Matrix([[0, -1, 0], [1, 0, -1], [0, 1, 0]]),
+    ]
 
 
 def test_nullspace_of_a_system_with_no_equations():
@@ -283,17 +297,18 @@ def _random_equations(rng, count, nrows, ncols):
 @pytest.mark.parametrize("seed", range(8))
 def test_matrix_kernels_equal_the_kernels_of_the_stacked_systems(seed):
     rng = random.Random(seed)
-    first = _random_equations(rng, 3, 2, 3)
-    second = _random_equations(rng, 2, 2, 3)
-    assert matrix_kernels(2, 3, first, second, []) == [
-        matrix_kernel(first, 2, 3),
-        matrix_kernel(first + second, 2, 3),
-        matrix_kernel(first + second, 2, 3),
+    stack = unit_stack(2, 3)
+    first = _system(_random_equations(rng, 3, 2, 3), stack)
+    second = _system(_random_equations(rng, 2, 2, 3), stack)
+    assert matrix_kernels(stack, [first], [second], []) == [
+        matrix_kernel(stack, first),
+        matrix_kernel(stack, first, second),
+        matrix_kernel(stack, first, second),
     ]
 
 
-def _unit(n, p, q):
-    return Matrix([[int((i, j) == (p, q)) for j in range(n)] for i in range(n)])
+def _unit(nrows, ncols, p, q):
+    return Matrix([[int((i, j) == (p, q)) for j in range(ncols)] for i in range(nrows)])
 
 
 def _evaluate(poly, point):
@@ -307,13 +322,13 @@ def _evaluate(poly, point):
 
 def test_pencil_det_of_the_skew_3x3_matrices_is_zero():
     # every skew matrix of odd size is singular, though the space has rank 2
-    skew = [_unit(3, p, q) - _unit(3, q, p) for p, q in ((0, 1), (0, 2), (1, 2))]
+    skew = [_unit(3, 3, p, q) - _unit(3, 3, q, p) for p, q in ((0, 1), (0, 2), (1, 2))]
     assert pencil_det(skew, 3) == {}
     assert pencil_det([], 3) == {}
 
 
 def test_pencil_det_of_the_unit_matrices_is_the_generic_determinant():
-    poly = pencil_det([_unit(3, p, q) for p, q in product(range(3), repeat=2)], 3)
+    poly = pencil_det([_unit(3, 3, p, q) for p, q in product(range(3), repeat=2)], 3)
     # t_(3i+j) stands for entry (i, j): det = sum over permutations
     assert len(poly) == 6 and poly[(0, 4, 8)] == 1 and poly[(1, 3, 8)] == -1
     assert all(c in (1, -1) for c in poly.values())
@@ -380,15 +395,14 @@ def _yau_sl2_cubed_twist_in_a_dense_basis():
 
 
 def _twist_compat_rows(phi):
-    """The rows of phi X - X phi^T = 0 over the n^2 entries of X, row-major."""
+    """The rows of phi X - X phi^T = 0 over the n^2 entries of X, row-major: the
+    library's twist-compat residual on the unit stack, read as its columns."""
+    from homlie.coboundary import _twist_compat
+    from homlie.hom_lie import HomLieAlgebra
+
     n = phi.nrows
-    rows = []
-    for eq in sylvester(phi, phi.transpose()):
-        row = [Q(0)] * (n * n)
-        for p, q, c in eq:
-            row[p * n + q] += c
-        rows.append(row)
-    return rows
+    residual = dense(_twist_compat(HomLieAlgebra(Tensor3.zero(n), phi), unit_stack(n, n), "z"), (n * n, n, n))
+    return [[residual[z, i, j] for z in range(n * n)] for i in range(n) for j in range(n)]
 
 
 EDGE_SYSTEMS = {
@@ -756,13 +770,17 @@ def test_the_zero_twist_skew_system_clears_each_row_at_most_once(monkeypatch):
     monkeypatch.setattr(tensor, "_reduce", spy_reduce)
     monkeypatch.setattr(tensor, "_eliminate", counting_eliminate)
     kernel = skew_twist_compat_kernel(HomLieAlgebra(Tensor3.zero(n), Matrix.zero(n)))
+    # diag(1, -1, 1, ...): phi S - S phi^T is 2 S_pq at (p, q) and at (q, p) for
+    # the skew unknown S_pq = E_pq - E_qp with p + q odd, and 0 otherwise
+    signs = Matrix([[(-1) ** i if i == j else 0 for j in range(n)] for i in range(n)])
+    diagonal = skew_twist_compat_kernel(HomLieAlgebra(Tensor3.zero(n), signs))
     monkeypatch.undo()
-    (lengths,) = systems
-    # n^2 compat rows, all zero for the zero twist, and one one-term row per
-    # upper or diagonal entry of the strictly lower unknown
-    assert len(lengths) == n * n + n * (n + 1) // 2 and max(lengths) == 1
-    assert calls[0] <= sum(1 for k in lengths if k)
-    assert len(kernel) == n * (n - 1) // 2
+    # the zero twist's equations are all zero, and none reaches the elimination
+    assert systems[0] == [] and len(kernel) == n * (n - 1) // 2
+    lengths = systems[1]
+    assert len(lengths) == n * n // 2 and max(lengths) == 1
+    assert 0 < calls[0] <= len(lengths)
+    assert len(diagonal) == 2 * (n // 2) * (n // 2 - 1) // 2
 
 
 @pytest.mark.parametrize("seed", range(10))
