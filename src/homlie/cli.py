@@ -173,9 +173,7 @@ def _part(full: CheckReport, part: str) -> CheckReport:
     return next(r for r in full.subreports if r.checked_condition == part)
 
 
-def run_check(
-    name: str, s: Structure, seed: int, triple: Callable[[str], CheckReport]
-) -> CheckReport:
+def run_check(name: str, s: Structure, triple: Callable[[str], CheckReport]) -> CheckReport:
     """Run one named check; `triple(name)` supplies check_triple_equivalence
     of s, which the matched-pair and manin-triple checks are parts of."""
     if name == "hom-lie":
@@ -205,12 +203,12 @@ def run_check(
         _, _, report = hom_double(_bialgebra(s, name))
         return report
     if name == "cobracket-residuals":
-        return run_residual_suite(_need(s, "algebra", name), seed)
+        return run_residual_suite(_need(s, "algebra", name))
     if name == "jacobiator-bracket":
-        return run_jacobiator_suite(_need(s, "algebra", name), seed)
+        return run_jacobiator_suite(_need(s, "algebra", name))
     if name == "o-operator-expansion":
         rep = _acting_rep(s, name)
-        return run_defect_expansion_suite(rep.base, rep, seed)
+        return run_defect_expansion_suite(rep.base, rep)
     raise UsageError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
 
@@ -254,7 +252,7 @@ def cmd_validate(args) -> tuple[int, str]:
     bad_precondition = False
     for name in checks:
         try:
-            reports.append((name, run_check(name, s, args.seed, triple)))
+            reports.append((name, run_check(name, s, triple)))
         except InvalidStructureError as e:
             bad_precondition = True
             reports.append(
@@ -383,13 +381,6 @@ def cmd_corpus(args) -> tuple[int, str]:
     return 0, "".join(lines)
 
 
-def _seed(text: str) -> int:
-    val = int(text)
-    if not 0 <= val < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return val
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of main, built on the first call and shared after it."""
@@ -416,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EXPR",
         help="attach an r-matrix given as e.g. 'e1^e2' or '1/2 e1xe2 - e2xe1'",
     )
-    v.add_argument("--seed", type=_seed, default=0, help="seed for the fuzz suites")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(fn=cmd_validate)
 

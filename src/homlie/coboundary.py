@@ -65,7 +65,6 @@ from .tensor import (
     dense,
     first_case,
     matrix_kernel,
-    random_combination,
     skew_stack,
     sparse,
     unit_stack,
@@ -94,19 +93,9 @@ class RMatrix:
 
 
 def check_twist_compat(r: RMatrix) -> CheckReport:
-    """(phi (x) id) r = (id (x) phi) r, cross-checked against the operator
-    form phi r# = r# phi* (as matrices: phi r = r phi^T)."""
-    phi = r.base.twist
-    tensor_res = dense(_twist_compat(r.base, r.coeffs), (r.dim,) * 2)
-    operator_res = phi @ r.coeffs - r.coeffs @ phi.transpose()
-    agree = tensor_res.is_zero() == operator_res.is_zero()
-    if not agree:
-        # structurally impossible (same bilinear identity); kept as a tripwire
-        return failed(
-            "twist-compat",
-            [Witness((0,), tensor_res, "tensor and operator forms disagree")],
-        )
-    return scan("twist-compat", [((0,), tensor_res)])
+    """(phi (x) id) r = (id (x) phi) r, the operator form phi r# = r# phi*
+    (as matrices: phi r = r phi^T), reported as one matrix residual."""
+    return scan("twist-compat", [((0,), dense(_twist_compat(r.base, r.coeffs), (r.dim,) * 2))])
 
 
 def _twist_compat(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
@@ -158,15 +147,30 @@ def r_square_bracket(r: RMatrix) -> Tensor3:
     return dense(_r_square(r.base, r.coeffs), (r.dim,) * 3)
 
 
-def _r_square(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
-    """Entry (a, b, c) of [r,r] for the coefficients r."""
-    c, phi, z = a.bracket, a.twist, batch
-    phir = contract(z + "aq", ("ap", phi), (z + "pq", r))  # phi on the first slot
-    rphit = contract(z + "pb", (z + "pq", r), ("bq", phi))  # phi on the second
+def _pair(r, batch: str, s, batch2: str) -> tuple:
+    """The second operand of a bilinear evaluator, its batch letter, and the result's
+    leading letters: s on batch2 after r's batch, or r itself on r's letter when s
+    is None, so that one sample's quadratic identity is the form at (r, r)."""
+    return (r, batch, batch) if s is None else (s, batch2, batch + batch2)
+
+
+def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") -> Sparse:
+    """Entry (a, b, c) of [r,r] for the coefficients r. Given s on the batch letter
+    batch2, the bilinear form [r,s] whose value at s = r is [r,r]: each term takes
+    its first copy of the r-matrix from r and its second from s."""
+    c, phi, y = a.bracket, a.twist, batch
+    s, z, lead = _pair(r, y, s, batch2)
+
+    def twisted(r, y: str) -> tuple[Sparse, Sparse]:
+        """phi on the first slot of r, and phi on its second."""
+        return contract(y + "aq", ("ap", phi), (y + "pq", r)), contract(y + "pb", (y + "pq", r), ("bq", phi))
+
+    phir, rphit = twisted(r, y)
+    phis, sphit = (phir, rphit) if s is r else twisted(s, z)
     return (
-        contract(z + "abc", ("psa", c), (z + "pb", rphit), (z + "sc", rphit))
-        + contract(z + "abc", (z + "aq", phir), ("qsb", c), (z + "sc", rphit))
-        + contract(z + "abc", (z + "aq", phir), ("qtc", c), (z + "bt", phir))
+        contract(lead + "abc", ("psa", c), (y + "pb", rphit), (z + "sc", sphit))
+        + contract(lead + "abc", (y + "aq", phir), ("qsb", c), (z + "sc", sphit))
+        + contract(lead + "abc", (y + "aq", phir), ("qtc", c), (z + "bt", phis))
     )
 
 
@@ -182,11 +186,13 @@ def _jac_delta(cb: Cobracket) -> Sparse:
     return _co_jacobiator(cb.base, cb.coeffs)
 
 
-def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "") -> Sparse:
-    """_jac_delta of the cobracket on a with coefficients d."""
-    z = batch
-    t = contract(z + "kabc", (z + "kij", d), ("ai", a.twist), (z + "jbc", d))
-    return t + contract(z + "kabc", (z + "kbca", t)) + contract(z + "kabc", (z + "kcab", t))
+def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "", e=None, batch2: str = "") -> Sparse:
+    """_jac_delta of the cobracket on a with coefficients d. Given e on the batch
+    letter batch2, the bilinear form whose value at e = d is that: the outer
+    cobracket of (phi (x) delta) delta from d, the inner from e."""
+    e, z, lead = _pair(d, batch, e, batch2)
+    t = contract(lead + "kabc", (batch + "kij", d), ("ai", a.twist), (z + "jbc", e))
+    return t + contract(lead + "kabc", (lead + "kbca", t)) + contract(lead + "kabc", (lead + "kcab", t))
 
 
 def ad_phi_on_tensor3(a: HomLieAlgebra, x: Vector, t: Tensor3) -> Tensor3:
@@ -318,9 +324,7 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[Sparse, 
     x = e_k, or at (x, y) = (e_i, e_j)."""
     c, phi, z = a.bracket, a.twist, batch
     d = _basis_action(a, r, z)
-    w = contract(z + "uv", ("us", phi), (z + "sv", r)) - contract(
-        z + "uv", (z + "ut", r), ("vt", phi)
-    )
+    w = _twist_compat(a, r, z)
     phi_w = contract(z + "pv", ("pu", phi), (z + "uv", w))  # (phi (x) id) w
     w_phi = contract(z + "uq", (z + "uv", w), ("qv", phi))  # (id (x) phi) w
 
@@ -360,64 +364,91 @@ def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport,
     )
 
 
-# --- the seeded suites ------------------------------------------------------
+# --- the three proofs -------------------------------------------------------
 #
-# A suite draws its samples (r, or T) one after another from random.Random(seed),
-# stacks them in draw order into one tensor whose first index is the sample, and
-# evaluates each identity for the whole stack with the batch letter. Its verdict
-# is that of the least sample with a nonzero residual. A chunk of samples takes
-# _SUITE_ENTRIES over the size of one sample's largest residual: n^4 entries for
-# the residual and Jacobiator suites, d^3 for the defect expansion on g |x V* of
-# dimension d. So on a 3-dim algebra the CLI's 50 samples go in one chunk, and
-# memory stays bounded on larger ones (9 samples a chunk at n = 6).
+# Each suite proves one identity for every r (or T) in a space with a basis K_1..K_k,
+# from finitely many exact evaluations. The residual identities are linear in r, so
+# they hold for all r exactly when they hold at the n^2 unit matrices E_pq. The
+# Jacobiator identity and the defect expansion are quadratic, Q(r) = B(r, r) for a
+# bilinear form B, and over Q a quadratic form vanishes on a span exactly when its
+# polarisation (B(r, s) + B(s, r)) / 2 vanishes at every pair of basis elements, so
+# the suite evaluates B with r on the batch letter _SAMPLE and s on _SECOND and reads
+# it at the pairs a <= b; at a = b it is the identity's own residual at K_a.
+#
+# The basis is stacked, in order, into one tensor whose first index is the element,
+# and a chunk of it (the first element of each pair) is evaluated in one contraction
+# per term. A chunk takes _SUITE_ENTRIES over an estimate of one element's residual
+# (_chunk). The verdict is that of the least failing element or pair, and in it of
+# the first failing identity; an empty basis passes with nothing to prove.
 
 _SUITE_ENTRIES = 12_000
+_SECOND = "y"  # the batch letter of the second element of a pair
 
 
-def _require_count(count: int) -> None:
-    if count < 1:
-        raise ValueError(f"a seeded suite needs count >= 1, got {count}")
+def _chunk(a: HomLieAlgebra, count: int, paired: bool = False) -> int:
+    """How many of the count elements of a basis a chunk takes: _SUITE_ENTRIES over
+    an estimate of the entries one element brings. That is the number of nonzero
+    bracket constants of a, which every residual term holds, times count when the
+    element is paired with each, plus the number of nonzero twist entries, for the
+    products of the element with the twist alone. A chunk takes them all when
+    both are zero."""
+    size = len(sparse(a.bracket)) * (count if paired else 1) + len(sparse(a.twist))
+    return max(1, _SUITE_ENTRIES // size) if size else max(1, count)
 
 
-def _first_failure(samples: list, size: int, residuals):
-    """The first failing sample of a suite. residuals(stack) gives, for a stack of
-    samples (one Sparse, sample index first), the suite's residuals in report order
-    as (residual, shape of one sample's residual, number of scanned indices); size
-    is the most entries one sample's residual can have. Returns (sample, position
-    of its first failing residual, 1-based indices, residual block), or None when
-    every residual vanishes."""
-    step = max(1, _SUITE_ENTRIES // size)
-    for start in range(0, len(samples), step):
-        chunk = samples[start : start + step]
+def _first_failure(basis: list, step: int, residuals, paired: bool = False):
+    """The first failure of a suite over a basis (arrays, or Sparse views, of one
+    shape), its elements step at a time. residuals(stack) gives, for a stack of
+    elements (one Sparse, the element's index first), the suite's residuals in
+    report order as (residual, shape of one element's residual, number of scanned
+    indices). When paired, residuals(stack, other) gives the bilinear residuals with
+    the stack on _SAMPLE and other on _SECOND, both indices first, and the pairs
+    are scanned through the halved symmetrisation. Returns (case: the 1-based
+    element, or pair a <= b; position of its first failing residual; 1-based
+    indices; residual block), or None when every residual vanishes."""
+    for start in range(0, len(basis), step):
+        chunk = basis[start : start + step]
+        head, lead = sparse(chunk), (len(chunk),)
+        if paired:
+            # the pairs (a, b) with a in this chunk and b >= start; the least failing
+            # one has a <= b, as the form is symmetric
+            tail = head if start + step >= len(basis) else sparse(basis[start:])
+            lead += (len(basis) - start,)
+            ahead = residuals(head, tail)
+            behind = ahead if tail is head else residuals(tail, head)
+            evaluated = [
+                (res + _transposed(back, 2 + len(shape)), shape, nscan)
+                for (res, shape, nscan), (back, _, _) in zip(ahead, behind)
+            ]
+        else:
+            evaluated = residuals(head)
         found = []
-        for pos, (res, shape, nscan) in enumerate(residuals(sparse(chunk))):
-            for (sample, *at), block, _ in first_case(res, (len(chunk), *shape), nscan + 1):
-                found.append((sample, pos, tuple(at), block))
+        for pos, (res, shape, nscan) in enumerate(evaluated):
+            for at, block, _ in first_case(res, (*lead, *shape), len(lead) + nscan):
+                found.append((at[: len(lead)], pos, at[len(lead) :], block))
         if found:
-            sample, pos, at, block = min(found, key=lambda f: f[:2])
-            return start + sample - 1, pos, at, block
+            case, pos, at, block = min(found, key=lambda f: f[:2])
+            if paired:
+                block = block.scale(Q(1, 2))
+            return tuple(start + i for i in case), pos, at, block
     return None
 
 
-def run_residual_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckReport:
-    """The residual identities over `count` seeded random r (arbitrary,
-    not twist-compatible), all drawn first and evaluated together in chunks. On
-    failure, info names the first failing sample (case) and its first failing
-    identity."""
-    import random
+def _transposed(t: Sparse, order: int) -> Sparse:
+    """t with its first two indices swapped."""
+    rest = "abcdefgh"[: order - 2]
+    return contract(_SECOND + _SAMPLE + rest, (_SAMPLE + _SECOND + rest, t))
 
-    from .tensor import random_matrix
 
-    _require_count(count)
+def run_residual_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
+    """Proves the residual identities for every r (arbitrary, not twist-compatible)
+    from their residuals at the unit matrices E_pq, evaluated together in chunks. A
+    pass gives the dimension n^2 of the space of r; a failure names the first
+    failing E_pq (case, 1-based (p, q)) and its first failing identity. seed and
+    count are ignored."""
     require(
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
-    rng = random.Random(seed)
-    return _residual_suite(a, seed, [random_matrix(rng, a.dim) for _ in range(count)])
-
-
-def _residual_suite(a: HomLieAlgebra, seed: int, samples: list) -> CheckReport:
-    """run_residual_suite on the given r coefficient matrices, in order."""
     n = a.dim
 
     def residuals(stack):
@@ -427,56 +458,38 @@ def _residual_suite(a: HomLieAlgebra, seed: int, samples: list) -> CheckReport:
             for (_, nscan), (lhs, rhs) in zip(_RESIDUALS, sides)
         ]
 
-    found = _first_failure(samples, n**4, residuals)
+    units = [Sparse({(p, q): 1}) for p in range(n) for q in range(n)]
+    found = _first_failure(units, _chunk(a, n * n), residuals)
     if found is None:
-        return passed("residual-suite", seed=seed, count=len(samples))
-    case, pos, at, block = found
+        return passed("residual-suite", space_dim=n * n)
+    (unit,), pos, at, block = found
+    p, q = divmod(unit - 1, n)
     return failed(
-        "residual-suite",
-        [Witness(at, block)],
-        seed=seed,
-        case=case,
-        identity=_RESIDUALS[pos][0],
+        "residual-suite", [Witness(at, block)], case=(p + 1, q + 1), identity=_RESIDUALS[pos][0]
     )
 
 
-def run_jacobiator_suite(a: HomLieAlgebra, seed: int, count: int = 50) -> CheckReport:
-    """Jac_delta(x) = ad_{phi(x)} [r,r] for seeded skew twist-compatible r
-    (sampled exactly from the constraint kernel; the zero r alone when the
-    kernel is trivial), all basis x, the samples evaluated together in chunks.
-    On failure, info names the first failing sample (case)."""
-    import random
-
-    _require_count(count)
+def run_jacobiator_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
+    """Proves Jac_delta(x) = ad_{phi(x)} [r,r], all basis x, for every skew
+    twist-compatible r, from the polarised identity at the pairs of the basis of
+    skew_twist_compat_kernel. info holds kernel_dim; a failure names the first
+    failing pair (case, 1-based (a, b) with a <= b), and its witness is the halved
+    symmetrisation there. seed and count are ignored."""
     kernel = skew_twist_compat_kernel(a)
-    rng = random.Random(seed)
-    if kernel:
-        samples = [random_combination(rng, kernel) for _ in range(count)]
-    else:
-        samples = [Matrix.zero(a.dim)]
-    return _jacobiator_suite(a, seed, samples, len(kernel))
+    n, y, z = a.dim, _SAMPLE, _SECOND
 
+    def residuals(r, s):
+        d = _basis_action(a, r, y)
+        e = d if s is r else _basis_action(a, s, z)
+        jac = _co_jacobiator(a, d, y, e, z)
+        return [(jac - _adjoint_on(a, _r_square(a, r, y, s, z), y + z), (n,) * 4, 1)]
 
-def _jacobiator_suite(a: HomLieAlgebra, seed: int, samples: list, kernel_dim: int) -> CheckReport:
-    """run_jacobiator_suite on the given r coefficient matrices, in order."""
-    n, z = a.dim, _SAMPLE
-
-    def residuals(stack):
-        jac = _co_jacobiator(a, _basis_action(a, stack, z), z)
-        return [(jac - _adjoint_on(a, _r_square(a, stack, z), z), (n,) * 4, 1)]
-
-    found = _first_failure(samples, n**4, residuals)
+    found = _first_failure(kernel, _chunk(a, len(kernel), True), residuals, paired=True)
     if found is None:
-        return passed(
-            "jacobiator-bracket-suite", seed=seed, count=len(samples), kernel_dim=kernel_dim
-        )
+        return passed("jacobiator-bracket-suite", kernel_dim=len(kernel))
     case, _, at, block = found
     return failed(
-        "jacobiator-bracket-suite",
-        [Witness(at, block)],
-        seed=seed,
-        case=case,
-        kernel_dim=kernel_dim,
+        "jacobiator-bracket-suite", [Witness(at, block)], case=case, kernel_dim=len(kernel)
     )
 
 

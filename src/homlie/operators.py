@@ -29,10 +29,12 @@ from dataclasses import dataclass
 
 from .bialgebra import HomLieBialgebra, check_triple_equivalence
 from .coboundary import (
+    _SECOND,
     RMatrix,
+    _chunk,
     _first_failure,
+    _pair,
     _r_square,
-    _require_count,
     _validate_coboundary,
     check_twist_compat,
     cobracket_from_r,
@@ -59,7 +61,6 @@ from .tensor import (
     dense,
     first_case,
     matrix_kernel,
-    random_combination,
     sparse,
     unit_stack,
 )
@@ -95,15 +96,18 @@ def _defects(cand: OOperatorCandidate) -> Sparse:
     return _defect_tensor(cand.rep, cand.t)
 
 
-def _defect_tensor(rep: Representation, t, batch: str = "") -> Sparse:
+def _defect_tensor(rep: Representation, t, batch: str = "", u=None, batch2: str = "") -> Sparse:
     """_defects of the map T with matrix t, from rep's carrier to rep's algebra. With
-    a batch letter, t and the result carry a sample index first: one slice per sample."""
-    z = batch
+    a batch letter, t and the result carry a sample index first: one slice per sample.
+    Given u on the batch letter batch2, the bilinear form whose value at u = t is the
+    defect: [T v_i, U v_j] - U(rho(T v_i) v_j - rho(T v_j) v_i)."""
+    y = batch
+    u, z, lead = _pair(t, y, u, batch2)
     # entry (i, j, s): the v_s coefficient of rho(T v_i) v_j
-    acted = contract(z + "ijs", (z + "pi", t), ("psj", rep.action))
-    inner = acted - contract(z + "ijs", (z + "jis", acted))
-    return contract(z + "ijl", (z + "pi", t), ("pql", rep.base.bracket), (z + "qj", t)) - contract(
-        z + "ijl", (z + "ijs", inner), (z + "ls", t)
+    acted = contract(y + "ijs", (y + "pi", t), ("psj", rep.action))
+    inner = acted - contract(y + "ijs", (y + "jis", acted))
+    return contract(lead + "ijl", (y + "pi", t), ("pql", rep.base.bracket), (z + "qj", u)) - contract(
+        lead + "ijl", (y + "ijs", inner), (z + "ls", u)
     )
 
 
@@ -248,24 +252,28 @@ def _lift(t, n: int, batch: str = "") -> Sparse:
     return sparse(t).moved(lambda *key: (*key[:lead], n + key[-1], key[-2]))
 
 
-def _lifted_r(a: HomLieAlgebra, t, defects: Sparse, batch: str = "") -> tuple[Sparse, Sparse]:
-    """For r = T-bar - sigma(T-bar) in g |x V*: the coefficients of r, and the
-    defect expansion that [r,r] must equal, given the defect tensor of T."""
-    n, lead = a.dim, len(batch)
+def _lifted_r(t, n: int, batch: str = "") -> Sparse:
+    """The coefficients of r = T-bar - sigma(T-bar) in g |x V*, g of dimension n."""
+    lead = len(batch)
     tbar = _lift(t, n, batch)
-    r = tbar - tbar.moved(lambda *key: (*key[:lead], key[-1], key[-2]))
+    return tbar - tbar.moved(lambda *key: (*key[:lead], key[-1], key[-2]))
+
+
+def _expansion(a: HomLieAlgebra, defects: Sparse, batch: str = "") -> Sparse:
+    """The defect expansion that [r,r] must equal for r = _lifted_r of T, given the
+    defect tensor of T."""
+    n, lead = a.dim, len(batch)
     # entry (i, j, k): the e_k coefficient of phi(OT(v_i, v_j))
     twisted = contract(batch + "ijk", (batch + "ijl", defects), ("kl", a.twist))
 
     def placed(f) -> Sparse:
         return twisted.moved(lambda *key: (*key[:lead], *f(*key[lead:])))
 
-    expected = (
+    return (
         placed(lambda i, j, k: (k, n + i, n + j))
         - placed(lambda i, j, k: (n + i, k, n + j))
         + placed(lambda i, j, k: (n + i, n + j, k))
     )
-    return r, expected
 
 
 def r_from_o_operator(
@@ -282,12 +290,9 @@ def r_from_o_operator(
     return big, r, report
 
 
-def _lift_preconditions(
-    rep: Representation, intertwines: CheckReport, involutive: CheckReport
-) -> HomLieAlgebra:
-    """g |x V*, once T intertwines the twists and the representation is weakly
-    involutive (the reports of those two checks)."""
-    require(intertwines, "T must intertwine the twists")
+def _lift_preconditions(rep: Representation, involutive: CheckReport) -> HomLieAlgebra:
+    """g |x V*, once the representation is weakly involutive (the report of
+    is_weakly_involutive_rep)."""
     require(involutive, "the carrier representation must be weakly involutive")
     return dual_semidirect(rep)
 
@@ -300,10 +305,11 @@ def _r_and_square(
     the _o_operator_checks of cand."""
     defects, oop = checks or _o_operator_checks(cand)
     # oop's first part is T beta = phi T
-    big = _lift_preconditions(cand.rep, oop.subreports[0], involutive)
+    require(oop.subreports[0], "T must intertwine the twists")
+    big = _lift_preconditions(cand.rep, involutive)
     d = big.dim
-    coeffs, expected = _lifted_r(cand.algebra, cand.t, defects)
-    r = RMatrix(big, dense(coeffs, (d, d)))
+    r = RMatrix(big, dense(_lifted_r(cand.t, cand.algebra.dim), (d, d)))
+    expected = _expansion(cand.algebra, defects)
 
     compat = check_twist_compat(r)
     rr = r_square_bracket(r)
@@ -418,36 +424,26 @@ def intertwining_t_space(a: HomLieAlgebra, rep: Representation) -> list[Matrix]:
 
 
 def run_defect_expansion_suite(
-    a: HomLieAlgebra, rep: Representation, seed: int, count: int = 50
+    a: HomLieAlgebra, rep: Representation, seed=None, count=None
 ) -> CheckReport:
-    """The [r,r] defect expansion for `count` seeded T sampled exactly from
-    {T : T beta = phi T} (the zero T alone when that space is trivial); holds
-    whether or not T is an O-operator. a must be the algebra rep represents. The
-    preconditions are checked once, and the samples are evaluated together in
-    chunks; on failure, info names the first failing sample (case)."""
-    import random
-
-    _require_count(count)
+    """Proves the [r,r] defect expansion for every T with T beta = phi T, O-operator
+    or not, from the polarised expansion at the pairs of the basis of
+    intertwining_t_space. a must be the algebra rep represents. info holds
+    space_dim; a failure names the first failing pair (case, 1-based (a, b) with
+    a <= b), and its witness is the halved symmetrisation there. seed and count
+    are ignored."""
     space = intertwining_t_space(a, rep)
-    rng = random.Random(seed)
-    if space:
-        samples = [random_combination(rng, space) for _ in range(count)]
-    else:
-        samples = [Matrix.zero(a.dim, rep.carrier_dim)]
-    z, shape = _SAMPLE, (len(samples), a.dim, rep.carrier_dim)
-    twist = _twist_defect(rep, sparse(samples), z)
-    intertwines = scan(
-        "twist-intertwines-t", [((0,), block) for _, block, _ in first_case(twist, shape, 1)]
-    )
-    big = _lift_preconditions(rep, intertwines, is_weakly_involutive_rep(rep))
-    d = big.dim
+    big = _lift_preconditions(rep, is_weakly_involutive_rep(rep))
+    n, d, y, z = a.dim, big.dim, _SAMPLE, _SECOND
 
-    def residuals(stack):
-        r, expected = _lifted_r(a, stack, _defect_tensor(rep, stack, z), z)
-        return [(_r_square(big, r, z) - expected, (d,) * 3, 0)]
+    def residuals(t, u):
+        r = _lifted_r(t, n, y)
+        s = r if u is t else _lifted_r(u, n, z)
+        expected = _expansion(a, _defect_tensor(rep, t, y, u, z), y + z)
+        return [(_r_square(big, r, y, s, z) - expected, (d,) * 3, 0)]
 
-    found = _first_failure(samples, d**3, residuals)
+    found = _first_failure(space, _chunk(big, len(space), True), residuals, paired=True)
     if found is None:
-        return passed("defect-expansion-suite", seed=seed, count=len(samples), space_dim=len(space))
+        return passed("defect-expansion-suite", space_dim=len(space))
     case, _, _, block = found
-    return failed("defect-expansion-suite", [Witness((0,), block)], seed=seed, case=case)
+    return failed("defect-expansion-suite", [Witness((0,), block)], case=case, space_dim=len(space))

@@ -706,40 +706,6 @@ def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tupl
     return [(tuple(i + 1 for i in at), dense(t, shape, at), note)]
 
 
-# --- seeded random generation ------------------------------------------------
-#
-# Fuzz suites draw entries p/q with p uniform in {-2..2} and q in {1, 2},
-# from a caller-supplied random.Random so every run is reproducible from
-# the recorded seed.
-
-def random_q(rng) -> Fraction:
-    return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-
-
-def random_matrix(rng, nrows: int, ncols: int | None = None) -> Matrix:
-    ncols = nrows if ncols is None else ncols
-    return Matrix([[random_q(rng) for _ in range(ncols)] for _ in range(nrows)])
-
-
-def random_combination(rng, basis: Sequence):
-    """Random rational combination of arrays of one shape, a coefficient drawn per
-    element in order, summed in one pass over their integer views."""
-    if not basis:
-        raise ShapeError("random_combination needs at least one element")
-    shape = basis[0].shape
-    if any(v.shape != shape for v in basis):
-        raise ShapeError(f"random_combination of shapes {sorted({v.shape for v in basis})}")
-    terms = [(random_q(rng), v._view) for v in basis]
-    den = lcm(*(q.denominator * view.den for q, view in terms))
-    total: dict = {}
-    for q, view in terms:
-        s = den // (q.denominator * view.den) * q.numerator
-        if s:
-            for key, v in view.items():
-                total[key] = total.get(key, 0) + s * v
-    return basis[0]._of(shape, Sparse({key: v for key, v in total.items() if v}, den))
-
-
 # --- exact linear algebra helpers -------------------------------------------
 
 Row = Union[Sequence[Fraction], dict[int, Fraction]]

@@ -87,6 +87,23 @@ def oracle_r_square(a: HomLieAlgebra, rc: Matrix) -> Tensor3:
     return Tensor3(out)
 
 
+def oracle_twist_compat(a: HomLieAlgebra, rc: Matrix) -> Matrix:
+    """(phi (x) id) r - (id (x) phi) r, summed over the elementary tensors
+    e_p (x) e_q of r: phi(e_p) (x) e_q - e_p (x) phi(e_q)."""
+    n = a.dim
+    out = [[Q(0)] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            c = rc[p, q]
+            if c == 0:
+                continue
+            fp, fq = twist_vec(a, vec(a, p)), twist_vec(a, vec(a, q))
+            for i in range(n):
+                out[i][q] += c * fp[i]
+                out[p][i] -= c * fq[i]
+    return Matrix(out)
+
+
 def oracle_cobracket(a: HomLieAlgebra, rc: Matrix) -> Tensor3:
     """delta(e_k) = sum over elementary tensors e_p (x) e_m of r of
 

@@ -41,7 +41,9 @@ from homlie.representation import (
     semidirect_weak_involutivity_criteria,
     validate_representation,
 )
-from homlie.tensor import Matrix, Tensor3, random_matrix
+from homlie.tensor import Matrix, Tensor3
+
+from sampling import random_matrix
 
 SEEDS = range(3)
 

@@ -56,7 +56,9 @@ from homlie.representation import (
     semidirect_product,
     validate_representation,
 )
-from homlie.tensor import Array, ShapeError, random_combination, random_matrix, sparse
+from homlie.tensor import Array, ShapeError, sparse
+
+from sampling import random_combination, random_matrix
 
 
 def _arrays(x, found: dict) -> dict:

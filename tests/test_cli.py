@@ -128,17 +128,25 @@ def test_weakly_involutive_check_fails_on_aff2phi(capsys):
 
 
 def test_alias_tokens(capsys):
-    code, out, _ = run(
-        capsys, "validate", "builtin:aff2", "--check", "lemma44", "--seed", "5"
-    )
+    code, out, _ = run(capsys, "validate", "builtin:aff2", "--check", "lemma44")
     assert code == 0
-    assert "residual-suite: pass" in out
+    assert "residual-suite: pass\n  space_dim: 4\n" in out
 
     code, out, _ = run(capsys, "validate", "builtin:heis3", "--check", "lemma46")
     assert code == 0
 
     code, out, _ = run(capsys, "validate", "builtin:lsa2", "--check", "thm58")
     assert code == 0
+
+
+def test_the_proofs_take_no_seed(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "builtin:aff2", "--check", "lemma44", "--seed", "5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["validate", "--help"])
+    assert "--seed" not in capsys.readouterr().out
 
 
 def test_precondition_failure_exits_one(capsys):
@@ -416,8 +424,8 @@ def test_order3_witnesses_print_as_numbers(capsys):
     code, out, _ = run(capsys, "validate", "builtin:notjac3", "--check", "jacobiator-bracket")
     assert code == 1
     assert (
-        "at (1): residual [[0 0 0; 0 0 1/2; 0 -1/2 0], [0 0 -1/2; 0 0 0; 1/2 0 0], "
-        "[0 1/2 0; -1/2 0 0; 0 0 0]]"
+        "at (3): residual [[0 0 0; 0 0 1; 0 -1 0], [0 0 -1; 0 0 0; 1 0 0], "
+        "[0 1 0; -1 0 0; 0 0 0]]\n  case: (1, 1)\n  kernel_dim: 3\n"
     ) in out
 
     code, out, _ = run(

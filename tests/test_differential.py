@@ -13,10 +13,11 @@ import pytest
 from homlie import bialgebra, coboundary, hom_lie, operators, representation
 from homlie.bialgebra import Cobracket, HomLieBialgebra, MatchedPair, canonical_matched_pair
 from homlie.coboundary import RMatrix, cobracket_from_r, r_square_bracket
-from homlie.corpus import aff2, aff2_triangular_bialgebra, aff2phi, heis3, notjac3, sl2
+from homlie.corpus import abelian2, aff2, aff2_triangular_bialgebra, aff2bad, aff2phi, heis3, notjac3, sl2
 from homlie.hom_lie import BilinearFormB, HomLieAlgebra, change_of_basis, direct_sum
+from homlie.report import Witness, scan
 from homlie.representation import Representation, adjoint_rep
-from homlie.tensor import Matrix, Sparse, Tensor3, contract, dense, random_matrix, sparse
+from homlie.tensor import Matrix, Sparse, Tensor3, contract, dense, first_case, sparse
 
 from oracles import (
     oracle_ad3,
@@ -33,8 +34,10 @@ from oracles import (
     oracle_residual_lhs,
     oracle_residual_rhs,
     oracle_skew,
+    oracle_twist_compat,
     oracle_weak_involutivity,
 )
+from sampling import random_matrix
 
 SEEDS = range(4)
 
@@ -303,3 +306,70 @@ def test_residual_identity_sides_match_the_oracles(name, request):
             nonzero_rhs[i] |= bool(want_r)
             nonzero_residuals |= bool(lhs1 - rhs1)
     assert (tuple(nonzero_rhs), nonzero_residuals) == RESIDUAL_INPUTS[name]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_twist_compatibility_matches_the_oracle(seed):
+    """(phi (x) id) r - (id (x) phi) r against the oracle's term-by-term sum, on
+    seeded r over the algebra builtins and a seeded dense change of basis of each:
+    entry for entry, scanned entrywise to the oracle's first nonzero entry, and
+    reported whole by check_twist_compat."""
+    rng = random.Random(seed)
+    failures = 0
+    for make in (abelian2, aff2, aff2phi, aff2bad, heis3, sl2, notjac3):
+        a = make()
+        p = random_matrix(rng, a.dim)
+        while p.det() == 0:
+            p = random_matrix(rng, a.dim)
+        for a in (a, change_of_basis(a, p)):
+            n, rc = a.dim, random_matrix(rng, a.dim)
+            want = oracle_twist_compat(a, rc)
+            res = coboundary._twist_compat(a, rc)
+            entrywise = scan("twist-compat", first_case(res, (n, n), 2))
+            failures += _agrees(res, (n, n), 2, lambda i, j: want[i, j], entrywise)
+            whole = coboundary.check_twist_compat(RMatrix(a, rc))
+            assert whole.witnesses == (() if want.is_zero() else (Witness((0,), want),))
+    assert failures
+
+
+def _polarisation_agrees(form, quadratic, x, y) -> bool:
+    """The bilinear form on one-element stacks of x (on the batch letter z) and of y
+    (on y), symmetrised, equals Q(x + y) - Q(x) - Q(y) for the oracle's Q, whose
+    entries quadratic gives as a Sparse. Returns whether that is nonzero."""
+    xs, ys = sparse([x]), sparse([y])
+    both = (form(xs, ys) + form(ys, xs)).moved(lambda z, y, *rest: rest)
+    want = sparse(quadratic(x + y)) - sparse(quadratic(x)) - sparse(quadratic(y))
+    assert both == want
+    return bool(want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_bilinear_forms_polarise_the_oracles(seed):
+    """[r,s], the co-Jacobiator form and the O-operator defect form, each with one
+    operand on each of two batch letters, on seeded operands over broken algebras
+    and a broken action."""
+    rng = random.Random(seed)
+    nonzero = 0
+    for a in _inputs(seed)[:3]:
+        n = a.dim
+        r, s = random_matrix(rng, n), random_matrix(rng, n)
+        nonzero += _polarisation_agrees(
+            lambda x, y: coboundary._r_square(a, x, "z", y, "y"),
+            lambda rc: oracle_r_square(a, rc),
+            r,
+            s,
+        )
+        nonzero += _polarisation_agrees(
+            lambda x, y: coboundary._co_jacobiator(a, x, "z", y, "y"),
+            lambda cb: [oracle_jac_delta(a, cb, k) for k in range(n)],
+            oracle_cobracket(a, r),
+            oracle_cobracket(a, s),
+        )
+        rep = _perturbed_rep(a, seed)
+        nonzero += _polarisation_agrees(
+            lambda x, y: operators._defect_tensor(rep, x, "z", y, "y"),
+            lambda t: [[oracle_o_defect(list(rep.action), a, t, i, j) for j in range(n)] for i in range(n)],
+            r,
+            s,
+        )
+    assert nonzero == 9

@@ -26,13 +26,14 @@ from homlie.hom_lie import (
     validate_hom_lie,
 )
 from homlie.report import InvalidStructureError
-from homlie.tensor import Matrix, Tensor3, Vector, random_matrix
+from homlie.tensor import Matrix, Tensor3, Vector
 
 from oracles import (
     oracle_form_invariance,
     oracle_hom_jacobi,
     oracle_weak_involutivity,
 )
+from sampling import random_matrix
 
 VALID = (abelian2, aff2, aff2phi, aff2bad, heis3, sl2)
 

@@ -319,15 +319,16 @@ def test_intertwining_t_space_dimensions():
 
 def test_defect_expansion_suite():
     a = aff2()
-    rep = run_defect_expansion_suite(a, adjoint_rep(a), seed=7, count=20)
+    rep = run_defect_expansion_suite(a, adjoint_rep(a))
     assert rep.ok
-    assert rep.info["space_dim"] == 4
-    assert rep.info["count"] == 20
+    assert rep.info == {"space_dim": 4}
 
     rep3 = left_mult_rep(lsa2psi())
-    out = run_defect_expansion_suite(rep3.base, rep3, seed=9, count=20)
+    out = run_defect_expansion_suite(rep3.base, rep3)
     assert out.ok
-    assert out.info["space_dim"] == 2
+    assert out.info == {"space_dim": 2}
+    # seed and count stay accepted positionally, and change nothing
+    assert run_defect_expansion_suite(rep3.base, rep3, 9, 20) == out
 
 
 def test_wedge_solutions_computes_each_r_square_once(monkeypatch):

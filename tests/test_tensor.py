@@ -22,9 +22,6 @@ from homlie.tensor import (
     matrix_kernels,
     nullspace,
     pencil_det,
-    random_combination,
-    random_matrix,
-    random_q,
     rref,
     skew_stack,
     sparse,
@@ -32,6 +29,7 @@ from homlie.tensor import (
 )
 
 from oracles import oracle_contract, oracle_det, oracle_rref
+from sampling import random_combination, random_matrix, random_q
 
 rationals = st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=4)
 
