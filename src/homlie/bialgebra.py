@@ -42,7 +42,8 @@ from .representation import (
     fixes_carrier_square,
     validate_representation,
 )
-from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, dense, first_case, sparse
+from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, contract_sum, dense, first_case
+from .tensor import sparse
 
 
 @dataclass(frozen=True)
@@ -135,26 +136,25 @@ def cobracket_from_bracket(source: HomLieAlgebra, base: HomLieAlgebra) -> Cobrac
     return Cobracket(base, dense(coeffs, (n,) * 3))
 
 
-def cobracket_compatibility(a: HomLieAlgebra, delta, batch: str = "") -> Sparse:
-    """Entry (i, j, p, q): entry (p, q) of Delta[e_i, e_j] - phi(e_i).Delta(e_j)
-    + phi(e_j).Delta(e_i), where z.t = (ad_z (x) phi + phi (x) ad_z) t. With a
-    batch letter, delta and the result carry a sample index first."""
+def cobracket_compatibility(a: HomLieAlgebra, delta, batch: str = "") -> list:
+    """The terms, for contract_sum on batch + "ijpq", of entry (i, j, p, q): entry
+    (p, q) of Delta[e_i, e_j] - phi(e_i).Delta(e_j) + phi(e_j).Delta(e_i), where
+    z.t = (ad_z (x) phi + phi (x) ad_z) t. With a batch letter, delta and the
+    result carry a sample index first."""
     ad, phi, z = twisted_ad(a), a.twist, batch
-    acted = contract(z + "ijpq", (z + "jst", delta), ("qt", phi), ("isp", ad)) + contract(
-        z + "ijpq", (z + "jst", delta), ("ps", phi), ("itq", ad)
-    )
-    return (
-        contract(z + "ijpq", ("ijk", a.bracket), (z + "kpq", delta))
-        - acted
-        + contract(z + "ijpq", (z + "jipq", acted))
-    )
+    reads = (z + "ijpq", "-" + z + "jipq")
+    return [
+        (1, [("ijk", a.bracket), (z + "kpq", delta)]),
+        (-1, [(z + "jst", delta), ("qt", phi), ("isp", ad)], *reads),
+        (-1, [(z + "jst", delta), ("ps", phi), ("itq", ad)], *reads),
+    ]
 
 
 def validate_bialgebra(bi: HomLieBialgebra) -> CheckReport:
     """Both sides valid weakly involutive Hom-Lie algebras, plus the
     cobracket compatibility Delta[x,y] = ad_{phi(x)} Delta(y) - ad_{phi(y)} Delta(x)."""
     a = bi.algebra
-    compat = cobracket_compatibility(a, bi.cobracket.coeffs)
+    compat = contract_sum("ijpq", *cobracket_compatibility(a, bi.cobracket.coeffs))
     return combined(
         "bialgebra",
         [
@@ -201,13 +201,12 @@ def matched_pair_compatibility(g: HomLieAlgebra, h: HomLieAlgebra, on_g, on_h) -
 
     where h acts on g by the action tensor on_g and g on h by on_h."""
     c, phi = g.bracket, g.twist
-    twice = contract("cijl", ("jdc", on_h), ("dlp", on_g), ("pi", phi))
-    return (
-        contract("cijl", ("dc", h.twist), ("dlk", on_g), ("ijk", c))
-        - contract("cijl", ("cpi", on_g), ("pql", c), ("qj", phi))
-        - contract("cijl", ("pi", phi), ("pql", c), ("cqj", on_g))
-        - twice
-        + contract("cijl", ("cjil", twice))
+    return contract_sum(
+        "cijl",
+        (1, [("dc", h.twist), ("dlk", on_g), ("ijk", c)]),
+        (-1, [("cpi", on_g), ("pql", c), ("qj", phi)]),
+        (-1, [("pi", phi), ("pql", c), ("cqj", on_g)]),
+        (-1, [("jdc", on_h), ("dlp", on_g), ("pi", phi)], "cijl", "-cjil"),
     )
 
 
@@ -273,10 +272,8 @@ def double_weak_involutivity_criteria(mp: MatchedPair) -> CheckReport:
         [is_weakly_involutive(mp.right), is_weakly_involutive_rep(mp.rho_prime)],
     )
     # MatchedPair makes each action's carrier twist the other algebra's twist
-    c3 = fixes_carrier_square("left-action-fixes-right-twist-square", mp.rho, mp.rho.action)
-    c4 = fixes_carrier_square(
-        "right-action-fixes-left-twist-square", mp.rho_prime, mp.rho_prime.action
-    )
+    c3 = fixes_carrier_square("left-action-fixes-right-twist-square", mp.rho)
+    c4 = fixes_carrier_square("right-action-fixes-left-twist-square", mp.rho_prime)
     direct = is_weakly_involutive(double_bracket(mp))
     match = holds(
         "criteria-match-direct",
@@ -419,13 +416,11 @@ def check_bialgebra_homomorphism(
 
     shape = (a1.dim, a1.dim, a2.dim, a2.dim)
     # entry (i, j, l): the e_l coefficient of f[e_i, e_j] - [f e_i, f e_j]
-    bracket_res = contract("ijl", ("ijk", a1.bracket), ("lk", f)) - contract(
-        "ijl", ("pi", f), ("pql", a2.bracket), ("qj", f)
-    )
+    c1, c2 = a1.bracket, a2.bracket
+    bracket_res = contract_sum("ijl", (1, [("ijk", c1), ("lk", f)]), (-1, [("pi", f), ("pql", c2), ("qj", f)]))
     # entry (k, p, q): entry (p, q) of (f (x) f) Delta1(e_k) - Delta2(f e_k)
-    co_res = contract("kpq", ("kst", bi1.cobracket.coeffs), ("ps", f), ("qt", f)) - contract(
-        "kpq", ("xk", f), ("xpq", bi2.cobracket.coeffs)
-    )
+    d1, d2 = bi1.cobracket.coeffs, bi2.cobracket.coeffs
+    co_res = contract_sum("kpq", (1, [("kst", d1), ("ps", f), ("qt", f)]), (-1, [("xk", f), ("xpq", d2)]))
     return combined(
         "bialgebra-homomorphism",
         [

@@ -62,6 +62,7 @@ from .tensor import (
     Tensor3,
     Vector,
     contract,
+    contract_sum,
     dense,
     first_case,
     matrix_kernel,
@@ -103,7 +104,7 @@ def _twist_compat(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
     coefficient matrix. With a batch letter, r and the result carry a sample index
     first: one slice per sample."""
     z, phi = batch, a.twist
-    return contract(z + "ij", ("ip", phi), (z + "pj", r)) - contract(z + "ij", (z + "iq", r), ("jq", phi))
+    return contract_sum(z + "ij", (1, [("ip", phi), (z + "pj", r)]), (-1, [(z + "iq", r), ("jq", phi)]))
 
 
 def twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
@@ -130,9 +131,8 @@ def _basis_action(a: HomLieAlgebra, t, batch: str = "") -> Sparse:
     With a batch letter, t and the result carry a sample index first: one
     slice per sample. The same holds for every evaluator here that takes one."""
     c, phi, z = a.bracket, a.twist, batch
-    return contract(z + "kpq", ("ps", phi), (z + "st", t), ("ktq", c)) + contract(
-        z + "kpq", ("ksp", c), (z + "st", t), ("qt", phi)
-    )
+    st = (z + "st", t)
+    return contract_sum(z + "kpq", (1, [("ps", phi), st, ("ktq", c)]), (1, [("ksp", c), st, ("qt", phi)]))
 
 
 def r_square_bracket(r: RMatrix) -> Tensor3:
@@ -144,7 +144,7 @@ def r_square_bracket(r: RMatrix) -> Tensor3:
 
     each term a contraction of the bracket with phi r and r phi^T.
     """
-    return dense(_r_square(r.base, r.coeffs), (r.dim,) * 3)
+    return dense(contract_sum("abc", *_r_square(r.base, r.coeffs)), (r.dim,) * 3)
 
 
 def _pair(r, batch: str, s, batch2: str) -> tuple:
@@ -154,10 +154,11 @@ def _pair(r, batch: str, s, batch2: str) -> tuple:
     return (r, batch, batch) if s is None else (s, batch2, batch + batch2)
 
 
-def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") -> Sparse:
-    """Entry (a, b, c) of [r,r] for the coefficients r. Given s on the batch letter
-    batch2, the bilinear form [r,s] whose value at s = r is [r,r]: each term takes
-    its first copy of the r-matrix from r and its second from s."""
+def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") -> list:
+    """The terms, for contract_sum on the leading letters and "abc", of entry
+    (a, b, c) of [r,r] for the coefficients r. Given s on the batch letter batch2,
+    of the bilinear form [r,s] whose value at s = r is [r,r]: each term takes its
+    first copy of the r-matrix from r and its second from s."""
     c, phi, y = a.bracket, a.twist, batch
     s, z, lead = _pair(r, y, s, batch2)
 
@@ -167,11 +168,11 @@ def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") ->
 
     phir, rphit = twisted(r, y)
     phis, sphit = (phir, rphit) if s is r else twisted(s, z)
-    return (
-        contract(lead + "abc", ("psa", c), (y + "pb", rphit), (z + "sc", sphit))
-        + contract(lead + "abc", (y + "aq", phir), ("qsb", c), (z + "sc", sphit))
-        + contract(lead + "abc", (y + "aq", phir), ("qtc", c), (z + "bt", phis))
-    )
+    return [
+        (1, [("psa", c), (y + "pb", rphit), (z + "sc", sphit)]),
+        (1, [(y + "aq", phir), ("qsb", c), (z + "sc", sphit)]),
+        (1, [(y + "aq", phir), ("qtc", c), (z + "bt", phis)]),
+    ]
 
 
 def jac_delta(cb: Cobracket, k: int) -> Tensor3:
@@ -183,32 +184,34 @@ def jac_delta(cb: Cobracket, k: int) -> Tensor3:
 
 def _jac_delta(cb: Cobracket) -> Sparse:
     """Entry (k, a, b, c): entry (a, b, c) of jac_delta(cb, k)."""
-    return _co_jacobiator(cb.base, cb.coeffs)
+    return contract_sum("kabc", *_co_jacobiator(cb.base, cb.coeffs))
 
 
-def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "", e=None, batch2: str = "") -> Sparse:
-    """_jac_delta of the cobracket on a with coefficients d. Given e on the batch
-    letter batch2, the bilinear form whose value at e = d is that: the outer
-    cobracket of (phi (x) delta) delta from d, the inner from e."""
+def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "", e=None, batch2: str = "") -> list:
+    """The terms, for contract_sum on the leading letters and "kabc", of _jac_delta
+    of the cobracket on a with coefficients d. Given e on the batch letter batch2,
+    of the bilinear form whose value at e = d is that: the outer cobracket of
+    (phi (x) delta) delta from d, the inner from e."""
     e, z, lead = _pair(d, batch, e, batch2)
-    t = contract(lead + "kabc", (batch + "kij", d), ("ai", a.twist), (z + "jbc", e))
-    return t + contract(lead + "kabc", (lead + "kbca", t)) + contract(lead + "kabc", (lead + "kcab", t))
+    operands = [(batch + "kij", d), ("ai", a.twist), (z + "jbc", e)]
+    return [(1, operands, lead + "kabc", lead + "kbca", lead + "kcab")]
 
 
 def ad_phi_on_tensor3(a: HomLieAlgebra, x: Vector, t: Tensor3) -> Tensor3:
     """(ad_{phi(x)} (x) phi (x) phi + phi (x) ad_{phi(x)} (x) phi
        + phi (x) phi (x) ad_{phi(x)}) t."""
-    return dense(contract("abc", ("k", x), ("kabc", _adjoint_on(a, t))), (a.dim,) * 3)
+    return dense(contract_sum("abc", *((c, [("k", x), *ops]) for c, ops in _adjoint_on(a, t))), (a.dim,) * 3)
 
 
-def _adjoint_on(a: HomLieAlgebra, t, batch: str = "") -> Sparse:
-    """Entry (k, a, b, c): entry (a, b, c) of ad_phi_on_tensor3(a, e_k, t)."""
+def _adjoint_on(a: HomLieAlgebra, t, batch: str = "") -> list:
+    """The terms, for contract_sum on batch + "kabc", of entry (k, a, b, c): entry
+    (a, b, c) of ad_phi_on_tensor3(a, e_k, t)."""
     ad, phi, z = twisted_ad(a), a.twist, batch
-    return (
-        contract(z + "kabc", (z + "pqs", t), ("bq", phi), ("cs", phi), ("kpa", ad))
-        + contract(z + "kabc", (z + "pqs", t), ("ap", phi), ("cs", phi), ("kqb", ad))
-        + contract(z + "kabc", (z + "pqs", t), ("ap", phi), ("bq", phi), ("ksc", ad))
-    )
+    return [
+        (1, [(z + "pqs", t), ("bq", phi), ("cs", phi), ("kpa", ad)]),
+        (1, [(z + "pqs", t), ("ap", phi), ("cs", phi), ("kqb", ad)]),
+        (1, [(z + "pqs", t), ("ap", phi), ("bq", phi), ("ksc", ad)]),
+    ]
 
 
 def symmetric_part_invariance(r: RMatrix) -> CheckReport:
@@ -224,7 +227,8 @@ def adjoint_kills_r_square(r: RMatrix) -> CheckReport:
 
 
 def _adjoint_kills(a: HomLieAlgebra, rr: Tensor3) -> CheckReport:
-    return scan("adjoint-kills-r-square", first_case(_adjoint_on(a, rr), (a.dim,) * 4, 1))
+    res = contract_sum("kabc", *_adjoint_on(a, rr))
+    return scan("adjoint-kills-r-square", first_case(res, (a.dim,) * 4, 1))
 
 
 def dual_side_verdict(r: RMatrix) -> CheckReport:
@@ -318,21 +322,22 @@ _RESIDUALS = (
 )
 
 
-def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[Sparse, Sparse]]:
-    """(left side, right side) of each of (a), (b), (c) for the coefficients r:
-    entry (k, p, q), or (i, j, p, q) for (c), is entry (p, q) of that side at
-    x = e_k, or at (x, y) = (e_i, e_j)."""
+def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, list, list]]:
+    """(out, terms of the left side, terms of the right side) of each of (a), (b),
+    (c) for the coefficients r, for contract_sum on out: entry (k, p, q), or
+    (i, j, p, q) for (c), is entry (p, q) of that side at x = e_k, or at (x, y) =
+    (e_i, e_j)."""
     c, phi, z = a.bracket, a.twist, batch
     d = _basis_action(a, r, z)
     w = _twist_compat(a, r, z)
     phi_w = contract(z + "pv", ("pu", phi), (z + "uv", w))  # (phi (x) id) w
     w_phi = contract(z + "uq", (z + "uv", w), ("qv", phi))  # (id (x) phi) w
+    # (phi (x) id + id (x) phi) w
+    both = contract_sum(z + "uv", (1, [("ux", phi), (z + "xv", w)]), (1, [(z + "ux", w), ("vx", phi)]))
 
-    def skew_action(x, lead: str) -> Sparse:
+    def skew_action(x, lead: str) -> list:
         """(X (x) phi - phi (x) X) w for the matrix X = x at each value of `lead`."""
-        return contract(z + lead + "pq", (lead + "pu", x), (z + "uq", w_phi)) - contract(
-            z + lead + "pq", (z + "pv", phi_w), (lead + "qv", x)
-        )
+        return [(1, [(lead + "pu", x), (z + "uq", w_phi)]), (-1, [(z + "pv", phi_w), (lead + "qv", x)])]
 
     # entry (k, m, u): entry (m, u) of ad_{phi e_k} phi
     ad_phi = contract("kmu", ("ik", phi), ("ijm", c), ("ju", phi))
@@ -340,16 +345,23 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[Sparse, 
     ad_bracket = contract("ijmu", ("ijs", c), ("slm", c), ("lu", phi))
     return [
         (
-            contract(z + "kpq", ("xk", phi), (z + "xpq", d))
-            - contract(z + "kpq", (z + "kst", d), ("ps", phi), ("qt", phi)),
+            z + "kpq",
+            [(1, [("xk", phi), (z + "xpq", d)]), (-1, [(z + "kst", d), ("ps", phi), ("qt", phi)])],
             skew_action(ad_phi, "k"),
         ),
         (
-            contract(z + "kpq", (z + "ksq", d), ("ps", phi @ phi)) - d,
-            contract(z + "kpq", ("pu", phi), (z + "uv", phi_w + w_phi), ("kvq", c)),
+            z + "kpq",
+            [(1, [(z + "ksq", d), ("ps", phi @ phi)]), (-1, [(z + "kpq", d)])],
+            [(1, [("pu", phi), (z + "uv", both), ("kvq", c)])],
         ),
-        (cobracket_compatibility(a, d, z), skew_action(ad_bracket, "ij")),
+        (z + "ijpq", cobracket_compatibility(a, d, z), skew_action(ad_bracket, "ij")),
     ]
+
+
+def _residuals(a: HomLieAlgebra, r, batch: str = "") -> list[Sparse]:
+    """Left side minus right side of each of (a), (b), (c), as _residual_sides."""
+    sides = _residual_sides(a, r, batch)
+    return [contract_sum(out, *lhs, *((-c, *rest) for c, *rest in rhs)) for out, lhs, rhs in sides]
 
 
 def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport, CheckReport]:
@@ -359,8 +371,8 @@ def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport,
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
     return tuple(
-        scan(name, first_case(lhs - rhs, (a.dim,) * (2 + nscan), nscan))
-        for (name, nscan), (lhs, rhs) in zip(_RESIDUALS, _residual_sides(a, r.coeffs))
+        scan(name, first_case(res, (a.dim,) * (2 + nscan), nscan))
+        for (name, nscan), res in zip(_RESIDUALS, _residuals(a, r.coeffs))
     )
 
 
@@ -417,7 +429,7 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
             ahead = residuals(head, tail)
             behind = ahead if tail is head else residuals(tail, head)
             evaluated = [
-                (res + _transposed(back, 2 + len(shape)), shape, nscan)
+                (_symmetrised(res, back, 2 + len(shape)), shape, nscan)
                 for (res, shape, nscan), (back, _, _) in zip(ahead, behind)
             ]
         else:
@@ -434,10 +446,11 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
     return None
 
 
-def _transposed(t: Sparse, order: int) -> Sparse:
-    """t with its first two indices swapped."""
+def _symmetrised(t: Sparse, back: Sparse, order: int) -> Sparse:
+    """t plus back with its first two indices swapped."""
     rest = "abcdefgh"[: order - 2]
-    return contract(_SECOND + _SAMPLE + rest, (_SAMPLE + _SECOND + rest, t))
+    out = _SAMPLE + _SECOND + rest
+    return contract_sum(out, (1, [(out, t)]), (1, [(_SECOND + _SAMPLE + rest, back)]))
 
 
 def run_residual_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
@@ -452,11 +465,8 @@ def run_residual_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
     n = a.dim
 
     def residuals(stack):
-        sides = _residual_sides(a, stack, _SAMPLE)
-        return [
-            (lhs - rhs, (n,) * (2 + nscan), nscan)
-            for (_, nscan), (lhs, rhs) in zip(_RESIDUALS, sides)
-        ]
+        evaluated = _residuals(a, stack, _SAMPLE)
+        return [(res, (n,) * (2 + nscan), nscan) for (_, nscan), res in zip(_RESIDUALS, evaluated)]
 
     units = [Sparse({(p, q): 1}) for p in range(n) for q in range(n)]
     found = _first_failure(units, _chunk(a, n * n), residuals)
@@ -481,8 +491,9 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport
     def residuals(r, s):
         d = _basis_action(a, r, y)
         e = d if s is r else _basis_action(a, s, z)
-        jac = _co_jacobiator(a, d, y, e, z)
-        return [(jac - _adjoint_on(a, _r_square(a, r, y, s, z), y + z), (n,) * 4, 1)]
+        square = contract_sum(y + z + "abc", *_r_square(a, r, y, s, z))
+        adjoint = ((-c, ops) for c, ops in _adjoint_on(a, square, y + z))
+        return [(contract_sum(y + z + "kabc", *_co_jacobiator(a, d, y, e, z), *adjoint), (n,) * 4, 1)]
 
     found = _first_failure(kernel, _chunk(a, len(kernel), True), residuals, paired=True)
     if found is None:
@@ -515,9 +526,9 @@ def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
     # ad"_x f_b = -sum_p phi(x)_p [e_p, .]_b, at x = r#(f_a) = row a of r and
     # at x = sigma(r)#(f_b) = column b of r
     c, phi = a.bracket, a.twist
-    box = -(
-        contract("abl", ("aq", r.coeffs), ("pq", phi), ("plb", c))
-        + contract("abl", ("qb", r.coeffs), ("pq", phi), ("pla", c))
+    rc = r.coeffs
+    box = contract_sum(
+        "abl", (-1, [("aq", rc), ("pq", phi), ("plb", c)]), (-1, [("qb", rc), ("pq", phi), ("pla", c)])
     )
     operator_route = HomLieAlgebra(
         dense(box, (a.dim,) * 3), phi.transpose(), f"{a.label or 'g'}* (operator route)"
@@ -544,9 +555,8 @@ def sharp_bracket_defect(r: RMatrix, ai: int, bi: int) -> CheckReport:
     s = r_sharp(r) @ a.twist.transpose()  # r# phi*
     dual = dual_algebra(cobracket_from_r(r))
     # entry (a, b, l): the e_l coefficient of [s f_a, s f_b] - s [f_a, f_b]_{g*}
-    defect = contract("abl", ("pa", s), ("pql", a.bracket), ("qb", s)) - contract(
-        "abl", ("abk", dual.bracket), ("lk", s)
-    )
+    c, dc = a.bracket, dual.bracket
+    defect = contract_sum("abl", (1, [("pa", s), ("pql", c), ("qb", s)]), (-1, [("abk", dc), ("lk", s)]))
     lhs = dense(defect, (a.dim,) * 3, (ai, bi))
     res = lhs - dense(r_square_bracket(r), (a.dim,) * 3, (ai, bi))
     if res.is_zero():
@@ -580,8 +590,7 @@ def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:
 
     gram = r.coeffs.inverse()
     # entry (i, j, k): B(phi e_i, [e_j, e_k]), then summed over cyclic shifts of (i, j, k)
-    t = contract("ijk", ("pi", a.twist), ("pq", gram), ("jkq", a.bracket))
-    t = t + contract("ijk", ("jki", t)) + contract("ijk", ("kij", t))
+    t = contract_sum("ijk", (1, [("pi", a.twist), ("pq", gram), ("jkq", a.bracket)], "ijk", "jki", "kij"))
     cyclic = scan("cyclic-cocycle", first_case(t, (a.dim,) * 3, 3))
     twist_sym = twist_symmetry(a, gram, "form-twist-symmetry")
 

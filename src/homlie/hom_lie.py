@@ -26,6 +26,7 @@ from .tensor import (
     Tensor3,
     Vector,
     contract,
+    contract_sum,
     dense,
     first_case,
     matrix_kernels,
@@ -112,22 +113,20 @@ def validate_hom_lie(a: HomLieAlgebra) -> CheckReport:
 
 def _skew(a: HomLieAlgebra) -> Sparse:
     """Entry (i, j, k): the e_k coefficient of [e_i, e_j] + [e_j, e_i]."""
-    return sparse(a.bracket) + contract("ijk", ("jik", a.bracket))
+    return contract_sum("ijk", (1, [("ijk", a.bracket)], "ijk", "jik"))
 
 
 def _multiplicative(a: HomLieAlgebra) -> Sparse:
     """Entry (i, j, k): the e_k coefficient of phi[e_i, e_j] - [phi e_i, phi e_j]."""
     c, phi = a.bracket, a.twist
-    return contract("ijl", ("ijk", c), ("lk", phi)) - contract(
-        "ijl", ("pi", phi), ("pql", c), ("qj", phi)
-    )
+    return contract_sum("ijl", (1, [("ijk", c), ("lk", phi)]), (-1, [("pi", phi), ("pql", c), ("qj", phi)]))
 
 
 def _jacobiator(a: HomLieAlgebra) -> Sparse:
     """Entry (i, j, k, l): the e_l coefficient of
     [phi e_i, [e_j, e_k]] + [phi e_j, [e_k, e_i]] + [phi e_k, [e_i, e_j]]."""
-    t = contract("ijkl", ("pi", a.twist), ("pql", a.bracket), ("jkq", a.bracket))
-    return t + contract("ijkl", ("jkil", t)) + contract("ijkl", ("kijl", t))
+    c = a.bracket
+    return contract_sum("ijkl", (1, [("pi", a.twist), ("pql", c), ("jkq", c)], "ijkl", "jkil", "kijl"))
 
 
 def is_weakly_involutive(a: HomLieAlgebra) -> CheckReport:
@@ -138,7 +137,7 @@ def is_weakly_involutive(a: HomLieAlgebra) -> CheckReport:
 def _weak_involutivity(a: HomLieAlgebra) -> Sparse:
     """Entry (i, j, k): the e_k coefficient of [phi^2 e_i, e_j] - [e_i, e_j]."""
     phi = a.twist
-    return contract("ijk", ("pq", phi), ("qi", phi), ("pjk", a.bracket)) - sparse(a.bracket)
+    return contract_sum("ijk", (1, [("pq", phi), ("qi", phi), ("pjk", a.bracket)]), (-1, [("ijk", a.bracket)]))
 
 
 def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
@@ -167,16 +166,16 @@ def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
 def _form_invariance(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
     """Entry (k, i, j): B([e_i, e_j], e_k) - B(e_i, [phi e_j, e_k]). With a batch
     letter, gram and the result carry a sample index first: one slice per sample."""
-    z = batch
-    return contract(z + "kij", ("ijl", a.bracket), (z + "lk", gram)) - contract(
-        z + "kij", ("jkl", twisted_ad(a)), (z + "il", gram)
+    z, c = batch, a.bracket
+    return contract_sum(
+        z + "kij", (1, [("ijl", c), (z + "lk", gram)]), (-1, [("pj", a.twist), ("pkl", c), (z + "il", gram)])
     )
 
 
 def _twist_symmetry(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
     """Entry (i, j): B(phi e_i, e_j) - B(e_i, phi e_j), batched as _form_invariance."""
     z, phi = batch, a.twist
-    return contract(z + "ij", ("pi", phi), (z + "pj", gram)) - contract(z + "ij", (z + "ip", gram), ("pj", phi))
+    return contract_sum(z + "ij", (1, [("pi", phi), (z + "pj", gram)]), (-1, [(z + "ip", gram), ("pj", phi)]))
 
 
 def twist_symmetry(a: HomLieAlgebra, gram: Matrix, condition: str) -> CheckReport:
@@ -248,9 +247,8 @@ def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     """
     n, z = a.dim, _SAMPLE
     stack = unit_stack(n, n)
-    units = sparse(stack)
     invariance = [_form_invariance(a, stack, z), _twist_symmetry(a, stack, z)]
-    symmetry = [units - units.moved(lambda s, i, j: (s, j, i))]
+    symmetry = [contract_sum(z + "ij", (1, [(z + "ij", stack)]), (-1, [(z + "ij", stack)], z + "ji"))]
     bases = [tuple(b) for b in matrix_kernels(stack, invariance, symmetry)]
     return InvariantFormSpace(*bases, *(bool(pencil_det(b, n)) for b in bases))
 

@@ -58,6 +58,7 @@ from .tensor import (
     Tensor3,
     Vector,
     contract,
+    contract_sum,
     dense,
     first_case,
     matrix_kernel,
@@ -103,11 +104,12 @@ def _defect_tensor(rep: Representation, t, batch: str = "", u=None, batch2: str 
     defect: [T v_i, U v_j] - U(rho(T v_i) v_j - rho(T v_j) v_i)."""
     y = batch
     u, z, lead = _pair(t, y, u, batch2)
-    # entry (i, j, s): the v_s coefficient of rho(T v_i) v_j
-    acted = contract(y + "ijs", (y + "pi", t), ("psj", rep.action))
-    inner = acted - contract(y + "ijs", (y + "jis", acted))
-    return contract(lead + "ijl", (y + "pi", t), ("pql", rep.base.bracket), (z + "qj", u)) - contract(
-        lead + "ijl", (y + "ijs", inner), (z + "ls", u)
+    # U rho(T v_i) v_j, where t_pi action_psj is the v_s coefficient of rho(T v_i) v_j
+    acted = [(y + "pi", t), ("psj", rep.action), (z + "ls", u)]
+    return contract_sum(
+        lead + "ijl",
+        (1, [(y + "pi", t), ("pql", rep.base.bracket), (z + "qj", u)]),
+        (-1, acted, lead + "ijl", "-" + lead + "jil"),
     )
 
 
@@ -136,9 +138,8 @@ class HomLeftSymmetric:
 def _twist_defect(rep: Representation, t, batch: str = "") -> Sparse:
     """Entry (i, j) of T beta - phi T, phi the twist of rep's algebra."""
     z = batch
-    return contract(z + "ij", (z + "ik", t), ("kj", rep.beta)) - contract(
-        z + "ij", ("ik", rep.base.twist), (z + "kj", t)
-    )
+    beta, phi = rep.beta, rep.base.twist
+    return contract_sum(z + "ij", (1, [(z + "ik", t), ("kj", beta)]), (-1, [("ik", phi), (z + "kj", t)]))
 
 
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
@@ -159,15 +160,14 @@ def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
     shape = (p.dim,) * 4
     dot, psi = p.product, p.psi
     # entry (i, j, l): the e_l coefficient of psi(e_i.e_j) - psi(e_i).psi(e_j)
-    mult = contract("ijl", ("ijk", dot), ("lk", psi)) - contract(
-        "ijl", ("pi", psi), ("pql", dot), ("qj", psi)
-    )
+    mult = contract_sum("ijl", (1, [("ijk", dot), ("lk", psi)]), (-1, [("pi", psi), ("pql", dot), ("qj", psi)]))
     # entry (i, j, k, l): the e_l coefficient of (e_i.e_j).psi(e_k) - psi(e_i).(e_j.e_k),
     # then its part skew in (i, j), scanned over i < j
-    assoc = contract("ijkl", ("ijp", dot), ("qk", psi), ("pql", dot)) - contract(
-        "ijkl", ("pi", psi), ("jkq", dot), ("pql", dot)
+    skew = contract_sum(
+        "ijkl",
+        (1, [("ijp", dot), ("qk", psi), ("pql", dot)], "ijkl", "-jikl"),
+        (-1, [("pi", psi), ("jkq", dot), ("pql", dot)], "ijkl", "-jikl"),
     )
-    skew = assoc - contract("ijkl", ("jikl", assoc))
     upper = Sparse({key: v for key, v in skew.items() if key[0] < key[1]}, skew.den)
     return combined(
         "hom-left-symmetric",
@@ -198,7 +198,8 @@ def left_mult_rep(p: HomLeftSymmetric) -> Representation:
 
 def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     """u.v = psi^2(u).v on all basis pairs."""
-    res = sparse(p.product) - contract("ijk", ("pq", p.psi), ("qi", p.psi), ("pjk", p.product))
+    dot, psi = p.product, p.psi
+    res = contract_sum("ijk", (1, [("ijk", dot)]), (-1, [("pq", psi), ("qi", psi), ("pjk", dot)]))
     return scan("square-twist-product-condition", first_case(res, (p.dim,) * 3, 2))
 
 
@@ -440,7 +441,8 @@ def run_defect_expansion_suite(
         r = _lifted_r(t, n, y)
         s = r if u is t else _lifted_r(u, n, z)
         expected = _expansion(a, _defect_tensor(rep, t, y, u, z), y + z)
-        return [(_r_square(big, r, y, s, z) - expected, (d,) * 3, 0)]
+        res = contract_sum(y + z + "abc", *_r_square(big, r, y, s, z), (-1, [(y + z + "abc", expected)]))
+        return [(res, (d,) * 3, 0)]
 
     found = _first_failure(space, _chunk(big, len(space), True), residuals, paired=True)
     if found is None:

@@ -7,30 +7,25 @@ mostly zeros, so an immutable array stores only its shape and its integer view,
 which ``sparse(x)`` returns: a ``Sparse`` tensor of the nonzero entries as integer
 numerators over one positive denominator, in lowest terms. Building, combining,
 testing for zero, comparing, slicing and rendering arrays is decided once, in
-``Array``, on that view. Every identity the package checks is a multilinear
-expression in arrays, evaluated by ``contract`` over the nonzero numerators, and
-``dense`` slices a block of the result back into an array.
+``Array``, on that view. Every identity the package checks is a signed sum of
+contractions of arrays, evaluated by ``contract_sum`` (``contract`` is its one-term
+case) over the nonzero numerators, and ``dense`` slices a block of the result back
+into an array.
 
-``contract`` works out what depends only on its spec (the output letters and the
-operands' labels) once per spec and caches it. When a single operand has the
-output's last letter, the lane, it packs that operand's entries along the lane into
-one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker substitution),
-with the slot width B from an exact bound on the sum of |products|; each join
-multiplies a packed int by a plain one, so one bigint operation covers the whole
-lane. Results stay packed over their last index through later contractions whose
-lane it is, ``+``, ``-``, ``first_case`` and ``dense`` (which unpacks only the block
-it returns, such as a witness); any other read of a packed ``Sparse`` unpacks it in
-place, once, into plain numerators. Fractions are built only
-where a rational leaves the integers: in rendering (``str``, ``to_json``, and the
-nested tuples ``entries`` and ``rows``, made on each access), in single-entry
-reads, and in the results of ``rref`` and ``Matrix.det``. Those eliminate
-fraction-free on integer rows, as do ``Matrix.inverse``, ``nullspace`` and
-``matrix_kernels``, which read each kernel vector's integer view off the reduced
-integer rows. ``matrix_kernels`` solves a linear identity in an unknown matrix from
-the identity's own contraction, evaluated once on a stack of unknown matrices
-(``unit_stack``, ``skew_stack``), so each identity is written once, for checking and
-for solving alike. Every comparison is exact equality: there are no tolerances
-anywhere in this package.
+``contract_sum`` joins each term's operands in the order of least estimated work
+(``estimate``) and computes a contraction read under several key orders once. When
+one operand alone has a contraction's last letter, the lane, it is packed along the
+lane into one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker
+substitution), so one bigint product covers the lane, and all terms are packed at one
+width B, from an exact bound on the whole sum, into one result. It stays packed
+through ``first_case``, ``dense`` (which unpacks only the block it returns) and
+contractions whose lane it is at that width; any other read unpacks it, once.
+Fractions are built only in rendering, single-entry reads, and the results of
+``rref`` and ``Matrix.det``; these, ``Matrix.inverse``, ``nullspace`` and
+``matrix_kernels`` eliminate on integer rows. ``matrix_kernels`` solves a linear
+identity in an unknown matrix from the identity's own contraction on a stack of
+unknown matrices (``unit_stack``, ``skew_stack``), so each identity is written once,
+for checking and solving alike. Every comparison is exact: there are no tolerances.
 
 Conventions that the rest of the package relies on:
 
@@ -49,6 +44,7 @@ from bisect import bisect, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Iterator, Sequence, Union
@@ -342,9 +338,10 @@ class Sparse(dict):
     the rest of an index, its value the sum of v_l 2^(width l) over the entries v_l
     at last index l. `bound` bounds the sum of every |v|, and bound < 2^(width - 1),
     so each v_l is a balanced digit of the int, and the int is 0 exactly when every
-    v_l is 0. contract, +, -, negation, bool, first_case and dense read the packed
-    ints; any other read of the items (iteration, lookup, len, ==, ...) first
-    unpacks the tensor in place, once, into plain numerators."""
+    v_l is 0. contract_sum (where this is the lane at this width), negation, bool,
+    first_case and dense read the packed ints; any other read of the items
+    (iteration, lookup, len, ==, +, ...) first unpacks the tensor in place, once,
+    into plain numerators."""
 
     __slots__ = ("den", "width", "bound")
 
@@ -396,6 +393,7 @@ class Sparse(dict):
         return Sparse, (dict(self.items()), self.den)
 
     def __add__(self, other) -> "Sparse":
+        """The sum, unpacked; contract_sum sums contractions packed."""
         other = sparse(other)
         if not other:
             return self
@@ -403,20 +401,14 @@ class Sparse(dict):
             return other
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        width = bound = 0
-        mine, theirs = dict.items(self), dict.items(other)
-        if self.width or other.width:
-            bound = a * _abs_sum(self) + b * _abs_sum(other)
-            width = _fitting(max(self.width, other.width), bound)
-            mine, theirs = _rows(self, width), _rows(other, width)
-        out = {key: a * v for key, v in mine} if a > 1 else dict(mine)
-        for key, v in theirs:
+        out = {key: a * v for key, v in self.items()} if a > 1 else dict(self.items())
+        for key, v in other.items():
             w = out.get(key, 0) + b * v
             if w:
                 out[key] = w
             else:
                 del out[key]
-        return Sparse(out, den, width, bound)
+        return Sparse(out, den)
 
     def __neg__(self) -> "Sparse":
         return Sparse({key: -v for key, v in dict.items(self)}, self.den, self.width, self.bound)
@@ -513,26 +505,9 @@ def _packed(entries: Iterable[tuple[tuple, int]], lane: int, rest, width: int) -
 _BUT_LAST = operator.itemgetter(slice(-1))
 
 
-def _rows(t: Sparse, width: int):
-    """The items of t packed over its last index at this width."""
-    if not t.width:
-        return _packed(dict.items(t), -1, _BUT_LAST, width).items()
-    if t.width == width:
-        return dict.items(t)
-    return {key: sum(v << width * l for l, v in _slots(p, t.width)) for key, p in dict.items(t)}.items()
-
-
 def _width(bound: int) -> int:
-    """The slot width for entries whose |v| sum to at most bound: one bit for the
-    sign, and three to spare, so that a sum of up to eight tensors packed at this
-    width, each within the bound, still fits."""
-    return bound.bit_length() + 4
-
-
-def _fitting(width: int, bound: int) -> int:
-    """This width if entries whose |v| sum to at most bound fit in it, else a
-    wider one that they fit in."""
-    return width if bound.bit_length() < width else _width(bound)
+    """The slot width for entries whose |v| sum to at most bound, with a sign bit."""
+    return bound.bit_length() + 1
 
 
 def _abs_sum(t: Sparse) -> int:
@@ -559,24 +534,51 @@ def _group(items, split, keep) -> dict:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _plan(out: str, specs: tuple[str, ...]) -> tuple:
-    """What contract(out, *operands) does with operands labelled specs, worked out
-    once per spec, as (lane, lane_at, lane_rest, first, joins, order):
-
-    * lane: the operand that alone has out's last letter, packed over it, or None;
-    * lane_at: that letter's position in the lane's labels, or -1 without a lane;
-    * lane_rest: the picker of the lane's other indices, the key of a packed row;
-    * first: the picker of the first operand's kept indices;
-    * joins: per later operand, the pickers of its indices shared with the
-      accumulator, of its kept indices, and of the accumulator's shared and kept
-      indices;
-    * order: the picker that puts an accumulated key in out's order.
-
-    A picker that would keep a key as it is is None. The lane letter is in no key."""
+def _lane(out: str, specs: Sequence[str]) -> int | None:
+    """The operand that alone has out's last letter, or None."""
     holders = [pos for pos, labels in enumerate(specs) if out and out[-1] in labels]
-    lane = holders[0] if len(holders) == 1 else None
-    letter = out[-1] if lane is not None else ""
+    return holders[0] if len(holders) == 1 else None
+
+
+def estimate(out: str, specs: tuple[str, ...], sizes: tuple) -> tuple[int, tuple[int, ...]]:
+    """The least _work of contract(out, *operands) with operands labelled specs over
+    every operand order, and the order that attains it, the written one on a tie."""
+    return min((_work(out, specs, sizes, order), order) for order in permutations(range(len(specs))))
+
+
+def _work(out: str, specs: tuple[str, ...], sizes: tuple, order: tuple[int, ...]) -> int:
+    """The estimated work of joining the operands in this order: each operand's keys
+    (read or grouped), and per join one product per value of the letters that the
+    accumulator and the operand touch; the lane is in no key. A pure function of
+    the spec: sizes holds each operand's shape or None, and a letter counts at the
+    largest extent a shape gives it, else at the largest of any."""
+    extents: dict = {}
+    for labels, shape in zip(specs, sizes):
+        for l, e in zip(labels, shape or ()):
+            extents[l] = max(extents.get(l, 0), e)
+    lane, default = _lane(out, specs), max(extents.values(), default=2)
+    have, total = set(), 0
+    for step, pos in enumerate(order):
+        keys = set(specs[pos]) - {out[-1]} if pos == lane else set(specs[pos])
+        for letters in (keys, have | keys) if step else (keys,):
+            total += prod(extents.get(l, default) for l in letters)
+        have = (have | keys) & set(out).union(*(specs[p] for p in order[step + 1 :]))
+    return total
+
+
+@lru_cache(maxsize=1024)
+def _plan(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple:
+    """What contract_sum does with one term, its operands' labels and shapes (or
+    None) in spec, worked out once per spec: whether a job packs, the number of
+    reads (out when there are none), and one job per letter that the reads put
+    last, as (lane, lane_at, lane_rest, order, first, joins, keymaps). lane is the
+    operand that alone has that letter, packed over it (or None), lane_at the
+    letter's place in its labels (-1 for the last), lane_rest the picker of a
+    packed row's key; order is estimate()'s; first picks the first operand's kept
+    indices; per later operand, joins holds the pickers of its indices shared with
+    the accumulator and of its kept ones, and of the accumulator's shared and kept
+    ones; per read, keymaps holds its sign and the picker of out's order. A picker
+    that would keep a key as it is is None."""
 
     def pick(letters, labels: str):
         return _picker([labels.index(l) for l in letters])
@@ -584,87 +586,110 @@ def _plan(out: str, specs: tuple[str, ...]) -> tuple:
     def keep(letters, labels: str):
         return None if "".join(letters) == labels else pick(letters, labels)
 
-    have, first, joins = "", None, []
-    for pos, labels in enumerate(specs):
-        row = labels.replace(letter, "") if pos == lane else labels
-        later = set(out).union(*specs[pos + 1 :])
-        common = [l for l in have if l in row]
-        kept_have = [l for l in have if l in later]
-        kept_fresh = [l for l in row if l not in have and l in later]
-        if pos:
-            joins.append((pick(common, row), pick(kept_fresh, row), pick(common, have), keep(kept_have, have)))
-        else:
-            first = keep(kept_fresh, row)
-        have = "".join(kept_have + kept_fresh)
-    if lane is None:
-        return None, -1, None, first, tuple(joins), keep(out, have)
-    rest = specs[lane].replace(letter, "")
-    return lane, specs[lane].index(letter), pick(rest, specs[lane]), first, tuple(joins), keep(out[:-1], have)
+    specs, sizes = tuple(l for l, _ in spec), tuple(s for _, s in spec)
+    groups: dict = {}
+    for read in reads or (out,):
+        sign, read = (-1, read[1:]) if read.startswith("-") else (1, read)
+        letters = "".join(out[read.index(l)] for l in out)  # the term's, in out's order
+        groups.setdefault(letters[-1:], []).append((sign, letters))
+    jobs = []
+    for group in groups.values():
+        job_out = group[0][1]
+        lane, (_, order) = _lane(job_out, specs), estimate(job_out, specs, sizes)
+        letter, labels = (job_out[-1], specs[lane]) if lane is not None else ("", "")
+        have, first, joins = "", None, []
+        for step, pos in enumerate(order):
+            row = specs[pos].replace(letter, "") if pos == lane else specs[pos]
+            later = set(job_out).union(*(specs[p] for p in order[step + 1 :]))
+            common = [l for l in have if l in row]
+            kept_have = [l for l in have if l in later]
+            kept_fresh = [l for l in row if l not in have and l in later]
+            if step:
+                shared = (pick(common, row), pick(kept_fresh, row), pick(common, have))
+                joins.append((*shared, keep(kept_have, have)))
+            else:
+                first = keep(kept_fresh, row)
+            have = "".join(kept_have + kept_fresh)
+        at = -1 if labels.endswith(letter) else labels.index(letter)
+        keymaps = tuple((sign, keep(letters[:-1] if letter else letters, have)) for sign, letters in group)
+        jobs.append((lane, at, pick(labels.replace(letter, ""), labels), order, first, tuple(joins), keymaps))
+    return any(job[0] is not None for job in jobs), len(reads or (out,)), tuple(jobs)
 
 
 def contract(out: str, *operands: tuple[str, object]) -> Sparse:
     """Einstein summation over nonzero entries. Each operand is (labels, x), one
     distinct letter per index of x, with x anything sparse() takes; entry (i, j, ...)
     of the result, one index per letter of `out`, is the sum over all other letters
-    of the product of the operands' entries. The products and sums are of the
-    operands' integer numerators, and the result's denominator is the product of
-    theirs: no Fraction is built. Sums that cancel are left out.
+    of the product of the operands' entries, over the product of their denominators.
+    The one-term case of contract_sum."""
+    return contract_sum(out, (1, operands))
 
-    Everything that depends only on the spec (out and the operands' labels) is
-    worked out once, in _plan. The first operand's kept indices start the
-    accumulator; each later operand is grouped by the letters it shares with the
-    accumulator, whose entries are then walked and multiplied into the matching
-    group. A letter is summed out once neither `out` nor a later operand has it, so
-    the operands' order sets the cost but not the result.
 
-    The lane is out's last letter when exactly one operand has it. That operand is
-    packed over the lane (see Sparse) at a width taken from an exact bound: the
-    product over the operands of the sum of their |numerators| bounds the sum of
-    |products| over the whole result, and so every entry (_width). Every join then
-    multiplies a packed int by a plain int, one bigint product for the whole lane,
-    and the result is packed over its last index. An operand already packed over the
-    lane keeps its rows, re-encoded only if its width is too narrow. The result is
-    unpacked only where something reads its items; dense unpacks just the block it
-    returns."""
-    specs = tuple(labels for labels, _ in operands)
-    lane, lane_at, lane_rest, first, joins, order = _plan(out, specs)
-    xs = [sparse(x) for _, x in operands]
-    den = prod(x.den for x in xs)
-    if not all(xs):
-        return Sparse({}, den)
-    items = [x.items() if pos != lane else () for pos, x in enumerate(xs)]
+def contract_sum(out: str, *terms) -> Sparse:
+    """A signed sum of contractions in one pass. A term is (c, operands, *reads):
+    an int c, operands as contract takes them, and permutations of out under which
+    t = contract(out, *operands) is read (out when there are none); it adds c
+    contract(out, (read, t)) per read, minus that for a read starting with "-".
+    t is worked out once for all reads that put one of its letters last.
+
+    Products and sums are of integer numerators, over the LCM of the terms'
+    denominators; sums that cancel are left out. The operands join in estimate()'s
+    order: the first one's kept indices start the accumulator, and each later one
+    is grouped by the letters it shares with it and multiplied in. The operand that
+    alone has a job's last letter, the lane, is packed over it (see Sparse), and all
+    terms are packed at one width from an exact bound on the sum (per term and
+    read, |c| den / its den times the product of its operands' sums of
+    |numerators|) into one dict. An operand packed over the lane, as its last
+    index, at that width keeps its rows; any other packed operand is unpacked."""
+    live, dens = [], []
+    for c, operands, *reads in terms:
+        xs = [sparse(x) for _, x in operands]
+        dens.append(prod([x.den for x in xs]))
+        if all(xs):
+            spec = tuple([(labels, getattr(x, "shape", None)) for labels, x in operands])
+            live.append((c, xs, dens[-1], *_plan(out, spec, tuple(reads))))
+    den = lcm(*dens)
     width = bound = 0
-    if lane is not None:
-        bound = prod(map(_abs_sum, xs))
-        x = xs[lane]
-        if x.width and lane_at == len(specs[lane]) - 1:
-            width = _fitting(x.width, bound)
-            items[lane] = _rows(x, width)
-        else:
-            width = _width(bound)
-            items[lane] = _packed(x.items(), lane_at, lane_rest, width).items()
-    acc = dict(items[0]) if first is None else _summed((first(key), v) for key, v in items[0])
-    for (split, keep, acc_split, acc_keep), entries in zip(joins, items[1:]):
-        right = _group(entries, split, keep)
-        summed = defaultdict(int)
-        for key, v in acc.items():
-            pairs = right.get(acc_split(key))
-            if pairs:
-                head = key if acc_keep is None else acc_keep(key)
-                for rest, w in pairs:
-                    summed[head + rest] += v * w
-        acc = summed
-    if order is None:
-        return Sparse({k: v for k, v in acc.items() if v}, den, width, bound)
-    return Sparse({order(k): v for k, v in acc.items() if v}, den, width, bound)
-
-
-def _summed(entries) -> dict:
-    """The sum of the values at each key."""
-    out: dict = {}
-    for key, v in entries:
-        out[key] = out.get(key, 0) + v
-    return out
+    if any([packs for _, _, _, packs, _, _ in live]):
+        for c, xs, d, _, nreads, _ in live:
+            bound += abs(c) * den // d * nreads * prod(map(_abs_sum, xs))
+        width = _width(bound)
+    total, mixed = {}, False
+    for c, xs, d, _, _, jobs in live:
+        for lane, lane_at, lane_rest, order, first, joins, keymaps in jobs:
+            items = [
+                xs[pos].items() if pos != lane
+                else dict.items(xs[pos]) if xs[pos].width == width and lane_at == -1
+                else _packed(xs[pos].items(), lane_at, lane_rest, width).items()
+                for pos in order
+            ]
+            acc = dict(items[0]) if first is None else defaultdict(int)
+            for key, v in items[0] if first else ():
+                acc[first(key)] += v
+            for (split, keep, acc_split, acc_keep), entries in zip(joins, items[1:]):
+                right = _group(entries, split, keep)
+                summed = defaultdict(int)
+                for key, v in acc.items():
+                    pairs = right.get(acc_split(key))
+                    if pairs:
+                        head = key if acc_keep is None else acc_keep(key)
+                        for rest, w in pairs:
+                            summed[head + rest] += v * w
+                acc = summed
+            for sign, keymap in keymaps:
+                entries = acc.items() if keymap is None else ((keymap(k), v) for k, v in acc.items())
+                if width and lane is None:
+                    entries = _packed(entries, -1, _BUT_LAST, width).items()
+                if sign * c * den != d:
+                    f = sign * c * den // d
+                    entries = ((k, f * v) for k, v in entries)
+                if total:
+                    mixed = True
+                    for k, v in entries:
+                        total[k] = total.get(k, 0) + v
+                else:
+                    total = {k: v for k, v in entries if v}
+    return Sparse({k: v for k, v in total.items() if v} if mixed else total, den, width, bound)
 
 
 def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):

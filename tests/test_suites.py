@@ -25,7 +25,7 @@ from homlie.hom_lie import HomLieAlgebra, direct_sum
 from homlie.operators import intertwining_t_space, left_mult_rep, run_defect_expansion_suite
 from homlie.report import Witness
 from homlie.representation import adjoint_rep
-from homlie.tensor import _SAMPLE, Matrix, Sparse, Tensor3, Vector, contract, dense, sparse
+from homlie.tensor import _SAMPLE, Matrix, Sparse, Tensor3, Vector, contract, contract_sum, dense, sparse
 
 from oracles import (
     oracle_ad3,
@@ -209,7 +209,9 @@ def test_the_defect_expansion_pair_tensors_polarise_the_oracles(which, nonzero):
         return dense(box, (d,) * 3)
 
     squares = _pair_tensors(
-        lambda t, u: coboundary._r_square(big, operators._lifted_r(t, n, y), y, operators._lifted_r(u, n, z), z),
+        lambda t, u: contract_sum(
+            y + z + "abc", *coboundary._r_square(big, operators._lifted_r(t, n, y), y, operators._lifted_r(u, n, z), z)
+        ),
         space,
         (d,) * 3,
     )

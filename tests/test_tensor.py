@@ -15,6 +15,7 @@ from homlie.tensor import (
     Vector,
     as_q,
     contract,
+    contract_sum,
     dense,
     first_case,
     format_q,
@@ -863,8 +864,8 @@ def test_packed_rows_read_back_at_the_edge_of_their_width():
     t = Sparse(rows, 7, w, edge)
     want = {key: Q(v, 7) for key, v in slots.items()}
     assert first_case(t, (3, 5), 2) == [((1, 1), Q(edge, 7), "")]
-    # the sum of two such tensors no longer fits in w bits: it is re-encoded
-    double = t + Sparse(rows, 7, w, edge)
+    # the sum of two such tensors no longer fits in w bits: it is packed wider
+    double = contract_sum("ij", *[(1, [("ij", Sparse(rows, 7, w, edge))])] * 2)
     assert double.width > w
     _packed_agrees(double, {key: 2 * v for key, v in want.items()}, (3, 5))
     _packed_agrees(t, want, (3, 5))
@@ -919,9 +920,16 @@ def test_sums_of_packed_results_of_unequal_width_and_denominator(seed):
 
     a, b, c, d = small(), small(), operand(Q(2**50, rng.randint(1, 10**6))), operand(Q(3))
     plain = operand(Q(1, 7))
-    narrow = contract("ik", ("ij", a), ("jk", b))
-    wide = contract("ik", ("ij", c), ("jk", _array_of(d, (n, n))))
-    assert not (a and b and c and d) or 0 < narrow.width < wide.width
+
+    # fresh results each time: an operand packed at another width than the sum's
+    # is unpacked in place where the sum reads it
+    def narrow():
+        return contract("ik", ("ij", a), ("jk", b))
+
+    def wide():
+        return contract("ik", ("ij", c), ("jk", _array_of(d, (n, n))))
+
+    assert not (a and b and c and d) or 0 < narrow().width < wide().width
     want_narrow = oracle_contract("ik", sizes, ("ij", a), ("jk", b))
     want_wide = oracle_contract("ik", sizes, ("ij", c), ("jk", d))
 
@@ -932,24 +940,27 @@ def test_sums_of_packed_results_of_unequal_width_and_denominator(seed):
                 total[key] = total.get(key, Q(0)) + sign * v
         return {key: v for key, v in total.items() if v}
 
+    def summed(*terms):
+        return contract_sum("ik", *((sign, [("ik", t)]) for sign, t in terms))
+
     cases = [
-        (narrow + wide, combined((1, want_narrow), (1, want_wide))),
-        (wide - narrow, combined((1, want_wide), (-1, want_narrow))),
-        (narrow - sparse(plain), combined((1, want_narrow), (-1, plain))),
-        (sparse(plain) + wide, combined((1, plain), (1, want_wide))),
-        (-wide + narrow - narrow, combined((-1, want_wide))),
-        (wide - wide, {}),
+        (summed((1, narrow()), (1, wide())), combined((1, want_narrow), (1, want_wide))),
+        (summed((1, wide()), (-1, narrow())), combined((1, want_wide), (-1, want_narrow))),
+        (summed((1, narrow()), (-1, plain)), combined((1, want_narrow), (-1, plain))),
+        (summed((-1, wide()), (1, narrow()), (-1, narrow())), combined((-1, want_wide))),
+        (summed((1, wide()), (-1, wide())), {}),
+        # + and - read packed operands as plain numerators
+        (narrow() + wide(), combined((1, want_narrow), (1, want_wide))),
+        (sparse(plain) - wide(), combined((1, plain), (-1, want_wide))),
     ]
-    # seventeen terms overflow the spare bits of the width: the sum is widened
-    total = narrow
-    for _ in range(16):
-        total = total + narrow
-    assert not narrow or total.width > narrow.width
+    # one narrow result read seventeen times: the sum is packed wider
+    total = summed(*[(1, narrow())] * 17)
+    assert not want_narrow or total.width > narrow().width
     cases.append((total, combined((17, want_narrow))))
-    # a later contraction reads packed rows, re-encoded when they are too narrow
+    # a later contraction reads packed rows, unpacked when they are too narrow
     big = {(i,): Q(rng.choice((-1, 1)) * 2**90, rng.randint(1, 10**6)) for i in range(n)}
-    cases.append((contract("ik", ("ik", narrow), ("i", big)), oracle_contract("ik", sizes, ("ik", want_narrow), ("i", big))))
-    cases.append((contract("ki", ("ik", wide)), {(k, i): v for (i, k), v in want_wide.items()}))
+    cases.append((contract("ik", ("ik", narrow()), ("i", big)), oracle_contract("ik", sizes, ("ik", want_narrow), ("i", big))))
+    cases.append((contract("ki", ("ik", wide())), {(k, i): v for (i, k), v in want_wide.items()}))
     for got, want in cases:
         _packed_agrees(got, want, (n, n))
 
