@@ -10,8 +10,16 @@ bracket on its dual:
 * a Manin triple: the double space g (+) g* with the d-bracket, isotropic
   blocks, and the standard hyperbolic pairing as an invariant form.
 
-check_triple_equivalence computes all three verdicts independently and
-requires them to agree, in the positive or in the negative.
+check_triple_equivalence requires the three verdicts to agree, in the
+positive or in the negative: V1 is the bialgebra's own verdict, and V2 (the
+matched pair) and V3 (the Manin triple) are computed apart from it.
+
+A HomLieBialgebra settles each piece of this work once: its dual, its
+verdict, its canonical matched pair, its d-double and its triple
+equivalence are cached properties, which validate_bialgebra,
+canonical_matched_pair, d_double, check_triple_equivalence and hom_double
+read. Nothing is cached beyond the object, so a new bialgebra (one per
+parsed document) evaluates everything afresh.
 
 Conventions: the double space basis order is (e_1..e_n, f_1..f_n); the
 cobracket coefficient tensor stores Delta(e_k) = sum d_k^{ij} e_i (x) e_j
@@ -83,6 +91,26 @@ class HomLieBialgebra:
         """dual_algebra of the cobracket, built once per bialgebra."""
         return dual_algebra(self.cobracket)
 
+    @cached_property
+    def verdict(self) -> CheckReport:
+        """validate_bialgebra's report, evaluated once per bialgebra."""
+        return _bialgebra_verdict(self)
+
+    @cached_property
+    def matched_pair(self) -> "MatchedPair":
+        """canonical_matched_pair, built once per bialgebra."""
+        return _canonical_matched_pair(self)
+
+    @cached_property
+    def double(self) -> HomLieAlgebra:
+        """d_double, built once per bialgebra."""
+        return double_bracket(self.matched_pair)
+
+    @cached_property
+    def equivalence(self) -> CheckReport:
+        """check_triple_equivalence's report, evaluated once per bialgebra."""
+        return _triple_equivalence(self)
+
 
 @dataclass(frozen=True)
 class MatchedPair:
@@ -152,7 +180,12 @@ def cobracket_compatibility(a: HomLieAlgebra, delta, batch: str = "") -> list:
 
 def validate_bialgebra(bi: HomLieBialgebra) -> CheckReport:
     """Both sides valid weakly involutive Hom-Lie algebras, plus the
-    cobracket compatibility Delta[x,y] = ad_{phi(x)} Delta(y) - ad_{phi(y)} Delta(x)."""
+    cobracket compatibility Delta[x,y] = ad_{phi(x)} Delta(y) - ad_{phi(y)} Delta(x).
+    The report is the bialgebra's own (bi.verdict), evaluated on the first call."""
+    return bi.verdict
+
+
+def _bialgebra_verdict(bi: HomLieBialgebra) -> CheckReport:
     a = bi.algebra
     compat = contract_sum("ijpq", *cobracket_compatibility(a, bi.cobracket.coeffs))
     return combined(
@@ -337,32 +370,42 @@ def _block_leak(big: HomLieAlgebra, n: int) -> list[tuple]:
 def canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
     """(g, g*; ad", DAd"): each side acts on the other through the dual of
     its adjoint action. Built mechanically so broken inputs still produce
-    a diagnosable object."""
+    a diagnosable object; the bialgebra's own (bi.matched_pair)."""
+    return bi.matched_pair
+
+
+def _canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
     ado = dual_action_candidate(adjoint_rep(bi.algebra))
     dao = dual_action_candidate(adjoint_rep(bi.dual))
     return MatchedPair(ado, dao)
 
 
 def d_double(bi: HomLieBialgebra) -> HomLieAlgebra:
-    """The d-bracket double on g (+) g* induced by the canonical actions."""
-    return double_bracket(canonical_matched_pair(bi))
+    """The d-bracket double on g (+) g* induced by the canonical actions; the
+    bialgebra's own (bi.double)."""
+    return bi.double
 
 
 def check_triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
-    """The three characterizations, each computed from scratch:
+    """The three characterizations:
 
-        V1: validate_bialgebra
+        V1: validate_bialgebra, the bialgebra's own verdict
         V2: the canonical quadruple is a matched pair of weakly involutive
             Hom-Lie algebras (shared hypotheses included)
         V3: validate_manin_triple on the mechanical d-double
 
-    Passes iff the three verdicts coincide, in the positive or negative.
-    """
+    V2 and V3 are computed apart from V1, on the bialgebra's canonical matched
+    pair and d-double. Passes iff the three verdicts coincide, in the positive or
+    negative. The report is the bialgebra's own (bi.equivalence)."""
+    return bi.equivalence
+
+
+def _triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
     v1 = validate_bialgebra(bi)
 
     # mp.left is bi.algebra and mp.right is V1's dual algebra, so V1's four
     # component verdicts are V2's, under V2's names.
-    mp = canonical_matched_pair(bi)
+    mp = bi.matched_pair
     names = (
         "left-hom-lie",
         "left-weakly-involutive",
@@ -378,7 +421,7 @@ def check_triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
         ],
     )
 
-    v3 = validate_manin_triple(double_bracket(mp), bi.algebra.dim)
+    v3 = validate_manin_triple(bi.double, bi.algebra.dim)
 
     agree = v1.ok == v2.ok == v3.ok
     verdicts = {

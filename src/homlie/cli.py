@@ -12,7 +12,6 @@ import functools
 import json
 import re
 import sys
-from typing import Callable
 
 from .bialgebra import (
     HomLieBialgebra,
@@ -99,8 +98,11 @@ def parse_rmatrix_expr(expr: str, dim: int) -> Matrix:
             raise UsageError(
                 f"bad r-matrix term {part!r} (want e.g. 'e1^e2' or '2*e1xe2')"
             )
-        coeff = sign * Q(m.group("coeff") or 1)
-        i, j = int(m.group("i")) - 1, int(m.group("j")) - 1
+        try:
+            coeff = sign * Q(m.group("coeff") or 1)
+            i, j = int(m.group("i")) - 1, int(m.group("j")) - 1
+        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+            raise UsageError(f"numeral too long in r-matrix term ({len(part)} characters)") from None
         if not (0 <= i < dim and 0 <= j < dim):
             raise UsageError(
                 f"index out of range in {part!r} (dimension is {dim})"
@@ -146,7 +148,8 @@ def _need(s: Structure, attr: str, check: str):
 
 def _bialgebra(s: Structure, check: str) -> HomLieBialgebra:
     _need(s, "algebra", check)  # the cobracket lives on it, so name it first
-    return HomLieBialgebra(_need(s, "cobracket", check))
+    _need(s, "cobracket", check)
+    return s.bialgebra
 
 
 def _o_candidate(s: Structure, check: str) -> OOperatorCandidate:
@@ -173,9 +176,10 @@ def _part(full: CheckReport, part: str) -> CheckReport:
     return next(r for r in full.subreports if r.checked_condition == part)
 
 
-def run_check(name: str, s: Structure, triple: Callable[[str], CheckReport]) -> CheckReport:
-    """Run one named check; `triple(name)` supplies check_triple_equivalence
-    of s, which the matched-pair and manin-triple checks are parts of."""
+def run_check(name: str, s: Structure) -> CheckReport:
+    """Run one named check. The bialgebra checks read the one bialgebra of s, so
+    they share its verdict, its double and its triple equivalence, of which the
+    matched-pair and manin-triple checks are parts."""
     if name == "hom-lie":
         return validate_hom_lie(_need(s, "algebra", name))
     if name == "weakly-involutive":
@@ -183,13 +187,13 @@ def run_check(name: str, s: Structure, triple: Callable[[str], CheckReport]) -> 
     if name == "representation":
         return validate_representation(_need(s, "representation", name))
     if name == "matched-pair":
-        return _part(triple(name), "matched-pair-structure")
+        return _part(check_triple_equivalence(_bialgebra(s, name)), "matched-pair-structure")
     if name == "manin-triple":
-        return _part(triple(name), "manin-triple")
+        return _part(check_triple_equivalence(_bialgebra(s, name)), "manin-triple")
     if name == "bialgebra":
         return validate_bialgebra(_bialgebra(s, name))
     if name == "triple-equivalence":
-        return triple(name)
+        return check_triple_equivalence(_bialgebra(s, name))
     if name == "coboundary":
         return validate_coboundary(_need(s, "algebra", name), _need(s, "rmatrix", name))
     if name == "chybe":
@@ -241,18 +245,11 @@ def cmd_validate(args) -> tuple[int, str]:
         s = dataclasses.replace(s, rmatrix=r)
     checks = [CHECK_ALIASES.get(c, c) for c in (args.check or _default_checks(s))]
 
-    computed: list[CheckReport] = []
-
-    def triple(check: str) -> CheckReport:
-        if not computed:
-            computed.append(check_triple_equivalence(_bialgebra(s, check)))
-        return computed[0]
-
     reports: list[tuple[str, CheckReport]] = []
     bad_precondition = False
     for name in checks:
         try:
-            reports.append((name, run_check(name, s, triple)))
+            reports.append((name, run_check(name, s)))
         except InvalidStructureError as e:
             bad_precondition = True
             reports.append(
@@ -291,8 +288,8 @@ def _build_structure(args) -> Structure:
             raise InvalidStructureError("hom-double checks failed", report)
         return Structure(
             name=f"{s.name}-double" if s.name else "double",
-            algebra=big,
-            cobracket=cobracket_from_r(r),
+            algebra=big.algebra,
+            cobracket=big.cobracket,
             rmatrix=r,
         )
 

@@ -604,12 +604,12 @@ def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:
     return BilinearFormB(gram), report
 
 
-def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport]:
-    """The canonical structure on g (+) g*: the d-bracket double together
-    with r = sum_i e_i (x) f_i. Asserts, over the double: twist
-    compatibility of r, [r,r] = 0, invariance of the symmetric part, and
-    that both block inclusions (x |-> phi(x) from (g, Delta); a |-> phi*(a)
-    from (g*, -delta_{g*})) are bialgebra homomorphisms."""
+def hom_double(bi: HomLieBialgebra) -> tuple[HomLieBialgebra, RMatrix, CheckReport]:
+    """The canonical structure on g (+) g*: the d-bracket double with the
+    cobracket of r = sum_i e_i (x) f_i, as a bialgebra, together with r. Asserts,
+    over the double: twist compatibility of r, [r,r] = 0, invariance of the
+    symmetric part, and that both block inclusions (x |-> phi(x) from (g, Delta);
+    a |-> phi*(a) from (g*, -delta_{g*})) are bialgebra homomorphisms."""
     require(validate_bialgebra(bi), "hom_double needs a valid bialgebra")
     a = bi.algebra
     n = a.dim
@@ -646,4 +646,4 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieAlgebra, RMatrix, CheckReport
             hom2.renamed("dual-inclusion-homomorphism"),
         ],
     )
-    return big, r, report
+    return big_bi, r, report

@@ -17,7 +17,12 @@ accepted on input. Any dense array may instead be written sparsely as
 {"entries": [[indices..., "p/q"], ...]} with 1-based indices, matching
 the e1, e2, ... naming everywhere else; output is always dense.
 
-parse_structure(emit_structure(s)) == s exactly, including names.
+Each scalar is read as an integer pair (p, q), and each array is built straight
+as its integer view over the LCM of the q, with no Fraction per entry. A numeral
+longer than int() reads (sys.get_int_max_str_digits) is a parse error.
+
+parse_structure(emit_structure(s)) == s exactly, including names, for every
+structure whose numerals int() reads.
 """
 
 from __future__ import annotations
@@ -25,14 +30,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
+from math import lcm
 
-from .bialgebra import Cobracket
+from .bialgebra import Cobracket, HomLieBialgebra
 from .coboundary import RMatrix
 from .corpus import builtin_sections, lookup_builtin
 from .hom_lie import HomLieAlgebra
 from .operators import HomLeftSymmetric
 from .representation import Representation
-from .tensor import Array, Matrix, Q, ShapeError, dense
+from .tensor import Array, Matrix, ShapeError, Sparse, dense
 
 
 class StructureParseError(ValueError):
@@ -55,20 +62,30 @@ class Structure:
     lsa: HomLeftSymmetric | None = None
     ooperator_t: Matrix | None = None
 
+    @cached_property
+    def bialgebra(self) -> HomLieBialgebra | None:
+        """The algebra with the cobracket, as one bialgebra per structure, so that
+        the bialgebra checks on a structure share its verdict and its double."""
+        return None if self.cobracket is None else HomLieBialgebra(self.cobracket)
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
-def _parse_q(node, path: str) -> Q:
+def _parse_q(node, path: str) -> tuple[int, int]:
+    """A scalar as an integer pair (p, q) with q > 0, not reduced."""
     if isinstance(node, int) and not isinstance(node, bool):
-        return Q(node)
-    if isinstance(node, str):
-        if not _RATIONAL.match(node):
-            raise StructureParseError(
-                path, f"not a rational: {node!r} (want 'p/q' or 'p')"
-            )
-        return Q(node)
-    raise StructureParseError(path, f"expected a rational string, got {node!r}")
+        return node, 1
+    if not isinstance(node, str):
+        raise StructureParseError(path, f"expected a rational string, got {node!r}")
+    m = _RATIONAL.match(node)
+    if not m:
+        raise StructureParseError(path, f"not a rational: {node!r} (want 'p/q' or 'p')")
+    p, q = m.groups()
+    try:
+        return int(p), int(q or 1)
+    except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+        raise StructureParseError(path, f"numeral too long: {len(node)} characters") from None
 
 
 def _require_list(node, path: str) -> list:
@@ -77,7 +94,8 @@ def _require_list(node, path: str) -> list:
     return node
 
 
-def _sparse_entries(node, path: str, rank: int):
+def _sparse_entries(node, path: str, rank: int) -> dict:
+    """The entries of the sparse array at node, (p, q) by index tuple."""
     entries = _require_list(node.get("entries"), f"{path}.entries")
     out = {}
     for pos, row in enumerate(entries):
@@ -102,7 +120,8 @@ _LEVELS = {2: ("rows", "columns"), 3: ("planes", "rows", "entries")}
 
 
 def _parse_array(node, path: str, shape: tuple[int, ...]) -> Array:
-    """A dense or sparse matrix or order-3 array of exactly this shape."""
+    """A dense or sparse matrix or order-3 array of exactly this shape, read
+    straight into its integer view over the LCM of the scalars' denominators."""
     if isinstance(node, dict):
         entries = _sparse_entries(node, path, len(shape))
         for idx in entries:
@@ -115,19 +134,23 @@ def _parse_array(node, path: str, shape: tuple[int, ...]) -> Array:
     else:
         entries = {}
         _parse_dense(node, path, shape, _LEVELS[len(shape)], entries)
-    return dense(entries, shape)
+    den = lcm(*(q for p, q in entries.values() if p))
+    view = Sparse({key: p * (den // q) for key, (p, q) in entries.items() if p}, den)
+    return dense(view, shape)
 
 
 def _parse_dense(node, path: str, shape: tuple[int, ...], levels: tuple[str, ...], out: dict, key=()):
-    """Parse the dense array at node into out, by index tuple."""
-    if not shape:
-        out[key] = _parse_q(node, path)
-        return
+    """Parse the dense array at node into out, (p, q) by index tuple."""
     node = _require_list(node, path)
     if len(node) != shape[0]:
         raise StructureParseError(path, f"want {shape[0]} {levels[0]}, got {len(node)}")
+    if len(shape) > 1:
+        for i, x in enumerate(node):
+            _parse_dense(x, f"{path}[{i}]", shape[1:], levels[1:], out, (*key, i))
+        return
     for i, x in enumerate(node):
-        _parse_dense(x, f"{path}[{i}]", shape[1:], levels[1:], out, (*key, i))
+        if x != "0":  # the common zero needs no parse
+            out[(*key, i)] = _parse_q(x, f"{path}[{i}]")
 
 
 def _parse_dim(node, path: str) -> int:
@@ -149,6 +172,10 @@ def parse_structure(text: str) -> Structure:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureParseError("", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # a bare integer with more digits than int() reads
+        raise StructureParseError("", "a number in the document is too long to read") from None
+    except RecursionError:
+        raise StructureParseError("", "the document nests too deeply to read") from None
     return structure_from_doc(doc)
 
 

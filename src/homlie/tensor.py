@@ -20,12 +20,12 @@ substitution), so one bigint product covers the lane, and all terms are packed a
 width B, from an exact bound on the whole sum, into one result. It stays packed
 through ``first_case``, ``dense`` (which unpacks only the block it returns) and
 contractions whose lane it is at that width; any other read unpacks it, once.
-Fractions are built only in rendering, single-entry reads, and the results of
-``rref`` and ``Matrix.det``; these, ``Matrix.inverse``, ``nullspace`` and
-``matrix_kernels`` eliminate on integer rows. ``matrix_kernels`` solves a linear
-identity in an unknown matrix from the identity's own contraction on a stack of
-unknown matrices (``unit_stack``, ``skew_stack``), so each identity is written once,
-for checking and solving alike. Every comparison is exact: there are no tolerances.
+Fractions are built only in ``entries`` and ``rows``, single-entry reads, and the
+results of ``rref`` and ``Matrix.det``; rendering formats the integer view. These two,
+``Matrix.inverse``, ``nullspace`` and ``matrix_kernels`` eliminate on integer rows.
+``matrix_kernels`` solves a linear identity in an unknown matrix from the identity's
+own contraction on a stack of unknown matrices (``unit_stack``, ``skew_stack``), so
+each identity is written once, for checking and solving alike. Every comparison is exact: there are no tolerances.
 
 Conventions that the rest of the package relies on:
 
@@ -74,7 +74,26 @@ def as_q(x: Scalar | str) -> Fraction:
 
 def format_q(x: Fraction) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _format_pq(x.numerator, x.denominator)
+
+
+def _format_pq(p: int, q: int) -> str:
+    """format_q of p/q, given in lowest terms with q > 0."""
+    return _decimal(p) if q == 1 else f"{_decimal(p)}/{_decimal(q)}"
+
+
+def _decimal(n: int) -> str:
+    """str(n), exact at any length: an int with more digits than the interpreter
+    converts at once (sys.get_int_max_str_digits) is split at 10^d, d about half its
+    digits, and each part is rendered alone."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        d = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(n, 10**d)
+        return _decimal(high) + _decimal(low).zfill(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +189,12 @@ class Array:
     def to_json(self) -> list:
         """The entries as nested lists of "p/q" strings."""
         den = self._view.den
-        return _nested(self._view, self.shape, lambda v: format_q(Fraction(v, den)), "0", list)
+
+        def cell(v: int) -> str:
+            g = gcd(v, den)
+            return _format_pq(v // g, den // g)
+
+        return _nested(self._view, self.shape, cell, "0", list)
 
 
 def _nested(t: Sparse, shape: Sequence[int], cell, zero, make):

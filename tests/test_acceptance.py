@@ -252,8 +252,8 @@ def test_acceptance_7_hom_double():
         ]
         for a, cb in (aff2_zero_bialgebra(), aff2_triangular_bialgebra()):
             big, r, rep = hom_double(HomLieBialgebra(cb))
-            assert big.dim == 4
-            assert r.base is big
+            assert big.algebra.dim == 4
+            assert r.base is big.algebra
             assert rep.ok
             assert [s.checked_condition for s in rep.subreports] == expected_subs
             assert all(s.ok for s in rep.subreports)

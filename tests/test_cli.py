@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,13 +194,13 @@ def test_duplicate_sparse_entry_exits_two(capsys, tmp_path):
 
 
 def test_triple_equivalence_runs_once_per_validate(capsys, monkeypatch):
-    import homlie.cli
+    import homlie.bialgebra
 
     calls = []
-    real = homlie.cli.check_triple_equivalence
+    real = homlie.bialgebra._triple_equivalence
     monkeypatch.setattr(
-        homlie.cli,
-        "check_triple_equivalence",
+        homlie.bialgebra,
+        "_triple_equivalence",
         lambda bi: calls.append(bi) or real(bi),
     )
     checks = ["matched-pair", "manin-triple", "triple-equivalence"]
@@ -211,6 +212,134 @@ def test_triple_equivalence_runs_once_per_validate(capsys, monkeypatch):
     assert len(calls) == 1
     for c in ("matched-pair-structure", "manin-triple", "triple-equivalence"):
         assert f"{c}: pass" in out
+
+
+FIVE = ("bialgebra", "matched-pair", "manin-triple", "triple-equivalence", "hom-double")
+# pinned outputs: `homlie build hom-double builtin:aff2-triangular`, and `validate
+# --format json` with the FIVE checks on that builtin and on that build
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _five(structure: str) -> list[str]:
+    argv = ["validate", structure, "--format", "json"]
+    for c in FIVE:
+        argv += ["--check", c]
+    return argv
+
+
+def test_bialgebra_checks_of_one_invocation_share_one_verdict_and_double(tmp_path, capsys, monkeypatch):
+    import homlie.bialgebra
+
+    calls = []
+    helpers = ("_bialgebra_verdict", "_canonical_matched_pair", "double_bracket", "_triple_equivalence")
+    for helper in helpers:
+        real = getattr(homlie.bialgebra, helper)
+        monkeypatch.setattr(
+            homlie.bialgebra, helper, lambda x, real=real, helper=helper: calls.append(helper) or real(x)
+        )
+    # an input file and a build output, each validated twice in one process: the
+    # second invocation counts the same again, so nothing is kept between them
+    path = tmp_path / "double.json"
+    path.write_text((GOLDEN / "aff2-triangular-double.json").read_text())
+    for structure, golden in (
+        ("builtin:aff2-triangular", "aff2-triangular.five.json"),
+        (str(path), "aff2-triangular-double.five.json"),
+    ):
+        for _ in range(2):
+            calls.clear()
+            code, out, err = run(capsys, *_five(structure))
+            assert (code, err) == (0, "")
+            assert sorted(calls) == sorted(helpers)
+            assert out == (GOLDEN / golden).read_text()
+
+
+def test_build_hom_double_reads_the_cobracket_of_the_double(capsys, monkeypatch):
+    import homlie.coboundary
+
+    calls = []
+    real = homlie.coboundary.cobracket_from_r
+    monkeypatch.setattr(homlie.coboundary, "cobracket_from_r", lambda r: calls.append(r) or real(r))
+    code, out, _ = run(capsys, "build", "hom-double", "builtin:aff2-triangular")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (GOLDEN / "aff2-triangular-double.json").read_text()
+
+
+def test_overlong_numerals_are_parse_errors(tmp_path, capsys):
+    digits = "1" * 5000
+    cases = {
+        "dense": ('{"version":1,"algebra":{"dim":1,"bracket":[[["0"]]],"twist":[["%s"]]}}' % digits,
+                  "algebra.twist[0][0]: numeral too long: 5000 characters"),
+        "sparse": ('{"version":1,"algebra":{"dim":1,"bracket":{"entries":[[1,1,1,"1/%s"]]},"twist":[["1"]]}}' % digits,
+                   "algebra.bracket.entries[0]: numeral too long: 5002 characters"),
+        "bare": ('{"version":1,"algebra":{"dim":1,"bracket":[[[0]]],"twist":[[%s]]}}' % digits,
+                 "a number in the document is too long to read"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
+
+def test_overlong_rmatrix_numerals_and_deep_nesting_exit_two(tmp_path, capsys):
+    digits = "1" * 5000
+    for expr in (f"{digits} e1^e2", f"e{digits}^e2"):
+        code, out, err = run(capsys, "validate", "builtin:aff2", "--rmatrix", expr)
+        assert (code, out) == (2, "")
+        assert err == f"error: numeral too long in r-matrix term ({len(expr)} characters)\n"
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "name": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: the document nests too deeply to read\n"
+
+
+def test_witness_past_the_int_str_limit_renders_exactly(tmp_path, capsys):
+    # aff2 with twist n id, n = 10^2999 + 1: phi[e1,e2] - [phi e1, phi e2] = (n - n^2) e1,
+    # and n - n^2 = -(10^5998 + 10^2999) has 5999 digits
+    n = "1" + "0" * 2998 + "1"
+    residual = "-1" + "0" * 2998 + "1" + "0" * 2999
+    doc = {
+        "version": 1,
+        "name": "wide",
+        "algebra": {"dim": 2, "bracket": {"entries": [[1, 2, 1, "1"], [2, 1, 1, "-1"]]}, "twist": [[n, "0"], ["0", n]]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+
+    code, out, err = run(capsys, "validate", str(path), "--check", "hom-lie")
+    assert (code, err) == (1, "")
+    assert out == (
+        "hom-lie: fail\n"
+        f"  at (1, 2): residual ({residual}, 0)\n"
+        "  bracket-skew: pass\n"
+        "  twist-multiplicative: fail\n"
+        f"    at (1, 2): residual ({residual}, 0)\n"
+        "  hom-jacobi: pass\n"
+    )
+
+    code, out, err = run(capsys, "validate", str(path), "--check", "hom-lie", "--format", "json")
+    assert (code, err) == (1, "")
+    witness = [{"indices": [1, 2], "residual": [residual, "0"]}]
+    expected = {
+        "name": "wide",
+        "verdict": "fail",
+        "checks": [
+            {
+                "condition": "hom-lie",
+                "verdict": "fail",
+                "witnesses": witness,
+                "subreports": [
+                    {"condition": "bracket-skew", "verdict": "pass"},
+                    {"condition": "twist-multiplicative", "verdict": "fail", "witnesses": witness},
+                    {"condition": "hom-jacobi", "verdict": "pass"},
+                ],
+            }
+        ],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_bad_structure_file_exits_two(tmp_path, capsys):

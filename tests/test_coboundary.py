@@ -316,8 +316,8 @@ def test_hom_double_on_builtin_bialgebras():
     for builder in (aff2_zero_bialgebra, aff2_triangular_bialgebra):
         a, cb = builder()
         big, r, rep = hom_double(HomLieBialgebra(cb))
-        assert big.dim == 4
-        assert validate_hom_lie(big).ok
+        assert big.algebra.dim == 4
+        assert validate_hom_lie(big.algebra).ok
         assert r.coeffs == Matrix(
             [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
         )
@@ -331,7 +331,8 @@ def test_hom_double_on_builtin_bialgebras():
             "dual-inclusion-homomorphism",
         ]
         # the induced cobracket makes the double itself a bialgebra
-        assert validate_bialgebra(HomLieBialgebra(cobracket_from_r(r))).ok
+        assert big.cobracket == cobracket_from_r(r)
+        assert validate_bialgebra(big).ok
 
 
 def test_hom_double_gates_on_broken_bialgebra():

@@ -1,6 +1,10 @@
+import fractions
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie.corpus import BUILTINS, lookup_builtin
 from homlie.structure_io import (
@@ -9,7 +13,7 @@ from homlie.structure_io import (
     emit_structure,
     parse_structure,
 )
-from homlie.tensor import Matrix, Q
+from homlie.tensor import Matrix, Q, dense, sparse
 
 ALL_NAMES = [b.name for b in BUILTINS]
 
@@ -331,3 +335,96 @@ def test_shape_errors_name_the_field_and_the_count(field, value, path, message):
         parse_structure(json.dumps(doc))
     assert exc.value.path == path
     assert str(exc.value) == f"{path}: {message}"
+
+
+# Scalars as a document may write them: bare ints, and strings with a sign, leading
+# zeros, a denominator or none, in lowest terms or not.
+NUMERALS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.sampled_from(["2/4", "-0", "+3", "007", "0", "-0/3", "+10/15", "-6/8"]),
+    st.builds(
+        lambda sign, num, den: f"{sign}{num}/{den}" if den else f"{sign}{num}",
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=4),
+        st.integers(0, 60),
+    ),
+)
+
+
+@st.composite
+def written(draw, shape):
+    """An array of numerals of this shape, dense or sparse as a document writes it,
+    and its cells by index tuple (the zeros a sparse array leaves out are absent)."""
+    cells = {}
+
+    def nested(key):
+        if len(key) == len(shape):
+            cells[key] = draw(NUMERALS)
+            return cells[key]
+        return [nested((*key, i)) for i in range(shape[len(key)])]
+
+    node = nested(())
+    if draw(st.booleans()):
+        cells = {key: x for key, x in cells.items() if draw(st.booleans())}
+        node = {"entries": [[*(i + 1 for i in key), x] for key, x in cells.items()]}
+    return node, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reader_matches_the_fraction_path(data):
+    """Each scalar read as an integer pair is the array the Fraction of each scalar
+    gave, with the same integer view."""
+    n = data.draw(st.integers(1, 3))
+    bracket, bracket_cells = data.draw(written((n,) * 3))
+    twist, twist_cells = data.draw(written((n, n)))
+    doc = {"version": 1, "algebra": {"dim": n, "bracket": bracket, "twist": twist}}
+    a = parse_structure(json.dumps(doc)).algebra
+    for got, cells, shape in ((a.bracket, bracket_cells, (n,) * 3), (a.twist, twist_cells, (n, n))):
+        old = dense({key: Fraction(x) for key, x in cells.items()}, shape)
+        assert got == old
+        assert sparse(got).den == sparse(old).den
+        assert dict(sparse(got)) == dict(sparse(old))
+
+
+@pytest.mark.parametrize(
+    "twist, path",
+    [
+        ([["1", "0"], ["0", "1/-2"]], "algebra.twist[1][1]"),
+        ({"entries": [[1, 1, "1"], [2, 2, "-1/-2"]]}, "algebra.twist.entries[1]"),
+        ([["1", "0"], ["0", "1/02"]], "algebra.twist[1][1]"),
+    ],
+)
+def test_reader_refuses_signed_and_padded_denominators(twist, path):
+    doc = {"version": 1, "algebra": {"dim": 2, "bracket": {"entries": []}, "twist": twist}}
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(doc))
+    assert exc.value.path == path
+    assert "not a rational" in str(exc.value)
+
+
+def test_parsing_a_dense_document_builds_no_fraction(monkeypatch):
+    doc = {
+        "version": 1,
+        "algebra": {
+            "dim": 2,
+            "bracket": [[["0", "0"], ["1", "0"]], [["-1", "0"], ["0", "0"]]],
+            "twist": [["2/4", "-3/4"], ["0", "+7"]],
+        },
+        "cobracket": [[["0", "1/3"], ["-1/3", "0"]], [["0", "0"], ["0", "0"]]],
+        "rmatrix": [["0", "5/6"], ["-5/6", "0"]],
+    }
+    text = json.dumps(doc)
+    calls = []
+    real = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    s = parse_structure(text)
+    assert calls == []
+    monkeypatch.undo()
+    assert s.algebra.twist == Matrix([[Q(1, 2), Q(-3, 4)], [0, 7]])
+    assert s.rmatrix.coeffs == Matrix([[0, Q(5, 6)], [Q(-5, 6), 0]])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 from itertools import product
 from math import lcm
@@ -47,6 +48,25 @@ def test_as_q_and_format_q_round_trip():
     assert format_q(Q(-3, 2)) == "-3/2"
     assert format_q(Q(4)) == "4"
     assert as_q(format_q(Q(22, 7))) == Q(22, 7)
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 9000, 20000])
+def test_format_q_and_to_json_render_ints_past_the_str_limit(digits):
+    x = Q(-(10 ** (digits - 1)) - 7**500, 3 * 10**digits + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{x.numerator}/{x.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert format_q(x) == want
+    assert Vector([x, 0, x.numerator]).to_json() == [want, "0", want.partition("/")[0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=6))
+def test_to_json_formats_each_entry_in_lowest_terms(xs):
+    assert Vector(xs).to_json() == [format_q(x) for x in xs]
 
 
 def test_vector_basics():
