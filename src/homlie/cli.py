@@ -40,7 +40,7 @@ from .operators import (
     validate_hlsa,
     validate_o_operator,
 )
-from .report import CheckReport, InvalidStructureError
+from .report import CheckReport, InvalidStructureError, require
 from .representation import Representation, adjoint_rep, semidirect_product, validate_representation
 from .structure_io import (
     Structure,
@@ -119,121 +119,88 @@ CHECK_ALIASES = {
     "thm58": "o-operator-expansion",
 }
 
-CHECK_NAMES = (
-    "hom-lie",
-    "weakly-involutive",
-    "representation",
-    "matched-pair",
-    "manin-triple",
-    "bialgebra",
-    "coboundary",
-    "chybe",
-    "o-operator",
-    "lsa",
-    "triple-equivalence",
-    "hom-double",
-    "cobracket-residuals",
-    "jacobiator-bracket",
-    "o-operator-expansion",
-)
+
+class _Needs(Exception):
+    """What a check or a construction lacks; the caller puts its own name in front."""
 
 
-def _need(s: Structure, attr: str, check: str):
-    val = getattr(s, attr)
-    if val is None:
-        section = {"ooperator_t": "ooperator"}.get(attr, attr)
-        raise UsageError(f"check {check!r} needs a {section} section")
-    return val
-
-
-def _bialgebra(s: Structure, check: str) -> HomLieBialgebra:
-    _need(s, "algebra", check)  # the cobracket lives on it, so name it first
-    _need(s, "cobracket", check)
-    return s.bialgebra
-
-
-def _o_candidate(s: Structure, check: str) -> OOperatorCandidate:
-    t = _need(s, "ooperator_t", check)
-    rep = _acting_rep(s, check)
-    n, m = rep.base.dim, rep.carrier_dim
-    if t.shape != (n, m):  # a builtin's T under the file's own representation or lsa
-        raise UsageError(f"check {check!r} needs a {n} x {m} ooperator T, got {t.nrows} x {t.ncols}")
-    return OOperatorCandidate(rep.base, rep, t)
-
-
-def _acting_rep(s: Structure, check: str) -> Representation:
+def _acting_rep(s: Structure) -> Representation:
     """The file's representation, or else left multiplication of its lsa."""
     if s.representation is not None:
         return s.representation
     if s.lsa is not None:
         return left_mult_rep(s.lsa)
-    raise UsageError(
-        f"check {check!r} needs algebra+representation sections or an lsa section"
-    )
+    raise _Needs("algebra+representation sections or an lsa section")
 
 
-def _part(full: CheckReport, part: str) -> CheckReport:
-    return next(r for r in full.subreports if r.checked_condition == part)
+def _o_candidate(s: Structure) -> OOperatorCandidate:
+    t, rep = s.ooperator_t, _acting_rep(s)
+    n, m = rep.base.dim, rep.carrier_dim
+    if t.shape != (n, m):  # a builtin's T under the file's own representation or lsa
+        raise _Needs(f"a {n} x {m} ooperator T, got {t.nrows} x {t.ncols}")
+    return OOperatorCandidate(rep.base, rep, t)
+
+
+def _within(what: str, sections: tuple[str, ...], fn, s: Structure, *args):
+    """fn(s, *args) once s has the sections, in order; a missing one, or anything
+    else fn lacks, is a usage error that names what."""
+    try:
+        for attr in sections:
+            if getattr(s, attr) is None:
+                section = attr.removesuffix("_t")
+                article = "a" if section in ("representation", "cobracket") else "an"
+                raise _Needs(f"{article} {section} section")
+        return fn(s, *args)
+    except _Needs as e:
+        raise UsageError(f"{what} needs {e}") from None
+
+
+def _defect_expansion(rep: Representation) -> CheckReport:
+    return run_defect_expansion_suite(rep.base, rep)
+
+
+# The bialgebra checks read the one bialgebra of a structure, so they share its
+# verdict, its double and its triple equivalence, whose parts are the bialgebra,
+# matched-pair and manin-triple verdicts. The cobracket lives on the algebra, so
+# a missing algebra is named first.
+_BI = ("algebra", "cobracket")
+
+# check name: (the sections it needs, in the order a missing one is named, and
+# what runs it on a structure that has them)
+CHECKS = {
+    "hom-lie": (("algebra",), lambda s: validate_hom_lie(s.algebra)),
+    "weakly-involutive": (("algebra",), lambda s: is_weakly_involutive(s.algebra)),
+    "representation": (("representation",), lambda s: validate_representation(s.representation)),
+    "matched-pair": (_BI, lambda s: check_triple_equivalence(s.bialgebra).subreports[1]),
+    "manin-triple": (_BI, lambda s: check_triple_equivalence(s.bialgebra).subreports[2]),
+    "bialgebra": (_BI, lambda s: validate_bialgebra(s.bialgebra)),
+    "coboundary": (("algebra", "rmatrix"), lambda s: validate_coboundary(s.algebra, s.rmatrix)),
+    "chybe": (("algebra", "rmatrix"), lambda s: check_chybe(s.rmatrix)),
+    "o-operator": (("ooperator_t",), lambda s: validate_o_operator(_o_candidate(s))),
+    "lsa": (("lsa",), lambda s: validate_hlsa(s.lsa)),
+    "triple-equivalence": (_BI, lambda s: check_triple_equivalence(s.bialgebra)),
+    "hom-double": (_BI, lambda s: hom_double(s.bialgebra)[2]),
+    "cobracket-residuals": (("algebra",), lambda s: run_residual_suite(s.algebra)),
+    "jacobiator-bracket": (("algebra",), lambda s: run_jacobiator_suite(s.algebra)),
+    "o-operator-expansion": ((), lambda s: _defect_expansion(_acting_rep(s))),
+}
+
+# the check that validates each section, in Structure's field order
+DEFAULT_CHECKS = {
+    "algebra": "hom-lie",
+    "representation": "representation",
+    "cobracket": "bialgebra",
+    "rmatrix": "chybe",
+    "lsa": "lsa",
+    "ooperator_t": "o-operator",
+}
 
 
 def run_check(name: str, s: Structure) -> CheckReport:
-    """Run one named check. The bialgebra checks read the one bialgebra of s, so
-    they share its verdict, its double and its triple equivalence, of which the
-    matched-pair and manin-triple checks are parts."""
-    if name == "hom-lie":
-        return validate_hom_lie(_need(s, "algebra", name))
-    if name == "weakly-involutive":
-        return is_weakly_involutive(_need(s, "algebra", name))
-    if name == "representation":
-        return validate_representation(_need(s, "representation", name))
-    if name == "matched-pair":
-        return _part(check_triple_equivalence(_bialgebra(s, name)), "matched-pair-structure")
-    if name == "manin-triple":
-        return _part(check_triple_equivalence(_bialgebra(s, name)), "manin-triple")
-    if name == "bialgebra":
-        return validate_bialgebra(_bialgebra(s, name))
-    if name == "triple-equivalence":
-        return check_triple_equivalence(_bialgebra(s, name))
-    if name == "coboundary":
-        return validate_coboundary(_need(s, "algebra", name), _need(s, "rmatrix", name))
-    if name == "chybe":
-        _need(s, "algebra", name)
-        return check_chybe(_need(s, "rmatrix", name))
-    if name == "o-operator":
-        return validate_o_operator(_o_candidate(s, name))
-    if name == "lsa":
-        return validate_hlsa(_need(s, "lsa", name))
-    if name == "hom-double":
-        _, _, report = hom_double(_bialgebra(s, name))
-        return report
-    if name == "cobracket-residuals":
-        return run_residual_suite(_need(s, "algebra", name))
-    if name == "jacobiator-bracket":
-        return run_jacobiator_suite(_need(s, "algebra", name))
-    if name == "o-operator-expansion":
-        rep = _acting_rep(s, name)
-        return run_defect_expansion_suite(rep.base, rep)
-    raise UsageError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-
-
-def _default_checks(s: Structure) -> list[str]:
-    """Structural validity of whatever the file contains."""
-    out = []
-    if s.algebra is not None:
-        out.append("hom-lie")
-    if s.representation is not None:
-        out.append("representation")
-    if s.cobracket is not None:
-        out.append("bialgebra")
-    if s.rmatrix is not None:
-        out.append("chybe")
-    if s.lsa is not None:
-        out.append("lsa")
-    if s.ooperator_t is not None:
-        out.append("o-operator")
-    if not out:
-        raise UsageError("structure has no sections to validate")
-    return out
+    """Run one named check of CHECKS."""
+    if name not in CHECKS:
+        raise UsageError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    return _within(f"check {name!r}", *CHECKS[name], s)
 
 
 def cmd_validate(args) -> tuple[int, str]:
@@ -243,119 +210,83 @@ def cmd_validate(args) -> tuple[int, str]:
             raise UsageError("--rmatrix needs an algebra section")
         r = RMatrix(s.algebra, parse_rmatrix_expr(args.rmatrix, s.algebra.dim))
         s = dataclasses.replace(s, rmatrix=r)
-    checks = [CHECK_ALIASES.get(c, c) for c in (args.check or _default_checks(s))]
+    checks = args.check or [c for attr, c in DEFAULT_CHECKS.items() if getattr(s, attr) is not None]
+    if not checks:
+        raise UsageError("structure has no sections to validate")
 
-    reports: list[tuple[str, CheckReport]] = []
-    bad_precondition = False
-    for name in checks:
+    reports: list[CheckReport] = []
+    for name in (CHECK_ALIASES.get(c, c) for c in checks):
         try:
-            reports.append((name, run_check(name, s)))
-        except InvalidStructureError as e:
-            bad_precondition = True
-            reports.append(
-                (
-                    name,
-                    CheckReport(
-                        name,
-                        False,
-                        e.report.witnesses,
-                        {"precondition": str(e).splitlines()[0], **e.report.info},
-                        e.report.subreports,
-                    ),
-                )
-            )
+            reports.append(run_check(name, s))
+        except InvalidStructureError as e:  # a refused precondition: its report fails
+            info = {"precondition": str(e).splitlines()[0], **e.report.info}
+            reports.append(dataclasses.replace(e.report, checked_condition=name, info=info))
 
-    ok = all(r.ok for _, r in reports) and not bad_precondition
+    ok = all(r.ok for r in reports)
     if args.format == "json":
         doc = {
             "name": s.name,
             "verdict": "pass" if ok else "fail",
-            "checks": [r.to_json() for _, r in reports],
+            "checks": [r.to_json() for r in reports],
         }
         text = json.dumps(doc, indent=2)
     else:
-        text = "\n".join(r.render() for _, r in reports)
+        text = "\n".join(r.render() for r in reports)
     return (0 if ok else 1), text + "\n"
 
 
-def _build_structure(args) -> Structure:
-    s = _load(args.structure)
-    kind = args.construction
+def _hom_double(s: Structure, args) -> dict:
+    big, r, report = hom_double(s.bialgebra)
+    require(report, "hom-double checks failed")
+    return {"algebra": big.algebra, "cobracket": big.cobracket, "rmatrix": r}
 
-    if kind == "hom-double":
-        big, r, report = hom_double(_bialgebra(s, kind))
-        if not report.ok:
-            raise InvalidStructureError("hom-double checks failed", report)
-        return Structure(
-            name=f"{s.name}-double" if s.name else "double",
-            algebra=big.algebra,
-            cobracket=big.cobracket,
-            rmatrix=r,
-        )
 
-    if kind == "semidirect":
-        a = _need(s, "algebra", kind)
-        if args.rep == "adjoint":
-            rep = adjoint_rep(a)
-        elif s.representation is not None:
-            rep = s.representation
-        else:
-            raise UsageError(
-                "semidirect needs --rep adjoint or a representation section"
-            )
-        return Structure(
-            name=f"{s.name}-semidirect" if s.name else "semidirect",
-            algebra=semidirect_product(rep),
-        )
+def _semidirect(s: Structure, args) -> dict:
+    rep = adjoint_rep(s.algebra) if args.rep == "adjoint" else s.representation
+    if rep is None:
+        raise UsageError("semidirect needs --rep adjoint or a representation section")
+    return {"algebra": semidirect_product(rep)}
 
-    if kind == "dual":
-        a = _need(s, "algebra", kind)
-        if args.cobracket == "zero":
-            cb = zero_cobracket(a)
-        elif s.cobracket is not None:
-            cb = s.cobracket
-        else:
-            raise UsageError("dual needs --cobracket zero or a cobracket section")
-        return Structure(
-            name=f"{s.name}-dual" if s.name else "dual", algebra=dual_algebra(cb)
-        )
 
-    if kind == "commutator":
-        lsa = _need(s, "lsa", kind)
-        return Structure(
-            name=f"{s.name}-commutator" if s.name else "commutator",
-            algebra=commutator_hom_lie(lsa),
-        )
+def _dual(s: Structure, args) -> dict:
+    cb = zero_cobracket(s.algebra) if args.cobracket == "zero" else s.cobracket
+    if cb is None:
+        raise UsageError("dual needs --cobracket zero or a cobracket section")
+    return {"algebra": dual_algebra(cb)}
 
-    if kind == "cobracket":
-        a = _need(s, "algebra", kind)
-        if args.rmatrix is not None:
-            r = RMatrix(a, parse_rmatrix_expr(args.rmatrix, a.dim))
-        elif s.rmatrix is not None:
-            r = s.rmatrix
-        else:
-            raise UsageError("cobracket needs --rmatrix or an rmatrix section")
-        return Structure(
-            name=f"{s.name}-cobracket" if s.name else "cobracket",
-            algebra=a,
-            cobracket=cobracket_from_r(r),
-            rmatrix=r,
-        )
 
-    if kind == "r-from-o":
-        cand = _o_candidate(s, kind)
-        big, r, report = r_from_o_operator(cand)
-        if not report.ok:
-            raise InvalidStructureError("r-from-o checks failed", report)
-        return Structure(
-            name=f"{s.name}-r" if s.name else "r-from-o", algebra=big, rmatrix=r
-        )
+def _cobracket(s: Structure, args) -> dict:
+    a = s.algebra
+    r = s.rmatrix if args.rmatrix is None else RMatrix(a, parse_rmatrix_expr(args.rmatrix, a.dim))
+    if r is None:
+        raise UsageError("cobracket needs --rmatrix or an rmatrix section")
+    return {"algebra": a, "cobracket": cobracket_from_r(r), "rmatrix": r}
 
-    raise UsageError(f"unknown construction {kind!r}")
+
+def _r_from_o(s: Structure, args) -> dict:
+    big, r, report = r_from_o_operator(_o_candidate(s))
+    require(report, "r-from-o checks failed")
+    return {"algebra": big, "rmatrix": r}
+
+
+# construction: (the sections it needs, in the order a missing one is named; the
+# suffix of its output's name; the name of the output of an unnamed input; what
+# builds the output's sections from the input and the parsed arguments)
+CONSTRUCTIONS = {
+    "hom-double": (_BI, "double", "double", _hom_double),
+    "semidirect": (("algebra",), "semidirect", "semidirect", _semidirect),
+    "dual": (("algebra",), "dual", "dual", _dual),
+    "commutator": (("lsa",), "commutator", "commutator", lambda s, args: {"algebra": commutator_hom_lie(s.lsa)}),
+    "cobracket": (("algebra",), "cobracket", "cobracket", _cobracket),
+    "r-from-o": (("ooperator_t",), "r", "r-from-o", _r_from_o),
+}
 
 
 def cmd_build(args) -> tuple[int, str]:
-    return 0, emit_structure(_build_structure(args))
+    s = _load(args.structure)
+    sections, suffix, unnamed, build = CONSTRUCTIONS[args.construction]
+    built = _within(f"construction {args.construction!r}", sections, build, s, args)
+    return 0, emit_structure(Structure(f"{s.name}-{suffix}" if s.name else unnamed, **built))
 
 
 def cmd_corpus(args) -> tuple[int, str]:
@@ -396,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME",
         help="check to run (repeatable); default: validity of every present "
-        f"section. Known: {', '.join(CHECK_NAMES)}; "
+        f"section. Known: {', '.join(CHECKS)}; "
         f"aliases: {', '.join(sorted(CHECK_ALIASES))}",
     )
     v.add_argument(
@@ -408,17 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_validate)
 
     b = sub.add_parser("build", help="emit a constructed structure on stdout")
-    b.add_argument(
-        "construction",
-        choices=(
-            "hom-double",
-            "semidirect",
-            "dual",
-            "commutator",
-            "cobracket",
-            "r-from-o",
-        ),
-    )
+    b.add_argument("construction", choices=CONSTRUCTIONS)
     b.add_argument("structure", help="input structure file or builtin:<name>")
     b.add_argument("--rep", choices=("adjoint",), help="representation to act with")
     b.add_argument(

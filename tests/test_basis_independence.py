@@ -2,6 +2,9 @@
 P, the structures rewritten in the basis e'_i = sum_k P[k][i] e_k must get the
 verdicts the originals get."""
 
+import contextlib
+import dataclasses
+import io
 import random
 from fractions import Fraction
 
@@ -18,8 +21,10 @@ from homlie.bialgebra import (
     validate_matched_pair,
     zero_cobracket,
 )
+from homlie.cli import CHECKS, main, parse_rmatrix_expr
 from homlie.coboundary import RMatrix, check_chybe, validate_coboundary
 from homlie.corpus import (
+    BUILTINS,
     abelian2,
     aff2,
     aff2_triangular_bialgebra,
@@ -32,7 +37,7 @@ from homlie.corpus import (
     sl2,
 )
 from homlie.hom_lie import change_of_basis
-from homlie.operators import OOperatorCandidate, left_mult_rep, validate_o_operator
+from homlie.operators import HomLeftSymmetric, OOperatorCandidate, left_mult_rep, validate_o_operator
 from homlie.report import InvalidStructureError
 from homlie.representation import (
     Representation,
@@ -41,7 +46,8 @@ from homlie.representation import (
     semidirect_weak_involutivity_criteria,
     validate_representation,
 )
-from homlie.tensor import Matrix, Tensor3
+from homlie.structure_io import Structure, builtin_structure, emit_structure
+from homlie.tensor import Matrix, Tensor3, contract, dense
 
 from sampling import random_matrix
 
@@ -203,3 +209,59 @@ def test_matched_pair_and_double_criteria_verdicts(which, seed):
     assert _verdicts(double_weak_involutivity_criteria(moved)) == _verdicts(
         double_weak_involutivity_criteria(mp)
     )
+
+
+def _moved_structure(s: Structure, p: Matrix) -> Structure:
+    """The whole document in the basis e'_i = sum_k p[k][i] e_k of each of its
+    spaces, which must all have p's dimension: the bracket and the twist, a
+    representation (its carrier moved by p too), the cobracket, r as
+    p^-1 r p^-T, the lsa product and psi, and T as p^-1 T p."""
+    pinv, n = p.inverse(), p.nrows
+    assert {n} >= {x.dim for x in (s.algebra, s.lsa) if x is not None}
+    a = None if s.algebra is None else change_of_basis(s.algebra, p)
+    lsa = s.lsa
+    if lsa is not None:
+        product = contract("ijk", ("pi", p), ("pql", lsa.product), ("qj", p), ("kl", pinv))
+        lsa = HomLeftSymmetric(dense(product, (n,) * 3), pinv @ lsa.psi @ p, lsa.label)
+    return Structure(
+        s.name,
+        a,
+        None if s.representation is None else _moved_rep(s.representation, p, p),
+        None if s.cobracket is None else _moved_cobracket(s.cobracket, a, p),
+        None if s.rmatrix is None else RMatrix(a, pinv @ s.rmatrix.coeffs @ pinv.transpose()),
+        lsa,
+        None if s.ooperator_t is None else pinv @ s.ooperator_t @ p,
+    )
+
+
+def _documents():
+    """Every builtin, and aff2 with r = e1^e2."""
+    docs = {b.name: builtin_structure(b.name) for b in BUILTINS}
+    aff2_doc = docs["aff2"]
+    docs["aff2+e1^e2"] = dataclasses.replace(
+        aff2_doc, rmatrix=RMatrix(aff2_doc.algebra, parse_rmatrix_expr("e1^e2", 2))
+    )
+    return docs
+
+
+DOCUMENTS = _documents()
+
+
+def _exit_codes(s: Structure, tmp_path) -> dict[str, int]:
+    """The exit code of `homlie validate` with each check of the CLI's table."""
+    path = tmp_path / "doc.json"
+    path.write_text(emit_structure(s))
+    codes = {}
+    for name in CHECKS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes[name] = main(["validate", str(path), "--check", name])
+    return codes
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_every_check_exits_alike_on_a_transported_document(name, seed, tmp_path):
+    s = DOCUMENTS[name]
+    n = (s.algebra or s.lsa).dim
+    p = _invertible(random.Random(seed), n)
+    assert _exit_codes(_moved_structure(s, p), tmp_path) == _exit_codes(s, tmp_path)

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from homlie.cli import main, parse_rmatrix_expr, UsageError
-from homlie.structure_io import parse_structure
+from homlie.cli import CHECKS, DEFAULT_CHECKS, main, parse_rmatrix_expr, UsageError
+from homlie.structure_io import Structure, parse_structure
 from homlie.tensor import Matrix, Q
 
 
@@ -98,6 +99,27 @@ def test_default_checks_per_section(capsys):
     assert code == 0
     assert "hom-left-symmetric: pass" in out
     assert "o-operator: pass" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "builtin:lsa2", "--check", "hom-lie"], "check 'hom-lie' needs an algebra section"),
+        (["validate", "builtin:aff2", "--check", "lsa"], "check 'lsa' needs an lsa section"),
+        (["validate", "builtin:aff2", "--check", "chybe"], "check 'chybe' needs an rmatrix section"),
+        (["validate", "builtin:aff2", "--check", "o-operator"], "check 'o-operator' needs an ooperator section"),
+        (["build", "dual", "builtin:lsa2"], "construction 'dual' needs an algebra section"),
+        (["build", "hom-double", "builtin:aff2"], "construction 'hom-double' needs a cobracket section"),
+    ],
+)
+def test_a_missing_section_is_named_with_its_check_or_construction(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_default_checks_follow_the_sections_of_a_structure():
+    fields = [f.name for f in dataclasses.fields(Structure)]
+    assert fields == ["name", *DEFAULT_CHECKS]
+    assert set(DEFAULT_CHECKS.values()) <= set(CHECKS)
 
 
 def test_validate_json_format(capsys):

@@ -10,7 +10,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie.cli import CHECK_ALIASES, CHECK_NAMES, main
+from homlie.cli import CHECK_ALIASES, CHECKS, main
 from homlie.corpus import BUILTINS
 from homlie.structure_io import builtin_structure
 
@@ -107,10 +107,10 @@ RMATRIX = st.one_of(
     st.sampled_from(["e1^e2", "e1xe1", "1/2 e1^e2 - e2xe1", "2*e3xe1", "e1^e9", "e0xe1", "-e2^e1"]),
     st.sampled_from(["", "+", "e1^", "1/0 e1xe2", "e1 ^ e2 + + e2xe2", "x"]),
 )
-CHECKS = st.sampled_from([*CHECK_NAMES, *CHECK_ALIASES, "no-such-check"])
+CHECK_TOKENS = st.sampled_from([*CHECKS, *CHECK_ALIASES, "no-such-check"])
 
 
-@given(documents(), RMATRIX, CHECKS)
+@given(documents(), RMATRIX, CHECK_TOKENS)
 @settings(max_examples=300, deadline=None)
 def test_validate_exits_with_a_code_on_any_document(doc, rmatrix, check):
     with tempfile.TemporaryDirectory() as tmp:
