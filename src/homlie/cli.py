@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import re
 import sys
 
@@ -46,6 +45,7 @@ from .structure_io import (
     Structure,
     StructureParseError,
     builtin_structure,
+    dump_json,
     emit_structure,
     load_structure,
 )
@@ -229,7 +229,7 @@ def cmd_validate(args) -> tuple[int, str]:
             "verdict": "pass" if ok else "fail",
             "checks": [r.to_json() for r in reports],
         }
-        text = json.dumps(doc, indent=2)
+        text = dump_json(doc)
     else:
         text = "\n".join(r.render() for r in reports)
     return (0 if ok else 1), text + "\n"
@@ -300,7 +300,7 @@ def cmd_corpus(args) -> tuple[int, str]:
             }
             for b in BUILTINS
         ]
-        return 0, json.dumps(doc, indent=2) + "\n"
+        return 0, dump_json(doc) + "\n"
     width = max(len(b.name) for b in BUILTINS)
     lines = []
     for b in BUILTINS:

@@ -154,7 +154,7 @@ class InvalidStructureError(ValueError):
     """A constructor precondition failed; .report says exactly where."""
 
     def __init__(self, message: str, report: CheckReport):
-        super().__init__(f"{message}\n{report.render(indent=1)}")
+        super().__init__(f"{message}\n{report.render(1)}")
         self.report = report
 
 

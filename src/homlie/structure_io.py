@@ -22,7 +22,11 @@ as its integer view over the LCM of the q, with no Fraction per entry. A numeral
 longer than int() reads (sys.get_int_max_str_digits) is a parse error.
 
 parse_structure(emit_structure(s)) == s exactly, including names, for every
-structure whose numerals int() reads.
+structure whose numerals int() reads. Known defect (a FOUND in CHANGES.md): a
+builtin's T kept under a document's own representation or lsa of another size is
+written out at that size, and the text does not read back.
+
+dump_json writes every JSON document homlie emits, in json.dumps's two-space layout.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
 from .bialgebra import Cobracket, HomLieBialgebra
@@ -350,7 +355,34 @@ def structure_to_doc(s: Structure) -> dict:
 
 
 def emit_structure(s: Structure) -> str:
-    return json.dumps(structure_to_doc(s), indent=2) + "\n"
+    return dump_json(structure_to_doc(s)) + "\n"
+
+
+def dump_json(doc) -> str:
+    """doc as json.dumps writes it with an indent of two spaces, byte for byte, but
+    with every string escaped by the C encoder: json.dumps writes indented text
+    only in pure Python. Keys must be strings; a value json cannot write raises
+    TypeError, as in json.dumps."""
+    return _dump(doc, "\n")
+
+
+def _dump(x, nl: str) -> str:
+    """x written at the indentation nl ends with (nl is a newline and the pad)."""
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        items = [_quote(v) if type(v) is str else _dump(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _dump(v, inner)) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(x)  # ints, floats, bools and None as json writes them
 
 
 def load_structure(path: str) -> Structure:

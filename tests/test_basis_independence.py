@@ -5,10 +5,15 @@ verdicts the originals get."""
 import contextlib
 import dataclasses
 import io
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homlie.bialgebra import (
     Cobracket,
@@ -46,10 +51,17 @@ from homlie.representation import (
     semidirect_weak_involutivity_criteria,
     validate_representation,
 )
-from homlie.structure_io import Structure, builtin_structure, emit_structure
+from homlie.structure_io import (
+    Structure,
+    StructureParseError,
+    builtin_structure,
+    emit_structure,
+    parse_structure,
+)
 from homlie.tensor import Matrix, Tensor3, contract, dense
 
 from sampling import random_matrix
+from test_cli_fuzz import documents
 
 SEEDS = range(3)
 
@@ -265,3 +277,37 @@ def test_every_check_exits_alike_on_a_transported_document(name, seed, tmp_path)
     n = (s.algebra or s.lsa).dim
     p = _invertible(random.Random(seed), n)
     assert _exit_codes(_moved_structure(s, p), tmp_path) == _exit_codes(s, tmp_path)
+
+
+@st.composite
+def transported(draw):
+    """A valid generated document, less the sections whose spaces are not of the
+    dimension n of its algebra (or else of its lsa), and an invertible n x n P with
+    entries p/q, p in -2..2 and q in 1..2. Sections are left out rather than the
+    document rejected, so that few draws are rejected."""
+    try:
+        s = parse_structure(json.dumps(draw(documents())))
+    except StructureParseError:
+        assume(False)
+    base = s.algebra or s.lsa
+    assume(base is not None)
+    n = base.dim
+    if s.lsa is not None and s.lsa.dim != n:
+        s = dataclasses.replace(s, lsa=None)
+    if s.representation is not None and s.representation.carrier_dim != n:
+        s = dataclasses.replace(s, representation=None)
+    acted_on = s.representation is not None or s.lsa is not None
+    if s.ooperator_t is not None and (s.ooperator_t.shape != (n, n) or not acted_on):
+        s = dataclasses.replace(s, ooperator_t=None)
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    p = Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(p.det() != 0)
+    return s, p
+
+
+@settings(max_examples=50, deadline=None)
+@given(transported())
+def test_every_check_exits_alike_on_any_transported_document(case):
+    s, p = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _exit_codes(_moved_structure(s, p), Path(tmp)) == _exit_codes(s, Path(tmp))

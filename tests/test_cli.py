@@ -566,6 +566,26 @@ def test_validate_builtin_bialgebras_full_stack(capsys):
         assert code == 0, out
 
 
+def test_json_outputs_never_reach_the_pure_python_encoder(capsys, monkeypatch):
+    """json.dumps with an indent builds its pure-Python encoder each call; the CLI's
+    three JSON outputs must never need it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    checks = ("bialgebra", "matched-pair", "manin-triple", "triple-equivalence", "hom-double")
+    five = [x for c in checks for x in ("--check", c)]
+    for argv in (
+        ["build", "hom-double", "builtin:aff2-triangular"],
+        ["validate", "builtin:aff2-triangular", "--format", "json", *five],
+        ["corpus", "--json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+
 def test_validate_unicode_builtin_alias(capsys):
     code, _, _ = run(capsys, "validate", "builtin:aff2φ", "--check", "hom-lie")
     assert code == 0
