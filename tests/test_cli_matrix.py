@@ -3,9 +3,9 @@
 Each entry of golden/cli_matrix.json is an argv, its exit code and the sha256
 of its stdout and of its stderr. The argvs are every builtin under the default
 checks, every check, every alias and one unknown name, in text and in json;
-every construction on every builtin, with and without its flag; and `validate`
+every construction on every builtin, with and without its flag; `validate`
 of each successful build, written `build ... | validate /dev/stdin` as in a
-shell. A change that alters the output on purpose regenerates the file with
+shell; and the corpus listing in text and in json. A change that alters the output on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_matrix.py
 
@@ -44,7 +44,7 @@ def _argvs() -> list[list[str]]:
     for kind in CONSTRUCTIONS:
         flags = ([], FLAGS[kind]) if kind in FLAGS else ([],)
         out += [["build", kind, src, *flag] for src in sources for flag in flags]
-    return out
+    return out + [["corpus"], ["corpus", "--json"], ["corpus", "--format", "json"]]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
