@@ -134,11 +134,8 @@ def _acting_rep(s: Structure) -> Representation:
 
 
 def _o_candidate(s: Structure) -> OOperatorCandidate:
-    t, rep = s.ooperator_t, _acting_rep(s)
-    n, m = rep.base.dim, rep.carrier_dim
-    if t.shape != (n, m):  # a builtin's T under the file's own representation or lsa
-        raise _Needs(f"a {n} x {m} ooperator T, got {t.nrows} x {t.ncols}")
-    return OOperatorCandidate(rep.base, rep, t)
+    rep = _acting_rep(s)
+    return OOperatorCandidate(rep.base, rep, s.ooperator_t)
 
 
 def _within(what: str, sections: tuple[str, ...], fn, s: Structure, *args):

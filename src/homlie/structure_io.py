@@ -11,20 +11,21 @@ A document needs "version": 1 and then any combination of sections:
                    algebra's dim, m the carrier's), else m x m by the lsa
 
 plus an optional "name" and an optional "builtin" reference ("aff2" or
-"builtin:aff2") that is resolved first, with explicit sections layered on
-top. Scalars are rational strings "p/q" (or "p"); bare JSON integers are
-accepted on input. Any dense array may instead be written sparsely as
-{"entries": [[indices..., "p/q"], ...]} with 1-based indices, matching
-the e1, e2, ... naming everywhere else; output is always dense.
+"builtin:aff2"). A builtin is itself stored as the sections of a document
+(corpus.BUILTINS), and its sections are read as if they were written in the
+document, beneath the document's own sections and at their dimensions: a
+builtin section that does not fit them is a parse error that names it. A
+missing or empty name is the builtin's. Scalars are rational strings "p/q" (or
+"p"); bare JSON integers are accepted on input. Any dense array may instead be
+written sparsely as {"entries": [[indices..., "p/q"], ...]} with 1-based
+indices, matching the e1, e2, ... naming everywhere else; output is always dense.
 
 Each scalar is read as an integer pair (p, q), and each array is built straight
 as its integer view over the LCM of the q, with no Fraction per entry. A numeral
 longer than int() reads (sys.get_int_max_str_digits) is a parse error.
 
 parse_structure(emit_structure(s)) == s exactly, including names, for every
-structure whose numerals int() reads. Known defect (a FOUND in CHANGES.md): a
-builtin's T kept under a document's own representation or lsa of another size is
-written out at that size, and the text does not read back.
+structure whose numerals int() reads.
 
 dump_json writes every JSON document homlie emits, in json.dumps's two-space layout.
 """
@@ -33,18 +34,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
 from .bialgebra import Cobracket, HomLieBialgebra
 from .coboundary import RMatrix
-from .corpus import builtin_sections, lookup_builtin
+from .corpus import lookup_builtin
 from .hom_lie import HomLieAlgebra
 from .operators import HomLeftSymmetric
 from .representation import Representation
-from .tensor import Array, Matrix, ShapeError, Sparse, dense
+from .tensor import Array, Matrix, Sparse, dense
 
 
 class StructureParseError(ValueError):
@@ -164,14 +165,6 @@ def _parse_dim(node, path: str) -> int:
     return node
 
 
-def _domain(path: str, fn):
-    """Run a domain constructor, turning its ShapeError into a parse error."""
-    try:
-        return fn()
-    except ShapeError as e:
-        raise StructureParseError(path, str(e)) from None
-
-
 def parse_structure(text: str) -> Structure:
     try:
         doc = json.loads(text)
@@ -208,20 +201,22 @@ def structure_from_doc(doc) -> Structure:
     if not isinstance(name, str):
         raise StructureParseError("name", "must be a string")
 
-    base = Structure()
     ref = doc.get("builtin")
-    if ref is not None:
-        if not isinstance(ref, str):
-            raise StructureParseError("builtin", "must be a string")
-        short = ref.removeprefix("builtin:")
-        try:
-            base = builtin_structure(short)
-        except KeyError as e:
-            raise StructureParseError("builtin", str(e.args[0])) from None
-        if not name:
-            name = base.name
+    if ref is None:
+        return _read_sections(doc, name)
+    if not isinstance(ref, str):
+        raise StructureParseError("builtin", "must be a string")
+    try:
+        entry = lookup_builtin(ref.removeprefix("builtin:"))
+    except KeyError as e:
+        raise StructureParseError("builtin", str(e.args[0])) from None
+    # the builtin's sections, as if written in the document beneath its own
+    return _read_sections({**entry.sections, **doc}, name or entry.name)
 
-    algebra = base.algebra
+
+def _read_sections(doc: dict, name: str) -> Structure:
+    """The sections of doc, each read at the dimensions of those it acts on."""
+    algebra = None
     if "algebra" in doc:
         sec = doc["algebra"]
         if not isinstance(sec, dict):
@@ -230,10 +225,8 @@ def structure_from_doc(doc) -> Structure:
         bracket = _parse_array(sec.get("bracket"), "algebra.bracket", (n, n, n))
         twist = _parse_array(sec.get("twist"), "algebra.twist", (n, n))
         algebra = HomLieAlgebra(bracket, twist, name)
-    elif algebra is not None and name != base.name:
-        algebra = replace(algebra, label=name)
 
-    representation = base.representation
+    representation = None
     if "representation" in doc:
         sec = doc["representation"]
         if not isinstance(sec, dict):
@@ -256,34 +249,23 @@ def structure_from_doc(doc) -> Structure:
             for i, a in enumerate(acts)
         ]
         representation = Representation(algebra, beta, action)
-    elif representation is not None and algebra is not None:
-        rep = representation
-        representation = _domain(
-            "representation", lambda: Representation(algebra, rep.beta, rep.action)
-        )
 
-    cobracket = base.cobracket
+    cobracket = None
     if "cobracket" in doc:
         if algebra is None:
             raise StructureParseError("cobracket", "needs an algebra section")
         n = algebra.dim
         coeffs = _parse_array(doc["cobracket"], "cobracket", (n, n, n))
         cobracket = Cobracket(algebra, coeffs)
-    elif cobracket is not None and algebra is not None:
-        cb = cobracket
-        cobracket = _domain("cobracket", lambda: Cobracket(algebra, cb.coeffs))
 
-    rmatrix = base.rmatrix
+    rmatrix = None
     if "rmatrix" in doc:
         if algebra is None:
             raise StructureParseError("rmatrix", "needs an algebra section")
         n = algebra.dim
         rmatrix = RMatrix(algebra, _parse_array(doc["rmatrix"], "rmatrix", (n, n)))
-    elif rmatrix is not None and algebra is not None:
-        rm = rmatrix
-        rmatrix = _domain("rmatrix", lambda: RMatrix(algebra, rm.coeffs))
 
-    lsa = base.lsa
+    lsa = None
     if "lsa" in doc:
         sec = doc["lsa"]
         if not isinstance(sec, dict):
@@ -292,10 +274,8 @@ def structure_from_doc(doc) -> Structure:
         product = _parse_array(sec.get("product"), "lsa.product", (m, m, m))
         psi = _parse_array(sec.get("psi"), "lsa.psi", (m, m))
         lsa = HomLeftSymmetric(product, psi, name)
-    elif lsa is not None and name != base.name:
-        lsa = replace(lsa, label=name)
 
-    ooperator_t = base.ooperator_t
+    ooperator_t = None
     if "ooperator" in doc:
         sec = doc["ooperator"]
         if not isinstance(sec, dict) or "T" not in sec:
@@ -391,22 +371,7 @@ def load_structure(path: str) -> Structure:
 
 
 def builtin_structure(name: str) -> Structure:
-    """The named builtin as a Structure whose parts carry the builtin name."""
+    """The named builtin, or the builtin of the alias, as a Structure whose parts carry
+    the builtin's name. An unknown name is a KeyError."""
     entry = lookup_builtin(name)
-    secs = builtin_sections(entry.name)
-    algebra = secs.get("algebra")
-    if algebra is not None and algebra.label != entry.name:
-        algebra = replace(algebra, label=entry.name)
-    cobracket = secs.get("cobracket")
-    if cobracket is not None:
-        cobracket = Cobracket(algebra, cobracket.coeffs)
-    lsa = secs.get("lsa")
-    if lsa is not None and lsa.label != entry.name:
-        lsa = replace(lsa, label=entry.name)
-    return Structure(
-        name=entry.name,
-        algebra=algebra,
-        cobracket=cobracket,
-        lsa=lsa,
-        ooperator_t=secs.get("ooperator"),
-    )
+    return _read_sections(entry.sections, entry.name)

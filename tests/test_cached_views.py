@@ -28,7 +28,7 @@ from homlie.coboundary import (
     skew_twist_compat_kernel,
     validate_coboundary,
 )
-from homlie.corpus import BUILTINS, builtin_sections
+from homlie.corpus import BUILTINS
 from homlie.hom_lie import (
     BilinearFormB,
     change_of_basis,
@@ -56,6 +56,7 @@ from homlie.representation import (
     semidirect_product,
     validate_representation,
 )
+from homlie.structure_io import builtin_structure
 from homlie.tensor import Array, ShapeError, sparse
 
 from sampling import random_combination, random_matrix
@@ -152,9 +153,9 @@ def _exercise(a, rng, lsa=None):
 def _cases():
     rng = random.Random(8)
     for b in BUILTINS:
-        sections = builtin_sections(b.name)
-        lsa = sections.get("lsa")
-        a = sections["algebra"] if lsa is None else left_mult_rep(lsa).base
+        s = builtin_structure(b.name)
+        lsa = s.lsa
+        a = s.algebra if lsa is None else left_mult_rep(lsa).base
         while True:
             p = random_matrix(rng, a.dim)
             if p.det() != 0:

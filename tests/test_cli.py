@@ -528,6 +528,19 @@ def test_o_operator_checks_act_with_the_lsa_beside_an_algebra(tmp_path, capsys):
     assert "ooperator: needs a representation or an lsa section to act on" in err
 
 
+@pytest.mark.parametrize("checks", [[], ["--check", "lsa"]], ids=["default", "lsa"])
+def test_a_builtin_section_that_does_not_fit_is_a_parse_error(tmp_path, capsys, checks):
+    """lsa2's T = id is 2 x 2, and beneath a 1-dim lsa it fits nothing: the document
+    is refused whatever is checked, so no parsed document fails to read back."""
+    empty = {"entries": []}
+    doc = {"version": 1, "builtin": "lsa2", "lsa": {"dim": 1, "product": empty, "psi": empty}}
+    f = tmp_path / "misfit.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(f), *checks)
+    assert (code, out) == (2, "")
+    assert err == f"error: {f}: ooperator.T: want 1 rows, got 2\n"
+
+
 def test_corpus_listing(capsys):
     code, out, _ = run(capsys, "corpus")
     assert code == 0

@@ -5,7 +5,8 @@ of its stdout and of its stderr. The argvs are every builtin under the default
 checks, every check, every alias and one unknown name, in text and in json;
 every construction on every builtin, with and without its flag; `validate`
 of each successful build, written `build ... | validate /dev/stdin` as in a
-shell; and the corpus listing in text and in json. A change that alters the output on purpose regenerates the file with
+shell; and the corpus listing in text and in json. A change that alters the
+output on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_matrix.py
 
@@ -20,6 +21,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from homlie.cli import CHECK_ALIASES, CHECKS, CONSTRUCTIONS, main
 from homlie.corpus import BUILTINS
@@ -42,9 +45,13 @@ def _argvs() -> list[list[str]]:
         for fmt in ("text", "json")
     ]
     for kind in CONSTRUCTIONS:
-        flags = ([], FLAGS[kind]) if kind in FLAGS else ([],)
-        out += [["build", kind, src, *flag] for src in sources for flag in flags]
+        out += [["build", kind, src, *flag] for src in sources for flag in _flags(kind)]
     return out + [["corpus"], ["corpus", "--json"], ["corpus", "--format", "json"]]
+
+
+def _flags(kind: str) -> tuple[list[str], ...]:
+    """A construction's flag sets: none, and its flag if it has one."""
+    return ([], FLAGS[kind]) if kind in FLAGS else ([],)
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -83,6 +90,21 @@ def matrix() -> list[dict]:
 
 def _dump(entries: list[dict]) -> str:
     return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
+
+
+@pytest.mark.parametrize("name", [name for b in BUILTINS for name in (b.name, *b.aliases)])
+def test_a_document_naming_only_a_builtin_is_the_builtin(name, tmp_path):
+    """`builtin:<name>` and a file holding {"version": 1, "builtin": name} are read
+    by one parser, so every check and every construction sees the same structure."""
+    path = tmp_path / "builtin.json"
+    path.write_text(json.dumps({"version": 1, "builtin": name}))
+    for check in [[], *(["--check", c] for c in CHECKS)]:
+        by_file = _run(["validate", str(path), *check, "--format", "json"])
+        assert by_file[:2] == _run(["validate", f"builtin:{name}", *check, "--format", "json"])[:2], check
+    for kind in CONSTRUCTIONS:
+        for flag in _flags(kind):
+            by_file = _run(["build", kind, str(path), *flag])
+            assert by_file[:2] == _run(["build", kind, f"builtin:{name}", *flag])[:2], (kind, flag)
 
 
 def test_cli_output_matches_the_golden_matrix():

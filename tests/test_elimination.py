@@ -16,6 +16,7 @@ from homlie.corpus import BUILTINS
 from homlie.hom_lie import HomLieAlgebra, change_of_basis, invariant_form_space
 from homlie.operators import commutator_hom_lie, intertwining_t_space
 from homlie.representation import adjoint_rep
+from homlie.structure_io import builtin_structure
 from homlie.tensor import Matrix, Tensor3, contract, matrix_kernel, rref, unit_stack
 
 from oracles import oracle_form_invariance, oracle_rref
@@ -139,8 +140,8 @@ def _seeded_basis(n: int, seed: int) -> Matrix:
 
 def _builtin_algebras():
     for b in BUILTINS:
-        sections = b.build()
-        a = sections["algebra"] if "algebra" in sections else commutator_hom_lie(sections["lsa"])
+        s = builtin_structure(b.name)
+        a = s.algebra if s.algebra is not None else commutator_hom_lie(s.lsa)
         yield b.name, a
         yield f"{b.name}, dense basis", change_of_basis(a, _seeded_basis(a.dim, 5))
 

@@ -18,15 +18,16 @@ import random, sys
 sys.modules["sympy"] = None
 
 from homlie.cli import main
-from homlie.corpus import BUILTINS, builtin_sections
+from homlie.corpus import BUILTINS
 from homlie.hom_lie import change_of_basis, invariant_form_space
 from homlie.operators import left_mult_rep
+from homlie.structure_io import builtin_structure
 from homlie.tensor import Matrix
 
 rng = random.Random(6)
 for b in BUILTINS:
-    sections = builtin_sections(b.name)
-    a = sections["algebra"] if "algebra" in sections else left_mult_rep(sections["lsa"]).base
+    s = builtin_structure(b.name)
+    a = s.algebra if s.algebra is not None else left_mult_rep(s.lsa).base
     while True:
         p = Matrix([[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)])
         if p.det() != 0:

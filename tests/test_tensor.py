@@ -615,9 +615,9 @@ def test_chained_contractions_and_sums_match_the_oracle(seed):
 
 def test_sums_that_cancel_leave_no_entries():
     rng = random.Random(7)
-    skew_box = _random_tensor(rng, (3, 3), 1)
-    skew = {(i, j): skew_box.get((i, j), Q(0)) - skew_box.get((j, i), Q(0)) for i, j in product(range(3), repeat=2)}
-    sym = {(i, j): skew_box.get((i, j), Q(0)) + skew_box.get((j, i), Q(0)) for i, j in product(range(3), repeat=2)}
+    square = _random_tensor(rng, (3, 3), 1)
+    skew = {(i, j): square.get((i, j), Q(0)) - square.get((j, i), Q(0)) for i, j in product(range(3), repeat=2)}
+    sym = {(i, j): square.get((i, j), Q(0)) + square.get((j, i), Q(0)) for i, j in product(range(3), repeat=2)}
     # the pairing of a skew with a symmetric form is 0 term by term in pairs
     zero = contract("", ("ij", _array_of(skew, (3, 3))), ("ij", sym))
     assert zero == {} and dense(zero, ()) == 0 and first_case(zero, (), 0) == []
