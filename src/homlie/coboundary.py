@@ -158,8 +158,11 @@ def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") ->
     """The terms, for contract_sum on the leading letters and "abc", of entry
     (a, b, c) of [r,r] for the coefficients r. Given s on the batch letter batch2,
     of the bilinear form [r,s] whose value at s = r is [r,r]: each term takes its
-    first copy of the r-matrix from r and its second from s."""
+    first copy of the r-matrix from r and its second from s. Every term holds the
+    bracket, so with a zero bracket there are none, and no twist product is built."""
     c, phi, y = a.bracket, a.twist, batch
+    if c.is_zero():
+        return []
     s, z, lead = _pair(r, y, s, batch2)
 
     def twisted(r, y: str) -> tuple[Sparse, Sparse]:
@@ -326,8 +329,11 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, lis
     """(out, terms of the left side, terms of the right side) of each of (a), (b),
     (c) for the coefficients r, for contract_sum on out: entry (k, p, q), or
     (i, j, p, q) for (c), is entry (p, q) of that side at x = e_k, or at (x, y) =
-    (e_i, e_j)."""
+    (e_i, e_j). Every term holds the bracket or d, which holds it, so with a zero
+    bracket no side has a term, and no product of w is built."""
     c, phi, z = a.bracket, a.twist, batch
+    if c.is_zero():
+        return [(out, [], []) for out in (z + "kpq", z + "kpq", z + "ijpq")]
     d = _basis_action(a, r, z)
     w = _twist_compat(a, r, z)
     phi_w = contract(z + "pv", ("pu", phi), (z + "uv", w))  # (phi (x) id) w
@@ -358,10 +364,11 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, lis
     ]
 
 
-def _residuals(a: HomLieAlgebra, r, batch: str = "") -> list[Sparse]:
-    """Left side minus right side of each of (a), (b), (c), as _residual_sides."""
+def _residuals(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, list]]:
+    """(out, terms for contract_sum on out) of left side minus right side of each
+    of (a), (b), (c), as _residual_sides."""
     sides = _residual_sides(a, r, batch)
-    return [contract_sum(out, *lhs, *((-c, *rest) for c, *rest in rhs)) for out, lhs, rhs in sides]
+    return [(out, [*lhs, *((-c, *rest) for c, *rest in rhs)]) for out, lhs, rhs in sides]
 
 
 def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport, CheckReport]:
@@ -371,8 +378,8 @@ def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport,
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
     return tuple(
-        scan(name, first_case(res, (a.dim,) * (2 + nscan), nscan))
-        for (name, nscan), res in zip(_RESIDUALS, _residuals(a, r.coeffs))
+        scan(name, first_case(contract_sum(out, *terms), (a.dim,) * (2 + nscan), nscan))
+        for (name, nscan), (out, terms) in zip(_RESIDUALS, _residuals(a, r.coeffs))
     )
 
 
@@ -412,12 +419,13 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
     """The first failure of a suite over a basis (arrays, or Sparse views, of one
     shape), its elements step at a time. residuals(stack) gives, for a stack of
     elements (one Sparse, the element's index first), the suite's residuals in
-    report order as (residual, shape of one element's residual, number of scanned
-    indices). When paired, residuals(stack, other) gives the bilinear residuals with
-    the stack on _SAMPLE and other on _SECOND, both indices first, and the pairs
-    are scanned through the halved symmetrisation. Returns (case: the 1-based
-    element, or pair a <= b; position of its first failing residual; 1-based
-    indices; residual block), or None when every residual vanishes."""
+    report order as (out, terms for contract_sum on out, shape of one element's
+    residual, number of scanned indices). When paired, residuals(stack, other)
+    gives the bilinear residuals with the stack on _SAMPLE and other on _SECOND,
+    out's first two letters, and the pairs are scanned through the halved
+    symmetrisation. Returns (case: the 1-based element, or pair a <= b; position
+    of its first failing residual; 1-based indices; residual block), or None when
+    every residual vanishes."""
     for start in range(0, len(basis), step):
         chunk = basis[start : start + step]
         head, lead = sparse(chunk), (len(chunk),)
@@ -429,13 +437,14 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
             ahead = residuals(head, tail)
             behind = ahead if tail is head else residuals(tail, head)
             evaluated = [
-                (_symmetrised(res, back, 2 + len(shape)), shape, nscan)
-                for (res, shape, nscan), (back, _, _) in zip(ahead, behind)
+                (out, _symmetrised(out, terms, back), shape, nscan)
+                for (out, terms, shape, nscan), (_, back, _, _) in zip(ahead, behind)
             ]
         else:
             evaluated = residuals(head)
         found = []
-        for pos, (res, shape, nscan) in enumerate(evaluated):
+        for pos, (out, terms, shape, nscan) in enumerate(evaluated):
+            res = contract_sum(out, *terms)
             for at, block, _ in first_case(res, (*lead, *shape), len(lead) + nscan):
                 found.append((at[: len(lead)], pos, at[len(lead) :], block))
         if found:
@@ -446,11 +455,17 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
     return None
 
 
-def _symmetrised(t: Sparse, back: Sparse, order: int) -> Sparse:
-    """t plus back with its first two indices swapped."""
-    rest = "abcdefgh"[: order - 2]
-    out = _SAMPLE + _SECOND + rest
-    return contract_sum(out, (1, [(out, t)]), (1, [(_SECOND + _SAMPLE + rest, back)]))
+def _symmetrised(out: str, terms: list, back: list) -> list:
+    """The terms of a residual on out plus back's read with out's first two letters
+    swapped. When back is terms, each term is read both ways, so that its
+    contraction is made once."""
+    swap = str.maketrans(out[:2], out[1::-1])
+    both = back is terms
+    summed = [] if both else list(terms)
+    for c, operands, *reads in back:
+        reads = reads or [out]
+        summed.append((c, operands, *(reads if both else ()), *(read.translate(swap) for read in reads)))
+    return summed
 
 
 def run_residual_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
@@ -465,8 +480,8 @@ def run_residual_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
     n = a.dim
 
     def residuals(stack):
-        evaluated = _residuals(a, stack, _SAMPLE)
-        return [(res, (n,) * (2 + nscan), nscan) for (_, nscan), res in zip(_RESIDUALS, evaluated)]
+        evaluated = zip(_RESIDUALS, _residuals(a, stack, _SAMPLE))
+        return [(out, terms, (n,) * (2 + nscan), nscan) for (_, nscan), (out, terms) in evaluated]
 
     units = [Sparse({(p, q): 1}) for p in range(n) for q in range(n)]
     found = _first_failure(units, _chunk(a, n * n), residuals)
@@ -492,8 +507,8 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport
         d = _basis_action(a, r, y)
         e = d if s is r else _basis_action(a, s, z)
         square = contract_sum(y + z + "abc", *_r_square(a, r, y, s, z))
-        adjoint = ((-c, ops) for c, ops in _adjoint_on(a, square, y + z))
-        return [(contract_sum(y + z + "kabc", *_co_jacobiator(a, d, y, e, z), *adjoint), (n,) * 4, 1)]
+        adjoint = [(-c, ops) for c, ops in _adjoint_on(a, square, y + z)]
+        return [(y + z + "kabc", [*_co_jacobiator(a, d, y, e, z), *adjoint], (n,) * 4, 1)]
 
     found = _first_failure(kernel, _chunk(a, len(kernel), True), residuals, paired=True)
     if found is None:

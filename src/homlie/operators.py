@@ -441,8 +441,8 @@ def run_defect_expansion_suite(
         r = _lifted_r(t, n, y)
         s = r if u is t else _lifted_r(u, n, z)
         expected = _expansion(a, _defect_tensor(rep, t, y, u, z), y + z)
-        res = contract_sum(y + z + "abc", *_r_square(big, r, y, s, z), (-1, [(y + z + "abc", expected)]))
-        return [(res, (d,) * 3, 0)]
+        terms = [*_r_square(big, r, y, s, z), (-1, [(y + z + "abc", expected)])]
+        return [(y + z + "abc", terms, (d,) * 3, 0)]
 
     found = _first_failure(space, _chunk(big, len(space), True), residuals, paired=True)
     if found is None:

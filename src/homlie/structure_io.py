@@ -100,10 +100,11 @@ def _require_list(node, path: str) -> list:
     return node
 
 
-def _sparse_entries(node, path: str, rank: int) -> dict:
-    """The entries of the sparse array at node, (p, q) by index tuple."""
+def _sparse_entries(node, path: str, shape: tuple[int, ...]) -> dict:
+    """The entries of the sparse array of this shape at node, (p, q) by index
+    tuple, each checked as it is read."""
     entries = _require_list(node.get("entries"), f"{path}.entries")
-    out = {}
+    rank, out = len(shape), {}
     for pos, row in enumerate(entries):
         here = f"{path}.entries[{pos}]"
         row = _require_list(row, here)
@@ -111,13 +112,16 @@ def _sparse_entries(node, path: str, rank: int) -> dict:
             raise StructureParseError(
                 here, f"want {rank} indices plus a value, got {len(row)} items"
             )
-        for x in row[:rank]:
+        index = tuple(row[:rank])
+        for x, d in zip(index, shape):
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise StructureParseError(here, "indices are 1-based integers")
+            if x > d:
+                raise StructureParseError(path, f"entry {index} outside " + " x ".join(map(str, shape)))
         val = _parse_q(row[rank], here)
-        idx = tuple(x - 1 for x in row[:rank])
+        idx = tuple(x - 1 for x in index)
         if idx in out:
-            raise StructureParseError(here, f"duplicate entry {tuple(row[:rank])}")
+            raise StructureParseError(here, f"duplicate entry {index}")
         out[idx] = val
     return out
 
@@ -129,14 +133,7 @@ def _parse_array(node, path: str, shape: tuple[int, ...]) -> Array:
     """A dense or sparse matrix or order-3 array of exactly this shape, read
     straight into its integer view over the LCM of the scalars' denominators."""
     if isinstance(node, dict):
-        entries = _sparse_entries(node, path, len(shape))
-        for idx in entries:
-            if any(i >= d for i, d in zip(idx, shape)):
-                raise StructureParseError(
-                    path,
-                    f"entry {tuple(i + 1 for i in idx)} outside "
-                    + " x ".join(map(str, shape)),
-                )
+        entries = _sparse_entries(node, path, shape)
     else:
         entries = {}
         _parse_dense(node, path, shape, _LEVELS[len(shape)], entries)

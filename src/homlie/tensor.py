@@ -16,16 +16,18 @@ into an array.
 (``estimate``) and computes a contraction read under several key orders once. When
 one operand alone has a contraction's last letter, the lane, it is packed along the
 lane into one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker
-substitution), so one bigint product covers the lane, and all terms are packed at one
-width B, from an exact bound on the whole sum, into one result. It stays packed
-through ``first_case``, ``dense`` (which unpacks only the block it returns) and
-contractions whose lane it is at that width; any other read unpacks it, once.
+substitution), so one bigint product covers the lane; all terms are summed packed at
+one width B, from an exact bound on the whole sum, and the total is unpacked once
+before it is returned. Packing lives only inside ``contract_sum``: every ``Sparse``
+outside it holds plain numerators.
+
 Fractions are built only in ``entries`` and ``rows``, single-entry reads, and the
 results of ``rref`` and ``Matrix.det``; rendering formats the integer view. These two,
 ``Matrix.inverse``, ``nullspace`` and ``matrix_kernels`` eliminate on integer rows.
 ``matrix_kernels`` solves a linear identity in an unknown matrix from the identity's
 own contraction on a stack of unknown matrices (``unit_stack``, ``skew_stack``), so
-each identity is written once, for checking and solving alike. Every comparison is exact: there are no tolerances.
+each identity is written once, for checking and solving alike. Every comparison is
+exact: there are no tolerances.
 
 Conventions that the rest of the package relies on:
 
@@ -356,68 +358,19 @@ class Sparse(dict):
     """A tensor as integer numerators over one positive denominator: entry `key`
     is its value / self.den, a missing key is a zero, and no value is 0. Equality
     compares the rational entries. Every operation returns a new Sparse, and none
-    changes the tensor one holds, so arrays can share their views with the kernel.
+    changes the tensor one holds, so arrays can share their views with the kernel."""
 
-    With a nonzero `width`, the entries are packed over the last index: a key is
-    the rest of an index, its value the sum of v_l 2^(width l) over the entries v_l
-    at last index l. `bound` bounds the sum of every |v|, and bound < 2^(width - 1),
-    so each v_l is a balanced digit of the int, and the int is 0 exactly when every
-    v_l is 0. contract_sum (where this is the lane at this width), negation, bool,
-    first_case and dense read the packed ints; any other read of the items
-    (iteration, lookup, len, ==, +, ...) first unpacks the tensor in place, once,
-    into plain numerators."""
+    __slots__ = ("den",)
 
-    __slots__ = ("den", "width", "bound")
-
-    def __init__(self, entries=(), den: int = 1, width: int = 0, bound: int = 0):
+    def __init__(self, entries=(), den: int = 1):
         super().__init__(entries)
-        self.den, self.width, self.bound = den, width, bound
-
-    def _plain(self) -> "Sparse":
-        """This tensor, its entries unpacked if they were packed."""
-        if self.width:
-            rows = list(dict.items(self))
-            dict.clear(self)
-            dict.update(self, _unpacked(rows, self.width))
-            self.width = self.bound = 0
-        return self
-
-    def __iter__(self):
-        return dict.__iter__(self._plain())
-
-    def __len__(self) -> int:
-        return dict.__len__(self._plain())
-
-    def __bool__(self) -> bool:
-        return dict.__len__(self) != 0
-
-    def __contains__(self, key) -> bool:
-        return dict.__contains__(self._plain(), key)
-
-    def __getitem__(self, key):
-        return dict.__getitem__(self._plain(), key)
-
-    def get(self, key, default=None):
-        return dict.get(self._plain(), key, default)
-
-    def keys(self):
-        return dict.keys(self._plain())
-
-    def values(self):
-        return dict.values(self._plain())
-
-    def items(self):
-        return dict.items(self._plain())
-
-    def __repr__(self) -> str:
-        return dict.__repr__(self._plain())
+        self.den = den
 
     def __reduce__(self):
-        """Copies and pickles hold the plain entries."""
-        return Sparse, (dict(self.items()), self.den)
+        """Copies and pickles hold the entries and the denominator."""
+        return Sparse, (dict(self), self.den)
 
     def __add__(self, other) -> "Sparse":
-        """The sum, unpacked; contract_sum sums contractions packed."""
         other = sparse(other)
         if not other:
             return self
@@ -425,7 +378,7 @@ class Sparse(dict):
             return other
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        out = {key: a * v for key, v in self.items()} if a > 1 else dict(self.items())
+        out = {key: a * v for key, v in self.items()} if a > 1 else dict(self)
         for key, v in other.items():
             w = out.get(key, 0) + b * v
             if w:
@@ -435,7 +388,7 @@ class Sparse(dict):
         return Sparse(out, den)
 
     def __neg__(self) -> "Sparse":
-        return Sparse({key: -v for key, v in dict.items(self)}, self.den, self.width, self.bound)
+        return Sparse({key: -v for key, v in self.items()}, self.den)
 
     def __sub__(self, other) -> "Sparse":
         return self + -sparse(other)
@@ -496,7 +449,8 @@ def _cleared(entries: Iterable[tuple[object, Scalar]]) -> tuple[dict, int]:
 # v_0, v_1, ... of a row along one index are the int sum of v_l 2^(width l). The
 # map is Z-linear, so sums, differences and integer multiples of packed ints are
 # the packed sums, differences and multiples of their rows, and a row is read
-# back exactly as balanced digits while every |v_l| < 2^(width - 1).
+# back exactly as balanced digits while every |v_l| < 2^(width - 1). Only
+# contract_sum packs and unpacks.
 
 
 def _slots(p: int, width: int) -> Iterator[tuple[int, int]]:
@@ -532,11 +486,6 @@ _BUT_LAST = operator.itemgetter(slice(-1))
 def _width(bound: int) -> int:
     """The slot width for entries whose |v| sum to at most bound, with a sign bit."""
     return bound.bit_length() + 1
-
-
-def _abs_sum(t: Sparse) -> int:
-    """A bound on the sum of |v| over the entries of t."""
-    return t.bound if t.width else sum(map(abs, dict.values(t)))
 
 
 # --- contraction ----------------------------------------------------------------
@@ -597,12 +546,12 @@ def _plan(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple:
     reads (out when there are none), and one job per letter that the reads put
     last, as (lane, lane_at, lane_rest, order, first, joins, keymaps). lane is the
     operand that alone has that letter, packed over it (or None), lane_at the
-    letter's place in its labels (-1 for the last), lane_rest the picker of a
-    packed row's key; order is estimate()'s; first picks the first operand's kept
-    indices; per later operand, joins holds the pickers of its indices shared with
-    the accumulator and of its kept ones, and of the accumulator's shared and kept
-    ones; per read, keymaps holds its sign and the picker of out's order. A picker
-    that would keep a key as it is is None."""
+    letter's place in its labels, lane_rest the picker of a packed row's key; order
+    is estimate()'s; first picks the first operand's kept indices; per later
+    operand, joins holds the pickers of its indices shared with the accumulator and
+    of its kept ones, and of the accumulator's shared and kept ones; per read,
+    keymaps holds its sign and the picker of out's order. A picker that would keep
+    a key as it is is None."""
 
     def pick(letters, labels: str):
         return _picker([labels.index(l) for l in letters])
@@ -634,9 +583,9 @@ def _plan(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple:
             else:
                 first = keep(kept_fresh, row)
             have = "".join(kept_have + kept_fresh)
-        at = -1 if labels.endswith(letter) else labels.index(letter)
         keymaps = tuple((sign, keep(letters[:-1] if letter else letters, have)) for sign, letters in group)
-        jobs.append((lane, at, pick(labels.replace(letter, ""), labels), order, first, tuple(joins), keymaps))
+        rest = pick(labels.replace(letter, ""), labels)
+        jobs.append((lane, labels.index(letter), rest, order, first, tuple(joins), keymaps))
     return any(job[0] is not None for job in jobs), len(reads or (out,)), tuple(jobs)
 
 
@@ -660,11 +609,11 @@ def contract_sum(out: str, *terms) -> Sparse:
     denominators; sums that cancel are left out. The operands join in estimate()'s
     order: the first one's kept indices start the accumulator, and each later one
     is grouped by the letters it shares with it and multiplied in. The operand that
-    alone has a job's last letter, the lane, is packed over it (see Sparse), and all
-    terms are packed at one width from an exact bound on the sum (per term and
-    read, |c| den / its den times the product of its operands' sums of
-    |numerators|) into one dict. An operand packed over the lane, as its last
-    index, at that width keeps its rows; any other packed operand is unpacked."""
+    alone has a job's last letter, the lane, is packed over it (see "packed lanes"
+    above), all terms are summed packed at one width from an exact bound on the sum
+    (per term and read, |c| den / its den times the product of its operands' sums
+    of |numerators|) into one dict, and that dict is unpacked once into the
+    result."""
     live, dens = [], []
     for c, operands, *reads in terms:
         xs = [sparse(x) for _, x in operands]
@@ -676,15 +625,14 @@ def contract_sum(out: str, *terms) -> Sparse:
     width = bound = 0
     if any([packs for _, _, _, packs, _, _ in live]):
         for c, xs, d, _, nreads, _ in live:
-            bound += abs(c) * den // d * nreads * prod(map(_abs_sum, xs))
+            bound += abs(c) * den // d * nreads * prod([sum(map(abs, x.values())) for x in xs])
         width = _width(bound)
     total, mixed = {}, False
     for c, xs, d, _, _, jobs in live:
         for lane, lane_at, lane_rest, order, first, joins, keymaps in jobs:
             items = [
-                xs[pos].items() if pos != lane
-                else dict.items(xs[pos]) if xs[pos].width == width and lane_at == -1
-                else _packed(xs[pos].items(), lane_at, lane_rest, width).items()
+                _packed(xs[pos].items(), lane_at, lane_rest, width).items() if pos == lane
+                else xs[pos].items()
                 for pos in order
             ]
             acc = dict(items[0]) if first is None else defaultdict(int)
@@ -713,21 +661,18 @@ def contract_sum(out: str, *terms) -> Sparse:
                         total[k] = total.get(k, 0) + v
                 else:
                     total = {k: v for k, v in entries if v}
-    return Sparse({k: v for k, v in total.items() if v} if mixed else total, den, width, bound)
+    if width:
+        return Sparse(_unpacked(total.items(), width), den)
+    return Sparse({k: v for k, v in total.items() if v} if mixed else total, den)
 
 
 def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):
     """The block of t (anything sparse() takes, its keys inside `shape`) at the
     index prefix `at`, over the rest of `shape`: the Fraction there when `at` is a
     whole index, else the Vector, Matrix or Tensor3 whose view is the block's
-    numerators, sliced from t without building a Fraction. Of a packed t only the
-    rows of the block are unpacked."""
+    numerators, sliced from t without building a Fraction."""
     t = sparse(t)
     cut = len(at)
-    if t.width:
-        row = at[: len(shape) - 1]
-        rows = [(key, p) for key, p in dict.items(t) if key[: len(row)] == row]
-        t = Sparse(_unpacked(rows, t.width), t.den)
     rest = shape[cut:]
     if not rest:
         v = t.get(at)
@@ -743,15 +688,11 @@ _ARRAYS = (Vector, Matrix, Tensor3)
 def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
     """The case report.scan needs of a residual tensor t over `shape`: the least
     prefix of nscan indices with a nonzero entry, as (1-based indices, the block of
-    t there, note); no case when t is zero. A packed t is read by its rows: the
-    least row is unpacked only when nscan takes in the last index, and dense
-    unpacks only the rows of the block."""
+    t there, note); no case when t is zero."""
     t = sparse(t)
     if not t:
         return []
-    at = min(key[:nscan] for key in dict.keys(t))
-    if t.width and nscan == len(shape):
-        at = min(_unpacked([(at, dict.__getitem__(t, at))], t.width))
+    at = min(key[:nscan] for key in t)
     return [(tuple(i + 1 for i in at), dense(t, shape, at), note)]
 
 
@@ -898,17 +839,10 @@ def skew_stack(n: int) -> Tensor3:
 
 
 def _equations(residual: Sparse) -> Iterable[dict[int, int]]:
-    """The nonzero equations of a residual, by z; one packed over its last index is
-    read row by row, without unpacking it."""
+    """The nonzero equations of a residual, by z."""
     rows: dict = defaultdict(dict)
-    if residual.width:
-        for key, p in dict.items(residual):
-            z, rest = key[0], key[1:]
-            for l, v in _slots(p, residual.width):
-                rows[rest, l][z] = v
-    else:
-        for key, v in residual.items():
-            rows[key[1:]][key[0]] = v
+    for key, v in residual.items():
+        rows[key[1:]][key[0]] = v
     return rows.values()
 
 

@@ -1,5 +1,5 @@
-"""`homlie validate` on generated documents: whatever the input, the exit code
-is 0, 1 or 2 and no exception escapes main."""
+"""`homlie validate` and `homlie build` on generated documents: whatever the
+input, the exit code is 0, 1 or 2 and no exception escapes main."""
 
 import contextlib
 import io
@@ -10,7 +10,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie.cli import CHECK_ALIASES, CHECKS, main
+from homlie.cli import CHECK_ALIASES, CHECKS, CONSTRUCTIONS, main
 from homlie.corpus import BUILTINS
 from homlie.structure_io import builtin_structure
 
@@ -110,16 +110,29 @@ RMATRIX = st.one_of(
 CHECK_TOKENS = st.sampled_from([*CHECKS, *CHECK_ALIASES, "no-such-check"])
 
 
-@given(documents(), RMATRIX, CHECK_TOKENS)
-@settings(max_examples=300, deadline=None)
-def test_validate_exits_with_a_code_on_any_document(doc, rmatrix, check):
+def _exit_code(doc, command, *options) -> int:
+    """main's exit code for the command on doc, written to a file, with options."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f)
-        argv = ["validate", path, "--check", check]
-        if rmatrix is not None:
-            argv.append(f"--rmatrix={rmatrix}")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    assert code in (0, 1, 2)
+            return main([*command, path, *options])
+
+
+def _rmatrix_option(rmatrix) -> list:
+    return [] if rmatrix is None else [f"--rmatrix={rmatrix}"]
+
+
+@given(documents(), RMATRIX, CHECK_TOKENS)
+@settings(max_examples=300, deadline=None)
+def test_validate_exits_with_a_code_on_any_document(doc, rmatrix, check):
+    assert _exit_code(doc, ["validate"], "--check", check, *_rmatrix_option(rmatrix)) in (0, 1, 2)
+
+
+@given(documents(), st.sampled_from(list(CONSTRUCTIONS)), RMATRIX, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_build_exits_with_a_code_on_any_document(doc, construction, rmatrix, adjoint, zero):
+    options = [*_rmatrix_option(rmatrix), *(["--rep", "adjoint"] if adjoint else [])]
+    options += ["--cobracket", "zero"] if zero else []
+    assert _exit_code(doc, ["build", construction], *options) in (0, 1, 2)

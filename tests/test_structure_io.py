@@ -325,6 +325,8 @@ SHAPE_ERRORS = [
         "algebra.bracket",
         "entry (1, 2, 3) outside 2 x 2 x 2",
     ),
+    # of two faults, the first in reading order is named
+    ("twist", {"entries": [[1, 3, "1"], [1, 1, "x"]]}, "algebra.twist", "entry (1, 3) outside 2 x 2"),
 ]
 
 

@@ -240,7 +240,8 @@ def test_pairs_are_read_through_the_symmetrised_form_in_any_chunks(step):
 
     def residuals(m):
         def of(x, y):
-            return [(contract(_SAMPLE + _SECOND + "c", (_SAMPLE + "i", x), ("ijc", m), (_SECOND + "j", y)), (1,), 0)]
+            out = _SAMPLE + _SECOND + "c"
+            return [(out, [(1, [(_SAMPLE + "i", x), ("ijc", m), (_SECOND + "j", y)])], (1,), 0)]
 
         return of
 

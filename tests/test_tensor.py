@@ -815,18 +815,18 @@ def test_random_combination_is_the_sum_of_the_scaled_elements(seed):
         random_combination(rng, [Matrix.zero(2), Matrix.zero(3)])
 
 
-# --- packed lanes: results packed over their last index, against the oracle ---
+# --- packed lanes: contractions summed packed over their last index, against the oracle ---
 #
-# A result whose last index is the lane holds one packed int per row (width > 0).
-# Each is read through dense and first_case first, while still packed, and only
-# then unpacked by _rationals; every reading is compared with oracle_contract.
+# contract_sum packs the operand that alone holds the result's last index, the
+# lane, sums packed, and unpacks the total before it returns it. Each result is
+# read through dense, first_case and _rationals, and every reading is compared
+# with oracle_contract.
 
 
 def _packed_agrees(got, want, shape):
     """dense at every prefix leaving at most three indices, and first_case at the
-    depth of each such prefix, read the result as the oracle's entries `want`
-    without unpacking it, and the unpacked result is `want`."""
-    packed = got.width
+    depth of each such prefix, read the result as the oracle's entries `want`, and
+    so does _rationals."""
     for cut in range(max(0, len(shape) - 3), len(shape) + 1):
         for at in product(*map(range, shape[:cut])):
             block = {key[cut:]: v for key, v in want.items() if key[:cut] == at}
@@ -835,7 +835,6 @@ def _packed_agrees(got, want, shape):
         nonzero = sorted(key[:cut] for key in want)
         expect = [(tuple(i + 1 for i in nonzero[0]), dense(want, shape, nonzero[0]), "")] if nonzero else []
         assert first_case(got, shape, cut) == expect
-    assert got.width == packed  # the reads above left it packed
     assert _rationals(got) == want
 
 
@@ -849,7 +848,6 @@ def test_packed_slots_of_both_signs_and_a_cancelled_slot():
     want = oracle_contract("ik", sizes, ("ij", a), ("jk", b))
     assert (0, 1) not in want and want[(1, 0)] < 0 < want[(1, 1)]
     got = contract("ik", ("ij", a), ("jk", _array_of(b, (3, 3))))
-    assert got.width and len(dict.keys(got)) == 2  # one packed int per row
     _packed_agrees(got, want, (2, 3))
 
 
@@ -861,12 +859,10 @@ def test_packed_slot_at_the_bound(bits):
         for sign in (1, -1):
             x, m = {(0,): Q(sign * top)}, {(0, 1): Q(1)}
             got = contract("k", ("j", x), ("jk", m))
-            assert got.bound == top and got.width
             _packed_agrees(got, {(1,): Q(sign * top)}, (3,))
             # the same bound spread over neighbours of both signs, one of them 0
             m = {(0, 0): Q(top - 1), (0, 2): Q(-1), (0, 3): Q(1)}
             got = contract("k", ("j", {(0,): Q(sign)}), ("jk", m))
-            assert got.bound == top + 1
             want = oracle_contract("k", {"j": 1, "k": 4}, ("j", {(0,): Q(sign)}), ("jk", m))
             _packed_agrees(got, want, (4,))
 
@@ -881,12 +877,12 @@ def test_packed_rows_read_back_at_the_edge_of_their_width():
     edge = 2 ** (w - 1) - 1
     slots = {(0, 0): edge, (0, 1): -edge, (0, 3): 1, (1, 2): -1, (1, 4): edge, (2, 0): -edge}
     rows = tensor._packed(slots.items(), -1, lambda key: key[:-1], w)
-    t = Sparse(rows, 7, w, edge)
+    assert tensor._unpacked(rows.items(), w) == slots
+    t = Sparse(slots, 7)
     want = {key: Q(v, 7) for key, v in slots.items()}
     assert first_case(t, (3, 5), 2) == [((1, 1), Q(edge, 7), "")]
     # the sum of two such tensors no longer fits in w bits: it is packed wider
-    double = contract_sum("ij", *[(1, [("ij", Sparse(rows, 7, w, edge))])] * 2)
-    assert double.width > w
+    double = contract_sum("ij", *[(1, [("ij", t)])] * 2)
     _packed_agrees(double, {key: 2 * v for key, v in want.items()}, (3, 5))
     _packed_agrees(t, want, (3, 5))
 
@@ -910,7 +906,6 @@ def test_the_lane_in_any_operand_matches_the_oracle(seed):
     operands, plain = _seeded_operands(rng, spec_labels, sizes, seed)
     got = contract(out, *operands)
     want = oracle_contract(out, sizes, *plain)
-    assert got.width or not want
     _packed_agrees(got, want, tuple(sizes[l] for l in out))
 
 
@@ -922,7 +917,6 @@ def test_a_lane_letter_in_two_operands_or_a_scalar_out_stays_unpacked(out, spec_
     sizes = dict.fromkeys("ijk", 3)
     plain = [(labels, _random_tensor(rng, tuple(sizes[l] for l in labels), 0.8)) for labels in spec_labels]
     got = contract(out, *plain)
-    assert got.width == 0
     assert _rationals(got) == oracle_contract(out, sizes, *plain)
 
 
@@ -941,15 +935,14 @@ def test_sums_of_packed_results_of_unequal_width_and_denominator(seed):
     a, b, c, d = small(), small(), operand(Q(2**50, rng.randint(1, 10**6))), operand(Q(3))
     plain = operand(Q(1, 7))
 
-    # fresh results each time: an operand packed at another width than the sum's
-    # is unpacked in place where the sum reads it
+    # narrow and wide are each summed packed at their own width; a sum that reads
+    # them packs them again at its own
     def narrow():
         return contract("ik", ("ij", a), ("jk", b))
 
     def wide():
         return contract("ik", ("ij", c), ("jk", _array_of(d, (n, n))))
 
-    assert not (a and b and c and d) or 0 < narrow().width < wide().width
     want_narrow = oracle_contract("ik", sizes, ("ij", a), ("jk", b))
     want_wide = oracle_contract("ik", sizes, ("ij", c), ("jk", d))
 
@@ -969,46 +962,19 @@ def test_sums_of_packed_results_of_unequal_width_and_denominator(seed):
         (summed((1, narrow()), (-1, plain)), combined((1, want_narrow), (-1, plain))),
         (summed((-1, wide()), (1, narrow()), (-1, narrow())), combined((-1, want_wide))),
         (summed((1, wide()), (-1, wide())), {}),
-        # + and - read packed operands as plain numerators
+        # + and - of contractions
         (narrow() + wide(), combined((1, want_narrow), (1, want_wide))),
         (sparse(plain) - wide(), combined((1, plain), (-1, want_wide))),
     ]
     # one narrow result read seventeen times: the sum is packed wider
     total = summed(*[(1, narrow())] * 17)
-    assert not want_narrow or total.width > narrow().width
     cases.append((total, combined((17, want_narrow))))
-    # a later contraction reads packed rows, unpacked when they are too narrow
+    # a later contraction reads the result as an operand, on or off its lane
     big = {(i,): Q(rng.choice((-1, 1)) * 2**90, rng.randint(1, 10**6)) for i in range(n)}
     cases.append((contract("ik", ("ik", narrow()), ("i", big)), oracle_contract("ik", sizes, ("ik", want_narrow), ("i", big))))
     cases.append((contract("ki", ("ik", wide())), {(k, i): v for (i, k), v in want_wide.items()}))
     for got, want in cases:
         _packed_agrees(got, want, (n, n))
-
-
-def test_dense_and_first_case_unpack_only_the_rows_they_return(monkeypatch):
-    from homlie import tensor
-
-    rng = random.Random(4)
-    n = 3
-    bracket = _array_of(_random_tensor(rng, (n,) * 3, 1), (n,) * 3)
-    twist = _array_of(_random_tensor(rng, (n, n), 1), (n, n))
-    t = contract("ijkl", ("pi", twist), ("pql", bracket), ("jkq", bracket))
-    assert t.width and len(dict.keys(t)) == n**3
-    unpacked = [0]
-    real = tensor._slots
-
-    def counting(p, width):
-        unpacked[0] += 1
-        return real(p, width)
-
-    monkeypatch.setattr(tensor, "_slots", counting)
-    for nscan, rows in ((3, 1), (4, 2), (2, n), (1, n * n)):
-        before = unpacked[0]
-        (case,) = first_case(t, (n,) * 4, nscan)
-        assert unpacked[0] - before == rows
-    before = unpacked[0]
-    dense(t, (n,) * 4, (0, 1))
-    assert unpacked[0] - before == n and t.width
 
 
 def test_copies_of_a_packed_result_hold_its_entries():
@@ -1018,7 +984,6 @@ def test_copies_of_a_packed_result_hold_its_entries():
     m = Matrix([[1, Q(-2, 3)], [3, 4]])
     for dup in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
         t = contract("ik", ("ij", m), ("jk", m))
-        assert t.width
         assert dense(dup(t), (2, 2)) == m @ m
 
 
