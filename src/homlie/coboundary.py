@@ -325,12 +325,24 @@ _RESIDUALS = (
 )
 
 
-def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, list, list]]:
+def _twisted_adjoints(a: HomLieAlgebra) -> tuple[Sparse, Sparse]:
+    """The two contractions of the right sides that do not depend on r: entry
+    (k, m, u) of the first is entry (m, u) of ad_{phi e_k} phi, and entry
+    (i, j, m, u) of the second is entry (m, u) of ad_{[e_i, e_j]} phi."""
+    c, phi = a.bracket, a.twist
+    return (
+        contract("kmu", ("ik", phi), ("ijm", c), ("ju", phi)),
+        contract("ijmu", ("ijs", c), ("slm", c), ("lu", phi)),
+    )
+
+
+def _residual_sides(a: HomLieAlgebra, r, adjoints: tuple, batch: str = "") -> list[tuple[str, list, list]]:
     """(out, terms of the left side, terms of the right side) of each of (a), (b),
     (c) for the coefficients r, for contract_sum on out: entry (k, p, q), or
     (i, j, p, q) for (c), is entry (p, q) of that side at x = e_k, or at (x, y) =
-    (e_i, e_j). Every term holds the bracket or d, which holds it, so with a zero
-    bracket no side has a term, and no product of w is built."""
+    (e_i, e_j). adjoints is _twisted_adjoints(a), which a suite builds once for
+    all its chunks. Every term holds the bracket or d, which holds it, so with a
+    zero bracket no side has a term, and no product of w is built."""
     c, phi, z = a.bracket, a.twist, batch
     if c.is_zero():
         return [(out, [], []) for out in (z + "kpq", z + "kpq", z + "ijpq")]
@@ -345,10 +357,7 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, lis
         """(X (x) phi - phi (x) X) w for the matrix X = x at each value of `lead`."""
         return [(1, [(lead + "pu", x), (z + "uq", w_phi)]), (-1, [(z + "pv", phi_w), (lead + "qv", x)])]
 
-    # entry (k, m, u): entry (m, u) of ad_{phi e_k} phi
-    ad_phi = contract("kmu", ("ik", phi), ("ijm", c), ("ju", phi))
-    # entry (i, j, m, u): entry (m, u) of ad_{[e_i, e_j]} phi
-    ad_bracket = contract("ijmu", ("ijs", c), ("slm", c), ("lu", phi))
+    ad_phi, ad_bracket = adjoints
     return [
         (
             z + "kpq",
@@ -364,10 +373,10 @@ def _residual_sides(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, lis
     ]
 
 
-def _residuals(a: HomLieAlgebra, r, batch: str = "") -> list[tuple[str, list]]:
+def _residuals(a: HomLieAlgebra, r, adjoints: tuple, batch: str = "") -> list[tuple[str, list]]:
     """(out, terms for contract_sum on out) of left side minus right side of each
     of (a), (b), (c), as _residual_sides."""
-    sides = _residual_sides(a, r, batch)
+    sides = _residual_sides(a, r, adjoints, batch)
     return [(out, [*lhs, *((-c, *rest) for c, *rest in rhs)]) for out, lhs, rhs in sides]
 
 
@@ -377,9 +386,10 @@ def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport,
     require(
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
+    residuals = _residuals(a, r.coeffs, _twisted_adjoints(a))
     return tuple(
         scan(name, first_case(contract_sum(out, *terms), (a.dim,) * (2 + nscan), nscan))
-        for (name, nscan), (out, terms) in zip(_RESIDUALS, _residuals(a, r.coeffs))
+        for (name, nscan), (out, terms) in zip(_RESIDUALS, residuals)
     )
 
 
@@ -477,10 +487,10 @@ def run_residual_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport:
     require(
         is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
     )
-    n = a.dim
+    n, adjoints = a.dim, _twisted_adjoints(a)
 
     def residuals(stack):
-        evaluated = zip(_RESIDUALS, _residuals(a, stack, _SAMPLE))
+        evaluated = zip(_RESIDUALS, _residuals(a, stack, adjoints, _SAMPLE))
         return [(out, terms, (n,) * (2 + nscan), nscan) for (_, nscan), (out, terms) in evaluated]
 
     units = [Sparse({(p, q): 1}) for p in range(n) for q in range(n)]

@@ -21,16 +21,17 @@ from .report import CheckReport, combined, scan
 from .tensor import (
     _SAMPLE,
     Matrix,
+    PencilCertificate,
     ShapeError,
     Sparse,
     Tensor3,
     Vector,
     contract,
     contract_sum,
+    decide_pencil,
     dense,
     first_case,
     matrix_kernels,
-    pencil_det,
     sparse,
     unit_stack,
 )
@@ -229,28 +230,36 @@ def equivalence_to_form(a: HomLieAlgebra, psi: Matrix) -> BilinearFormB:
 
 @dataclass(frozen=True)
 class InvariantFormSpace:
-    """Solution space of the invariance equations, as Gram matrices."""
+    """Solution space of the invariance equations, as Gram matrices, with the
+    certificate that decides each flag (see tensor.decide_pencil): a nondegenerate
+    Gram matrix in the space, a subspace U that every form in it maps into a smaller
+    space, or the verdict of the determinant expansion."""
 
     basis: tuple[Matrix, ...]
     symmetric_basis: tuple[Matrix, ...]
     has_nondegenerate: bool
     has_nondegenerate_symmetric: bool
+    certificate: PencilCertificate
+    symmetric_certificate: PencilCertificate
 
 
 def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     """Solve the invariance identities as a linear system in the Gram entries,
     then add B(e_i, e_j) = B(e_j, e_i) for the symmetric forms.
 
-    A nondegenerate solution exists when the determinant of a generic element
-    of the solution space is not the zero polynomial (over an infinite field a
-    nonzero polynomial has a rational non-root), expanded exactly by pencil_det.
+    Whether a space holds a nondegenerate form is decided by decide_pencil on its
+    basis, with a certificate: a Gram matrix of the space with a nonzero
+    determinant, or a subspace U with dim(sum_a B_a U) < dim U, found by exact
+    ranks; the n!-sized determinant expansion pencil_det runs only when neither is
+    found.
     """
     n, z = a.dim, _SAMPLE
     stack = unit_stack(n, n)
     invariance = [_form_invariance(a, stack, z), _twist_symmetry(a, stack, z)]
     symmetry = [contract_sum(z + "ij", (1, [(z + "ij", stack)]), (-1, [(z + "ij", stack)], z + "ji"))]
     bases = [tuple(b) for b in matrix_kernels(stack, invariance, symmetry)]
-    return InvariantFormSpace(*bases, *(bool(pencil_det(b, n)) for b in bases))
+    certificates = [decide_pencil(b, n) for b in bases]
+    return InvariantFormSpace(*bases, *(c.nonsingular for c in certificates), *certificates)
 
 
 def change_of_basis(a: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:

@@ -26,8 +26,9 @@ results of ``rref`` and ``Matrix.det``; rendering formats the integer view. Thes
 ``Matrix.inverse``, ``nullspace`` and ``matrix_kernels`` eliminate on integer rows.
 ``matrix_kernels`` solves a linear identity in an unknown matrix from the identity's
 own contraction on a stack of unknown matrices (``unit_stack``, ``skew_stack``), so
-each identity is written once, for checking and solving alike. Every comparison is
-exact: there are no tolerances.
+each identity is written once, for checking and solving alike. ``decide_pencil``
+decides by exact ranks, with a certificate, whether a span of matrices holds a
+nonsingular one. Every comparison is exact: there are no tolerances.
 
 Conventions that the rest of the package relies on:
 
@@ -49,7 +50,7 @@ from functools import lru_cache
 from itertools import permutations
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import ClassVar, Iterable, Iterator, Sequence, Union
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence, Union
 
 Q = Fraction
 
@@ -876,7 +877,9 @@ def pencil_det(mats: Sequence[Matrix], n: int) -> dict[tuple[int, ...], Fraction
     its variable indices a, maps to its nonzero coefficient, so the result is empty
     exactly when every member of the span is singular. Laplace expansion along the
     rows, the minor on the first i rows memoised by its set S of columns (at most
-    2^n minors); entry (i, j), j not in S, has sign (-1)^(columns of S after j)."""
+    2^n minors); entry (i, j), j not in S, has sign (-1)^(columns of S after j).
+    Its work grows like n! on a generic pencil, so decide_pencil runs it only on
+    the pencils that neither a point nor a shrunk subspace decides."""
     minors = {0: {(): ONE}}  # keyed by S as a bit mask
     for i in range(n):
         entries = [[(a, e) for a, m in enumerate(mats) if (e := m[i, j])] for j in range(n)]
@@ -893,3 +896,150 @@ def pencil_det(mats: Sequence[Matrix], n: int) -> dict[tuple[int, ...], Fraction
                                 poly[key] = poly.get(key, ZERO) + (-c * e if odd else c * e)
         minors = grown
     return {mono: c for mono, c in minors.get((1 << n) - 1, {}).items() if c}
+
+
+# --- nonsingular members of a pencil ------------------------------------------
+#
+# Whether the span of n x n matrices M_a holds a nonsingular member, decided with a
+# certificate that is checked by exact ranks alone. A member of rank n answers
+# "yes". A subspace U with dim(sum_a M_a U) < dim U answers "no": every member of
+# the span maps U into that smaller space. The second Wong sequence of a point X of
+# the span (Ivanyos, Karpinski and Saxena, SIAM J. Comput. 39, 2010), W_0 = 0 and
+# W_(i+1) = sum_a M_a X^-1(W_i), grows to a limit W; when W lies in the image of X,
+# U = X^-1(W) has dim U = dim W + dim ker X, which is more than dim W. Only when W
+# leaves the image of X, as it does for every point of the 3 x 3 skew matrices
+# (whose members all have rank 2 but whose non-commutative rank is 3; Lovasz 1989),
+# is the expansion pencil_det run. All of it works on integer rows: M_a is read as
+# its numerators, a positive multiple that spans the same line.
+
+
+class PencilCertificate(NamedTuple):
+    """decide_pencil's answer and its proof. A "yes" gives a member of the span whose
+    determinant is not 0; a "no" gives a basis of a subspace U and dim(sum_a M_a U),
+    which is less than dim U. When pencil_det decided, neither is given."""
+
+    nonsingular: bool
+    member: Matrix | None = None
+    subspace: tuple[Vector, ...] = ()
+    image_dim: int = 0
+
+    @property
+    def expanded(self) -> bool:
+        """Whether the determinant expansion decided, for want of a certificate."""
+        return self.member is None and not self.subspace
+
+
+def decide_pencil(mats: Sequence[Matrix], n: int) -> PencilCertificate:
+    """Whether the span of the n x n matrices M_a holds a nonsingular member, with
+    the certificate that decides it, tried in this order:
+
+    1. the point sum_a (a + 1) M_a, when its rank is n;
+    2. the common kernel of the M_a, when it is not 0 (U is that kernel), and the
+       whole space, when the joint image of the M_a is proper;
+    3. the point grown greedily from 1: per M_a, the first c in 1..rank(M_a)+1
+       for which the point plus c M_a has a higher rank replaces it, in passes
+       over the M_a while one raises the rank, stopping at rank n;
+    4. the second Wong sequence of that point, when its limit lies in the image;
+    5. pencil_det, only when none of these decides.
+
+    Steps 1 to 4 take an exact rank (one _reduce) per point or subspace tried."""
+    views = [[(i, j, v) for (i, j), v in sparse(m).items()] for m in mats]
+    point = _combination({}, views, range(1, len(views) + 1))
+    rank = _rank(point, n)
+    if rank < n:
+        kernel = _null(_stacked(views, False), n)
+        if kernel:
+            return _shrunk(kernel, 0, n)
+        image_dim = len(_reduce(_stacked(views, True))[1])
+        if image_dim < n:
+            return _shrunk(({c: 1} for c in range(n)), image_dim, n)
+        point, rank = _grown(views, point, rank, n)
+    if rank == n:
+        return PencilCertificate(True, Matrix._of((n, n), Sparse(point)))
+    return _wong(views, point, rank, n) or PencilCertificate(bool(pencil_det(mats, n)))
+
+
+def _grown(views: list, point: dict, rank: int, n: int) -> tuple[dict, int]:
+    """The point and its rank after decide_pencil's step 3. Along a line X + c M the
+    rank is largest at all but at most rank(M) values of c, as an s x s minor of
+    X + c M has degree at most rank(M) in c, so c runs over 1..rank(M) + 1."""
+    reach = [_rank({(i, j): v for i, j, v in view}, n) for view in views]
+    grown = True
+    while grown and rank < n:
+        grown = False
+        for view, m in zip(views, reach):
+            for c in range(1, m + 2):
+                trial = _combination(point, [view], [c])
+                if (r := _rank(trial, n)) > rank:
+                    point, rank, grown = trial, r, True
+                    break
+            if rank == n:
+                break
+    return point, rank
+
+
+def _combination(point: dict, views: list, coefficients) -> dict:
+    """point + sum of c M over the (M, c), M given by its (i, j, numerator)."""
+    out = dict(point)
+    for view, c in zip(views, coefficients):
+        for i, j, v in view:
+            w = out.get((i, j), 0) + c * v
+            if w:
+                out[i, j] = w
+            else:
+                del out[i, j]
+    return out
+
+
+def _rank(point: dict, n: int) -> int:
+    return len(_reduce(_row_dicts(point, n))[1])
+
+
+def _shrunk(rows: Iterable[dict[int, int]], image_dim: int, n: int) -> PencilCertificate:
+    """The "no" certificate of U, spanned by these integer rows."""
+    subspace = tuple(Vector._of((n,), Sparse({(c,): v for c, v in row.items()})) for row in rows)
+    return PencilCertificate(False, subspace=subspace, image_dim=image_dim)
+
+
+def _null(rows: list[dict[int, int]], n: int) -> list[dict[int, int]]:
+    """A basis of {x : row . x = 0 for every row} as integer rows."""
+    reduced, pivots = _reduce(rows)
+    kernel = _kernel(reduced, pivots, [[((c,), 1)] for c in range(n)])
+    return [{c: v for (c,), v in x.items()} for x in kernel]
+
+
+def _times(view: list, x: dict[int, int]) -> dict[int, int]:
+    """M x for M given by its (i, j, numerator) and x by its nonzero entries."""
+    out: dict = defaultdict(int)
+    for i, j, v in view:
+        if j in x:
+            out[i] += v * x[j]
+    return {i: v for i, v in out.items() if v}
+
+
+def _stacked(views: list, flip: bool) -> list[dict[int, int]]:
+    """The rows of every M_a, or of every transpose when flip, in new dicts."""
+    rows: dict = defaultdict(dict)
+    for a, view in enumerate(views):
+        for i, j, v in view:
+            if flip:
+                i, j = j, i
+            rows[a, i][j] = v
+    return list(rows.values())
+
+
+def _wong(views: list, point: dict, rank: int, n: int) -> PencilCertificate | None:
+    """U = X^-1(W) for the limit W of the second Wong sequence of the point X of this
+    rank, when W lies in the image of X; None when it leaves it. X^-1(W) is the
+    kernel of Y X for the rows Y of a basis of W's annihilator."""
+    x_view = [(i, j, v) for (i, j), v in point.items()]
+    transposed = [(j, i, v) for i, j, v in x_view]
+    w: list[dict[int, int]] = []
+    while True:
+        u = _null([_times(transposed, y) for y in _null([dict(row) for row in w], n)], n)
+        grown = _reduce([_times(view, x) for view in views for x in u])[0]
+        if len(_reduce(_stacked([x_view], True) + [dict(row) for row in grown])[1]) > rank:
+            return None
+        if len(grown) == len(w):
+            return _shrunk(u, len(w), n)
+        w = grown

@@ -294,12 +294,13 @@ def test_residual_identity_sides_match_the_oracles(name, request):
     assert hom_lie.is_weakly_involutive(a).ok
     bracket, twist = a.bracket.entries, a.twist.rows
     samples = [random_matrix(random.Random(seed), a.dim) for seed in range(4)]
-    stacked = _sides(coboundary._residual_sides(a, sparse(samples), "z"))
+    adjoints = coboundary._twisted_adjoints(a)
+    stacked = _sides(coboundary._residual_sides(a, sparse(samples), adjoints, "z"))
     nonzero_rhs, nonzero_residuals = [False] * 3, False
     for s, rc in enumerate(samples):
         lhs_want = oracle_residual_lhs(bracket, twist, oracle_cobracket(a, rc).entries)
         rhs_want = oracle_residual_rhs(bracket, twist, rc.rows)
-        alone = _sides(coboundary._residual_sides(a, rc))
+        alone = _sides(coboundary._residual_sides(a, rc, adjoints))
         for i, ((lhs, rhs), (lhs1, rhs1), want_l, want_r) in enumerate(
             zip(stacked, alone, lhs_want, rhs_want)
         ):

@@ -187,9 +187,10 @@ def test_invariant_form_space_reduces_the_invariance_rows_once(monkeypatch):
     space = invariant_form_space(sl2())
     # the nonzero invariance rows of the n^3 + n^2 equations (the 36 with zeros)
     # are reduced once; the symmetry rows, one per ordered pair i != j of
-    # B[i][j] - B[j][i], go in with the reduced rows, one per pivot
+    # B[i][j] - B[j][i], go in with the reduced rows, one per pivot; then each
+    # space's nondegenerate member is found at the first point, one rank of n rows
     rank = n * n - len(space.basis)
-    assert sizes == [22, rank + n * (n - 1)]
+    assert sizes == [22, rank + n * (n - 1), n, n]
 
 
 def test_nondegenerate_forms_decided_exactly_on_large_form_spaces():
