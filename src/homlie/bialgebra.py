@@ -16,10 +16,10 @@ matched pair) and V3 (the Manin triple) are computed apart from it.
 
 A HomLieBialgebra settles each piece of this work once: its dual, its
 verdict, its canonical matched pair, its d-double and its triple
-equivalence are cached properties, which validate_bialgebra,
-canonical_matched_pair, d_double, check_triple_equivalence and hom_double
-read. Nothing is cached beyond the object, so a new bialgebra (one per
-parsed document) evaluates everything afresh.
+equivalence are cached properties, which validate_bialgebra, d_double,
+check_triple_equivalence and hom_double read. Nothing is cached beyond the
+object, so a new bialgebra (one per parsed document) evaluates everything
+afresh.
 
 Conventions: the double space basis order is (e_1..e_n, f_1..f_n); the
 cobracket coefficient tensor stores Delta(e_k) = sum d_k^{ij} e_i (x) e_j
@@ -41,13 +41,11 @@ from .hom_lie import (
     twisted_ad,
     validate_hom_lie,
 )
-from .report import CheckReport, Witness, combined, holds, require, scan
+from .report import CheckReport, Witness, combined, require, scan
 from .representation import (
-    CRITERIA_DISAGREE,
     Representation,
     adjoint_rep,
     dual_action_candidate,
-    fixes_carrier_square,
     validate_representation,
 )
 from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, contract_sum, dense, first_case
@@ -98,8 +96,12 @@ class HomLieBialgebra:
 
     @cached_property
     def matched_pair(self) -> "MatchedPair":
-        """canonical_matched_pair, built once per bialgebra."""
-        return _canonical_matched_pair(self)
+        """The canonical matched pair (g, g*; ad", DAd"), built once per bialgebra:
+        each side acts on the other through the dual of its adjoint action. Built
+        mechanically so broken inputs still produce a diagnosable object."""
+        ado = dual_action_candidate(adjoint_rep(self.algebra))
+        dao = dual_action_candidate(adjoint_rep(self.dual))
+        return MatchedPair(ado, dao)
 
     @cached_property
     def double(self) -> HomLieAlgebra:
@@ -284,42 +286,6 @@ def double_from_matched_pair(mp: MatchedPair) -> HomLieAlgebra:
     return double_bracket(mp)
 
 
-def double_weak_involutivity_criteria(mp: MatchedPair) -> CheckReport:
-    """Weak involutivity of the double, by parts:
-
-        (i)   left algebra and rho weakly involutive
-        (ii)  right algebra and rho' weakly involutive
-        (iii) rho(x)  phi'^2 = rho(x)
-        (iv)  rho'(x') phi^2 = rho'(x')
-
-    Cross-checked against the direct verdict on the constructed double.
-    """
-    from .representation import is_weakly_involutive_rep
-
-    c1 = combined(
-        "left-and-action-weakly-involutive",
-        [is_weakly_involutive(mp.left), is_weakly_involutive_rep(mp.rho)],
-    )
-    c2 = combined(
-        "right-and-action-weakly-involutive",
-        [is_weakly_involutive(mp.right), is_weakly_involutive_rep(mp.rho_prime)],
-    )
-    # MatchedPair makes each action's carrier twist the other algebra's twist
-    c3 = fixes_carrier_square("left-action-fixes-right-twist-square", mp.rho)
-    c4 = fixes_carrier_square("right-action-fixes-left-twist-square", mp.rho_prime)
-    direct = is_weakly_involutive(double_bracket(mp))
-    match = holds(
-        "criteria-match-direct",
-        (c1.ok and c2.ok and c3.ok and c4.ok) == direct.ok,
-        CRITERIA_DISAGREE,
-    )
-    return combined(
-        "double-weak-involutivity",
-        [c1, c2, c3, c4, match],
-        direct_verdict=direct.verdict,
-    )
-
-
 def standard_form(n: int) -> BilinearFormB:
     """The hyperbolic pairing B(x+a, y+b) = <x,b> + <y,a> on a 2n-dim space."""
     pairs = {key: Q(1) for i in range(n) for key in ((i, n + i), (n + i, i))}
@@ -365,19 +331,6 @@ def _block_leak(big: HomLieAlgebra, n: int) -> list[tuple]:
         return [((i + 1,), dense(twist_out, big.twist.shape, (i,)), f"twist leaves the {name} block")]
     residual = dense(bracket_out, big.bracket.shape, (i, j))
     return [((i + 1, j + 1), residual, f"bracket leaves the {name} block")]
-
-
-def canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
-    """(g, g*; ad", DAd"): each side acts on the other through the dual of
-    its adjoint action. Built mechanically so broken inputs still produce
-    a diagnosable object; the bialgebra's own (bi.matched_pair)."""
-    return bi.matched_pair
-
-
-def _canonical_matched_pair(bi: HomLieBialgebra) -> MatchedPair:
-    ado = dual_action_candidate(adjoint_rep(bi.algebra))
-    dao = dual_action_candidate(adjoint_rep(bi.dual))
-    return MatchedPair(ado, dao)
 
 
 def d_double(bi: HomLieBialgebra) -> HomLieAlgebra:

@@ -60,7 +60,6 @@ from .tensor import (
     ShapeError,
     Sparse,
     Tensor3,
-    Vector,
     contract,
     contract_sum,
     dense,
@@ -178,37 +177,23 @@ def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") ->
     ]
 
 
-def jac_delta(cb: Cobracket, k: int) -> Tensor3:
-    """Co-Jacobiator of the cobracket at basis vector e_k: the sum of the
-    cyclic rotations of (phi (x) delta) delta(e_k). Vanishes for all k
-    exactly when the dual bracket satisfies the Hom-Jacobi identity."""
-    return dense(_jac_delta(cb), (cb.dim,) * 4, (k,))
-
-
-def _jac_delta(cb: Cobracket) -> Sparse:
-    """Entry (k, a, b, c): entry (a, b, c) of jac_delta(cb, k)."""
-    return contract_sum("kabc", *_co_jacobiator(cb.base, cb.coeffs))
-
-
 def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "", e=None, batch2: str = "") -> list:
-    """The terms, for contract_sum on the leading letters and "kabc", of _jac_delta
-    of the cobracket on a with coefficients d. Given e on the batch letter batch2,
-    of the bilinear form whose value at e = d is that: the outer cobracket of
-    (phi (x) delta) delta from d, the inner from e."""
+    """The terms, for contract_sum on the leading letters and "kabc", of entry
+    (k, a, b, c): entry (a, b, c) of the co-Jacobiator of the cobracket on a with
+    coefficients d at e_k, the sum of the cyclic rotations of (phi (x) delta)
+    delta(e_k). It vanishes for all k exactly when the dual bracket satisfies the
+    Hom-Jacobi identity. Given e on the batch letter batch2, of the bilinear form
+    whose value at e = d is that: the outer cobracket of (phi (x) delta) delta
+    from d, the inner from e."""
     e, z, lead = _pair(d, batch, e, batch2)
     operands = [(batch + "kij", d), ("ai", a.twist), (z + "jbc", e)]
     return [(1, operands, lead + "kabc", lead + "kbca", lead + "kcab")]
 
 
-def ad_phi_on_tensor3(a: HomLieAlgebra, x: Vector, t: Tensor3) -> Tensor3:
-    """(ad_{phi(x)} (x) phi (x) phi + phi (x) ad_{phi(x)} (x) phi
-       + phi (x) phi (x) ad_{phi(x)}) t."""
-    return dense(contract_sum("abc", *((c, [("k", x), *ops]) for c, ops in _adjoint_on(a, t))), (a.dim,) * 3)
-
-
 def _adjoint_on(a: HomLieAlgebra, t, batch: str = "") -> list:
     """The terms, for contract_sum on batch + "kabc", of entry (k, a, b, c): entry
-    (a, b, c) of ad_phi_on_tensor3(a, e_k, t)."""
+    (a, b, c) of (ad_{phi(x)} (x) phi (x) phi + phi (x) ad_{phi(x)} (x) phi
+    + phi (x) phi (x) ad_{phi(x)}) t at x = e_k."""
     ad, phi, z = twisted_ad(a), a.twist, batch
     return [
         (1, [(z + "pqs", t), ("bq", phi), ("cs", phi), ("kpa", ad)]),
@@ -222,11 +207,6 @@ def symmetric_part_invariance(r: RMatrix) -> CheckReport:
     is killed by every (phi (x) ad_x + ad_x (x) phi)."""
     res = _basis_action(r.base, r.coeffs + r.coeffs.transpose())
     return scan("symmetric-part-invariance", first_case(res, (r.dim,) * 3, 1))
-
-
-def adjoint_kills_r_square(r: RMatrix) -> CheckReport:
-    """ad_{phi(x)} [r,r] = 0 for all basis x (the three-slot action)."""
-    return _adjoint_kills(r.base, r_square_bracket(r))
 
 
 def _adjoint_kills(a: HomLieAlgebra, rr: Tensor3) -> CheckReport:
@@ -380,19 +360,6 @@ def _residuals(a: HomLieAlgebra, r, adjoints: tuple, batch: str = "") -> list[tu
     return [(out, [*lhs, *((-c, *rest) for c, *rest in rhs)]) for out, lhs, rhs in sides]
 
 
-def cobracket_residual_identities(r: RMatrix) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """The three exact identities above for r, each as its own report."""
-    a = r.base
-    require(
-        is_weakly_involutive(a), "the residual identities assume a weakly involutive base"
-    )
-    residuals = _residuals(a, r.coeffs, _twisted_adjoints(a))
-    return tuple(
-        scan(name, first_case(contract_sum(out, *terms), (a.dim,) * (2 + nscan), nscan))
-        for (name, nscan), (out, terms) in zip(_RESIDUALS, residuals)
-    )
-
-
 # --- the three proofs -------------------------------------------------------
 #
 # Each suite proves one identity for every r (or T) in a space with a basis K_1..K_k,
@@ -531,12 +498,6 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport
 
 # --- the r# operator calculus ------------------------------------------------
 
-def r_sharp(r: RMatrix) -> Matrix:
-    """Matrix of r#: g* -> g, <r#(a), b> = <r, a (x) b>; column a is the
-    image of the a-th dual basis vector, hence the transpose of coeffs."""
-    return r.coeffs.transpose()
-
-
 def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
     """The bracket on g* (g the algebra r lives on) via the operator route
 
@@ -568,25 +529,6 @@ def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
         "operator and cobracket routes to the dual bracket disagree",
     )
     return operator_route
-
-
-def sharp_bracket_defect(r: RMatrix, ai: int, bi: int) -> CheckReport:
-    """[r# phi* (f_a), r# phi* (f_b)] - r# phi* [f_a, f_b]_{g*}
-    equals the contraction of [r,r] against (f_a, f_b) in the first two
-    slots. Exact identity for twist-compatible r over a weakly involutive
-    base, the algebra r lives on; both sides computed and compared here."""
-    a = r.base
-    require(check_twist_compat(r), "sharp-bracket identity assumes twist compat")
-    s = r_sharp(r) @ a.twist.transpose()  # r# phi*
-    dual = dual_algebra(cobracket_from_r(r))
-    # entry (a, b, l): the e_l coefficient of [s f_a, s f_b] - s [f_a, f_b]_{g*}
-    c, dc = a.bracket, dual.bracket
-    defect = contract_sum("abl", (1, [("pa", s), ("pql", c), ("qb", s)]), (-1, [("abk", dc), ("lk", s)]))
-    lhs = dense(defect, (a.dim,) * 3, (ai, bi))
-    res = lhs - dense(r_square_bracket(r), (a.dim,) * 3, (ai, bi))
-    if res.is_zero():
-        return passed("sharp-bracket-defect", value=lhs)
-    return failed("sharp-bracket-defect", [Witness((ai + 1, bi + 1), res)])
 
 
 def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:

@@ -184,50 +184,6 @@ def twist_symmetry(a: HomLieAlgebra, gram: Matrix, condition: str) -> CheckRepor
     return scan(condition, first_case(_twist_symmetry(a, gram), (a.dim,) * 2, 2))
 
 
-def form_to_equivalence(a: HomLieAlgebra, b: BilinearFormB) -> Matrix:
-    """Matrix of x |-> B(x, .) as a map into the dual, columns in the dual basis.
-
-    Requires B nondegenerate. The returned map intertwines the adjoint
-    action with the dual action and phi with phi*; that is asserted here
-    (it is equivalent to invariance of B), so a non-invariant form is
-    rejected with the failing report attached.
-    """
-    from .report import require
-    from .representation import adjoint_rep, check_rep_equivalence, dual_action_candidate
-
-    if b.gram.det() == 0:
-        raise ShapeError("form_to_equivalence needs a nondegenerate form")
-    m = b.gram.transpose()  # column i = coordinates of B(e_i, .) in the dual basis
-    require(
-        check_rep_equivalence(adjoint_rep(a), dual_action_candidate(adjoint_rep(a)), m),
-        "the form map does not intertwine the adjoint and dual actions "
-        "(the form is not invariant)",
-    )
-    return m
-
-
-def equivalence_to_form(a: HomLieAlgebra, psi: Matrix) -> BilinearFormB:
-    """Gram matrix of B(x, y) := <psi(x), y> for an equivalence psi: g -> g*.
-
-    Invariance of the resulting form is asserted; symmetry is not (and
-    genuinely can fail), so callers that need a symmetric form must check
-    the flag themselves.
-    """
-    from .report import require
-
-    if psi.nrows != a.dim or psi.ncols != a.dim:
-        raise ShapeError("equivalence matrix has wrong shape")
-    if psi.det() == 0:
-        raise ShapeError("equivalence_to_form needs an invertible map")
-    b = BilinearFormB(psi.transpose())  # gram[i][j] = <psi(e_i), e_j> = psi[j][i]
-    require(
-        check_invariant_form(a, b),
-        "the map is not an equivalence onto the dual action: induced form "
-        "is not invariant",
-    )
-    return b
-
-
 @dataclass(frozen=True)
 class InvariantFormSpace:
     """Solution space of the invariance equations, as Gram matrices, with the

@@ -203,60 +203,16 @@ def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     return scan("square-twist-product-condition", first_case(res, (p.dim,) * 3, 2))
 
 
-def weak_involutivity_product_criterion(p: HomLeftSymmetric) -> CheckReport:
-    """(V, psi, L) is weakly involutive iff u.v = psi^2(u).v, as two
-    separately reported implications; when the product condition holds,
-    psi^2 is asserted to be an O-operator."""
-    require(validate_hlsa(p), "not a Hom-left-symmetric algebra")
-    cond = _square_twist_condition(p)
-    rep = left_mult_rep(p)
-    wi = is_weakly_involutive_rep(rep)
-
-    subs = [
-        holds(
-            "wi-implies-condition",
-            not wi.ok or cond.ok,
-            "representation weakly involutive, condition fails",
-        ),
-        holds(
-            "condition-implies-wi",
-            not cond.ok or wi.ok,
-            "condition holds, representation not weakly involutive",
-        ),
-    ]
-    if cond.ok:
-        sq = validate_o_operator(OOperatorCandidate(rep.base, rep, p.psi @ p.psi))
-        subs.append(sq.renamed("square-twist-o-operator"))
-    return combined(
-        "weak-involutivity-product-criterion",
-        subs,
-        condition_holds=cond.ok,
-        rep_weakly_involutive=wi.ok,
-    )
-
-
 def dual_semidirect(rep: Representation) -> HomLieAlgebra:
     """g |x V* through the Hom-dual action of rep, which must be weakly involutive."""
     return semidirect_product(hom_dual_representation(rep))
 
 
-def lift_t_bar(cand: OOperatorCandidate) -> RMatrix:
-    """T viewed inside (g (+) V*) (x) (g (+) V*): the 2-tensor
-    sum_i v^i (x) T(v_i), supported on the (V*-block, g-block) corner."""
-    big = dual_semidirect(cand.rep)
-    return RMatrix(big, dense(_lift(cand.t, cand.algebra.dim), (big.dim,) * 2))
-
-
-def _lift(t, n: int, batch: str = "") -> Sparse:
-    """The coefficients of T-bar in g |x V* for g of dimension n."""
-    lead = len(batch)
-    return sparse(t).moved(lambda *key: (*key[:lead], n + key[-1], key[-2]))
-
-
 def _lifted_r(t, n: int, batch: str = "") -> Sparse:
-    """The coefficients of r = T-bar - sigma(T-bar) in g |x V*, g of dimension n."""
+    """The coefficients of r = T-bar - sigma(T-bar) in g |x V*, g of dimension n,
+    where T-bar = sum_i v^i (x) T(v_i) is T on the (V*-block, g-block) corner."""
     lead = len(batch)
-    tbar = _lift(t, n, batch)
+    tbar = sparse(t).moved(lambda *key: (*key[:lead], n + key[-1], key[-2]))
     return tbar - tbar.moved(lambda *key: (*key[:lead], key[-1], key[-2]))
 
 

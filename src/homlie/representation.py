@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hom_lie import HomLieAlgebra, block_sum, is_weakly_involutive
-from .report import CheckReport, InvalidStructureError, combined, holds, scan
+from .report import CheckReport, InvalidStructureError, combined, scan
 from .tensor import (
     Matrix,
     ShapeError,
@@ -29,7 +29,6 @@ from .tensor import (
     contract_sum,
     dense,
     first_case,
-    sparse,
 )
 
 
@@ -178,13 +177,6 @@ def hom_dual_representation(r: Representation) -> Representation:
     return dual_action_candidate(r)
 
 
-def rep_double_dual_is_identity(r: Representation) -> CheckReport:
-    """Dualizing twice returns the original action matrices exactly."""
-    dd = dual_action_candidate(dual_action_candidate(r))
-    actions = first_case(sparse(dd.action) - sparse(r.action), r.shape, 1)
-    return scan("double-dual-identity", [((0,), dd.beta - r.beta, "twist differs"), *actions])
-
-
 def semidirect_product(r: Representation) -> HomLieAlgebra:
     """g, the algebra r represents, acting on an abelian copy of V:
 
@@ -192,63 +184,6 @@ def semidirect_product(r: Representation) -> HomLieAlgebra:
     """
     abelian = HomLieAlgebra(Tensor3.zero(r.carrier_dim), r.beta)
     return block_sum(r.base, abelian, f"{r.base.label or 'g'}|xV", rho=r.action)
-
-
-CRITERIA_DISAGREE = "conjunction of criteria differs from direct check"
-
-
-def semidirect_weak_involutivity_criteria(r: Representation) -> CheckReport:
-    """Weak involutivity of g |x V, g the algebra r represents, by parts,
-    cross-checked against the direct verdict on the constructed product:
-
-        (i)   g weakly involutive
-        (ii)  rho weakly involutive
-        (iii) rho(x) beta^2 = rho(x)
-
-    The conjunction provably equals the direct check; 'criteria-match-direct'
-    records that the two verdicts agree on this instance.
-    """
-    c1 = is_weakly_involutive(r.base)
-    c2 = is_weakly_involutive_rep(r)
-    c3 = fixes_carrier_square("action-fixes-carrier-square", r)
-    direct = is_weakly_involutive(semidirect_product(r))
-    match = holds(
-        "criteria-match-direct",
-        (c1.ok and c2.ok and c3.ok) == direct.ok,
-        CRITERIA_DISAGREE,
-    )
-    return combined(
-        "semidirect-weak-involutivity",
-        [c1, c2, c3, match],
-        direct_verdict=direct.verdict,
-    )
-
-
-def dual_semidirect_weak_involutivity_criteria(r: Representation) -> CheckReport:
-    """Variant for g |x V* via the dual action, g the algebra r represents
-    (r must be weakly involutive):
-
-        (i)  g weakly involutive
-        (ii) rho(phi(x)) beta^2 = rho(phi(x))
-
-    Cross-checked against the direct verdict on the constructed product.
-    """
-    wi = is_weakly_involutive_rep(r)
-    if not wi.ok:
-        raise InvalidStructureError(
-            "dual semidirect criteria need a weakly involutive representation", wi
-        )
-    c1 = is_weakly_involutive(r.base)
-    c2 = twisted_action_fixes_carrier_square(r)
-    direct = is_weakly_involutive(semidirect_product(hom_dual_representation(r)))
-    match = holds(
-        "criteria-match-direct", (c1.ok and c2.ok) == direct.ok, CRITERIA_DISAGREE
-    )
-    return combined(
-        "dual-semidirect-weak-involutivity",
-        [c1, c2, match],
-        direct_verdict=direct.verdict,
-    )
 
 
 def twisted_action_fixes_carrier_square(r: Representation) -> CheckReport:
@@ -262,26 +197,3 @@ def fixes_carrier_square(condition: str, r: Representation, m=None) -> CheckRepo
     fixed = [*_after(act, m, "i", "r", "t"), ("tv", beta), ("vs", beta)]
     res = contract_sum("irs", (1, fixed), (-1, _after(act, m, "i", "r", "s")))
     return scan(condition, first_case(res, r.shape, 1))
-
-
-def check_rep_equivalence(r1: Representation, r2: Representation, varphi: Matrix) -> CheckReport:
-    """varphi rho1(x) = rho2(x) varphi and beta2 varphi = varphi beta1."""
-    if varphi.nrows != r2.carrier_dim or varphi.ncols != r1.carrier_dim:
-        raise ShapeError("equivalence map has wrong shape")
-    if varphi.nrows != varphi.ncols or varphi.det() == 0:
-        raise ShapeError("equivalence map must be square and invertible")
-    if r1.base.dim != r2.base.dim:
-        raise ShapeError("representations live over different algebras")
-
-    inter = scan(
-        "equivalence-intertwines-action",
-        (
-            ((i + 1,), varphi @ r1.action[i] - r2.action[i] @ varphi)
-            for i in range(r1.base.dim)
-        ),
-    )
-    tw = scan(
-        "equivalence-intertwines-twist", [((0,), r2.beta @ varphi - varphi @ r1.beta)]
-    )
-    return combined("rep-equivalence", [inter, tw])
-

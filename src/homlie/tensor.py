@@ -22,8 +22,8 @@ before it is returned. Packing lives only inside ``contract_sum``: every ``Spars
 outside it holds plain numerators.
 
 Fractions are built only in ``entries`` and ``rows``, single-entry reads, and the
-results of ``rref`` and ``Matrix.det``; rendering formats the integer view. These two,
-``Matrix.inverse``, ``nullspace`` and ``matrix_kernels`` eliminate on integer rows.
+result of ``Matrix.det``; rendering formats the integer view. ``Matrix.det``,
+``Matrix.inverse`` and ``matrix_kernels`` eliminate on integer rows.
 ``matrix_kernels`` solves a linear identity in an unknown matrix from the identity's
 own contraction on a stack of unknown matrices (``unit_stack``, ``skew_stack``), so
 each identity is written once, for checking and solving alike. ``decide_pencil``
@@ -699,9 +699,6 @@ def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tupl
 
 # --- exact linear algebra helpers -------------------------------------------
 
-Row = Union[Sequence[Fraction], dict[int, Fraction]]
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """An integer row divided by the gcd of its entries."""
     d = gcd(*row.values())
@@ -738,9 +735,10 @@ def _row_dicts(t: Sparse, nrows: int) -> list[dict[int, int]]:
 
 
 def _reduce(a: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
-    """The elimination of rref on integer rows, which it may change: the nonzero
-    rows of the reduced form, each a primitive multiple of the rational one, in
-    the order of their pivot columns, and those columns.
+    """The reduced row echelon form of integer rows, which it may change: the
+    nonzero rows of the reduced form, each a primitive multiple of the rational
+    one, in the order of their pivot columns, and those columns. As the form is
+    unique, the order in which the rows are taken does not change it.
 
     One left-looking Gauss-Jordan pass. The rows are taken by decreasing leading
     column, the shorter first among rows that lead at the same column, and each
@@ -764,34 +762,6 @@ def _reduce(a: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
             insort(pivots, c)
             basis[c] = row
     return [basis[c] for c in pivots], pivots
-
-
-def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices). Rows given as
-    {column: entry} dicts come back as dicts of their nonzero entries, rows given as
-    sequences as lists.
-
-    The elimination (_reduce) is one Gauss-Jordan pass on primitive integer rows
-    (each row times the LCM of its denominators, over the gcd of the results). Its
-    work follows the nonzeros touched, not rows x columns, and as the form is
-    unique the order in which it takes the rows does not change it. Each row stays
-    a multiple of the rational one, so only the pivot rows are divided by their
-    pivots, once, at the end."""
-    reduced, pivots = _reduce(
-        [_cleared(row.items() if isinstance(row, dict) else enumerate(row))[0] for row in rows]
-    )
-    out = [{j: Fraction(v, row[c]) for j, v in row.items()} for row, c in zip(reduced, pivots)]
-    out += [{} for _ in range(len(rows) - len(pivots))]
-    if rows and not isinstance(rows[0], dict):
-        ncols = len(rows[0])
-        out = [[row.get(j, ZERO) for j in range(ncols)] for row in out]
-    return out, pivots
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
-    """Exact basis of {x : rows x = 0} for x with ncols entries."""
-    reduced, pivots = _reduce([_cleared(enumerate(row))[0] for row in rows])
-    return [Vector._of((ncols,), v) for v in _kernel(reduced, pivots, [[((c,), 1)] for c in range(ncols)])]
 
 
 def _kernel(a: list[dict[int, int]], pivots: list[int], planes: Sequence[list]) -> list[Sparse]:

@@ -326,6 +326,20 @@ def oracle_rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
     return a, pivots
 
 
+def oracle_kernel(rows: list[list[Q]], ncols: int) -> list[list[Q]]:
+    """The canonical nullspace basis read off oracle_rref: per free column f,
+    1 at f and -row[f] at each pivot."""
+    reduced, pivots = oracle_rref(rows) if rows else ([], [])
+    basis = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
 def oracle_det(rows: list[list[Q]]) -> Q:
     """Determinant by cofactor expansion along the first row."""
     if not rows:

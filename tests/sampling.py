@@ -1,12 +1,13 @@
 """Seeded random inputs for the tests: entries p/q with p uniform in {-2..2} and
 q in {1, 2}, drawn from a caller-supplied random.Random, so that every test input
-is reproducible from its seed."""
+is reproducible from its seed. Also the library's elimination, read back in the
+form oracle_rref returns, for the tests that compare the two."""
 
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from homlie.tensor import Matrix, ShapeError, Sparse
+from homlie.tensor import Matrix, ShapeError, Sparse, _cleared, _reduce
 
 
 def random_q(rng) -> Fraction:
@@ -35,3 +36,12 @@ def random_combination(rng, basis: Sequence):
             for key, v in view.items():
                 total[key] = total.get(key, 0) + s * v
     return basis[0]._of(shape, Sparse({key: v for key, v in total.items() if v}, den))
+
+
+def reduce_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """tensor._reduce on Fraction rows, read as oracle_rref returns its result: the
+    reduced rows, each pivot 1, the zero rows last, and the pivot columns."""
+    reduced, pivots = _reduce([_cleared(enumerate(row))[0] for row in rows])
+    ncols = len(rows[0]) if rows else 0
+    out = [[Fraction(row.get(j, 0), row[c]) for j in range(ncols)] for row, c in zip(reduced, pivots)]
+    return out + [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))], pivots

@@ -19,9 +19,7 @@ from homlie.bialgebra import (
     Cobracket,
     HomLieBialgebra,
     MatchedPair,
-    canonical_matched_pair,
     check_triple_equivalence,
-    double_weak_involutivity_criteria,
     validate_bialgebra,
     validate_matched_pair,
     zero_cobracket,
@@ -43,12 +41,10 @@ from homlie.corpus import (
 )
 from homlie.hom_lie import change_of_basis
 from homlie.operators import HomLeftSymmetric, OOperatorCandidate, left_mult_rep, validate_o_operator
-from homlie.report import InvalidStructureError
 from homlie.representation import (
     Representation,
     adjoint_rep,
-    dual_semidirect_weak_involutivity_criteria,
-    semidirect_weak_involutivity_criteria,
+    is_weakly_involutive_rep,
     validate_representation,
 )
 from homlie.structure_io import (
@@ -61,7 +57,9 @@ from homlie.structure_io import (
 from homlie.tensor import Matrix, Tensor3, contract, dense
 
 from sampling import random_matrix
+from test_bialgebra import double_verdicts
 from test_cli_fuzz import documents
+from test_representation import dual_semidirect_verdicts, semidirect_verdicts
 
 SEEDS = range(3)
 
@@ -167,10 +165,8 @@ def _verdicts(report):
 
 
 def _dual_semidirect_verdicts(rep):
-    try:
-        return _verdicts(dual_semidirect_weak_involutivity_criteria(rep))
-    except InvalidStructureError:  # rep is not weakly involutive
-        return None
+    """dual_semidirect_verdicts, whose statement needs a weakly involutive rep."""
+    return dual_semidirect_verdicts(rep) if is_weakly_involutive_rep(rep).ok else None
 
 
 # one action of abelian2 on a line with twist 2: weakly involutive, but the
@@ -194,10 +190,12 @@ def test_semidirect_criteria_verdicts(name, seed):
     rng = random.Random(seed)
     p, q = _invertible(rng, rep.base.dim), _invertible(rng, rep.carrier_dim)
     moved = _moved_rep(rep, p, q)
-    assert _verdicts(semidirect_weak_involutivity_criteria(moved)) == _verdicts(
-        semidirect_weak_involutivity_criteria(rep)
-    )
-    assert _dual_semidirect_verdicts(moved) == _dual_semidirect_verdicts(rep)
+    parts, whole = semidirect_verdicts(moved)
+    assert all(parts) == whole
+    assert (parts, whole) == semidirect_verdicts(rep)
+    dual = _dual_semidirect_verdicts(moved)
+    assert dual is None or all(dual[0]) == dual[1]
+    assert dual == _dual_semidirect_verdicts(rep)
 
 
 def _pairs():
@@ -206,7 +204,7 @@ def _pairs():
     a, cb = aff2_triangular_bialgebra()
     broken = Cobracket(a, Tensor3([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]))
     cobrackets = (cb, broken, zero_cobracket(aff2bad()), zero_cobracket(aff2phi()))
-    return [canonical_matched_pair(HomLieBialgebra(c)) for c in cobrackets]
+    return [HomLieBialgebra(c).matched_pair for c in cobrackets]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -218,9 +216,9 @@ def test_matched_pair_and_double_criteria_verdicts(which, seed):
     # the left algebra moves by p and the right by q, each action with them
     moved = MatchedPair(_moved_rep(mp.rho, p, q), _moved_rep(mp.rho_prime, q, p))
     assert _verdicts(validate_matched_pair(moved)) == _verdicts(validate_matched_pair(mp))
-    assert _verdicts(double_weak_involutivity_criteria(moved)) == _verdicts(
-        double_weak_involutivity_criteria(mp)
-    )
+    parts, whole = double_verdicts(moved)
+    assert all(parts) == whole
+    assert (parts, whole) == double_verdicts(mp)
 
 
 def _moved_structure(s: Structure, p: Matrix) -> Structure:

@@ -12,7 +12,6 @@ import pytest
 
 from homlie.bialgebra import (
     HomLieBialgebra,
-    canonical_matched_pair,
     check_triple_equivalence,
     d_double,
     validate_bialgebra,
@@ -42,11 +41,9 @@ from homlie.operators import (
     OOperatorCandidate,
     intertwining_t_space,
     left_mult_rep,
-    lift_t_bar,
     r_from_o_operator,
     validate_hlsa,
     validate_o_operator,
-    weak_involutivity_product_criterion,
 )
 from homlie.report import InvalidStructureError
 from homlie.representation import (
@@ -126,13 +123,12 @@ def _exercise(a, rng, lsa=None):
         (validate_bialgebra, bi),
         (check_triple_equivalence, bi),
         (hom_double, bi),
-        (validate_matched_pair, canonical_matched_pair(bi)),
+        (validate_matched_pair, bi.matched_pair),
         (validate_manin_triple, d_double(bi), a.dim),
         (validate_coboundary, a, r),
         (check_chybe, r),
         (check_twist_compat, r),
         (validate_o_operator, cand),
-        (lift_t_bar, cand),
         (r_from_o_operator, cand),
     ]
     if lsa is not None:
@@ -142,9 +138,8 @@ def _exercise(a, rng, lsa=None):
         inputs += [lrep, lcand]
         calls += [
             (validate_hlsa, lsa),
-            (weak_involutivity_product_criterion, lsa),
+            (is_weakly_involutive_rep, lrep),
             (validate_o_operator, lcand),
-            (lift_t_bar, lcand),
             (r_from_o_operator, lcand),
         ]
     return inputs, calls

@@ -1,5 +1,5 @@
 """The Gauss-Jordan elimination and the integer kernels against Fraction
-arithmetic: rref against oracle_rref on rank-deficient Kronecker sums, the skew
+arithmetic: the elimination against oracle_rref on rank-deficient Kronecker sums, the skew
 kernel over the skew unknowns against the nullspace of the system in all n^2
 entries of r, and the solvers, which read integer equations off each identity's
 residual on a stack of unknowns, against the same identities written here as
@@ -17,9 +17,10 @@ from homlie.hom_lie import HomLieAlgebra, change_of_basis, invariant_form_space
 from homlie.operators import commutator_hom_lie, intertwining_t_space
 from homlie.representation import adjoint_rep
 from homlie.structure_io import builtin_structure
-from homlie.tensor import Matrix, Tensor3, contract, matrix_kernel, rref, unit_stack
+from homlie.tensor import Matrix, Tensor3, contract, matrix_kernel, unit_stack
 
-from oracles import oracle_form_invariance, oracle_rref
+from oracles import oracle_form_invariance, oracle_kernel, oracle_rref
+from sampling import reduce_rows
 
 
 def dense_twist(n: int, seed: int, diagonal=None) -> Matrix:
@@ -42,20 +43,6 @@ def kronecker_sum(phi: Matrix) -> list[list[Q]]:
         for i in range(n)
         for k in range(n)
     ]
-
-
-def oracle_kernel(rows: list[list[Q]], ncols: int) -> list[list[Q]]:
-    """The canonical nullspace basis read off oracle_rref: per free column f,
-    1 at f and -row[f] at each pivot."""
-    reduced, pivots = oracle_rref(rows) if rows else ([], [])
-    basis = []
-    for f in (f for f in range(ncols) if f not in pivots):
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
 
 
 def fraction_kernels(nrows: int, ncols: int, *groups) -> list[list[Matrix]]:
@@ -109,15 +96,15 @@ def old_skew_system(phi: Matrix):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", range(2, 6))
-def test_rref_matches_the_oracle_on_kronecker_sums_of_dense_involutions(n, seed):
+def test_elimination_matches_the_oracle_on_kronecker_sums_of_dense_involutions(n, seed):
     rows = kronecker_sum(dense_twist(n, seed))
     reduced, pivots = oracle_rref(rows)
     # the kernel of X -> phi X - X phi is the commutant of the involution phi, of
     # dimension p^2 + q^2 for its eigenvalues 1 and -1 of multiplicities p and q
     assert len(pivots) == n * n - (n * n + n % 2) // 2
-    assert rref(rows) == (reduced, pivots)
+    assert reduce_rows(rows) == (reduced, pivots)
     augmented = [row + [Q(int(i == j)) for j in range(n * n)] for i, row in enumerate(rows)]
-    assert rref(augmented) == oracle_rref(augmented)
+    assert reduce_rows(augmented) == oracle_rref(augmented)
 
 
 @pytest.mark.parametrize("seed", range(2))

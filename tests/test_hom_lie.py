@@ -19,13 +19,10 @@ from homlie.hom_lie import (
     change_of_basis,
     check_invariant_form,
     direct_sum,
-    equivalence_to_form,
-    form_to_equivalence,
     invariant_form_space,
     is_weakly_involutive,
     validate_hom_lie,
 )
-from homlie.report import InvalidStructureError
 from homlie.tensor import Matrix, Tensor3, Vector
 
 from oracles import (
@@ -121,19 +118,6 @@ def test_sl2_killing_form_is_invariant():
     assert rep.ok
     assert rep.info["symmetric"] is True
     assert rep.info["nondegenerate"] is True
-
-
-def test_form_equivalence_round_trip_on_sl2():
-    a = sl2()
-    b = BilinearFormB(sl2_killing_gram())
-    psi = form_to_equivalence(a, b)
-    back = equivalence_to_form(a, psi)
-    assert back.gram == b.gram
-
-
-def test_form_to_equivalence_rejects_non_invariant_forms():
-    with pytest.raises(InvalidStructureError):
-        form_to_equivalence(aff2(), BilinearFormB(Matrix.identity(2)))
 
 
 def test_abelian2_accepts_any_gram():

@@ -7,20 +7,19 @@ from homlie.corpus import aff2, aff2phi, lsa2, lsa2psi
 from homlie.operators import (
     HomLeftSymmetric,
     OOperatorCandidate,
+    _square_twist_condition,
     bialgebra_from_o_operator,
     commutator_hom_lie,
     intertwining_t_space,
     left_mult_rep,
-    lift_t_bar,
     r_from_o_operator,
     run_defect_expansion_suite,
     validate_hlsa,
     validate_o_operator,
-    weak_involutivity_product_criterion,
     wedge_solutions,
 )
 from homlie.report import InvalidStructureError
-from homlie.representation import adjoint_rep
+from homlie.representation import adjoint_rep, is_weakly_involutive_rep
 from homlie.tensor import Matrix, ShapeError, Tensor3, Vector
 
 from oracles import oracle_o_defect, oracle_r_square
@@ -125,16 +124,6 @@ def test_identity_is_o_operator_for_left_multiplication():
         )
 
 
-def test_lift_t_bar_coefficients():
-    a = aff2()
-    cand = OOperatorCandidate(a, adjoint_rep(a), Matrix.identity(2))
-    tbar = lift_t_bar(cand)
-    assert tbar.coeffs == Matrix(
-        [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
-    )
-    assert tbar.base.dim == 4
-
-
 def test_r_from_non_o_operator_expands_defects():
     a = aff2()
     cand = OOperatorCandidate(a, adjoint_rep(a), Matrix.identity(2))
@@ -208,30 +197,18 @@ def test_o_operator_candidate_shape_gates():
         OOperatorCandidate(a, adjoint_rep(a), Matrix.zero(3, 2))
 
 
-def test_weak_involutivity_product_criterion_positive():
-    for p in (lsa2(), lsa2psi()):
-        rep = weak_involutivity_product_criterion(p)
-        assert rep.ok
-        assert rep.info["condition_holds"] is True
-        assert rep.info["rep_weakly_involutive"] is True
-        names = [s.checked_condition for s in rep.subreports]
-        assert names == [
-            "wi-implies-condition",
-            "condition-implies-wi",
-            "square-twist-o-operator",
-        ]
-        assert all(s.ok for s in rep.subreports)
-
-
-def test_weak_involutivity_product_criterion_vacuous_negative():
-    p = _dim1_psi0()
+@pytest.mark.parametrize(
+    "make, holds", [(lsa2, True), (lsa2psi, True), (_dim1_psi0, False)], ids=("lsa2", "lsa2psi", "dim1-psi0")
+)
+def test_left_multiplication_is_weakly_involutive_iff_u_v_is_psi2_u_v(make, holds):
+    """(V, psi, L) is weakly involutive exactly when u.v = psi^2(u).v, and then
+    psi^2 is an O-operator; on the 1-dim algebra with psi = 0 both fail."""
+    p = make()
     assert validate_hlsa(p).ok
-    rep = weak_involutivity_product_criterion(p)
-    assert rep.ok  # both implications hold vacuously
-    assert rep.info["condition_holds"] is False
-    assert rep.info["rep_weakly_involutive"] is False
-    names = [s.checked_condition for s in rep.subreports]
-    assert "square-twist-o-operator" not in names
+    rep = left_mult_rep(p)
+    assert is_weakly_involutive_rep(rep).ok == _square_twist_condition(p).ok == holds
+    if holds:
+        assert validate_o_operator(OOperatorCandidate(rep.base, rep, p.psi @ p.psi)).ok
 
 
 def test_wedge_solutions_on_lsa2psi():

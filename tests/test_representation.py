@@ -5,7 +5,7 @@ import pytest
 from homlie.corpus import abelian2, aff2, aff2bad, aff2phi, heis3, sl2, sl2_killing_gram
 from homlie.hom_lie import (
     BilinearFormB,
-    form_to_equivalence,
+    check_invariant_form,
     is_weakly_involutive,
     validate_hom_lie,
 )
@@ -13,18 +13,35 @@ from homlie.report import InvalidStructureError
 from homlie.representation import (
     Representation,
     adjoint_rep,
-    check_rep_equivalence,
     dual_action_candidate,
-    dual_semidirect_weak_involutivity_criteria,
+    fixes_carrier_square,
     hom_dual_exists,
     hom_dual_representation,
     is_weakly_involutive_rep,
-    rep_double_dual_is_identity,
     semidirect_product,
-    semidirect_weak_involutivity_criteria,
+    twisted_action_fixes_carrier_square,
     validate_representation,
 )
 from homlie.tensor import Matrix, Vector
+
+
+def semidirect_verdicts(r: Representation) -> tuple[tuple[bool, ...], bool]:
+    """The parts and the whole of weak involutivity of g |x V, g the algebra r
+    represents: g, rho, and rho(x) beta^2 = rho(x); the statement is that the whole
+    holds exactly when every part does."""
+    parts = (
+        is_weakly_involutive(r.base).ok,
+        is_weakly_involutive_rep(r).ok,
+        fixes_carrier_square("action-fixes-carrier-square", r).ok,
+    )
+    return parts, is_weakly_involutive(semidirect_product(r)).ok
+
+
+def dual_semidirect_verdicts(r: Representation) -> tuple[tuple[bool, ...], bool]:
+    """As semidirect_verdicts for g |x V* through the Hom-dual action of a weakly
+    involutive r: the parts are g and rho(phi(x)) beta^2 = rho(phi(x))."""
+    parts = (is_weakly_involutive(r.base).ok, twisted_action_fixes_carrier_square(r).ok)
+    return parts, is_weakly_involutive(semidirect_product(hom_dual_representation(r))).ok
 
 
 def test_abelian2_adjoint_is_zero_and_valid():
@@ -96,7 +113,7 @@ def test_aff2phi_adjoint_dual_pipeline_fails_throughout():
     assert gate.info["weakly_involutive"] is False
     with pytest.raises(InvalidStructureError):
         hom_dual_representation(r)
-    assert not rep_double_dual_is_identity(r).ok
+    assert dual_action_candidate(dual_action_candidate(r)) != r
 
 
 @pytest.mark.parametrize("make", (abelian2, aff2, heis3, sl2),
@@ -106,7 +123,7 @@ def test_dual_of_weakly_involutive_rep_is_weakly_involutive_rep(make):
     dual = hom_dual_representation(r)
     assert validate_representation(dual).ok
     assert is_weakly_involutive_rep(dual).ok
-    assert rep_double_dual_is_identity(r).ok
+    assert dual_action_candidate(dual_action_candidate(r)) == r
 
 
 def test_heis3phi_adjoint_dual_pipeline(heis3phi):
@@ -115,7 +132,7 @@ def test_heis3phi_adjoint_dual_pipeline(heis3phi):
     dual = hom_dual_representation(r)
     assert validate_representation(dual).ok
     assert is_weakly_involutive_rep(dual).ok
-    assert rep_double_dual_is_identity(r).ok
+    assert dual_action_candidate(dual_action_candidate(r)) == r
     assert dual.beta == heis3phi.twist.transpose()
 
 
@@ -126,24 +143,27 @@ def test_aff2_dual_is_classical_coadjoint():
     assert dual.action[1] == Matrix([[1, 0], [0, 0]])
 
 
-def test_sl2_adjoint_equivalent_to_coadjoint_via_killing_map():
-    a = sl2()
+@pytest.mark.parametrize(
+    "make, gram, invariant",
+    [
+        (sl2, sl2_killing_gram(), True),
+        (sl2, Matrix.identity(3), False),
+        (aff2, Matrix.identity(2), False),
+        (abelian2, Matrix([[1, 1], [0, 1]]), True),  # not symmetric
+    ],
+    ids=("sl2-killing", "sl2-identity", "aff2-identity", "abelian2-shear"),
+)
+def test_a_nondegenerate_form_is_invariant_iff_its_map_is_an_equivalence(make, gram, invariant):
+    """x |-> B(x, .), whose matrix into the dual basis is the transposed Gram
+    matrix, intertwines the adjoint action with its dual action, and phi with
+    phi^T, exactly when the nondegenerate form B is invariant."""
+    a = make()
     r = adjoint_rep(a)
-    dual = dual_action_candidate(r)
-    m = form_to_equivalence(a, BilinearFormB(sl2_killing_gram()))
-    assert m == sl2_killing_gram().transpose()
-    assert check_rep_equivalence(r, dual, m).ok
-
-
-def test_rep_equivalence_identity_and_scalars():
-    r = adjoint_rep(heis3())
-    assert check_rep_equivalence(r, r, Matrix.identity(3)).ok
-    assert check_rep_equivalence(r, r, Matrix.identity(3).scale(2)).ok
-
-    r2 = adjoint_rep(aff2())
-    bad = check_rep_equivalence(r2, dual_action_candidate(r2), Matrix.identity(2))
-    assert not bad.ok
-    assert bad.first_witness().indices == (1,)
+    dual, m = dual_action_candidate(r), gram.transpose()
+    assert gram.det() != 0
+    assert check_invariant_form(a, BilinearFormB(gram)).ok == invariant
+    intertwines = all(m @ x == y @ m for x, y in zip(r.action, dual.action)) and dual.beta @ m == m @ r.beta
+    assert intertwines == invariant
 
 
 def test_semidirect_product_with_adjoint():
@@ -158,7 +178,7 @@ def test_semidirect_product_with_adjoint():
     assert s.bracket_of(Vector.basis(4, 2), Vector.basis(4, 3)).is_zero()
 
 
-def test_constructions_read_the_algebra_off_the_action(heis3phi):
+def test_constructions_read_the_algebra_off_the_action():
     from homlie.bialgebra import MatchedPair, matched_pair_components
 
     # aff2bad is not weakly involutive, and its adjoint action is over it
@@ -172,11 +192,6 @@ def test_constructions_read_the_algebra_off_the_action(heis3phi):
             inner = g.bracket_of(Vector.basis(2, i), Vector.basis(2, j))
             outer = s.bracket_of(Vector.basis(4, i), Vector.basis(4, j))
             assert outer == Vector([*inner.entries, 0, 0])
-    criteria = semidirect_weak_involutivity_criteria(rep)
-    assert criteria.subreports[0] == is_weakly_involutive(g)
-    assert not criteria.subreports[0].ok
-    dual = dual_semidirect_weak_involutivity_criteria(adjoint_rep(heis3phi))
-    assert dual.subreports[0] == is_weakly_involutive(heis3phi)
 
     # ad heis3 acts on a 3-dim space with identity twist, as ad sl2 does
     rho, rho_prime = adjoint_rep(heis3()), adjoint_rep(sl2())
@@ -196,25 +211,15 @@ def test_semidirect_with_zero_rep_is_abelian_extension():
     assert s.bracket.is_zero()
 
 
-def test_semidirect_weak_involutivity_criteria_agreement():
-    good = semidirect_weak_involutivity_criteria(adjoint_rep(aff2()))
-    assert good.ok
-    assert good.info["direct_verdict"] == "pass"
-
-    bad = semidirect_weak_involutivity_criteria(adjoint_rep(aff2bad()))
-    assert not bad.ok
-    sub = {s.checked_condition: s.ok for s in bad.subreports}
-    assert sub["criteria-match-direct"] is True
-    assert bad.info["direct_verdict"] == "fail"
+@pytest.mark.parametrize("make, holds", [(aff2, True), (aff2bad, False)], ids=("aff2", "aff2bad"))
+def test_semidirect_weak_involutivity_by_parts(make, holds):
+    parts, whole = semidirect_verdicts(adjoint_rep(make()))
+    assert all(parts) == whole == holds
 
 
-def test_dual_semidirect_criteria(heis3phi):
-    rep = dual_semidirect_weak_involutivity_criteria(adjoint_rep(heis3phi))
-    assert rep.ok
-    assert rep.info["direct_verdict"] == "pass"
-
-    with pytest.raises(InvalidStructureError):
-        dual_semidirect_weak_involutivity_criteria(adjoint_rep(aff2phi()))
+def test_dual_semidirect_weak_involutivity_by_parts(heis3phi):
+    parts, whole = dual_semidirect_verdicts(adjoint_rep(heis3phi))
+    assert all(parts) == whole is True
 
 
 def test_representation_value_equality_ignores_construction_route():

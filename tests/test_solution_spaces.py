@@ -5,8 +5,9 @@ twist-compatible r, intertwining T, invariant and symmetric invariant forms) is
 recomputed here by evaluating the identity, written naively, on every unit
 matrix E_pq: the residuals are the columns of the system, in the same order of
 unknowns. Equal row spaces have equal reduced row echelon forms, so the
-library's basis must equal this nullspace entry for entry. Every basis element
-must also pass the library's own checker of that identity.
+library's basis must equal the nullspace that the naive oracle_kernel reads off
+them, entry for entry. Every basis element must also pass the library's own
+checker of that identity.
 """
 
 import random
@@ -26,9 +27,9 @@ from homlie.hom_lie import (
 )
 from homlie.operators import OOperatorCandidate, intertwining_t_space, validate_o_operator
 from homlie.representation import adjoint_rep
-from homlie.tensor import Matrix, Tensor3, nullspace
+from homlie.tensor import Matrix, Tensor3
 
-from oracles import oracle_form_invariance
+from oracles import oracle_form_invariance, oracle_kernel
 
 
 def entries(m: Matrix) -> list[Q]:
@@ -42,10 +43,10 @@ def probed_kernel(residual, nrows: int, ncols: int) -> list[Matrix]:
         for p in range(nrows)
         for q in range(ncols)
     ]
-    columns = [residual(e) for e in units]
+    rows = [list(row) for row in zip(*(residual(e) for e in units))]
     return [
-        Matrix(v.entries[p * ncols : (p + 1) * ncols] for p in range(nrows))
-        for v in nullspace(Matrix(zip(*columns)).rows, nrows * ncols)
+        Matrix(v[p * ncols : (p + 1) * ncols] for p in range(nrows))
+        for v in oracle_kernel(rows, nrows * ncols)
     ]
 
 

@@ -494,7 +494,7 @@ def test_dump_json_takes_string_keys_only():
 # value pool of test_cli_fuzz has none, nor does any builtin or its builds. None may
 # be added, since the reader refuses such a numeral (CI pins exit 2 for a 5000-digit
 # one) though format_q writes it exactly; reading long numerals back waits for a
-# budget that bounds their length (ROADMAP items 4 and 6).
+# budget that bounds their length (ROADMAP items 3 and 4).
 @settings(max_examples=150, deadline=None)
 @given(documents())
 def test_parse_of_emit_is_the_structure(doc):

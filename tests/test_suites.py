@@ -13,9 +13,7 @@ import homlie
 from homlie import coboundary, operators, tensor
 from homlie.coboundary import (
     _SECOND,
-    RMatrix,
     _first_failure,
-    cobracket_residual_identities,
     run_jacobiator_suite,
     run_residual_suite,
     skew_twist_compat_kernel,
@@ -23,9 +21,20 @@ from homlie.coboundary import (
 from homlie.corpus import aff2, aff2phi, lsa2psi, notjac3, sl2
 from homlie.hom_lie import HomLieAlgebra, direct_sum
 from homlie.operators import intertwining_t_space, left_mult_rep, run_defect_expansion_suite
-from homlie.report import Witness
+from homlie.report import Witness, scan
 from homlie.representation import adjoint_rep
-from homlie.tensor import _SAMPLE, Matrix, Sparse, Tensor3, Vector, contract, contract_sum, dense, sparse
+from homlie.tensor import (
+    _SAMPLE,
+    Matrix,
+    Sparse,
+    Tensor3,
+    Vector,
+    contract,
+    contract_sum,
+    dense,
+    first_case,
+    sparse,
+)
 
 from oracles import (
     oracle_ad3,
@@ -101,7 +110,8 @@ def test_the_residual_proof_fails_at_the_first_unit_matrix_the_oracle_breaks():
     """notjac3 (a weakly involutive base that is not Hom-Lie): the report names
     the first E_pq in row-major order at which an identity fails by the oracle's
     sums, that E_pq's first failing identity, and the oracle's witness there,
-    which is also what cobracket_residual_identities reports at that E_pq."""
+    which is also the first failure of the three identities evaluated at that E_pq
+    alone."""
     a = notjac3()
     n, bracket, twist = a.dim, a.bracket.entries, a.twist.rows
     for p, q in product(range(n), repeat=2):
@@ -124,8 +134,13 @@ def test_the_residual_proof_fails_at_the_first_unit_matrix_the_oracle_breaks():
     (w,) = report.witnesses
     assert w.indices == tuple(i + 1 for i in at)
     assert sparse(w.residual) == sparse(block)
-    alone = next(s for s in cobracket_residual_identities(RMatrix(a, unit)) if not s.ok)
-    assert alone.checked_condition == name and alone.witnesses == report.witnesses
+    evaluated = zip(coboundary._RESIDUALS, coboundary._residuals(a, unit, coboundary._twisted_adjoints(a)))
+    alone = [
+        scan(name, first_case(contract_sum(out, *terms), (n,) * (2 + k), k))
+        for (name, k), (out, terms) in evaluated
+    ]
+    assert next(i for i, s in enumerate(alone) if not s.ok) == pos
+    assert alone[pos].witnesses == report.witnesses
 
 
 def _polarised(quadratic, basis):

@@ -14,6 +14,8 @@ from homlie.tensor import (
     Sparse,
     Tensor3,
     Vector,
+    _cleared,
+    _reduce,
     as_q,
     contract,
     contract_sum,
@@ -22,16 +24,14 @@ from homlie.tensor import (
     format_q,
     matrix_kernel,
     matrix_kernels,
-    nullspace,
     pencil_det,
-    rref,
     skew_stack,
     sparse,
     unit_stack,
 )
 
 from oracles import oracle_contract, oracle_det, oracle_rref
-from sampling import random_combination, random_matrix, random_q
+from sampling import random_combination, random_matrix, random_q, reduce_rows
 
 rationals = st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=4)
 
@@ -117,21 +117,21 @@ def test_det_transpose_invariant(m):
 
 @given(square(3))
 @settings(max_examples=40, deadline=None)
-def test_rref_idempotent(m):
-    first, pivots = rref(m.rows)
-    second, pivots2 = rref(first)
-    assert first == second and pivots == pivots2
+def test_reduce_is_idempotent(m):
+    first = _reduce([_cleared(enumerate(row))[0] for row in m.rows])
+    assert _reduce([dict(row) for row in first[0]]) == first
 
 
 @given(square(3))
 @settings(max_examples=40, deadline=None)
-def test_nullspace_rank_nullity(m):
-    kernel = nullspace(m.rows, 3)
-    _, pivots = rref(m.rows)
+def test_kernel_rank_nullity(m):
+    stack = unit_stack(3, 1)
+    kernel = matrix_kernel(stack, contract("zik", ("ij", m), ("zjk", stack)))
+    _, pivots = reduce_rows(m.rows)
     assert len(kernel) == 3 - len(pivots)
-    for v in kernel:
-        assert m.apply(v).is_zero()
-        assert not v.is_zero()
+    for x in kernel:
+        assert (m @ x).is_zero()
+        assert not x.is_zero()
 
 
 def test_pair_action_contraction_matches_raw_loops():
@@ -299,10 +299,11 @@ def test_matrix_kernel_lays_out_rectangular_unknowns():
     ]
 
 
-def test_nullspace_of_a_system_with_no_equations():
-    assert nullspace([], 2) == [Vector([1, 0]), Vector([0, 1])]
-    assert nullspace([[Q(0), Q(0)]], 2) == nullspace([], 2)
-    assert nullspace([], 0) == []
+def test_the_kernel_of_a_system_with_no_equations():
+    stack = unit_stack(2, 1)
+    assert matrix_kernel(stack) == [Matrix([[1], [0]]), Matrix([[0], [1]])]
+    assert matrix_kernel(stack, contract("zik", ("ij", Matrix.zero(2)), ("zjk", stack))) == matrix_kernel(stack)
+    assert matrix_kernel(unit_stack(0, 1)) == []
 
 
 def _random_equations(rng, count, nrows, ncols):
@@ -437,9 +438,7 @@ EDGE_SYSTEMS = {
 
 
 def _assert_matches_the_oracles(rows):
-    got = rref(rows)
-    assert got == oracle_rref(rows)
-    assert all(type(x) is Q for row in got[0] for x in row)
+    assert reduce_rows(rows) == oracle_rref(rows)
     if len(rows) == len(rows[0] if rows else ()) <= 6:
         assert Matrix(rows).det() == oracle_det(rows)
 
@@ -469,17 +468,16 @@ def test_det_matches_the_cofactor_expansion(n):
 def test_elimination_matches_the_oracle_on_the_dense_yau_sl2_cubed_system():
     rows = _twist_compat_rows(_yau_sl2_cubed_twist_in_a_dense_basis())
     assert (len(rows), len(rows[0])) == (81, 81)
-    reduced, pivots = rref(rows)
+    reduced, pivots = reduce_rows(rows)
     assert (reduced, pivots) == oracle_rref(rows)
     # theta splits 9 = 5 + 4 into its +1 and -1 eigenspaces: a 5^2 + 4^2 kernel
     assert len(pivots) == 81 - 41
     assert Matrix(rows).det() == 0
 
 
-def test_rref_of_an_integer_system_builds_one_fraction_per_output_entry(monkeypatch):
+def test_the_elimination_of_an_integer_system_builds_no_fraction(monkeypatch):
     rows = _twist_compat_rows(_yau_sl2_cubed_twist_in_a_dense_basis())
-    rows = [[x * lcm(*(y.denominator for y in row)) for x in row] for row in rows]
-    assert all(x.denominator == 1 for row in rows for x in row)
+    rows = [{j: int(x * lcm(*(y.denominator for y in row))) for j, x in enumerate(row) if x} for row in rows]
     built = [0]
     real_new = Q.__new__
 
@@ -496,9 +494,9 @@ def test_rref_of_an_integer_system_builds_one_fraction_per_output_entry(monkeypa
             return real_coprime(cls, *args)
 
         monkeypatch.setattr(Q, "_from_coprime_ints", classmethod(counting_coprime))
-    reduced, _ = rref(rows)
+    _, pivots = _reduce(rows)
     monkeypatch.undo()
-    assert 0 < built[0] <= sum(1 for row in reduced for x in row if x)
+    assert built[0] == 0 and len(pivots) == 81 - 41
 
 
 # --- the integer contraction kernel against the brute-force oracle -------------
@@ -677,15 +675,6 @@ def test_contract_builds_no_fraction_and_dense_one_per_entry(monkeypatch):
         assert not block.is_zero()
 
 
-def test_rref_takes_dict_rows():
-    rng = random.Random(21)
-    for _ in range(10):
-        rows = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
-        reduced, pivots = rref(rows)
-        as_dicts = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        assert rref(as_dicts) == ([{j: x for j, x in enumerate(row) if x} for row in reduced], pivots)
-
-
 def test_empty_arrays_cost_nothing_per_cell(monkeypatch):
     # an array is its shape and its nonzero entries: building, combining and
     # testing 10^6 zeros must not touch a single cell
@@ -736,20 +725,11 @@ def _tall_redundant_rows(rng, ncols):
     return rows
 
 
-def _as_dict_rows(rng, rows):
-    """The rows as {column: entry} dicts: every zero left out, and now and then
-    one kept as an explicit 0."""
-    return [{j: x for j, x in enumerate(row) if x or rng.random() < 0.1} for row in rows]
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_elimination_matches_the_oracle_on_tall_redundant_systems(seed):
     rng = random.Random(1000 + seed)
     rows = _tall_redundant_rows(rng, rng.randint(1, 8))
-    reduced, pivots = oracle_rref(rows)
-    assert rref(rows) == (reduced, pivots)
-    as_dicts = [{j: x for j, x in enumerate(row) if x} for row in reduced]
-    assert rref(_as_dict_rows(rng, rows)) == (as_dicts, pivots)
+    assert reduce_rows(rows) == oracle_rref(rows)
 
 
 def test_elimination_matches_the_oracle_on_ties_in_length_and_pivot():
@@ -763,10 +743,7 @@ def test_elimination_matches_the_oracle_on_ties_in_length_and_pivot():
         [Q(0), Q(2), Q(-4), Q(0)],
         [Q(-2), Q(2), Q(0), Q(0)],
     ]
-    assert rref(rows) == oracle_rref(rows)
-    dict_rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    reduced, pivots = oracle_rref(rows)
-    assert rref(dict_rows) == ([{j: x for j, x in enumerate(row) if x} for row in reduced], pivots)
+    assert reduce_rows(rows) == oracle_rref(rows)
 
 
 def test_the_zero_twist_skew_system_clears_each_row_at_most_once(monkeypatch):
