@@ -35,20 +35,22 @@ from functools import cached_property
 from .hom_lie import (
     BilinearFormB,
     HomLieAlgebra,
+    _intertwining,
+    _multiplicative,
     block_sum,
     check_invariant_form,
     is_weakly_involutive,
     twisted_ad,
     validate_hom_lie,
 )
-from .report import CheckReport, Witness, combined, require, scan
+from .report import CheckReport, Witness, combined, failed, passed, require, scan
 from .representation import (
     Representation,
     adjoint_rep,
     dual_action_candidate,
     validate_representation,
 )
-from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, contract_sum, dense, first_case
+from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, contract_sum, dense
 from .tensor import sparse
 
 
@@ -197,7 +199,7 @@ def _bialgebra_verdict(bi: HomLieBialgebra) -> CheckReport:
             is_weakly_involutive(a).renamed("primal-weakly-involutive"),
             validate_hom_lie(bi.dual).renamed("dual-hom-lie"),
             is_weakly_involutive(bi.dual).renamed("dual-weakly-involutive"),
-            scan("cobracket-compatibility", first_case(compat, (a.dim,) * 4, 2)),
+            scan("cobracket-compatibility", compat, (a.dim,) * 4, 2),
         ],
     )
 
@@ -216,14 +218,8 @@ def validate_matched_pair(mp: MatchedPair) -> CheckReport:
     return combined(
         "matched-pair",
         [
-            scan(
-                "matched-pair-compat-left",
-                first_case(left, (gp.dim, *(g.dim,) * 3), 3, "x'=f_c, x=e_i, y=e_j"),
-            ),
-            scan(
-                "matched-pair-compat-right",
-                first_case(right, (g.dim, *(gp.dim,) * 3), 3, "x=e_i, x'=f_c, y'=f_d"),
-            ),
+            scan("matched-pair-compat-left", left, (gp.dim, *(g.dim,) * 3), 3, "x'=f_c, x=e_i, y=e_j"),
+            scan("matched-pair-compat-right", right, (g.dim, *(gp.dim,) * 3), 3, "x=e_i, x'=f_c, y'=f_d"),
         ],
     )
 
@@ -301,19 +297,16 @@ def validate_manin_triple(big: HomLieAlgebra, n: int) -> CheckReport:
 
     ambient = validate_hom_lie(big).renamed("ambient-hom-lie")
     form = standard_form(n)
-    inside = sorted(key for key in sparse(form.gram) if (key[0] >= n) == (key[1] >= n))
-    iso = scan("blocks-isotropic", [((i + 1, j + 1), form.gram[i, j]) for i, j in inside[:1]])
+    inside = {(i, j): form.gram[i, j] for i, j in sparse(form.gram) if (i >= n) == (j >= n)}
+    iso = scan("blocks-isotropic", inside, form.gram.shape, 2)
     invariance = check_invariant_form(big, form).renamed("standard-form-invariant")
-    return combined(
-        "manin-triple",
-        [ambient, scan("blocks-are-subalgebras", _block_leak(big, n)), iso, invariance],
-    )
+    return combined("manin-triple", [ambient, _block_leak(big, n), iso, invariance])
 
 
-def _block_leak(big: HomLieAlgebra, n: int) -> list[tuple]:
-    """The first case in which the twist or the bracket of big leaves one of the two
-    n-dim blocks: for each block, and each i in it, the twist at (i,) before the
-    bracket at (i, j), each j in the block. Its residual is the part of phi(e_i),
+def _block_leak(big: HomLieAlgebra, n: int) -> CheckReport:
+    """Fails at the first case in which the twist or the bracket of big leaves one of
+    the two n-dim blocks: for each block, and each i in it, the twist at (i,) before
+    the bracket at (i, j), each j in the block. Its residual is the part of phi(e_i),
     or of [e_i, e_j], outside the block."""
     twist, bracket = sparse(big.twist), sparse(big.bracket)
     # (i, k): the e_k coefficient of phi(e_i), for k outside the block of i
@@ -324,13 +317,14 @@ def _block_leak(big: HomLieAlgebra, n: int) -> list[tuple]:
     # a twist case (i,) sorts as (i, -1), before the bracket cases (i, j)
     first = min([(i, -1) for i, _ in twist_out] + [(i, j) for i, j, _ in bracket_out], default=None)
     if first is None:
-        return []
+        return passed("blocks-are-subalgebras")
     i, j = first
     name = "second" if i >= n else "first"
     if j < 0:
-        return [((i + 1,), dense(twist_out, big.twist.shape, (i,)), f"twist leaves the {name} block")]
-    residual = dense(bracket_out, big.bracket.shape, (i, j))
-    return [((i + 1, j + 1), residual, f"bracket leaves the {name} block")]
+        at, residual, what = (i + 1,), dense(twist_out, big.twist.shape, (i,)), "twist"
+    else:
+        at, residual, what = (i + 1, j + 1), dense(bracket_out, big.bracket.shape, (i, j)), "bracket"
+    return failed("blocks-are-subalgebras", [Witness(at, residual, f"{what} leaves the {name} block")])
 
 
 def d_double(bi: HomLieBialgebra) -> HomLieAlgebra:
@@ -383,23 +377,11 @@ def _triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
         "manin_triple": v3.verdict,
     }
     if agree:
-        return CheckReport(
-            "triple-equivalence", True, (), {**verdicts, "common_verdict": v1.verdict},
-            (v1, v2, v3),
-        )
-    return CheckReport(
-        "triple-equivalence",
-        False,
-        (
-            Witness(
-                (0,),
-                Q(1),
-                "verdicts disagree: " + ", ".join(f"{k}={v}" for k, v in verdicts.items()),
-            ),
-        ),
-        verdicts,
-        (v1, v2, v3),
-    )
+        witnesses, info = (), {**verdicts, "common_verdict": v1.verdict}
+    else:
+        note = "verdicts disagree: " + ", ".join(f"{k}={v}" for k, v in verdicts.items())
+        witnesses, info = (Witness((0,), Q(1), note),), verdicts
+    return CheckReport("triple-equivalence", agree, witnesses, info, (v1, v2, v3))
 
 
 def check_bialgebra_homomorphism(
@@ -410,18 +392,14 @@ def check_bialgebra_homomorphism(
     if f.ncols != a1.dim or f.nrows != a2.dim:
         raise ShapeError("homomorphism matrix has wrong shape")
 
-    shape = (a1.dim, a1.dim, a2.dim, a2.dim)
-    # entry (i, j, l): the e_l coefficient of f[e_i, e_j] - [f e_i, f e_j]
-    c1, c2 = a1.bracket, a2.bracket
-    bracket_res = contract_sum("ijl", (1, [("ijk", c1), ("lk", f)]), (-1, [("pi", f), ("pql", c2), ("qj", f)]))
     # entry (k, p, q): entry (p, q) of (f (x) f) Delta1(e_k) - Delta2(f e_k)
     d1, d2 = bi1.cobracket.coeffs, bi2.cobracket.coeffs
     co_res = contract_sum("kpq", (1, [("kst", d1), ("ps", f), ("qt", f)]), (-1, [("xk", f), ("xpq", d2)]))
     return combined(
         "bialgebra-homomorphism",
         [
-            scan("algebra-homomorphism", first_case(bracket_res, shape[:3], 2)),
-            scan("twist-intertwined", [((0,), f @ a1.twist - a2.twist @ f)]),
-            scan("cobracket-intertwined", first_case(co_res, (a1.dim, a2.dim, a2.dim), 1)),
+            scan("algebra-homomorphism", _multiplicative(f, a1.bracket, a2.bracket), (a1.dim, a1.dim, a2.dim), 2),
+            scan("twist-intertwined", _intertwining(f, a1.twist, a2.twist), f.shape),
+            scan("cobracket-intertwined", co_res, (a1.dim, a2.dim, a2.dim), 1),
         ],
     )

@@ -13,7 +13,6 @@ import re
 import sys
 
 from .bialgebra import (
-    HomLieBialgebra,
     check_triple_equivalence,
     dual_algebra,
     validate_bialgebra,
@@ -216,8 +215,7 @@ def cmd_validate(args) -> tuple[int, str]:
         try:
             reports.append(run_check(name, s))
         except InvalidStructureError as e:  # a refused precondition: its report fails
-            info = {"precondition": str(e).splitlines()[0], **e.report.info}
-            reports.append(dataclasses.replace(e.report, checked_condition=name, info=info))
+            reports.append(e.report.renamed(name, precondition=str(e).splitlines()[0]))
 
     ok = all(r.ok for r in reports)
     if args.format == "json":

@@ -95,7 +95,7 @@ class RMatrix:
 def check_twist_compat(r: RMatrix) -> CheckReport:
     """(phi (x) id) r = (id (x) phi) r, the operator form phi r# = r# phi*
     (as matrices: phi r = r phi^T), reported as one matrix residual."""
-    return scan("twist-compat", [((0,), dense(_twist_compat(r.base, r.coeffs), (r.dim,) * 2))])
+    return scan("twist-compat", _twist_compat(r.base, r.coeffs), (r.dim,) * 2)
 
 
 def _twist_compat(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
@@ -143,26 +143,18 @@ def r_square_bracket(r: RMatrix) -> Tensor3:
 
     each term a contraction of the bracket with phi r and r phi^T.
     """
-    return dense(contract_sum("abc", *_r_square(r.base, r.coeffs)), (r.dim,) * 3)
+    return dense(contract_sum("abc", *_r_square(r.base, r.coeffs, "", r.coeffs, "")), (r.dim,) * 3)
 
 
-def _pair(r, batch: str, s, batch2: str) -> tuple:
-    """The second operand of a bilinear evaluator, its batch letter, and the result's
-    leading letters: s on batch2 after r's batch, or r itself on r's letter when s
-    is None, so that one sample's quadratic identity is the form at (r, r)."""
-    return (r, batch, batch) if s is None else (s, batch2, batch + batch2)
-
-
-def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") -> list:
-    """The terms, for contract_sum on the leading letters and "abc", of entry
-    (a, b, c) of [r,r] for the coefficients r. Given s on the batch letter batch2,
-    of the bilinear form [r,s] whose value at s = r is [r,r]: each term takes its
-    first copy of the r-matrix from r and its second from s. Every term holds the
+def _r_square(a: HomLieAlgebra, r, batch: str, s, batch2: str) -> list:
+    """The terms, for contract_sum on batch + batch2 + "abc", of entry (a, b, c) of
+    the bilinear form [r,s] of the coefficients r on the batch letter batch and s on
+    batch2, whose value at s = r, with both letters empty, is [r,r]: each term takes
+    its first copy of the r-matrix from r and its second from s. Every term holds the
     bracket, so with a zero bracket there are none, and no twist product is built."""
-    c, phi, y = a.bracket, a.twist, batch
+    c, phi, y, z = a.bracket, a.twist, batch, batch2
     if c.is_zero():
         return []
-    s, z, lead = _pair(r, y, s, batch2)
 
     def twisted(r, y: str) -> tuple[Sparse, Sparse]:
         """phi on the first slot of r, and phi on its second."""
@@ -177,16 +169,15 @@ def _r_square(a: HomLieAlgebra, r, batch: str = "", s=None, batch2: str = "") ->
     ]
 
 
-def _co_jacobiator(a: HomLieAlgebra, d, batch: str = "", e=None, batch2: str = "") -> list:
-    """The terms, for contract_sum on the leading letters and "kabc", of entry
-    (k, a, b, c): entry (a, b, c) of the co-Jacobiator of the cobracket on a with
-    coefficients d at e_k, the sum of the cyclic rotations of (phi (x) delta)
-    delta(e_k). It vanishes for all k exactly when the dual bracket satisfies the
-    Hom-Jacobi identity. Given e on the batch letter batch2, of the bilinear form
-    whose value at e = d is that: the outer cobracket of (phi (x) delta) delta
-    from d, the inner from e."""
-    e, z, lead = _pair(d, batch, e, batch2)
-    operands = [(batch + "kij", d), ("ai", a.twist), (z + "jbc", e)]
+def _co_jacobiator(a: HomLieAlgebra, d, batch: str, e, batch2: str) -> list:
+    """The terms, for contract_sum on batch + batch2 + "kabc", of entry (k, a, b, c):
+    entry (a, b, c) of the sum of the cyclic rotations of (phi (x) delta') delta(e_k),
+    for the cobrackets delta with coefficients d on the batch letter batch and delta'
+    with coefficients e on batch2. At e = d, with both letters empty, it is the
+    co-Jacobiator of the cobracket on a with coefficients d, which vanishes for all
+    k exactly when the dual bracket satisfies the Hom-Jacobi identity."""
+    lead = batch + batch2
+    operands = [(batch + "kij", d), ("ai", a.twist), (batch2 + "jbc", e)]
     return [(1, operands, lead + "kabc", lead + "kbca", lead + "kcab")]
 
 
@@ -206,12 +197,12 @@ def symmetric_part_invariance(r: RMatrix) -> CheckReport:
     """[x, r + sigma(r)] = 0 for all basis x, i.e. the symmetric part of r
     is killed by every (phi (x) ad_x + ad_x (x) phi)."""
     res = _basis_action(r.base, r.coeffs + r.coeffs.transpose())
-    return scan("symmetric-part-invariance", first_case(res, (r.dim,) * 3, 1))
+    return scan("symmetric-part-invariance", res, (r.dim,) * 3, 1)
 
 
 def _adjoint_kills(a: HomLieAlgebra, rr: Tensor3) -> CheckReport:
     res = contract_sum("kabc", *_adjoint_on(a, rr))
-    return scan("adjoint-kills-r-square", first_case(res, (a.dim,) * 4, 1))
+    return scan("adjoint-kills-r-square", res, (a.dim,) * 4, 1)
 
 
 def dual_side_verdict(r: RMatrix) -> CheckReport:
@@ -276,7 +267,7 @@ def _validate_coboundary(r: RMatrix, rr: Tensor3 | None) -> CheckReport:
 def check_chybe(r: RMatrix) -> CheckReport:
     """[r,r] = 0, reported entrywise."""
     rr = r_square_bracket(r)
-    return scan("chybe", first_case(sparse(rr), (r.dim,) * 3, 3), skew=r.is_skew())
+    return scan("chybe", rr, nscan=3, skew=r.is_skew())
 
 
 # --- the three residual identities ------------------------------------------
@@ -421,8 +412,9 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
             evaluated = residuals(head)
         found = []
         for pos, (out, terms, shape, nscan) in enumerate(evaluated):
-            res = contract_sum(out, *terms)
-            for at, block, _ in first_case(res, (*lead, *shape), len(lead) + nscan):
+            first = first_case(contract_sum(out, *terms), (*lead, *shape), len(lead) + nscan)
+            if first is not None:
+                at, block = first
                 found.append((at[: len(lead)], pos, at[len(lead) :], block))
         if found:
             case, pos, at, block = min(found, key=lambda f: f[:2])
@@ -522,10 +514,7 @@ def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
 
     cobracket_route = dual_algebra(cobracket_from_r(r))
     require(
-        scan(
-            "dual-bracket-routes-agree",
-            [((0,), operator_route.bracket - cobracket_route.bracket)],
-        ),
+        scan("dual-bracket-routes-agree", operator_route.bracket - cobracket_route.bracket),
         "operator and cobracket routes to the dual bracket disagree",
     )
     return operator_route
@@ -544,10 +533,7 @@ def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:
     from .hom_lie import BilinearFormB
 
     a = r.base
-    require(
-        scan("r-skew", [((0,), r.coeffs + r.coeffs.transpose())]),
-        "form_from_invertible_r needs a skew r",
-    )
+    require(scan("r-skew", r.coeffs + r.coeffs.transpose()), "form_from_invertible_r needs a skew r")
     if r.coeffs.det() == 0:
         raise InvalidStructureError(
             "form_from_invertible_r needs invertible r#",
@@ -558,7 +544,7 @@ def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:
     gram = r.coeffs.inverse()
     # entry (i, j, k): B(phi e_i, [e_j, e_k]), then summed over cyclic shifts of (i, j, k)
     t = contract_sum("ijk", (1, [("pi", a.twist), ("pq", gram), ("jkq", a.bracket)], "ijk", "jki", "kij"))
-    cyclic = scan("cyclic-cocycle", first_case(t, (a.dim,) * 3, 3))
+    cyclic = scan("cyclic-cocycle", t, (a.dim,) * 3, 3)
     twist_sym = twist_symmetry(a, gram, "form-twist-symmetry")
 
     chybe = r_square_bracket(r).is_zero()

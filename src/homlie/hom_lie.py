@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .report import CheckReport, combined, scan
+from .report import CheckReport, Witness, combined, failed, scan
 from .tensor import (
     _SAMPLE,
     Matrix,
@@ -30,7 +30,6 @@ from .tensor import (
     contract_sum,
     decide_pencil,
     dense,
-    first_case,
     matrix_kernels,
     sparse,
     unit_stack,
@@ -105,9 +104,9 @@ def validate_hom_lie(a: HomLieAlgebra) -> CheckReport:
     return combined(
         "hom-lie",
         [
-            scan("bracket-skew", first_case(_skew(a), shape[:3], 2)),
-            scan("twist-multiplicative", first_case(_multiplicative(a), shape[:3], 2)),
-            scan("hom-jacobi", first_case(_jacobiator(a), shape, 3)),
+            scan("bracket-skew", _skew(a), shape[:3], 2),
+            scan("twist-multiplicative", _multiplicative(a.twist, a.bracket, a.bracket), shape[:3], 2),
+            scan("hom-jacobi", _jacobiator(a), shape, 3),
         ],
     )
 
@@ -117,10 +116,19 @@ def _skew(a: HomLieAlgebra) -> Sparse:
     return contract_sum("ijk", (1, [("ijk", a.bracket)], "ijk", "jik"))
 
 
-def _multiplicative(a: HomLieAlgebra) -> Sparse:
-    """Entry (i, j, k): the e_k coefficient of phi[e_i, e_j] - [phi e_i, phi e_j]."""
-    c, phi = a.bracket, a.twist
-    return contract_sum("ijl", (1, [("ijk", c), ("lk", phi)]), (-1, [("pi", phi), ("pql", c), ("qj", phi)]))
+def _multiplicative(f, source, target) -> Sparse:
+    """Entry (i, j, l): the e_l coefficient of f(e_i e_j) - f(e_i) f(e_j), for the
+    map with matrix f and the products with structure constants source on its
+    domain and target on its codomain."""
+    return contract_sum("ijl", (1, [("ijk", source), ("lk", f)]), (-1, [("pi", f), ("pql", target), ("qj", f)]))
+
+
+def _intertwining(x, source, target, batch: str = "") -> Sparse:
+    """Entry (i, j) of X A - B X, for the map X with matrix x from the space with the
+    map A = source to the space with B = target. With a batch letter, x and the
+    result carry a sample index first: one slice per sample."""
+    z = batch
+    return contract_sum(z + "ij", (1, [(z + "ik", x), ("kj", source)]), (-1, [("ik", target), (z + "kj", x)]))
 
 
 def _jacobiator(a: HomLieAlgebra) -> Sparse:
@@ -132,7 +140,7 @@ def _jacobiator(a: HomLieAlgebra) -> Sparse:
 
 def is_weakly_involutive(a: HomLieAlgebra) -> CheckReport:
     """[phi^2(x), y] = [x, y] on all basis pairs."""
-    return scan("weakly-involutive", first_case(_weak_involutivity(a), (a.dim,) * 3, 2))
+    return scan("weakly-involutive", _weak_involutivity(a), (a.dim,) * 3, 2)
 
 
 def _weak_involutivity(a: HomLieAlgebra) -> Sparse:
@@ -151,11 +159,10 @@ def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
     """
     if b.dim != a.dim:
         raise ShapeError("form dimension does not match algebra")
-    res = _form_invariance(a, b.gram)
-    bracket_inv = scan(
-        "form-invariance-bracket",
-        [((i, j, k), r) for (k, i, j), r, _ in first_case(res, (a.dim,) * 3, 3)],
-    )
+    bracket_inv = scan("form-invariance-bracket", _form_invariance(a, b.gram), (a.dim,) * 3, 3)
+    if not bracket_inv.ok:  # scanned as (k, i, j), named as (i, j, k)
+        (k, i, j), r = bracket_inv.witnesses[0].indices, bracket_inv.witnesses[0].residual
+        bracket_inv = failed("form-invariance-bracket", [Witness((i, j, k), r)])
     return combined(
         "invariant-form",
         [bracket_inv, twist_symmetry(a, b.gram, "form-invariance-twist")],
@@ -181,7 +188,7 @@ def _twist_symmetry(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
 
 def twist_symmetry(a: HomLieAlgebra, gram: Matrix, condition: str) -> CheckReport:
     """B(phi e_i, e_j) = B(e_i, phi e_j) for the form with this Gram matrix."""
-    return scan(condition, first_case(_twist_symmetry(a, gram), (a.dim,) * 2, 2))
+    return scan(condition, _twist_symmetry(a, gram), (a.dim,) * 2, 2)
 
 
 @dataclass(frozen=True)

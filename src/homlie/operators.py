@@ -33,14 +33,20 @@ from .coboundary import (
     RMatrix,
     _chunk,
     _first_failure,
-    _pair,
     _r_square,
     _validate_coboundary,
     check_twist_compat,
     cobracket_from_r,
     r_square_bracket,
 )
-from .hom_lie import HomLieAlgebra, is_weakly_involutive, require_same_algebra, validate_hom_lie
+from .hom_lie import (
+    HomLieAlgebra,
+    _intertwining,
+    _multiplicative,
+    is_weakly_involutive,
+    require_same_algebra,
+    validate_hom_lie,
+)
 from .report import CheckReport, Witness, combined, failed, holds, passed, require, scan
 from .representation import (
     Representation,
@@ -60,7 +66,6 @@ from .tensor import (
     contract,
     contract_sum,
     dense,
-    first_case,
     matrix_kernel,
     sparse,
     unit_stack,
@@ -94,16 +99,17 @@ class OOperatorCandidate:
 
 def _defects(cand: OOperatorCandidate) -> Sparse:
     """Entry (i, j, l): the e_l coefficient of OT(v_i, v_j)."""
-    return _defect_tensor(cand.rep, cand.t)
+    return _defect_tensor(cand.rep, cand.t, "", cand.t, "")
 
 
-def _defect_tensor(rep: Representation, t, batch: str = "", u=None, batch2: str = "") -> Sparse:
-    """_defects of the map T with matrix t, from rep's carrier to rep's algebra. With
-    a batch letter, t and the result carry a sample index first: one slice per sample.
-    Given u on the batch letter batch2, the bilinear form whose value at u = t is the
-    defect: [T v_i, U v_j] - U(rho(T v_i) v_j - rho(T v_j) v_i)."""
-    y = batch
-    u, z, lead = _pair(t, y, u, batch2)
+def _defect_tensor(rep: Representation, t, batch: str, u, batch2: str) -> Sparse:
+    """Entry (i, j, l) of the bilinear form [T v_i, U v_j] - U(rho(T v_i) v_j -
+    rho(T v_j) v_i), for the maps T and U with matrices t on the batch letter batch
+    and u on batch2, from rep's carrier to rep's algebra; at u = t, with both letters
+    empty, it is _defects of T. A batch letter puts a sample index first on its
+    matrix and on the result: one slice per sample."""
+    y, z = batch, batch2
+    lead = y + z
     # U rho(T v_i) v_j, where t_pi action_psj is the v_s coefficient of rho(T v_i) v_j
     acted = [(y + "pi", t), ("psj", rep.action), (z + "ls", u)]
     return contract_sum(
@@ -135,13 +141,6 @@ class HomLeftSymmetric:
         return self.product.plane(i).transpose()
 
 
-def _twist_defect(rep: Representation, t, batch: str = "") -> Sparse:
-    """Entry (i, j) of T beta - phi T, phi the twist of rep's algebra."""
-    z = batch
-    beta, phi = rep.beta, rep.base.twist
-    return contract_sum(z + "ij", (1, [(z + "ik", t), ("kj", beta)]), (-1, [("ik", phi), (z + "kj", t)]))
-
-
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
     """T beta = phi T, and the defect OT vanishes on all basis pairs."""
     return _o_operator_checks(cand)[1]
@@ -150,17 +149,15 @@ def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
 def _o_operator_checks(cand: OOperatorCandidate) -> tuple[Sparse, CheckReport]:
     """The defect tensor of T, evaluated once, and validate_o_operator's report."""
     defects = _defects(cand)
-    defect_ok = scan("o-operator-defect", first_case(defects, cand.shape, 2))
-    twist = dense(_twist_defect(cand.rep, cand.t), cand.t.shape)
-    return defects, combined("o-operator", [scan("twist-intertwines-t", [((0,), twist)]), defect_ok])
+    twist = _intertwining(cand.t, cand.rep.beta, cand.rep.base.twist)
+    checks = [scan("twist-intertwines-t", twist, cand.t.shape), scan("o-operator-defect", defects, cand.shape, 2)]
+    return defects, combined("o-operator", checks)
 
 
 def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
     """psi multiplicative, and (u.v).psi(w) - psi(u).(v.w) symmetric in u,v."""
     shape = (p.dim,) * 4
     dot, psi = p.product, p.psi
-    # entry (i, j, l): the e_l coefficient of psi(e_i.e_j) - psi(e_i).psi(e_j)
-    mult = contract_sum("ijl", (1, [("ijk", dot), ("lk", psi)]), (-1, [("pi", psi), ("pql", dot), ("qj", psi)]))
     # entry (i, j, k, l): the e_l coefficient of (e_i.e_j).psi(e_k) - psi(e_i).(e_j.e_k),
     # then its part skew in (i, j), scanned over i < j
     skew = contract_sum(
@@ -172,8 +169,8 @@ def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
     return combined(
         "hom-left-symmetric",
         [
-            scan("product-twist-multiplicative", first_case(mult, shape[:3], 2)),
-            scan("associator-twist-symmetric", first_case(upper, shape, 3)),
+            scan("product-twist-multiplicative", _multiplicative(psi, dot, dot), shape[:3], 2),
+            scan("associator-twist-symmetric", upper, shape, 3),
         ],
     )
 
@@ -200,7 +197,7 @@ def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     """u.v = psi^2(u).v on all basis pairs."""
     dot, psi = p.product, p.psi
     res = contract_sum("ijk", (1, [("ijk", dot)]), (-1, [("pq", psi), ("qi", psi), ("pjk", dot)]))
-    return scan("square-twist-product-condition", first_case(res, (p.dim,) * 3, 2))
+    return scan("square-twist-product-condition", res, (p.dim,) * 3, 2)
 
 
 def dual_semidirect(rep: Representation) -> HomLieAlgebra:
@@ -270,7 +267,7 @@ def _r_and_square(
 
     compat = check_twist_compat(r)
     rr = r_square_bracket(r)
-    expansion = scan("defect-expansion", [((0,), rr - dense(expected, (d,) * 3))])
+    expansion = scan("defect-expansion", rr - dense(expected, (d,) * 3))
 
     chybe = rr.is_zero()
     forward = holds(
@@ -320,7 +317,7 @@ def wedge_solutions(
     big1, r1, rr1, _ = _r_and_square(OOperatorCandidate(base, rep, Matrix.identity(m)), involutive)
     big2, r2, rr2, _ = _r_and_square(OOperatorCandidate(base, rep, p.psi @ p.psi), involutive)
 
-    subs = [scan("chybe-r1", [((0,), rr1)]), scan("chybe-r2", [((0,), rr2)])]
+    subs = [scan("chybe-r1", rr1), scan("chybe-r2", rr2)]
 
     # shared-cobracket hypotheses: g(V) weakly involutive and the twisted
     # action unchanged by the carrier twist square
@@ -332,7 +329,7 @@ def wedge_solutions(
         res = cobracket_from_r(r1).coeffs - cobracket_from_r(r2).coeffs
         subs.extend(
             [
-                scan("induced-cobrackets-coincide", [((0,), res)]),
+                scan("induced-cobrackets-coincide", res),
                 _validate_coboundary(r1, rr1).renamed("coboundary-r1"),
                 _validate_coboundary(r2, rr2).renamed("coboundary-r2"),
             ]
@@ -377,7 +374,7 @@ def intertwining_t_space(a: HomLieAlgebra, rep: Representation) -> list[Matrix]:
     a must be the algebra rep represents (ShapeError otherwise)."""
     require_same_algebra(rep.base, a, "representation must live over the given algebra")
     stack = unit_stack(a.dim, rep.carrier_dim)
-    return matrix_kernel(stack, _twist_defect(rep, stack, _SAMPLE))
+    return matrix_kernel(stack, _intertwining(stack, rep.beta, rep.base.twist, _SAMPLE))
 
 
 def run_defect_expansion_suite(

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Sequence, Union
 
-from .tensor import Array, format_q
+from .tensor import Array, first_case, format_q
 
 Residual = Union[Fraction, Array]
 
@@ -81,9 +81,10 @@ class CheckReport:
     def __str__(self) -> str:
         return self.render()
 
-    def renamed(self, condition: str) -> "CheckReport":
-        """The same verdict, witnesses, info and subreports under another name."""
-        return replace(self, checked_condition=condition)
+    def renamed(self, condition: str, **info) -> "CheckReport":
+        """The same verdict, witnesses and subreports under another name, with the
+        given info before the report's own."""
+        return replace(self, checked_condition=condition, info={**info, **self.info})
 
     def to_json(self) -> dict:
         out: dict = {"condition": self.checked_condition, "verdict": self.verdict}
@@ -111,17 +112,19 @@ def failed(condition: str, witnesses: list[Witness], **info) -> CheckReport:
     return CheckReport(condition, False, tuple(witnesses), dict(info))
 
 
-def scan(condition: str, cases: Iterable[tuple], **info) -> CheckReport:
-    """Fail at the first case whose residual is nonzero, else pass.
-
-    Each case is (indices, residual) or (indices, residual, note), in the
-    identity's documented scan order. Iteration stops at the witness, so
-    a lazy iterable evaluates nothing after it.
-    """
-    for indices, residual, *note in cases:
-        if _is_nonzero(residual):
-            return failed(condition, [Witness(indices, residual, *note)], **info)
-    return passed(condition, **info)
+def scan(
+    condition: str, residual, shape: Sequence[int] | None = None, nscan: int = 0, note: str = "", **info
+) -> CheckReport:
+    """Pass when the residual is zero, else fail at its first witness: the least
+    prefix of nscan indices at which it is nonzero, in row-major order, with the
+    block of the residual there. The residual is an array, or anything
+    tensor.sparse takes over `shape` (by default the array's own). With nscan 0
+    the whole residual is the witness, at (0,)."""
+    case = first_case(residual, residual.shape if shape is None else shape, nscan)
+    if case is None:
+        return passed(condition, **info)
+    at, block = case
+    return failed(condition, [Witness(at or (0,), block, note)], **info)
 
 
 def holds(condition: str, ok: bool, note: str) -> CheckReport:
@@ -129,10 +132,6 @@ def holds(condition: str, ok: bool, note: str) -> CheckReport:
     if ok:
         return passed(condition)
     return failed(condition, [Witness((0,), Fraction(1), note)])
-
-
-def _is_nonzero(r: Residual) -> bool:
-    return not r.is_zero() if isinstance(r, Array) else r != 0
 
 
 def combined(condition: str, subreports: list[CheckReport], **info) -> CheckReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hom_lie import HomLieAlgebra, block_sum, is_weakly_involutive
+from .hom_lie import HomLieAlgebra, block_sum
 from .report import CheckReport, InvalidStructureError, combined, scan
 from .tensor import (
     Matrix,
@@ -28,7 +28,6 @@ from .tensor import (
     contract,
     contract_sum,
     dense,
-    first_case,
 )
 
 
@@ -81,8 +80,8 @@ def validate_representation(r: Representation) -> CheckReport:
     return combined(
         "representation",
         [
-            scan("rep-axiom-twist", first_case(_twist_axiom(r), r.shape, 1)),
-            scan("rep-axiom-bracket", first_case(_bracket_axiom(r), (r.base.dim, *r.shape), 2)),
+            scan("rep-axiom-twist", _twist_axiom(r), r.shape, 1),
+            scan("rep-axiom-bracket", _bracket_axiom(r), (r.base.dim, *r.shape), 2),
         ],
     )
 
@@ -114,7 +113,7 @@ def is_weakly_involutive_rep(r: Representation) -> CheckReport:
     """rho(phi^2(x)) = rho(x) on basis vectors."""
     act, square = r.action, r.base.twist @ r.base.twist
     res = contract_sum("ist", (1, _after(act, square, "i", "s", "t")), (-1, [("ist", act)]))
-    return scan("weakly-involutive-rep", first_case(res, r.shape, 1))
+    return scan("weakly-involutive-rep", res, r.shape, 1)
 
 
 def dual_action_candidate(r: Representation) -> Representation:
@@ -149,15 +148,8 @@ def hom_dual_exists(r: Representation) -> CheckReport:
     return combined(
         "hom-dual-exists",
         [
-            scan("dual-exists-i", first_case(cond1, r.shape, 1)),
-            scan(
-                "dual-exists-ii",
-                first_case(
-                    _bracket_axiom(r, square),
-                    (r.base.dim, *r.shape),
-                    2,
-                ),
-            ),
+            scan("dual-exists-i", cond1, r.shape, 1),
+            scan("dual-exists-ii", _bracket_axiom(r, square), (r.base.dim, *r.shape), 2),
         ],
         weakly_involutive=is_weakly_involutive_rep(r).ok,
     )
@@ -196,4 +188,4 @@ def fixes_carrier_square(condition: str, r: Representation, m=None) -> CheckRepo
     act, beta = r.action, r.beta
     fixed = [*_after(act, m, "i", "r", "t"), ("tv", beta), ("vs", beta)]
     res = contract_sum("irs", (1, fixed), (-1, _after(act, m, "i", "r", "s")))
-    return scan(condition, first_case(res, r.shape, 1))
+    return scan(condition, res, r.shape, 1)

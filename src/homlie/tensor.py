@@ -351,8 +351,8 @@ class Tensor3(Array):
 # --- sparse exact contraction -------------------------------------------------
 #
 # An identity is written once, as a sum of contractions of its structure
-# constants; first_case then hands report.scan the first failing case of the
-# residual in the identity's scan order, so scan alone makes witnesses.
+# constants; report.scan takes the residual itself and reads its witness, the
+# least failing prefix in the identity's scan order, through first_case.
 
 
 class Sparse(dict):
@@ -686,15 +686,14 @@ def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):
 _ARRAYS = (Vector, Matrix, Tensor3)
 
 
-def first_case(t, shape: Sequence[int], nscan: int, note: str = "") -> list[tuple]:
-    """The case report.scan needs of a residual tensor t over `shape`: the least
-    prefix of nscan indices with a nonzero entry, as (1-based indices, the block of
-    t there, note); no case when t is zero."""
+def first_case(t, shape: Sequence[int], nscan: int) -> tuple[tuple[int, ...], Fraction | Array] | None:
+    """The least prefix of nscan indices at which the residual t over `shape` is
+    nonzero, as (its 1-based indices, the block of t there); None when t is zero."""
     t = sparse(t)
     if not t:
-        return []
+        return None
     at = min(key[:nscan] for key in t)
-    return [(tuple(i + 1 for i in at), dense(t, shape, at), note)]
+    return tuple(i + 1 for i in at), dense(t, shape, at)
 
 
 # --- exact linear algebra helpers -------------------------------------------

@@ -476,3 +476,36 @@ def oracle_twist_symmetry(a: HomLieAlgebra, gram: Matrix, i: int, j: int) -> Q:
         return sum((x[p] * gram[p, q] * y[q] for p in range(n) for q in range(n)), Q(0))
 
     return b(twist_vec(a, vec(a, i)), vec(a, j)) - b(vec(a, i), twist_vec(a, vec(a, j)))
+
+
+def oracle_algebra_homomorphism(f: Matrix, a1: HomLieAlgebra, a2: HomLieAlgebra, i: int, j: int) -> Vector:
+    """f([e_i, e_j]) - [f(e_i), f(e_j)], for f from a1 to a2."""
+    x, y = vec(a1, i), vec(a1, j)
+    lhs = _apply(_rows(f), bracket_vec(a1, x, y))
+    rhs = bracket_vec(a2, _apply(_rows(f), x), _apply(_rows(f), y))
+    return Vector([p - q for p, q in zip(lhs, rhs)])
+
+
+def oracle_twist_intertwined(f: Matrix, a1: HomLieAlgebra, a2: HomLieAlgebra) -> Matrix:
+    """f phi1 - phi2 f, for f from a1 to a2."""
+    lhs = _mat(_rows(f), _rows(a1.twist))
+    rhs = _mat(_rows(a2.twist), _rows(f))
+    return Matrix([[p - q for p, q in zip(u, v)] for u, v in zip(lhs, rhs)])
+
+
+def oracle_cobracket_intertwined(f: Matrix, d1: Tensor3, d2: Tensor3, k: int) -> Matrix:
+    """(f (x) f) Delta1(e_k) - Delta2(f(e_k)), summed over the elementary tensors
+    e_s (x) e_t of Delta1(e_k), with Delta(e_x) the matrix d[x]."""
+    m, n = f.nrows, f.ncols
+    out = [[Q(0)] * m for _ in range(m)]
+    for s in range(n):
+        for t in range(n):
+            c = d1[k, s, t]
+            for p in range(m):
+                for q in range(m):
+                    out[p][q] += c * f[p, s] * f[q, t]
+    for x in range(m):
+        for p in range(m):
+            for q in range(m):
+                out[p][q] -= f[x, k] * d2[x, p, q]
+    return Matrix(out)

@@ -212,7 +212,7 @@ def test_jac_delta_matches_oracle_and_bracket_action(heis3phi):
             r = RMatrix(a, rc)
             cb = cobracket_from_r(r)
             rr = r_square_bracket(r)
-            jd = contract_sum("kabc", *_co_jacobiator(a, cb.coeffs))
+            jd = contract_sum("kabc", *_co_jacobiator(a, cb.coeffs, "", cb.coeffs, ""))
             adj = contract_sum("kabc", *_adjoint_on(a, rr))
             for k in range(n):
                 assert dense(jd, (n,) * 4, (k,)) == oracle_jac_delta(a, cb.coeffs, k)
@@ -232,7 +232,7 @@ def test_jacobiator_identity_on_skew_kernel(heis3phi):
             rc = random_combination(rng, kernel)
             r = RMatrix(a, rc)
             cb = cobracket_from_r(r)
-            jd = contract_sum("kabc", *_co_jacobiator(a, cb.coeffs))
+            jd = contract_sum("kabc", *_co_jacobiator(a, cb.coeffs, "", cb.coeffs, ""))
             adj = contract_sum("kabc", *_adjoint_on(a, r_square_bracket(r)))
             for k in range(n):
                 assert dense(jd, (n,) * 4, (k,)) == dense(adj, (n,) * 4, (k,))

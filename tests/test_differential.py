@@ -17,11 +17,13 @@ from homlie.corpus import abelian2, aff2, aff2_triangular_bialgebra, aff2bad, af
 from homlie.hom_lie import BilinearFormB, HomLieAlgebra, change_of_basis, direct_sum
 from homlie.report import Witness, scan
 from homlie.representation import Representation, adjoint_rep
-from homlie.tensor import Matrix, Sparse, Tensor3, contract, contract_sum, dense, first_case, sparse
+from homlie.tensor import Matrix, Sparse, Tensor3, contract, contract_sum, dense, sparse
 
 from oracles import (
     oracle_ad3,
+    oracle_algebra_homomorphism,
     oracle_cobracket,
+    oracle_cobracket_intertwined,
     oracle_form_invariance,
     oracle_hom_jacobi,
     oracle_jac_delta,
@@ -35,6 +37,7 @@ from oracles import (
     oracle_residual_rhs,
     oracle_skew,
     oracle_twist_compat,
+    oracle_twist_intertwined,
     oracle_weak_involutivity,
 )
 from sampling import random_matrix
@@ -92,7 +95,7 @@ def test_hom_lie_identities_match_the_oracles(seed):
             hom_lie._skew(a), (n,) * 3, 2, lambda i, j: oracle_skew(a, i, j), report["bracket-skew"]
         )
         failures += _agrees(
-            hom_lie._multiplicative(a),
+            hom_lie._multiplicative(a.twist, a.bracket, a.bracket),
             (n,) * 3,
             2,
             lambda i, j: oracle_multiplicative(a, i, j),
@@ -208,6 +211,36 @@ def test_matched_pair_identities_match_the_oracles(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_bialgebra_homomorphism_witnesses_match_the_oracles(seed):
+    """A seeded 3 x 2 f from a bialgebra on aff2phi to one on a perturbed heis3,
+    each with a seeded cobracket tensor: both of f's residuals that the library
+    contracts apart equal the oracles, and each part fails at the oracle's first
+    nonzero tuple in scan order (the twist part names the whole matrix, at (0,))."""
+    rng = random.Random(seed)
+    a1, a2 = aff2phi(), _perturbed(heis3(), seed)
+    d1, d2 = (Tensor3([[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(n)]) for n in (2, 3))
+    f = random_matrix(rng, 3, 2)
+    report = bialgebra.check_bialgebra_homomorphism(
+        f, HomLieBialgebra(Cobracket(a1, d1)), HomLieBialgebra(Cobracket(a2, d2))
+    )
+    bracket, twist, co = report.subreports
+    assert _agrees(
+        hom_lie._multiplicative(f, a1.bracket, a2.bracket),
+        (2, 2, 3),
+        2,
+        lambda i, j: oracle_algebra_homomorphism(f, a1, a2, i, j),
+        bracket,
+    )
+    want = oracle_twist_intertwined(f, a1, a2)
+    assert dense(hom_lie._intertwining(f, a1.twist, a2.twist), (3, 2)) == want
+    assert not want.is_zero() and twist.witnesses == (Witness((0,), want),)
+    co_want = [oracle_cobracket_intertwined(f, d1, d2, k) for k in range(2)]
+    failing = [Witness((k + 1,), m) for k, m in enumerate(co_want) if not m.is_zero()]
+    assert failing and co.witnesses == tuple(failing[:1])
+    assert report.first_witness() == bracket.witnesses[0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_o_operator_defect_matches_the_oracle(seed):
     rng = random.Random(seed)
     for a in (aff2phi(), heis3(), sl2()):
@@ -240,7 +273,7 @@ def test_r_matrix_tensors_match_the_oracles(seed):
         )
         cb = cobracket_from_r(r)
         assert cb.coeffs == oracle_cobracket(a, rc)
-        jd = contract_sum("kabc", *coboundary._co_jacobiator(a, cb.coeffs))
+        jd = contract_sum("kabc", *coboundary._co_jacobiator(a, cb.coeffs, "", cb.coeffs, ""))
         adj = contract_sum("kabc", *coboundary._adjoint_on(a, rr))
         for k in range(n):
             assert dense(jd, (n,) * 4, (k,)) == oracle_jac_delta(a, cb.coeffs, k)
@@ -330,7 +363,7 @@ def test_twist_compatibility_matches_the_oracle(seed):
             n, rc = a.dim, random_matrix(rng, a.dim)
             want = oracle_twist_compat(a, rc)
             res = coboundary._twist_compat(a, rc)
-            entrywise = scan("twist-compat", first_case(res, (n, n), 2))
+            entrywise = scan("twist-compat", res, (n, n), 2)
             failures += _agrees(res, (n, n), 2, lambda i, j: want[i, j], entrywise)
             whole = coboundary.check_twist_compat(RMatrix(a, rc))
             assert whole.witnesses == (() if want.is_zero() else (Witness((0,), want),))

@@ -4,7 +4,8 @@ Every public top-level function or class in src/homlie is in `__all__`, or a
 module of src/homlie or perfbench refers to it by name or attribute (its own
 `def` not counting). The builtin accessors of corpus.py, which read a builtin
 by name, are exempt. A statement of the paper that only tests read is asserted
-in the tests, not kept in the library as a helper.
+in the tests, not kept in the library as a helper. And every name a module of
+src/homlie imports is read in that module.
 """
 
 import ast
@@ -54,3 +55,21 @@ def test_every_public_name_is_exported_or_used():
             used.update(name for name in _names(node) if name != own)
     unused = sorted(q for name, q in defined if name not in homlie.__all__ and name not in used)
     assert not unused, "public but neither exported nor used: " + ", ".join(unused)
+
+
+def test_every_imported_name_is_read():
+    """Each name a module of src/homlie (other than `__init__.py`, which imports to
+    export) imports, at any depth, is read somewhere in that module."""
+    unread = []
+    for path, tree in _trees().items():
+        if path.parent != SRC or path.name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.stem}:{node.lineno} {name}")
+    assert not unread, "imported but never read: " + ", ".join(unread)

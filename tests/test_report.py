@@ -14,7 +14,7 @@ from homlie.report import (
     require,
     scan,
 )
-from homlie.tensor import Matrix, Tensor3, Vector
+from homlie.tensor import Matrix, Tensor3, Vector, sparse
 
 
 def test_failing_report_requires_a_witness():
@@ -80,32 +80,37 @@ def test_require_raises_with_report_attached():
     require(passed("gate"), "never raised")
 
 
-def test_scan_returns_first_nonzero_case_with_note_and_info():
-    cases = [
-        ((1,), Q(0)),
-        ((2,), Vector([0, 0])),
-        ((3,), Matrix([[0, 2], [0, 0]]), "why"),
-        ((4,), Q(5)),
-    ]
-    rep = scan("c", cases, skew=True)
+def test_scan_fails_at_the_least_nonzero_prefix_with_note_and_info():
+    t = {(1, 0, 2): Q(3), (0, 2, 1): Q(-1), (0, 2, 0): Q(0), (2, 0, 0): Q(5)}
+    rep = scan("c", t, (3, 3, 3), 2, "why", skew=True)
     assert not rep.ok
-    assert rep.witnesses == (Witness((3,), Matrix([[0, 2], [0, 0]]), "why"),)
+    assert rep.witnesses == (Witness((1, 3), Vector([0, -1, 0]), "why"),)
     assert rep.info == {"skew": True}
+    assert scan("c", t, (3, 3, 3), 3).witnesses == (Witness((1, 3, 2), Q(-1)),)
+    assert scan("c", t, (3, 3, 3), 1).witnesses == (Witness((1,), Matrix([[0] * 3, [0] * 3, [0, -1, 0]])),)
 
-    ok = scan("c", [((1,), Q(0)), ((1, 1, 1), Tensor3([[[Q(0)]]]))], skew=False)
+    ok = scan("c", {(0, 0): Q(0)}, (2, 2), 2, "unused", skew=False)
     assert ok.ok and ok.witnesses == () and ok.info == {"skew": False}
-    assert scan("c", []).ok
+    assert scan("c", Tensor3([[[Q(0)]]]), nscan=3).ok
 
 
-def test_scan_stops_at_the_witness():
-    def cases():
-        yield (1,), Q(0)
-        yield (2,), Q(-1)
-        raise AssertionError("scan pulled a case past the witness")
+def test_scan_at_depth_zero_names_the_whole_residual_at_0():
+    m = Matrix([[0, 2], [0, 0]])
+    assert scan("c", m) == failed("c", [Witness((0,), m)])
+    assert scan("c", m, note="why").witnesses == (Witness((0,), m, "why"),)
+    assert scan("c", Matrix.zero(2)) == passed("c")
 
-    rep = scan("c", cases())
-    assert rep.witnesses[0].indices == (2,)
-    assert rep.witnesses[0].residual == Q(-1)
+
+def test_scan_takes_the_shape_of_an_array_and_needs_it_otherwise():
+    m = Matrix([[0, 0], [Q(1, 3), 2]])
+    assert scan("c", m, nscan=1).witnesses == (Witness((2,), Vector([Q(1, 3), 2])),)
+    assert scan("c", sparse(m), (2, 2), 2) == scan("c", m, nscan=2)
+    assert scan("c", {(1, 0): Q(1, 3)}, (2, 2), 2).witnesses == (Witness((2, 1), Q(1, 3)),)
+
+
+def test_scan_of_a_fraction_over_the_empty_shape():
+    assert scan("c", Q(-3, 4), ()) == failed("c", [Witness((0,), Q(-3, 4))])
+    assert scan("c", Q(0), (), note="unused").ok
 
 
 def test_renamed_keeps_everything_but_the_name():
@@ -120,6 +125,14 @@ def test_renamed_keeps_everything_but_the_name():
         rep.subreports,
     )
     assert passed("x", k=1).renamed("y") == passed("y", k=1)
+
+
+def test_renamed_puts_the_given_info_before_the_reports_own():
+    rep = failed("inner", [Witness((1,), Q(2))], flag=3)
+    new = rep.renamed("tag", precondition="refused", flag=0)
+    assert list(new.info.items()) == [("precondition", "refused"), ("flag", 3)]
+    assert (new.checked_condition, new.witnesses) == ("tag", rep.witnesses)
+    assert rep.info == {"flag": 3}
 
 
 def test_holds_fails_with_unit_residual_and_note():
