@@ -36,6 +36,7 @@ from .bialgebra import (
 )
 from .hom_lie import (
     HomLieAlgebra,
+    _twist_symmetry,
     is_weakly_involutive,
     require_same_algebra,
     twist_symmetry,
@@ -95,28 +96,20 @@ class RMatrix:
 def check_twist_compat(r: RMatrix) -> CheckReport:
     """(phi (x) id) r = (id (x) phi) r, the operator form phi r# = r# phi*
     (as matrices: phi r = r phi^T), reported as one matrix residual."""
-    return scan("twist-compat", _twist_compat(r.base, r.coeffs), (r.dim,) * 2)
-
-
-def _twist_compat(a: HomLieAlgebra, r, batch: str = "") -> Sparse:
-    """Entry (i, j) of (phi (x) id) r - (id (x) phi) r, the 2-tensor r given by its
-    coefficient matrix. With a batch letter, r and the result carry a sample index
-    first: one slice per sample."""
-    z, phi = batch, a.twist
-    return contract_sum(z + "ij", (1, [("ip", phi), (z + "pj", r)]), (-1, [(z + "iq", r), ("jq", phi)]))
+    return scan("twist-compat", _twist_symmetry(r.base.twist.transpose(), r.coeffs), (r.dim,) * 2)
 
 
 def twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
     """Basis of {r : phi r = r phi^T}, the space of twist-compatible r."""
     stack = unit_stack(a.dim, a.dim)
-    return matrix_kernel(stack, _twist_compat(a, stack, _SAMPLE))
+    return matrix_kernel(stack, _twist_symmetry(a.twist.transpose(), stack, _SAMPLE))
 
 
 def skew_twist_compat_kernel(a: HomLieAlgebra) -> list[Matrix]:
     """Basis of the twist-compatible r that are also skew-symmetric, solved over
     the skew unknowns E_pq - E_qp, p > q."""
     stack = skew_stack(a.dim)
-    return matrix_kernel(stack, _twist_compat(a, stack, _SAMPLE))
+    return matrix_kernel(stack, _twist_symmetry(a.twist.transpose(), stack, _SAMPLE))
 
 
 def cobracket_from_r(r: RMatrix) -> Cobracket:
@@ -155,18 +148,20 @@ def _r_square(a: HomLieAlgebra, r, batch: str, s, batch2: str) -> list:
     c, phi, y, z = a.bracket, a.twist, batch, batch2
     if c.is_zero():
         return []
-
-    def twisted(r, y: str) -> tuple[Sparse, Sparse]:
-        """phi on the first slot of r, and phi on its second."""
-        return contract(y + "aq", ("ap", phi), (y + "pq", r)), contract(y + "pb", (y + "pq", r), ("bq", phi))
-
-    phir, rphit = twisted(r, y)
-    phis, sphit = (phir, rphit) if s is r else twisted(s, z)
+    phir, rphit = _slot_twists(phi, r, y)
+    phis, sphit = (phir, rphit) if s is r else _slot_twists(phi, s, z)
     return [
         (1, [("psa", c), (y + "pb", rphit), (z + "sc", sphit)]),
         (1, [(y + "aq", phir), ("qsb", c), (z + "sc", sphit)]),
         (1, [(y + "aq", phir), ("qtc", c), (z + "bt", phis)]),
     ]
+
+
+def _slot_twists(phi, t, batch: str = "") -> tuple[Sparse, Sparse]:
+    """(phi t, t phi^T): phi on the first slot of the 2-tensor with coefficients t,
+    and phi on its second, batched as _basis_action."""
+    z = batch
+    return contract(z + "ij", ("ip", phi), (z + "pj", t)), contract(z + "ij", (z + "ip", t), ("jp", phi))
 
 
 def _co_jacobiator(a: HomLieAlgebra, d, batch: str, e, batch2: str) -> list:
@@ -318,11 +313,9 @@ def _residual_sides(a: HomLieAlgebra, r, adjoints: tuple, batch: str = "") -> li
     if c.is_zero():
         return [(out, [], []) for out in (z + "kpq", z + "kpq", z + "ijpq")]
     d = _basis_action(a, r, z)
-    w = _twist_compat(a, r, z)
-    phi_w = contract(z + "pv", ("pu", phi), (z + "uv", w))  # (phi (x) id) w
-    w_phi = contract(z + "uq", (z + "uv", w), ("qv", phi))  # (id (x) phi) w
-    # (phi (x) id + id (x) phi) w
-    both = contract_sum(z + "uv", (1, [("ux", phi), (z + "xv", w)]), (1, [(z + "ux", w), ("vx", phi)]))
+    w = _twist_symmetry(phi.transpose(), r, z)
+    phi_w, w_phi = _slot_twists(phi, w, z)  # (phi (x) id) w and (id (x) phi) w
+    both = phi_w + w_phi
 
     def skew_action(x, lead: str) -> list:
         """(X (x) phi - phi (x) X) w for the matrix X = x at each value of `lead`."""

@@ -140,13 +140,14 @@ def _jacobiator(a: HomLieAlgebra) -> Sparse:
 
 def is_weakly_involutive(a: HomLieAlgebra) -> CheckReport:
     """[phi^2(x), y] = [x, y] on all basis pairs."""
-    return scan("weakly-involutive", _weak_involutivity(a), (a.dim,) * 3, 2)
+    return scan("weakly-involutive", _square_defect(a.bracket, a.twist), (a.dim,) * 3, 2)
 
 
-def _weak_involutivity(a: HomLieAlgebra) -> Sparse:
-    """Entry (i, j, k): the e_k coefficient of [phi^2 e_i, e_j] - [e_i, e_j]."""
-    phi = a.twist
-    return contract_sum("ijk", (1, [("pq", phi), ("qi", phi), ("pjk", a.bracket)]), (-1, [("ijk", a.bracket)]))
+def _square_defect(t, m) -> Sparse:
+    """Entry (i, j, k) of t(m^2 e_i, e_j) - t(e_i, e_j) for the order-3 tensor t
+    (entry (i, j, k) of t is the k-th coordinate of t(e_i, e_j)): the bracket, an
+    action or a product, with m its twist."""
+    return contract_sum("ijk", (1, [("pq", m), ("qi", m), ("pjk", t)]), (-1, [("ijk", t)]))
 
 
 def check_invariant_form(a: HomLieAlgebra, b: BilinearFormB) -> CheckReport:
@@ -180,15 +181,18 @@ def _form_invariance(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
     )
 
 
-def _twist_symmetry(a: HomLieAlgebra, gram, batch: str = "") -> Sparse:
-    """Entry (i, j): B(phi e_i, e_j) - B(e_i, phi e_j), batched as _form_invariance."""
-    z, phi = batch, a.twist
-    return contract_sum(z + "ij", (1, [("pi", phi), (z + "pj", gram)]), (-1, [(z + "ip", gram), ("pj", phi)]))
+def _twist_symmetry(m, x, batch: str = "") -> Sparse:
+    """Entry (i, j) of m^T x - x m, batched as _form_invariance. At m = phi and x a
+    Gram matrix it is B(phi e_i, e_j) - B(e_i, phi e_j); at m = phi^T and x the
+    coefficients of r it is (phi (x) id) r - (id (x) phi) r, as phi r - r phi^T."""
+    # kept apart from _intertwining: through it, every call would pay for m^T and a negation
+    z = batch
+    return contract_sum(z + "ij", (1, [("pi", m), (z + "pj", x)]), (-1, [(z + "ip", x), ("pj", m)]))
 
 
 def twist_symmetry(a: HomLieAlgebra, gram: Matrix, condition: str) -> CheckReport:
     """B(phi e_i, e_j) = B(e_i, phi e_j) for the form with this Gram matrix."""
-    return scan(condition, _twist_symmetry(a, gram), (a.dim,) * 2, 2)
+    return scan(condition, _twist_symmetry(a.twist, gram), (a.dim,) * 2, 2)
 
 
 @dataclass(frozen=True)
@@ -200,10 +204,16 @@ class InvariantFormSpace:
 
     basis: tuple[Matrix, ...]
     symmetric_basis: tuple[Matrix, ...]
-    has_nondegenerate: bool
-    has_nondegenerate_symmetric: bool
     certificate: PencilCertificate
     symmetric_certificate: PencilCertificate
+
+    @property
+    def has_nondegenerate(self) -> bool:
+        return self.certificate.nonsingular
+
+    @property
+    def has_nondegenerate_symmetric(self) -> bool:
+        return self.symmetric_certificate.nonsingular
 
 
 def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
@@ -218,11 +228,10 @@ def invariant_form_space(a: HomLieAlgebra) -> InvariantFormSpace:
     """
     n, z = a.dim, _SAMPLE
     stack = unit_stack(n, n)
-    invariance = [_form_invariance(a, stack, z), _twist_symmetry(a, stack, z)]
+    invariance = [_form_invariance(a, stack, z), _twist_symmetry(a.twist, stack, z)]
     symmetry = [contract_sum(z + "ij", (1, [(z + "ij", stack)]), (-1, [(z + "ij", stack)], z + "ji"))]
     bases = [tuple(b) for b in matrix_kernels(stack, invariance, symmetry)]
-    certificates = [decide_pencil(b, n) for b in bases]
-    return InvariantFormSpace(*bases, *(c.nonsingular for c in certificates), *certificates)
+    return InvariantFormSpace(*bases, *(decide_pencil(b, n) for b in bases))
 
 
 def change_of_basis(a: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:

@@ -43,6 +43,7 @@ from .hom_lie import (
     HomLieAlgebra,
     _intertwining,
     _multiplicative,
+    _square_defect,
     is_weakly_involutive,
     require_same_algebra,
     validate_hom_lie,
@@ -195,9 +196,7 @@ def left_mult_rep(p: HomLeftSymmetric) -> Representation:
 
 def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     """u.v = psi^2(u).v on all basis pairs."""
-    dot, psi = p.product, p.psi
-    res = contract_sum("ijk", (1, [("ijk", dot)]), (-1, [("pq", psi), ("qi", psi), ("pjk", dot)]))
-    return scan("square-twist-product-condition", res, (p.dim,) * 3, 2)
+    return scan("square-twist-product-condition", -_square_defect(p.product, p.psi), (p.dim,) * 3, 2)
 
 
 def dual_semidirect(rep: Representation) -> HomLieAlgebra:

@@ -269,6 +269,23 @@ def oracle_rep_bracket(
     )
 
 
+def oracle_dual_exists_i(a: HomLieAlgebra, beta: Matrix, action: list[Matrix], i: int) -> Matrix:
+    """beta rho(e_i) - beta rho(phi^2(e_i))."""
+    lhs = _mat(_rows(beta), _rho(action, vec(a, i)))
+    rhs = _mat(_rows(beta), _rho(action, twist_vec(a, twist_vec(a, vec(a, i)))))
+    return Matrix([[p - q for p, q in zip(u, v)] for u, v in zip(lhs, rhs)])
+
+
+def oracle_square_twist_product(product: Tensor3, psi: Matrix, i: int, j: int) -> Vector:
+    """e_i . e_j - psi^2(e_i) . e_j for the product with these structure constants."""
+    n = psi.nrows
+    x = [Q(1) if k == i else Q(0) for k in range(n)]
+    sq = _apply(_rows(psi), _apply(_rows(psi), x))
+    return Vector(
+        [product[i, j, k] - sum((sq[p] * product[p, j, k] for p in range(n)), Q(0)) for k in range(n)]
+    )
+
+
 def oracle_matched_pair(
     g: HomLieAlgebra,
     h: HomLieAlgebra,

@@ -189,6 +189,14 @@ def test_standard_form_gram():
     )
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_standard_form_pairs_each_block_only_with_the_other(n):
+    """No Gram entry of the standard pairing lies inside either n-dim block, which
+    is why validate_manin_triple reports blocks-isotropic without a scan."""
+    gram = standard_form(n).gram
+    assert all(gram[i, j] == 0 for i in range(2 * n) for j in range(2 * n) if (i >= n) == (j >= n))
+
+
 def test_triple_equivalence_positive():
     for bi in (_zero(), _triangular()):
         rep = check_triple_equivalence(bi)

@@ -18,11 +18,11 @@ from homlie.operators import (
     validate_o_operator,
     wedge_solutions,
 )
-from homlie.report import InvalidStructureError
+from homlie.report import InvalidStructureError, Witness
 from homlie.representation import adjoint_rep, is_weakly_involutive_rep
 from homlie.tensor import Matrix, ShapeError, Tensor3, Vector
 
-from oracles import oracle_o_defect, oracle_r_square
+from oracles import oracle_o_defect, oracle_r_square, oracle_square_twist_product
 
 
 def _planes(m):
@@ -37,6 +37,19 @@ def _dim1_psi0():
 R_LIFTED = Matrix(
     [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
 )
+
+
+def test_square_twist_product_witness_matches_the_oracle():
+    """u.v = psi^2(u).v on the 1-dim algebra with psi = 0, which no CLI check
+    reaches: the residual at each (i, j) is the naive e_i.e_j - psi^2(e_i).e_j, and
+    the witness is the first nonzero one, at (1, 1) with residual (1)."""
+    p = _dim1_psi0()
+    report = _square_twist_condition(p)
+    want = {(i, j): oracle_square_twist_product(p.product, p.psi, i, j) for i in range(p.dim) for j in range(p.dim)}
+    (i, j), first = next((at, v) for at, v in want.items() if not v.is_zero())
+    assert (report.checked_condition, report.ok) == ("square-twist-product-condition", False)
+    assert report.witnesses == (Witness((i + 1, j + 1), first),)
+    assert report.witnesses[0] == Witness((1, 1), Vector([1]))
 
 
 def test_validate_hlsa_builtins():

@@ -9,7 +9,7 @@ from homlie.hom_lie import (
     is_weakly_involutive,
     validate_hom_lie,
 )
-from homlie.report import InvalidStructureError
+from homlie.report import InvalidStructureError, Witness
 from homlie.representation import (
     Representation,
     adjoint_rep,
@@ -23,6 +23,8 @@ from homlie.representation import (
     validate_representation,
 )
 from homlie.tensor import Matrix, Vector
+
+from oracles import oracle_dual_exists_i
 
 
 def semidirect_verdicts(r: Representation) -> tuple[tuple[bool, ...], bool]:
@@ -114,6 +116,40 @@ def test_aff2phi_adjoint_dual_pipeline_fails_throughout():
     with pytest.raises(InvalidStructureError):
         hom_dual_representation(r)
     assert dual_action_candidate(dual_action_candidate(r)) != r
+
+
+def test_dual_exists_i_witness_matches_the_oracle():
+    """Condition (i) of hom_dual_exists on the adjoint action of aff2phi, which no
+    CLI check reaches: every entry agrees with the naive sum, and the witness is
+    its first nonzero matrix, at (2) with residual [0 -2; 0 0]."""
+    r = adjoint_rep(aff2phi())
+    cond = hom_dual_exists(r).subreports[0]
+    want = [oracle_dual_exists_i(r.base, r.beta, list(r.action), i) for i in range(r.base.dim)]
+    first = next(i for i, m in enumerate(want) if not m.is_zero())
+    assert (cond.checked_condition, cond.ok) == ("dual-exists-i", False)
+    assert cond.witnesses == (Witness((first + 1,), want[first]),)
+    assert cond.witnesses[0] == Witness((2,), Matrix([[0, -2], [0, 0]]))
+
+
+@pytest.mark.parametrize("make", (aff2phi, heis3), ids=lambda f: f.__name__)
+def test_hom_dual_exists_evaluates_the_square_defect_once(make, monkeypatch):
+    """Condition (i) and the weakly_involutive flag both read one square defect,
+    whose verdict is is_weakly_involutive_rep's."""
+    from homlie import representation
+
+    r = adjoint_rep(make())
+    want = hom_dual_exists(r)
+    calls, real = [], representation._square_defect
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(representation, "_square_defect", counting)
+    got = hom_dual_exists(r)
+    assert len(calls) == 1
+    assert got == want and got.to_json() == want.to_json()
+    assert got.info["weakly_involutive"] is is_weakly_involutive_rep(r).ok
 
 
 @pytest.mark.parametrize("make", (abelian2, aff2, heis3, sl2),

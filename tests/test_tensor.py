@@ -417,11 +417,10 @@ def _yau_sl2_cubed_twist_in_a_dense_basis():
 def _twist_compat_rows(phi):
     """The rows of phi X - X phi^T = 0 over the n^2 entries of X, row-major: the
     library's twist-compat residual on the unit stack, read as its columns."""
-    from homlie.coboundary import _twist_compat
-    from homlie.hom_lie import HomLieAlgebra
+    from homlie.hom_lie import _twist_symmetry
 
     n = phi.nrows
-    residual = dense(_twist_compat(HomLieAlgebra(Tensor3.zero(n), phi), unit_stack(n, n), "z"), (n * n, n, n))
+    residual = dense(_twist_symmetry(phi.transpose(), unit_stack(n, n), "z"), (n * n, n, n))
     return [[residual[z, i, j] for z in range(n * n)] for i in range(n) for j in range(n)]
 
 
