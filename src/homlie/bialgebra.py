@@ -15,8 +15,8 @@ positive or in the negative: V1 is the bialgebra's own verdict, and V2 (the
 matched pair) and V3 (the Manin triple) are computed apart from it.
 
 A HomLieBialgebra settles each piece of this work once: its dual, its
-verdict, its canonical matched pair, its d-double and its triple
-equivalence are cached properties, which validate_bialgebra, d_double,
+canonical matched pair, its d-double, the verdicts V1, V2 and V3 and their
+triple equivalence are cached properties, which validate_bialgebra, d_double,
 check_triple_equivalence and hom_double read. Nothing is cached beyond the
 object, so a new bialgebra (one per parsed document) evaluates everything
 afresh.
@@ -109,6 +109,32 @@ class HomLieBialgebra:
     def double(self) -> HomLieAlgebra:
         """d_double, built once per bialgebra."""
         return double_bracket(self.matched_pair)
+
+    @cached_property
+    def matched_pair_verdict(self) -> CheckReport:
+        """V2 of the triple equivalence, evaluated once per bialgebra."""
+        # mp.left is the algebra and mp.right the dual, so the bialgebra verdict's
+        # four component verdicts are V2's, under V2's names.
+        mp = self.matched_pair
+        names = (
+            "left-hom-lie",
+            "left-weakly-involutive",
+            "right-hom-lie",
+            "right-weakly-involutive",
+        )
+        return combined(
+            "matched-pair-structure",
+            [
+                *(s.renamed(name) for s, name in zip(self.verdict.subreports, names)),
+                *_action_reports(mp),
+                validate_matched_pair(mp),
+            ],
+        )
+
+    @cached_property
+    def manin_triple_verdict(self) -> CheckReport:
+        """V3 of the triple equivalence, evaluated once per bialgebra."""
+        return validate_manin_triple(self.double, self.algebra.dim)
 
     @cached_property
     def equivalence(self) -> CheckReport:
@@ -348,28 +374,7 @@ def check_triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
 
 
 def _triple_equivalence(bi: HomLieBialgebra) -> CheckReport:
-    v1 = validate_bialgebra(bi)
-
-    # mp.left is bi.algebra and mp.right is V1's dual algebra, so V1's four
-    # component verdicts are V2's, under V2's names.
-    mp = bi.matched_pair
-    names = (
-        "left-hom-lie",
-        "left-weakly-involutive",
-        "right-hom-lie",
-        "right-weakly-involutive",
-    )
-    v2 = combined(
-        "matched-pair-structure",
-        [
-            *(s.renamed(name) for s, name in zip(v1.subreports, names)),
-            *_action_reports(mp),
-            validate_matched_pair(mp),
-        ],
-    )
-
-    v3 = validate_manin_triple(bi.double, bi.algebra.dim)
-
+    v1, v2, v3 = validate_bialgebra(bi), bi.matched_pair_verdict, bi.manin_triple_verdict
     agree = v1.ok == v2.ok == v3.ok
     verdicts = {
         "bialgebra": v1.verdict,

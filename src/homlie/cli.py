@@ -65,6 +65,10 @@ def _load(arg: str) -> Structure:
         return load_structure(arg)
     except FileNotFoundError:
         raise UsageError(f"no such file: {arg}") from None
+    except OSError as e:  # a directory, or a file this user may not read
+        raise UsageError(f"cannot read {arg}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{arg}: not UTF-8 text") from None
     except StructureParseError as e:
         raise UsageError(f"{arg}: {e}") from None
 
@@ -156,9 +160,9 @@ def _defect_expansion(rep: Representation) -> CheckReport:
 
 
 # The bialgebra checks read the one bialgebra of a structure, so they share its
-# verdict, its double and its triple equivalence, whose parts are the bialgebra,
-# matched-pair and manin-triple verdicts. The cobracket lives on the algebra, so
-# a missing algebra is named first.
+# three verdicts, its double and its triple equivalence of those verdicts; each
+# check evaluates only what it returns. The cobracket lives on the algebra, so a
+# missing algebra is named first.
 _BI = ("algebra", "cobracket")
 
 # check name: (the sections it needs, in the order a missing one is named, and
@@ -167,8 +171,8 @@ CHECKS = {
     "hom-lie": (("algebra",), lambda s: validate_hom_lie(s.algebra)),
     "weakly-involutive": (("algebra",), lambda s: is_weakly_involutive(s.algebra)),
     "representation": (("representation",), lambda s: validate_representation(s.representation)),
-    "matched-pair": (_BI, lambda s: check_triple_equivalence(s.bialgebra).subreports[1]),
-    "manin-triple": (_BI, lambda s: check_triple_equivalence(s.bialgebra).subreports[2]),
+    "matched-pair": (_BI, lambda s: s.bialgebra.matched_pair_verdict),
+    "manin-triple": (_BI, lambda s: s.bialgebra.manin_triple_verdict),
     "bialgebra": (_BI, lambda s: validate_bialgebra(s.bialgebra)),
     "coboundary": (("algebra", "rmatrix"), lambda s: validate_coboundary(s.algebra, s.rmatrix)),
     "chybe": (("algebra", "rmatrix"), lambda s: check_chybe(s.rmatrix)),

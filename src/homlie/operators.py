@@ -144,15 +144,16 @@ class HomLeftSymmetric:
 
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
     """T beta = phi T, and the defect OT vanishes on all basis pairs."""
-    return _o_operator_checks(cand)[1]
+    _, _, verdict = _o_operator_checks(cand)
+    return verdict
 
 
-def _o_operator_checks(cand: OOperatorCandidate) -> tuple[Sparse, CheckReport]:
-    """The defect tensor of T, evaluated once, and validate_o_operator's report."""
+def _o_operator_checks(cand: OOperatorCandidate) -> tuple[Sparse, CheckReport, CheckReport]:
+    """The defect tensor of T, evaluated once, the report of T beta = phi T, and
+    validate_o_operator's report, which holds it."""
     defects = _defects(cand)
-    twist = _intertwining(cand.t, cand.rep.beta, cand.rep.base.twist)
-    checks = [scan("twist-intertwines-t", twist, cand.t.shape), scan("o-operator-defect", defects, cand.shape, 2)]
-    return defects, combined("o-operator", checks)
+    twist = scan("twist-intertwines-t", _intertwining(cand.t, cand.rep.beta, cand.rep.base.twist), cand.t.shape)
+    return defects, twist, combined("o-operator", [twist, scan("o-operator-defect", defects, cand.shape, 2)])
 
 
 def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
@@ -199,11 +200,6 @@ def _square_twist_condition(p: HomLeftSymmetric) -> CheckReport:
     return scan("square-twist-product-condition", -_square_defect(p.product, p.psi), (p.dim,) * 3, 2)
 
 
-def dual_semidirect(rep: Representation) -> HomLieAlgebra:
-    """g |x V* through the Hom-dual action of rep, which must be weakly involutive."""
-    return semidirect_product(hom_dual_representation(rep))
-
-
 def _lifted_r(t, n: int, batch: str = "") -> Sparse:
     """The coefficients of r = T-bar - sigma(T-bar) in g |x V*, g of dimension n,
     where T-bar = sum_i v^i (x) T(v_i) is T on the (V*-block, g-block) corner."""
@@ -239,34 +235,13 @@ def r_from_o_operator(
     solution forces T to be an O-operator) is checked on this instance and
     recorded.
     """
-    big, r, _, report = _r_and_square(cand, is_weakly_involutive_rep(cand.rep))
-    return big, r, report
-
-
-def _lift_preconditions(rep: Representation, involutive: CheckReport) -> HomLieAlgebra:
-    """g |x V*, once the representation is weakly involutive (the report of
-    is_weakly_involutive_rep)."""
-    require(involutive, "the carrier representation must be weakly involutive")
-    return dual_semidirect(rep)
-
-
-def _r_and_square(
-    cand: OOperatorCandidate, involutive: CheckReport, checks: tuple | None = None
-) -> tuple[HomLieAlgebra, RMatrix, Tensor3, CheckReport]:
-    """r_from_o_operator, also returning the [r,r] it computed, given the report of
-    is_weakly_involutive_rep on the representation and, when the caller has them,
-    the _o_operator_checks of cand."""
-    defects, oop = checks or _o_operator_checks(cand)
-    # oop's first part is T beta = phi T
-    require(oop.subreports[0], "T must intertwine the twists")
-    big = _lift_preconditions(cand.rep, involutive)
-    d = big.dim
-    r = RMatrix(big, dense(_lifted_r(cand.t, cand.algebra.dim), (d, d)))
-    expected = _expansion(cand.algebra, defects)
+    defects, twist, oop = _o_operator_checks(cand)
+    require(twist, "T must intertwine the twists")
+    big, r = _lift(cand, is_weakly_involutive_rep(cand.rep))
 
     compat = check_twist_compat(r)
     rr = r_square_bracket(r)
-    expansion = scan("defect-expansion", rr - dense(expected, (d,) * 3))
+    expansion = scan("defect-expansion", rr - dense(_expansion(cand.algebra, defects), (big.dim,) * 3))
 
     chybe = rr.is_zero()
     forward = holds(
@@ -291,7 +266,22 @@ def _r_and_square(
         o_operator=oop.verdict,
         phi_invertible=phi_invertible,
     )
-    return big, r, rr, report
+    return big, r, report
+
+
+def _lift_preconditions(rep: Representation, involutive: CheckReport) -> HomLieAlgebra:
+    """g |x V* through the Hom-dual action of rep, once rep is weakly involutive
+    (involutive is the report of is_weakly_involutive_rep)."""
+    require(involutive, "the carrier representation must be weakly involutive")
+    return semidirect_product(hom_dual_representation(rep))
+
+
+def _lift(cand: OOperatorCandidate, involutive: CheckReport) -> tuple[HomLieAlgebra, RMatrix]:
+    """g |x V* and r = T-bar - sigma(T-bar) in it, given the report of
+    is_weakly_involutive_rep on cand's representation."""
+    big = _lift_preconditions(cand.rep, involutive)
+    d = big.dim
+    return big, RMatrix(big, dense(_lifted_r(cand.t, cand.algebra.dim), (d, d)))
 
 
 def wedge_solutions(
@@ -313,8 +303,9 @@ def wedge_solutions(
     m = p.dim
 
     involutive = is_weakly_involutive_rep(rep)
-    big1, r1, rr1, _ = _r_and_square(OOperatorCandidate(base, rep, Matrix.identity(m)), involutive)
-    big2, r2, rr2, _ = _r_and_square(OOperatorCandidate(base, rep, p.psi @ p.psi), involutive)
+    _, r1 = _lift(OOperatorCandidate(base, rep, Matrix.identity(m)), involutive)
+    _, r2 = _lift(OOperatorCandidate(base, rep, p.psi @ p.psi), involutive)
+    rr1, rr2 = r_square_bracket(r1), r_square_bracket(r2)
 
     subs = [scan("chybe-r1", rr1), scan("chybe-r2", rr2)]
 
@@ -358,14 +349,11 @@ def bialgebra_from_o_operator(
         twisted_action_fixes_carrier_square(rep),
         "rho(phi(x)) beta^2 = rho(phi(x)) must hold",
     )
-    checks = _o_operator_checks(cand)
-    require(checks[1], "T must be an O-operator")
+    require(validate_o_operator(cand), "T must be an O-operator")
 
-    big, r, _, _ = _r_and_square(cand, involutive, checks)
+    _, r = _lift(cand, involutive)
     bi = HomLieBialgebra(cobracket_from_r(r))
-    triple = check_triple_equivalence(bi)
-    # the triple check's first verdict is validate_bialgebra(bi)
-    return bi, combined("o-operator-bialgebra", [triple.subreports[0], triple])
+    return bi, combined("o-operator-bialgebra", [bi.verdict, check_triple_equivalence(bi)])
 
 
 def intertwining_t_space(a: HomLieAlgebra, rep: Representation) -> list[Matrix]:

@@ -177,7 +177,7 @@ def parse_structure(text: str) -> Structure:
 def structure_from_doc(doc) -> Structure:
     if not isinstance(doc, dict):
         raise StructureParseError("", "top level must be an object")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:
         raise StructureParseError("version", "missing or unsupported (want 1)")
     known = {
         "version",

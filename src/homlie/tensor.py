@@ -905,9 +905,9 @@ def decide_pencil(mats: Sequence[Matrix], n: int) -> PencilCertificate:
     1. the point sum_a (a + 1) M_a, when its rank is n;
     2. the common kernel of the M_a, when it is not 0 (U is that kernel), and the
        whole space, when the joint image of the M_a is proper;
-    3. the point grown greedily from 1: per M_a, the first c in 1..rank(M_a)+1
-       for which the point plus c M_a has a higher rank replaces it, in passes
-       over the M_a while one raises the rank, stopping at rank n;
+    3. the point grown greedily from 1: per M_a, the first c in 1..k+1 (k the fewer
+       of M_a's nonzero rows and columns) for which the point plus c M_a has a
+       higher rank replaces it, in passes while one raises the rank, up to rank n;
     4. the second Wong sequence of that point, when its limit lies in the image;
     5. pencil_det, only when none of these decides.
 
@@ -931,8 +931,9 @@ def decide_pencil(mats: Sequence[Matrix], n: int) -> PencilCertificate:
 def _grown(views: list, point: dict, rank: int, n: int) -> tuple[dict, int]:
     """The point and its rank after decide_pencil's step 3. Along a line X + c M the
     rank is largest at all but at most rank(M) values of c, as an s x s minor of
-    X + c M has degree at most rank(M) in c, so c runs over 1..rank(M) + 1."""
-    reach = [_rank({(i, j): v for i, j, v in view}, n) for view in views]
+    X + c M has degree at most rank(M) in c, so c runs over 1..k + 1 for any k of at
+    least rank(M), here the fewer of M's nonzero rows and columns, not a rank."""
+    reach = [min(len({i for i, _, _ in view}), len({j for _, j, _ in view})) for view in views]
     grown = True
     while grown and rank < n:
         grown = False

@@ -236,6 +236,29 @@ def test_triple_equivalence_runs_once_per_validate(capsys, monkeypatch):
         assert f"{c}: pass" in out
 
 
+@pytest.mark.parametrize(
+    "check, idle",
+    [
+        ("manin-triple", ("validate_matched_pair", "_bialgebra_verdict")),
+        ("matched-pair", ("validate_manin_triple",)),
+    ],
+)
+def test_a_triple_verdict_check_evaluates_only_its_verdict(check, idle, capsys, monkeypatch):
+    """The manin-triple row reads V3 alone, and the matched-pair row V2 and the
+    bialgebra verdict whose component verdicts it shares, never V3."""
+    import homlie.bialgebra
+
+    calls = []
+    for helper in idle:
+        real = getattr(homlie.bialgebra, helper)
+        monkeypatch.setattr(
+            homlie.bialgebra, helper, lambda *args, real=real, helper=helper: calls.append(helper) or real(*args)
+        )
+    code, out, _ = run(capsys, "validate", "builtin:aff2-triangular", "--check", check)
+    assert code == 0 and calls == []
+    assert out.startswith(f"{check.replace('matched-pair', 'matched-pair-structure')}: pass")
+
+
 FIVE = ("bialgebra", "matched-pair", "manin-triple", "triple-equivalence", "hom-double")
 # pinned outputs: `homlie build hom-double builtin:aff2-triangular`, and `validate
 # --format json` with the FIVE checks on that builtin and on that build
@@ -373,6 +396,21 @@ def test_bad_structure_file_exits_two(tmp_path, capsys):
     q = tmp_path / "noversion.json"
     q.write_text(json.dumps({"name": "x"}))
     assert run(capsys, "validate", str(q))[0] == 2
+
+
+def test_unreadable_input_files_exit_two(tmp_path, capsys):
+    """A directory and a file that is not UTF-8 are usage errors that name the
+    path, under validate and build alike."""
+    undecodable = tmp_path / "ff.json"
+    undecodable.write_bytes(b"\xff")
+    for path, message in (
+        (tmp_path, f"error: cannot read {tmp_path}: "),
+        (undecodable, f"error: {undecodable}: not UTF-8 text\n"),
+    ):
+        for argv in (("validate", str(path)), ("build", "hom-double", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(message) and err.endswith("\n") and "Traceback" not in err
 
 
 def test_argparse_usage_exits_two(capsys):

@@ -365,3 +365,31 @@ def test_the_o_operator_bialgebra_evaluates_the_defects_once(monkeypatch):
     defects.clear(), involutive.clear()
     r_from_o_operator(cand)
     assert (len(defects), len(involutive)) == (1, 1)
+
+
+def test_wedge_solutions_build_no_o_operator_report(monkeypatch):
+    """Both lifts skip the O-operator defects, their expansion and r's own
+    twist-compatibility scan: the two scans left are the coboundary verdicts'."""
+    from homlie import coboundary, operators
+
+    defects = _counting(monkeypatch, operators, "_defect_tensor")
+    expansions = _counting(monkeypatch, operators, "_expansion")
+    compat = _counting(monkeypatch, coboundary, "check_twist_compat")
+    monkeypatch.setattr(operators, "check_twist_compat", coboundary.check_twist_compat)
+    _, _, report = wedge_solutions(lsa2())
+    assert report.ok and report.info["shared_cobracket_hypotheses"]
+    assert (len(defects), len(expansions), len(compat)) == (0, 0, 2)
+
+
+def test_the_o_operator_bialgebra_neither_expands_nor_squares_r(monkeypatch):
+    from homlie import coboundary, operators
+
+    p = lsa2psi()
+    rep = left_mult_rep(p)
+    cand = OOperatorCandidate(rep.base, rep, p.psi @ p.psi)
+    expansions = _counting(monkeypatch, operators, "_expansion")
+    squares = _counting(monkeypatch, coboundary, "r_square_bracket")
+    monkeypatch.setattr(operators, "r_square_bracket", coboundary.r_square_bracket)
+    _, report = bialgebra_from_o_operator(cand)
+    assert report.ok
+    assert (expansions, squares) == ([], [])

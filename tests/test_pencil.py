@@ -222,3 +222,14 @@ def test_abelian_form_spaces_are_decided_by_a_point(n, monkeypatch):
     assert space.certificate.member is not None
     assert space.symmetric_certificate.member is not None
     _check_space(space, n)
+
+
+def test_the_line_search_takes_no_rank_of_a_lone_matrix(monkeypatch):
+    """_grown bounds c by a count of nonzero rows and columns, not by a rank: on the
+    abelian algebra of dim 12, both form spaces take 228 exact ranks, each of a
+    point tried."""
+    calls, real = [], homlie.tensor._rank
+    monkeypatch.setattr(homlie.tensor, "_rank", lambda point, n: calls.append(n) or real(point, n))
+    space = invariant_form_space(HomLieAlgebra(Tensor3.zero(12), Matrix.identity(12)))
+    assert space.certificate.member is not None and space.symmetric_certificate.member is not None
+    assert len(calls) == 228

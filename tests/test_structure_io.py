@@ -168,6 +168,15 @@ def test_parse_errors():
     assert exc.value.path == "builtin"
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+def test_the_version_is_the_integer_one(version):
+    """A version equal to 1 that is not the int 1 is unsupported, as bools are no
+    dimensions or numerals either."""
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps({"version": version}))
+    assert str(exc.value) == "version: missing or unsupported (want 1)"
+
+
 def test_duplicate_sparse_entry_is_a_parse_error():
     doc = {
         "version": 1,

@@ -22,7 +22,7 @@ from homlie.corpus import aff2, aff2phi, lsa2psi, notjac3, sl2
 from homlie.hom_lie import HomLieAlgebra, direct_sum
 from homlie.operators import intertwining_t_space, left_mult_rep, run_defect_expansion_suite
 from homlie.report import Witness, scan
-from homlie.representation import adjoint_rep
+from homlie.representation import adjoint_rep, hom_dual_representation, semidirect_product
 from homlie.tensor import (
     _SAMPLE,
     Matrix,
@@ -205,7 +205,7 @@ def test_the_defect_expansion_pair_tensors_polarise_the_oracles(which, nonzero):
     a = rep.base
     n, m = a.dim, rep.carrier_dim
     space = intertwining_t_space(a, rep)
-    big = operators.dual_semidirect(rep)
+    big = semidirect_product(hom_dual_representation(rep))
     d, y, z = big.dim, _SAMPLE, _SECOND
     assert space and run_defect_expansion_suite(a, rep).info == {"space_dim": len(space)}
 
