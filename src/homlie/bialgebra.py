@@ -14,12 +14,12 @@ check_triple_equivalence requires the three verdicts to agree, in the
 positive or in the negative: V1 is the bialgebra's own verdict, and V2 (the
 matched pair) and V3 (the Manin triple) are computed apart from it.
 
-A HomLieBialgebra settles each piece of this work once: its dual, its
-canonical matched pair, its d-double, the verdicts V1, V2 and V3 and their
-triple equivalence are cached properties, which validate_bialgebra, d_double,
-check_triple_equivalence and hom_double read. Nothing is cached beyond the
-object, so a new bialgebra (one per parsed document) evaluates everything
-afresh.
+A HomLieBialgebra settles each piece of this work once: its dual, the verdict
+on each of its two sides, its canonical matched pair, its d-double, the
+verdicts V1, V2 and V3 and their triple equivalence are cached properties, which
+validate_bialgebra, d_double, check_triple_equivalence and hom_double read. V1
+and V2 read the two side verdicts by name. Nothing is cached beyond the object,
+so a new bialgebra (one per parsed document) evaluates everything afresh.
 
 Conventions: the double space basis order is (e_1..e_n, f_1..f_n); the
 cobracket coefficient tensor stores Delta(e_k) = sum d_k^{ij} e_i (x) e_j
@@ -77,6 +77,18 @@ class Cobracket:
 
 
 @dataclass(frozen=True)
+class SideVerdict:
+    """One side of a bialgebra, g or g*, judged as a weakly involutive Hom-Lie algebra."""
+
+    hom_lie: CheckReport
+    weakly_involutive: CheckReport
+
+    def named(self, side: str) -> list[CheckReport]:
+        """The two reports, as <side>-hom-lie and <side>-weakly-involutive."""
+        return [self.hom_lie.renamed(f"{side}-hom-lie"), self.weakly_involutive.renamed(f"{side}-weakly-involutive")]
+
+
+@dataclass(frozen=True)
 class HomLieBialgebra:
     """(g, Delta): the algebra is the one the cobracket lives on."""
 
@@ -90,6 +102,16 @@ class HomLieBialgebra:
     def dual(self) -> HomLieAlgebra:
         """dual_algebra of the cobracket, built once per bialgebra."""
         return dual_algebra(self.cobracket)
+
+    @cached_property
+    def primal_side(self) -> SideVerdict:
+        """The algebra's side verdict, evaluated once per bialgebra."""
+        return SideVerdict(validate_hom_lie(self.algebra), is_weakly_involutive(self.algebra))
+
+    @cached_property
+    def dual_side(self) -> SideVerdict:
+        """The dual's side verdict, evaluated once per bialgebra."""
+        return SideVerdict(validate_hom_lie(self.dual), is_weakly_involutive(self.dual))
 
     @cached_property
     def verdict(self) -> CheckReport:
@@ -113,23 +135,9 @@ class HomLieBialgebra:
     @cached_property
     def matched_pair_verdict(self) -> CheckReport:
         """V2 of the triple equivalence, evaluated once per bialgebra."""
-        # mp.left is the algebra and mp.right the dual, so the bialgebra verdict's
-        # four component verdicts are V2's, under V2's names.
-        mp = self.matched_pair
-        names = (
-            "left-hom-lie",
-            "left-weakly-involutive",
-            "right-hom-lie",
-            "right-weakly-involutive",
-        )
-        return combined(
-            "matched-pair-structure",
-            [
-                *(s.renamed(name) for s, name in zip(self.verdict.subreports, names)),
-                *_action_reports(mp),
-                validate_matched_pair(mp),
-            ],
-        )
+        mp = self.matched_pair  # mp.left is the algebra and mp.right the dual
+        sides = [*self.primal_side.named("left"), *self.dual_side.named("right")]
+        return combined("matched-pair-structure", [*sides, *_action_reports(mp), validate_matched_pair(mp)])
 
     @cached_property
     def manin_triple_verdict(self) -> CheckReport:
@@ -219,16 +227,8 @@ def validate_bialgebra(bi: HomLieBialgebra) -> CheckReport:
 def _bialgebra_verdict(bi: HomLieBialgebra) -> CheckReport:
     a = bi.algebra
     compat = contract_sum("ijpq", *cobracket_compatibility(a, bi.cobracket.coeffs))
-    return combined(
-        "bialgebra",
-        [
-            validate_hom_lie(a).renamed("primal-hom-lie"),
-            is_weakly_involutive(a).renamed("primal-weakly-involutive"),
-            validate_hom_lie(bi.dual).renamed("dual-hom-lie"),
-            is_weakly_involutive(bi.dual).renamed("dual-weakly-involutive"),
-            scan("cobracket-compatibility", compat, (a.dim,) * 4, 2),
-        ],
-    )
+    sides = [*bi.primal_side.named("primal"), *bi.dual_side.named("dual")]
+    return combined("bialgebra", [*sides, scan("cobracket-compatibility", compat, (a.dim,) * 4, 2)])
 
 
 def validate_matched_pair(mp: MatchedPair) -> CheckReport:

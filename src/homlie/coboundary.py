@@ -23,6 +23,7 @@ has matrix r itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bialgebra import (
     Cobracket,
@@ -31,7 +32,6 @@ from .bialgebra import (
     cobracket_compatibility,
     cobracket_from_bracket,
     d_double,
-    dual_algebra,
     validate_bialgebra,
 )
 from .hom_lie import (
@@ -41,7 +41,6 @@ from .hom_lie import (
     require_same_algebra,
     twist_symmetry,
     twisted_ad,
-    validate_hom_lie,
 )
 from .report import (
     CheckReport,
@@ -91,6 +90,11 @@ class RMatrix:
 
     def is_skew(self) -> bool:
         return self.coeffs.is_skew()
+
+    @cached_property
+    def bialgebra(self) -> HomLieBialgebra:
+        """(g, delta) with the cobracket r induces, built once per r."""
+        return HomLieBialgebra(cobracket_from_r(self))
 
 
 def check_twist_compat(r: RMatrix) -> CheckReport:
@@ -203,11 +207,8 @@ def _adjoint_kills(a: HomLieAlgebra, rr: Tensor3) -> CheckReport:
 def dual_side_verdict(r: RMatrix) -> CheckReport:
     """The dual side judged on its own: the bracket induced on g* by
     delta is a valid weakly involutive Hom-Lie algebra."""
-    dual = dual_algebra(cobracket_from_r(r))
-    return combined(
-        "dual-weakly-involutive-hom-lie",
-        [validate_hom_lie(dual), is_weakly_involutive(dual)],
-    )
+    side = r.bialgebra.dual_side
+    return combined("dual-weakly-involutive-hom-lie", [side.hom_lie, side.weakly_involutive])
 
 
 def validate_coboundary(a: HomLieAlgebra, r: RMatrix) -> CheckReport:
@@ -505,7 +506,7 @@ def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
         dense(box, (a.dim,) * 3), phi.transpose(), f"{a.label or 'g'}* (operator route)"
     )
 
-    cobracket_route = dual_algebra(cobracket_from_r(r))
+    cobracket_route = r.bialgebra.dual
     require(
         scan("dual-bracket-routes-agree", operator_route.bracket - cobracket_route.bracket),
         "operator and cobracket routes to the dual bracket disagree",
@@ -567,7 +568,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieBialgebra, RMatrix, CheckRepo
     chybe = check_chybe(r)
     sym_inv = symmetric_part_invariance(r)
 
-    big_bi = HomLieBialgebra(cobracket_from_r(r))
+    big_bi = r.bialgebra
 
     # inclusion of (g, Delta) through phi
     inc1 = dense(sparse(a.twist), (2 * n, n))

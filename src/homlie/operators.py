@@ -36,7 +36,6 @@ from .coboundary import (
     _r_square,
     _validate_coboundary,
     check_twist_compat,
-    cobracket_from_r,
     r_square_bracket,
 )
 from .hom_lie import (
@@ -316,7 +315,7 @@ def wedge_solutions(
     )
 
     if shared_ok:
-        res = cobracket_from_r(r1).coeffs - cobracket_from_r(r2).coeffs
+        res = r1.bialgebra.cobracket.coeffs - r2.bialgebra.cobracket.coeffs
         subs.extend(
             [
                 scan("induced-cobrackets-coincide", res),
@@ -352,7 +351,7 @@ def bialgebra_from_o_operator(
     require(validate_o_operator(cand), "T must be an O-operator")
 
     _, r = _lift(cand, involutive)
-    bi = HomLieBialgebra(cobracket_from_r(r))
+    bi = r.bialgebra
     return bi, combined("o-operator-bialgebra", [bi.verdict, check_triple_equivalence(bi)])
 
 

@@ -19,6 +19,8 @@ missing or empty name is the builtin's. Scalars are rational strings "p/q" (or
 "p"); bare JSON integers are accepted on input. Any dense array may instead be
 written sparsely as {"entries": [[indices..., "p/q"], ...]} with 1-based
 indices, matching the e1, e2, ... naming everywhere else; output is always dense.
+A key that its object (the document, a section or a sparse array) does not
+define is a parse error.
 
 Each scalar is read as an integer pair (p, q), and each array is built straight
 as its integer view over the LCM of the q, with no Fraction per entry. A numeral
@@ -100,9 +102,17 @@ def _require_list(node, path: str) -> list:
     return node
 
 
+def _known(node: dict, path: str, *fields: str) -> None:
+    """Refuse the first key of the object at path that is not one of fields."""
+    for key in node:
+        if key not in fields:
+            raise StructureParseError(f"{path}.{key}" if path else key, "unknown field")
+
+
 def _sparse_entries(node, path: str, shape: tuple[int, ...]) -> dict:
     """The entries of the sparse array of this shape at node, (p, q) by index
     tuple, each checked as it is read."""
+    _known(node, path, "entries")
     entries = _require_list(node.get("entries"), f"{path}.entries")
     rank, out = len(shape), {}
     for pos, row in enumerate(entries):
@@ -179,20 +189,8 @@ def structure_from_doc(doc) -> Structure:
         raise StructureParseError("", "top level must be an object")
     if type(doc.get("version")) is not int or doc["version"] != 1:
         raise StructureParseError("version", "missing or unsupported (want 1)")
-    known = {
-        "version",
-        "name",
-        "builtin",
-        "algebra",
-        "representation",
-        "cobracket",
-        "rmatrix",
-        "lsa",
-        "ooperator",
-    }
-    for key in doc:
-        if key not in known:
-            raise StructureParseError(key, "unknown field")
+    _known(doc, "", "version", "name", "builtin", "algebra", "representation",
+           "cobracket", "rmatrix", "lsa", "ooperator")
 
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -218,6 +216,7 @@ def _read_sections(doc: dict, name: str) -> Structure:
         sec = doc["algebra"]
         if not isinstance(sec, dict):
             raise StructureParseError("algebra", "expected an object")
+        _known(sec, "algebra", "dim", "bracket", "twist")
         n = _parse_dim(sec.get("dim"), "algebra.dim")
         bracket = _parse_array(sec.get("bracket"), "algebra.bracket", (n, n, n))
         twist = _parse_array(sec.get("twist"), "algebra.twist", (n, n))
@@ -228,6 +227,7 @@ def _read_sections(doc: dict, name: str) -> Structure:
         sec = doc["representation"]
         if not isinstance(sec, dict):
             raise StructureParseError("representation", "expected an object")
+        _known(sec, "representation", "carrier_dim", "beta", "action")
         if algebra is None:
             raise StructureParseError(
                 "representation", "needs an algebra section to act on"
@@ -267,6 +267,7 @@ def _read_sections(doc: dict, name: str) -> Structure:
         sec = doc["lsa"]
         if not isinstance(sec, dict):
             raise StructureParseError("lsa", "expected an object")
+        _known(sec, "lsa", "dim", "product", "psi")
         m = _parse_dim(sec.get("dim"), "lsa.dim")
         product = _parse_array(sec.get("product"), "lsa.product", (m, m, m))
         psi = _parse_array(sec.get("psi"), "lsa.psi", (m, m))
@@ -277,6 +278,7 @@ def _read_sections(doc: dict, name: str) -> Structure:
         sec = doc["ooperator"]
         if not isinstance(sec, dict) or "T" not in sec:
             raise StructureParseError("ooperator", 'expected an object with "T"')
+        _known(sec, "ooperator", "T")
         # T maps the carrier to the algebra that acts on it: the representation's,
         # or else the lsa's commutator algebra acting by left multiplication
         if representation is not None:

@@ -285,6 +285,39 @@ def test_triple_equivalence_builds_the_dual_algebra_once(monkeypatch):
     assert calls == [cb]
 
 
+def _non_skew():
+    """delta(e2) = e1 (x) e1 on aff2: the dual bracket [f1, f1] = f2 is not skew."""
+    planes = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
+    planes[1][0][0] = Q(1)
+    return HomLieBialgebra(_cobracket(aff2(), planes))
+
+
+@pytest.mark.parametrize("make", (_zero, _triangular, _non_skew), ids=("aff2-zero", "aff2-triangular", "non-skew"))
+def test_each_side_is_judged_once_and_read_by_name(make, monkeypatch):
+    """V1 and V2 carry the two side verdicts, the algebra's as primal-*/left-*
+    and the dual's as dual-*/right-*, and each side's two reports are evaluated
+    once however many verdicts read them."""
+    import homlie.bialgebra
+
+    calls = []
+    for name in ("validate_hom_lie", "is_weakly_involutive"):
+        real = getattr(homlie.bialgebra, name)
+        monkeypatch.setattr(homlie.bialgebra, name, lambda a, real=real, name=name: calls.append((name, a)) or real(a))
+    bi = make()
+    v1, v2 = bi.verdict, bi.matched_pair_verdict
+    check_triple_equivalence(bi)
+    for side, algebra in ((bi.primal_side, bi.algebra), (bi.dual_side, bi.dual)):
+        assert [c for c in calls if c[1] is algebra] == [("validate_hom_lie", algebra), ("is_weakly_involutive", algebra)]
+        assert side.hom_lie == validate_hom_lie(algebra)
+        assert side.weakly_involutive == is_weakly_involutive(algebra)
+    parts1 = {s.checked_condition: s for s in v1.subreports}
+    parts2 = {s.checked_condition: s for s in v2.subreports}
+    for side, name1, name2 in ((bi.primal_side, "primal", "left"), (bi.dual_side, "dual", "right")):
+        for report, what in ((side.hom_lie, "hom-lie"), (side.weakly_involutive, "weakly-involutive")):
+            assert parts1[f"{name1}-{what}"] == report.renamed(f"{name1}-{what}")
+            assert parts2[f"{name2}-{what}"] == report.renamed(f"{name2}-{what}")
+
+
 # Doubles on e1..e4 with blocks {e1, e2} and {e3, e4}, identity twist plus the
 # given twist entries (row, column), and the given skew bracket entries
 # [e_i, e_j] (i, j, k): blocks-are-subalgebras scans each block, and in it each

@@ -240,12 +240,13 @@ def test_triple_equivalence_runs_once_per_validate(capsys, monkeypatch):
     "check, idle",
     [
         ("manin-triple", ("validate_matched_pair", "_bialgebra_verdict")),
-        ("matched-pair", ("validate_manin_triple",)),
+        ("matched-pair", ("validate_manin_triple", "_bialgebra_verdict", "cobracket_compatibility")),
     ],
 )
 def test_a_triple_verdict_check_evaluates_only_its_verdict(check, idle, capsys, monkeypatch):
-    """The manin-triple row reads V3 alone, and the matched-pair row V2 and the
-    bialgebra verdict whose component verdicts it shares, never V3."""
+    """The manin-triple row reads V3 alone, and the matched-pair row V2 alone: it
+    reads the two side verdicts it shares with the bialgebra verdict, but neither
+    that verdict nor its cobracket compatibility, nor V3."""
     import homlie.bialgebra
 
     calls = []
@@ -297,6 +298,33 @@ def test_bialgebra_checks_of_one_invocation_share_one_verdict_and_double(tmp_pat
             assert (code, err) == (0, "")
             assert sorted(calls) == sorted(helpers)
             assert out == (GOLDEN / golden).read_text()
+
+
+def test_the_five_bialgebra_checks_judge_each_side_once(capsys, monkeypatch):
+    """The FIVE checks on one builtin evaluate validate_hom_lie three times (the
+    algebra, its dual and the d-double), is_weakly_involutive twice (the two sides)
+    and the cobracket compatibility once."""
+    import homlie.bialgebra
+    import homlie.coboundary
+
+    calls = []
+    for name in ("validate_hom_lie", "is_weakly_involutive", "cobracket_compatibility"):
+        for module in (homlie.bialgebra, homlie.coboundary):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    code, _, err = run(capsys, *_five("builtin:aff2-triangular"))
+    assert (code, err) == (0, "")
+    counts = {name: calls.count(name) for name in set(calls)}
+    assert counts == {"validate_hom_lie": 3, "is_weakly_involutive": 2, "cobracket_compatibility": 1}
+
+
+def test_a_misspelled_field_exits_two(tmp_path, capsys):
+    path = tmp_path / "twsit.json"
+    path.write_text('{"version":1,"algebra":{"dim":1,"bracket":{"entries":[],"junk":3},"twist":[["1"]],"twsit":[["2"]]}}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: algebra.twsit: unknown field\n"
 
 
 def test_build_hom_double_reads_the_cobracket_of_the_double(capsys, monkeypatch):

@@ -4,8 +4,9 @@ Every public top-level function or class in src/homlie is in `__all__`, or a
 module of src/homlie or perfbench refers to it by name or attribute (its own
 `def` not counting). The builtin accessors of corpus.py, which read a builtin
 by name, are exempt. A statement of the paper that only tests read is asserted
-in the tests, not kept in the library as a helper. And every name a module of
-src/homlie imports is read in that module.
+in the tests, not kept in the library as a helper. Every name a module of
+src/homlie imports is read in that module. And only report.py reads the parts
+of a report: a verdict another caller needs is a named value.
 """
 
 import ast
@@ -73,3 +74,16 @@ def test_every_imported_name_is_read():
                 if name not in read:
                     unread.append(f"{path.stem}:{node.lineno} {name}")
     assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+def test_only_report_reads_the_parts_of_a_report():
+    """No module of src/homlie but report.py reads `.subreports`: a caller that
+    needs one verdict of a composite reads it by name, not by its position."""
+    reads = [
+        f"{path.stem}:{n.lineno}"
+        for path, tree in _trees().items()
+        if path.parent == SRC and path.name != "report.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "subreports"
+    ]
+    assert not reads, "reads subreports: " + ", ".join(reads)

@@ -338,6 +338,26 @@ def test_wedge_solutions_computes_each_r_square_once(monkeypatch):
     assert calls == [r1, r2]
 
 
+def test_wedge_solutions_build_each_induced_cobracket_once(monkeypatch):
+    """induced-cobrackets-coincide and the two coboundary verdicts read one
+    bialgebra per r."""
+    import homlie.coboundary
+    import homlie.operators
+
+    calls, real = [], homlie.coboundary.cobracket_from_r
+
+    def counting(r):
+        calls.append(r)
+        return real(r)
+
+    for module in (homlie.coboundary, homlie.operators):
+        if hasattr(module, "cobracket_from_r"):
+            monkeypatch.setattr(module, "cobracket_from_r", counting)
+    r1, r2, report = wedge_solutions(lsa2())
+    assert report.ok and report.info["shared_cobracket_hypotheses"]
+    assert calls == [r1, r2]
+
+
 def _counting(monkeypatch, module, name):
     """A list that grows by one for each call of module.name from now on."""
     calls, real = [], getattr(module, name)

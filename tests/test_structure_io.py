@@ -279,6 +279,39 @@ def test_ooperator_with_nothing_to_act_on_is_refused():
     assert "needs a representation or an lsa section to act on" in str(exc.value)
 
 
+REP_1 = {"carrier_dim": 1, "beta": [["1"]], "action": [[["0"]]]}
+T_2 = {"T": [["1", "0"], ["0", "1"]]}
+UNKNOWN_FIELDS = [
+    # (a valid document, the keys down to one of its objects, and the path of the
+    # error once a key that object does not define is added to it)
+    ({"version": 1, "algebra": ALGEBRA_1}, (), "junk"),
+    ({"version": 1, "algebra": ALGEBRA_1}, ("algebra",), "algebra.twsit"),
+    ({"version": 1, "algebra": ALGEBRA_1, "representation": REP_1}, ("representation",), "representation.acton"),
+    ({"version": 1, "lsa": LSA_2}, ("lsa",), "lsa.psy"),
+    ({"version": 1, "lsa": LSA_2, "ooperator": T_2}, ("ooperator",), "ooperator.t"),
+    ({"version": 1, "algebra": ALGEBRA_1}, ("algebra", "bracket"), "algebra.bracket.junk"),
+    ({"version": 1, "algebra": ALGEBRA_1, "rmatrix": {"entries": []}}, ("rmatrix",), "rmatrix.entires"),
+    (
+        {"version": 1, "algebra": ALGEBRA_1, "representation": dict(REP_1, action=[{"entries": []}])},
+        ("representation", "action", 0),
+        "representation.action[0].x",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, keys, path", UNKNOWN_FIELDS, ids=[path for *_, path in UNKNOWN_FIELDS])
+def test_a_key_its_object_does_not_define_is_refused(doc, keys, path):
+    parse_structure(json.dumps(doc))
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[path.rsplit(".", 1)[-1]] = 0
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure(json.dumps(doc))
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: unknown field")
+
+
 def test_representation_action_count_checked():
     doc = {
         "version": 1,
