@@ -236,7 +236,8 @@ def r_from_o_operator(
     """
     defects, twist, oop = _o_operator_checks(cand)
     require(twist, "T must intertwine the twists")
-    big, r = _lift(cand, is_weakly_involutive_rep(cand.rep))
+    big = _lift_preconditions(cand.rep, is_weakly_involutive_rep(cand.rep))
+    r = _lift(big, cand.t)
 
     compat = check_twist_compat(r)
     rr = r_square_bracket(r)
@@ -275,12 +276,11 @@ def _lift_preconditions(rep: Representation, involutive: CheckReport) -> HomLieA
     return semidirect_product(hom_dual_representation(rep))
 
 
-def _lift(cand: OOperatorCandidate, involutive: CheckReport) -> tuple[HomLieAlgebra, RMatrix]:
-    """g |x V* and r = T-bar - sigma(T-bar) in it, given the report of
-    is_weakly_involutive_rep on cand's representation."""
-    big = _lift_preconditions(cand.rep, involutive)
+def _lift(big: HomLieAlgebra, t: Matrix) -> RMatrix:
+    """r = T-bar - sigma(T-bar) in big = g |x V*, the algebra _lift_preconditions
+    builds, for T: V -> g."""
     d = big.dim
-    return big, RMatrix(big, dense(_lifted_r(cand.t, cand.algebra.dim), (d, d)))
+    return RMatrix(big, dense(_lifted_r(t, t.nrows), (d, d)))
 
 
 def wedge_solutions(
@@ -299,11 +299,8 @@ def wedge_solutions(
 
     rep = left_mult_rep(p)
     base = rep.base
-    m = p.dim
-
-    involutive = is_weakly_involutive_rep(rep)
-    _, r1 = _lift(OOperatorCandidate(base, rep, Matrix.identity(m)), involutive)
-    _, r2 = _lift(OOperatorCandidate(base, rep, p.psi @ p.psi), involutive)
+    big = _lift_preconditions(rep, is_weakly_involutive_rep(rep))
+    r1, r2 = _lift(big, Matrix.identity(p.dim)), _lift(big, p.psi @ p.psi)
     rr1, rr2 = r_square_bracket(r1), r_square_bracket(r2)
 
     subs = [scan("chybe-r1", rr1), scan("chybe-r2", rr2)]
@@ -350,8 +347,7 @@ def bialgebra_from_o_operator(
     )
     require(validate_o_operator(cand), "T must be an O-operator")
 
-    _, r = _lift(cand, involutive)
-    bi = r.bialgebra
+    bi = _lift(_lift_preconditions(rep, involutive), cand.t).bialgebra
     return bi, combined("o-operator-bialgebra", [bi.verdict, check_triple_equivalence(bi)])
 
 

@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import permutations
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import ClassVar, Iterable, NamedTuple, Sequence, Union
 
 Q = Fraction
 
@@ -450,25 +450,34 @@ def _cleared(entries: Iterable[tuple[object, Scalar]]) -> tuple[dict, int]:
 # v_0, v_1, ... of a row along one index are the int sum of v_l 2^(width l). The
 # map is Z-linear, so sums, differences and integer multiples of packed ints are
 # the packed sums, differences and multiples of their rows, and a row is read
-# back exactly as balanced digits while every |v_l| < 2^(width - 1). Only
-# contract_sum packs and unpacks.
-
-
-def _slots(p: int, width: int) -> Iterator[tuple[int, int]]:
-    """The nonzero balanced digits (l, v_l) of p = sum v_l 2^(width l)."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    l = 0
-    while p:
-        v = ((p & mask) ^ half) - half
-        if v:
-            yield l, v
-        p = (p - v) >> width
-        l += 1
+# back exactly as balanced digits while every |v_l| < 2^(width - 1). A read adds
+# its scaled entries into the packed total straight away: a row of a job with no
+# lane gains v 2^(width l) at slot l of out's last index. Unpacking reads a
+# nonzero slot at a time and jumps a run of zero slots in one shift, so a sparse
+# row, such as a residual's on a stack of unit matrices, costs per nonzero slot
+# and per zero run.
+# Only contract_sum packs and unpacks.
 
 
 def _unpacked(rows: Iterable[tuple[tuple, int]], width: int) -> dict:
-    """The entries of packed rows, each row's key followed by its slot."""
-    return {(*key, l): v for key, p in rows for l, v in _slots(p, width)}
+    """The entries of packed rows, each row's key followed by its slot: the nonzero
+    balanced digits v_l of p = sum v_l 2^(width l). A zero slot jumps to the slot of
+    p's lowest set bit, so a row pays per nonzero slot and per zero run."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out: dict = {}
+    for key, p in rows:
+        l = 0
+        while p:
+            v = ((p & mask) ^ half) - half
+            if v:
+                out[(*key, l)] = v
+                p = (p - v) >> width
+                l += 1
+            else:
+                skip = ((p & -p).bit_length() - 1) // width
+                p >>= width * skip
+                l += skip
+    return out
 
 
 def _packed(entries: Iterable[tuple[tuple, int]], lane: int, rest, width: int) -> dict:
@@ -479,9 +488,6 @@ def _packed(entries: Iterable[tuple[tuple, int]], lane: int, rest, width: int) -
         row = rest(key)
         rows[row] = rows.get(row, 0) + (v << width * key[lane])
     return rows
-
-
-_BUT_LAST = operator.itemgetter(slice(-1))
 
 
 def _width(bound: int) -> int:
@@ -609,12 +615,14 @@ def contract_sum(out: str, *terms) -> Sparse:
     Products and sums are of integer numerators, over the LCM of the terms'
     denominators; sums that cancel are left out. The operands join in estimate()'s
     order: the first one's kept indices start the accumulator, and each later one
-    is grouped by the letters it shares with it and multiplied in. The operand that
-    alone has a job's last letter, the lane, is packed over it (see "packed lanes"
-    above), all terms are summed packed at one width from an exact bound on the sum
-    (per term and read, |c| den / its den times the product of its operands' sums
-    of |numerators|) into one dict, and that dict is unpacked once into the
-    result."""
+    is grouped by the letters it shares with it and multiplied in; the first
+    operand itself is the accumulator when it keeps all its indices. The operand
+    that alone has a job's last letter, the lane, is packed over it (see "packed
+    lanes" above). Each read is one loop that re-keys the job's entries, scales them
+    by c den / the term's den and adds them into one total; in a call that packs,
+    all terms are summed packed at one width from an exact bound on the sum (per
+    term and read, |c| den / its den times the product of its operands' sums of
+    |numerators|), and the total is unpacked once into the result."""
     live, dens = [], []
     for c, operands, *reads in terms:
         xs = [sparse(x) for _, x in operands]
@@ -628,19 +636,21 @@ def contract_sum(out: str, *terms) -> Sparse:
         for c, xs, d, _, nreads, _ in live:
             bound += abs(c) * den // d * nreads * prod([sum(map(abs, x.values())) for x in xs])
         width = _width(bound)
-    total, mixed = {}, False
+    total: dict = {}
     for c, xs, d, _, _, jobs in live:
         for lane, lane_at, lane_rest, order, first, joins, keymaps in jobs:
-            items = [
-                _packed(xs[pos].items(), lane_at, lane_rest, width).items() if pos == lane
-                else xs[pos].items()
+            parts = [
+                _packed(xs[pos].items(), lane_at, lane_rest, width) if pos == lane else xs[pos]
                 for pos in order
             ]
-            acc = dict(items[0]) if first is None else defaultdict(int)
-            for key, v in items[0] if first else ():
-                acc[first(key)] += v
-            for (split, keep, acc_split, acc_keep), entries in zip(joins, items[1:]):
-                right = _group(entries, split, keep)
+            # the accumulator is only read, so it starts as the first operand itself
+            acc = parts[0]
+            if first is not None:
+                acc = defaultdict(int)
+                for key, v in parts[0].items():
+                    acc[first(key)] += v
+            for (split, keep, acc_split, acc_keep), part in zip(joins, parts[1:]):
+                right = _group(part.items(), split, keep)
                 summed = defaultdict(int)
                 for key, v in acc.items():
                     pairs = right.get(acc_split(key))
@@ -650,21 +660,21 @@ def contract_sum(out: str, *terms) -> Sparse:
                             summed[head + rest] += v * w
                 acc = summed
             for sign, keymap in keymaps:
-                entries = acc.items() if keymap is None else ((keymap(k), v) for k, v in acc.items())
+                f = sign * c * den // d
                 if width and lane is None:
-                    entries = _packed(entries, -1, _BUT_LAST, width).items()
-                if sign * c * den != d:
-                    f = sign * c * den // d
-                    entries = ((k, f * v) for k, v in entries)
-                if total:
-                    mixed = True
-                    for k, v in entries:
-                        total[k] = total.get(k, 0) + v
+                    for k, v in acc.items():
+                        if keymap is not None:
+                            k = keymap(k)
+                        row = k[:-1]
+                        total[row] = total.get(row, 0) + (f * v << width * k[-1])
                 else:
-                    total = {k: v for k, v in entries if v}
+                    for k, v in acc.items():
+                        if keymap is not None:
+                            k = keymap(k)
+                        total[k] = total.get(k, 0) + f * v
     if width:
         return Sparse(_unpacked(total.items(), width), den)
-    return Sparse({k: v for k, v in total.items() if v} if mixed else total, den)
+    return Sparse({k: v for k, v in total.items() if v}, den)
 
 
 def dense(t, shape: Sequence[int], at: tuple[int, ...] = ()):

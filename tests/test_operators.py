@@ -358,6 +358,17 @@ def test_wedge_solutions_build_each_induced_cobracket_once(monkeypatch):
     assert calls == [r1, r2]
 
 
+def test_wedge_solutions_build_the_semidirect_algebra_once(monkeypatch):
+    """T = id and T = psi^2 are lifted into one g(V) |x V*: the Hom-dual action
+    behind it is built once, and both r live in that one algebra."""
+    from homlie import operators
+
+    duals = _counting(monkeypatch, operators, "hom_dual_representation")
+    r1, r2, report = wedge_solutions(lsa2())
+    assert report.ok and len(duals) == 1
+    assert r1.base is r2.base
+
+
 def _counting(monkeypatch, module, name):
     """A list that grows by one for each call of module.name from now on."""
     calls, real = [], getattr(module, name)

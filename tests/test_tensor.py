@@ -396,22 +396,32 @@ def _random_rows(rng, nrows, ncols):
     return rows[:nrows]
 
 
-def _yau_sl2_cubed_twist_in_a_dense_basis():
-    """The twist of Yau-twisted sl2^3 (swap the first two summands; h, e, f ->
-    -h, -f, -e on the third) after a seeded dense change of basis with
-    determinant 2, p = L diag(1, .., 1, 2) U for unit triangular L, U of +-1s."""
+def _yau_sl2_cubed_in_a_dense_basis():
+    """Yau-twisted sl2^3, bracket theta[x, y] and twist theta for the automorphism
+    theta that swaps the first two summands and maps h, e, f -> -h, -f, -e on the
+    third, after a seeded dense change of basis with determinant 2, p = L diag(1,
+    .., 1, 2) U for unit triangular L, U of +-1s."""
+    from homlie.corpus import sl2
+    from homlie.hom_lie import HomLieAlgebra, change_of_basis, direct_sum
+
     theta = [[0] * 9 for _ in range(9)]
     for i in range(3):
         theta[i][3 + i] = theta[3 + i][i] = 1
     for i, j in ((6, 6), (7, 8), (8, 7)):
         theta[i][j] = -1
+    theta = Matrix(theta)
+    a = direct_sum(direct_sum(sl2(), sl2()), sl2())
+    bracket = dense(contract("ijl", ("ijk", a.bracket), ("lk", theta)), (9,) * 3)
     rng = random.Random(9)
     signs = {(i, j): rng.choice((-1, 1)) for i in range(9) for j in range(9) if i != j}
     lower = [[signs[i, j] if i > j else int(i == j) for j in range(9)] for i in range(9)]
     upper = [[signs[i, j] if i < j else int(i == j) for j in range(9)] for i in range(9)]
     upper[8] = [2 * x for x in upper[8]]
-    p = Matrix(lower) @ Matrix(upper)
-    return p.inverse() @ Matrix(theta) @ p
+    return change_of_basis(HomLieAlgebra(bracket, theta), Matrix(lower) @ Matrix(upper))
+
+
+def _yau_sl2_cubed_twist_in_a_dense_basis():
+    return _yau_sl2_cubed_in_a_dense_basis().twist
 
 
 def _twist_compat_rows(phi):
@@ -472,6 +482,38 @@ def test_elimination_matches_the_oracle_on_the_dense_yau_sl2_cubed_system():
     # theta splits 9 = 5 + 4 into its +1 and -1 eigenspaces: a 5^2 + 4^2 kernel
     assert len(pivots) == 81 - 41
     assert Matrix(rows).det() == 0
+
+
+@pytest.mark.parametrize("identity", ("twist-symmetry", "intertwining", "form-invariance"))
+def test_unit_stack_residuals_on_dense_yau_sl2_cubed_match_the_oracles(identity):
+    # on the unit stack most packed rows hold one slot, often far from slot 0, and
+    # the rest are dense: each residual is read entrywise against the oracles
+    from homlie.hom_lie import HomLieAlgebra, _form_invariance, _intertwining, _twist_symmetry, validate_hom_lie
+    from oracles import oracle_form_invariance, oracle_twist_compat, oracle_twist_intertwined
+
+    a = _yau_sl2_cubed_in_a_dense_basis()
+    assert validate_hom_lie(a).ok
+    n, phi = a.dim, a.twist
+    stack = unit_stack(n, n)
+    if identity == "twist-symmetry":
+        # m^T X - X m at m = phi^T (twist compatibility of r = X) and at m = phi
+        # (the form's twist symmetry, which is compatibility for the twist phi^T)
+        transposed = HomLieAlgebra(Tensor3.zero(n), phi.transpose())
+        for m, b in ((phi.transpose(), a), (phi, transposed)):
+            residual = _twist_symmetry(m, stack, "z")
+            for z in range(n * n):
+                assert dense(residual, (n * n, n, n), (z,)) == oracle_twist_compat(b, _unit(n, n, *divmod(z, n)))
+    elif identity == "intertwining":
+        # X phi - phi X: the adjoint representation's intertwining T
+        residual = _intertwining(stack, phi, phi, "z")
+        for z in range(n * n):
+            assert dense(residual, (n * n, n, n), (z,)) == oracle_twist_intertwined(_unit(n, n, *divmod(z, n)), a, a)
+    else:
+        # entry (z, k, i, j), at the last unit matrix, whose slot is the top one
+        residual, z = _form_invariance(a, stack, "z"), n * n - 1
+        for k, i, j in product(range(n), repeat=3):
+            got = Q(residual.get((z, k, i, j), 0), residual.den)
+            assert got == oracle_form_invariance(a, _unit(n, n, *divmod(z, n)), i, j, k)
 
 
 def test_the_elimination_of_an_integer_system_builds_no_fraction(monkeypatch):
@@ -863,6 +905,57 @@ def test_packed_rows_read_back_at_the_edge_of_their_width():
     _packed_agrees(t, want, (3, 5))
 
 
+def _slot_by_slot(rows, width):
+    """The balanced digits of packed rows read one slot at a time, zero slots
+    included: the low width bits of p, minus 2^width from 2^(width - 1) up."""
+    out = {}
+    for key, p in rows:
+        slot = 0
+        while p:
+            low = p % (1 << width)
+            v = low - (1 << width) if low >= 1 << (width - 1) else low
+            if v:
+                out[(*key, slot)] = v
+            p = (p - v) >> width
+            slot += 1
+    return out
+
+
+@pytest.mark.parametrize("width", (2, 13, 61, 64, 200))
+def test_packed_rows_with_zero_runs_read_back_exactly(width):
+    # zero runs shorter than a slot (adjacent digits) and longer than 64 bits, a
+    # row whose one nonzero slot is its top one, and negative digits on either
+    # side of a run, where the packed int borrows across the zeros below them
+    from homlie import tensor
+
+    edge, far = 2 ** (width - 1) - 1, 64 // width + 2
+    slots = {
+        (0, 0): edge, (0, 1): -1, (0, 2): 1, (0, 2 + far): -edge, (0, 3 + far): 1,
+        (1, 3 * far): edge, (2, 3 * far): -edge,
+        (3, 0): -1, (3, far): -1, (3, 2 * far + 1): -edge, (3, 2 * far + 2): edge,
+    }
+    rows = tensor._packed(slots.items(), -1, lambda key: key[:-1], width)
+    assert (far - 1) * width > 64
+    assert tensor._unpacked(rows.items(), width) == slots == _slot_by_slot(rows.items(), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unpacked_reads_each_slot_as_the_slot_by_slot_reader_does(data):
+    from homlie import tensor
+
+    width = data.draw(st.sampled_from((2, 13, 61, 64, 200)) | st.integers(2, 130))
+    top = 2 ** (width - 1) - 1
+    digits = st.dictionaries(st.integers(0, 90), st.integers(-top, top), max_size=8)
+    slots = {(row, l): v for row in range(3) for l, v in data.draw(digits).items() if v}
+    rows = tensor._packed(slots.items(), -1, lambda key: key[:-1], width)
+    assert tensor._unpacked(rows.items(), width) == slots == _slot_by_slot(rows.items(), width)
+    # any int is some row of balanced digits
+    raw = data.draw(st.lists(st.integers(-(2**700), 2**700), max_size=3))
+    rows = {(i,): p for i, p in enumerate(raw)}.items()
+    assert tensor._unpacked(rows, width) == _slot_by_slot(rows, width)
+
+
 # the lane (out's last letter) in the first, a middle and the last operand
 LANE_SPECS = [
     ("ik", ("jk", "ij")),
@@ -894,6 +987,37 @@ def test_a_lane_letter_in_two_operands_or_a_scalar_out_stays_unpacked(out, spec_
     plain = [(labels, _random_tensor(rng, tuple(sizes[l] for l in labels), 0.8)) for labels in spec_labels]
     got = contract(out, *plain)
     assert _rationals(got) == oracle_contract(out, sizes, *plain)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_packed_sum_with_a_job_that_has_no_lane_matches_the_oracle(seed):
+    # the first term packs over k; the second is read as it is and with j and k
+    # swapped, so its "ikj" job puts j, held by both its operands, last: a job with
+    # no lane inside a packed call. The terms' denominators differ, so each read
+    # is scaled by c times the LCM over its own, never by +-1
+    from homlie import tensor
+
+    rng = random.Random(400 + seed)
+    sizes = {"i": rng.randint(1, 3), "j": 3, "k": 3}
+    x, y, t, s = (
+        {key: v / den for key, v in _random_tensor(rng, tuple(sizes[l] for l in labels), 0.7).items()}
+        for labels, den in (("ij", 2), ("jk", 1), ("ijk", 3), ("ij", 5))
+    )
+    terms = [(3, [("ij", x), ("jk", _array_of(y, (3, 3)))]), (-2, [("ijk", t), ("ij", s)], "ijk", "ikj")]
+    spec = tuple((labels, None) for labels in ("ijk", "ij"))
+    packs, _, jobs = tensor._plan("ijk", spec, ("ijk", "ikj"))
+    assert packs and [lane for lane, *_ in jobs] == [0, None]
+    got = contract_sum("ijk", *terms)
+    once = oracle_contract("ijk", sizes, ("ijk", t), ("ij", s))
+    want: dict = {}
+    for c, part in (
+        (3, oracle_contract("ijk", sizes, ("ij", x), ("jk", y))),
+        (-2, once),
+        (-2, {(i, j, k): v for (i, k, j), v in once.items()}),
+    ):
+        for key, v in part.items():
+            want[key] = want.get(key, Q(0)) + c * v
+    _packed_agrees(got, {key: v for key, v in want.items() if v}, tuple(sizes[l] for l in "ijk"))
 
 
 @pytest.mark.parametrize("seed", range(8))
