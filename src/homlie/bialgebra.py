@@ -50,8 +50,7 @@ from .representation import (
     dual_action_candidate,
     validate_representation,
 )
-from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, Vector, contract, contract_sum, dense
-from .tensor import sparse
+from .tensor import Matrix, Q, ShapeError, Sparse, Tensor3, contract_sum, dense, sparse
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,6 @@ class Cobracket:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def delta(self, k: int) -> Matrix:
-        """Delta(e_k) as a matrix in V (x) V."""
-        return self.coeffs.plane(k)
-
-    def delta_of(self, x: Vector) -> Matrix:
-        return dense(contract("ij", ("k", x), ("kij", self.coeffs)), (self.dim,) * 2)
 
 
 @dataclass(frozen=True)

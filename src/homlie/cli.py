@@ -77,12 +77,16 @@ _TERM = re.compile(
     r"^(?:(?P<coeff>\d+(?:/[1-9]\d*)?)\s*\*?\s*)?e(?P<i>\d+)\s*(?P<op>\^|x)\s*e(?P<j>\d+)$"
 )
 
+_DOUBLED_SIGN = re.compile(r"[+-]\s*[+-]")  # a term takes one sign
+
 
 def parse_rmatrix_expr(expr: str, dim: int) -> Matrix:
     """Sums of elementary 2-tensors: "e1^e2" (wedge), "e1xe2" (plain
     tensor), optional rational coefficients, e.g. "1/2 e1^e2 - e2xe2". Only the
     entries the terms name are stored, so the cost follows the expression, not dim."""
     entries: dict[tuple[int, int], Q] = {}
+    if _DOUBLED_SIGN.search(expr):
+        raise UsageError(f"doubled sign in r-matrix expression: {expr!r}")
     cleaned = expr.replace("-", "+-").strip()
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]

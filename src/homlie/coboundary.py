@@ -85,9 +85,6 @@ class RMatrix:
     def dim(self) -> int:
         return self.base.dim
 
-    def sigma(self) -> "RMatrix":
-        return RMatrix(self.base, self.coeffs.transpose())
-
     def is_skew(self) -> bool:
         return self.coeffs.is_skew()
 
@@ -418,6 +415,18 @@ def _first_failure(basis: list, step: int, residuals, paired: bool = False):
     return None
 
 
+def _pair_proof(condition: str, a: HomLieAlgebra, basis: list, residuals, **info) -> CheckReport:
+    """The verdict of a pair proof of residuals over basis, in chunks sized for a:
+    passed with info, or failed with case (the first failing pair) before info, and
+    the halved symmetrisation there as the witness, at its scanned indices or at
+    (0,) when there are none."""
+    found = _first_failure(basis, _chunk(a, len(basis), True), residuals, paired=True)
+    if found is None:
+        return passed(condition, **info)
+    case, _, at, block = found
+    return failed(condition, [Witness(at or (0,), block)], case=case, **info)
+
+
 def _symmetrised(out: str, terms: list, back: list) -> list:
     """The terms of a residual on out plus back's read with out's first two letters
     swapped. When back is terms, each term is read both ways, so that its
@@ -473,13 +482,7 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport
         adjoint = [(-c, ops) for c, ops in _adjoint_on(a, square, y + z)]
         return [(y + z + "kabc", [*_co_jacobiator(a, d, y, e, z), *adjoint], (n,) * 4, 1)]
 
-    found = _first_failure(kernel, _chunk(a, len(kernel), True), residuals, paired=True)
-    if found is None:
-        return passed("jacobiator-bracket-suite", kernel_dim=len(kernel))
-    case, _, at, block = found
-    return failed(
-        "jacobiator-bracket-suite", [Witness(at, block)], case=case, kernel_dim=len(kernel)
-    )
+    return _pair_proof("jacobiator-bracket-suite", a, kernel, residuals, kernel_dim=len(kernel))
 
 
 # --- the r# operator calculus ------------------------------------------------

@@ -25,7 +25,6 @@ from .tensor import (
     ShapeError,
     Sparse,
     Tensor3,
-    Vector,
     contract,
     contract_sum,
     decide_pencil,
@@ -55,16 +54,9 @@ class HomLieAlgebra:
     def dim(self) -> int:
         return self.twist.nrows
 
-    def bracket_of(self, x: Vector, y: Vector) -> Vector:
-        """[x, y] by bilinear extension of the structure constants."""
-        return dense(contract("k", ("i", x), ("j", y), ("ijk", self.bracket)), (self.dim,))
-
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_i}: column j is [e_i, e_j]."""
         return self.bracket.plane(i).transpose()
-
-    def basis(self, i: int) -> Vector:
-        return Vector.basis(self.dim, i)
 
 
 def twisted_ad(a: HomLieAlgebra) -> Sparse:

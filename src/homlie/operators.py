@@ -31,8 +31,7 @@ from .bialgebra import HomLieBialgebra, check_triple_equivalence
 from .coboundary import (
     _SECOND,
     RMatrix,
-    _chunk,
-    _first_failure,
+    _pair_proof,
     _r_square,
     _validate_coboundary,
     check_twist_compat,
@@ -47,7 +46,7 @@ from .hom_lie import (
     require_same_algebra,
     validate_hom_lie,
 )
-from .report import CheckReport, Witness, combined, failed, holds, passed, require, scan
+from .report import CheckReport, combined, holds, require, scan
 from .representation import (
     Representation,
     hom_dual_representation,
@@ -62,7 +61,6 @@ from .tensor import (
     ShapeError,
     Sparse,
     Tensor3,
-    Vector,
     contract,
     contract_sum,
     dense,
@@ -87,27 +85,19 @@ class OOperatorCandidate:
         if self.t.nrows != self.algebra.dim or self.t.ncols != self.rep.carrier_dim:
             raise ShapeError("T must map the carrier into the algebra")
 
-    def defect(self, i: int, j: int) -> Vector:
-        """OT(v_i, v_j) in g coordinates."""
-        return dense(_defects(self), self.shape, (i, j))
-
     @property
     def shape(self) -> tuple[int, int, int]:
         """The shape of the defect tensor: (carrier dim, carrier dim, dim g)."""
         return (self.t.ncols, self.t.ncols, self.t.nrows)
 
 
-def _defects(cand: OOperatorCandidate) -> Sparse:
-    """Entry (i, j, l): the e_l coefficient of OT(v_i, v_j)."""
-    return _defect_tensor(cand.rep, cand.t, "", cand.t, "")
-
-
 def _defect_tensor(rep: Representation, t, batch: str, u, batch2: str) -> Sparse:
     """Entry (i, j, l) of the bilinear form [T v_i, U v_j] - U(rho(T v_i) v_j -
     rho(T v_j) v_i), for the maps T and U with matrices t on the batch letter batch
     and u on batch2, from rep's carrier to rep's algebra; at u = t, with both letters
-    empty, it is _defects of T. A batch letter puts a sample index first on its
-    matrix and on the result: one slice per sample."""
+    empty, it is the defect of T, entry (i, j, l) the e_l coefficient of OT(v_i, v_j).
+    A batch letter puts a sample index first on its matrix and on the result: one
+    slice per sample."""
     y, z = batch, batch2
     lead = y + z
     # U rho(T v_i) v_j, where t_pi action_psj is the v_s coefficient of rho(T v_i) v_j
@@ -150,7 +140,7 @@ def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
 def _o_operator_checks(cand: OOperatorCandidate) -> tuple[Sparse, CheckReport, CheckReport]:
     """The defect tensor of T, evaluated once, the report of T beta = phi T, and
     validate_o_operator's report, which holds it."""
-    defects = _defects(cand)
+    defects = _defect_tensor(cand.rep, cand.t, "", cand.t, "")
     twist = scan("twist-intertwines-t", _intertwining(cand.t, cand.rep.beta, cand.rep.base.twist), cand.t.shape)
     return defects, twist, combined("o-operator", [twist, scan("o-operator-defect", defects, cand.shape, 2)])
 
@@ -160,18 +150,18 @@ def validate_hlsa(p: HomLeftSymmetric) -> CheckReport:
     shape = (p.dim,) * 4
     dot, psi = p.product, p.psi
     # entry (i, j, k, l): the e_l coefficient of (e_i.e_j).psi(e_k) - psi(e_i).(e_j.e_k),
-    # then its part skew in (i, j), scanned over i < j
+    # then its part skew in (i, j), scanned whole: being skew, it is zero at i = j, and
+    # its first nonzero (i, j, k) has i < j
     skew = contract_sum(
         "ijkl",
         (1, [("ijp", dot), ("qk", psi), ("pql", dot)], "ijkl", "-jikl"),
         (-1, [("pi", psi), ("jkq", dot), ("pql", dot)], "ijkl", "-jikl"),
     )
-    upper = Sparse({key: v for key, v in skew.items() if key[0] < key[1]}, skew.den)
     return combined(
         "hom-left-symmetric",
         [
             scan("product-twist-multiplicative", _multiplicative(psi, dot, dot), shape[:3], 2),
-            scan("associator-twist-symmetric", upper, shape, 3),
+            scan("associator-twist-symmetric", skew, shape, 3),
         ],
     )
 
@@ -379,8 +369,4 @@ def run_defect_expansion_suite(
         terms = [*_r_square(big, r, y, s, z), (-1, [(y + z + "abc", expected)])]
         return [(y + z + "abc", terms, (d,) * 3, 0)]
 
-    found = _first_failure(space, _chunk(big, len(space), True), residuals, paired=True)
-    if found is None:
-        return passed("defect-expansion-suite", space_dim=len(space))
-    case, _, _, block = found
-    return failed("defect-expansion-suite", [Witness((0,), block)], case=case, space_dim=len(space))
+    return _pair_proof("defect-expansion-suite", big, space, residuals, space_dim=len(space))

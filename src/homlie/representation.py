@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 from .hom_lie import HomLieAlgebra, _square_defect, block_sum
 from .report import CheckReport, InvalidStructureError, combined, scan
-from .tensor import (
-    Matrix,
-    ShapeError,
-    Sparse,
-    Tensor3,
-    Vector,
-    contract,
-    contract_sum,
-    dense,
-)
+from .tensor import Matrix, ShapeError, Sparse, Tensor3, contract_sum, dense
 
 
 @dataclass(frozen=True)
@@ -62,10 +53,6 @@ class Representation:
     def shape(self) -> tuple[int, int, int]:
         """The shape of the action tensor: (dim g, carrier dim, carrier dim)."""
         return (self.base.dim, self.carrier_dim, self.carrier_dim)
-
-    def rho_of(self, x: Vector) -> Matrix:
-        """rho(x) for x in algebra coordinates."""
-        return dense(contract("rs", ("i", x), ("irs", self.action)), self.shape[1:])
 
 
 def _after(action, m, i: str, s: str, t: str) -> list:

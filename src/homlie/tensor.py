@@ -235,11 +235,6 @@ class Vector(Array):
     def dim(self) -> int:
         return self.shape[0]
 
-    def dot(self, other: "Vector") -> Fraction:
-        if self.dim != other.dim:
-            raise ShapeError(f"vector dims {self.dim} != {other.dim}")
-        return dense(contract("", ("i", self), ("i", other)), ())
-
 
 class Matrix(Array):
     order = 2
@@ -262,9 +257,6 @@ class Matrix(Array):
 
     def row(self, i: int) -> Vector:
         return dense(self, self.shape, self._at(i))
-
-    def col(self, j: int) -> Vector:
-        return self.transpose().row(j)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -286,6 +286,30 @@ def oracle_square_twist_product(product: Tensor3, psi: Matrix, i: int, j: int) -
     )
 
 
+def oracle_hlsa_associator(product: Tensor3, psi: Matrix, i: int, j: int, k: int) -> Vector:
+    """as(e_i, e_j, e_k) - as(e_j, e_i, e_k), where as(u, v, w) = (u.v).psi(w) -
+    psi(u).(v.w) for the product with these structure constants."""
+    n, twist = psi.nrows, _rows(psi)
+    e = [[Q(int(p == q)) for q in range(n)] for p in range(n)]
+
+    def mul(x: list[Q], y: list[Q]) -> list[Q]:
+        out = [Q(0)] * n
+        for p in range(n):
+            for q in range(n):
+                c = x[p] * y[q]
+                if c:
+                    for l in range(n):
+                        out[l] += c * product[p, q, l]
+        return out
+
+    def assoc(u: int, v: int, w: int) -> list[Q]:
+        left = mul(mul(e[u], e[v]), _apply(twist, e[w]))
+        right = mul(_apply(twist, e[u]), mul(e[v], e[w]))
+        return [a - b for a, b in zip(left, right)]
+
+    return Vector([a - b for a, b in zip(assoc(i, j, k), assoc(j, i, k))])
+
+
 def oracle_matched_pair(
     g: HomLieAlgebra,
     h: HomLieAlgebra,

@@ -87,7 +87,7 @@ def _moved_cobracket(cb: Cobracket, base, p: Matrix) -> Cobracket:
     pinv, n = p.inverse(), p.nrows
     planes = []
     for k in range(n):
-        d = sum((cb.delta(x).scale(p[x, k]) for x in range(n)), Matrix.zero(n))
+        d = sum((cb.coeffs.plane(x).scale(p[x, k]) for x in range(n)), Matrix.zero(n))
         planes.append((pinv @ d @ pinv.transpose()).rows)
     return Cobracket(base, Tensor3(planes))
 

@@ -91,6 +91,19 @@ def test_parse_rmatrix_expressions():
         parse_rmatrix_expr("", 2)
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("e1^e2 + -e2xe1", "doubled sign in r-matrix expression: 'e1^e2 + -e2xe1'"),
+        ("e1^e2 - -e2xe1", "doubled sign in r-matrix expression: 'e1^e2 - -e2xe1'"),
+        ("e1^e2 + ", "empty term in r-matrix expression: 'e1^e2 + '"),
+    ],
+)
+def test_a_doubled_sign_is_named_apart_from_an_empty_term(capsys, expr, message):
+    code, out, err = run(capsys, "validate", "builtin:aff2", "--rmatrix", expr)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_default_checks_per_section(capsys):
     assert run(capsys, "validate", "builtin:aff2")[0] == 0
     assert run(capsys, "validate", "builtin:aff2-triangular")[0] == 0
@@ -457,8 +470,8 @@ def test_build_cobracket_emits_frozen_plane(capsys):
     assert code == 0
     s = parse_structure(out)
     assert s.name == "aff2-cobracket"
-    assert s.cobracket.delta(0).is_zero()
-    assert s.cobracket.delta(1) == Matrix([[0, -1], [1, 0]])
+    assert s.cobracket.coeffs.plane(0).is_zero()
+    assert s.cobracket.coeffs.plane(1) == Matrix([[0, -1], [1, 0]])
     assert s.rmatrix.coeffs == Matrix([[0, 1], [-1, 0]])
 
 
@@ -521,9 +534,7 @@ def test_build_dual(capsys):
     code, out, _ = run(capsys, "build", "dual", "builtin:aff2-triangular")
     assert code == 0
     s = parse_structure(out)
-    assert s.algebra.bracket_of(
-        Matrix.identity(2).col(0), Matrix.identity(2).col(1)
-    ).entries == (Q(0), Q(-1))
+    assert s.algebra.bracket.plane(0).row(1).entries == (Q(0), Q(-1))
 
 
 def test_build_commutator(capsys):

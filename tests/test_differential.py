@@ -248,7 +248,7 @@ def test_o_operator_defect_matches_the_oracle(seed):
         cand = operators.OOperatorCandidate(a, r, random_matrix(rng, a.dim))
         report = operators.validate_o_operator(cand).subreports[1]
         assert _agrees(
-            operators._defects(cand),
+            operators._defect_tensor(r, cand.t, "", cand.t, ""),
             cand.shape,
             2,
             lambda i, j: oracle_o_defect(list(r.action), a, cand.t, i, j),

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -7,6 +9,7 @@ from homlie.corpus import aff2, aff2phi, lsa2, lsa2psi
 from homlie.operators import (
     HomLeftSymmetric,
     OOperatorCandidate,
+    _defect_tensor,
     _square_twist_condition,
     bialgebra_from_o_operator,
     commutator_hom_lie,
@@ -20,9 +23,10 @@ from homlie.operators import (
 )
 from homlie.report import InvalidStructureError, Witness
 from homlie.representation import adjoint_rep, is_weakly_involutive_rep
-from homlie.tensor import Matrix, ShapeError, Tensor3, Vector
+from homlie.tensor import Matrix, ShapeError, Tensor3, Vector, dense
 
-from oracles import oracle_o_defect, oracle_r_square, oracle_square_twist_product
+from oracles import oracle_hlsa_associator, oracle_o_defect, oracle_r_square, oracle_square_twist_product
+from sampling import random_matrix
 
 
 def _planes(m):
@@ -78,9 +82,31 @@ def test_validate_hlsa_associator_witness():
         "product-twist-multiplicative": True,
         "associator-twist-symmetric": False,
     }
-    w = rep.first_witness()
-    assert w.indices == (1, 2, 2)
-    assert w.residual == Vector([1, 0])
+    assert rep.first_witness() == Witness((1, 2, 2), Vector([1, 0]))
+    assert oracle_hlsa_associator(p.product, p.psi, 0, 1, 1) == Vector([1, 0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_hlsa_associator_matches_the_oracle(seed):
+    """On seeded products of dims 1 to 3, some Hom-left-symmetric and some not, the
+    associator's witness is the oracle's first nonzero (i, j, k) with i < j in
+    row-major order, and there is none exactly when the oracle is zero there."""
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        planes = [[[rng.choice((0, 0, 0, 0, 1, -1, Q(1, 2))) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        psi = Matrix.identity(n) if rng.random() < 0.5 else random_matrix(rng, n)
+        p = HomLeftSymmetric(Tensor3(planes), psi)
+        report = {s.checked_condition: s for s in validate_hlsa(p).subreports}["associator-twist-symmetric"]
+        want = [
+            Witness((i + 1, j + 1, k + 1), v)
+            for i, j, k in product(range(n), repeat=3)
+            if i < j and not (v := oracle_hlsa_associator(p.product, psi, i, j, k)).is_zero()
+        ]
+        assert report.witnesses == tuple(want[:1])
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 def test_commutator_and_left_multiplication():
@@ -114,9 +140,10 @@ def test_o_operator_defect_on_aff2_adjoint():
     cand = OOperatorCandidate(a, adjoint_rep(a), Matrix.identity(2))
     expected = oracle_o_defect([a.ad(0), a.ad(1)], a, Matrix.identity(2), 0, 1)
     assert expected == Vector([-1, 0])
-    assert cand.defect(0, 1) == expected
-    assert cand.defect(1, 0) == -expected
-    assert cand.defect(0, 0).is_zero()
+    defect = _defect_tensor(cand.rep, cand.t, "", cand.t, "")
+    assert dense(defect, cand.shape, (0, 1)) == expected
+    assert dense(defect, cand.shape, (1, 0)) == -expected
+    assert dense(defect, cand.shape, (0, 0)).is_zero()
 
     rep = validate_o_operator(cand)
     assert not rep.ok

@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from homlie.corpus import sl2
+from homlie.hom_lie import BilinearFormB, check_invariant_form
 from homlie.report import (
     CheckReport,
     InvalidStructureError,
@@ -141,3 +143,11 @@ def test_holds_fails_with_unit_residual_and_note():
     assert not rep.ok
     assert rep.witnesses == (Witness((0,), Q(1), "verdicts differ"),)
     assert rep.info == {}
+
+
+def test_a_scalar_witness_is_a_rational_string_in_json():
+    """The identity form scaled by 1/3 on sl2 breaks invariance by a scalar: the
+    JSON renders it as "p/q"."""
+    report = check_invariant_form(sl2(), BilinearFormB(Matrix.identity(3).scale(Q(1, 3))))
+    assert report.witnesses[0].residual == Q(2, 3)
+    assert report.to_json()["witnesses"] == [{"indices": [2, 2, 1], "residual": "2/3"}]

@@ -72,7 +72,7 @@ def test_a_suite_over_empty_structure_constants_evaluates_one_chunk_at_any_dimen
         calls.append(args[0])
         return contract(*args, **kwargs)
 
-    modules = (tensor, homlie.hom_lie, homlie.representation, homlie.bialgebra, coboundary, operators)
+    modules = (tensor, homlie.hom_lie, coboundary, operators)
     for module in modules:
         monkeypatch.setattr(module, "contract", counting)
     made = []
@@ -194,6 +194,20 @@ def _pair_tensors(form, basis, shape):
     }
 
 
+def _oracle_expansion(rep, t: Matrix, signs=(1, -1, 1)) -> Tensor3:
+    """sum_{i,j} phi(OT(v_i,v_j)) placed in the three slots of g |x V*, the slot
+    of g first, second and third, with the given signs, from the oracle."""
+    a = rep.base
+    n, m = a.dim, rep.carrier_dim
+    box = {}
+    for i, j in product(range(m), repeat=2):
+        value = a.twist.apply(oracle_o_defect(list(rep.action), a, t, i, j))
+        for l in range(n):
+            for key, sign in zip(((l, n + i, n + j), (n + i, l, n + j), (n + i, n + j, l)), signs):
+                box[key] = box.get(key, 0) + sign * value[l]
+    return dense(box, (n + m,) * 3)
+
+
 @pytest.mark.parametrize("which, nonzero", [("sl2-adjoint", True), ("lsa2psi", False)])
 def test_the_defect_expansion_pair_tensors_polarise_the_oracles(which, nonzero):
     """No builtin breaks the defect expansion, so both of its sides are checked on
@@ -203,7 +217,7 @@ def test_the_defect_expansion_pair_tensors_polarise_the_oracles(which, nonzero):
     from oracle_o_defect. On lsa2psi every pair tensor is zero; on sl2 some are not."""
     rep = adjoint_rep(sl2()) if which == "sl2-adjoint" else left_mult_rep(lsa2psi())
     a = rep.base
-    n, m = a.dim, rep.carrier_dim
+    n = a.dim
     space = intertwining_t_space(a, rep)
     big = semidirect_product(hom_dual_representation(rep))
     d, y, z = big.dim, _SAMPLE, _SECOND
@@ -211,16 +225,6 @@ def test_the_defect_expansion_pair_tensors_polarise_the_oracles(which, nonzero):
 
     def lifted(t: Matrix) -> Matrix:
         return dense(operators._lifted_r(t, n), (d, d))
-
-    def expansion(t: Matrix) -> Tensor3:
-        """sum_{i,j} phi(OT(v_i,v_j)) placed in the three slots, from the oracle."""
-        box = {}
-        for i, j in product(range(m), repeat=2):
-            value = a.twist.apply(oracle_o_defect(list(rep.action), a, t, i, j))
-            for l in range(n):
-                for key, sign in (((l, n + i, n + j), 1), ((n + i, l, n + j), -1), ((n + i, n + j, l), 1)):
-                    box[key] = box.get(key, 0) + sign * value[l]
-        return dense(box, (d,) * 3)
 
     squares = _pair_tensors(
         lambda t, u: contract_sum(
@@ -234,9 +238,36 @@ def test_the_defect_expansion_pair_tensors_polarise_the_oracles(which, nonzero):
     )
     for (i, j), square in _polarised(lambda t: oracle_r_square(big, lifted(t)), space):
         assert sparse(squares[i, j]) == sparse(squares[j, i]) == square
-    for (i, j), form in _polarised(expansion, space):
+    for (i, j), form in _polarised(lambda t: _oracle_expansion(rep, t), space):
         assert sparse(expansions[i, j]) == sparse(expansions[j, i]) == form
     assert any(not square.is_zero() for square in squares.values()) == nonzero
+
+
+def test_the_defect_expansion_proof_fails_at_the_pair_a_dropped_term_breaks(monkeypatch):
+    """With the third placed term left out of the expansion, the residual of the
+    proof is that term: the proof on the adjoint representation of sl2 fails at the
+    first pair a <= b where the term's polarisation is nonzero, with that
+    polarisation, the halved symmetrisation, as its witness at (0,)."""
+    rep = adjoint_rep(sl2())
+    a = rep.base
+    n, space = a.dim, intertwining_t_space(a, rep)
+
+    def two_terms(a, defects, batch=""):
+        lead = len(batch)
+        twisted = contract(batch + "ijk", (batch + "ijl", defects), ("kl", a.twist))
+
+        def placed(f) -> Sparse:
+            return twisted.moved(lambda *key: (*key[:lead], *f(*key[lead:])))
+
+        return placed(lambda i, j, k: (k, n + i, n + j)) - placed(lambda i, j, k: (n + i, k, n + j))
+
+    monkeypatch.setattr(operators, "_expansion", two_terms)
+    report = run_defect_expansion_suite(a, rep)
+    dropped = _polarised(lambda t: _oracle_expansion(rep, t, (0, 0, 1)), space)
+    (i, j), form = next(((i, j), form) for (i, j), form in dropped if form)
+    assert not report.ok
+    assert list(report.info.items()) == [("case", (i + 1, j + 1)), ("space_dim", len(space))]
+    assert report.witnesses == (Witness((0,), dense(form, (2 * n,) * 3)),)
 
 
 def _vector_basis(k: int) -> list[Vector]:

@@ -74,7 +74,6 @@ def test_vector_basics():
     assert v.dim == 3 and v[1] == Q(1, 2)
     assert (v - v).is_zero()
     assert v.scale(2)[1] == 1
-    assert Vector.basis(3, 1).dot(v) == Q(1, 2)
     with pytest.raises(ShapeError):
         v + Vector.zero(2)
 
@@ -82,7 +81,6 @@ def test_vector_basics():
 def test_matrix_basics():
     m = Matrix([[1, 2], [3, 4]])
     assert m.row(0) == Vector([1, 2])
-    assert m.col(1) == Vector([2, 4])
     assert (m @ Matrix.identity(2)) == m
     assert m.apply(Vector([1, 0])) == Vector([1, 3])
     assert m.transpose()[0, 1] == 3
