@@ -12,8 +12,6 @@ from .bialgebra import (
     check_bialgebra_homomorphism,
     check_triple_equivalence,
     cobracket_from_bracket,
-    d_double,
-    double_from_matched_pair,
     dual_algebra,
     validate_bialgebra,
     validate_manin_triple,
@@ -25,7 +23,6 @@ from .coboundary import (
     check_chybe,
     check_twist_compat,
     cobracket_from_r,
-    dual_bracket_from_r,
     form_from_invertible_r,
     hom_double,
     r_square_bracket,
@@ -105,11 +102,8 @@ __all__ = [
     "cobracket_from_bracket",
     "cobracket_from_r",
     "commutator_hom_lie",
-    "d_double",
     "direct_sum",
-    "double_from_matched_pair",
     "dual_algebra",
-    "dual_bracket_from_r",
     "emit_structure",
     "form_from_invertible_r",
     "hom_double",

@@ -90,16 +90,14 @@ def parse_rmatrix_expr(expr: str, dim: int) -> Matrix:
     cleaned = expr.replace("-", "+-").strip()
     if cleaned.startswith("+"):
         cleaned = cleaned[1:]
-    parts = [p.strip() for p in cleaned.split("+")]
-    if not any(parts):
+    # each part as (sign, term), so that a part that is only a sign is an empty term
+    stripped = [p.strip() for p in cleaned.split("+")]
+    parts = [(Q(-1), p[1:].strip()) if p.startswith("-") else (Q(1), p) for p in stripped]
+    if not any(part for _, part in parts):
         raise UsageError(f"empty r-matrix expression: {expr!r}")
-    for part in parts:
+    for sign, part in parts:
         if not part:
             raise UsageError(f"empty term in r-matrix expression: {expr!r}")
-        sign = Q(1)
-        if part.startswith("-"):
-            sign = Q(-1)
-            part = part[1:].strip()
         m = _TERM.match(part)
         if not m:
             raise UsageError(

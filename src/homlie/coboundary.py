@@ -28,10 +28,10 @@ from functools import cached_property
 from .bialgebra import (
     Cobracket,
     HomLieBialgebra,
+    _comultiplicative,
     check_bialgebra_homomorphism,
     cobracket_compatibility,
     cobracket_from_bracket,
-    d_double,
     validate_bialgebra,
 )
 from .hom_lie import (
@@ -84,9 +84,6 @@ class RMatrix:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def is_skew(self) -> bool:
-        return self.coeffs.is_skew()
 
     @cached_property
     def bialgebra(self) -> HomLieBialgebra:
@@ -240,7 +237,7 @@ def _validate_coboundary(r: RMatrix, rr: Tensor3 | None) -> CheckReport:
 
     rr_zero = rr.is_zero()
     if cond_i.ok and cond_ii.ok:
-        if rr_zero and r.is_skew():
+        if rr_zero and r.coeffs.is_skew():
             classification = "triangular"
         elif rr_zero:
             classification = "quasitriangular"
@@ -260,7 +257,7 @@ def _validate_coboundary(r: RMatrix, rr: Tensor3 | None) -> CheckReport:
 def check_chybe(r: RMatrix) -> CheckReport:
     """[r,r] = 0, reported entrywise."""
     rr = r_square_bracket(r)
-    return scan("chybe", rr, nscan=3, skew=r.is_skew())
+    return scan("chybe", rr, nscan=3, skew=r.coeffs.is_skew())
 
 
 # --- the three residual identities ------------------------------------------
@@ -323,7 +320,7 @@ def _residual_sides(a: HomLieAlgebra, r, adjoints: tuple, batch: str = "") -> li
     return [
         (
             z + "kpq",
-            [(1, [("xk", phi), (z + "xpq", d)]), (-1, [(z + "kst", d), ("ps", phi), ("qt", phi)])],
+            [(-c, ops) for c, ops in _comultiplicative(phi, d, d, z)],  # delta(phi x) - (phi (x) phi) delta(x)
             skew_action(ad_phi, "k"),
         ),
         (
@@ -487,36 +484,6 @@ def run_jacobiator_suite(a: HomLieAlgebra, seed=None, count=None) -> CheckReport
 
 # --- the r# operator calculus ------------------------------------------------
 
-def dual_bracket_from_r(r: RMatrix) -> HomLieAlgebra:
-    """The bracket on g* (g the algebra r lives on) via the operator route
-
-        [f_a, f_b] = ad"_{r#(f_a)} f_b + ad"_{sigma(r)#(f_b)} f_a
-
-    (ad" the dual of the adjoint action), asserted equal, entry for entry,
-    to dual_algebra(cobracket_from_r(r)).
-    """
-    a = r.base
-    require(is_weakly_involutive(a), "operator route assumes a weakly involutive base")
-    require(check_twist_compat(r), "operator route assumes phi r# = r# phi*")
-    # ad"_x f_b = -sum_p phi(x)_p [e_p, .]_b, at x = r#(f_a) = row a of r and
-    # at x = sigma(r)#(f_b) = column b of r
-    c, phi = a.bracket, a.twist
-    rc = r.coeffs
-    box = contract_sum(
-        "abl", (-1, [("aq", rc), ("pq", phi), ("plb", c)]), (-1, [("qb", rc), ("pq", phi), ("pla", c)])
-    )
-    operator_route = HomLieAlgebra(
-        dense(box, (a.dim,) * 3), phi.transpose(), f"{a.label or 'g'}* (operator route)"
-    )
-
-    cobracket_route = r.bialgebra.dual
-    require(
-        scan("dual-bracket-routes-agree", operator_route.bracket - cobracket_route.bracket),
-        "operator and cobracket routes to the dual bracket disagree",
-    )
-    return operator_route
-
-
 def form_from_invertible_r(r: RMatrix) -> tuple["BilinearFormB", CheckReport]:
     """For skew invertible twist-compatible r: the form B(x,y) =
     <(r#)^{-1}(x), y> on the algebra r lives on, whose Gram matrix is the
@@ -563,7 +530,7 @@ def hom_double(bi: HomLieBialgebra) -> tuple[HomLieBialgebra, RMatrix, CheckRepo
     require(validate_bialgebra(bi), "hom_double needs a valid bialgebra")
     a = bi.algebra
     n = a.dim
-    big = d_double(bi)
+    big = bi.double
 
     r = RMatrix(big, dense({(i, n + i): Q(1) for i in range(n)}, (2 * n, 2 * n)))
 

@@ -45,18 +45,12 @@ class HomLieAlgebra:
         n = self.twist.nrows
         if self.twist.ncols != n:
             raise ShapeError("twist must be square")
-        if self.bracket.dims != (n, n, n):
-            raise ShapeError(
-                f"bracket dims {self.bracket.dims} do not match twist size {n}"
-            )
+        if self.bracket.shape != (n, n, n):
+            raise ShapeError(f"bracket dims {self.bracket.shape} do not match twist size {n}")
 
     @property
     def dim(self) -> int:
         return self.twist.nrows
-
-    def ad(self, i: int) -> Matrix:
-        """Matrix of ad_{e_i}: column j is [e_i, e_j]."""
-        return self.bracket.plane(i).transpose()
 
 
 def twisted_ad(a: HomLieAlgebra) -> Sparse:
@@ -240,9 +234,9 @@ def change_of_basis(a: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
     return HomLieAlgebra(dense(bracket, (n,) * 3), pinv @ a.twist @ p, a.label)
 
 
-def direct_sum(a1: HomLieAlgebra, a2: HomLieAlgebra, label: str = "") -> HomLieAlgebra:
+def direct_sum(a1: HomLieAlgebra, a2: HomLieAlgebra) -> HomLieAlgebra:
     """Block-diagonal sum: brackets and twists act componentwise, cross terms 0."""
-    return block_sum(a1, a2, label or f"{a1.label}(+){a2.label}")
+    return block_sum(a1, a2, f"{a1.label}(+){a2.label}")
 
 
 def block_sum(

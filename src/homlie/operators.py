@@ -119,16 +119,12 @@ class HomLeftSymmetric:
 
     def __post_init__(self):
         m = self.psi.nrows
-        if self.psi.ncols != m or self.product.dims != (m, m, m):
+        if self.psi.ncols != m or self.product.shape != (m, m, m):
             raise ShapeError("product tensor and twist dimensions disagree")
 
     @property
     def dim(self) -> int:
         return self.psi.nrows
-
-    def left_mult(self, i: int) -> Matrix:
-        """Matrix of v |-> e_i . v."""
-        return self.product.plane(i).transpose()
 
 
 def validate_o_operator(cand: OOperatorCandidate) -> CheckReport:
@@ -179,7 +175,8 @@ def commutator_hom_lie(p: HomLeftSymmetric) -> HomLieAlgebra:
 def left_mult_rep(p: HomLeftSymmetric) -> Representation:
     """(V, psi, L) with L_u(v) = u.v over the commutator algebra; asserted."""
     base = commutator_hom_lie(p)
-    rep = Representation(base, p.psi, tuple(p.left_mult(i) for i in range(p.dim)))
+    # L_{e_i} has the matrix of v |-> e_i . v
+    rep = Representation(base, p.psi, tuple(p.product.plane(i).transpose() for i in range(p.dim)))
     require(validate_representation(rep), "left multiplication is not a representation")
     return rep
 

@@ -93,7 +93,7 @@ def _bracket_axiom(r: Representation, m=None) -> Sparse:
 
 def adjoint_rep(a: HomLieAlgebra) -> Representation:
     """(g, phi, ad): the algebra acting on itself by the bracket."""
-    return Representation(a, a.twist, tuple(a.ad(i) for i in range(a.dim)))
+    return Representation(a, a.twist, tuple(a.bracket.plane(i).transpose() for i in range(a.dim)))
 
 
 def is_weakly_involutive_rep(r: Representation) -> CheckReport:
@@ -165,12 +165,7 @@ def semidirect_product(r: Representation) -> HomLieAlgebra:
 
 def twisted_action_fixes_carrier_square(r: Representation) -> CheckReport:
     """rho(phi(e_i)) beta^2 = rho(phi(e_i)) for every basis element."""
-    return fixes_carrier_square("twisted-action-fixes-carrier-square", r, r.base.twist)
-
-
-def fixes_carrier_square(condition: str, r: Representation, m=None) -> CheckReport:
-    """M_i beta^2 = M_i for each matrix M_i = rho(m e_i), rho(e_i) when m is None."""
-    act, beta = r.action, r.beta
-    fixed = [*_after(act, m, "i", "r", "t"), ("tv", beta), ("vs", beta)]
-    res = contract_sum("irs", (1, fixed), (-1, _after(act, m, "i", "r", "s")))
-    return scan(condition, res, r.shape, 1)
+    act, beta, phi = r.action, r.beta, r.base.twist
+    fixed = [*_after(act, phi, "i", "r", "t"), ("tv", beta), ("vs", beta)]
+    res = contract_sum("irs", (1, fixed), (-1, _after(act, phi, "i", "r", "s")))
+    return scan("twisted-action-fixes-carrier-square", res, r.shape, 1)

@@ -331,10 +331,6 @@ class Matrix(Array):
 class Tensor3(Array):
     order = 3
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.shape
-
     def plane(self, i: int) -> Matrix:
         """Slice along the first slot: the matrix t[i][.][.]."""
         return dense(self, self.shape, self._at(i))

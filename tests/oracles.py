@@ -127,6 +127,28 @@ def oracle_cobracket(a: HomLieAlgebra, rc: Matrix) -> Tensor3:
     return Tensor3(box)
 
 
+def oracle_operator_route(a: HomLieAlgebra, rc: Matrix) -> Tensor3:
+    """The bracket on g* by the operator route,
+
+        [f_a, f_b] = ad"_{r#(f_a)} f_b + ad"_{sigma(r)#(f_b)} f_a,
+
+    with r#(f_a) = sum_q r[a][q] e_q, sigma(r)#(f_b) = sum_q r[q][b] e_q and
+    ad"_x f = -f([phi(x), .]), the dual of the adjoint action after phi. Entry
+    (a, b, l) is the f_l coefficient, the value of [f_a, f_b] at e_l."""
+    n = a.dim
+
+    def coadjoint(x: list[Q], c: int, l: int) -> Q:
+        """(ad"_x f_c)(e_l) = -f_c([phi(x), e_l])."""
+        return -bracket_vec(a, twist_vec(a, x), vec(a, l))[c]
+
+    box = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, l in product(range(n), repeat=3):
+        row = [rc[i, q] for q in range(n)]
+        col = [rc[q, j] for q in range(n)]
+        box[i][j][l] = coadjoint(row, j, l) + coadjoint(col, i, l)
+    return Tensor3(box)
+
+
 def oracle_jac_delta(a: HomLieAlgebra, delta: Tensor3, k: int) -> Tensor3:
     """Cyclic sum of (phi (x) delta) delta(e_k), written out per rotation."""
     n = a.dim
@@ -274,6 +296,12 @@ def oracle_dual_exists_i(a: HomLieAlgebra, beta: Matrix, action: list[Matrix], i
     lhs = _mat(_rows(beta), _rho(action, vec(a, i)))
     rhs = _mat(_rows(beta), _rho(action, twist_vec(a, twist_vec(a, vec(a, i)))))
     return Matrix([[p - q for p, q in zip(u, v)] for u, v in zip(lhs, rhs)])
+
+
+def oracle_fixes_carrier_square(action: list[Matrix], beta: Matrix) -> bool:
+    """rho(e_i) beta^2 = rho(e_i) for each action matrix rho(e_i)."""
+    square = _mat(_rows(beta), _rows(beta))
+    return all(_mat(_rows(m), square) == _rows(m) for m in action)
 
 
 def oracle_square_twist_product(product: Tensor3, psi: Matrix, i: int, j: int) -> Vector:

@@ -9,9 +9,7 @@ from homlie.bialgebra import (
     check_bialgebra_homomorphism,
     check_triple_equivalence,
     cobracket_from_bracket,
-    d_double,
     double_bracket,
-    double_from_matched_pair,
     dual_algebra,
     standard_form,
     validate_bialgebra,
@@ -21,10 +19,12 @@ from homlie.bialgebra import (
 )
 from homlie.corpus import aff2, aff2_triangular_bialgebra, aff2_zero_bialgebra, heis3
 from homlie.hom_lie import HomLieAlgebra, is_weakly_involutive, validate_hom_lie
-from homlie.report import InvalidStructureError
+from homlie.report import Witness, failed
 from homlie.tensor import ShapeError
-from homlie.representation import adjoint_rep, fixes_carrier_square, is_weakly_involutive_rep
+from homlie.representation import adjoint_rep, is_weakly_involutive_rep
 from homlie.tensor import Matrix, Tensor3, Vector
+
+from oracles import oracle_fixes_carrier_square
 
 
 def _triangular():
@@ -125,24 +125,24 @@ def test_incompatible_cobracket_witness():
 def test_canonical_matched_pair_of_triangular_bialgebra():
     bi = _triangular()
     mp = bi.matched_pair
-    assert validate_matched_pair(mp).ok
-    dbl = double_from_matched_pair(mp)
+    assert validate_matched_pair(mp).ok and bi.matched_pair_verdict.ok
+    dbl = bi.double
     assert dbl.dim == 4
     assert validate_hom_lie(dbl).ok
-    assert dbl == d_double(bi)
+    assert dbl == double_bracket(mp)
 
 
 def test_d_double_mixed_bracket_is_coadjoint_on_zero_cobracket():
-    dbl = d_double(_zero())
+    dbl = _zero().double
     # [e1, f1] = -f2: classical coadjoint action, dual side abelian
     assert dbl.bracket.plane(0).row(2) == Vector([0, 0, 0, -1])
     assert dbl.bracket.plane(2).row(3).is_zero()
     assert validate_hom_lie(dbl).ok
 
 
-def test_double_from_matched_pair_gates_on_broken_input():
+def test_an_incompatible_cobracket_gives_no_matched_pair():
     # an incompatible cobracket gives a quadruple that is not a matched
-    # pair of valid algebras; the gated constructor must refuse it
+    # pair of valid algebras, and V2 says so
     planes = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
     planes[0][1][1] = Q(1)
     broken_bi = HomLieBialgebra(_cobracket(aff2(), planes))
@@ -151,13 +151,12 @@ def test_double_from_matched_pair_gates_on_broken_input():
         validate_matched_pair(broken).ok
         and validate_hom_lie(broken.right).ok
     )
-    with pytest.raises(InvalidStructureError):
-        double_from_matched_pair(broken)
+    assert not broken_bi.matched_pair_verdict.ok
 
 
 def test_manin_triple_on_builtin_doubles():
     for bi in (_zero(), _triangular()):
-        rep = validate_manin_triple(d_double(bi), 2)
+        rep = validate_manin_triple(bi.double, 2)
         assert rep.ok
         names = [s.checked_condition for s in rep.subreports]
         assert names == [
@@ -174,7 +173,7 @@ def test_manin_triple_detects_non_isotropic_blocks():
     planes = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
     planes[1][0][0] = Q(1)
     bi = HomLieBialgebra(_cobracket(aff2(), planes))
-    rep = validate_manin_triple(d_double(bi), 2)
+    rep = validate_manin_triple(bi.double, 2)
     assert not rep.ok
 
 
@@ -216,6 +215,18 @@ def test_triple_equivalence_agrees_in_the_negative():
     assert rep.info["common_verdict"] == "fail"  # ...on failure
 
 
+def test_triple_equivalence_names_the_verdicts_that_disagree():
+    """A failing V3 cached beside a passing V1 and V2: the equivalence fails, with
+    the unit witness at (0,) and a note naming each verdict."""
+    bi = _triangular()
+    bi.__dict__["manin_triple_verdict"] = failed("manin-triple", [Witness((1,), Q(1))])
+    rep = check_triple_equivalence(bi)
+    assert not rep.ok
+    note = "verdicts disagree: bialgebra=pass, matched_pair=pass, manin_triple=fail"
+    assert rep.witnesses == (Witness((0,), Q(1), note),)
+    assert rep.info == {"bialgebra": "pass", "matched_pair": "pass", "manin_triple": "fail"}
+
+
 def double_verdicts(mp: MatchedPair) -> tuple[tuple[bool, ...], bool]:
     """The parts and the whole of weak involutivity of the double of a matched
     pair: each algebra with its action, rho(x) phi'^2 = rho(x) and
@@ -224,8 +235,8 @@ def double_verdicts(mp: MatchedPair) -> tuple[tuple[bool, ...], bool]:
     parts = (
         is_weakly_involutive(mp.left).ok and is_weakly_involutive_rep(mp.rho).ok,
         is_weakly_involutive(mp.right).ok and is_weakly_involutive_rep(mp.rho_prime).ok,
-        fixes_carrier_square("left-action-fixes-right-twist-square", mp.rho).ok,
-        fixes_carrier_square("right-action-fixes-left-twist-square", mp.rho_prime).ok,
+        oracle_fixes_carrier_square(list(mp.rho.action), mp.rho.beta),
+        oracle_fixes_carrier_square(list(mp.rho_prime.action), mp.rho_prime.beta),
     )
     return parts, is_weakly_involutive(double_bracket(mp)).ok
 

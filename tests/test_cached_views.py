@@ -13,7 +13,6 @@ import pytest
 from homlie.bialgebra import (
     HomLieBialgebra,
     check_triple_equivalence,
-    d_double,
     validate_bialgebra,
     validate_manin_triple,
     validate_matched_pair,
@@ -124,7 +123,7 @@ def _exercise(a, rng, lsa=None):
         (check_triple_equivalence, bi),
         (hom_double, bi),
         (validate_matched_pair, bi.matched_pair),
-        (validate_manin_triple, d_double(bi), a.dim),
+        (validate_manin_triple, bi.double, a.dim),
         (validate_coboundary, a, r),
         (check_chybe, r),
         (check_twist_compat, r),

@@ -83,6 +83,7 @@ def test_parse_rmatrix_expressions():
         [[Q(1, 2), 0], [-1, 0]]
     )
     assert parse_rmatrix_expr("2*e1^e2", 2) == Matrix([[0, 2], [-2, 0]])
+    assert parse_rmatrix_expr("- e1^e2", 2) == Matrix([[0, -1], [1, 0]])
     with pytest.raises(UsageError):
         parse_rmatrix_expr("e1*e2", 2)
     with pytest.raises(UsageError):
@@ -97,6 +98,12 @@ def test_parse_rmatrix_expressions():
         ("e1^e2 + -e2xe1", "doubled sign in r-matrix expression: 'e1^e2 + -e2xe1'"),
         ("e1^e2 - -e2xe1", "doubled sign in r-matrix expression: 'e1^e2 - -e2xe1'"),
         ("e1^e2 + ", "empty term in r-matrix expression: 'e1^e2 + '"),
+        # a lone or trailing sign leaves an empty term, whichever sign it is
+        ("+", "empty r-matrix expression: '+'"),
+        ("-", "empty r-matrix expression: '-'"),
+        (" - ", "empty r-matrix expression: ' - '"),
+        ("e1^e2 +", "empty term in r-matrix expression: 'e1^e2 +'"),
+        ("e1^e2 -", "empty term in r-matrix expression: 'e1^e2 -'"),
     ],
 )
 def test_a_doubled_sign_is_named_apart_from_an_empty_term(capsys, expr, message):
@@ -695,6 +702,13 @@ def test_order3_witnesses_print_as_numbers(capsys):
     )
     assert code == 1
     assert "adjoint-kills-r-square: fail\n    at (2): residual [[-6 0; 0 0], [0 0; 0 0]]" in out
+
+
+def test_a_symmetric_solution_is_quasitriangular(capsys):
+    """r = e2 (x) e3 + 1/4 e1 (x) e1 on sl2 solves [r,r] = 0 and is not skew."""
+    code, out, _ = run(capsys, "validate", "builtin:sl2", "--rmatrix", "e2xe3 + 1/4 e1xe1", "--check", "coboundary")
+    assert code == 0
+    assert out.startswith("coboundary: pass\n  chybe: True\n  classification: quasitriangular\n")
 
 
 class _ClosedPipe:

@@ -22,6 +22,7 @@ from homlie.hom_lie import (
     is_weakly_involutive,
     validate_hom_lie,
 )
+from homlie.representation import adjoint_rep
 from homlie.tensor import Matrix, Tensor3, Vector
 
 from oracles import (
@@ -88,12 +89,12 @@ def test_heis3phi_fixture_is_weakly_involutive_with_phi2_not_id(heis3phi):
 
 
 def test_ad_matrices_read_off_structure_constants():
-    a = aff2()
-    assert a.ad(0) == Matrix([[0, 1], [0, 0]])
-    assert a.ad(1) == Matrix([[-1, 0], [0, 0]])
-    h = heis3()
-    assert h.ad(0).apply(Vector([0, 1, 0])) == Vector([0, 0, 1])
-    assert h.ad(0).transpose().row(0).is_zero() and h.ad(0).transpose().row(2).is_zero()
+    ad = adjoint_rep(aff2()).action
+    assert ad[0] == Matrix([[0, 1], [0, 0]])
+    assert ad[1] == Matrix([[-1, 0], [0, 0]])
+    ad_e1 = adjoint_rep(heis3()).action[0]
+    assert ad_e1.apply(Vector([0, 1, 0])) == Vector([0, 0, 1])
+    assert ad_e1.transpose().row(0).is_zero() and ad_e1.transpose().row(2).is_zero()
 
 
 def test_sl2_killing_form_is_invariant():

@@ -225,7 +225,7 @@ def test_first_case_is_the_least_nonzero_prefix():
 
 def test_tensor3_plane_and_algebra():
     t = Tensor3.zero(2, 2, 2)
-    assert t.dims == (2, 2, 2)
+    assert t.shape == (2, 2, 2)
     t2 = t + Tensor3([[[1, 0], [0, 0]], [[0, 0], [0, Q(1, 3)]]])
     assert t2.plane(1)[1, 1] == Q(1, 3)
     assert (t2 - t2).is_zero()
