@@ -12,10 +12,11 @@ contractions of arrays, evaluated by ``contract_sum`` (``contract`` is its one-t
 case) over the nonzero numerators, and ``dense`` slices a block of the result back
 into an array.
 
-``contract_sum`` joins each term's operands in the order of least estimated work
-(``estimate``) and computes a contraction read under several key orders once. When
-one operand alone has a contraction's last letter, the lane, it is packed along the
-lane into one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker
+``contract_sum`` runs each term as a loop nest compiled for its spec, once per
+distinct source text, and joins the term's operands in the order of least estimated
+work (``estimate``), computing a contraction read under several key orders once.
+When one operand alone has a contraction's last letter, the lane, it is packed along
+the lane into one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker
 substitution), so one bigint product covers the lane; all terms are summed packed at
 one width B, from an exact bound on the whole sum, and the total is unpacked once
 before it is returned. Packing lives only inside ``contract_sum``: every ``Sparse``
@@ -42,7 +43,6 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect, insort
 from collections import defaultdict
 from dataclasses import dataclass
@@ -438,13 +438,14 @@ def _cleared(entries: Iterable[tuple[object, Scalar]]) -> tuple[dict, int]:
 # v_0, v_1, ... of a row along one index are the int sum of v_l 2^(width l). The
 # map is Z-linear, so sums, differences and integer multiples of packed ints are
 # the packed sums, differences and multiples of their rows, and a row is read
-# back exactly as balanced digits while every |v_l| < 2^(width - 1). A read adds
-# its scaled entries into the packed total straight away: a row of a job with no
-# lane gains v 2^(width l) at slot l of out's last index. Unpacking reads a
-# nonzero slot at a time and jumps a run of zero slots in one shift, so a sparse
-# row, such as a residual's on a stack of unit matrices, costs per nonzero slot
-# and per zero run.
-# Only contract_sum packs and unpacks.
+# back exactly as balanced digits while every |v_l| < 2^(width - 1). A compiled
+# kernel packs its lane operand as it reads and groups it, shifting each entry by
+# width times its lane index, and adds its scaled reads into the packed total
+# straight away: a row of a job with no lane gains v 2^(width l) at slot l of
+# out's last index. Unpacking reads a nonzero slot at a time and jumps a run of
+# zero slots in one shift, so a sparse row, such as a residual's on a stack of
+# unit matrices, costs per nonzero slot and per zero run.
+# Only contract_sum's kernels pack, and only contract_sum unpacks.
 
 
 def _unpacked(rows: Iterable[tuple[tuple, int]], width: int) -> dict:
@@ -468,38 +469,12 @@ def _unpacked(rows: Iterable[tuple[tuple, int]], width: int) -> dict:
     return out
 
 
-def _packed(entries: Iterable[tuple[tuple, int]], lane: int, rest, width: int) -> dict:
-    """Entries packed over the index at position `lane`: key rest(key) holds the
-    sum of v 2^(width key[lane])."""
-    rows: dict = {}
-    for key, v in entries:
-        row = rest(key)
-        rows[row] = rows.get(row, 0) + (v << width * key[lane])
-    return rows
-
-
 def _width(bound: int) -> int:
     """The slot width for entries whose |v| sum to at most bound, with a sign bit."""
     return bound.bit_length() + 1
 
 
 # --- contraction ----------------------------------------------------------------
-
-
-def _picker(positions: list[int]):
-    """key -> the tuple of its entries at the given positions."""
-    if len(positions) == 1:
-        (p,) = positions
-        return lambda key: (key[p],)
-    return operator.itemgetter(*positions) if positions else (lambda key: ())
-
-
-def _group(items, split, keep) -> dict:
-    """The entries by split(key), as (keep(key), value) pairs."""
-    out: dict = {}
-    for key, v in items:
-        out.setdefault(split(key), []).append((keep(key), v))
-    return out
 
 
 def _lane(out: str, specs: Sequence[str]) -> int | None:
@@ -537,51 +512,182 @@ def _work(out: str, specs: tuple[str, ...], sizes: tuple, order: tuple[int, ...]
 @lru_cache(maxsize=1024)
 def _plan(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple:
     """What contract_sum does with one term, its operands' labels and shapes (or
-    None) in spec, worked out once per spec: whether a job packs, the number of
-    reads (out when there are none), and one job per letter that the reads put
-    last, as (lane, lane_at, lane_rest, order, first, joins, keymaps). lane is the
-    operand that alone has that letter, packed over it (or None), lane_at the
-    letter's place in its labels, lane_rest the picker of a packed row's key; order
-    is estimate()'s; first picks the first operand's kept indices; per later
-    operand, joins holds the pickers of its indices shared with the accumulator and
-    of its kept ones, and of the accumulator's shared and kept ones; per read,
-    keymaps holds its sign and the picker of out's order. A picker that would keep
-    a key as it is is None."""
+    None) in spec, worked out once per spec: whether the term packs, the number of
+    reads (out when there are none), and the term's kernel, compiled from
+    _source's text once per distinct text."""
+    lanes, nreads, source = _source(out, spec, reads)
+    return any(lane is not None for lane in lanes), nreads, _compiled(source)
 
-    def pick(letters, labels: str):
-        return _picker([labels.index(l) for l in letters])
 
-    def keep(letters, labels: str):
-        return None if "".join(letters) == labels else pick(letters, labels)
+@lru_cache(maxsize=1024)
+def _compiled(source: str):
+    """The kernel that source defines."""
+    scope: dict = {}
+    exec(compile(source, "<contract_sum kernel>", "exec"), scope)
+    return scope["kernel"]
 
+
+def _source(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple[tuple, int, str]:
+    """The loop nest of one term as Python source, with the lane of each of its jobs
+    and its number of reads. A job is one contraction and every read that puts the
+    same letter last; its lane is the operand that alone has that letter, or None.
+    The source defines kernel(xs, total, width, scale), which adds scale times each
+    read of each job into total, packed at width when a job or the call packs. It
+    holds only integer positions and fixed names, so specs that differ in their
+    letters or extents but join alike share one text."""
     specs, sizes = tuple(l for l, _ in spec), tuple(s for _, s in spec)
     groups: dict = {}
     for read in reads or (out,):
         sign, read = (-1, read[1:]) if read.startswith("-") else (1, read)
         letters = "".join(out[read.index(l)] for l in out)  # the term's, in out's order
         groups.setdefault(letters[-1:], []).append((sign, letters))
-    jobs = []
-    for group in groups.values():
-        job_out = group[0][1]
-        lane, (_, order) = _lane(job_out, specs), estimate(job_out, specs, sizes)
-        letter, labels = (job_out[-1], specs[lane]) if lane is not None else ("", "")
-        have, first, joins = "", None, []
-        for step, pos in enumerate(order):
-            row = specs[pos].replace(letter, "") if pos == lane else specs[pos]
-            later = set(job_out).union(*(specs[p] for p in order[step + 1 :]))
-            common = [l for l in have if l in row]
-            kept_have = [l for l in have if l in later]
-            kept_fresh = [l for l in row if l not in have and l in later]
-            if step:
-                shared = (pick(common, row), pick(kept_fresh, row), pick(common, have))
-                joins.append((*shared, keep(kept_have, have)))
+    jobs = [(group, _lane(group[0][1], specs)) for group in groups.values()]
+    packs = any(lane is not None for _, lane in jobs)
+    lines = ["def kernel(xs, total, width, scale):", "get = total.get"]
+    for group, lane in jobs:
+        lines += _job(group, specs, sizes, lane, packs)
+    source = "\n    ".join(lines) + "\n"
+    return tuple(lane for _, lane in jobs), len(reads or (out,)), source
+
+
+def _key(parts: list[str], loop: tuple[str, int] = ("", 0)) -> str:
+    """A dict key of these expressions: the one expression, or their tuple."""
+    return parts[0] if len(parts) == 1 else _tuple(parts, loop)
+
+
+def _tuple(parts: list[str], loop: tuple[str, int] = ("", 0)) -> str:
+    """The tuple of these expressions, or the name of loop = (name, length), a key
+    that the enclosing loop reads, when it is that tuple."""
+    name, size = loop
+    if name and parts == [f"{name}[{i}]" for i in range(size)]:
+        return name
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _job(group: list, specs: tuple[str, ...], sizes: tuple, lane, packs: bool) -> list[str]:
+    """The lines of one job. The operands join in estimate()'s order: the first one's
+    kept indices start the accumulator, acc (the first operand itself when it keeps
+    all its indices in order), and each later one is grouped by the letters it
+    shares with acc, to the rest of its kept indices, and multiplied in. The lane
+    operand is packed over the lane as it is read. A group is a list of (kept
+    indices, value) when every entry has its own, else their sums by kept indices,
+    and one value when nothing is kept. Each read re-keys the job's entries and
+    adds them, times scale or -scale, into total: packed at its key's last index in
+    a call that packs when the job has no lane. The last join of a job with one
+    read of one form writes into total itself; other reads loop over acc."""
+    job_out = group[0][1]
+    order = estimate(job_out, specs, sizes)[1]
+    letter = job_out[-1] if lane is not None else ""
+    reads = [(sign, letters[:-1] if letter else letters) for sign, letters in group]
+    # whether a read shifts: with no lane, as the call packs or not
+    shifts = (False,) if letter or not job_out else (True,) if packs else (True, False)
+    have, fused, lines = "", False, []
+    for step, pos in enumerate(order):
+        labels = specs[pos]
+        row = labels.replace(letter, "") if pos == lane else labels
+        later = set(job_out).union(*(specs[p] for p in order[step + 1 :]))
+        common = [l for l in have if l in row]
+        kept_have = [l for l in have if l in later]
+        kept_fresh = [l for l in row if l not in have and l in later]
+        entries = f"for key, v in xs[{pos}].items():"
+        value = f"(v << width * key[{labels.index(letter)}])" if pos == lane else "v"
+        fresh = [f"key[{labels.index(l)}]" for l in kept_fresh]
+        if not step:
+            if pos != lane and "".join(kept_fresh) == labels:
+                lines.append(f"acc = xs[{pos}]")
             else:
-                first = keep(kept_fresh, row)
-            have = "".join(kept_have + kept_fresh)
-        keymaps = tuple((sign, keep(letters[:-1] if letter else letters, have)) for sign, letters in group)
-        rest = pick(labels.replace(letter, ""), labels)
-        jobs.append((lane, labels.index(letter), rest, order, first, tuple(joins), keymaps))
-    return any(job[0] is not None for job in jobs), len(reads or (out,)), tuple(jobs)
+                added = _added("acc", "aget", fresh, value, ("key", len(labels)))
+                lines += ["acc = {}", "aget = acc.get", entries, *("    " + l for l in added)]
+            have = "".join(kept_fresh)
+            continue
+        # entries that share their split and kept indices are summed into one
+        summing = pos == lane or len(common) + len(kept_fresh) < len(row)
+        split_at = _key([f"key[{labels.index(l)}]" for l in common], ("key", len(labels)))
+        lines += _bucketed(summing, f"xs[{pos}]", value, fresh, split_at if common else "")
+        names = ["r"] if len(fresh) == 1 else [f"r{n}" for n in range(len(fresh))]
+        split = _key([f"key[{have.index(l)}]" for l in common], ("key", len(have)))
+        at = {l: f"key[{have.index(l)}]" for l in kept_have} | dict(zip(kept_fresh, names))
+        loop = ("key", len(have))
+        have = "".join(kept_have + kept_fresh)
+        product = "v * w" if fresh else "v * g"
+        fused = step == len(order) - 1 and len(reads) == 1 and len(shifts) == 1
+        if fused:
+            sign, target = reads[0]
+            lines.append("f = scale" if sign > 0 else "f = -scale")
+            write = _written(target, at, product, shifts[0], loop)
+        else:
+            lines += ["summed = {}", "sget = summed.get"]
+            write = _added("summed", "sget", [at[l] for l in have], product, loop)
+        lines.append("for key, v in acc.items():")
+        inner = "    "
+        if common:
+            lines += [f"    g = rget({split})", "    if g is not None:"]
+            inner = "        "
+        if fused:
+            lines.append(inner + "v *= f")
+        if fresh:
+            lines.append(f"{inner}for {_key(names)}, w in {'g.items()' if summing else 'g'}:")
+            inner += "    "
+        lines += [inner + l for l in write]
+        if not fused:
+            lines.append("acc = summed")
+    if fused:
+        return lines
+    at = {l: f"a[{i}]" for i, l in enumerate(have)}
+    for sign, target in reads:
+        lines.append("f = scale" if sign > 0 else "f = -scale")
+        loops = {}
+        for shift in shifts:
+            write = _written(target, at, "f * v", shift, ("a", len(have)))
+            loops[shift] = ["for a, v in acc.items():", *("    " + l for l in write)]
+        if len(loops) == 1:
+            lines += loops[shifts[0]]
+        else:
+            lines += ["if width:", *("    " + l for l in loops[True]), "else:", *("    " + l for l in loops[False])]
+    return lines
+
+
+def _written(target: str, at: dict, value: str, shift: bool, loop: tuple[str, int]) -> list[str]:
+    """The lines that add value into total at the key of target's letters, letter l
+    at the index expression at[l]; packed at the last one when shift. loop is the
+    name and the length of the key that the enclosing loop reads."""
+    if shift:
+        return _added("total", "get", [at[l] for l in target[:-1]], f"({value} << width * {at[target[-1]]})", loop)
+    return _added("total", "get", [at[l] for l in target], value, loop)
+
+
+def _added(into: str, get: str, parts: list[str], value: str, loop: tuple[str, int]) -> list[str]:
+    """The lines that add value into the dict into, read through get, at the tuple
+    of these expressions."""
+    key = _tuple(parts, loop)
+    if key == loop[0]:
+        return [f"{into}[{key}] = {get}({key}, 0) + {value}"]
+    return [f"k = {key}", f"{into}[k] = {get}(k, 0) + {value}"]
+
+
+def _bucketed(summing: bool, x: str, value: str, fresh: list[str], split: str) -> list[str]:
+    """The lines that group the later operand x into g, one group when split is "",
+    or into right, its groups by the split expression, with rget bound: a list of
+    (kept, v) pairs when not summing, else a dict of sums by kept indices, and a
+    value when none is kept (x itself, when its keys are the split ones)."""
+    kept, entries = _key(fresh), f"for key, v in {x}.items():"
+    if not split:
+        if not fresh:
+            return ["g = 0", entries, f"    g += {value}"]
+        if not summing:
+            return [f"g = [({kept}, v) {entries[:-1]}]"]
+        return ["g = {}", entries, f"    r = {kept}", f"    g[r] = g.get(r, 0) + {value}"]
+    if split == "key" and not fresh and not summing:
+        return [f"rget = {x}.get"]
+    lines = ["right = {}", "rget = right.get", entries, f"    s = {split}"]
+    if not fresh:
+        add = f"rget(s, 0) + {value}" if summing else "v"
+        return lines + [f"    right[s] = {add}"]
+    if not summing:
+        return lines + ["    g = rget(s)", "    if g is None:", f"        right[s] = [({kept}, v)]",
+                        "    else:", f"        g.append(({kept}, v))"]
+    return lines + ["    g = rget(s)", "    if g is None:", "        right[s] = g = {}", f"    r = {kept}",
+                    f"    g[r] = g.get(r, 0) + {value}"]
 
 
 def contract(out: str, *operands: tuple[str, object]) -> Sparse:
@@ -601,16 +707,15 @@ def contract_sum(out: str, *terms) -> Sparse:
     t is worked out once for all reads that put one of its letters last.
 
     Products and sums are of integer numerators, over the LCM of the terms'
-    denominators; sums that cancel are left out. The operands join in estimate()'s
-    order: the first one's kept indices start the accumulator, and each later one
-    is grouped by the letters it shares with it and multiplied in; the first
-    operand itself is the accumulator when it keeps all its indices. The operand
-    that alone has a job's last letter, the lane, is packed over it (see "packed
-    lanes" above). Each read is one loop that re-keys the job's entries, scales them
-    by c den / the term's den and adds them into one total; in a call that packs,
-    all terms are summed packed at one width from an exact bound on the sum (per
-    term and read, |c| den / its den times the product of its operands' sums of
-    |numerators|), and the total is unpacked once into the result."""
+    denominators; sums that cancel are left out. Each term runs its kernel, the
+    loop nest that _source writes for its spec and that is compiled once per
+    distinct text (see _plan): its operands join in estimate()'s order, the
+    operand that alone has a job's last letter, the lane, is packed over it as it
+    is read (see "packed lanes" above), and each read adds its entries, scaled by
+    c den / the term's den, into one total. In a call that packs, all terms are
+    summed packed at one width from an exact bound on the sum (per term and read,
+    |c| den / its den times the product of its operands' sums of |numerators|),
+    and the total is unpacked once into the result."""
     live, dens = [], []
     for c, operands, *reads in terms:
         xs = [sparse(x) for _, x in operands]
@@ -625,41 +730,8 @@ def contract_sum(out: str, *terms) -> Sparse:
             bound += abs(c) * den // d * nreads * prod([sum(map(abs, x.values())) for x in xs])
         width = _width(bound)
     total: dict = {}
-    for c, xs, d, _, _, jobs in live:
-        for lane, lane_at, lane_rest, order, first, joins, keymaps in jobs:
-            parts = [
-                _packed(xs[pos].items(), lane_at, lane_rest, width) if pos == lane else xs[pos]
-                for pos in order
-            ]
-            # the accumulator is only read, so it starts as the first operand itself
-            acc = parts[0]
-            if first is not None:
-                acc = defaultdict(int)
-                for key, v in parts[0].items():
-                    acc[first(key)] += v
-            for (split, keep, acc_split, acc_keep), part in zip(joins, parts[1:]):
-                right = _group(part.items(), split, keep)
-                summed = defaultdict(int)
-                for key, v in acc.items():
-                    pairs = right.get(acc_split(key))
-                    if pairs:
-                        head = key if acc_keep is None else acc_keep(key)
-                        for rest, w in pairs:
-                            summed[head + rest] += v * w
-                acc = summed
-            for sign, keymap in keymaps:
-                f = sign * c * den // d
-                if width and lane is None:
-                    for k, v in acc.items():
-                        if keymap is not None:
-                            k = keymap(k)
-                        row = k[:-1]
-                        total[row] = total.get(row, 0) + (f * v << width * k[-1])
-                else:
-                    for k, v in acc.items():
-                        if keymap is not None:
-                            k = keymap(k)
-                        total[k] = total.get(k, 0) + f * v
+    for c, xs, d, _, _, kernel in live:
+        kernel(xs, total, width, c * den // d)
     if width:
         return Sparse(_unpacked(total.items(), width), den)
     return Sparse({k: v for k, v in total.items() if v}, den)

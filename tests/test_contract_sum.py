@@ -1,10 +1,13 @@
 """contract_sum, the one kernel every identity is evaluated with: its operand
-order comes from a cost model, a contraction read under several key orders is
-computed once, and all terms of a residual are packed at one width. Checked here
-against oracle_contract term by term, under every operand order, and on the
-identities of the verify benchmark, whose passing checks must unpack nothing."""
+order comes from a cost model, each term runs a loop nest compiled once per
+distinct source, a contraction read under several key orders is computed once,
+and all terms of a residual are packed at one width. Checked here against
+oracle_contract term by term, under every operand order (chosen by the cost model
+or forced), and on the identities of the verify benchmark, whose passing checks
+must unpack nothing."""
 
 import random
+import re
 from fractions import Fraction as Q
 from itertools import permutations, product
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie import tensor
+from homlie import cli, tensor
 from homlie.corpus import sl2, sl2_killing_gram
 from homlie.hom_lie import BilinearFormB, change_of_basis, check_invariant_form, direct_sum, validate_hom_lie
 from homlie.representation import adjoint_rep, validate_representation
@@ -117,17 +120,28 @@ def test_contract_sum_is_the_sum_of_its_terms(data):
     assert _rationals(got) == {key: v for key, v in want.items() if v}
 
 
+class _Counted(tensor.Sparse):
+    """A Sparse that counts the passes over its entries."""
+
+    def items(self):
+        self.passes = getattr(self, "passes", 0) + 1
+        return super().items()
+
+
 def test_a_cyclic_sum_is_one_contraction():
     # the Hom-Jacobi residual reads one contraction under three key orders; all
-    # three keep the last index, so it is contracted once
+    # three keep the last index, so it is contracted once: one job, packed over
+    # the operand that holds l, and one pass over each operand's entries
     rng = random.Random(3)
     n = 3
     c = {key: Q(rng.randint(-3, 3)) for key in product(range(n), repeat=3)}
     phi = {key: Q(rng.randint(-3, 3), 2) for key in product(range(n), repeat=2)}
     operands = [("pi", phi), ("pql", c), ("jkq", c)]
-    _, _, (job,) = tensor._plan("ijkl", tuple((l, None) for l, _ in operands), ("ijkl", "jkil", "kijl"))
-    assert len(job[-1]) == 3  # one keymap per read
-    got = contract_sum("ijkl", (1, operands, "ijkl", "jkil", "kijl"))
+    lanes, nreads, _ = tensor._source("ijkl", tuple((l, None) for l, _ in operands), ("ijkl", "jkil", "kijl"))
+    assert (lanes, nreads) == ((1,), 3)
+    counted = [(l, _Counted(sparse(x), sparse(x).den)) for l, x in operands]
+    got = contract_sum("ijkl", (1, counted, "ijkl", "jkil", "kijl"))
+    assert [x.passes for _, x in counted] == [1, 1, 1]
     t = contract("ijkl", *operands)
     want = sparse(t) + contract("ijkl", ("jkil", t)) + contract("ijkl", ("kijl", t))
     assert got == want
@@ -156,7 +170,7 @@ def test_a_tie_keeps_the_written_order(spec):
 
 def test_the_estimate_is_a_function_of_the_spec_alone():
     # the same spec gives the same estimate, and contractions of different data
-    # with the same spec and shapes work out no new plan
+    # with the same spec and shapes work out no new plan and compile nothing
     spec, sizes = ("pi", "pql", "jkq"), ((DIM, DIM), (DIM,) * 3, (DIM,) * 3)
     assert estimate("ijkl", spec, sizes) == estimate("ijkl", spec, sizes)
     rng = random.Random(5)
@@ -165,9 +179,124 @@ def test_the_estimate_is_a_function_of_the_spec_alone():
         return [(l, _array_of({(0,) * len(l): Q(rng.randint(1, 9))}, (DIM,) * len(l))) for l in spec]
 
     contract("ijkl", *operands())
-    misses = tensor._plan.cache_info().misses
+    misses = tensor._plan.cache_info().misses, tensor._compiled.cache_info().misses
     contract("ijkl", *operands())
-    assert tensor._plan.cache_info().misses == misses
+    assert (tensor._plan.cache_info().misses, tensor._compiled.cache_info().misses) == misses
+
+
+# --- the compiled kernels --------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_plans():
+    """Empty plan and kernel caches, emptied again afterwards, so that no plan made
+    under a patched estimate outlives the test."""
+    tensor._plan.cache_clear()
+    tensor._compiled.cache_clear()
+    yield
+    tensor._plan.cache_clear()
+    tensor._compiled.cache_clear()
+
+
+SHAPES = {
+    "lane first": re.compile(r"acc\[k\] = aget\(k, 0\) \+ \(v << width"),
+    "lane at a join": re.compile(r"(g\[r\] = g\.get\(r, 0\) \+|right\[s\] = rget\(s, 0\) \+|g \+=) \(v << width"),
+    "re-keyed first": re.compile(r"acc = \{\}"),
+    "read packed at its last index": re.compile(r"\((f \* v|v \* [wg]) << width \* (a|key)\["),
+}
+JOINS = {"lane first", "lane at a join"}
+
+# (out, terms as (c, operand labels, reads), the SHAPES that the operand orders of
+# the terms must compile to between them)
+FORCED = [
+    ("ik", [(1, ("ij", "jk"), ())], JOINS),
+    ("ijl", [(1, ("pi", "pql", "qj"), ())], JOINS),
+    # m is summed within one operand: a re-keyed first operand, or summed groups
+    ("ik", [(1, ("ijm", "jk"), ())], JOINS | {"re-keyed first"}),
+    # the second term's "ikj" job puts j, held by both operands, last
+    ("ijk", [(3, ("ij", "jk"), ()), (-2, ("ijk", "ij"), ("ijk", "-ikj"))], JOINS | {"read packed at its last index"}),
+    # the first term's job has no lane, and the call packs
+    ("ij", [(1, ("ij", "ij"), ()), (2, ("ik", "kj"), ("ji",))], JOINS | {"read packed at its last index"}),
+    # groups with no shared index, one of them a sum over two letters
+    ("ijl", [(1, ("i", "jl", "km"), ())], JOINS),
+    ("", [(1, ("ij", "ji"), ())], set()),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FORCED)))
+def test_every_operand_order_compiles_to_a_kernel_that_matches_the_oracle(case, fresh_plans, monkeypatch):
+    out, shape, shapes = FORCED[case]
+    rng = random.Random(case)
+    sizes = {l: rng.randint(2, 3) for l in "ijklmpq"}
+    sizes.update(dict.fromkeys(out, 3))  # a read permutes out's letters
+    terms = [(c, [(l, _random_entries(rng, tuple(sizes[x] for x in l))) for l in labels], reads)
+             for c, labels, reads in shape]
+    want: dict = {}
+    for c, plain, reads in terms:
+        t = oracle_contract(out, sizes, *plain)
+        for read in reads or [out]:
+            sign = -1 if read.startswith("-") else 1
+            for key, v in _read(out, sizes, read.lstrip("-"), t).items():
+                want[key] = want.get(key, Q(0)) + sign * c * v
+    want = {key: v for key, v in want.items() if v}
+    orders = {n: list(permutations(range(n))) for n in (1, 2, 3)}
+    seen = set()
+    for pick in range(6):
+        forced = {n: o[pick % len(o)] for n, o in orders.items()}
+        monkeypatch.setattr(tensor, "estimate", lambda out, specs, sizes, forced=forced: (0, forced[len(specs)]))
+        tensor._plan.cache_clear()
+        got = contract_sum(out, *((c, plain, *reads) for c, plain, reads in terms))
+        assert _rationals(got) == want
+        for c, plain, reads in terms:
+            source = tensor._source(out, tuple((l, None) for l, _ in plain), tuple(reads))[2]
+            seen |= {name for name, marker in SHAPES.items() if marker.search(source)}
+    assert seen >= shapes
+
+
+def _random_entries(rng, shape) -> dict:
+    """Seeded rationals of both signs at about two thirds of the keys of shape, and
+    at two of them at least, so that a sum over one operand has two terms."""
+    keys = list(product(*map(range, shape)))
+    chosen = [key for key in keys if rng.random() < 0.7]
+    if len(chosen) < 2:
+        chosen = rng.sample(keys, min(2, len(keys)))
+    return {key: Q(rng.choice((-5, -1, 1, 2, 7)), rng.choice((1, 2, 3))) for key in chosen}
+
+
+def test_specs_that_differ_only_in_extents_compile_once(fresh_plans):
+    for n in (2, 3, 5):
+        x = Matrix([[Q(i - j) for j in range(n)] for i in range(n)])
+        contract("ik", ("ij", x), ("jk", x))
+    kernel = tensor._plan("ik", (("ij", None), ("jk", None)), ())[2]
+    assert tensor._plan.cache_info().misses == 4 and tensor._compiled.cache_info().misses == 1
+    assert kernel is tensor._plan("ik", (("ij", (2, 2)), ("jk", (2, 2))), ())[2]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_no_kernel_source_holds_a_label_letter(data):
+    # the source is made of positions and fixed names: relabelled with letters
+    # that no name of it holds, a spec compiles to the same text
+    out, labels, sizes = data.draw(specs())
+    reads = tuple(
+        data.draw(st.sampled_from(("", "-"))) + "".join(data.draw(st.permutations(out)))
+        for _ in range(data.draw(st.integers(0, 2)))
+    )
+    spec = tuple((l, data.draw(st.none() | st.just(tuple(sizes[x] for x in l)))) for l in labels)
+    greek = str.maketrans(LETTERS, "αβγδε")
+    moved = tuple((l.translate(greek), shape) for l, shape in spec)
+    source = tensor._source(out, spec, reads)[2]
+    assert source == tensor._source(out.translate(greek), moved, tuple(r.translate(greek) for r in reads))[2]
+    assert not set(source) & set("αβγδε\"'")
+
+
+def test_a_cold_validation_compiles_a_bounded_number_of_kernels(fresh_plans, capsys):
+    # one in-process validate of the bialgebra checks from empty caches: a change
+    # that compiles per plan, not per distinct source, or that multiplies the
+    # distinct sources, fails here
+    checks = ("bialgebra", "triple-equivalence", "hom-double")
+    assert cli.main(["validate", "builtin:aff2-triangular", *(f"--check={c}" for c in checks)]) == 0
+    assert tensor._compiled.cache_info().misses <= 30
 
 
 # --- the verify identities on a dense basis ------------------------------------

@@ -892,7 +892,7 @@ def test_packed_rows_read_back_at_the_edge_of_their_width():
     w = 13
     edge = 2 ** (w - 1) - 1
     slots = {(0, 0): edge, (0, 1): -edge, (0, 3): 1, (1, 2): -1, (1, 4): edge, (2, 0): -edge}
-    rows = tensor._packed(slots.items(), -1, lambda key: key[:-1], w)
+    rows = _packed_rows(slots, w)
     assert tensor._unpacked(rows.items(), w) == slots
     t = Sparse(slots, 7)
     want = {key: Q(v, 7) for key, v in slots.items()}
@@ -901,6 +901,15 @@ def test_packed_rows_read_back_at_the_edge_of_their_width():
     double = contract_sum("ij", *[(1, [("ij", t)])] * 2)
     _packed_agrees(double, {key: 2 * v for key, v in want.items()}, (3, 5))
     _packed_agrees(t, want, (3, 5))
+
+
+def _packed_rows(slots, width):
+    """The entries packed over their last index: row key[:-1] holds the sum of
+    v 2^(width key[-1])."""
+    rows = {}
+    for key, v in slots.items():
+        rows[key[:-1]] = rows.get(key[:-1], 0) + v * 2 ** (width * key[-1])
+    return rows
 
 
 def _slot_by_slot(rows, width):
@@ -932,7 +941,7 @@ def test_packed_rows_with_zero_runs_read_back_exactly(width):
         (1, 3 * far): edge, (2, 3 * far): -edge,
         (3, 0): -1, (3, far): -1, (3, 2 * far + 1): -edge, (3, 2 * far + 2): edge,
     }
-    rows = tensor._packed(slots.items(), -1, lambda key: key[:-1], width)
+    rows = _packed_rows(slots, width)
     assert (far - 1) * width > 64
     assert tensor._unpacked(rows.items(), width) == slots == _slot_by_slot(rows.items(), width)
 
@@ -946,7 +955,7 @@ def test_unpacked_reads_each_slot_as_the_slot_by_slot_reader_does(data):
     top = 2 ** (width - 1) - 1
     digits = st.dictionaries(st.integers(0, 90), st.integers(-top, top), max_size=8)
     slots = {(row, l): v for row in range(3) for l, v in data.draw(digits).items() if v}
-    rows = tensor._packed(slots.items(), -1, lambda key: key[:-1], width)
+    rows = _packed_rows(slots, width)
     assert tensor._unpacked(rows.items(), width) == slots == _slot_by_slot(rows.items(), width)
     # any int is some row of balanced digits
     raw = data.draw(st.lists(st.integers(-(2**700), 2**700), max_size=3))
@@ -1003,8 +1012,8 @@ def test_a_packed_sum_with_a_job_that_has_no_lane_matches_the_oracle(seed):
     )
     terms = [(3, [("ij", x), ("jk", _array_of(y, (3, 3)))]), (-2, [("ijk", t), ("ij", s)], "ijk", "ikj")]
     spec = tuple((labels, None) for labels in ("ijk", "ij"))
-    packs, _, jobs = tensor._plan("ijk", spec, ("ijk", "ikj"))
-    assert packs and [lane for lane, *_ in jobs] == [0, None]
+    lanes, _, _ = tensor._source("ijk", spec, ("ijk", "ikj"))
+    assert lanes == (0, None)
     got = contract_sum("ijk", *terms)
     once = oracle_contract("ijk", sizes, ("ijk", t), ("ij", s))
     want: dict = {}
