@@ -15,12 +15,12 @@ into an array.
 ``contract_sum`` runs each term as a loop nest compiled for its spec, once per
 distinct source text, and joins the term's operands in the order of least estimated
 work (``estimate``), computing a contraction read under several key orders once.
-When one operand alone has a contraction's last letter, the lane, it is packed along
-the lane into one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker
-substitution), so one bigint product covers the lane; all terms are summed packed at
-one width B, from an exact bound on the whole sum, and the total is unpacked once
-before it is returned. Packing lives only inside ``contract_sum``: every ``Sparse``
-outside it holds plain numerators.
+Every call whose result is not a scalar sums all its terms packed along the result's
+last index, one exact int per row, v_0 + v_1 2^B + v_2 2^(2B) + ... (Kronecker
+substitution), at one width B from an exact bound on the whole sum, and unpacks the
+total once before it returns. An operand that alone has a contraction's last letter,
+the lane, is packed as it is read, so one bigint product covers the lane. Packing
+lives only inside ``contract_sum``: every ``Sparse`` outside it holds plain numerators.
 
 Fractions are built only in ``entries`` and ``rows``, single-entry reads, and the
 result of ``Matrix.det``; rendering formats the integer view. ``Matrix.det``,
@@ -50,6 +50,7 @@ from functools import lru_cache
 from itertools import permutations
 from fractions import Fraction
 from math import gcd, lcm, prod
+import operator
 from typing import ClassVar, Iterable, NamedTuple, Sequence, Union
 
 Q = Fraction
@@ -146,9 +147,10 @@ class Array:
         return _nested(self._view, self.shape, lambda v: Fraction(v, den), ZERO, tuple)
 
     def _at(self, index) -> tuple[int, ...]:
-        """An index tuple, or an int, with negative indices counted from the end."""
+        """An index tuple, or an int, with negative indices counted from the end; a
+        slice or any other part that is not an int raises TypeError."""
         key = index if isinstance(index, tuple) else (index,)
-        return tuple(range(n)[i] for i, n in zip(key, self.shape[: len(key)], strict=True))
+        return tuple(range(n)[operator.index(i)] for i, n in zip(key, self.shape[: len(key)], strict=True))
 
     def __getitem__(self, index):
         """The entry at an index tuple, or at an int for a vector; fewer indices
@@ -438,13 +440,14 @@ def _cleared(entries: Iterable[tuple[object, Scalar]]) -> tuple[dict, int]:
 # v_0, v_1, ... of a row along one index are the int sum of v_l 2^(width l). The
 # map is Z-linear, so sums, differences and integer multiples of packed ints are
 # the packed sums, differences and multiples of their rows, and a row is read
-# back exactly as balanced digits while every |v_l| < 2^(width - 1). A compiled
-# kernel packs its lane operand as it reads and groups it, shifting each entry by
-# width times its lane index, and adds its scaled reads into the packed total
-# straight away: a row of a job with no lane gains v 2^(width l) at slot l of
-# out's last index. Unpacking reads a nonzero slot at a time and jumps a run of
-# zero slots in one shift, so a sparse row, such as a residual's on a stack of
-# unit matrices, costs per nonzero slot and per zero run.
+# back exactly as balanced digits while every |v_l| < 2^(width - 1). Every
+# contract_sum call whose out is not a scalar sums packed along out's last index:
+# a compiled kernel packs its lane operand as it reads and groups it, shifting
+# each entry by width times its lane index, and adds its scaled reads into the
+# packed total straight away, and a job with no lane packs each entry as it
+# writes it, at width times its slot. Unpacking reads a nonzero slot at a time
+# and jumps a run of zero slots in one shift, so a sparse row, such as a
+# residual's on a stack of unit matrices, costs per nonzero slot and per zero run.
 # Only contract_sum's kernels pack, and only contract_sum unpacks.
 
 
@@ -510,13 +513,10 @@ def _work(out: str, specs: tuple[str, ...], sizes: tuple, order: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
-def _plan(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple:
-    """What contract_sum does with one term, its operands' labels and shapes (or
-    None) in spec, worked out once per spec: whether the term packs, the number of
-    reads (out when there are none), and the term's kernel, compiled from
-    _source's text once per distinct text."""
-    lanes, nreads, source = _source(out, spec, reads)
-    return any(lane is not None for lane in lanes), nreads, _compiled(source)
+def _plan(out: str, spec: tuple, reads: tuple[str, ...]):
+    """The kernel of one term, its operands' labels and shapes (or None) in spec, once
+    per spec, compiled from _source's text once per distinct text."""
+    return _compiled(_source(out, spec, reads))
 
 
 @lru_cache(maxsize=1024)
@@ -527,60 +527,45 @@ def _compiled(source: str):
     return scope["kernel"]
 
 
-def _source(out: str, spec: tuple, reads: tuple[str, ...]) -> tuple[tuple, int, str]:
-    """The loop nest of one term as Python source, with the lane of each of its jobs
-    and its number of reads. A job is one contraction and every read that puts the
-    same letter last; its lane is the operand that alone has that letter, or None.
-    The source defines kernel(xs, total, width, scale), which adds scale times each
-    read of each job into total, packed at width when a job or the call packs. It
-    holds only integer positions and fixed names, so specs that differ in their
-    letters or extents but join alike share one text."""
+def _source(out: str, spec: tuple, reads: tuple[str, ...]) -> str:
+    """The loop nest of one term as Python source. A job is one contraction and every
+    read that puts the same letter last. The source defines kernel(xs, total, width,
+    scale), which adds scale times each read of each job into total, packed at width
+    unless out is "". It holds only integer positions and fixed names, so specs that
+    differ in their letters or extents but join alike share one text."""
     specs, sizes = tuple(l for l, _ in spec), tuple(s for _, s in spec)
     groups: dict = {}
     for read in reads or (out,):
         sign, read = (-1, read[1:]) if read.startswith("-") else (1, read)
         letters = "".join(out[read.index(l)] for l in out)  # the term's, in out's order
         groups.setdefault(letters[-1:], []).append((sign, letters))
-    jobs = [(group, _lane(group[0][1], specs)) for group in groups.values()]
-    packs = any(lane is not None for _, lane in jobs)
     lines = ["def kernel(xs, total, width, scale):", "get = total.get"]
-    for group, lane in jobs:
-        lines += _job(group, specs, sizes, lane, packs)
-    source = "\n    ".join(lines) + "\n"
-    return tuple(lane for _, lane in jobs), len(reads or (out,)), source
+    for group in groups.values():
+        lines += _job(group, specs, sizes)
+    return "\n    ".join(lines) + "\n"
 
 
-def _key(parts: list[str], loop: tuple[str, int] = ("", 0)) -> str:
-    """A dict key of these expressions: the one expression, or their tuple."""
-    return parts[0] if len(parts) == 1 else _tuple(parts, loop)
+def _key(parts: list[str]) -> str:
+    """A dict key of these expressions: the one expression, or their tuple. (Tuple
+    keys everywhere read +4.2 % on verify's positive_s, slower in 8 of 8 pairs.)"""
+    return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
 
 
-def _tuple(parts: list[str], loop: tuple[str, int] = ("", 0)) -> str:
-    """The tuple of these expressions, or the name of loop = (name, length), a key
-    that the enclosing loop reads, when it is that tuple."""
-    name, size = loop
-    if name and parts == [f"{name}[{i}]" for i in range(size)]:
-        return name
-    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
-
-
-def _job(group: list, specs: tuple[str, ...], sizes: tuple, lane, packs: bool) -> list[str]:
+def _job(group: list, specs: tuple[str, ...], sizes: tuple) -> list[str]:
     """The lines of one job. The operands join in estimate()'s order: the first one's
-    kept indices start the accumulator, acc (the first operand itself when it keeps
-    all its indices in order), and each later one is grouped by the letters it
-    shares with acc, to the rest of its kept indices, and multiplied in. The lane
-    operand is packed over the lane as it is read. A group is a list of (kept
+    kept indices start acc, and each later one is grouped by the letters it shares
+    with acc, to the rest of its kept indices, and multiplied in; the lane operand,
+    if any, is packed over the lane as it is read. A group is a list of (kept
     indices, value) when every entry has its own, else their sums by kept indices,
-    and one value when nothing is kept. Each read re-keys the job's entries and
-    adds them, times scale or -scale, into total: packed at its key's last index in
-    a call that packs when the job has no lane. The last join of a job with one
-    read of one form writes into total itself; other reads loop over acc."""
+    and one value when nothing is kept. Each read adds the entries, times scale or
+    -scale, into total at its key, packed at the key's last index when the job has
+    no lane and out is not "": from the last join when it is the job's one read."""
     job_out = group[0][1]
+    lane = _lane(job_out, specs)
     order = estimate(job_out, specs, sizes)[1]
     letter = job_out[-1] if lane is not None else ""
     reads = [(sign, letters[:-1] if letter else letters) for sign, letters in group]
-    # whether a read shifts: with no lane, as the call packs or not
-    shifts = (False,) if letter or not job_out else (True,) if packs else (True, False)
+    shift = bool(job_out) and not letter  # a job with no lane packs at its writes
     have, fused, lines = "", False, []
     for step, pos in enumerate(order):
         labels = specs[pos]
@@ -592,32 +577,41 @@ def _job(group: list, specs: tuple[str, ...], sizes: tuple, lane, packs: bool) -
         entries = f"for key, v in xs[{pos}].items():"
         value = f"(v << width * key[{labels.index(letter)}])" if pos == lane else "v"
         fresh = [f"key[{labels.index(l)}]" for l in kept_fresh]
+        # read as is, not copied: an operand whose keys, in order, are the first
+        # one's kept indices or a later one's split (so it is not the lane, and a
+        # later one keeps no index of its own); copying the first one read +3.3 %
+        # on verify's positive_s (slower in 8 of 8 pairs), the later one within noise
+        as_is = "".join(common if step else kept_fresh) == labels
         if not step:
-            if pos != lane and "".join(kept_fresh) == labels:
+            if as_is:
                 lines.append(f"acc = xs[{pos}]")
             else:
-                added = _added("acc", "aget", fresh, value, ("key", len(labels)))
+                added = _added("acc", "aget", fresh, value)
                 lines += ["acc = {}", "aget = acc.get", entries, *("    " + l for l in added)]
             have = "".join(kept_fresh)
             continue
         # entries that share their split and kept indices are summed into one
         summing = pos == lane or len(common) + len(kept_fresh) < len(row)
-        split_at = _key([f"key[{labels.index(l)}]" for l in common], ("key", len(labels)))
-        lines += _bucketed(summing, f"xs[{pos}]", value, fresh, split_at if common else "")
+        if as_is and len(labels) > 1:  # a one-letter split is a scalar key
+            lines.append(f"rget = xs[{pos}].get")
+        else:
+            split_at = _key([f"key[{labels.index(l)}]" for l in common]) if common else ""
+            lines += _bucketed(summing, f"xs[{pos}]", value, fresh, split_at)
         names = ["r"] if len(fresh) == 1 else [f"r{n}" for n in range(len(fresh))]
-        split = _key([f"key[{have.index(l)}]" for l in common], ("key", len(have)))
+        split = _key([f"key[{have.index(l)}]" for l in common])
         at = {l: f"key[{have.index(l)}]" for l in kept_have} | dict(zip(kept_fresh, names))
-        loop = ("key", len(have))
         have = "".join(kept_have + kept_fresh)
         product = "v * w" if fresh else "v * g"
-        fused = step == len(order) - 1 and len(reads) == 1 and len(shifts) == 1
+        # the last join of a job read once writes into total itself (a loop over
+        # acc after it read +4.1 % on verify's positive_s, slower in 8 of 8 pairs)
+        fused = step == len(order) - 1 and len(reads) == 1
         if fused:
             sign, target = reads[0]
             lines.append("f = scale" if sign > 0 else "f = -scale")
-            write = _written(target, at, product, shifts[0], loop)
+            write = _written(target, at, product, shift)
         else:
             lines += ["summed = {}", "sget = summed.get"]
-            write = _added("summed", "sget", [at[l] for l in have], product, loop)
+            write = _added("summed", "sget", [at[l] for l in have], product)
         lines.append("for key, v in acc.items():")
         inner = "    "
         if common:
@@ -636,32 +630,22 @@ def _job(group: list, specs: tuple[str, ...], sizes: tuple, lane, packs: bool) -
     at = {l: f"a[{i}]" for i, l in enumerate(have)}
     for sign, target in reads:
         lines.append("f = scale" if sign > 0 else "f = -scale")
-        loops = {}
-        for shift in shifts:
-            write = _written(target, at, "f * v", shift, ("a", len(have)))
-            loops[shift] = ["for a, v in acc.items():", *("    " + l for l in write)]
-        if len(loops) == 1:
-            lines += loops[shifts[0]]
-        else:
-            lines += ["if width:", *("    " + l for l in loops[True]), "else:", *("    " + l for l in loops[False])]
+        lines += ["for a, v in acc.items():", *("    " + l for l in _written(target, at, "f * v", shift))]
     return lines
 
 
-def _written(target: str, at: dict, value: str, shift: bool, loop: tuple[str, int]) -> list[str]:
+def _written(target: str, at: dict, value: str, shift: bool) -> list[str]:
     """The lines that add value into total at the key of target's letters, letter l
-    at the index expression at[l]; packed at the last one when shift. loop is the
-    name and the length of the key that the enclosing loop reads."""
+    at the index expression at[l]; packed at the last one when shift."""
     if shift:
-        return _added("total", "get", [at[l] for l in target[:-1]], f"({value} << width * {at[target[-1]]})", loop)
-    return _added("total", "get", [at[l] for l in target], value, loop)
+        return _added("total", "get", [at[l] for l in target[:-1]], f"({value} << width * {at[target[-1]]})")
+    return _added("total", "get", [at[l] for l in target], value)
 
 
-def _added(into: str, get: str, parts: list[str], value: str, loop: tuple[str, int]) -> list[str]:
+def _added(into: str, get: str, parts: list[str], value: str) -> list[str]:
     """The lines that add value into the dict into, read through get, at the tuple
     of these expressions."""
-    key = _tuple(parts, loop)
-    if key == loop[0]:
-        return [f"{into}[{key}] = {get}({key}, 0) + {value}"]
+    key = f"({parts[0]},)" if len(parts) == 1 else _key(parts)
     return [f"k = {key}", f"{into}[k] = {get}(k, 0) + {value}"]
 
 
@@ -669,7 +653,8 @@ def _bucketed(summing: bool, x: str, value: str, fresh: list[str], split: str) -
     """The lines that group the later operand x into g, one group when split is "",
     or into right, its groups by the split expression, with rget bound: a list of
     (kept, v) pairs when not summing, else a dict of sums by kept indices, and a
-    value when none is kept (x itself, when its keys are the split ones)."""
+    value when none is kept. (Dict groups in place of the lists, where no entries
+    collide, read +2.5 % on verify's positive_s, slower in 7 of 8 pairs.)"""
     kept, entries = _key(fresh), f"for key, v in {x}.items():"
     if not split:
         if not fresh:
@@ -677,8 +662,6 @@ def _bucketed(summing: bool, x: str, value: str, fresh: list[str], split: str) -
         if not summing:
             return [f"g = [({kept}, v) {entries[:-1]}]"]
         return ["g = {}", entries, f"    r = {kept}", f"    g[r] = g.get(r, 0) + {value}"]
-    if split == "key" and not fresh and not summing:
-        return [f"rget = {x}.get"]
     lines = ["right = {}", "rget = right.get", entries, f"    s = {split}"]
     if not fresh:
         add = f"rget(s, 0) + {value}" if summing else "v"
@@ -712,25 +695,25 @@ def contract_sum(out: str, *terms) -> Sparse:
     distinct text (see _plan): its operands join in estimate()'s order, the
     operand that alone has a job's last letter, the lane, is packed over it as it
     is read (see "packed lanes" above), and each read adds its entries, scaled by
-    c den / the term's den, into one total. In a call that packs, all terms are
-    summed packed at one width from an exact bound on the sum (per term and read,
-    |c| den / its den times the product of its operands' sums of |numerators|),
-    and the total is unpacked once into the result."""
+    c den / the term's den, into one total. Every call with a nonempty out sums all
+    its terms packed at one width from an exact bound on the sum (per term and read,
+    |c| den / its den times the product of its operands' sums of |numerators|), and
+    unpacks the total once into the result; a scalar out has no index to pack
+    along, and its total is the result."""
     live, dens = [], []
     for c, operands, *reads in terms:
         xs = [sparse(x) for _, x in operands]
         dens.append(prod([x.den for x in xs]))
         if all(xs):
             spec = tuple([(labels, getattr(x, "shape", None)) for labels, x in operands])
-            live.append((c, xs, dens[-1], *_plan(out, spec, tuple(reads))))
+            live.append((c, xs, dens[-1], len(reads) or 1, _plan(out, spec, tuple(reads))))
     den = lcm(*dens)
-    width = bound = 0
-    if any([packs for _, _, _, packs, _, _ in live]):
-        for c, xs, d, _, nreads, _ in live:
-            bound += abs(c) * den // d * nreads * prod([sum(map(abs, x.values())) for x in xs])
-        width = _width(bound)
+    width = 0
+    if out:
+        width = _width(sum(abs(c) * den // d * n * prod([sum(map(abs, x.values())) for x in xs])
+                           for c, xs, d, n, _ in live))
     total: dict = {}
-    for c, xs, d, _, _, kernel in live:
+    for c, xs, d, _, kernel in live:
         kernel(xs, total, width, c * den // d)
     if width:
         return Sparse(_unpacked(total.items(), width), den)

@@ -131,14 +131,17 @@ class _Counted(tensor.Sparse):
 def test_a_cyclic_sum_is_one_contraction():
     # the Hom-Jacobi residual reads one contraction under three key orders; all
     # three keep the last index, so it is contracted once: one job, packed over
-    # the operand that holds l, and one pass over each operand's entries
+    # the operand that holds l as that operand is read, three loops that read the
+    # job's result, and one pass over each operand's entries
     rng = random.Random(3)
     n = 3
     c = {key: Q(rng.randint(-3, 3)) for key in product(range(n), repeat=3)}
     phi = {key: Q(rng.randint(-3, 3), 2) for key in product(range(n), repeat=2)}
     operands = [("pi", phi), ("pql", c), ("jkq", c)]
-    lanes, nreads, _ = tensor._source("ijkl", tuple((l, None) for l, _ in operands), ("ijkl", "jkil", "kijl"))
-    assert (lanes, nreads) == ((1,), 3)
+    source = tensor._source("ijkl", tuple((l, None) for l, _ in operands), ("ijkl", "jkil", "kijl"))
+    loops = source.split("for key, v in ")[1:]
+    assert [loop[:5] for loop in loops if "<< width" in loop] == ["xs[1]"]
+    assert source.count("for a, v in acc.items():") == 3
     counted = [(l, _Counted(sparse(x), sparse(x).den)) for l, x in operands]
     got = contract_sum("ijkl", (1, counted, "ijkl", "jkil", "kijl"))
     assert [x.passes for _, x in counted] == [1, 1, 1]
@@ -203,23 +206,29 @@ SHAPES = {
     "lane at a join": re.compile(r"(g\[r\] = g\.get\(r, 0\) \+|right\[s\] = rget\(s, 0\) \+|g \+=) \(v << width"),
     "re-keyed first": re.compile(r"acc = \{\}"),
     "read packed at its last index": re.compile(r"\((f \* v|v \* [wg]) << width \* (a|key)\["),
+    "list groups": re.compile(r"g = \[\(|g\.append\("),
+    "read as is": re.compile(r"rget = xs\[\d\]\.get"),
+    "fused write": re.compile(r"v \*= f"),
 }
 JOINS = {"lane first", "lane at a join"}
 
 # (out, terms as (c, operand labels, reads), the SHAPES that the operand orders of
 # the terms must compile to between them)
 FORCED = [
-    ("ik", [(1, ("ij", "jk"), ())], JOINS),
-    ("ijl", [(1, ("pi", "pql", "qj"), ())], JOINS),
+    ("ik", [(1, ("ij", "jk"), ())], JOINS | {"list groups", "fused write"}),
+    ("ijl", [(1, ("pi", "pql", "qj"), ())], JOINS | {"list groups"}),
     # m is summed within one operand: a re-keyed first operand, or summed groups
     ("ik", [(1, ("ijm", "jk"), ())], JOINS | {"re-keyed first"}),
     # the second term's "ikj" job puts j, held by both operands, last
-    ("ijk", [(3, ("ij", "jk"), ()), (-2, ("ijk", "ij"), ("ijk", "-ikj"))], JOINS | {"read packed at its last index"}),
-    # the first term's job has no lane, and the call packs
+    ("ijk", [(3, ("ij", "jk"), ()), (-2, ("ijk", "ij"), ("ijk", "-ikj"))],
+     JOINS | {"read packed at its last index", "read as is"}),
+    # the first term's job has no lane, and packs at its writes
     ("ij", [(1, ("ij", "ij"), ()), (2, ("ik", "kj"), ("ji",))], JOINS | {"read packed at its last index"}),
+    # no operand alone holds j, so the only job has no lane and packs at its writes
+    ("ij", [(1, ("ij", "ij"), ())], {"read as is", "fused write", "read packed at its last index"}),
     # groups with no shared index, one of them a sum over two letters
-    ("ijl", [(1, ("i", "jl", "km"), ())], JOINS),
-    ("", [(1, ("ij", "ji"), ())], set()),
+    ("ijl", [(1, ("i", "jl", "km"), ())], JOINS | {"list groups"}),
+    ("", [(1, ("ij", "ji"), ())], {"fused write"}),
 ]
 
 
@@ -248,7 +257,7 @@ def test_every_operand_order_compiles_to_a_kernel_that_matches_the_oracle(case, 
         got = contract_sum(out, *((c, plain, *reads) for c, plain, reads in terms))
         assert _rationals(got) == want
         for c, plain, reads in terms:
-            source = tensor._source(out, tuple((l, None) for l, _ in plain), tuple(reads))[2]
+            source = tensor._source(out, tuple((l, None) for l, _ in plain), tuple(reads))
             seen |= {name for name, marker in SHAPES.items() if marker.search(source)}
     assert seen >= shapes
 
@@ -267,9 +276,9 @@ def test_specs_that_differ_only_in_extents_compile_once(fresh_plans):
     for n in (2, 3, 5):
         x = Matrix([[Q(i - j) for j in range(n)] for i in range(n)])
         contract("ik", ("ij", x), ("jk", x))
-    kernel = tensor._plan("ik", (("ij", None), ("jk", None)), ())[2]
+    kernel = tensor._plan("ik", (("ij", None), ("jk", None)), ())
     assert tensor._plan.cache_info().misses == 4 and tensor._compiled.cache_info().misses == 1
-    assert kernel is tensor._plan("ik", (("ij", (2, 2)), ("jk", (2, 2))), ())[2]
+    assert kernel is tensor._plan("ik", (("ij", (2, 2)), ("jk", (2, 2))), ())
 
 
 @given(st.data())
@@ -285,8 +294,8 @@ def test_no_kernel_source_holds_a_label_letter(data):
     spec = tuple((l, data.draw(st.none() | st.just(tuple(sizes[x] for x in l)))) for l in labels)
     greek = str.maketrans(LETTERS, "αβγδε")
     moved = tuple((l.translate(greek), shape) for l, shape in spec)
-    source = tensor._source(out, spec, reads)[2]
-    assert source == tensor._source(out.translate(greek), moved, tuple(r.translate(greek) for r in reads))[2]
+    source = tensor._source(out, spec, reads)
+    assert source == tensor._source(out.translate(greek), moved, tuple(r.translate(greek) for r in reads))
     assert not set(source) & set("αβγδε\"'")
 
 

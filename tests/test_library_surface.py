@@ -11,7 +11,8 @@ by an inline script of the CI workflow; static and class methods construct data
 and are exempt, as constructors are. Each structure is read through the arrays
 its class holds (`bracket`, `twist`, `action`, `coeffs`, `t`), not through an
 accessor that re-derives them. Every name a module of src/homlie imports is read
-in that module. And only report.py reads the parts of a report: a verdict
+in that module, and every private top-level name of a module of src/homlie is
+read in src/homlie outside its own definition. And only report.py reads the parts of a report: a verdict
 another caller needs is a named value.
 """
 
@@ -67,6 +68,31 @@ def test_every_public_name_is_exported_or_used():
             used.update(name for name in _names(node) if name != own)
     unused = sorted(q for name, q in defined if name not in homlie.__all__ and name not in used)
     assert not unused, "public but neither exported nor used: " + ", ".join(unused)
+
+
+def _defines(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def's or class's, or an
+    assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_name_is_read():
+    """Each top-level `_name` (function, class or assignment) of a module of
+    src/homlie is read in src/homlie outside its own definition, so a helper that
+    its last caller leaves behind fails here."""
+    defined, used = [], set()
+    for path, tree in _trees().items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            own = _defines(node)
+            defined += [(name, f"{path.stem}.{name}") for name in own if name.startswith("_") and not name.endswith("__")]
+            used.update(name for name in _names(node) if name not in own)
+    unread = sorted(q for name, q in defined if name not in used)
+    assert not unread, "private but never read: " + ", ".join(unread)
 
 
 def _attributes(node: ast.AST) -> Counter:

@@ -988,7 +988,13 @@ def test_the_lane_in_any_operand_matches_the_oracle(seed):
 @pytest.mark.parametrize(
     "out, spec_labels", [("ik", ("ik", "ik")), ("ik", ("ij", "jk", "k")), ("", ("ij", "ij")), ("", ("i",))]
 )
-def test_a_lane_letter_in_two_operands_or_a_scalar_out_stays_unpacked(out, spec_labels):
+def test_a_lane_letter_in_two_operands_packs_at_the_writes_and_a_scalar_out_stays_unpacked(out, spec_labels):
+    from homlie import tensor
+
+    # no operand alone holds out's last letter, so no operand is packed as it is
+    # read: the kernel shifts at its writes, unless out is a scalar
+    source = tensor._source(out, tuple((labels, None) for labels in spec_labels), ())
+    assert ("<< width" in source) == bool(out)
     rng = random.Random(len(out) + len(spec_labels))
     sizes = dict.fromkeys("ijk", 3)
     plain = [(labels, _random_tensor(rng, tuple(sizes[l] for l in labels), 0.8)) for labels in spec_labels]
@@ -1000,7 +1006,7 @@ def test_a_lane_letter_in_two_operands_or_a_scalar_out_stays_unpacked(out, spec_
 def test_a_packed_sum_with_a_job_that_has_no_lane_matches_the_oracle(seed):
     # the first term packs over k; the second is read as it is and with j and k
     # swapped, so its "ikj" job puts j, held by both its operands, last: a job with
-    # no lane inside a packed call. The terms' denominators differ, so each read
+    # no lane, which packs at its writes. The terms' denominators differ, so each read
     # is scaled by c times the LCM over its own, never by +-1
     from homlie import tensor
 
@@ -1011,9 +1017,7 @@ def test_a_packed_sum_with_a_job_that_has_no_lane_matches_the_oracle(seed):
         for labels, den in (("ij", 2), ("jk", 1), ("ijk", 3), ("ij", 5))
     )
     terms = [(3, [("ij", x), ("jk", _array_of(y, (3, 3)))]), (-2, [("ijk", t), ("ij", s)], "ijk", "ikj")]
-    spec = tuple((labels, None) for labels in ("ijk", "ij"))
-    lanes, _, _ = tensor._source("ijk", spec, ("ijk", "ikj"))
-    assert lanes == (0, None)
+    assert [tensor._lane(job, ("ijk", "ij")) for job in ("ijk", "ikj")] == [0, None]
     got = contract_sum("ijk", *terms)
     once = oracle_contract("ijk", sizes, ("ijk", t), ("ij", s))
     want: dict = {}
@@ -1099,3 +1103,16 @@ def test_basis_vectors_index_like_arrays():
     for i in (3, 5, -4):
         with pytest.raises(IndexError):
             Vector.basis(3, i)
+
+
+def test_an_index_that_is_not_an_int_is_refused():
+    # a slice once indexed range(n) and read back zeros; each part of an index
+    # must be an int, negative ints count from the end, and out of range refuses
+    m, v = Matrix([[1, 2], [3, 4]]), Vector([5, 6])
+    for read in (lambda: m[0:1], lambda: m[:, 0], lambda: v[0:1], lambda: m.row(slice(0, 1)), lambda: m[0, 1.0]):
+        with pytest.raises(TypeError):
+            read()
+    assert m[-1, 0] == 3 and m[-1] == (3, 4) and v[-2] == 5 and m.row(-1) == Vector([3, 4])
+    for read in (lambda: m[2, 0], lambda: m[0, -3], lambda: v[2], lambda: m.row(2)):
+        with pytest.raises(IndexError):
+            read()
