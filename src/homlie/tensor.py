@@ -577,13 +577,10 @@ def _job(group: list, specs: tuple[str, ...], sizes: tuple) -> list[str]:
         entries = f"for key, v in xs[{pos}].items():"
         value = f"(v << width * key[{labels.index(letter)}])" if pos == lane else "v"
         fresh = [f"key[{labels.index(l)}]" for l in kept_fresh]
-        # read as is, not copied: an operand whose keys, in order, are the first
-        # one's kept indices or a later one's split (so it is not the lane, and a
-        # later one keeps no index of its own); copying the first one read +3.3 %
-        # on verify's positive_s (slower in 8 of 8 pairs), the later one within noise
-        as_is = "".join(common if step else kept_fresh) == labels
         if not step:
-            if as_is:
+            # read as is, not copied, when its keys are its kept indices in order
+            # (a copy read +3.3 % on verify's positive_s, slower in 8 of 8 pairs)
+            if "".join(kept_fresh) == labels:
                 lines.append(f"acc = xs[{pos}]")
             else:
                 added = _added("acc", "aget", fresh, value)
@@ -592,11 +589,8 @@ def _job(group: list, specs: tuple[str, ...], sizes: tuple) -> list[str]:
             continue
         # entries that share their split and kept indices are summed into one
         summing = pos == lane or len(common) + len(kept_fresh) < len(row)
-        if as_is and len(labels) > 1:  # a one-letter split is a scalar key
-            lines.append(f"rget = xs[{pos}].get")
-        else:
-            split_at = _key([f"key[{labels.index(l)}]" for l in common]) if common else ""
-            lines += _bucketed(summing, f"xs[{pos}]", value, fresh, split_at)
+        split_at = _key([f"key[{labels.index(l)}]" for l in common]) if common else ""
+        lines += _bucketed(summing, f"xs[{pos}]", value, fresh, split_at)
         names = ["r"] if len(fresh) == 1 else [f"r{n}" for n in range(len(fresh))]
         split = _key([f"key[{have.index(l)}]" for l in common])
         at = {l: f"key[{have.index(l)}]" for l in kept_have} | dict(zip(kept_fresh, names))

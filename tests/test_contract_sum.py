@@ -207,7 +207,7 @@ SHAPES = {
     "re-keyed first": re.compile(r"acc = \{\}"),
     "read packed at its last index": re.compile(r"\((f \* v|v \* [wg]) << width \* (a|key)\["),
     "list groups": re.compile(r"g = \[\(|g\.append\("),
-    "read as is": re.compile(r"rget = xs\[\d\]\.get"),
+    "first read as is": re.compile(r"acc = xs\[\d\]"),
     "fused write": re.compile(r"v \*= f"),
 }
 JOINS = {"lane first", "lane at a join"}
@@ -215,17 +215,17 @@ JOINS = {"lane first", "lane at a join"}
 # (out, terms as (c, operand labels, reads), the SHAPES that the operand orders of
 # the terms must compile to between them)
 FORCED = [
-    ("ik", [(1, ("ij", "jk"), ())], JOINS | {"list groups", "fused write"}),
+    ("ik", [(1, ("ij", "jk"), ())], JOINS | {"first read as is", "list groups", "fused write"}),
     ("ijl", [(1, ("pi", "pql", "qj"), ())], JOINS | {"list groups"}),
     # m is summed within one operand: a re-keyed first operand, or summed groups
     ("ik", [(1, ("ijm", "jk"), ())], JOINS | {"re-keyed first"}),
     # the second term's "ikj" job puts j, held by both operands, last
     ("ijk", [(3, ("ij", "jk"), ()), (-2, ("ijk", "ij"), ("ijk", "-ikj"))],
-     JOINS | {"read packed at its last index", "read as is"}),
+     JOINS | {"read packed at its last index"}),
     # the first term's job has no lane, and packs at its writes
     ("ij", [(1, ("ij", "ij"), ()), (2, ("ik", "kj"), ("ji",))], JOINS | {"read packed at its last index"}),
     # no operand alone holds j, so the only job has no lane and packs at its writes
-    ("ij", [(1, ("ij", "ij"), ())], {"read as is", "fused write", "read packed at its last index"}),
+    ("ij", [(1, ("ij", "ij"), ())], {"first read as is", "fused write", "read packed at its last index"}),
     # groups with no shared index, one of them a sum over two letters
     ("ijl", [(1, ("i", "jl", "km"), ())], JOINS | {"list groups"}),
     ("", [(1, ("ij", "ji"), ())], {"fused write"}),

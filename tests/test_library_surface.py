@@ -90,9 +90,17 @@ def test_every_private_name_is_read():
         for node in tree.body:
             own = _defines(node)
             defined += [(name, f"{path.stem}.{name}") for name in own if name.startswith("_") and not name.endswith("__")]
-            used.update(name for name in _names(node) if name not in own)
+            used.update(name for name in _loads(node) if name not in own)
     unread = sorted(q for name, q in defined if name not in used)
     assert not unread, "private but never read: " + ", ".join(unread)
+
+
+def _loads(node: ast.AST):
+    """The names that node reads, by Name or by Attribute: not those it assigns or
+    deletes."""
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+            yield n.id if isinstance(n, ast.Name) else n.attr
 
 
 def _attributes(node: ast.AST) -> Counter:
