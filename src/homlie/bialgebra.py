@@ -246,8 +246,8 @@ def validate_matched_pair(mp: MatchedPair) -> CheckReport:
     validity (algebras, representation axioms) is the caller's business.
     """
     g, gp = mp.left, mp.right
-    left = matched_pair_compatibility(g, gp, mp.rho_prime.action, mp.rho.action)
-    right = matched_pair_compatibility(gp, g, mp.rho.action, mp.rho_prime.action)
+    left = matched_pair_compatibility(g, gp, mp.rho_prime._stack, mp.rho._stack)
+    right = matched_pair_compatibility(gp, g, mp.rho._stack, mp.rho_prime._stack)
     return combined(
         "matched-pair",
         [
@@ -286,7 +286,7 @@ def double_bracket(mp: MatchedPair) -> HomLieAlgebra:
     """
     g, gp = mp.left, mp.right
     label = f"double({g.label or 'g'},{gp.label or 'g-prime'})"
-    return block_sum(g, gp, label, mp.rho.action, mp.rho_prime.action)
+    return block_sum(g, gp, label, mp.rho._stack, mp.rho_prime._stack)
 
 
 def standard_form(n: int) -> BilinearFormB:

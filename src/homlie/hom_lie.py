@@ -15,7 +15,6 @@ diagnose a bad structure instead of refusing to look at it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .report import CheckReport, Witness, combined, failed, scan
 from .tensor import (
@@ -243,11 +242,11 @@ def block_sum(
     g: HomLieAlgebra,
     h: HomLieAlgebra,
     label: str,
-    rho: Sequence[Matrix] = (),
-    rho_prime: Sequence[Matrix] = (),
+    rho=(),
+    rho_prime=(),
 ) -> HomLieAlgebra:
     """g (+) h with twist phi (+) phi', where g acts on h by rho and h acts on g by
-    rho_prime (one matrix per basis vector; none for no action):
+    rho_prime (an action tensor, a representation's stack; none for no action):
 
         [(x,x'), (y,y')] = ([x,y] - rho'(y')x + rho'(x')y, [x',y'] + rho(x)y' - rho(y)x').
     """

@@ -49,6 +49,7 @@ from .hom_lie import (
 from .report import CheckReport, combined, holds, require, scan
 from .representation import (
     Representation,
+    _acting_by,
     hom_dual_representation,
     is_weakly_involutive_rep,
     semidirect_product,
@@ -101,7 +102,7 @@ def _defect_tensor(rep: Representation, t, batch: str, u, batch2: str) -> Sparse
     y, z = batch, batch2
     lead = y + z
     # U rho(T v_i) v_j, where t_pi action_psj is the v_s coefficient of rho(T v_i) v_j
-    acted = [(y + "pi", t), ("psj", rep.action), (z + "ls", u)]
+    acted = [(y + "pi", t), ("psj", rep._stack), (z + "ls", u)]
     return contract_sum(
         lead + "ijl",
         (1, [(y + "pi", t), ("pql", rep.base.bracket), (z + "qj", u)]),
@@ -175,8 +176,7 @@ def commutator_hom_lie(p: HomLeftSymmetric) -> HomLieAlgebra:
 def left_mult_rep(p: HomLeftSymmetric) -> Representation:
     """(V, psi, L) with L_u(v) = u.v over the commutator algebra; asserted."""
     base = commutator_hom_lie(p)
-    # L_{e_i} has the matrix of v |-> e_i . v
-    rep = Representation(base, p.psi, tuple(p.product.plane(i).transpose() for i in range(p.dim)))
+    rep = _acting_by(base, p.product, p.psi)
     require(validate_representation(rep), "left multiplication is not a representation")
     return rep
 

@@ -11,6 +11,12 @@ rho"(x) = -(rho(phi(x)))^T in the dual basis, with twist beta^T. That
 candidate is always well defined as data but is a representation exactly
 when two extra identities hold; weak involutivity rho(phi^2(x)) = rho(x)
 is the sufficient condition everything downstream leans on.
+
+A representation stacks its action once, when it is built, into one order-3
+array of shape (dim g, m, m), and every contraction of the action reads that
+stack. The constructions that start from a tensor (the adjoint action, left
+multiplication, the dual candidate) build the stack first and split it into
+the action's matrices in one pass.
 """
 
 from __future__ import annotations
@@ -19,11 +25,15 @@ from dataclasses import dataclass
 
 from .hom_lie import HomLieAlgebra, _square_defect, block_sum
 from .report import CheckReport, InvalidStructureError, combined, scan
-from .tensor import Matrix, ShapeError, Sparse, Tensor3, contract_sum, dense
+from .tensor import Matrix, ShapeError, Sparse, Tensor3, contract_sum, dense, sparse
 
 
 @dataclass(frozen=True)
 class Representation:
+    """(V, beta, rho) over base. `action` is the tuple of matrices rho(e_i); it is
+    also stacked once, when the representation is built, into the private Tensor3
+    `_stack` of shape (dim g, m, m), and every contraction reads that stack."""
+
     base: HomLieAlgebra
     beta: Matrix
     action: tuple[Matrix, ...]  # action[i] = rho(e_i), one m x m matrix per basis vector
@@ -41,9 +51,16 @@ class Representation:
         for a in action:
             if a.nrows != m or a.ncols != m:
                 raise ShapeError("action matrices must match carrier dimension")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "action", action)
+        vars(self).update(base=base, beta=beta, action=action, _stack=dense(action, (base.dim, m, m)))
+
+    @classmethod
+    def _of(cls, base: HomLieAlgebra, beta: Matrix, view: Sparse) -> "Representation":
+        """The representation whose action tensor has the entries of view, keys
+        (i, s, t) inside (dim g, m, m): its matrices split off in one pass."""
+        stack = dense(view, (base.dim, beta.nrows, beta.nrows))
+        out = object.__new__(cls)
+        vars(out).update(base=base, beta=beta, action=stack.planes(), _stack=stack)
+        return out
 
     @property
     def carrier_dim(self) -> int:
@@ -75,7 +92,7 @@ def validate_representation(r: Representation) -> CheckReport:
 
 def _twist_axiom(r: Representation) -> Sparse:
     """Entry (i, s, t) of rho(phi e_i) beta - beta rho(e_i)."""
-    act, beta = r.action, r.beta
+    act, beta = r._stack, r.beta
     twisted = _after(act, r.base.twist, "i", "r", "t")
     return contract_sum("irs", (1, [*twisted, ("ts", beta)]), (-1, [("rt", beta), ("its", act)]))
 
@@ -83,7 +100,7 @@ def _twist_axiom(r: Representation) -> Sparse:
 def _bracket_axiom(r: Representation, m=None) -> Sparse:
     """Entry (i, j, s, t) of inner([e_i, e_j]) beta - rho(phi e_i) inner(e_j)
     + rho(phi e_j) inner(e_i), for inner = rho after m, rho itself when m is None."""
-    act = r.action
+    act = r._stack
     return contract_sum(
         "ijrs",
         (1, [("ijk", r.base.bracket), *_after(act, m, "k", "r", "t"), ("ts", r.beta)]),
@@ -93,12 +110,18 @@ def _bracket_axiom(r: Representation, m=None) -> Sparse:
 
 def adjoint_rep(a: HomLieAlgebra) -> Representation:
     """(g, phi, ad): the algebra acting on itself by the bracket."""
-    return Representation(a, a.twist, tuple(a.bracket.plane(i).transpose() for i in range(a.dim)))
+    return _acting_by(a, a.bracket, a.twist)
+
+
+def _acting_by(base: HomLieAlgebra, t: Tensor3, beta: Matrix) -> Representation:
+    """(V, beta, L) over base, with L(e_i) the matrix of v |-> t(e_i, v): plane i
+    of t transposed, so entry (i, j, k) of t is entry (i, k, j) of the stack."""
+    return Representation._of(base, beta, sparse(t).moved(lambda i, j, k: (i, k, j)))
 
 
 def is_weakly_involutive_rep(r: Representation) -> CheckReport:
     """rho(phi^2(x)) = rho(x) on basis vectors."""
-    return scan("weakly-involutive-rep", _square_defect(r.action, r.base.twist), r.shape, 1)
+    return scan("weakly-involutive-rep", _square_defect(r._stack, r.base.twist), r.shape, 1)
 
 
 def dual_action_candidate(r: Representation) -> Representation:
@@ -108,12 +131,8 @@ def dual_action_candidate(r: Representation) -> Representation:
     automatic (see hom_dual_representation), and some verdict pipelines
     need the raw candidate even when it fails to be one.
     """
-    dual = contract_sum("its", (-1, _after(r.action, r.base.twist, "i", "s", "t")))
-    return Representation(
-        r.base,
-        r.beta.transpose(),
-        tuple(dense(dual, r.shape, (i,)) for i in range(r.base.dim)),
-    )
+    dual = contract_sum("its", (-1, _after(r._stack, r.base.twist, "i", "s", "t")))
+    return Representation._of(r.base, r.beta.transpose(), dual)
 
 
 def hom_dual_exists(r: Representation) -> CheckReport:
@@ -127,7 +146,7 @@ def hom_dual_exists(r: Representation) -> CheckReport:
     rho(phi^2(x)) - rho(x), and the info field records whether that defect is 0,
     the weak involutivity verdict.
     """
-    defect = _square_defect(r.action, r.base.twist)
+    defect = _square_defect(r._stack, r.base.twist)
     cond1 = contract_sum("irs", (-1, [("rt", r.beta), ("its", defect)]))
     square = r.base.twist @ r.base.twist
     return combined(
@@ -160,12 +179,12 @@ def semidirect_product(r: Representation) -> HomLieAlgebra:
         [(x,u), (y,v)] = ([x,y], rho(x)v - rho(y)u),  twist phi (+) beta.
     """
     abelian = HomLieAlgebra(Tensor3.zero(r.carrier_dim), r.beta)
-    return block_sum(r.base, abelian, f"{r.base.label or 'g'}|xV", rho=r.action)
+    return block_sum(r.base, abelian, f"{r.base.label or 'g'}|xV", rho=r._stack)
 
 
 def twisted_action_fixes_carrier_square(r: Representation) -> CheckReport:
     """rho(phi(e_i)) beta^2 = rho(phi(e_i)) for every basis element."""
-    act, beta, phi = r.action, r.beta, r.base.twist
+    act, beta, phi = r._stack, r.beta, r.base.twist
     fixed = [*_after(act, phi, "i", "r", "t"), ("tv", beta), ("vs", beta)]
     res = contract_sum("irs", (1, fixed), (-1, _after(act, phi, "i", "r", "s")))
     return scan("twisted-action-fixes-carrier-square", res, r.shape, 1)

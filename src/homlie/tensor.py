@@ -337,6 +337,15 @@ class Tensor3(Array):
         """Slice along the first slot: the matrix t[i][.][.]."""
         return dense(self, self.shape, self._at(i))
 
+    def planes(self) -> tuple[Matrix, ...]:
+        """Every slice along the first slot, plane(i) for each i, in one pass over
+        the view."""
+        view, (n, *rest) = self._view, self.shape
+        parts: list[dict] = [{} for _ in range(n)]
+        for (i, s, t), v in view.items():
+            parts[i][s, t] = v
+        return tuple(Matrix._of(rest, Sparse(part, view.den)) for part in parts)
+
 
 # --- sparse exact contraction -------------------------------------------------
 #
